@@ -136,16 +136,6 @@ def area_ratio_check(cusp: CuspModel, delta: float,
                            delta=delta, grid=tuple(float(r) for r in grid))
 
 
-def _midpoint_breaks(profile: Profile, r: float, t_lo: float) -> list[float]:
-    # Non-smooth abscissae of t -> ln T((r+t)/2) pulled back to t.
-    pts = []
-    for j in profile.piece_breaks():
-        t = 2.0 * j - r
-        if t_lo < t < r:
-            pts.append(t)
-    return pts
-
-
 def log_cuspidal(cusp: CuspModel, r: float, *, rel_tol: float = 1e-8) -> float:
     """ln of the cusp excursion integral
 
@@ -165,9 +155,10 @@ def log_cuspidal(cusp: CuspModel, r: float, *, rel_tol: float = 1e-8) -> float:
     def f_log(t):
         return n1 * (prof.log_value(t) - prof.log_value((r + t) / 2.0))
 
-    breaks = [b for b in prof.piece_breaks() if t0 < b < r]
-    breaks += _midpoint_breaks(prof, r, t0)
-    return log_integral(f_log, t0, r, rel_tol=rel_tol, breakpoints=breaks)
+    # the midpoint term is non-smooth where (r + t)/2 crosses a break
+    breaks = prof.piece_breaks()
+    return log_integral(f_log, t0, r, rel_tol=rel_tol,
+                        breakpoints=np.concatenate([breaks, 2.0 * breaks - r]))
 
 
 def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
@@ -332,36 +323,6 @@ class GrowthSeries:
     def __len__(self) -> int:
         return int(self.radii.size)
 
-    def to_text(self) -> str:
-        lines = [f"# {self.label}"]
-        lines += [f"{float(r)!r} {float(v)!r}"
-                  for r, v in zip(self.radii, self.log_values)]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "GrowthSeries":
-        label = ""
-        radii: list[float] = []
-        vals: list[float] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                label = line[1:].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DomainError(f"malformed growth series line: {line!r}")
-            radii.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        return GrowthSeries(radii=np.asarray(radii), log_values=np.asarray(vals),
-                            label=label)
-
-    def restricted(self, lo: float, hi: float) -> "GrowthSeries":
-        mask = (self.radii >= lo) & (self.radii <= hi)
-        return GrowthSeries(self.radii[mask], self.log_values[mask], self.label)
-
 
 @dataclass(frozen=True)
 class WindowPolicy:
@@ -372,6 +333,14 @@ class WindowPolicy:
     n_windows: int = 4
     tol: float = 0.02
     min_points: int = 8
+
+    def min_r_max(self, r_lo: float, n_points: int) -> float:
+        """Smallest R_max at which np.linspace(r_lo, R_max, n_points)
+        fills every window, for grids whose innermost window opens below
+        r_lo: that window then holds the grid's first samples."""
+        span = n_points - 1
+        k = self.min_points - 1
+        return r_lo * (span - k) / (span / 2.0 ** (self.n_windows - 1) - k)
 
 
 def _window_masks(radii: np.ndarray, policy: WindowPolicy) -> list[np.ndarray]:

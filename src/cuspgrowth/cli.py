@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -24,6 +25,7 @@ import numpy as np
 from .asymptotics import (
     CuspModel,
     TrendPolicy,
+    WindowPolicy,
     poincare_abscissa,
     sample_cuspidal,
     sample_orbital_parabolic,
@@ -74,6 +76,19 @@ _DEFAULTS = {
     "delta": 1.0,
     "seed": 7,
     "out": "cuspgrowth-out",
+}
+
+# Smallest value of a numeric flag, (floor, floor itself allowed), for
+# each command that reads it.  The radius floors are where the tail
+# windows of the command's growth fit first fill: run_example fits
+# np.linspace(1, Rmax, 257), estimate_delta np.linspace(r_min=4, Rcap, 257).
+_MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
+    "Rmax": {"cusp-analyze": (0.0, False),
+             "example-run": (WindowPolicy().min_r_max(1.0, 257), True)},
+    "Rcap": {"oracle-verify": (
+        WindowPolicy(n_windows=2).min_r_max(4.0, 257), True)},
+    "delta": {"oracle-verify": (0.0, False)},
+    "seed": {"oracle-verify": (0, True)},
 }
 
 _COERCE: dict[str, Callable[[str], object]] = {
@@ -206,21 +221,36 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if name != "all" and name not in CATALOG_IDS:
         raise ConfigError(f"unknown catalog id {name!r} "
                           f"(known: all, {', '.join(CATALOG_IDS)})")
-    r_cap = float(pick("Rcap"))
-    if r_cap > R_CAP:
-        raise ConfigError(f"Rcap {r_cap!r} exceeds the oracle "
+    numbers = {"Rmax": float(pick("Rmax")), "Rcap": float(pick("Rcap")),
+               "delta": float(pick("delta")), "seed": int(pick("seed"))}
+    for key, value in numbers.items():
+        _check_number(key, value, command)
+    if numbers["Rcap"] > R_CAP:
+        raise ConfigError(f"--Rcap {numbers['Rcap']!r} exceeds the oracle "
                           f"enumeration cap {R_CAP!r}")
     return ExperimentConfig(
         command=command,
         name=name,
-        r_max=float(pick("Rmax")),
-        r_cap=r_cap,
-        gauge=float(pick("delta")),
-        seed=int(pick("seed")),
+        r_max=numbers["Rmax"],
+        r_cap=numbers["Rcap"],
+        gauge=numbers["delta"],
+        seed=numbers["seed"],
         out=Path(pick("out")),
         tolerances=_load_tolerances(pick("tolerances")),
         plot_script=bool(pick("plot_script", False)),
         b=pick("b"), gamma=pick("gamma"), m=pick("M"), mu=pick("mu"))
+
+
+def _check_number(key: str, value: float, command: str) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"--{key} must be a finite number, got {value!r}")
+    if command not in _MINIMA[key]:
+        return
+    floor, inclusive = _MINIMA[key][command]
+    if value < floor or (value == floor and not inclusive):
+        bound = ">=" if inclusive else ">"
+        raise ConfigError(f"--{key} {value!r} is out of range for {command}: "
+                          f"it needs --{key} {bound} {floor!r}")
 
 
 def _names(cfg: ExperimentConfig) -> tuple[str, ...]:

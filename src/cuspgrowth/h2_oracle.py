@@ -175,9 +175,6 @@ class GeometryConstants:
     a: float = 1.0
     eps0_fitted: Optional[float] = None
     eps1_fitted: Optional[float] = None
-    delta0_fitted: Optional[float] = None
-    ell_fitted: Optional[float] = None
-    diam_fitted: Optional[float] = None
 
     def eps_theta(self, theta: float) -> float:
         """Thin-triangle allowance at apex angle theta; ln 2 at a right
@@ -304,6 +301,20 @@ def group_bfs(max_word_length: int) -> set[MoebiusElement]:
 # -- coset counting -----------------------------------------------------------
 
 
+def _displacements(raw: list[tuple[int, int, int, int]],
+                   h: float = 0.0) -> list[float]:
+    """Distance from i to the image of i * e^h for each raw element:
+    acosh of half the weighted entry sum, which at h = 0 is summed in
+    exact integers before the one rounding."""
+    if h == 0.0:
+        return [math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
+                for a, b, c, d in raw]
+    up, down = math.exp(h), math.exp(-h)
+    return [math.acosh(max(1.0, (up * (a * a + c * c)
+                                 + down * (b * b + d * d)) / 2.0))
+            for a, b, c, d in raw]
+
+
 def _sorted_norms(r: float) -> dict[str, np.ndarray]:
     """Sorted displacement arrays for the four counted objects: group
     elements, left cosets, right cosets, and nontrivial double cosets.
@@ -314,13 +325,11 @@ def _sorted_norms(r: float) -> dict[str, np.ndarray]:
     all the counting functions ever read.
     """
     raw = _enumerate_raw(r)
-    disp = np.empty(len(raw))
+    disp = _displacements(raw)
     left: dict = {}
     right: dict = {}
     double: dict = {}
-    for i, (a, b, c, d) in enumerate(raw):
-        w = math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
-        disp[i] = w
+    for (a, b, c, d), w in zip(raw, disp):
         # left coset: invariant row (c, d) up to sign
         rk = (c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d)
         if w < left.get(rk, math.inf):
@@ -731,8 +740,7 @@ def estimate_delta(*, r_cap: float = 12.0, r_min: float = 4.0,
     if r_cap > R_CAP:
         raise EnumerationCapError(
             f"radius {r_cap!r} exceeds the enumeration cap {R_CAP!r}")
-    norms = np.sort([math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
-                     for a, b, c, d in _enumerate_raw(r_cap)])
+    norms = np.sort(_displacements(_enumerate_raw(r_cap)))
     radii = np.linspace(r_min, r_cap, n_points)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     series = GrowthSeries(radii, np.log(counts), label="lattice-orbit")
@@ -797,10 +805,7 @@ def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
             f"radius {r_cap!r} exceeds the enumeration cap {R_CAP!r}")
     if not r_min < fit_max < r_cap:
         raise DomainError("need r_min < fit_max < r_cap")
-    norms = np.sort([math.acosh(max(1.0, w / 2.0)) for w in
-                     (math.exp(depth) * (a * a + c * c)
-                      + math.exp(-depth) * (b * b + d * d)
-                      for a, b, c, d in _enumerate_raw(r_cap, depth))])
+    norms = np.sort(_displacements(_enumerate_raw(r_cap, depth), depth))
     radii = np.arange(r_min, r_cap + 1e-12, step)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     if np.any(counts == 0):

@@ -21,13 +21,10 @@ from .errors import DomainError, QuadratureError
 __all__ = [
     "logsumexp",
     "log_add",
-    "log_sub",
     "log_integral",
     "TailAnalysis",
     "log_tail_integral",
     "bisect_increasing",
-    "FittedConstant",
-    "fit_bound_constant",
 ]
 
 NEG_INF = float("-inf")
@@ -61,17 +58,6 @@ def log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sub(a: float, b: float) -> float:
-    """ln(e^a - e^b); requires a >= b."""
-    if b == NEG_INF:
-        return a
-    if b > a:
-        raise DomainError(f"log_sub needs a >= b, got a={a!r} b={b!r}")
-    if a == b:
-        return NEG_INF
-    return a + math.log1p(-math.exp(b - a))
 
 
 def _simpson_log(f_log: Callable[[np.ndarray], np.ndarray],
@@ -302,43 +288,3 @@ def bisect_increasing(pred: Callable[[float], bool],
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class FittedConstant:
-    """A multiplicative constant calibrated on one radius range and then
-    frozen, so later assertions on a disjoint range are honest.
-
-    ``log_value`` is the natural log of the constant; ``fit_range`` records
-    the calibration interval; ``safety`` the multiplier applied to the
-    worst calibration residual.
-    """
-    log_value: float
-    fit_range: tuple[float, float]
-    safety: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-
-def fit_bound_constant(log_residuals: Sequence[float],
-                       fit_range: tuple[float, float],
-                       *,
-                       safety: float = 1.25,
-                       floor: float = 0.02) -> FittedConstant:
-    """Freeze a two-sided envelope constant from calibration residuals.
-
-    ``log_residuals`` are observed values of ln(measured / model); the
-    returned constant C satisfies 1/C <= measured/model <= C on the
-    calibration range with margin ``safety`` (applied in the log domain).
-    """
-    resid = np.asarray(list(log_residuals), dtype=float)
-    if resid.size == 0:
-        raise DomainError("cannot fit a constant from zero residuals")
-    if np.isnan(resid).any() or np.isinf(resid).any():
-        raise DomainError("non-finite calibration residual")
-    worst = float(np.max(np.abs(resid)))
-    return FittedConstant(log_value=max(safety * worst, floor),
-                          fit_range=(float(fit_range[0]), float(fit_range[1])),
-                          safety=safety)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -95,23 +95,38 @@ class _Envelope:
         if self.power < 0:
             raise DomainError("envelope power must be nonnegative")
 
-    def log_value(self, t):
+    def __call__(self, t, order: int = 0):
+        """ln of the law (order 0) or its first (1) or second (2)
+        derivative; power 0 is the pure exponential, without the log."""
         t = np.asarray(t, dtype=float)
         if self.power == 0.0:
-            return -self.rate * t
-        return self.power * np.log(t) - self.rate * t
+            if order == 0:
+                return -self.rate * t
+            return np.full_like(t, -self.rate) if order == 1 else np.zeros_like(t)
+        if order == 0:
+            return self.power * np.log(t) - self.rate * t
+        return self.power / t - self.rate if order == 1 else -self.power / (t * t)
 
-    def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.power == 0.0:
-            return np.full_like(t, -self.rate)
-        return self.power / t - self.rate
 
-    def slope_deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.power == 0.0:
-            return np.zeros_like(t)
-        return -self.power / (t * t)
+@dataclass(frozen=True)
+class _Cubic:
+    """Transition segment whose log-slope is the cubic
+    c0 + c1 u + c2 u^2 + c3 u^3 in u = (t - t0)/width, with ln value
+    ``anchor`` at t0."""
+    t0: float
+    width: float
+    anchor: float
+    coeffs: tuple[float, float, float, float]
+
+    def __call__(self, t, order: int = 0):
+        u = (t - self.t0) / self.width
+        c0, c1, c2, c3 = self.coeffs
+        if order == 1:
+            return c0 + u * (c1 + u * (c2 + u * c3))
+        if order == 2:
+            return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / self.width
+        integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
+        return self.anchor + self.width * integ
 
 
 @dataclass(frozen=True)
@@ -164,52 +179,61 @@ def _cubic_coeffs(y0: float, y1: float, m0: float, m1: float) -> tuple[float, fl
     return (y0, m0, 3.0 * d - 2.0 * m0 - m1, -2.0 * d + m0 + m1)
 
 
-def _segment_eval(seg: Mapping, t: np.ndarray, order: int) -> np.ndarray:
-    """Evaluate ln T (order 0), (ln T)' (1) or (ln T)'' (2) on one segment."""
+def _row(seg: Mapping) -> _Envelope | _Cubic:
     if seg["kind"] == "analytic":
-        env = _Envelope(seg["power"], seg["rate"])
-        if order == 0:
-            return env.log_value(t)
-        if order == 1:
-            return env.slope(t)
-        return env.slope_deriv(t)
-    w = seg["t1"] - seg["t0"]
-    u = (t - seg["t0"]) / w
-    c0, c1, c2, c3 = seg["coeffs"]
-    if order == 1:
-        return c0 + u * (c1 + u * (c2 + u * c3))
-    if order == 2:
-        return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / w
-    integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
-    return seg["anchor"] + w * integ
+        return _Envelope(seg["power"], seg["rate"])
+    return _Cubic(seg["t0"], seg["t1"] - seg["t0"], seg["anchor"],
+                  tuple(seg["coeffs"]))
 
 
-def _piece_eval(piece: ProfilePiece, t: np.ndarray, order: int) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if piece.form == "pure_exp":
-        env = _Envelope(0.0, piece.params["rate"])
-    elif piece.form == "poly_exp":
-        env = _Envelope(piece.params["power"], piece.params["rate"])
-    else:
-        segs = piece.params["segments"]
-        starts = np.array([s["t0"] for s in segs])
-        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(segs) - 1)
+@dataclass(frozen=True, eq=False)
+class _SegmentTable:
+    """The segments of consecutive pieces, flattened in order.
+
+    Row i (an analytic law or a cubic transition) is active from
+    ``starts[i]`` to the next start; a piece's first row starts at the
+    piece's own t0, and the first and last rows extend past the ends.
+    """
+    starts: np.ndarray
+    rows: tuple[_Envelope | _Cubic, ...]
+
+    @classmethod
+    def compile(cls, pieces: Sequence[ProfilePiece]) -> "_SegmentTable":
+        starts: list[float] = []
+        rows: list[_Envelope | _Cubic] = []
+        for piece in pieces:
+            if piece.form == "bridge":
+                segs = piece.params["segments"]
+                starts.append(piece.t0)
+                starts.extend(seg["t0"] for seg in segs[1:])
+                rows.extend(_row(seg) for seg in segs)
+            else:
+                starts.append(piece.t0)
+                rows.append(_Envelope(piece.params.get("power", 0.0),
+                                      piece.params["rate"]))
+        return cls(np.asarray(starts, dtype=float), tuple(rows))
+
+    def __call__(self, t: np.ndarray, order: int) -> np.ndarray:
+        """ln T (order 0), (ln T)' (1) or (ln T)'' (2) on a float array."""
+        idx = np.searchsorted(self.starts, t, side="right")
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        present = np.flatnonzero(
+            np.bincount(idx.ravel(), minlength=len(self.rows)))
+        if present.size == 1:
+            return self.rows[present[0]](t, order)
         out = np.empty_like(t)
-        for i, seg in enumerate(segs):
+        for i in present:
             mask = idx == i
-            if mask.any():
-                out[mask] = _segment_eval(seg, t[mask], order)
+            out[mask] = self.rows[i](t[mask], order)
         return out
-    if order == 0:
-        return env.log_value(t)
-    if order == 1:
-        return env.slope(t)
-    return env.slope_deriv(t)
 
 
 @dataclass(frozen=True)
 class Profile:
-    """A contiguous, strictly decreasing piecewise log-profile."""
+    """A contiguous, strictly decreasing piecewise log-profile.  The
+    pieces are its construction and serialization form; every evaluation
+    reads the segment table they are compiled into on construction."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]
 
@@ -223,6 +247,7 @@ class Profile:
                     f"pieces not contiguous at t={left.t1} (next starts {right.t0})")
         if self.pieces[-1].t1 != INF:
             raise ProfileError("final piece must extend to infinity")
+        object.__setattr__(self, "_table", _SegmentTable.compile(self.pieces))
 
     @property
     def t_start(self) -> float:
@@ -231,30 +256,16 @@ class Profile:
     def piece_breaks(self) -> np.ndarray:
         """All interior non-smooth abscissae (piece joins and bridge
         segment joins), for use as quadrature breakpoints."""
-        pts: list[float] = []
-        for p in self.pieces:
-            pts.append(p.t0)
-            if p.form == "bridge":
-                pts.extend(s["t0"] for s in p.params["segments"][1:])
-        pts.append(self.pieces[-1].t0)
-        return np.unique(np.asarray(pts[1:], dtype=float))
+        return np.unique(self._table.starts[1:])
 
     def _eval(self, t, order: int):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
+        arr = np.atleast_1d(arr)
         if np.any(arr < self.t_start - 1e-12 * max(1.0, self.t_start)):
             raise DomainError(
                 f"profile evaluated below its start t_start={self.t_start}")
-        arr = np.maximum(arr, self.t_start)
-        starts = np.array([p.t0 for p in self.pieces])
-        idx = np.clip(np.searchsorted(starts, arr, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        out = np.empty_like(arr)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[mask] = _piece_eval(piece, arr[mask], order)
+        out = self._table(np.maximum(arr, self.t_start), order)
         return float(out[0]) if scalar else out
 
     def log_value(self, t):
@@ -307,7 +318,6 @@ class BridgeRequest:
 class _Candidate:
     segments: tuple[dict, ...]
     achieved_eps: float
-    theta: float
     monotone: bool
     sandwiched: bool
 
@@ -315,11 +325,11 @@ class _Candidate:
 def _transition_candidate(left: _Envelope, right: _Envelope,
                           q: float, r: float, theta: float) -> _Candidate:
     width = r - q
-    s_q = float(left.slope(q))
-    s_r = float(right.slope(r))
-    d_q = float(left.slope_deriv(q))
-    d_r = float(right.slope_deriv(r))
-    gap = float(right.log_value(r)) - float(left.log_value(q))
+    s_q = float(left(q, 1))
+    s_r = float(right(r, 1))
+    d_q = float(left(q, 2))
+    d_r = float(right(r, 2))
+    gap = float(right(r)) - float(left(q))
 
     # Plateau level from the exact area constraint: integral of sigma over
     # [q, r] equals the log-value gap between the envelopes.
@@ -331,7 +341,7 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
     seg1 = {
         "kind": "cubic",
         "t0": q, "t1": q + w_ramp,
-        "anchor": float(left.log_value(q)),
+        "anchor": float(left(q)),
         "coeffs": _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
     }
     a1 = seg1["anchor"] + w_ramp * _poly_integral(seg1["coeffs"])
@@ -351,10 +361,11 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
     segments = (seg1, seg2, seg3)
 
     t = np.linspace(q, r, _GRID)
-    piece = ProfilePiece(q, r, "bridge", {"segments": segments})
-    g = _piece_eval(piece, t, 0)
-    d1 = _piece_eval(piece, t, 1)
-    d2 = _piece_eval(piece, t, 2)
+    table = _SegmentTable.compile(
+        [ProfilePiece(q, r, "bridge", {"segments": segments})])
+    g = table(t, 0)
+    d1 = table(t, 1)
+    d2 = table(t, 2)
     ratio = d2 + d1 * d1
 
     lo_rate = min(left.rate, right.rate)
@@ -364,12 +375,12 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
                    float(np.max(ratio)) - hi_rate * hi_rate)
 
     monotone = bool(np.all(d1 < 0.0))
-    lo_env = np.minimum(left.log_value(t), right.log_value(t))
-    hi_env = np.maximum(left.log_value(t), right.log_value(t))
+    lo_env = np.minimum(left(t), right(t))
+    hi_env = np.maximum(left(t), right(t))
     slack = 1e-9 * np.maximum(1.0, np.abs(g))
     sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
 
-    return _Candidate(segments=segments, achieved_eps=achieved, theta=theta,
+    return _Candidate(segments=segments, achieved_eps=achieved,
                       monotone=monotone, sandwiched=sandwiched)
 
 
@@ -390,7 +401,7 @@ def _build_transition(left: _Envelope, right: _Envelope,
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return (seg,), 0.0
-    if float(left.slope(q)) >= 0 or float(right.slope(r)) >= 0:
+    if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
     best: _Candidate | None = None
@@ -436,9 +447,9 @@ def build_bridge(req: BridgeRequest) -> ProfilePiece:
 
 
 def _transition_piece(left: _Envelope, right: _Envelope,
-                      q: float, r: float) -> tuple[ProfilePiece, float]:
-    segments, achieved = _build_transition(left, right, q, r)
-    return ProfilePiece(q, r, "bridge", {"segments": segments}), achieved
+                      q: float, r: float) -> ProfilePiece:
+    segments, _ = _build_transition(left, right, q, r)
+    return ProfilePiece(q, r, "bridge", {"segments": segments})
 
 
 def assemble_profile(bounds: CurvatureBounds,
@@ -504,17 +515,19 @@ def validate_profile(profile: Profile,
 
     worst_join = 0.0
     worst_slope = 0.0
-    for leftp, rightp in zip(profile.pieces, profile.pieces[1:]):
+    # one table per piece: a join is checked with each side's own law
+    tables = [_SegmentTable.compile([piece]) for piece in profile.pieces]
+    for k, leftp in enumerate(profile.pieces[:-1]):
         t = np.array([leftp.t1])
-        gl = float(_piece_eval(leftp, t, 0)[0])
-        gr = float(_piece_eval(rightp, t, 0)[0])
+        gl = float(tables[k](t, 0)[0])
+        gr = float(tables[k + 1](t, 0)[0])
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
         if rel > join_tol:
             msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
         for order in (1, 2):
-            dl = float(_piece_eval(leftp, t, order)[0])
-            dr = float(_piece_eval(rightp, t, order)[0])
+            dl = float(tables[k](t, order)[0])
+            dr = float(tables[k + 1](t, order)[0])
             srel = abs(dl - dr) / max(1.0, abs(dl))
             worst_slope = max(worst_slope, srel)
             if srel > slope_tol:
@@ -523,11 +536,11 @@ def validate_profile(profile: Profile,
 
     ratio_min = INF
     ratio_max = -INF
-    for piece in profile.pieces:
+    for piece, table in zip(profile.pieces, tables):
         t = _piece_sample_grid(piece, samples_per_piece)
-        g = _piece_eval(piece, t, 0)
-        d1 = _piece_eval(piece, t, 1)
-        d2 = _piece_eval(piece, t, 2)
+        g = table(t, 0)
+        d1 = table(t, 1)
+        d2 = table(t, 2)
         if not np.all(np.isfinite(g)):
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
@@ -563,17 +576,6 @@ def validate_profile(profile: Profile,
 _FORMAT_TAG = "cusp-profile/1"
 
 
-def _piece_to_jsonable(piece: ProfilePiece) -> dict:
-    params: dict
-    if piece.form == "bridge":
-        params = {"segments": [dict(s, coeffs=list(s["coeffs"])) if "coeffs" in s
-                               else dict(s)
-                               for s in piece.params["segments"]]}
-    else:
-        params = dict(piece.params)
-    return {"t0": piece.t0, "t1": piece.t1, "form": piece.form, "params": params}
-
-
 def _piece_from_jsonable(obj: Mapping) -> ProfilePiece:
     params = obj["params"]
     if obj["form"] == "bridge":
@@ -595,7 +597,9 @@ def profile_to_text(profile: Profile) -> str:
         "format": _FORMAT_TAG,
         "bounds": {"a": profile.bounds.a, "b": profile.bounds.b,
                    "n": profile.bounds.n, "eps": profile.bounds.eps},
-        "pieces": [_piece_to_jsonable(p) for p in profile.pieces],
+        # tuples serialize as JSON lists
+        "pieces": [{"t0": p.t0, "t1": p.t1, "form": p.form,
+                    "params": dict(p.params)} for p in profile.pieces],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -677,14 +681,13 @@ def _require(cond: bool, msg: str) -> None:
         raise CatalogError(msg)
 
 
-def _sparse_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
+def _sparse_pieces(p: CatalogParams) -> list[ProfilePiece]:
     _require(p.m >= 3, "sparse-5.2 needs integer m >= 3")
     _require(p.rate_fast > 2.0, "sparse-5.2 needs fast rate > 2")
     _require(p.windows >= 1, "need at least one oscillation window")
     slow = _Envelope(0.0, 1.0)
     fast = _Envelope(0.0, p.rate_fast)
     pieces: list[ProfilePiece] = []
-    achieved = 0.0
     prev_end = 0.0
     for n in range(1, p.windows + 1):
         pn = float(p.m) ** (4 * n)
@@ -695,33 +698,32 @@ def _sparse_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
         end = float(p.m) ** (4 * n + 2)
         _require(prev_end < q < r < s < end, "degenerate sparse window layout")
         pieces.append(pure_piece(prev_end, q, 1.0))
-        down, e1 = _transition_piece(slow, fast, q, r)
-        pieces.append(down)
+        pieces.append(_transition_piece(slow, fast, q, r))
         pieces.append(pure_piece(r, s, p.rate_fast))
-        up, e2 = _transition_piece(fast, slow, s, end)
-        pieces.append(up)
-        achieved = max(achieved, e1, e2)
+        pieces.append(_transition_piece(fast, slow, s, end))
         prev_end = end
     pieces.append(pure_piece(prev_end, INF, 1.0))
-    return pieces, achieved
+    return pieces
 
 
-def _exotic_conv_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
+def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece]:
+    # unit-rate head, then one transition onto the tail t^power e^{-b t}
+    t0 = p.head * p.band_ratio
+    _require(t0 > power / p.rate_fast, "tail must start beyond the envelope peak")
+    return [pure_piece(0.0, p.head, 1.0),
+            _transition_piece(_Envelope(0.0, 1.0),
+                              _Envelope(power, p.rate_fast), p.head, t0),
+            poly_piece(t0, INF, power, p.rate_fast)]
+
+
+def _exotic_conv_pieces(p: CatalogParams) -> list[ProfilePiece]:
     _require(p.rate_fast > 2.0, "exotic-conv-5.3a needs fast rate > 2")
     _require(p.beta > 1.0, "exotic-conv-5.3a needs power > 1")
     _require(p.head > 0 and p.band_ratio > 1, "bad transition band")
-    t0 = p.head * p.band_ratio
-    _require(t0 > p.beta / p.rate_fast, "tail must start beyond the envelope peak")
-    pieces = [pure_piece(0.0, p.head, 1.0)]
-    trans, achieved = _transition_piece(_Envelope(0.0, 1.0),
-                                        _Envelope(p.beta, p.rate_fast),
-                                        p.head, t0)
-    pieces.append(trans)
-    pieces.append(poly_piece(t0, INF, p.beta, p.rate_fast))
-    return pieces, achieved
+    return _tail_pieces(p, p.beta)
 
 
-def _exotic_div_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
+def _exotic_div_pieces(p: CatalogParams) -> list[ProfilePiece]:
     _require(p.rate_fast > 2.0, "exotic-div-5.3b needs fast rate > 2")
     a_end = p.head
     fast_start = a_end + p.gap
@@ -730,20 +732,16 @@ def _exotic_div_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
     _require(0 < a_end < fast_start < fast_end < tail,
              "exotic-div-5.3b needs head < fast band < tail start")
     _require(tail > 3.0 / p.rate_fast, "tail must start beyond the envelope peak")
-    pieces = [pure_piece(0.0, a_end, 1.0)]
-    t1, e1 = _transition_piece(_Envelope(0.0, 1.0),
-                               _Envelope(0.0, p.rate_fast), a_end, fast_start)
-    pieces.append(t1)
-    pieces.append(pure_piece(fast_start, fast_end, p.rate_fast))
-    t2, e2 = _transition_piece(_Envelope(0.0, p.rate_fast),
-                               _Envelope(3.0, p.rate_fast), fast_end, tail)
-    pieces.append(t2)
-    pieces.append(poly_piece(tail, INF, 3.0, p.rate_fast))
-    return pieces, max(e1, e2)
+    return [pure_piece(0.0, a_end, 1.0),
+            _transition_piece(_Envelope(0.0, 1.0),
+                              _Envelope(0.0, p.rate_fast), a_end, fast_start),
+            pure_piece(fast_start, fast_end, p.rate_fast),
+            _transition_piece(_Envelope(0.0, p.rate_fast),
+                              _Envelope(3.0, p.rate_fast), fast_end, tail),
+            poly_piece(tail, INF, 3.0, p.rate_fast)]
 
 
-def _critical_pieces(p: CatalogParams,
-                     fast_power: float) -> tuple[list[ProfilePiece], float]:
+def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     b = p.rate_fast
     _require(p.m >= 3, "critical ids need integer m >= 3")
     _require(b > 2.0, "critical ids need fast rate > 2")
@@ -755,9 +753,8 @@ def _critical_pieces(p: CatalogParams,
     _require(0 < p.head < p1, "head must finish before the first window")
     _require(p1 > 2.0 / b, "slow envelope must decrease on the windows")
     # Head: unit-rate law, then one transition onto the slow envelope.
-    pieces = [pure_piece(0.0, p.head, 1.0)]
-    t1, achieved = _transition_piece(_Envelope(0.0, 1.0), slow, p.head, p1)
-    pieces.append(t1)
+    pieces = [pure_piece(0.0, p.head, 1.0),
+              _transition_piece(_Envelope(0.0, 1.0), slow, p.head, p1)]
     for n in range(1, p.windows + 1):
         pn = float(p.m) ** (2 * n)
         rn_big = float(p.m) ** (2 * n + 1)
@@ -768,30 +765,12 @@ def _critical_pieces(p: CatalogParams,
         next_p = float(p.m) ** (2 * n + 2)
         _require(s < next_p, "degenerate critical window layout")
         pieces.append(poly_piece(pn, q, 1.0, b / 2.0))
-        down, e_dn = _transition_piece(slow, fast, q, r)
-        pieces.append(down)
+        pieces.append(_transition_piece(slow, fast, q, r))
         pieces.append(poly_piece(r, s, fast_power, b))
-        up, e_up = _transition_piece(fast, slow, s, next_p)
-        pieces.append(up)
-        achieved = max(achieved, e_dn, e_up)
+        pieces.append(_transition_piece(fast, slow, s, next_p))
     final_p = float(p.m) ** (2 * p.windows + 2)
     pieces.append(poly_piece(final_p, INF, 1.0, b / 2.0))
-    return pieces, achieved
-
-
-def _critical_companion_pieces(p: CatalogParams) -> tuple[list[ProfilePiece], float]:
-    # Second perturbed cusp of critical-infinite-5.4b: a single transition
-    # to the divergence-critical tail t^{1+gamma} e^{-b t}.
-    t0 = p.head * p.band_ratio
-    power = 1.0 + p.gamma
-    _require(t0 > power / p.rate_fast, "tail must start beyond the envelope peak")
-    pieces = [pure_piece(0.0, p.head, 1.0)]
-    trans, achieved = _transition_piece(_Envelope(0.0, 1.0),
-                                        _Envelope(power, p.rate_fast),
-                                        p.head, t0)
-    pieces.append(trans)
-    pieces.append(poly_piece(t0, INF, power, p.rate_fast))
-    return pieces, achieved
+    return pieces
 
 
 def _finalize(pieces: list[ProfilePiece], params: CatalogParams) -> Profile:
@@ -832,19 +811,19 @@ def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
     """
     params = params or default_catalog_params(name)
     if name == "sparse-5.2":
-        pieces, _ = _sparse_pieces(params)
+        pieces = _sparse_pieces(params)
     elif name == "exotic-conv-5.3a":
-        pieces, _ = _exotic_conv_pieces(params)
+        pieces = _exotic_conv_pieces(params)
     elif name == "exotic-div-5.3b":
-        pieces, _ = _exotic_div_pieces(params)
+        pieces = _exotic_div_pieces(params)
     elif name == "critical-finite-5.4a":
         _require(0.0 < params.gamma < 1.0, "gamma must lie in (0, 1)")
-        pieces, _ = _critical_pieces(params, 2.0 + params.gamma)
+        pieces = _critical_pieces(params, 2.0 + params.gamma)
     elif name == "critical-infinite-5.4b":
         _require(0.0 < params.gamma < 1.0, "gamma must lie in (0, 1)")
         _require(1.0 + params.gamma < params.beta < 2.0 + params.gamma,
                  "critical-infinite-5.4b needs beta in (1+gamma, 2+gamma)")
-        pieces, _ = _critical_pieces(params, params.beta)
+        pieces = _critical_pieces(params, params.beta)
     else:
         raise CatalogError(f"unknown catalog id {name!r}; "
                            f"known ids: {', '.join(CATALOG_IDS)}")
@@ -863,5 +842,6 @@ def catalog_companions(name: str,
     params = params or default_catalog_params(name)
     if name != "critical-infinite-5.4b":
         return ()
-    pieces, _ = _critical_companion_pieces(params)
-    return (_finalize(pieces, params),)
+    # the second perturbed cusp: one transition to the divergence-critical
+    # tail t^{1+gamma} e^{-b t}
+    return (_finalize(_tail_pieces(params, 1.0 + params.gamma), params),)

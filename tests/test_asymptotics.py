@@ -184,24 +184,11 @@ class TestMeasureCriterion:
 
 
 class TestGrowthSeries:
-    def test_text_round_trip(self):
-        s = GrowthSeries(np.array([1.0, 2.5, 4.0]),
-                         np.array([0.1, -3.7, 12.0]), label="orbit count")
-        back = GrowthSeries.from_text(s.to_text())
-        assert back.label == "orbit count"
-        assert np.array_equal(back.radii, s.radii)
-        assert np.array_equal(back.log_values, s.log_values)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             GrowthSeries(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(DomainError):
             GrowthSeries(np.array([1.0, 2.0]), np.array([0.0, math.nan]))
-
-    def test_restriction(self):
-        s = GrowthSeries(np.arange(1.0, 11.0), np.zeros(10))
-        r = s.restricted(3.0, 7.0)
-        assert r.radii[0] == 3.0 and r.radii[-1] == 7.0
 
 
 def _series(fn, r_max=64.0, n=513) -> GrowthSeries:

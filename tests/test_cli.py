@@ -7,6 +7,7 @@ and byte-level reproducibility of a fixed invocation.
 """
 
 import json
+import math
 
 import pytest
 
@@ -19,7 +20,9 @@ from cuspgrowth.cli import (
     build_parser,
     resolve_config,
 )
-from cuspgrowth.errors import ConfigError
+from cuspgrowth.errors import ConfigError, DomainError
+from cuspgrowth.h2_oracle import estimate_delta
+from cuspgrowth.taxonomy import run_example
 
 
 def _resolve(argv):
@@ -149,6 +152,49 @@ class TestResolveConfig:
     def test_rcap_beyond_enumeration_cap(self):
         with pytest.raises(ConfigError, match="enumeration cap"):
             _resolve(["oracle-verify", "--Rcap", "14.5"])
+
+
+class TestNumberRanges:
+    @pytest.mark.parametrize("command", [
+        "oracle-verify --Rcap nan",
+        "oracle-verify --delta nan",
+        "oracle-verify --seed -1",
+        "example-run --Rmax 0",
+        "example-run --Rmax -3",
+        "oracle-verify --Rcap 3",
+        "cusp-analyze --Rmax nan",
+        "cusp-analyze --Rmax inf",
+    ], ids=lambda c: c.replace(" --", "-").replace(" ", "="))
+    def test_bad_value_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                               command):
+        argv = command.split()
+        rc, out = _run(tmp_path, *argv)
+        assert rc == EXIT_CONFIG
+        assert f"error: {argv[1]} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_values_are_checked(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=oracle-verify\ndelta=0\n")
+        with pytest.raises(ConfigError, match="--delta 0.0 is out of range"):
+            _resolve(["--config", str(path)])
+
+    def test_working_values_still_accepted(self):
+        assert _resolve(["example-run", "--Rmax", "10"]).r_max == 10.0
+        assert _resolve(["cusp-analyze", "--Rmax", "0.5"]).r_max == 0.5
+        assert _resolve(["oracle-verify", "--seed", "0"]).seed == 0
+        # minima bind only the commands that read the flag
+        assert _resolve(["lattice-classify", "--Rmax", "2"]).r_max == 2.0
+
+    def test_radius_floors_match_the_fits(self):
+        floor = cli._MINIMA["Rcap"]["oracle-verify"][0]
+        assert estimate_delta(r_cap=floor).n_elements > 0
+        with pytest.raises(DomainError, match="holds 7 samples"):
+            estimate_delta(r_cap=math.nextafter(floor, 0.0))
+        floor = cli._MINIMA["Rmax"]["example-run"][0]
+        assert run_example("exotic-div-5.3b", r_max=floor).passed
+        with pytest.raises(DomainError, match="holds 7 samples"):
+            run_example("exotic-div-5.3b", r_max=0.99 * floor)
 
 
 class TestToleranceFile:

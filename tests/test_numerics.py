@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.numerics import (
     bisect_increasing,
-    fit_bound_constant,
     log_add,
     log_integral,
-    log_sub,
     log_tail_integral,
     logsumexp,
 )
@@ -51,16 +49,6 @@ class TestLogSumExp:
 class TestLogAddSub:
     def test_add(self):
         assert log_add(math.log(3.0), math.log(4.0)) == pytest.approx(math.log(7.0))
-
-    def test_sub(self):
-        assert log_sub(math.log(7.0), math.log(4.0)) == pytest.approx(math.log(3.0))
-
-    def test_sub_equal_gives_zero_mass(self):
-        assert log_sub(1.5, 1.5) == -math.inf
-
-    def test_sub_order_enforced(self):
-        with pytest.raises(DomainError):
-            log_sub(0.0, 1.0)
 
 
 class TestLogIntegral:
@@ -145,18 +133,3 @@ class TestBisection:
             bisect_increasing(lambda s: True, 0.0, 1.0)
         with pytest.raises(DomainError):
             bisect_increasing(lambda s: False, 0.0, 1.0)
-
-
-class TestFittedConstant:
-    def test_worst_residual_scaled(self):
-        c = fit_bound_constant([0.1, -0.3, 0.05], (0.0, 6.0))
-        assert c.log_value == pytest.approx(1.25 * 0.3)
-        assert c.fit_range == (0.0, 6.0)
-
-    def test_floor_applies(self):
-        c = fit_bound_constant([0.001], (0.0, 1.0))
-        assert c.log_value == pytest.approx(0.02)
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            fit_bound_constant([], (0.0, 1.0))

@@ -318,3 +318,120 @@ class TestPieceBreaks:
         for pt in (4.0, 8.0, 12.0, 20.0):
             assert np.any(np.isclose(breaks, pt)), pt
         assert np.all(np.diff(breaks) > 0)
+
+
+# -- segment table against the two-level reference ------------------------------
+#
+# The evaluator below is the dispatch that the segment table replaced:
+# pieces by form string, then bridge segments by their own start array.
+# The table must agree with it bit for bit, sign bits included.
+
+
+def _ref_analytic(power, rate, t, order):
+    if power == 0.0:
+        if order == 0:
+            return -rate * t
+        if order == 1:
+            return np.full_like(t, -rate)
+        return np.zeros_like(t)
+    if order == 0:
+        return power * np.log(t) - rate * t
+    if order == 1:
+        return power / t - rate
+    return -power / (t * t)
+
+
+def _ref_segment(seg, t, order):
+    if seg["kind"] == "analytic":
+        return _ref_analytic(seg["power"], seg["rate"], t, order)
+    w = seg["t1"] - seg["t0"]
+    u = (t - seg["t0"]) / w
+    c0, c1, c2, c3 = seg["coeffs"]
+    if order == 1:
+        return c0 + u * (c1 + u * (c2 + u * c3))
+    if order == 2:
+        return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / w
+    integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
+    return seg["anchor"] + w * integ
+
+
+def _ref_piece(piece, t, order):
+    if piece.form == "pure_exp":
+        return _ref_analytic(0.0, piece.params["rate"], t, order)
+    if piece.form == "poly_exp":
+        return _ref_analytic(piece.params["power"], piece.params["rate"], t, order)
+    segs = piece.params["segments"]
+    starts = np.array([s["t0"] for s in segs])
+    idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(segs) - 1)
+    out = np.empty_like(t)
+    for i, seg in enumerate(segs):
+        mask = idx == i
+        if mask.any():
+            out[mask] = _ref_segment(seg, t[mask], order)
+    return out
+
+
+def _ref_eval(prof, t, order):
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.maximum(np.atleast_1d(arr).astype(float), prof.t_start)
+    starts = np.array([p.t0 for p in prof.pieces])
+    idx = np.clip(np.searchsorted(starts, arr, side="right") - 1,
+                  0, len(prof.pieces) - 1)
+    out = np.empty_like(arr)
+    for i, piece in enumerate(prof.pieces):
+        mask = idx == i
+        if mask.any():
+            out[mask] = _ref_piece(piece, arr[mask], order)
+    return float(out[0]) if scalar else out
+
+
+def _ref_breaks(prof):
+    pts = []
+    for p in prof.pieces:
+        pts.append(p.t0)
+        if p.form == "bridge":
+            pts.extend(s["t0"] for s in p.params["segments"][1:])
+    pts.append(prof.pieces[-1].t0)
+    return np.unique(np.asarray(pts[1:], dtype=float))
+
+
+def _with_companions(name):
+    return (catalog_profile(name),) + catalog_companions(name)
+
+
+def _bit_equal(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _probe_points(prof):
+    breaks = _ref_breaks(prof)
+    edges = np.concatenate([[prof.t_start], breaks])
+    # one ulp below t_start is inside the start tolerance and clamps
+    near = np.concatenate([np.nextafter(edges, -INF), edges,
+                           np.nextafter(edges, INF)])
+    dense = np.linspace(prof.t_start, 2.0 * edges[-1] + 100.0, 200_001)
+    return dense, near
+
+
+class TestSegmentTable:
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_two_level_reference(self, name, order):
+        for prof in _with_companions(name):
+            dense, near = _probe_points(prof)
+            method = (prof.log_value, prof.dlog, prof.d2log)[order]
+            for t in (dense, near, dense[::-1].copy()):
+                assert _bit_equal(method(t), _ref_eval(prof, t, order))
+            for x in near:
+                got = method(float(x))
+                assert isinstance(got, float)
+                assert _bit_equal(got, _ref_eval(prof, float(x), order)), x
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_breaks_unchanged(self, name):
+        for prof in _with_companions(name):
+            assert _bit_equal(prof.piece_breaks(), _ref_breaks(prof))
