@@ -31,11 +31,13 @@ from .asymptotics import (
     sample_orbital_parabolic,
     series_convergence_at,
 )
-from .errors import ConfigError, CuspGrowthError
+from .errors import CatalogError, ConfigError, CuspGrowthError
 from .h2_oracle import (
+    BALL_CAP,
     R_CAP,
     coset_counts,
     estimate_delta,
+    prop28_radius,
     verify_counting,
     verify_lemmas,
     verify_prop28,
@@ -90,6 +92,10 @@ _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
     "delta": {"oracle-verify": (0.0, False)},
     "seed": {"oracle-verify": (0, True)},
 }
+
+# catalog override flags: flag -> (ExperimentConfig field, CatalogParams field)
+_OVERRIDES = {"b": ("b", "rate_fast"), "gamma": ("gamma", "gamma"),
+              "M": ("m", "m"), "mu": ("mu", "mu")}
 
 _COERCE: dict[str, Callable[[str], object]] = {
     "command": str,
@@ -228,6 +234,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if numbers["Rcap"] > R_CAP:
         raise ConfigError(f"--Rcap {numbers['Rcap']!r} exceeds the oracle "
                           f"enumeration cap {R_CAP!r}")
+    reach = prop28_radius(numbers["Rcap"], numbers["delta"])
+    if command == "oracle-verify" and reach > BALL_CAP:
+        raise ConfigError(
+            f"--delta {numbers['delta']!r} with --Rcap {numbers['Rcap']!r} "
+            f"would enumerate the lattice to radius {reach!r}, above the "
+            f"oracle's ball cap {BALL_CAP!r}; lower --delta or --Rcap")
+    for key in ("b", "gamma", "mu"):  # --M is an integer
+        if pick(key) is not None:
+            _check_number(key, pick(key), command)
     return ExperimentConfig(
         command=command,
         name=name,
@@ -244,7 +259,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _check_number(key: str, value: float, command: str) -> None:
     if not math.isfinite(value):
         raise ConfigError(f"--{key} must be a finite number, got {value!r}")
-    if command not in _MINIMA[key]:
+    if command not in _MINIMA.get(key, {}):
         return
     floor, inclusive = _MINIMA[key][command]
     if value < floor or (value == floor and not inclusive):
@@ -257,18 +272,17 @@ def _names(cfg: ExperimentConfig) -> tuple[str, ...]:
     return CATALOG_IDS if cfg.name == "all" else (cfg.name,)
 
 
+def _overrides(cfg: ExperimentConfig) -> dict[str, object]:
+    """The catalog override flags in effect, with their values."""
+    values = {flag: getattr(cfg, field)
+              for flag, (field, _) in _OVERRIDES.items()}
+    return {flag: v for flag, v in values.items() if v is not None}
+
+
 def _params_for(cfg: ExperimentConfig, name: str) -> CatalogParams:
-    params = default_catalog_params(name)
-    overrides = {}
-    if cfg.m is not None:
-        overrides["m"] = cfg.m
-    if cfg.mu is not None:
-        overrides["mu"] = cfg.mu
-    if cfg.b is not None:
-        overrides["rate_fast"] = cfg.b
-    if cfg.gamma is not None:
-        overrides["gamma"] = cfg.gamma
-    return dataclasses.replace(params, **overrides) if overrides else params
+    return dataclasses.replace(
+        default_catalog_params(name),
+        **{_OVERRIDES[flag][1]: v for flag, v in _overrides(cfg).items()})
 
 
 def _jsonable(value):
@@ -474,7 +488,14 @@ def run(cfg: ExperimentConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory "
                           f"{cfg.out}: {exc}") from exc
-    assertions, artifacts = _RUNNERS[cfg.command](cfg, cfg.out)
+    try:
+        assertions, artifacts = _RUNNERS[cfg.command](cfg, cfg.out)
+    except CatalogError as exc:
+        flags = " ".join(f"--{flag} {value!r}"
+                         for flag, value in _overrides(cfg).items())
+        if not flags:
+            raise
+        raise CatalogError(f"{exc} (overrides in effect: {flags})") from exc
     if cfg.plot_script:
         extra = _write_plot_script(cfg.out, artifacts)
         if extra is not None:

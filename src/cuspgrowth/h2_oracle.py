@@ -33,6 +33,8 @@ from .profiles import CurvatureBounds, assemble_profile, pure_piece
 
 __all__ = [
     "R_CAP",
+    "BALL_CAP",
+    "prop28_radius",
     "MoebiusElement",
     "HPoint",
     "GeometryConstants",
@@ -54,6 +56,18 @@ __all__ = [
 ]
 
 R_CAP = 14.0
+# verify_prop28 widens its annuli by up to twice this much beyond the
+# gauge, so it reads its ball that far above the radius plus half a gauge
+_PROP28_HEADROOM = 0.5
+# largest ball any count may read: what verify_prop28 needs at R_CAP with
+# the default gauge 1
+BALL_CAP = R_CAP + 1.0
+
+
+def prop28_radius(r: float, gauge: float) -> float:
+    """Radius of the ball that verify_prop28(r, gauge) reads; it must not
+    exceed BALL_CAP."""
+    return r + gauge / 2.0 + _PROP28_HEADROOM
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,12 @@ class GeometryConstants:
 # -- enumeration --------------------------------------------------------------
 
 
+def _check_cap(r: float, cap: float = R_CAP) -> None:
+    if r > cap:
+        raise EnumerationCapError(
+            f"radius {r!r} exceeds the enumeration cap {cap!r}")
+
+
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -267,9 +287,7 @@ def enumerate_group(r: float, *, h: float = 0.0,
     """Complete, duplicate-free list of group elements moving the
     weighted base point by at most r, sorted by displacement then
     lexicographically.  Canonical signs make the list projective."""
-    if r > r_cap:
-        raise EnumerationCapError(
-            f"radius {r!r} exceeds the enumeration cap {r_cap!r}")
+    _check_cap(r, r_cap)
     raw = _enumerate_raw(r, h)
     elems = [MoebiusElement(*t) for t in raw]
     elems.sort(key=lambda g: (g.weighted_sum(h),) + g.as_tuple())
@@ -301,31 +319,42 @@ def group_bfs(max_word_length: int) -> set[MoebiusElement]:
 # -- coset counting -----------------------------------------------------------
 
 
-def _displacements(raw: list[tuple[int, int, int, int]],
-                   h: float = 0.0) -> list[float]:
-    """Distance from i to the image of i * e^h for each raw element:
-    acosh of half the weighted entry sum, which at h = 0 is summed in
-    exact integers before the one rounding."""
-    if h == 0.0:
-        return [math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
-                for a, b, c, d in raw]
-    up, down = math.exp(h), math.exp(-h)
-    return [math.acosh(max(1.0, (up * (a * a + c * c)
-                                 + down * (b * b + d * d)) / 2.0))
-            for a, b, c, d in raw]
+# Largest complete ball built so far per base-point depth h, as h ->
+# (radius, sorted norms).  Serving a smaller radius from it is exact: every
+# count is searchsorted(norms, x, side="left") with x at most the radius
+# asked for, and the displacement grows with the weighted entry sum, so
+# what a larger ball adds lies at or above that radius and is never counted.
+_BALLS: dict[float, tuple[float, dict[str, np.ndarray]]] = {}
 
 
-def _sorted_norms(r: float) -> dict[str, np.ndarray]:
+def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
     """Sorted displacement arrays for the four counted objects: group
-    elements, left cosets, right cosets, and nontrivial double cosets.
+    elements, left cosets, right cosets, and nontrivial double cosets,
+    complete below radius r about the base point i * e^h.  The oracle's
+    one enumeration path: the arrays are shared and read-only, and a
+    request above the ball held at depth h replaces it.
 
     Coset norms are minima of the displacement over the coset; since the
     enumeration below radius r is complete, a group-by minimum over it
     equals the true minimum whenever that minimum is below r, which is
     all the counting functions ever read.
     """
-    raw = _enumerate_raw(r)
-    disp = _displacements(raw)
+    _check_cap(r, BALL_CAP)
+    built = _BALLS.get(h)
+    if built is not None and r <= built[0]:
+        return built[1]
+    raw = _enumerate_raw(r, h)
+    # distance from i to the image of i * e^h: acosh of half the weighted
+    # entry sum, which at h = 0 is summed in exact integers before the
+    # one rounding
+    if h == 0.0:
+        disp = [math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
+                for a, b, c, d in raw]
+    else:
+        up, down = math.exp(h), math.exp(-h)
+        disp = [math.acosh(max(1.0, (up * (a * a + c * c)
+                                     + down * (b * b + d * d)) / 2.0))
+                for a, b, c, d in raw]
     left: dict = {}
     right: dict = {}
     double: dict = {}
@@ -347,12 +376,19 @@ def _sorted_norms(r: float) -> dict[str, np.ndarray]:
             dk = (cc, aa % (2 * cc), dd % (2 * cc))
             if w < double.get(dk, math.inf):
                 double[dk] = w
-    return {
+    # the largest ball is the run's peak memory: drop the tuples before
+    # the sorted copies are made
+    del raw
+    norms = {
         "group": np.sort(disp),
         "left": np.sort(np.fromiter(left.values(), dtype=float)),
         "right": np.sort(np.fromiter(right.values(), dtype=float)),
         "double": np.sort(np.fromiter(double.values(), dtype=float)),
     }
+    for arr in norms.values():
+        arr.flags.writeable = False
+    _BALLS[h] = (r, norms)
+    return norms
 
 
 def _ball(norms: np.ndarray, r: float) -> int:
@@ -386,12 +422,10 @@ class CountTable:
         return "\n".join(rows) + "\n"
 
 
-def coset_counts(r: float, gauge: float, *, r_cap: float = R_CAP) -> CountTable:
+def coset_counts(r: float, gauge: float) -> CountTable:
     """Counts of group elements, cosets, and double cosets at every
     multiple of the gauge up to r, plus the group annulus counts."""
-    if r > r_cap:
-        raise EnumerationCapError(
-            f"radius {r!r} exceeds the enumeration cap {r_cap!r}")
+    _check_cap(r)
     if gauge <= 0:
         raise DomainError("gauge must be positive")
     norms = _sorted_norms(r + gauge / 2.0)
@@ -628,8 +662,7 @@ def _fit_lower_shift(norms_big: np.ndarray, norms_small: np.ndarray,
     return None
 
 
-def verify_prop28(r: float, gauge: float, *,
-                  r_cap: float = R_CAP) -> Prop28Report:
+def verify_prop28(r: float, gauge: float) -> Prop28Report:
     """Verify the ball/annulus sandwiches between group, coset, and
     double-coset counts.
 
@@ -638,13 +671,10 @@ def verify_prop28(r: float, gauge: float, *,
     coarse rows can miss borderline radii and produce a fit that fails
     outside its range.
     """
-    if r > r_cap:
-        raise EnumerationCapError(
-            f"radius {r!r} exceeds the enumeration cap {r_cap!r}")
+    _check_cap(r)
     if gauge <= 0:
         raise DomainError("gauge must be positive")
-    headroom = 0.5
-    norms = _sorted_norms(r + gauge / 2.0 + headroom)
+    norms = _sorted_norms(prop28_radius(r, gauge))
     radii = [float(x) for x in np.arange(0.25, r + 1e-12, 0.25)]
     fit_max = r / 2.0
     fit_radii = [x for x in radii if x <= fit_max]
@@ -661,7 +691,7 @@ def verify_prop28(r: float, gauge: float, *,
     # right cosets against left cosets: find the smallest gauge widening
     # that absorbs them, on the whole range (the inverse map matches the
     # two coset families isometrically here, so 0 is expected)
-    widen_grid = np.arange(0.0, 2.0 * headroom + 1e-9, 0.25)
+    widen_grid = np.arange(0.0, 2.0 * _PROP28_HEADROOM + 1e-9, 0.25)
     shift_rl = None
     for s in widen_grid:
         if all(_annulus(norms["right"], x, gauge)
@@ -737,10 +767,8 @@ def estimate_delta(*, r_cap: float = 12.0, r_min: float = 4.0,
     convergence tolerance matches the O(1/R) drift that the windowed
     ratio statistic carries at these radii.
     """
-    if r_cap > R_CAP:
-        raise EnumerationCapError(
-            f"radius {r_cap!r} exceeds the enumeration cap {R_CAP!r}")
-    norms = np.sort(_displacements(_enumerate_raw(r_cap)))
+    _check_cap(r_cap)
+    norms = _sorted_norms(r_cap)["group"]
     radii = np.linspace(r_min, r_cap, n_points)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     series = GrowthSeries(radii, np.log(counts), label="lattice-orbit")
@@ -800,12 +828,10 @@ def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
     radii, padded for the residual approach drift of the count toward its
     limit constant, then frozen and asserted outside.
     """
-    if r_cap > R_CAP:
-        raise EnumerationCapError(
-            f"radius {r_cap!r} exceeds the enumeration cap {R_CAP!r}")
+    _check_cap(r_cap)
     if not r_min < fit_max < r_cap:
         raise DomainError("need r_min < fit_max < r_cap")
-    norms = np.sort(_displacements(_enumerate_raw(r_cap, depth), depth))
+    norms = _sorted_norms(r_cap, depth)["group"]
     radii = np.arange(r_min, r_cap + 1e-12, step)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     if np.any(counts == 0):

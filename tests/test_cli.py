@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from cuspgrowth import cli
+from cuspgrowth import cli, h2_oracle
 from cuspgrowth.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -186,6 +186,85 @@ class TestNumberRanges:
         # minima bind only the commands that read the flag
         assert _resolve(["lattice-classify", "--Rmax", "2"]).r_max == 2.0
 
+    @pytest.mark.parametrize("command", [
+        "oracle-verify --Rcap 9 --delta 1e6",
+        "oracle-verify --Rcap 14 --delta 8",
+        "oracle-verify --Rcap 14 --delta 1.5",
+        "oracle-verify --Rcap 12 --delta 5.5",
+        "oracle-verify --delta inf",
+    ], ids=lambda c: c.replace(" --", "-").replace(" ", "="))
+    def test_delta_beyond_the_ball_cap_exits_2(self, tmp_path, capsys,
+                                               command):
+        rc, out = _run(tmp_path, *command.split())
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--delta" in err and ("--Rcap" in err or "inf" in err)
+        assert not out.exists()
+
+    def test_ball_cap_from_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=oracle-verify\nRcap=14\ndelta=8\n")
+        with pytest.raises(ConfigError, match="--delta 8.0 with --Rcap 14.0 "
+                           "would enumerate the lattice to radius 18.5"):
+            _resolve(["--config", str(path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-verify", "--Rcap", "14", "--delta", "1"],
+        ["oracle-verify", "--Rcap", "12", "--delta", "5"],
+        ["oracle-verify", "--delta", "0.001"],
+        # only oracle-verify reads --delta
+        ["example-run", "--Rcap", "14", "--delta", "100"],
+    ])
+    def test_delta_within_the_ball_cap_accepted(self, argv):
+        assert _resolve(argv).gauge == float(argv[argv.index("--delta") + 1])
+
+    @pytest.mark.parametrize("command", [
+        "profile-validate --name sparse-5.2 --b nan",
+        "profile-validate --name critical-finite-5.4a --mu nan",
+        "profile-validate --name critical-infinite-5.4b --gamma inf",
+        "example-run --name exotic-div-5.3b --b inf",
+        "lattice-classify --name critical-finite-5.4a --gamma nan",
+    ], ids=lambda c: c.split(" --", 2)[-1].replace(" ", "="))
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, command):
+        argv = command.split()
+        rc, out = _run(tmp_path, *argv)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {argv[3]} must be a finite number, got "
+            f"{float(argv[4])!r}\n")
+        assert not out.exists()
+
+    def test_override_in_config_file_is_checked(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=profile-validate\nname=sparse-5.2\nb=nan\n")
+        with pytest.raises(ConfigError, match="--b must be a finite number"):
+            _resolve(["--config", str(path)])
+
+    @pytest.mark.parametrize("command, message", [
+        ("profile-validate --name sparse-5.2 --b 1.5",
+         "sparse-5.2 needs fast rate > 2 (overrides in effect: --b 1.5)"),
+        ("profile-validate --name sparse-5.2 --M 2 --mu 0.1",
+         "sparse-5.2 needs integer m >= 3 "
+         "(overrides in effect: --M 2 --mu 0.1)"),
+        ("profile-validate --name critical-finite-5.4a --mu 0.7",
+         "mu must lie in (0, 1/2) (overrides in effect: --mu 0.7)"),
+        ("lattice-classify --name critical-infinite-5.4b --gamma 1.5",
+         "gamma must lie in (0, 1) (overrides in effect: --gamma 1.5)"),
+    ], ids=["b", "M-mu", "mu", "gamma"])
+    def test_out_of_range_override_names_the_flags(self, tmp_path, capsys,
+                                                   command, message):
+        rc, _ = _run(tmp_path, *command.split())
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_finite_overrides_still_accepted(self, tmp_path):
+        cfg = _resolve(["example-run", "--b", "2.5", "--gamma", "0.3",
+                        "--mu", "0.2", "--M", "4"])
+        assert (cfg.b, cfg.gamma, cfg.mu, cfg.m) == (2.5, 0.3, 0.2, 4)
+        rc, _ = _run(tmp_path, "profile-validate", "--name", "sparse-5.2",
+                     "--b", "2.5")
+        assert rc == EXIT_PASS
+
     def test_radius_floors_match_the_fits(self):
         floor = cli._MINIMA["Rcap"]["oracle-verify"][0]
         assert estimate_delta(r_cap=floor).n_elements > 0
@@ -351,6 +430,22 @@ class TestOracleVerify:
         assert "counting_log_constant" in report
         counts = (out / "oracle-counts.csv").read_text().splitlines()
         assert counts[0].startswith("R,v_gamma,")
+
+    def test_one_enumeration_per_depth(self, tmp_path, monkeypatch):
+        depths = []
+        enumerate_raw = h2_oracle._enumerate_raw
+
+        def counted(r, h=0.0):
+            depths.append(h)
+            return enumerate_raw(r, h)
+
+        monkeypatch.setattr(h2_oracle, "_enumerate_raw", counted)
+        monkeypatch.setattr(h2_oracle, "_BALLS", {}, raising=False)
+        rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "9", "--seed", "3")
+        assert rc == EXIT_PASS
+        # the count sandwiches, the exponent and the count table at h = 0,
+        # the counting band at its target depth 2
+        assert sorted(depths) == [0.0, 2.0]
 
 
 class TestReproducibility:

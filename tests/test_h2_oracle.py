@@ -6,6 +6,7 @@ small ball counts were cross-checked against an independent
 breadth-first walk of the generators before freezing.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspgrowth import h2_oracle
 from cuspgrowth.errors import DomainError, EnumerationCapError
 from cuspgrowth.h2_oracle import (
+    BALL_CAP,
     R_CAP,
     CountTable,
     GeometryConstants,
@@ -27,6 +30,7 @@ from cuspgrowth.h2_oracle import (
     estimate_delta,
     group_bfs,
     h2_distance,
+    prop28_radius,
     t_xi,
     verify_counting,
     verify_lemmas,
@@ -414,6 +418,10 @@ class TestProp28:
             verify_prop28(8.0, -1.0)
         with pytest.raises(EnumerationCapError):
             verify_prop28(R_CAP + 1.0, 1.0)
+        # r is within R_CAP, but the ball it reads is not
+        assert prop28_radius(R_CAP, 2.0) > BALL_CAP
+        with pytest.raises(EnumerationCapError):
+            verify_prop28(R_CAP, 2.0)
 
 
 class TestDelta:
@@ -446,3 +454,79 @@ class TestCountingBand:
             verify_counting(r_cap=6.0, fit_max=6.0)
         with pytest.raises(EnumerationCapError):
             verify_counting(r_cap=R_CAP + 1.0)
+
+
+# Each consumer at a radius of its own, so that a fresh ball is built at
+# exactly the radius it requests.  The warm balls are larger than every
+# request; the small ones are smaller, so each request must grow them.
+# 996/121 is the smallest --Rcap the command line accepts.
+_BALL_CASES = {
+    **{f"coset_counts-{g}": (lambda g=g: coset_counts(11.0, g))
+       for g in (0.5, 1.0, 2.0)},
+    **{f"verify_prop28-{g}": (lambda g=g: verify_prop28(11.0, g))
+       for g in (0.5, 1.0, 2.0)},
+    "estimate_delta-12": lambda: estimate_delta(r_cap=12.0),
+    "estimate_delta-floor": lambda: estimate_delta(r_cap=996 / 121),
+    "verify_counting-depth2": lambda: verify_counting(),
+}
+_PREBUILT = {"warm": {0.0: 13.5, 2.0: 13.0}, "small": {0.0: 10.5, 2.0: 11.5}}
+
+
+@pytest.fixture(scope="module")
+def ball_runs():
+    """Results with a fresh ball per call, and after each prebuilt set,
+    with the balls held at the end of each run."""
+    runs = {"fresh": {}}
+    for case, call in _BALL_CASES.items():
+        h2_oracle._BALLS.clear()
+        runs["fresh"][case] = call()
+    held = {}
+    for name, balls in _PREBUILT.items():
+        h2_oracle._BALLS.clear()
+        for h, r in balls.items():
+            h2_oracle._sorted_norms(r, h)
+        runs[name] = {case: call() for case, call in _BALL_CASES.items()}
+        held[name] = dict(h2_oracle._BALLS)
+    h2_oracle._BALLS.clear()
+    return runs, held
+
+
+class TestSharedBall:
+    """Counts read from a larger cached ball equal those from a ball built
+    at exactly the requested radius."""
+
+    @pytest.mark.parametrize("prebuilt", list(_PREBUILT))
+    @pytest.mark.parametrize("case", list(_BALL_CASES))
+    def test_same_result_as_a_fresh_ball(self, ball_runs, case, prebuilt):
+        runs, _ = ball_runs
+        a, b = runs["fresh"][case], runs[prebuilt][case]
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y), field.name
+            else:
+                assert x == y, field.name
+
+    def test_largest_ball_is_kept(self, ball_runs):
+        _, held = ball_runs
+        radii = {name: {h: r for h, (r, _) in balls.items()}
+                 for name, balls in held.items()}
+        # the warm balls served every request; the small ones grew to the
+        # largest request at each depth
+        assert radii["warm"] == _PREBUILT["warm"]
+        assert radii["small"] == {0.0: prop28_radius(11.0, 2.0), 2.0: 12.0}
+
+    def test_cache_holds_only_sorted_float_arrays(self, ball_runs):
+        _, held = ball_runs
+        for balls in held.values():
+            for radius, norms in balls.values():
+                assert isinstance(radius, float)
+                assert set(norms) == {"group", "left", "right", "double"}
+                for arr in norms.values():
+                    assert isinstance(arr, np.ndarray) and arr.dtype == float
+                    assert not arr.flags.writeable
+                    assert np.all(np.diff(arr) >= 0)
+
+    def test_cap(self):
+        with pytest.raises(EnumerationCapError):
+            h2_oracle._sorted_norms(math.nextafter(BALL_CAP, math.inf))
