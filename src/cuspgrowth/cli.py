@@ -51,7 +51,12 @@ from .profiles import (
     profile_to_text,
     validate_profile,
 )
-from .taxonomy import catalog_spec, classify_lattice, run_example
+from .taxonomy import (
+    _GRID_POINTS,
+    catalog_spec,
+    classify_lattice,
+    run_example,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -83,10 +88,12 @@ _DEFAULTS = {
 # Smallest value of a numeric flag, (floor, floor itself allowed), for
 # each command that reads it.  The radius floors are where the tail
 # windows of the command's growth fit first fill: run_example fits
-# np.linspace(1, Rmax, 257), estimate_delta np.linspace(r_min=4, Rcap, 257).
+# np.linspace(1, Rmax, _GRID_POINTS), estimate_delta
+# np.linspace(r_min=4, Rcap, 257).
 _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
     "Rmax": {"cusp-analyze": (0.0, False),
-             "example-run": (WindowPolicy().min_r_max(1.0, 257), True)},
+             "example-run": (
+                 WindowPolicy().min_r_max(1.0, _GRID_POINTS), True)},
     "Rcap": {"oracle-verify": (
         WindowPolicy(n_windows=2).min_r_max(4.0, 257), True)},
     "delta": {"oracle-verify": (0.0, False)},
@@ -240,6 +247,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             f"--delta {numbers['delta']!r} with --Rcap {numbers['Rcap']!r} "
             f"would enumerate the lattice to radius {reach!r}, above the "
             f"oracle's ball cap {BALL_CAP!r}; lower --delta or --Rcap")
+    if command == "oracle-verify" and numbers["delta"] > numbers["Rcap"]:
+        # the count table holds the gauge multiples up to Rcap
+        raise ConfigError(
+            f"--delta {numbers['delta']!r} exceeds --Rcap {numbers['Rcap']!r}: "
+            f"no multiple of the gauge lies within the counting radius")
     for key in ("b", "gamma", "mu"):  # --M is an integer
         if pick(key) is not None:
             _check_number(key, pick(key), command)

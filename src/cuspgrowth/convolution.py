@@ -263,14 +263,20 @@ def sandwich_check(f: GrowthSeries, g: GrowthSeries,
 
 # -- cached cusp excursion integrals ---------------------------------------------
 
+# floor of the extrapolated ln F below the first cache node; exp(-745)
+# rounds to the smallest positive double
+_LOG_FLOOR = -745.0
+
+
 class CuspidalInterpolant:
     """Piecewise-linear cache of ln F for one cusp on [t_start, r_max].
 
     The excursion integral costs a quadrature per evaluation; envelope
     assembly needs it at thousands of points, so it is sampled once on a
     uniform grid and interpolated linearly in the log domain.  Below the
-    first node the first segment's slope is extrapolated (ln F falls off
-    to -inf there; the convolutions only need it to stay small).
+    first node the first segment's slope is extrapolated down to a floor
+    of -745 (ln F falls off to -inf there; the convolutions only need it
+    to stay small).
     """
 
     def __init__(self, cusp: CuspModel, r_max: float,
@@ -293,14 +299,22 @@ class CuspidalInterpolant:
         out = np.interp(arr, self.nodes, self.values)
         below = arr < self.nodes[0]
         if np.any(below):
-            slope = ((self.values[1] - self.values[0])
-                     / (self.nodes[1] - self.nodes[0]))
-            ext = self.values[0] + slope * (arr - self.nodes[0])
-            out = np.where(below, np.maximum(ext, -745.0), out)
+            ext = self.values[0] + self._slope * (arr - self.nodes[0])
+            out = np.where(below, np.maximum(ext, _LOG_FLOOR), out)
         return float(out) if np.ndim(r) == 0 else out
 
-    def grid_breaks(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.nodes)
+    @property
+    def _slope(self) -> float:
+        return float((self.values[1] - self.values[0])
+                     / (self.nodes[1] - self.nodes[0]))
+
+    def _kinks(self) -> np.ndarray:
+        """Abscissae where ln F may bend: the nodes, and the point where
+        the extrapolation below the first node meets the floor."""
+        if self._slope == 0.0:
+            return self.nodes
+        knee = self.nodes[0] - (self.values[0] - _LOG_FLOOR) / self._slope
+        return np.append(self.nodes, knee)
 
 
 def cuspidal_interpolants(cusps: Sequence[CuspModel], r_max: float,
@@ -360,50 +374,87 @@ def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r: float,
                 upper=band_edge(r + d0) + log_cpp)
 
 
+# Below this |d| the series of ln((1 - e^{-|d|}) / |d|) is exact in
+# double precision, and the expm1 form loses nothing above it.
+_SERIES_CUTOFF = 1e-4
+
+
+def _log_exp_linear(y_a: np.ndarray, y_b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """ln of the integral of exp(y) over segments of width h on which y
+    runs linearly from y_a to y_b:
+
+        max(y_a, y_b) + ln h + ln((1 - e^{-|d|}) / |d|),   d = y_b - y_a.
+    """
+    x = np.abs(y_b - y_a)
+    small = x < _SERIES_CUTOFF
+    safe = np.where(small, 1.0, x)
+    shape = np.where(small, x * (x / 24.0 - 0.5), np.log(-np.expm1(-safe) / safe))
+    return np.maximum(y_a, y_b) + np.log(h) + shape
+
+
+def _ambient_kinks(vg: VGammaModel, rho: float, rel_tol: float) -> np.ndarray:
+    """Distances s = rho - t at which the band cuts ln v(s) into pieces it
+    treats as linear.  A power-decay factor -gamma ln(1 + s) is convex,
+    and on the grid 1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / gamma)
+    its secants lie above it by at most gamma q^2 / 8 = rel_tol nats."""
+    if isinstance(vg.factor, PowerDecayFactor):
+        step = math.log1p(math.sqrt(8.0 * rel_tol / vg.factor.gamma))
+        return np.expm1(step * np.arange(1, math.ceil(math.log1p(rho) / step)))
+    return np.asarray(vg.grid_breaks(), dtype=float)
+
+
+def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
+                     rho: float, rel_tol: float) -> float:
+    """ln of the integral over [0, rho] of F(t) v(rho - t) dt, summed in
+    closed form over the segments between the kinks of both factors."""
+    if rho <= 0:
+        return NEG_INF
+    t = np.concatenate(([0.0, rho], cache._kinks(),
+                        rho - _ambient_kinks(vg, rho, rel_tol)))
+    t = np.unique(t[(t >= 0.0) & (t <= rho)])
+    y = cache(t) + vg.log_value(rho - t)
+    return logsumexp(_log_exp_linear(y[:-1], y[1:], np.diff(t)))
+
+
 def volume_band(vg: VGammaModel, cusps: Sequence[CuspModel], r: float,
                 *, d0: float = 0.0, log_cppp: float = 0.0,
                 vol_core: float = 1.0,
-                cuspidal: Optional[Sequence[Callable]] = None,
+                cuspidal: Optional[Sequence[CuspidalInterpolant]] = None,
                 rel_tol: float = 1e-8) -> Band:
     """Two-sided envelope for ball volume growth: the ambient model
     convolved with the summed cusp excursion integrals (shift 2 d0), the
     upper side augmented by the compact-core sweep vol_core * v(R + d0),
     and the log-constant log_cppp absorbed on each side.
 
-    ``cuspidal`` optionally supplies one vectorized ln F callable per cusp
-    (e.g. CuspidalInterpolant); by default caches are built on the spot.
-    With no cusps the band degenerates to the core sweep alone.
+    ``cuspidal`` optionally supplies one CuspidalInterpolant per cusp; by
+    default caches are built on the spot.  With no cusps the band
+    degenerates to the core sweep alone.
+
+    ln F is linear between the cache nodes and ln v between the kinks of
+    its factor, so each convolution is an exact sum of exp-linear
+    segments, one per cusp, combined with logsumexp.  A power-decay factor
+    is replaced by its secants, which raises the band by at most
+    ``rel_tol`` nats; every other factor gives the band exactly.
     """
     if log_cppp < 0:
         raise DomainError("envelope constant must be at least 1")
     if vol_core <= 0:
         raise DomainError("core volume must be positive")
+    if rel_tol <= 0:
+        raise DomainError("band tolerance must be positive")
     if not cusps:
         return Band(
             lower=math.log(vol_core) + vg.log_value(r - d0) - log_cppp,
             upper=math.log(vol_core) + vg.log_value(r + d0) + log_cppp)
     if cuspidal is None:
         cuspidal = cuspidal_interpolants(cusps, r + 2.0 * d0 + 1.0)
-    if len(cuspidal) != len(cusps):
-        raise DomainError("need one excursion callable per cusp")
-
-    f_breaks: list[float] = []
-    for fn in cuspidal:
-        if hasattr(fn, "grid_breaks"):
-            f_breaks.extend(fn.grid_breaks())
-
-    def s_log(u):
-        u = np.asarray(u, dtype=float)
-        stack = np.stack([np.asarray(fn(u), dtype=float) for fn in cuspidal])
-        m = np.max(stack, axis=0)
-        safe = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            out = safe + np.log(np.sum(np.exp(stack - safe), axis=0))
-        return np.where(np.isfinite(m), out, m)
+    if (len(cuspidal) != len(cusps)
+            or not all(isinstance(c, CuspidalInterpolant) for c in cuspidal)):
+        raise DomainError("need one CuspidalInterpolant per cusp")
 
     def conv_at(radius: float) -> float:
-        return conv_continuous(s_log, vg.log_value, radius, rel_tol=rel_tol,
-                               f_breaks=f_breaks, g_breaks=vg.grid_breaks())
+        return logsumexp([_log_convolution(vg, c, radius, rel_tol)
+                          for c in cuspidal])
 
     lower = conv_at(r - 2.0 * d0) - log_cppp
     core = math.log(vol_core) + vg.log_value(r + d0)

@@ -428,9 +428,12 @@ def coset_counts(r: float, gauge: float) -> CountTable:
     _check_cap(r)
     if gauge <= 0:
         raise DomainError("gauge must be positive")
-    norms = _sorted_norms(r + gauge / 2.0)
     radii = np.arange(gauge, r + gauge / 2.0, gauge)
     radii = radii[radii <= r + 1e-12]
+    if radii.size == 0:
+        raise DomainError(f"gauge {gauge!r} exceeds radius {r!r}: "
+                          f"no gauge multiple to count at")
+    norms = _sorted_norms(r + gauge / 2.0)
     return CountTable(
         gauge=gauge,
         radii=radii,

@@ -681,6 +681,12 @@ def _require(cond: bool, msg: str) -> None:
         raise CatalogError(msg)
 
 
+def _require_finite_square(p: CatalogParams) -> None:
+    # certification squares the fast rate into the curvature window b^2
+    _require(math.isfinite(p.rate_fast * p.rate_fast),
+             f"fast rate {p.rate_fast!r} is too large: its square overflows")
+
+
 def _sparse_pieces(p: CatalogParams) -> list[ProfilePiece]:
     _require(p.m >= 3, "sparse-5.2 needs integer m >= 3")
     _require(p.rate_fast > 2.0, "sparse-5.2 needs fast rate > 2")
@@ -810,6 +816,7 @@ def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
     band_ratio) reach slack <= 0.1.
     """
     params = params or default_catalog_params(name)
+    _require_finite_square(params)
     if name == "sparse-5.2":
         pieces = _sparse_pieces(params)
     elif name == "exotic-conv-5.3a":
@@ -842,6 +849,7 @@ def catalog_companions(name: str,
     params = params or default_catalog_params(name)
     if name != "critical-infinite-5.4b":
         return ()
+    _require_finite_square(params)
     # the second perturbed cusp: one transition to the divergence-critical
     # tail t^{1+gamma} e^{-b t}
     return (_finalize(_tail_pieces(params, 1.0 + params.gamma), params),)

@@ -493,14 +493,19 @@ class ExampleReport:
         return "\n".join(rows) + "\n"
 
 
+# run_example samples its growth series on np.linspace(1, r_max,
+# _GRID_POINTS), classifies to _CLASSIFY_R_MAX and caches the excursion
+# integrals every _CACHE_STEP
+_GRID_POINTS = 257
+_CLASSIFY_R_MAX = 4500.0
+_CACHE_STEP = 2.0
+
+
 def run_example(name: str,
                 params: CatalogParams | None = None,
                 *,
                 r_max: float = 500.0,
-                n_points: int = 257,
-                classify_r_max: float = 4500.0,
                 trend: TrendPolicy = TrendPolicy(),
-                cache_step: float = 2.0,
                 rel_tol: float = 1e-6) -> ExampleReport:
     """Build a catalog family, classify it, compute its growth series,
     and score the computed behaviour against the taxonomy prediction."""
@@ -509,14 +514,14 @@ def run_example(name: str,
     cusps = spec.cusps
     vg = spec.vgamma
     delta = vg.delta
-    taxonomy = classify_lattice(spec, r_max=classify_r_max)
+    taxonomy = classify_lattice(spec, r_max=_CLASSIFY_R_MAX)
 
-    radii = np.linspace(1.0, r_max, n_points)
+    radii = np.linspace(1.0, r_max, _GRID_POINTS)
     log_vg = np.asarray(vg.log_value(radii), dtype=float)
     vgamma_class = classify_growth(
         GrowthSeries(radii, log_vg, label=f"{name}-ambient"), delta, trend).kind
 
-    caches = cuspidal_interpolants(cusps, r_max + 1.0, step=cache_step,
+    caches = cuspidal_interpolants(cusps, r_max + 1.0, step=_CACHE_STEP,
                                    rel_tol=rel_tol)
     bands = [volume_band(vg, cusps, float(r), cuspidal=caches, rel_tol=rel_tol)
              for r in radii]

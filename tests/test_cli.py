@@ -208,12 +208,32 @@ class TestNumberRanges:
                            "would enumerate the lattice to radius 18.5"):
             _resolve(["--config", str(path)])
 
+    @pytest.mark.parametrize("command", [
+        "oracle-verify --Rcap 9 --delta 11",
+        "oracle-verify --Rcap 9 --delta 9.5",
+    ], ids=lambda c: c.replace(" --", "-").replace(" ", "="))
+    def test_delta_above_rcap_exits_2(self, tmp_path, capsys, command):
+        argv = command.split()
+        rc, out = _run(tmp_path, *argv)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: --delta {float(argv[4])!r} exceeds --Rcap 9.0: ")
+        assert not out.exists()
+
+    def test_delta_above_rcap_from_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=oracle-verify\nRcap=9\ndelta=11\n")
+        with pytest.raises(ConfigError, match="--delta 11.0 exceeds --Rcap 9.0"):
+            _resolve(["--config", str(path)])
+
     @pytest.mark.parametrize("argv", [
         ["oracle-verify", "--Rcap", "14", "--delta", "1"],
         ["oracle-verify", "--Rcap", "12", "--delta", "5"],
         ["oracle-verify", "--delta", "0.001"],
         # only oracle-verify reads --delta
         ["example-run", "--Rcap", "14", "--delta", "100"],
+        # a gauge equal to Rcap still has one multiple to count at
+        ["oracle-verify", "--Rcap", "9", "--delta", "9"],
     ])
     def test_delta_within_the_ball_cap_accepted(self, argv):
         assert _resolve(argv).gauge == float(argv[argv.index("--delta") + 1])
@@ -256,6 +276,27 @@ class TestNumberRanges:
         rc, _ = _run(tmp_path, *command.split())
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["1e300", "1e200"])
+    def test_override_whose_square_overflows_exits_2(self, tmp_path, capsys,
+                                                     value):
+        rc, _ = _run(tmp_path, "profile-validate", "--name",
+                     "critical-finite-5.4a", "--b", value)
+        assert rc == EXIT_CONFIG
+        b = float(value)
+        assert capsys.readouterr().err == (
+            f"error: fast rate {b!r} is too large: its square overflows "
+            f"(overrides in effect: --b {b!r})\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_override_whose_square_is_finite_still_runs(self, tmp_path):
+        # b^2 is finite at b = 1e154, so the run completes; the validator's
+        # curvature ratio overflows there and certification fails
+        rc, out = _run(tmp_path, "profile-validate", "--name",
+                       "critical-finite-5.4a", "--b", "1e154")
+        assert rc == EXIT_FAIL
+        assert not _assertion_map(_summary(out))[
+            "certified:critical-finite-5.4a"]["passed"]
 
     def test_finite_overrides_still_accepted(self, tmp_path):
         cfg = _resolve(["example-run", "--b", "2.5", "--gamma", "0.3",

@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from cuspgrowth import taxonomy
 from cuspgrowth import (
+    CATALOG_IDS,
     Band,
     ConstantFactor,
     CurvatureBounds,
@@ -18,15 +21,18 @@ from cuspgrowth import (
     VGammaModel,
     assemble_profile,
     catalog_profile,
+    catalog_spec,
     conv_continuous,
     conv_gauge,
     counting_band,
     cuspidal_interpolants,
+    default_catalog_params,
     log_cuspidal,
     pure_piece,
     sandwich_check,
     volume_band,
 )
+from cuspgrowth.convolution import _SERIES_CUTOFF, _log_exp_linear
 
 INF = float("inf")
 
@@ -282,13 +288,6 @@ class TestCountingBand:
 
 
 class TestVolumeBand:
-    def test_single_cusp_closed_form(self):
-        vg = VGammaModel(1.0)
-        band = volume_band(vg, [_hyperbolic_cusp()], 10.0,
-                           cuspidal=[_exact_hyperbolic_excursion])
-        assert band.lower == pytest.approx(10.67962568166097, abs=1e-7)
-        assert band.upper == pytest.approx(11.089618301033559, abs=1e-7)
-
     def test_interpolant_path_agrees(self):
         vg = VGammaModel(1.0)
         band = volume_band(vg, [_hyperbolic_cusp()], 10.0)
@@ -297,9 +296,9 @@ class TestVolumeBand:
     def test_two_cusps_double_the_excursion_mass(self):
         vg = VGammaModel(1.0)
         cusp = _hyperbolic_cusp()
-        one = volume_band(vg, [cusp], 10.0, cuspidal=[_exact_hyperbolic_excursion])
-        two = volume_band(vg, [cusp, cusp], 10.0,
-                          cuspidal=[_exact_hyperbolic_excursion] * 2)
+        cache = cuspidal_interpolants([cusp], 11.0)
+        one = volume_band(vg, [cusp], 10.0, cuspidal=cache)
+        two = volume_band(vg, [cusp, cusp], 10.0, cuspidal=cache * 2)
         assert two.lower - one.lower == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_no_cusps_is_core_sweep(self):
@@ -318,21 +317,122 @@ class TestVolumeBand:
     def test_shifts_and_core(self):
         vg = VGammaModel(1.0)
         cusp = _hyperbolic_cusp()
-        exact = [_exact_hyperbolic_excursion]
+        cache = cuspidal_interpolants([cusp], 12.0)
         band = volume_band(vg, [cusp], 10.0, d0=0.5, log_cppp=math.log(2.0),
-                           vol_core=4.0, cuspidal=exact)
-        c9 = volume_band(vg, [cusp], 9.0, cuspidal=exact).lower
-        c11 = volume_band(vg, [cusp], 11.0, cuspidal=exact).lower
+                           vol_core=4.0, cuspidal=cache)
+        c9 = volume_band(vg, [cusp], 9.0, cuspidal=cache).lower
+        c11 = volume_band(vg, [cusp], 11.0, cuspidal=cache).lower
         assert band.lower == pytest.approx(c9 - math.log(2.0), abs=1e-9)
         expected_upper = np.logaddexp(c11, math.log(4.0) + 10.5) + math.log(2.0)
         assert band.upper == pytest.approx(float(expected_upper), abs=1e-9)
 
     def test_validation(self):
         vg = VGammaModel(1.0)
+        cusp = _hyperbolic_cusp()
         with pytest.raises(DomainError):
-            volume_band(vg, [_hyperbolic_cusp()], 10.0, vol_core=0.0)
+            volume_band(vg, [cusp], 10.0, vol_core=0.0)
         with pytest.raises(DomainError):
-            volume_band(vg, [_hyperbolic_cusp()], 10.0, log_cppp=-1.0)
+            volume_band(vg, [cusp], 10.0, log_cppp=-1.0)
         with pytest.raises(DomainError):
-            volume_band(vg, [_hyperbolic_cusp()], 10.0,
-                        cuspidal=[_exact_hyperbolic_excursion] * 2)
+            volume_band(vg, [cusp], 10.0, rel_tol=0.0)
+        with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
+            volume_band(vg, [cusp], 10.0,
+                        cuspidal=cuspidal_interpolants([cusp], 11.0) * 2)
+        with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
+            volume_band(vg, [cusp], 10.0, cuspidal=[_exact_hyperbolic_excursion])
+
+    def test_exact_where_the_floor_meets_the_extrapolation(self):
+        # ln F = -700 + 100 (t - 2) on the cache, floored at -745 below
+        # t = 1.55; with ln v(s) = 200 s the floored stretch [0, 1.55]
+        # carries almost all of the convolution at R = 3
+        cache = CuspidalInterpolant(_hyperbolic_cusp(), 3.0)
+        cache.nodes = np.array([2.0, 3.0])
+        cache.values = np.array([-700.0, -600.0])
+        band = volume_band(VGammaModel(200.0), [_hyperbolic_cusp()], 3.0,
+                           cuspidal=[cache])
+        floored = -145.0 - math.log(200.0) + math.log1p(-math.exp(-310.0))
+        rising = -455.0 - math.log(100.0) + math.log1p(-math.exp(-145.0))
+        assert band.lower == pytest.approx(float(np.logaddexp(floored, rising)),
+                                           abs=1e-12)
+
+
+def _mp_segment(y_a: float, y_b: float, h: float) -> float:
+    # ln of h e^{y_a} (e^d - 1) / d at 50 digits
+    with mpmath.workdps(50):
+        d = mpmath.mpf(y_b) - mpmath.mpf(y_a)
+        shape = mpmath.mpf(1) if d == 0 else mpmath.expm1(d) / d
+        return float(mpmath.mpf(y_a) + mpmath.log(h) + mpmath.log(shape))
+
+
+class TestSegmentIntegral:
+    """The closed form the volume band sums over its segments."""
+
+    @pytest.mark.parametrize("y_a, y_b, h", [
+        (0.0, 0.0, 1.0),          # d = 0
+        (3.5, 3.5, 0.25),
+        (1.0, 1.0 + 1e-7, 2.0),   # |d| below the series cutoff
+        (1.0, 1.0 - 9e-5, 2.0),
+        (1.0, 1.0 + 2e-4, 2.0),   # |d| above it
+        (-2.0, 0.3, 0.5),
+        (0.3, -2.0, 0.5),         # negative d
+        (0.0, 700.0, 2.0),        # |d| around 700
+        (705.0, 0.0, 2.0),
+        (-690.0, 10.0, 1e-3),
+    ])
+    def test_matches_mpmath(self, y_a, y_b, h):
+        got = float(_log_exp_linear(np.array([y_a]), np.array([y_b]),
+                                    np.array([h]))[0])
+        assert got == pytest.approx(_mp_segment(y_a, y_b, h),
+                                    rel=1e-15, abs=1e-15)
+
+    def test_both_sides_of_the_cutoff(self):
+        d = _SERIES_CUTOFF * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+        got = _log_exp_linear(np.zeros(2), d, np.ones(2))
+        assert np.allclose(got, [_mp_segment(0.0, float(x), 1.0) for x in d],
+                           rtol=0.0, atol=1e-16)
+
+    def test_symmetric_in_the_endpoints(self):
+        y = np.array([0.0, 1e-6, 0.5, 40.0])
+        assert np.array_equal(_log_exp_linear(y[:-1], y[1:], np.ones(3)),
+                              _log_exp_linear(y[1:], y[:-1], np.ones(3)))
+
+
+def _quadrature_band(vg, caches, r, rel_tol):
+    """The volume band's former path: adaptive Simpson over the summed
+    caches, cut at every cache node and at the ambient model's kinks."""
+    def s_log(u):
+        u = np.asarray(u, dtype=float)
+        stack = np.stack([np.asarray(c(u), dtype=float) for c in caches])
+        m = np.max(stack, axis=0)
+        return m + np.log(np.sum(np.exp(stack - m), axis=0))
+
+    breaks = [float(x) for c in caches for x in c.nodes]
+    conv = conv_continuous(s_log, vg.log_value, r, rel_tol=rel_tol,
+                           f_breaks=breaks, g_breaks=vg.grid_breaks())
+    return conv, float(np.logaddexp(conv, vg.log_value(r)))
+
+
+@pytest.fixture(scope="module", params=CATALOG_IDS)
+def example_family(request):
+    spec = catalog_spec(request.param, default_catalog_params(request.param))
+    caches = cuspidal_interpolants(spec.cusps, 501.0,
+                                   step=taxonomy._CACHE_STEP, rel_tol=1e-6)
+    return spec, caches
+
+
+class TestBandAgainstQuadrature:
+    REL_TOL = 1e-6  # run_example's band tolerance
+
+    def test_every_eighth_example_radius(self, example_family):
+        # the segment sum is exact up to a power-decay secant (at most
+        # rel_tol nats); Simpson stops within rel_tol of its own answer
+        spec, caches = example_family
+        radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)[::8]
+        assert radii[0] == 1.0 and radii[-1] == 500.0
+        for r in radii:
+            band = volume_band(spec.vgamma, spec.cusps, float(r),
+                               cuspidal=caches, rel_tol=self.REL_TOL)
+            lower, upper = _quadrature_band(spec.vgamma, caches, float(r),
+                                            self.REL_TOL)
+            assert band.lower == pytest.approx(lower, abs=2 * self.REL_TOL), r
+            assert band.upper == pytest.approx(upper, abs=2 * self.REL_TOL), r

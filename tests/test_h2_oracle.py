@@ -341,6 +341,8 @@ class TestCosetCounts:
             coset_counts(8.0, 0.0)
         with pytest.raises(EnumerationCapError):
             coset_counts(R_CAP + 1.0, 1.0)
+        with pytest.raises(DomainError, match="no gauge multiple"):
+            coset_counts(9.0, 11.0)
 
 
 def _pow(g: MoebiusElement, n: int) -> MoebiusElement:

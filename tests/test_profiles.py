@@ -299,6 +299,15 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog_profile("no-such-id")
 
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_fast_rate_whose_square_overflows_rejected(self, name):
+        params = CatalogParams(rate_fast=1e200, head=2.0)
+        with pytest.raises(CatalogError, match="its square overflows"):
+            catalog_profile(name, params)
+        if name == "critical-infinite-5.4b":
+            with pytest.raises(CatalogError, match="its square overflows"):
+                catalog_companions(name, params)
+
     def test_mu_clamp_keeps_band_open(self):
         # Large mu must not silently produce an empty transition band.
         with pytest.raises(CatalogError):
