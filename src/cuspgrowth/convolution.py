@@ -276,7 +276,8 @@ class CuspidalInterpolant:
     uniform grid and interpolated linearly in the log domain.  Below the
     first node the first segment's slope is extrapolated down to a floor
     of -745 (ln F falls off to -inf there; the convolutions only need it
-    to stay small).
+    to stay small).  Below the profile start, where the excursion integral
+    is empty, it is the floor.
     """
 
     def __init__(self, cusp: CuspModel, r_max: float,
@@ -284,6 +285,7 @@ class CuspidalInterpolant:
         if step <= 0 or r_max <= cusp.profile.t_start + step:
             raise DomainError("interpolation grid needs room past the profile start")
         t0 = cusp.profile.t_start
+        self.t_start = t0
         count = int(math.ceil((r_max - t0) / step))
         self.nodes = t0 + step * np.arange(1, count + 1, dtype=float)
         self.values = np.array(
@@ -300,6 +302,7 @@ class CuspidalInterpolant:
         below = arr < self.nodes[0]
         if np.any(below):
             ext = self.values[0] + self._slope * (arr - self.nodes[0])
+            ext = np.where(arr < self.t_start, _LOG_FLOOR, ext)
             out = np.where(below, np.maximum(ext, _LOG_FLOOR), out)
         return float(out) if np.ndim(r) == 0 else out
 
@@ -406,12 +409,15 @@ def _ambient_kinks(vg: VGammaModel, rho: float, rel_tol: float) -> np.ndarray:
 def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
                      rho: float, rel_tol: float) -> float:
     """ln of the integral over [0, rho] of F(t) v(rho - t) dt, summed in
-    closed form over the segments between the kinks of both factors."""
-    if rho <= 0:
+    closed form over the segments between the kinks of both factors.
+    F vanishes below the profile start, so the sum starts there: the
+    cache's floor, weighted by v(rho - t), need not be small."""
+    lo = max(0.0, cache.t_start)
+    if rho <= lo:
         return NEG_INF
-    t = np.concatenate(([0.0, rho], cache._kinks(),
+    t = np.concatenate(([lo, rho], cache._kinks(),
                         rho - _ambient_kinks(vg, rho, rel_tol)))
-    t = np.unique(t[(t >= 0.0) & (t <= rho)])
+    t = np.unique(t[(t >= lo) & (t <= rho)])
     y = cache(t) + vg.log_value(rho - t)
     return logsumexp(_log_exp_linear(y[:-1], y[1:], np.diff(t)))
 

@@ -220,66 +220,95 @@ def _check_cap(r: float, cap: float = R_CAP) -> None:
             f"radius {r!r} exceeds the enumeration cap {cap!r}")
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
+def _ext_gcd(a: np.ndarray, b: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise extended Euclid on int64 arrays: (g, s, t) with
+    a*s + b*t = g, taking the quotients of Python's floor division."""
+    old_r, r = a.copy(), b.copy()
+    old_s, s = np.ones_like(a), np.zeros_like(a)
+    old_t, t = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r)
+    while live.size:
+        r_l, s_l, t_l = r[live], s[live], t[live]
+        q = old_r[live] // r_l
+        old_r[live], r[live] = r_l, old_r[live] - q * r_l
+        old_s[live], s[live] = s_l, old_s[live] - q * s_l
+        old_t[live], t[live] = t_l, old_t[live] - q * t_l
+        live = live[r[live] != 0]
     return old_r, old_s, old_t
 
 
-def _enumerate_raw(r: float, h: float = 0.0) -> list[tuple[int, int, int, int]]:
-    """All canonical group elements with weighted displacement <= r.
+def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end: each slot's run
+    index and its offset inside the run."""
+    run = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return run, np.arange(run.size) - starts[run]
 
-    Columns (a, c) with a > 0 odd and c even are scanned up to the trace
-    bound; each admits a one-parameter family (b, d) = (b0 + ka, d0 + kc)
-    whose norm is quadratic in k, so the k window is solved in closed
-    form.  The congruence forces k to one parity class.
-    """
+
+def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
+    """The columns (a, c) of the elements with weighted entry sum at most
+    s_cap: a > 0 odd, c even and coprime to a, in the trace bound.  Each
+    admits a one-parameter family (b, d) = (b0 + ka, d0 + kc) whose norm
+    is quadratic in k, so the k window is solved in closed form; the
+    congruence forces k to one parity class.  Returns a, c, b0, d0, the
+    first k and the number of k values, one entry per column, a then c
+    ascending."""
+    bound_ac = s_cap / eh
+    a_max = int(math.isqrt(int(bound_ac))) + 1
+    a = np.arange(1, a_max + 1, 2, dtype=np.int64)
+    c_span = bound_ac - a * a
+    a, c_span = a[c_span >= 0], c_span[c_span >= 0]
+    c_max = np.sqrt(c_span).astype(np.int64) + 2
+    c_max -= c_max % 2
+    # c runs over -c_max, -c_max + 2, ..., c_max for each a
+    run, step = _ragged_offsets(c_max + 1)
+    a, c = a[run], 2 * step - c_max[run]
+    col = a * a + c * c
+    keep = (col * eh <= s_cap) & (np.gcd(a, c) == 1)
+    a, c, col = a[keep], c[keep], col[keep]
+    g, u, v = _ext_gcd(a, c)
+    # a*d0 - c*b0 = 1 from a*u + c*v = g
+    d0, b0 = u * g, -v * g
+    # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
+    m_cap = (s_cap - col * eh) * eh
+    qb = 2.0 * (a * b0 + c * d0)
+    qc = b0 * b0 + d0 * d0 - m_cap
+    disc = qb * qb - 4.0 * col * qc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    k_lo = np.ceil((-qb - root) / (2.0 * col) - 1e-9).astype(np.int64)
+    k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
+    k_lo += (k_lo + b0) % 2
+    count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
+    return a, c, b0, d0, k_lo, count
+
+
+def _enumerate(r: float, h: float = 0.0
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All canonical group elements with weighted displacement <= r, as
+    int64 entry arrays (a, b, c, d), column by column (see _columns) and
+    by k within a column.  The squares stay exact: they overflow only past
+    entries of 3e9, and a ball with such an entry also holds the unipotent
+    elements up to it, over a billion of them."""
     s_cap = 2.0 * math.cosh(r)
     eh = math.exp(h)
-    bound_ac = s_cap / eh
-    out: list[tuple[int, int, int, int]] = []
-    a_max = int(math.isqrt(int(bound_ac))) + 1
-    for a in range(1, a_max + 1, 2):
-        c_span = bound_ac - a * a
-        if c_span < 0:
-            break
-        c_max = int(math.sqrt(c_span)) + 2
-        c_max -= c_max % 2
-        for c in range(-c_max, c_max + 2, 2):
-            col = a * a + c * c
-            if col * eh > s_cap:
-                continue
-            g, u, v = _ext_gcd(a, c)
-            if abs(g) != 1:
-                continue
-            # a*d0 - c*b0 = 1 from a*u + c*v = g
-            d0, b0 = u * g, -v * g
-            # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
-            m_cap = (s_cap - col * eh) * eh
-            qa = col
-            qb = 2.0 * (a * b0 + c * d0)
-            qc = b0 * b0 + d0 * d0 - m_cap
-            disc = qb * qb - 4.0 * qa * qc
-            if disc < 0:
-                continue
-            root = math.sqrt(disc)
-            k_lo = math.ceil((-qb - root) / (2.0 * qa) - 1e-9)
-            k_hi = math.floor((-qb + root) / (2.0 * qa) + 1e-9)
-            if (k_lo + b0) % 2 != 0:
-                k_lo += 1
-            for k in range(k_lo, k_hi + 1, 2):
-                b = b0 + k * a
-                d = d0 + k * c
-                w = eh * col + (b * b + d * d) / eh
-                if w <= s_cap * (1.0 + 1e-12):
-                    out.append((a, b, c, d))
-    return out
+    a, c, b0, d0, k_lo, count = _columns(s_cap, eh)
+    run, step = _ragged_offsets(count)
+    k = k_lo[run] + 2 * step
+    a, c = a[run], c[run]
+    b = b0[run] + k * a
+    d = d0[run] + k * c
+    # the ball is the run's peak memory: drop the expansion indices first
+    del run, step, k
+    keep = eh * (a * a + c * c) + (b * b + d * d) / eh <= s_cap * (1.0 + 1e-12)
+    return a[keep], b[keep], c[keep], d[keep]
+
+
+def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   d: np.ndarray, h: float) -> np.ndarray:
+    """MoebiusElement.weighted_sum over entry arrays, in the same float
+    operations."""
+    return math.exp(h) * (a * a + c * c) + math.exp(-h) * (b * b + d * d)
 
 
 def enumerate_group(r: float, *, h: float = 0.0,
@@ -288,10 +317,11 @@ def enumerate_group(r: float, *, h: float = 0.0,
     weighted base point by at most r, sorted by displacement then
     lexicographically.  Canonical signs make the list projective."""
     _check_cap(r, r_cap)
-    raw = _enumerate_raw(r, h)
-    elems = [MoebiusElement(*t) for t in raw]
-    elems.sort(key=lambda g: (g.weighted_sum(h),) + g.as_tuple())
-    return elems
+    a, b, c, d = _enumerate(r, h)
+    order = np.lexsort((d, c, b, a, _weighted_sums(a, b, c, d, h)))
+    return [MoebiusElement(*t) for t in zip(
+        a[order].tolist(), b[order].tolist(),
+        c[order].tolist(), d[order].tolist())]
 
 
 def group_bfs(max_word_length: int) -> set[MoebiusElement]:
@@ -319,6 +349,22 @@ def group_bfs(max_word_length: int) -> set[MoebiusElement]:
 # -- coset counting -----------------------------------------------------------
 
 
+def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Sorted minima of w over the classes of rows with equal integer
+    keys: the keys are packed into one int64, the rows sorted by it, and
+    each run reduced."""
+    if w.size == 0:
+        return w
+    packed = np.zeros(w.size, dtype=np.int64)
+    for key in keys:
+        key = key - key.min()
+        packed = packed * (int(key.max()) + 1) + key
+    order = np.argsort(packed)
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
+    return np.sort(np.minimum.reduceat(w[order], starts))
+
+
 # Largest complete ball built so far per base-point depth h, as h ->
 # (radius, sorted norms).  Serving a smaller radius from it is exact: every
 # count is searchsorted(norms, x, side="left") with x at most the radius
@@ -343,47 +389,36 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
     built = _BALLS.get(h)
     if built is not None and r <= built[0]:
         return built[1]
-    raw = _enumerate_raw(r, h)
+    a, b, c, d = _enumerate(r, h)
     # distance from i to the image of i * e^h: acosh of half the weighted
-    # entry sum, which at h = 0 is summed in exact integers before the
-    # one rounding
+    # entry sum.  At h = 0 the sum is an exact integer, and the few
+    # distinct sums each take the one rounding of math.acosh (np.arccosh
+    # is not correctly rounded)
     if h == 0.0:
-        disp = [math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
-                for a, b, c, d in raw]
+        sums, where = np.unique(a * a + b * b + c * c + d * d,
+                                return_inverse=True)
+        disp = np.array([math.acosh(max(1.0, s / 2.0))
+                         for s in sums.tolist()])[where]
     else:
-        up, down = math.exp(h), math.exp(-h)
-        disp = [math.acosh(max(1.0, (up * (a * a + c * c)
-                                     + down * (b * b + d * d)) / 2.0))
-                for a, b, c, d in raw]
-    left: dict = {}
-    right: dict = {}
-    double: dict = {}
-    for (a, b, c, d), w in zip(raw, disp):
-        # left coset: invariant row (c, d) up to sign
-        rk = (c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d)
-        if w < left.get(rk, math.inf):
-            left[rk] = w
-        # right coset: invariant column (a, c), a > 0 already canonical
-        ck = (a, c)
-        if w < right.get(ck, math.inf):
-            right[ck] = w
-        # double coset: residues of the diagonal modulo twice the lower
-        # left entry; translations on both sides are quotiented out and
-        # the parabolic subgroup itself (c = 0) is excluded
-        if c != 0:
-            aa, dd = (a, d) if c > 0 else (-a, -d)
-            cc = abs(c)
-            dk = (cc, aa % (2 * cc), dd % (2 * cc))
-            if w < double.get(dk, math.inf):
-                double[dk] = w
-    # the largest ball is the run's peak memory: drop the tuples before
-    # the sorted copies are made
-    del raw
+        half = np.maximum(_weighted_sums(a, b, c, d, h) / 2.0, 1.0)
+        disp = np.fromiter(map(math.acosh, half.tolist()), dtype=float,
+                           count=half.size)
+    # left coset: invariant row (c, d) up to sign
+    flip = (c < 0) | ((c == 0) & (d < 0))
+    # double coset: residues of the diagonal modulo twice the lower left
+    # entry, sign-normalized to c > 0; translations on both sides are
+    # quotiented out and the parabolic subgroup itself (c = 0) is excluded
+    off = c != 0
+    sign = np.where(c[off] > 0, 1, -1)
+    cc = np.abs(c[off])
     norms = {
         "group": np.sort(disp),
-        "left": np.sort(np.fromiter(left.values(), dtype=float)),
-        "right": np.sort(np.fromiter(right.values(), dtype=float)),
-        "double": np.sort(np.fromiter(double.values(), dtype=float)),
+        "left": _group_minima(disp, np.where(flip, -c, c),
+                              np.where(flip, -d, d)),
+        # right coset: invariant column (a, c), a > 0 already canonical
+        "right": _group_minima(disp, a, c),
+        "double": _group_minima(disp[off], cc, (sign * a[off]) % (2 * cc),
+                                (sign * d[off]) % (2 * cc)),
     }
     for arr in norms.values():
         arr.flags.writeable = False
@@ -391,11 +426,12 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
     return norms
 
 
-def _ball(norms: np.ndarray, r: float) -> int:
-    return int(np.searchsorted(norms, r, side="left"))
+def _ball(norms: np.ndarray, r):
+    """Count of norms below r, for a radius or an array of radii."""
+    return np.searchsorted(norms, r, side="left")
 
 
-def _annulus(norms: np.ndarray, r: float, gauge: float) -> int:
+def _annulus(norms: np.ndarray, r, gauge: float):
     if gauge <= 0:
         return 0
     return _ball(norms, r + gauge / 2.0) - _ball(norms, r - gauge / 2.0)
@@ -437,12 +473,11 @@ def coset_counts(r: float, gauge: float) -> CountTable:
     return CountTable(
         gauge=gauge,
         radii=radii,
-        v_group=np.array([_ball(norms["group"], x) for x in radii]),
-        v_group_annulus=np.array(
-            [_annulus(norms["group"], x, gauge) for x in radii]),
-        v_left=np.array([_ball(norms["left"], x) for x in radii]),
-        v_right=np.array([_ball(norms["right"], x) for x in radii]),
-        v_double=np.array([_ball(norms["double"], x) for x in radii]),
+        v_group=_ball(norms["group"], radii),
+        v_group_annulus=_annulus(norms["group"], radii, gauge),
+        v_left=_ball(norms["left"], radii),
+        v_right=_ball(norms["right"], radii),
+        v_double=_ball(norms["double"], radii),
     )
 
 

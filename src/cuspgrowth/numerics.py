@@ -141,11 +141,14 @@ class TailAnalysis:
     without either run completing.  ``log_tail`` is the log of the full
     tail integral (scanned mass plus a geometric-remainder estimate) when
     convergent, and the log of the scanned partial mass otherwise.
+    ``partial_windows`` counts the windows whose refinement ran out of
+    panels and kept the partial estimate instead.
     """
     verdict: Optional[bool]
     log_tail: float
     log_segments: tuple[float, ...]
     ratios: tuple[float, ...]
+    partial_windows: int
 
     @property
     def converges(self) -> bool:
@@ -198,6 +201,7 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
     hard_run = 0
     verdict: Optional[bool] = None
     conflicted = False
+    partial = 0
     total = NEG_INF
     for k in range(max_windows):
         a = t0 * (2.0 ** k)
@@ -216,6 +220,7 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
                 # reach; the partial estimate is still far more accurate
                 # than the ratio thresholds require.
                 seg = exc.log_partial
+                partial += 1
         segs.append(seg)
         total = logsumexp(segs)
         if k >= 1:
@@ -259,7 +264,8 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
         rho = min(max(ratios[-1], 1e-300), ratio_conv)
         mass = log_add(mass, segs[-1] + math.log(rho / (1.0 - rho)))
     return TailAnalysis(verdict=verdict, log_tail=mass,
-                        log_segments=tuple(segs), ratios=tuple(ratios))
+                        log_segments=tuple(segs), ratios=tuple(ratios),
+                        partial_windows=partial)
 
 
 def bisect_increasing(pred: Callable[[float], bool],

@@ -474,13 +474,13 @@ class TestOracleVerify:
 
     def test_one_enumeration_per_depth(self, tmp_path, monkeypatch):
         depths = []
-        enumerate_raw = h2_oracle._enumerate_raw
+        enumerate_ball = h2_oracle._enumerate
 
         def counted(r, h=0.0):
             depths.append(h)
-            return enumerate_raw(r, h)
+            return enumerate_ball(r, h)
 
-        monkeypatch.setattr(h2_oracle, "_enumerate_raw", counted)
+        monkeypatch.setattr(h2_oracle, "_enumerate", counted)
         monkeypatch.setattr(h2_oracle, "_BALLS", {}, raising=False)
         rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "9", "--seed", "3")
         assert rc == EXIT_PASS

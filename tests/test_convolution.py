@@ -243,6 +243,13 @@ class TestCuspidalInterpolant:
         with pytest.raises(DomainError):
             CuspidalInterpolant(_hyperbolic_cusp(), 0.2)
 
+    def test_floor_below_profile_start(self):
+        prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+                                [pure_piece(5.0, INF, 1.0)])
+        cache = CuspidalInterpolant(CuspModel(prof), 10.0)
+        assert cache(5.0) > -745.0
+        assert cache(np.array([0.0, 4.99])).tolist() == [-745.0, -745.0]
+
     def test_batch_builder(self):
         cusps = [_hyperbolic_cusp(), CuspModel(catalog_profile("sparse-5.2"))]
         caches = cuspidal_interpolants(cusps, 20.0)
@@ -340,6 +347,20 @@ class TestVolumeBand:
                         cuspidal=cuspidal_interpolants([cusp], 11.0) * 2)
         with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
             volume_band(vg, [cusp], 10.0, cuspidal=[_exact_hyperbolic_excursion])
+
+    def test_profile_starting_far_above_zero(self):
+        # F vanishes below t = 600, where the cache's floor, weighted by
+        # v(700 - t) up to e^1050, would dominate the band (about 305
+        # nats); the band is the one of the same profile started at 0
+        def cusp(t0):
+            return CuspModel(assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+                                              [pure_piece(t0, INF, 1.0)]))
+
+        vg = VGammaModel(1.5)
+        band = volume_band(vg, [cusp(600.0)], 700.0)
+        assert band.lower == pytest.approx(149.6, abs=0.1)
+        assert band.lower == pytest.approx(
+            volume_band(vg, [cusp(0.0)], 100.0).lower, abs=1e-9)
 
     def test_exact_where_the_floor_meets_the_extrapolation(self):
         # ln F = -700 + 100 (t - 2) on the cache, floored at -745 below

@@ -532,3 +532,120 @@ class TestSharedBall:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             h2_oracle._sorted_norms(math.nextafter(BALL_CAP, math.inf))
+
+
+# -- reference ball build ----------------------------------------------------
+# The scalar enumeration and dict group-by that the numpy ball build
+# replaced, kept as the reference it must reproduce bit for bit.
+
+
+def _ref_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _ref_enumerate(r: float, h: float = 0.0) -> list[tuple[int, ...]]:
+    s_cap = 2.0 * math.cosh(r)
+    eh = math.exp(h)
+    bound_ac = s_cap / eh
+    out = []
+    a_max = int(math.isqrt(int(bound_ac))) + 1
+    for a in range(1, a_max + 1, 2):
+        c_span = bound_ac - a * a
+        if c_span < 0:
+            break
+        c_max = int(math.sqrt(c_span)) + 2
+        c_max -= c_max % 2
+        for c in range(-c_max, c_max + 2, 2):
+            col = a * a + c * c
+            if col * eh > s_cap:
+                continue
+            g, u, v = _ref_ext_gcd(a, c)
+            if abs(g) != 1:
+                continue
+            d0, b0 = u * g, -v * g
+            m_cap = (s_cap - col * eh) * eh
+            qa = col
+            qb = 2.0 * (a * b0 + c * d0)
+            qc = b0 * b0 + d0 * d0 - m_cap
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0:
+                continue
+            root = math.sqrt(disc)
+            k_lo = math.ceil((-qb - root) / (2.0 * qa) - 1e-9)
+            k_hi = math.floor((-qb + root) / (2.0 * qa) + 1e-9)
+            if (k_lo + b0) % 2 != 0:
+                k_lo += 1
+            for k in range(k_lo, k_hi + 1, 2):
+                b = b0 + k * a
+                d = d0 + k * c
+                w = eh * col + (b * b + d * d) / eh
+                if w <= s_cap * (1.0 + 1e-12):
+                    out.append((a, b, c, d))
+    return out
+
+
+def _ref_sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
+    raw = _ref_enumerate(r, h)
+    if h == 0.0:
+        disp = [math.acosh(max(1.0, (a * a + b * b + c * c + d * d) / 2.0))
+                for a, b, c, d in raw]
+    else:
+        up, down = math.exp(h), math.exp(-h)
+        disp = [math.acosh(max(1.0, (up * (a * a + c * c)
+                                     + down * (b * b + d * d)) / 2.0))
+                for a, b, c, d in raw]
+    left, right, double = {}, {}, {}
+    for (a, b, c, d), w in zip(raw, disp):
+        rk = (c, d) if (c > 0 or (c == 0 and d > 0)) else (-c, -d)
+        left[rk] = min(w, left.get(rk, math.inf))
+        right[(a, c)] = min(w, right.get((a, c), math.inf))
+        if c != 0:
+            aa, dd = (a, d) if c > 0 else (-a, -d)
+            dk = (abs(c), aa % (2 * abs(c)), dd % (2 * abs(c)))
+            double[dk] = min(w, double.get(dk, math.inf))
+    return {
+        "group": np.sort(disp),
+        "left": np.sort(np.fromiter(left.values(), dtype=float)),
+        "right": np.sort(np.fromiter(right.values(), dtype=float)),
+        "double": np.sort(np.fromiter(double.values(), dtype=float)),
+    }
+
+
+def _ref_enumerate_group(r: float, h: float = 0.0) -> list[MoebiusElement]:
+    elems = [MoebiusElement(*t) for t in _ref_enumerate(r, h)]
+    elems.sort(key=lambda g: (g.weighted_sum(h),) + g.as_tuple())
+    return elems
+
+
+class TestBallAgainstReference:
+    """The numpy ball build reproduces the scalar reference exactly."""
+
+    @pytest.mark.parametrize("h", [0.0, 2.0])
+    @pytest.mark.parametrize("r", [6.0, 9.0, 12.0])
+    def test_sorted_norms_bit_identical(self, monkeypatch, r, h):
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        got = h2_oracle._sorted_norms(r, h)
+        want = _ref_sorted_norms(r, h)
+        assert set(got) == set(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("r, h", [(6.0, 0.0), (2.5, 2.0)])
+    def test_enumerate_group_same_list(self, r, h):
+        assert enumerate_group(r, h=h) == _ref_enumerate_group(r, h)
+
+    def test_radius_cap_ball_sizes(self, monkeypatch):
+        # frozen from the reference at the largest ball any count reads
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        norms = h2_oracle._sorted_norms(BALL_CAP)
+        sizes = {name: arr.size for name, arr in norms.items()}
+        assert sizes == {"group": 1_634_433, "left": 817_217,
+                         "right": 817_217, "double": 408_254}

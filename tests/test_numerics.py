@@ -122,6 +122,19 @@ class TestTailAnalysis:
         with pytest.raises(DomainError):
             log_tail_integral(lambda t: -t, 0.0)
 
+    def test_no_partial_windows_on_a_smooth_tail(self):
+        res = log_tail_integral(lambda t: -2.0 * np.log(t), 1.0)
+        assert res.partial_windows == 0
+
+    def test_counts_windows_kept_at_their_partial_estimate(self):
+        # a step that no breakpoint marks converges at first order in the
+        # panel width, so the window [2, 4] holding it still moves by
+        # about 1e-6 at the panel budget; every other window is smooth
+        res = log_tail_integral(
+            lambda t: -2.0 * np.log(t) - 5.0 * (t > 3.3), 1.0)
+        assert res.converges
+        assert res.partial_windows == 1
+
 
 class TestBisection:
     def test_finds_threshold(self):
