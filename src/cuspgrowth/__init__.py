@@ -38,7 +38,6 @@ from .profiles import (
     validate_profile,
 )
 from .asymptotics import (
-    AreaRatioReport,
     ChainCheckReport,
     CuspModel,
     ExponentEstimate,
@@ -48,7 +47,6 @@ from .asymptotics import (
     TrendPolicy,
     WindowPolicy,
     area_ratio_bounds,
-    area_ratio_check,
     classify_growth,
     critical_exponent_chain_bound,
     cuspidal_chain_check,

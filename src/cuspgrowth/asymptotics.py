@@ -19,15 +19,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ProfileError
-from .numerics import TailAnalysis, bisect_increasing, log_integral, log_tail_integral
+from .numerics import log_add, log_integral, log_upper_gamma
 from .profiles import Profile
 
 __all__ = [
     "CuspModel",
     "log_horo_area",
     "area_ratio_bounds",
-    "AreaRatioReport",
-    "area_ratio_check",
     "log_cuspidal",
     "sample_cuspidal",
     "log_orbital_parabolic",
@@ -35,6 +33,7 @@ __all__ = [
     "sample_orbital_parabolic",
     "poincare_abscissa",
     "series_log_integrand",
+    "SeriesTail",
     "series_convergence_at",
     "distance_from_horodistance",
     "GrowthSeries",
@@ -99,41 +98,6 @@ def area_ratio_bounds(cusp: CuspModel, t1: float, t2: float) -> tuple[float, flo
     steep = math.sqrt(b.b ** 2 + b.eps)
     shallow = math.sqrt(max(b.a ** 2 - b.eps, 0.0))
     return (-n1 * steep * dt, -n1 * shallow * dt)
-
-
-@dataclass(frozen=True)
-class AreaRatioReport:
-    """Grid verification of the pinching bounds on area decay.
-
-    For each grid radius the drop ln A(R+delta) - ln A(R) must land inside
-    the band that ``area_ratio_bounds`` derives from the certified rate
-    window; ``worst_margin`` is the smallest slack observed (negative
-    means a violation at some grid point)."""
-    passed: bool
-    worst_margin: float
-    delta: float
-    grid: tuple[float, ...]
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (f"area-ratio check ({len(self.grid)} radii, step {self.delta}): "
-                f"{state}, worst margin {self.worst_margin:.3e}")
-
-
-def area_ratio_check(cusp: CuspModel, delta: float,
-                     grid: Sequence[float], *, tol: float = 1e-9) -> AreaRatioReport:
-    """Check ln A(R+delta) - ln A(R) against the two-sided rate band at
-    every grid radius."""
-    if delta <= 0:
-        raise DomainError("area ratio step must be positive")
-    worst = math.inf
-    for r in grid:
-        r = float(r)
-        drop = log_horo_area(cusp, r + delta) - log_horo_area(cusp, r)
-        lo, hi = area_ratio_bounds(cusp, r, r + delta)
-        worst = min(worst, drop - lo, hi - drop)
-    return AreaRatioReport(passed=worst >= -tol, worst_margin=worst,
-                           delta=delta, grid=tuple(float(r) for r in grid))
 
 
 def log_cuspidal(cusp: CuspModel, r: float, *, rel_tol: float = 1e-8) -> float:
@@ -202,29 +166,17 @@ def sample_orbital_parabolic(cusp: CuspModel, radii: Sequence[float],
     return GrowthSeries(radii=radii, log_values=vals, label=label)
 
 
-def poincare_abscissa(cusp: CuspModel, *, tol: float = 1e-6,
-                      r_start: float = 8.0) -> float:
+def poincare_abscissa(cusp: CuspModel) -> float:
     """Abscissa of convergence of the parabolic orbit series
-    sum over p of exp(-s d(x, p x)), located by bisection on s.
+    sum over p of exp(-s d(x, p x)).
 
     The series converges iff the tail integral of e^{-s R} / A(R/2) dR
-    does; an undetermined tail scan is treated as divergence, which biases
-    the boundary upward by less than the scan's resolution.  For a pure
-    exponential profile with rate c the answer is (n-1) c / 2.
+    does.  Any finite stretch of the profile adds finite mass, so only
+    its final law t^p e^{-c t} decides: the integrand is then a power of
+    R times e^{-(s - (n-1) c / 2) R}, and the abscissa is (n-1) c / 2.
     """
-    prof = cusp.profile
-    n1 = cusp.dim - 1
-
-    def converges(s: float) -> bool:
-        def f_log(rr):
-            return -s * rr + log_orbital_parabolic(cusp, rr)
-        return log_tail_integral(f_log, r_start).verdict is True
-
-    hi = n1 * math.sqrt(prof.bounds.b ** 2 + prof.bounds.eps) / 2.0 + 1.0
-    lo = tol / 4.0
-    if converges(lo):
-        return 0.0
-    return bisect_increasing(converges, lo, hi, tol=tol)
+    _, rate, _ = cusp.profile.final_law()
+    return (cusp.dim - 1) * rate / 2.0
 
 
 def series_log_integrand(cusp: CuspModel, s: float,
@@ -253,19 +205,65 @@ def series_log_integrand(cusp: CuspModel, s: float,
     return f_log
 
 
+@dataclass(frozen=True)
+class SeriesTail:
+    """Verdict and mass of an orbit-series tail integral: ``log_tail`` is
+    the log of the integral over [t_min, infinity), +inf when it
+    diverges."""
+    verdict: bool
+    log_tail: float
+
+    @property
+    def converges(self) -> bool:
+        return self.verdict
+
+    @property
+    def diverges(self) -> bool:
+        return not self.verdict
+
+
 def series_convergence_at(cusp: CuspModel, s: float,
                           *, weight: str = "linear",
-                          t_min: Optional[float] = None,
-                          max_windows: int = 40) -> TailAnalysis:
-    """Tail scan of the orbit-series integral from ``t_min`` (default:
-    twice the start of the profile's final piece, so the integrand sees
-    only the asymptotic tail law)."""
+                          t_min: Optional[float] = None) -> SeriesTail:
+    """Decide the orbit-series integral of ``series_log_integrand`` from
+    ``t_min`` (default: twice the start of the profile's final piece) to
+    infinity, in closed form.
+
+    Let the profile follow t^p e^{-c t} from ``start`` on.  From t = 2 start
+    the integrand is exactly t^beta 2^{(n-1) p} e^{-lam t} / c_norm, with
+    beta = w - (n-1) p (w = 1 for the linear weight, 0 for none) and
+    lam = s - s* for the abscissa s*.  The tail converges iff lam > 0, or
+    lam = 0 and beta < -1; its mass is then an upper incomplete gamma
+    function, or a power integral at lam = 0.  A stretch of [t_min, 2 start]
+    before that is integrated numerically over the profile's pieces.
+    """
+    f_log = series_log_integrand(cusp, s, weight)
+    prof = cusp.profile
     if t_min is None:
-        t_min = 2.0 * cusp.profile.pieces[-1].t0
+        t_min = 2.0 * prof.pieces[-1].t0
         if t_min <= 0:
             t_min = 2.0
-    return log_tail_integral(series_log_integrand(cusp, s, weight),
-                             t_min, max_windows=max_windows)
+    if not math.isfinite(s):
+        raise DomainError(f"series exponent must be finite, got {s}")
+    if not t_min > 0:
+        raise DomainError("series tail needs a positive t_min")
+    power, _, start = prof.final_law()
+    n1 = cusp.dim - 1
+    beta = (1.0 if weight == "linear" else 0.0) - n1 * power
+    lam = s - poincare_abscissa(cusp)
+    if lam < 0 or (lam == 0 and beta >= -1.0):
+        return SeriesTail(verdict=False, log_tail=math.inf)
+    lo = max(t_min, 2.0 * start)
+    log_tail = n1 * power * math.log(2.0) - math.log(cusp.c_norm)
+    if lam > 0:
+        log_tail += (log_upper_gamma(beta + 1.0, lam * lo)
+                     - (beta + 1.0) * math.log(lam))
+    else:
+        log_tail += (beta + 1.0) * math.log(lo) - math.log(-(beta + 1.0))
+    if t_min < lo:
+        log_tail = log_add(log_tail, log_integral(
+            f_log, t_min, lo, breakpoints=2.0 * prof.piece_breaks()))
+    return SeriesTail(verdict=True, log_tail=log_tail)
 
 
 def distance_from_horodistance(profile: Profile, d_xi: float,

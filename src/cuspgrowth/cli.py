@@ -363,7 +363,7 @@ def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
         lines.append(f"[{name}]")
         lines.append(f"series abscissa: {abscissa!r}")
         lines.append(f"weighted tail verdict at the abscissa: "
-                     f"{_verdict_text(tail.verdict)}")
+                     f"{'converges' if tail.converges else 'diverges'}")
         lines.append("")
         fname = f"cusp-{name}.csv"
         rows = ["R,log_excursion_mass,log_orbit_count"]
@@ -375,12 +375,6 @@ def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
     (outdir / "cusps.txt").write_text("\n".join(lines))
     artifacts.append("cusps.txt")
     return assertions, artifacts
-
-
-def _verdict_text(verdict: Optional[bool]) -> str:
-    if verdict is None:
-        return "undecided"
-    return "converges" if verdict else "diverges"
 
 
 def _run_lattice_classify(cfg: ExperimentConfig, outdir: Path):

@@ -4,8 +4,8 @@ Every quantity of interest in this package is a positive number that can
 span thousands of e-folds across a single evaluation window, so all sums,
 integrals and tail estimates are carried out on natural logarithms.  The
 kernels here are deliberately small: a stable log-sum-exp, an adaptive
-composite-Simpson rule that integrates ``exp(f)`` given only ``f``, a
-doubling-window tail analyser, and a monotone bisection helper.
+composite-Simpson rule that integrates ``exp(f)`` given only ``f``, the
+upper incomplete gamma function, and a doubling-window tail analyser.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ __all__ = [
     "logsumexp",
     "log_add",
     "log_integral",
+    "log_upper_gamma",
     "TailAnalysis",
     "log_tail_integral",
-    "bisect_increasing",
 ]
 
 NEG_INF = float("-inf")
@@ -132,6 +132,57 @@ def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
     return total
 
 
+_GAMMA_EPS = 1e-16      # relative step that ends the continued fraction
+_GAMMA_TINY = 1e-300    # Lentz's stand-in for a vanishing denominator
+_GAMMA_MAX_TERMS = 10_000
+
+
+def _log_upper_gamma_cf(a: float, x: float) -> float:
+    """ln Gamma(a, x) for x >= 1 from Legendre's continued fraction
+    Gamma(a, x) = e^{-x} x^a / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...)),
+    evaluated by the modified Lentz method."""
+    b = x + 1.0 - a
+    c = 1.0 / _GAMMA_TINY
+    d = 1.0 / b if abs(b) >= _GAMMA_TINY else 1.0 / _GAMMA_TINY
+    h = d
+    for i in range(1, _GAMMA_MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _GAMMA_TINY:
+            d = _GAMMA_TINY
+        c = b + an / c
+        if abs(c) < _GAMMA_TINY:
+            c = _GAMMA_TINY
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= _GAMMA_EPS:
+            return a * math.log(x) - x + math.log(h)
+    raise QuadratureError(
+        f"incomplete gamma continued fraction did not converge at a={a}, x={x}",
+        log_partial=a * math.log(x) - x + math.log(h))
+
+
+def log_upper_gamma(a: float, x: float) -> float:
+    """ln Gamma(a, x), the integral of u^{a-1} e^{-u} over [x, infinity),
+    for any real ``a`` and finite x > 0.
+
+    For x >= 1 the continued fraction converges quickly.  Below 1 the
+    value is Gamma(a, 1) plus the integral over [x, 1], which the
+    substitution u = e^v turns into the smooth integral of e^{a v - e^v}
+    over [ln x, 0]; both parts are positive, so nothing cancels.
+    """
+    if not (math.isfinite(a) and math.isfinite(x) and x > 0.0):
+        raise DomainError(f"upper incomplete gamma needs finite a and x > 0, "
+                          f"got a={a}, x={x}")
+    if x >= 1.0:
+        return _log_upper_gamma_cf(a, x)
+    band = log_integral(lambda v: a * v - np.exp(v), math.log(x), 0.0,
+                        rel_tol=1e-10)
+    return log_add(_log_upper_gamma_cf(a, 1.0), band)
+
+
 @dataclass(frozen=True)
 class TailAnalysis:
     """Outcome of a doubling-window scan of an improper integral.
@@ -141,14 +192,11 @@ class TailAnalysis:
     without either run completing.  ``log_tail`` is the log of the full
     tail integral (scanned mass plus a geometric-remainder estimate) when
     convergent, and the log of the scanned partial mass otherwise.
-    ``partial_windows`` counts the windows whose refinement ran out of
-    panels and kept the partial estimate instead.
     """
     verdict: Optional[bool]
     log_tail: float
     log_segments: tuple[float, ...]
     ratios: tuple[float, ...]
-    partial_windows: int
 
     @property
     def converges(self) -> bool:
@@ -201,7 +249,6 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
     hard_run = 0
     verdict: Optional[bool] = None
     conflicted = False
-    partial = 0
     total = NEG_INF
     for k in range(max_windows):
         a = t0 * (2.0 ** k)
@@ -220,7 +267,6 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
                 # reach; the partial estimate is still far more accurate
                 # than the ratio thresholds require.
                 seg = exc.log_partial
-                partial += 1
         segs.append(seg)
         total = logsumexp(segs)
         if k >= 1:
@@ -264,33 +310,4 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
         rho = min(max(ratios[-1], 1e-300), ratio_conv)
         mass = log_add(mass, segs[-1] + math.log(rho / (1.0 - rho)))
     return TailAnalysis(verdict=verdict, log_tail=mass,
-                        log_segments=tuple(segs), ratios=tuple(ratios),
-                        partial_windows=partial)
-
-
-def bisect_increasing(pred: Callable[[float], bool],
-                      lo: float,
-                      hi: float,
-                      *,
-                      tol: float = 1e-6,
-                      max_iter: int = 200) -> float:
-    """Boundary of a monotone predicate: False on [lo, x), True on (x, hi].
-
-    Returns the midpoint of the final bracket.  The predicate must already
-    differ at the endpoints; widening the bracket is the caller's job.
-    """
-    if not (hi > lo):
-        raise DomainError("bisection needs lo < hi")
-    if pred(lo):
-        raise DomainError("predicate already true at the lower endpoint")
-    if not pred(hi):
-        raise DomainError("predicate still false at the upper endpoint")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+                        log_segments=tuple(segs), ratios=tuple(ratios))

@@ -247,11 +247,22 @@ class Profile:
                     f"pieces not contiguous at t={left.t1} (next starts {right.t0})")
         if self.pieces[-1].t1 != INF:
             raise ProfileError("final piece must extend to infinity")
-        object.__setattr__(self, "_table", _SegmentTable.compile(self.pieces))
+        table = _SegmentTable.compile(self.pieces)
+        if not isinstance(table.rows[-1], _Envelope):
+            # a cubic transition extrapolated to infinity is no decay law
+            raise ProfileError("final segment must be an analytic law "
+                               "t^power e^{-rate t}, not a cubic transition")
+        object.__setattr__(self, "_table", table)
 
     @property
     def t_start(self) -> float:
         return self.pieces[0].t0
+
+    def final_law(self) -> tuple[float, float, float]:
+        """(power, rate, start): the profile is t^power e^{-rate t} on
+        [start, infinity)."""
+        law = self._table.rows[-1]
+        return law.power, law.rate, float(self._table.starts[-1])
 
     def piece_breaks(self) -> np.ndarray:
         """All interior non-smooth abscissae (piece joins and bridge

@@ -283,7 +283,7 @@ def classify_lattice(spec: LatticeSpec,
         bm = None
     else:
         dom = [v for v, f in zip(verdicts, spec.dominant_flags) if f]
-        bm = None if any(v is None for v in dom) else all(dom)
+        bm = all(dom)
         if not dom:
             notes.append("no dominant cusps; the weighted-series criterion "
                          "is vacuous and the verdict follows divergence alone")

@@ -407,8 +407,12 @@ class TestCuspAnalyze:
         csv = (out / "cusp-sparse-5.2.csv").read_text().splitlines()
         assert csv[0] == "R,log_excursion_mass,log_orbit_count"
         assert len(csv) == 66
-        report = (out / "cusps.txt").read_text()
-        assert "series abscissa" in report
+        # the abscissa is (n-1) c / 2 for the final law e^{-t}; at it the
+        # weighted integrand is t, so the tail diverges
+        assert (out / "cusps.txt").read_text().splitlines() == [
+            "[sparse-5.2]",
+            "series abscissa: 0.5",
+            "weighted tail verdict at the abscissa: diverges"]
         amap = _assertion_map(_summary(out))
         assert amap["orbit-monotone:sparse-5.2"]["passed"]
 

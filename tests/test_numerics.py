@@ -2,16 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.numerics import (
-    bisect_increasing,
     log_add,
     log_integral,
     log_tail_integral,
+    log_upper_gamma,
     logsumexp,
 )
 
@@ -122,27 +123,46 @@ class TestTailAnalysis:
         with pytest.raises(DomainError):
             log_tail_integral(lambda t: -t, 0.0)
 
-    def test_no_partial_windows_on_a_smooth_tail(self):
-        res = log_tail_integral(lambda t: -2.0 * np.log(t), 1.0)
-        assert res.partial_windows == 0
 
-    def test_counts_windows_kept_at_their_partial_estimate(self):
-        # a step that no breakpoint marks converges at first order in the
-        # panel width, so the window [2, 4] holding it still moves by
-        # about 1e-6 at the panel budget; every other window is smooth
-        res = log_tail_integral(
-            lambda t: -2.0 * np.log(t) - 5.0 * (t > 3.3), 1.0)
-        assert res.converges
-        assert res.partial_windows == 1
+def _mp_log_upper_gamma(a: float, x: float) -> float:
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x))))
 
 
-class TestBisection:
-    def test_finds_threshold(self):
-        got = bisect_increasing(lambda s: s >= math.pi, 0.0, 10.0, tol=1e-9)
-        assert got == pytest.approx(math.pi, abs=1e-8)
+# a = 0, the negative integers and a hair off -1 take the series' log
+# branch; x = 1 and its neighbours straddle the switch between the two
+# evaluations
+_GAMMA_A = sorted({*np.round(np.linspace(-2.5, 3.2, 20), 12), 0.0, -1.0,
+                   -2.0, 1.0, 2.0, 3.0, -1.0 + 1e-9, 1e-12})
+_GAMMA_X = sorted({*np.geomspace(1e-8, 1e4, 25), 1.0 - 1e-12, 0.999, 1.0,
+                   1.001, 1.0 + 1e-12})
 
-    def test_endpoint_validation(self):
-        with pytest.raises(DomainError):
-            bisect_increasing(lambda s: True, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            bisect_increasing(lambda s: False, 0.0, 1.0)
+
+class TestUpperGamma:
+    @pytest.mark.parametrize("a", _GAMMA_A)
+    def test_matches_mpmath(self, a):
+        for x in _GAMMA_X:
+            got = log_upper_gamma(float(a), float(x))
+            assert got == pytest.approx(_mp_log_upper_gamma(a, x),
+                                        rel=0, abs=1e-10), (a, x)
+
+    def test_closed_forms(self):
+        # Gamma(1, x) = e^{-x}; Gamma(0, x) = E1(x); Gamma(a, 0+) = Gamma(a)
+        for x in (1e-6, 0.5, 1.0, 7.0, 800.0):
+            assert log_upper_gamma(1.0, x) == pytest.approx(-x, rel=1e-14, abs=1e-12)
+        assert log_upper_gamma(0.0, 1.0) == pytest.approx(math.log(0.21938393439552029), abs=1e-14)
+        assert log_upper_gamma(2.5, 1e-300) == pytest.approx(math.lgamma(2.5), abs=1e-12)
+
+    def test_extreme_arguments_stay_in_the_log_domain(self):
+        # Gamma(-10, x) ~ x^{-10} / 10 overflows a float at x = 1e-300;
+        # Gamma(a, 1e6) underflows it
+        assert log_upper_gamma(-10.0, 1e-300) == pytest.approx(
+            3000.0 * math.log(10.0) - math.log(10.0), rel=1e-12)
+        assert log_upper_gamma(0.5, 1e6) == pytest.approx(
+            _mp_log_upper_gamma(0.5, 1e6), rel=1e-14)
+
+    def test_rejects_bad_arguments(self):
+        for a, x in ((1.0, 0.0), (1.0, -1.0), (1.0, math.inf),
+                     (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                log_upper_gamma(a, x)

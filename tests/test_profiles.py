@@ -6,6 +6,7 @@ rather than hand-picked numbers, because the construction itself is the
 object under test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cuspgrowth.profiles import (
     CatalogParams,
     CurvatureBounds,
     Profile,
+    ProfilePiece,
     assemble_profile,
     build_bridge,
     catalog_companions,
@@ -187,6 +189,42 @@ class TestValidator:
         with pytest.raises(ProfileError):
             assemble_profile(CurvatureBounds(a=1.0, b=1.0),
                              [pure_piece(0.0, 1.0, 1.0)])
+
+    def test_final_cubic_segment_rejected(self):
+        # a cubic log-slope extrapolated to infinity turns the profile
+        # back up (ln T = -1, -1.75, 1.0, 1630.25 at t = 1, 2, 3, 10)
+        cubic = {"kind": "cubic", "t0": 1.0, "t1": INF, "anchor": -1.0,
+                 "coeffs": (-1.0, 0.0, 0.0, 1.0)}
+        pieces = [pure_piece(0.0, 1.0, 1.0),
+                  ProfilePiece(1.0, INF, "bridge", {"segments": (cubic,)})]
+        with pytest.raises(ProfileError, match="final segment"):
+            assemble_profile(CurvatureBounds(a=1.0, b=1.0), pieces)
+        doc = json.loads(profile_to_text(_simple_profile(1.0)))
+        doc["pieces"] = [{"t0": 0.0, "t1": 1.0, "form": "pure_exp",
+                          "params": {"rate": 1.0}},
+                         {"t0": 1.0, "t1": INF, "form": "bridge",
+                          "params": {"segments": [cubic]}}]
+        with pytest.raises(ProfileError, match="final segment"):
+            profile_from_text(json.dumps(doc))
+
+    def test_final_law_of_each_catalog_profile(self):
+        want = {"sparse-5.2": (0.0, 1.0, 3.0 ** 14),
+                "exotic-conv-5.3a": (2.2, 3.0, 40.0),
+                "exotic-div-5.3b": (3.0, 3.0, 20.0),
+                "critical-finite-5.4a": (1.0, 1.5, 3.0 ** 8),
+                "critical-infinite-5.4b": (1.0, 1.5, 3.0 ** 8)}
+        for name, law in want.items():
+            assert catalog_profile(name).final_law() == law
+        assert catalog_companions("critical-infinite-5.4b")[0].final_law() == (1.5, 3.0, 20.0)
+
+    def test_final_law_of_a_bridge_ending_in_an_analytic_flank(self):
+        bridge = build_bridge(BridgeRequest(p=1.0, q=2.0, r=12.0, s=INF,
+                                            left_power=0.0, left_rate=1.0,
+                                            right_power=1.0, right_rate=2.0,
+                                            eps=10.0))
+        prof = assemble_profile(CurvatureBounds(a=1.0, b=2.0, eps=10.0),
+                                [pure_piece(0.0, 1.0, 1.0), bridge])
+        assert prof.final_law() == (1.0, 2.0, 12.0)
 
 
 class TestSerialization:
