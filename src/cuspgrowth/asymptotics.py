@@ -18,8 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ProfileError
-from .numerics import log_add, log_integral, log_upper_gamma
+from .errors import DomainError, ProfileError, QuadratureError
+from .numerics import (_NEGLIGIBLE_NATS, _gauss_panel_nats, _log_gauss_sums,
+                       log_add, log_integral, log_upper_gamma)
 from .profiles import Profile
 
 __all__ = [
@@ -100,7 +101,18 @@ def area_ratio_bounds(cusp: CuspModel, t1: float, t2: float) -> tuple[float, flo
     return (-n1 * steep * dt, -n1 * shallow * dt)
 
 
-def log_cuspidal(cusp: CuspModel, r: float, *, rel_tol: float = 1e-8) -> float:
+# Radii are cut into segments in blocks of this many, and integrated in
+# chunks of about this many panels, so that the segment and node arrays,
+# and with them peak memory, do not grow with the radius count.
+_BLOCK_RADII = 256
+_CHUNK_PANELS = 512
+
+# A radius whose integrand needs more panels than this raises
+# QuadratureError instead of allocating them.
+_MAX_RADIUS_PANELS = 1 << 18
+
+
+def log_cuspidal(cusp: CuspModel, r, *, rel_tol: float = 1e-8) -> float | np.ndarray:
     """ln of the cusp excursion integral
 
         F(R) = integral over [t_start, R] of A(t) / A((R+t)/2) dt.
@@ -108,21 +120,161 @@ def log_cuspidal(cusp: CuspModel, r: float, *, rel_tol: float = 1e-8) -> float:
     The integrand compares the horoball area where an excursion enters the
     cusp with the area at the depth it must reach to close up by radius R;
     its mass measures how many distinct excursions of length about R the
-    cusp supports.  Returns -inf for R <= t_start.
+    cusp supports.  Returns -inf for R <= t_start.  Scalar or vectorized
+    in ``r``: all radii are integrated together, a scalar exactly as an
+    array of one.
+
+    Each radius's interval is cut at the profile's breaks b and at 2b - R,
+    where the midpoint term crosses them.  On each smooth segment the
+    slope of the log integrand is bounded in closed form from the
+    profile's segment rows, and with it the stretches more than
+    ``_NEGLIGIBLE_NATS`` below the radius's total are dropped; the rest
+    is cut into panels across which the log integrand varies by at most
+    ``numerics._gauss_panel_nats(rel_tol)`` and summed by the checked
+    Gauss-Legendre rule of ``numerics._log_gauss_sums``.  A radius that
+    misses ``rel_tol`` raises QuadratureError.
     """
     prof = cusp.profile
-    t0 = prof.t_start
-    if r <= t0:
-        return -math.inf
+    radii = np.asarray(r, dtype=float)
+    flat = radii.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("excursion radii must be finite")
+    out = np.full(flat.shape, -math.inf)
+    live = np.flatnonzero(flat > prof.t_start)
+    for first in range(0, live.size, _BLOCK_RADII):
+        block = live[first:first + _BLOCK_RADII]
+        out[block] = _log_excursion_block(cusp, flat[block], rel_tol)
+    return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
+
+
+def _log_excursion_block(cusp: CuspModel, radii: np.ndarray,
+                         rel_tol: float) -> np.ndarray:
+    """ln F at each radius of a block, a chunk of radii at a time."""
+    segs = _excursion_segments(cusp, radii, rel_tol)
+    panels = np.bincount(segs.owner, weights=segs.count, minlength=radii.size)
+    if panels.max() > _MAX_RADIUS_PANELS:
+        worst = int(np.argmax(panels))
+        raise QuadratureError(
+            f"the excursion integral at R={float(radii[worst])!r} needs "
+            f"{int(panels[worst])} panels, over the budget of {_MAX_RADIUS_PANELS}")
+    out = np.empty(radii.size)
+    # chunk c holds the radii whose panels begin in [c, c + 1) budgets
+    chunk = (np.cumsum(panels) - panels) // _CHUNK_PANELS
+    firsts = np.flatnonzero(np.diff(chunk, prepend=-1.0))
+    seg_at = np.searchsorted(segs.owner, np.arange(radii.size + 1))
+    for a, b in zip(firsts, np.append(firsts[1:], radii.size)):
+        out[a:b] = _log_excursion(cusp, radii[a:b],
+                                  segs.take(seg_at[a], seg_at[b], a), rel_tol)
+    return out
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """Smooth stretches [lo, hi] of the excursion integrals of a radius
+    array, in radius order: ``owner`` indexes the radius, ``slope`` bounds
+    the log integrand's slope, ``count`` is the number of panels and
+    ``floor`` the log integrand below which the radius drops mass."""
+    owner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    slope: np.ndarray
+    count: np.ndarray
+    floor: np.ndarray
+
+    def take(self, start: int, stop: int, first_owner: int) -> "_Segments":
+        sel = slice(start, stop)
+        return _Segments(self.owner[sel] - first_owner, self.lo[sel],
+                         self.hi[sel], self.slope[sel], self.count[sel],
+                         self.floor[sel])
+
+
+def _excursion_log_integrand(cusp: CuspModel):
+    """(n-1) (ln T(t) - ln T((R + t)/2)), for arrays t and R."""
+    prof = cusp.profile
     n1 = cusp.dim - 1
 
-    def f_log(t):
+    def f_log(t, r):
         return n1 * (prof.log_value(t) - prof.log_value((r + t) / 2.0))
 
-    # the midpoint term is non-smooth where (r + t)/2 crosses a break
+    return f_log
+
+
+def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
+                        rel_tol: float) -> _Segments:
+    """The smooth segments of each radius's integral, trimmed to where
+    they can carry mass, with their slope bounds and panel counts."""
+    prof = cusp.profile
+    t0 = prof.t_start
+    f_log = _excursion_log_integrand(cusp)
     breaks = prof.piece_breaks()
-    return log_integral(f_log, t0, r, rel_tol=rel_tol,
-                        breakpoints=np.concatenate([breaks, 2.0 * breaks - r]))
+    rr = radii[:, None]
+    # the midpoint term is non-smooth where (R + t)/2 crosses a break;
+    # cuts outside [t0, R] collapse onto an end and leave empty segments
+    cuts = np.concatenate([np.full_like(rr, t0), rr,
+                           np.broadcast_to(breaks, (rr.shape[0], breaks.size)),
+                           2.0 * breaks - rr], axis=1)
+    cuts = np.sort(np.clip(cuts, t0, rr), axis=1)
+    owner, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    lo = cuts[owner, col]
+    hi = cuts[owner, col + 1]
+    r = radii[owner]
+    # f = (n-1) (ln T(t) - ln T(m)), m = (R + t)/2, has slope
+    # (n-1) (s(t) - s(m)/2) with s = (ln T)', which lies in [least, most]
+    t_least, t_most = prof._dlog_range(lo, hi)
+    m_least, m_most = prof._dlog_range(0.5 * (r + lo), 0.5 * (r + hi))
+    least = (cusp.dim - 1) * (t_least - 0.5 * m_most)
+    most = (cusp.dim - 1) * (t_most - 0.5 * m_least)
+    slope = np.maximum(np.abs(least), np.abs(most))
+    f_lo = f_log(lo, r)
+    f_hi = f_log(hi, r)
+    # within d of a segment end e the integrand stays above e^{f(e) - slope d}:
+    # a lower bound on each radius's total
+    near = np.minimum(hi - lo, 1.0 / np.maximum(slope, 1e-300))
+    low = np.maximum(f_lo, f_hi) + np.log(near) - slope * near
+    firsts = np.searchsorted(owner, np.arange(radii.size))
+    # log integrand below which a radius drops at most e^{-_NEGLIGIBLE_NATS}
+    # of its total over all of [t0, R]
+    floor = (np.maximum.reduceat(low, firsts) - _NEGLIGIBLE_NATS
+             - np.log(radii - t0))[owner]
+    # f(t) <= f(lo) + most (t - lo) and f(t) <= f(hi) - least (hi - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stop = np.where(most < 0.0, lo + (f_lo - floor) / -most, hi)
+        start = np.where(least > 0.0, hi - (f_hi - floor) / least, lo)
+    start = np.maximum(start, lo)
+    stop = np.minimum(stop, hi)
+    live = stop > start
+    start, stop, slope = start[live], stop[live], slope[live]
+    count = np.ceil(slope * (stop - start) / _gauss_panel_nats(rel_tol))
+    return _Segments(owner[live], start, stop, slope,
+                     np.maximum(count, 1.0).astype(np.int64), floor[live])
+
+
+def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
+                   rel_tol: float) -> np.ndarray:
+    """ln F at each radius, from the radii's segments."""
+    f_log = _excursion_log_integrand(cusp)
+    # panel k of a segment is [x_k, x_{k+1}], x_k = lo + k h, x_count = hi
+    ends = segs.count + 1
+    seg = np.repeat(np.arange(segs.lo.size), ends)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(ends) - ends, ends)
+    step = (segs.hi - segs.lo) / segs.count
+    last = k == segs.count[seg]
+    x = np.where(last, segs.hi[seg], segs.lo[seg] + k * step[seg])
+    fx = f_log(x, radii[segs.owner[seg]])
+    left = np.flatnonzero(~last)
+    seg = seg[left]
+    a, b = x[left], x[left + 1]
+    # |f'| <= slope bounds the log integrand on a panel by its end values
+    keep = np.flatnonzero(0.5 * (fx[left] + fx[left + 1] + segs.slope[seg] * (b - a))
+                          >= segs.floor[seg])
+    owner = segs.owner[seg[keep]]
+    r_kept = radii[owner]
+
+    def label(g: int) -> str:
+        return f"the excursion integral at R={float(radii[g])!r}"
+
+    return _log_gauss_sums(lambda t, i: f_log(t, r_kept[i][:, None]),
+                           a[keep], b[keep], owner, rel_tol=rel_tol, label=label)
 
 
 def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
@@ -130,8 +282,7 @@ def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
                     label: str = "cusp-excursion") -> "GrowthSeries":
     """Sample ln F over a radius grid into a GrowthSeries."""
     radii = np.asarray(radii, dtype=float)
-    vals = np.array([log_cuspidal(cusp, float(r), rel_tol=rel_tol)
-                     for r in radii])
+    vals = log_cuspidal(cusp, radii, rel_tol=rel_tol)
     return GrowthSeries(radii=radii, log_values=vals, label=label)
 
 

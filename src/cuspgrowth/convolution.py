@@ -271,13 +271,13 @@ _LOG_FLOOR = -745.0
 class CuspidalInterpolant:
     """Piecewise-linear cache of ln F for one cusp on [t_start, r_max].
 
-    The excursion integral costs a quadrature per evaluation; envelope
-    assembly needs it at thousands of points, so it is sampled once on a
-    uniform grid and interpolated linearly in the log domain.  Below the
-    first node the first segment's slope is extrapolated down to a floor
-    of -745 (ln F falls off to -inf there; the convolutions only need it
-    to stay small).  Below the profile start, where the excursion integral
-    is empty, it is the floor.
+    The excursion integral is sampled on a uniform grid, all nodes in one
+    batched ``log_cuspidal`` call, and interpolated linearly in the log
+    domain; the band convolutions sum it in closed form over the cache's
+    segments.  Below the first node the first segment's slope is
+    extrapolated down to a floor of -745 (ln F falls off to -inf there;
+    the convolutions only need it to stay small).  Below the profile
+    start, where the excursion integral is empty, it is the floor.
     """
 
     def __init__(self, cusp: CuspModel, r_max: float,
@@ -288,8 +288,7 @@ class CuspidalInterpolant:
         self.t_start = t0
         count = int(math.ceil((r_max - t0) / step))
         self.nodes = t0 + step * np.arange(1, count + 1, dtype=float)
-        self.values = np.array(
-            [log_cuspidal(cusp, float(x), rel_tol=rel_tol) for x in self.nodes])
+        self.values = log_cuspidal(cusp, self.nodes, rel_tol=rel_tol)
         self.cusp = cusp
         self.r_max = float(self.nodes[-1])
 

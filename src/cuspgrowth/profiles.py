@@ -107,6 +107,13 @@ class _Envelope:
             return self.power * np.log(t) - self.rate * t
         return self.power / t - self.rate if order == 1 else -self.power / (t * t)
 
+    def slope_range(self, lo: np.ndarray, hi: np.ndarray):
+        """Least and greatest log-slope on [lo, hi]: power/t - rate is
+        monotone, so they sit at the ends."""
+        at_lo = self(lo, 1)
+        at_hi = self(hi, 1)
+        return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
+
 
 @dataclass(frozen=True)
 class _Cubic:
@@ -127,6 +134,23 @@ class _Cubic:
             return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / self.width
         integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
         return self.anchor + self.width * integ
+
+    def slope_range(self, lo: np.ndarray, hi: np.ndarray):
+        """Least and greatest log-slope on [lo, hi]: the cubic's extremes
+        sit at the ends or at the roots of c1 + 2 c2 u + 3 c3 u^2."""
+        c0, c1, c2, c3 = self.coeffs
+        if c3 != 0.0:
+            disc = c2 * c2 - 3.0 * c1 * c3
+            roots = ((-c2 - math.sqrt(disc)) / (3.0 * c3),
+                     (-c2 + math.sqrt(disc)) / (3.0 * c3)) if disc >= 0.0 else ()
+        else:
+            roots = (-c1 / (2.0 * c2),) if c2 != 0.0 else ()
+        u_lo = (lo - self.t0) / self.width
+        u_hi = (hi - self.t0) / self.width
+        # a root outside [lo, hi] is clipped onto an end
+        slopes = [c0 + u * (c1 + u * (c2 + u * c3))
+                  for u in (u_lo, u_hi, *(np.clip(x, u_lo, u_hi) for x in roots))]
+        return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
 
 
 @dataclass(frozen=True)
@@ -193,6 +217,8 @@ class _SegmentTable:
     Row i (an analytic law or a cubic transition) is active from
     ``starts[i]`` to the next start; a piece's first row starts at the
     piece's own t0, and the first and last rows extend past the ends.
+    Starts strictly increase: a zero-width segment (a transition whose
+    plateau has no room) is active nowhere and gets no row.
     """
     starts: np.ndarray
     rows: tuple[_Envelope | _Cubic, ...]
@@ -203,7 +229,8 @@ class _SegmentTable:
         rows: list[_Envelope | _Cubic] = []
         for piece in pieces:
             if piece.form == "bridge":
-                segs = piece.params["segments"]
+                segs = [seg for seg in piece.params["segments"]
+                        if seg["t1"] > seg["t0"]]
                 starts.append(piece.t0)
                 starts.extend(seg["t0"] for seg in segs[1:])
                 rows.extend(_row(seg) for seg in segs)
@@ -213,13 +240,18 @@ class _SegmentTable:
                                       piece.params["rate"]))
         return cls(np.asarray(starts, dtype=float), tuple(rows))
 
-    def __call__(self, t: np.ndarray, order: int) -> np.ndarray:
-        """ln T (order 0), (ln T)' (1) or (ln T)'' (2) on a float array."""
+    def _rows_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row active at each t, and the distinct rows among them."""
         idx = np.searchsorted(self.starts, t, side="right")
         idx -= 1
         np.maximum(idx, 0, out=idx)
         present = np.flatnonzero(
             np.bincount(idx.ravel(), minlength=len(self.rows)))
+        return idx, present
+
+    def __call__(self, t: np.ndarray, order: int) -> np.ndarray:
+        """ln T (order 0), (ln T)' (1) or (ln T)'' (2) on a float array."""
+        idx, present = self._rows_at(t)
         if present.size == 1:
             return self.rows[present[0]](t, order)
         out = np.empty_like(t)
@@ -227,6 +259,18 @@ class _SegmentTable:
             mask = idx == i
             out[mask] = self.rows[i](t[mask], order)
         return out
+
+    def slope_range(self, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest (ln T)' on each [lo, hi], in closed form from
+        its row; no interval may cross a start."""
+        idx, present = self._rows_at(0.5 * (lo + hi))
+        least = np.empty_like(lo)
+        most = np.empty_like(lo)
+        for i in present:
+            mask = idx == i
+            least[mask], most[mask] = self.rows[i].slope_range(lo[mask], hi[mask])
+        return least, most
 
 
 @dataclass(frozen=True)
@@ -268,6 +312,12 @@ class Profile:
         """All interior non-smooth abscissae (piece joins and bridge
         segment joins), for use as quadrature breakpoints."""
         return np.unique(self._table.starts[1:])
+
+    def _dlog_range(self, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest (ln T)' on each [lo, hi]; no interval may
+        cross a piece break.  Sizes the excursion integral's panels."""
+        return self._table.slope_range(lo, hi)
 
     def _eval(self, t, order: int):
         arr = np.asarray(t, dtype=float)

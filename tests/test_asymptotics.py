@@ -6,13 +6,16 @@ power law on polynomial-tail profiles; both serve as frozen oracles that
 were derived independently before the implementation.
 """
 
+import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgrowth.errors import DomainError
+from cuspgrowth import asymptotics, numerics
+from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.asymptotics import (
     CuspModel,
     cuspidal_chain_check,
@@ -35,7 +38,8 @@ from cuspgrowth.asymptotics import (
     poincare_abscissa,
     sample_cuspidal,
 )
-from cuspgrowth.numerics import log_tail_integral
+from cuspgrowth.convolution import CuspidalInterpolant
+from cuspgrowth.numerics import log_integral, log_tail_integral
 from cuspgrowth.profiles import (
     CATALOG_IDS,
     CatalogParams,
@@ -46,7 +50,7 @@ from cuspgrowth.profiles import (
     poly_piece,
     pure_piece,
 )
-from cuspgrowth.taxonomy import catalog_spec
+from cuspgrowth.taxonomy import _CACHE_STEP, catalog_spec
 
 INF = float("inf")
 
@@ -133,6 +137,148 @@ class TestCuspidalFunction:
         assert len(series) == 3
         assert series.log_values[2] == pytest.approx(
             math.log(2.0 * (math.exp(4.0) - 1.0)), abs=1e-5)
+
+
+def _excursion_profiles():
+    """The five catalog profiles and the critical-infinite-5.4b companion."""
+    return ([(name, catalog_profile(name)) for name in CATALOG_IDS]
+            + [("critical-infinite-5.4b-companion",
+                catalog_companions("critical-infinite-5.4b")[0])])
+
+
+def _excursion_cuts(prof, r):
+    """[t_start, R] cut at the breaks b and at 2b - R, as log_cuspidal cuts it."""
+    breaks = prof.piece_breaks()
+    inner = np.concatenate([breaks, 2.0 * breaks - r])
+    return sorted({prof.t_start, r,
+                   *(float(b) for b in inner if prof.t_start < b < r)})
+
+
+def _adaptive_log_cuspidal(cusp, r, rel_tol):
+    """The former path: one adaptive Simpson integral per radius."""
+    prof = cusp.profile
+    n1 = cusp.dim - 1
+
+    def f_log(t):
+        return n1 * (prof.log_value(t) - prof.log_value((r + t) / 2.0))
+
+    return log_integral(f_log, prof.t_start, r, rel_tol=rel_tol,
+                        breakpoints=_excursion_cuts(prof, r))
+
+
+class TestBatchedExcursion:
+    def test_scalar_and_array_bit_identical(self):
+        for name in ("sparse-5.2", "critical-finite-5.4a"):
+            cusp = CuspModel(catalog_profile(name))
+            radii = np.concatenate([[-1.0, 0.0], np.linspace(0.5, 500.0, 96)])
+            batch = log_cuspidal(cusp, radii, rel_tol=1e-8)
+            one_by_one = [log_cuspidal(cusp, float(r), rel_tol=1e-8) for r in radii]
+            assert all(isinstance(v, float) for v in one_by_one)
+            assert np.array_equal(batch, one_by_one)
+            assert batch[0] == batch[1] == -INF
+            shaped = log_cuspidal(cusp, radii[2:].reshape(4, -1)[::-1], rel_tol=1e-8)
+            assert np.array_equal(shaped, batch[2:].reshape(4, -1)[::-1])
+
+    def test_blocks_and_chunks_do_not_change_a_bit(self, monkeypatch):
+        cusp = CuspModel(catalog_profile("critical-infinite-5.4b"))
+        radii = np.linspace(1.0, 500.0, 60)
+        whole = log_cuspidal(cusp, radii, rel_tol=1e-8)
+        monkeypatch.setattr(asymptotics, "_BLOCK_RADII", 7)
+        monkeypatch.setattr(asymptotics, "_CHUNK_PANELS", 16)
+        assert np.array_equal(log_cuspidal(cusp, radii, rel_tol=1e-8), whole)
+
+    def test_rejects_non_finite_radius(self):
+        with pytest.raises(DomainError, match="finite"):
+            log_cuspidal(_pure_cusp(), np.array([2.0, INF]))
+        with pytest.raises(DomainError, match="finite"):
+            log_cuspidal(_pure_cusp(), float("nan"))
+
+    def test_miss_at_minimum_budget_raises(self, monkeypatch):
+        # at rel_tol 1e-10 the 8-point rule on the companion's R = 8 panels
+        # misses its halved-panel check by about 2e-9, and one halving mends it
+        cusp = CuspModel(catalog_companions("critical-infinite-5.4b")[0])
+        assert math.isfinite(log_cuspidal(cusp, 8.0, rel_tol=1e-10))
+        monkeypatch.setattr(numerics, "_MAX_HALVINGS", 0)
+        with pytest.raises(QuadratureError, match="R=8.0") as exc:
+            log_cuspidal(cusp, 8.0, rel_tol=1e-10)
+        assert exc.value.log_partial == pytest.approx(
+            _adaptive_log_cuspidal(cusp, 8.0, 1e-10), abs=1e-8)
+        with pytest.raises(QuadratureError):
+            log_cuspidal(cusp, np.array([4.0, 8.0, 12.0]), rel_tol=1e-10)
+        with pytest.raises(QuadratureError):
+            sample_cuspidal(cusp, [4.0, 8.0, 12.0], rel_tol=1e-10)
+
+    def test_panel_budget_raises(self, monkeypatch):
+        cusp = CuspModel(catalog_profile("sparse-5.2"))
+        monkeypatch.setattr(asymptotics, "_MAX_RADIUS_PANELS", 4)
+        with pytest.raises(QuadratureError, match="R=200.0 needs"):
+            log_cuspidal(cusp, np.array([3.0, 200.0]))
+
+
+class TestExcursionAgainstAdaptive:
+    @pytest.mark.parametrize("name,prof", _excursion_profiles(),
+                             ids=[n for n, _ in _excursion_profiles()])
+    def test_full_cache_grid(self, name, prof):
+        # the step-2 grid that run_example caches at its default horizon
+        cusp = CuspModel(prof)
+        cache = CuspidalInterpolant(cusp, 501.0, step=_CACHE_STEP, rel_tol=1e-10)
+        ref = np.array([_adaptive_log_cuspidal(cusp, float(r), 1e-10)
+                        for r in cache.nodes])
+        assert cache.nodes.size == 251
+        assert np.max(np.abs(cache.values - ref)) <= 1e-9
+
+
+def _mp_log_profile(table, starts, t):
+    """ln T(t) in mpmath arithmetic from the segment table's rows."""
+    row = table.rows[max(bisect.bisect_right(starts, float(t)) - 1, 0)]
+    if hasattr(row, "coeffs"):
+        c0, c1, c2, c3 = row.coeffs
+        u = (t - row.t0) / row.width
+        return row.anchor + row.width * u * (
+            c0 + u * (c1 / 2 + u * (c2 / 3 + u * c3 / 4)))
+    return (row.power * mpmath.log(t) if row.power else 0) - row.rate * t
+
+
+def _mp_log_cuspidal(prof, r):
+    """Gauss-Legendre quadrature in 20-digit arithmetic over the same
+    segments, each split into pieces of length at most 8; pieces more than
+    60 nats below the peak (by their end values and the slope bound 3 of
+    the catalog rates) are left out."""
+    table = prof._table
+    starts = table.starts.tolist()
+    cuts = _excursion_cuts(prof, r)
+    pts = []
+    for a, b in zip(cuts, cuts[1:]):
+        pts.extend(np.linspace(a, b, math.ceil((b - a) / 8.0) + 1)[:-1].tolist())
+    pts.append(r)
+    with mpmath.workdps(20):
+        def f_log(t):
+            return (_mp_log_profile(table, starts, t)
+                    - _mp_log_profile(table, starts, (r + t) / 2))
+
+        ends = [float(f_log(mpmath.mpf(x))) for x in pts]
+        top = max(ends)
+        total = 0
+        for a, b, fa, fb in zip(pts, pts[1:], ends, ends[1:]):
+            if max(fa, fb) + 3.0 * (b - a) < top - 60.0:
+                continue
+            value, err = mpmath.quad(lambda t: mpmath.exp(f_log(t)), [a, b],
+                                     method="gauss-legendre", error=True)
+            assert err <= 1e-15 * value
+            total += value
+        return float(mpmath.log(total))
+
+
+class TestExcursionAgainstMpmath:
+    @pytest.mark.parametrize("name", [
+        n for n in CATALOG_IDS
+        if any(p.form == "bridge" for p in catalog_profile(n).pieces)])
+    def test_bridge_bearing_catalog_profiles(self, name):
+        prof = catalog_profile(name)
+        cusp = CuspModel(prof)
+        for r in (30.0, 200.0, 500.0):
+            got = log_cuspidal(cusp, r, rel_tol=1e-10)
+            assert got == pytest.approx(_mp_log_cuspidal(prof, r), abs=1e-10), r
 
 
 class TestParabolicGrowth:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cuspgrowth import numerics
 from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.numerics import (
+    _gauss_panel_nats,
+    _log_gauss_sums,
     log_add,
     log_integral,
     log_tail_integral,
@@ -91,6 +94,69 @@ class TestLogIntegral:
         # integral of t^3 over [1, 4] = (4^4 - 1)/4 = 63.75
         got = log_integral(lambda t: 3.0 * np.log(t), 1.0, 4.0)
         assert got == pytest.approx(math.log(63.75), abs=2e-8)
+
+
+def _exp_linear(slopes):
+    """Log integrand s_k t on the panels of group k."""
+    return lambda t, k: slopes[k][:, None] * t
+
+
+class TestGaussSums:
+    # three groups: e^{t} on [0, 1] + [1, 4], e^{-2t} on [0, 30], e^{0} on [5, 6]
+    LO = np.array([0.0, 1.0, 0.0, 5.0])
+    HI = np.array([1.0, 4.0, 30.0, 6.0])
+    GROUP = np.array([0, 0, 1, 2])
+    SLOPE = np.array([1.0, 1.0, -2.0, 0.0])
+    EXACT = [math.log(math.expm1(4.0)),
+             math.log(-math.expm1(-60.0) / 2.0), 0.0]
+
+    def test_exp_linear_closed_forms(self):
+        got = _log_gauss_sums(_exp_linear(self.SLOPE), self.LO, self.HI,
+                              self.GROUP, rel_tol=1e-10)
+        assert got == pytest.approx(self.EXACT, rel=0, abs=1e-12)
+
+    def test_a_group_does_not_depend_on_the_batch(self):
+        # the [0, 30] panel needs halvings, the others do not
+        whole = _log_gauss_sums(_exp_linear(self.SLOPE), self.LO, self.HI,
+                                self.GROUP, rel_tol=1e-10)
+        for g in range(3):
+            sel = self.GROUP == g
+            alone = _log_gauss_sums(_exp_linear(self.SLOPE[sel]), self.LO[sel],
+                                    self.HI[sel], np.zeros(sel.sum(), dtype=int),
+                                    rel_tol=1e-10)
+            assert alone[0] == whole[g]
+
+    def test_rule_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert numerics._GL_NODES == pytest.approx(nodes, rel=0, abs=1e-15)
+        assert numerics._GL_WEIGHTS == pytest.approx(weights, rel=0, abs=1e-15)
+
+    def test_panel_nats_bound_the_rule_error(self):
+        # one panel over which e^t varies by the allowed nats stays four
+        # times inside rel_tol with the 8-point rule alone
+        for rel_tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            nats = _gauss_panel_nats(rel_tol)
+            half = nats / 2.0
+            t = half + half * numerics._GL_NODES
+            rule = half * float(np.sum(numerics._GL_WEIGHTS * np.exp(t)))
+            assert abs(rule / math.expm1(nats) - 1.0) <= rel_tol / 4.0
+
+    def test_budget_exhaustion_raises_with_partial(self, monkeypatch):
+        wavy = lambda t, k: 30.0 * np.sin(t)
+        lo, hi, group = np.array([0.0]), np.array([20.0]), np.array([0])
+        assert math.isfinite(_log_gauss_sums(wavy, lo, hi, group, rel_tol=1e-8)[0])
+        monkeypatch.setattr(numerics, "_MAX_HALVINGS", 0)
+        with pytest.raises(QuadratureError, match="halvings") as exc:
+            _log_gauss_sums(wavy, lo, hi, group, rel_tol=1e-8)
+        assert math.isfinite(exc.value.log_partial)
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(QuadratureError):
+            _log_gauss_sums(_exp_linear(self.SLOPE), self.LO, self.HI,
+                            self.GROUP, rel_tol=1e-300)
+        with pytest.raises(DomainError):
+            _log_gauss_sums(_exp_linear(self.SLOPE), self.LO, self.HI,
+                            self.GROUP, rel_tol=0.0)
 
 
 class TestTailAnalysis:

@@ -482,3 +482,40 @@ class TestSegmentTable:
     def test_breaks_unchanged(self, name):
         for prof in _with_companions(name):
             assert _bit_equal(prof.piece_breaks(), _ref_breaks(prof))
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_starts_strictly_increase(self, name):
+        for prof in _with_companions(name):
+            starts = prof._table.starts
+            assert np.all(np.diff(starts) > 0)
+            assert len(prof._table.rows) == starts.size
+
+    def test_zero_width_segment_gets_no_row(self):
+        # the theta = 1/2 ramp/plateau/ramp candidate leaves its plateau
+        # no room; the pieces keep it, the table drops it
+        for name in ("critical-finite-5.4a", "critical-infinite-5.4b"):
+            prof = catalog_profile(name)
+            empty = [seg["t0"] for p in prof.pieces if p.form == "bridge"
+                     for seg in p.params["segments"] if seg["t1"] == seg["t0"]]
+            assert empty == [5.5]
+            assert np.count_nonzero(prof._table.starts == 5.5) == 1
+            segments = sum(len(p.params["segments"]) if p.form == "bridge" else 1
+                           for p in prof.pieces)
+            assert len(prof._table.rows) == segments - 1
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_slope_range_brackets_the_sampled_slope(self, name):
+        rng = np.random.default_rng(7)
+        for prof in _with_companions(name):
+            starts = prof._table.starts
+            edges = np.append(starts, 2.0 * starts[-1] + 100.0)
+            for a, b in zip(edges[:-1], edges[1:]):
+                x, y = np.sort(rng.uniform(a, b, 2))
+                for lo, hi in ((a, b), (x, y)):
+                    t = np.linspace(lo, hi, 4001)
+                    s = prof.dlog(t)
+                    least, most = prof._dlog_range(np.array([lo]), np.array([hi]))
+                    slack = 1e-9 * max(1.0, float(np.max(np.abs(s))))
+                    assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
+                    # closed form, so attained up to the sampling step
+                    assert least[0] >= s.min() - 1e-6 and most[0] <= s.max() + 1e-6
