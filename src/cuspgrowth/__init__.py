@@ -109,7 +109,6 @@ from .h2_oracle import (
     coset_counts,
     enumerate_group,
     estimate_delta,
-    group_bfs,
     h2_distance,
     t_xi,
     verify_counting,

@@ -14,7 +14,6 @@ sandwiches, and the counting-formula envelope.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -42,7 +41,6 @@ __all__ = [
     "busemann_inf",
     "t_xi",
     "enumerate_group",
-    "group_bfs",
     "CountTable",
     "coset_counts",
     "LemmaReport",
@@ -220,22 +218,19 @@ def _check_cap(r: float, cap: float = R_CAP) -> None:
             f"radius {r!r} exceeds the enumeration cap {cap!r}")
 
 
-def _ext_gcd(a: np.ndarray, b: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise extended Euclid on int64 arrays: (g, s, t) with
-    a*s + b*t = g, taking the quotients of Python's floor division."""
-    old_r, r = a.copy(), b.copy()
-    old_s, s = np.ones_like(a), np.zeros_like(a)
-    old_t, t = np.zeros_like(a), np.ones_like(a)
+def _euclid_coefficient(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise extended Euclid on coprime int64 arrays, a > 0, c >= 0:
+    the v of a*u + c*v = 1 (u = (1 - c*v) / a is exact, so untracked)."""
+    old_r, r = a.copy(), c.copy()
+    old_v, v = np.zeros_like(a), np.ones_like(a)
     live = np.flatnonzero(r)
     while live.size:
-        r_l, s_l, t_l = r[live], s[live], t[live]
+        r_l, v_l = r[live], v[live]
         q = old_r[live] // r_l
         old_r[live], r[live] = r_l, old_r[live] - q * r_l
-        old_s[live], s[live] = s_l, old_s[live] - q * s_l
-        old_t[live], t[live] = t_l, old_t[live] - q * t_l
+        old_v[live], v[live] = v_l, old_v[live] - q * v_l
         live = live[r[live] != 0]
-    return old_r, old_s, old_t
+    return old_v
 
 
 def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,29 +242,28 @@ def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
-    """The columns (a, c) of the elements with weighted entry sum at most
-    s_cap: a > 0 odd, c even and coprime to a, in the trace bound.  Each
-    admits a one-parameter family (b, d) = (b0 + ka, d0 + kc) whose norm
-    is quadratic in k, so the k window is solved in closed form; the
+    """The nonempty columns (a, c) of the elements with weighted entry sum
+    at most s_cap: a > 0 odd, c even and coprime to a, in the trace bound.
+    Each admits a one-parameter family (b, d) = (b0 + ka, d0 + kc) whose
+    norm is quadratic in k, so the k window is solved in closed form; the
     congruence forces k to one parity class.  Returns a, c, b0, d0, the
-    first k and the number of k values, one entry per column, a then c
-    ascending."""
+    first k and the number of k values, one entry per column: the c >= 0
+    columns a then c ascending, then their c < 0 mirrors."""
     bound_ac = s_cap / eh
     a_max = int(math.isqrt(int(bound_ac))) + 1
     a = np.arange(1, a_max + 1, 2, dtype=np.int64)
     c_span = bound_ac - a * a
     a, c_span = a[c_span >= 0], c_span[c_span >= 0]
     c_max = np.sqrt(c_span).astype(np.int64) + 2
-    c_max -= c_max % 2
-    # c runs over -c_max, -c_max + 2, ..., c_max for each a
-    run, step = _ragged_offsets(c_max + 1)
-    a, c = a[run], 2 * step - c_max[run]
+    # c runs over 0, 2, ..., c_max for each a
+    run, step = _ragged_offsets(c_max // 2 + 1)
+    a, c = a[run], 2 * step
     col = a * a + c * c
     keep = (col * eh <= s_cap) & (np.gcd(a, c) == 1)
     a, c, col = a[keep], c[keep], col[keep]
-    g, u, v = _ext_gcd(a, c)
-    # a*d0 - c*b0 = 1 from a*u + c*v = g
-    d0, b0 = u * g, -v * g
+    v = _euclid_coefficient(a, c)
+    # a*d0 - c*b0 = 1 from a*u + c*v = 1
+    b0, d0 = -v, (1 - c * v) // a
     # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
     m_cap = (s_cap - col * eh) * eh
     qb = 2.0 * (a * b0 + c * d0)
@@ -280,16 +274,23 @@ def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
     k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
     k_lo += (k_lo + b0) % 2
     count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
-    return a, c, b0, d0, k_lo, count
+    # conjugation by diag(1, -1) keeps every weighted sum and maps column
+    # (a, c) to (a, -c) with (-b0, d0): element (a, b, c, d) at k goes to
+    # (a, -b, -c, d) at -k, so the mirror's window is the negated one
+    full = count > 0
+    mirror = full & (c > 0)
+    k_last = k_lo + 2 * (count - 1)
+    return tuple(np.concatenate((x[full], y[mirror])) for x, y in (
+        (a, a), (c, -c), (b0, -b0), (d0, d0), (k_lo, -k_last), (count, count)))
 
 
-def _enumerate(r: float, h: float = 0.0
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _enumerate(r: float, h: float = 0.0) -> tuple[np.ndarray, ...]:
     """All canonical group elements with weighted displacement <= r, as
     int64 entry arrays (a, b, c, d), column by column (see _columns) and
-    by k within a column.  The squares stay exact: they overflow only past
-    entries of 3e9, and a ball with such an entry also holds the unipotent
-    elements up to it, over a billion of them."""
+    by k within a column, and the number kept from each column.  The
+    squares stay exact: they overflow only past entries of 3e9, and a ball
+    with such an entry also holds the unipotent elements up to it, over a
+    billion of them."""
     s_cap = 2.0 * math.cosh(r)
     eh = math.exp(h)
     a, c, b0, d0, k_lo, count = _columns(s_cap, eh)
@@ -301,7 +302,8 @@ def _enumerate(r: float, h: float = 0.0
     # the ball is the run's peak memory: drop the expansion indices first
     del run, step, k
     keep = eh * (a * a + c * c) + (b * b + d * d) / eh <= s_cap * (1.0 + 1e-12)
-    return a[keep], b[keep], c[keep], d[keep]
+    kept = np.add.reduceat(keep, np.cumsum(count) - count)
+    return a[keep], b[keep], c[keep], d[keep], kept
 
 
 def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -311,39 +313,26 @@ def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return math.exp(h) * (a * a + c * c) + math.exp(-h) * (b * b + d * d)
 
 
+def _map(f, *arrays: np.ndarray) -> np.ndarray:
+    """f applied to Python floats element by element, so that an array
+    result equals the scalar formula bit for bit: numpy's transcendental
+    functions are not correctly rounded, and neither is libm's x ** 2,
+    which therefore differs from x * x now and then."""
+    return np.fromiter(map(f, *(x.tolist() for x in arrays)), dtype=float,
+                       count=arrays[0].size)
+
+
 def enumerate_group(r: float, *, h: float = 0.0,
                     r_cap: float = R_CAP) -> list[MoebiusElement]:
     """Complete, duplicate-free list of group elements moving the
     weighted base point by at most r, sorted by displacement then
     lexicographically.  Canonical signs make the list projective."""
     _check_cap(r, r_cap)
-    a, b, c, d = _enumerate(r, h)
+    a, b, c, d, _ = _enumerate(r, h)
     order = np.lexsort((d, c, b, a, _weighted_sums(a, b, c, d, h)))
     return [MoebiusElement(*t) for t in zip(
         a[order].tolist(), b[order].tolist(),
         c[order].tolist(), d[order].tolist())]
-
-
-def group_bfs(max_word_length: int) -> set[MoebiusElement]:
-    """Breadth-first closure of the two parabolic generators and their
-    inverses, up to the given word length; used as an independent
-    completeness check against the entry enumeration."""
-    if max_word_length < 0:
-        raise DomainError("word length must be nonnegative")
-    gens = [MoebiusElement(1, 2, 0, 1), MoebiusElement(1, -2, 0, 1),
-            MoebiusElement(1, 0, 2, 1), MoebiusElement(1, 0, -2, 1)]
-    seen = {MoebiusElement.identity()}
-    frontier = deque([(MoebiusElement.identity(), 0)])
-    while frontier:
-        g, depth = frontier.popleft()
-        if depth == max_word_length:
-            continue
-        for s in gens:
-            nxt = g @ s
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, depth + 1))
-    return seen
 
 
 # -- coset counting -----------------------------------------------------------
@@ -389,7 +378,7 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
     built = _BALLS.get(h)
     if built is not None and r <= built[0]:
         return built[1]
-    a, b, c, d = _enumerate(r, h)
+    a, b, c, d, kept = _enumerate(r, h)
     # distance from i to the image of i * e^h: acosh of half the weighted
     # entry sum.  At h = 0 the sum is an exact integer, and the few
     # distinct sums each take the one rounding of math.acosh (np.arccosh
@@ -400,24 +389,28 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
         disp = np.array([math.acosh(max(1.0, s / 2.0))
                          for s in sums.tolist()])[where]
     else:
-        half = np.maximum(_weighted_sums(a, b, c, d, h) / 2.0, 1.0)
-        disp = np.fromiter(map(math.acosh, half.tolist()), dtype=float,
-                           count=half.size)
+        disp = _map(math.acosh,
+                    np.maximum(_weighted_sums(a, b, c, d, h) / 2.0, 1.0))
     # left coset: invariant row (c, d) up to sign
     flip = (c < 0) | ((c == 0) & (d < 0))
+    left = _group_minima(disp, np.where(flip, -c, c), np.where(flip, -d, d))
+    # right coset: invariant column (a, c), a > 0 already canonical: one
+    # nonempty enumeration column
+    starts = (np.cumsum(kept) - kept)[kept > 0]
+    col_min = np.minimum.reduceat(disp, starts)
+    a, c, d = a[starts], c[starts], d[starts]
     # double coset: residues of the diagonal modulo twice the lower left
-    # entry, sign-normalized to c > 0; translations on both sides are
-    # quotiented out and the parabolic subgroup itself (c = 0) is excluded
+    # entry, sign-normalized to c > 0, so constant along a column;
+    # translations on both sides are quotiented out and the parabolic
+    # subgroup itself (c = 0) is excluded
     off = c != 0
     sign = np.where(c[off] > 0, 1, -1)
     cc = np.abs(c[off])
     norms = {
         "group": np.sort(disp),
-        "left": _group_minima(disp, np.where(flip, -c, c),
-                              np.where(flip, -d, d)),
-        # right coset: invariant column (a, c), a > 0 already canonical
-        "right": _group_minima(disp, a, c),
-        "double": _group_minima(disp[off], cc, (sign * a[off]) % (2 * cc),
+        "left": left,
+        "right": np.sort(col_min),
+        "double": _group_minima(col_min[off], cc, (sign * a[off]) % (2 * cc),
                                 (sign * d[off]) % (2 * cc)),
     }
     for arr in norms.values():
@@ -484,26 +477,33 @@ def coset_counts(r: float, gauge: float) -> CountTable:
 # -- lemma verification -------------------------------------------------------
 
 
-def _tangent_toward(z: HPoint, w: HPoint) -> tuple[float, float]:
-    # unit tangent at z of the geodesic toward w, in the conformal chart
-    if abs(z.re - w.re) < 1e-14 * max(1.0, abs(z.re), abs(w.re)):
-        return (0.0, 1.0) if w.im >= z.im else (0.0, -1.0)
-    center = ((w.re ** 2 + w.im ** 2) - (z.re ** 2 + z.im ** 2)) \
-        / (2.0 * (w.re - z.re))
-    phi_z = math.atan2(z.im, z.re - center)
-    phi_w = math.atan2(w.im, w.re - center)
-    sign = 1.0 if phi_w > phi_z else -1.0
-    norm = math.hypot(z.im, z.re - center)
-    return (-sign * z.im / norm, sign * (z.re - center) / norm)
+def _square(x: np.ndarray) -> np.ndarray:
+    # x ** 2 element by element: float.__rpow__ is libm's pow
+    return _map((2.0).__rpow__, x)
 
 
-def angle_at(z: HPoint, x: HPoint, y: HPoint) -> float:
-    """Interior angle of the geodesic triangle at z; the chart is
-    conformal so the Euclidean angle between tangents is the answer."""
-    ux, uy = _tangent_toward(z, x)
-    vx, vy = _tangent_toward(z, y)
-    dot = max(-1.0, min(1.0, ux * vx + uy * vy))
-    return math.acos(dot)
+def _h2_distances(zr, zi, wr, wi) -> np.ndarray:
+    """h2_distance over coordinate arrays, in the same float operations."""
+    gap = _square(zr - wr) + _square(zi - wi)
+    return _map(math.acosh, 1.0 + gap / (2.0 * zi * wi))
+
+
+def _tangents_toward(zr: np.ndarray, zi: np.ndarray, wr: np.ndarray,
+                     wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tangents at each z of the geodesic toward w, in the conformal
+    chart: straight up or down when the two lie on one vertical line,
+    else along the circle centered on the real axis through both."""
+    vertical = np.abs(zr - wr) < 1e-14 * np.maximum(
+        np.maximum(1.0, np.abs(zr)), np.abs(wr))
+    center = (((_square(wr) + _square(wi)) - (_square(zr) + _square(zi)))
+              / (2.0 * np.where(vertical, 1.0, wr - zr)))
+    rel = zr - center
+    sign = np.where(_map(math.atan2, wi, wr - center)
+                    > _map(math.atan2, zi, rel), 1.0, -1.0)
+    norm = _map(math.hypot, zi, rel)
+    return (np.where(vertical, 0.0, -sign * zi / norm),
+            np.where(vertical, np.where(wi >= zi, 1.0, -1.0),
+                     sign * rel / norm))
 
 
 @dataclass(frozen=True)
@@ -566,69 +566,70 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     rng = np.random.default_rng(seed)
     geo = GeometryConstants()
 
-    def draw_point() -> HPoint:
-        return HPoint(float(rng.uniform(-50.0, 50.0)),
-                      float(math.exp(rng.uniform(-5.0, 5.0))))
+    def draw(*bounds: tuple[float, float]) -> list[np.ndarray]:
+        # one column per Generator.uniform(low, high) call of a sample, in
+        # call order: the same stream, and uniform's own formula
+        u = rng.random((sample_count, len(bounds)))
+        return [low + (high - low) * u[:, j]
+                for j, (low, high) in enumerate(bounds)]
 
-    tri_checked = tri_violations = 0
-    tri_max = 0.0
-    for _ in range(sample_count):
-        x, y, z = draw_point(), draw_point(), draw_point()
-        if min(h2_distance(z, x), h2_distance(z, y)) < 1e-9:
-            continue
-        tri_checked += 1
-        defect = h2_distance(x, z) + h2_distance(z, y) - h2_distance(x, y)
-        tri_max = max(tri_max, defect)
-        if defect > geo.eps_theta(angle_at(z, x, y)) + 1e-9:
-            tri_violations += 1
+    point = ((-50.0, 50.0), (-5.0, 5.0))
+    xr, xl, yr, yl, zr, zl = draw(*point * 3)
+    xi, yi, zi = _map(math.exp, xl), _map(math.exp, yl), _map(math.exp, zl)
+    # d(x, z) = d(z, x) bit for bit: the same squares and product
+    d_zx, d_zy = _h2_distances(zr, zi, xr, xi), _h2_distances(zr, zi, yr, yi)
+    ok = np.minimum(d_zx, d_zy) >= 1e-9
+    xr, xi, yr, yi, zr, zi = (v[ok] for v in (xr, xi, yr, yi, zr, zi))
+    excess = d_zx[ok] + d_zy[ok] - _h2_distances(xr, xi, yr, yi)
+    ux, uy = _tangents_toward(zr, zi, xr, xi)
+    vx, vy = _tangents_toward(zr, zi, yr, yi)
+    angle = _map(math.acos,
+                 np.maximum(-1.0, np.minimum(1.0, ux * vx + uy * vy)))
+    tri_violations = int(np.count_nonzero(
+        excess > _map(geo.eps_theta, angle) + 1e-9))
+    tri_max = float(excess.max(initial=0.0))
 
-    eps0 = 0.0
-    win_low = win_high = 0.0
-    for _ in range(sample_count):
-        x, y = draw_point(), draw_point()
-        d = h2_distance(x, y)
-        gap = abs(approx_defect(x, y))
-        eps0 = max(eps0, gap)
-        if 5.0 <= d < 10.0:
-            win_low = max(win_low, gap)
-        elif 10.0 <= d <= 14.0:
-            win_high = max(win_high, gap)
+    xr, xl, yr, yl = draw(*point * 2)
+    xi, yi = _map(math.exp, xl), _map(math.exp, yl)
+    d = _h2_distances(xr, xi, yr, yi)
+    # approx_defect: t_xi is 0 unless the horizontal gap exceeds the level
+    gap, level = np.abs(xr - yr), np.maximum(xi, yi)
+    far = gap > level
+    t = np.zeros(sample_count)
+    t[far] = _map(math.log, gap[far]) - _map(math.log, level[far])
+    busemann = _map(math.log, yi) - _map(math.log, xi)
+    dev = np.abs(d - (2.0 * t + np.abs(busemann)))
+    eps0 = float(dev.max(initial=0.0))
+    win_low = float(dev[(5.0 <= d) & (d < 10.0)].max(initial=0.0))
+    win_high = float(dev[(10.0 <= d) & (d <= 14.0)].max(initial=0.0))
 
-    horo_checked = horo_violations = 0
-    min_defect = math.inf
-    eps1_fit = 0.0
-    for _ in range(sample_count):
-        # horoball at infinity with boundary level S, horoball tangent to
-        # the real axis at 0 with top height T; gap = ln(S/T) > 0
-        sigma = float(rng.uniform(0.1, 3.0))
-        tau = float(rng.uniform(0.1, 3.0))
-        level = math.exp(sigma)
-        top = math.exp(-tau)
-        z1 = HPoint(0.0, level)
-        z2 = HPoint(0.0, top)
-        x = HPoint(float(rng.uniform(-50.0, 50.0)),
-                   level * math.exp(rng.uniform(0.0, 3.0)))
-        ry = float(rng.uniform(-50.0, 50.0))
-        uy = (1.0 / top) * math.exp(rng.uniform(0.0, 3.0))
-        denom = ry ** 2 + uy ** 2
-        y = HPoint(-ry / denom, uy / denom)
-        horo_checked += 1
-        through = h2_distance(x, z1) + (sigma + tau) + h2_distance(z2, y)
-        defect = through - h2_distance(x, y)
-        min_defect = min(min_defect, defect)
-        eps1_fit = max(eps1_fit, defect)
-        if defect > geo.eps1_bound(sigma + tau) + 1e-9:
-            horo_violations += 1
+    # horoball at infinity with boundary level S, horoball tangent to the
+    # real axis at 0 with top height T; gap = ln(S/T) > 0
+    sigma, tau, xr, xu, ry, yu = draw(
+        (0.1, 3.0), (0.1, 3.0), (-50.0, 50.0), (0.0, 3.0), (-50.0, 50.0),
+        (0.0, 3.0))
+    level, top = _map(math.exp, sigma), _map(math.exp, -tau)
+    xi = level * _map(math.exp, xu)
+    uy = (1.0 / top) * _map(math.exp, yu)
+    denom = _square(ry) + _square(uy)
+    yr, yi = -ry / denom, uy / denom
+    through = (_h2_distances(xr, xi, 0.0, level) + (sigma + tau)
+               + _h2_distances(0.0, top, yr, yi))
+    defect = through - _h2_distances(xr, xi, yr, yi)
+    horo_violations = int(np.count_nonzero(
+        defect > _map(geo.eps1_bound, sigma + tau) + 1e-9))
+    min_defect = float(defect.min())
+    eps1_fit = float(defect.max(initial=0.0))
 
     constants = GeometryConstants(a=1.0, eps0_fitted=eps0,
                                   eps1_fitted=eps1_fit)
     return LemmaReport(
         samples=sample_count, seed=seed, constants=constants,
-        triangle_checked=tri_checked, triangle_violations=tri_violations,
+        triangle_checked=excess.size, triangle_violations=tri_violations,
         triangle_max_defect=tri_max,
         approx_checked=sample_count, approx_eps0=eps0,
         approx_window_low=win_low, approx_window_high=win_high,
-        horoball_checked=horo_checked, horoball_violations=horo_violations,
+        horoball_checked=sample_count, horoball_violations=horo_violations,
         horoball_min_defect=min_defect)
 
 

@@ -2,12 +2,13 @@
 
 The constant-curvature plane admits exact answers: distances are single
 acosh evaluations, the lattice is enumerable by integer arithmetic, and
-small ball counts were cross-checked against an independent
-breadth-first walk of the generators before freezing.
+small ball counts are cross-checked against an independent norm-pruned
+walk of the generators.
 """
 
 import dataclasses
 import math
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,6 @@ from cuspgrowth.h2_oracle import (
     coset_counts,
     enumerate_group,
     estimate_delta,
-    group_bfs,
     h2_distance,
     prop28_radius,
     t_xi,
@@ -240,15 +240,13 @@ class TestEnumeration:
             (1, 0, 2, 1), (1, 2, 0, 1)]
 
     def test_ball_counts_match_independent_walk(self):
-        # depth 12 in the generators saturates both balls (the slowest
-        # elements are pure translations, which need ~10 letters here)
-        walk = group_bfs(12)
+        walk = _walk(4.0)
         assert sum(1 for g in walk if g.displacement() < 4.0) == 25
         assert len(enumerate_group(4.0)) == 25
 
     def test_walk_is_subset_of_enumeration(self):
         enum6 = {g.as_tuple() for g in enumerate_group(6.0)}
-        missing = [g for g in group_bfs(6)
+        missing = [g for g in _walk(6.0)
                    if g.displacement() <= 6.0 and g.as_tuple() not in enum6]
         assert missing == []
 
@@ -281,9 +279,27 @@ class TestEnumeration:
             assert g.displacement(2.0) <= 2.5 + 1e-12
 
     def test_bfs_trivial_cases(self):
-        assert group_bfs(0) == {I2}
-        with pytest.raises(DomainError):
-            group_bfs(-1)
+        # the generators' entry norm 6 exceeds twice the ball's bound 2
+        assert _walk(0.0) == {I2}
+
+
+def _walk(radius: float) -> set[MoebiusElement]:
+    """Breadth-first walk of the two parabolic generators and their
+    inverses, pruned at twice the entry norm bound of the ball of the
+    given radius: along reduced words the entry norm is monotone, so the
+    slack-2 prune loses no element of that ball."""
+    prune = 2.0 * (2.0 * math.cosh(radius))
+    gens = [A, A.inverse(), B, B.inverse()]
+    seen = {I2}
+    frontier = deque(seen)
+    while frontier:
+        g = frontier.popleft()
+        for s in gens:
+            nxt = g @ s
+            if nxt.sq_sum <= prune and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 class TestCosetCounts:
@@ -649,3 +665,167 @@ class TestBallAgainstReference:
         sizes = {name: arr.size for name, arr in norms.items()}
         assert sizes == {"group": 1_634_433, "left": 817_217,
                          "right": 817_217, "double": 408_254}
+
+
+class TestColumns:
+    def test_column_invariants_at_the_ball_cap(self):
+        a, c, b0, d0, _, count = h2_oracle._columns(
+            2.0 * math.cosh(BALL_CAP), 1.0)
+        # every column's base element has unit determinant, exactly
+        assert np.all(a * d0 - c * b0 == 1)
+        assert np.all(count > 0)
+        # the column set is closed under c -> -c
+        span = 2 * int(np.abs(c).max()) + 1
+        assert np.array_equal(np.sort(a * span + c), np.sort(a * span - c))
+        assert np.unique(a * span + c).size == a.size
+
+
+# -- reference lemma sweep ---------------------------------------------------
+# The scalar sweep that the array sweep replaced, kept as the reference it
+# must reproduce bit for bit.
+
+
+def _ref_tangent_toward(z: HPoint, w: HPoint) -> tuple[float, float]:
+    # unit tangent at z of the geodesic toward w, in the conformal chart
+    if abs(z.re - w.re) < 1e-14 * max(1.0, abs(z.re), abs(w.re)):
+        return (0.0, 1.0) if w.im >= z.im else (0.0, -1.0)
+    center = ((w.re ** 2 + w.im ** 2) - (z.re ** 2 + z.im ** 2)) \
+        / (2.0 * (w.re - z.re))
+    phi_z = math.atan2(z.im, z.re - center)
+    phi_w = math.atan2(w.im, w.re - center)
+    sign = 1.0 if phi_w > phi_z else -1.0
+    norm = math.hypot(z.im, z.re - center)
+    return (-sign * z.im / norm, sign * (z.re - center) / norm)
+
+
+def _ref_angle_at(z: HPoint, x: HPoint, y: HPoint) -> float:
+    ux, uy = _ref_tangent_toward(z, x)
+    vx, vy = _ref_tangent_toward(z, y)
+    dot = max(-1.0, min(1.0, ux * vx + uy * vy))
+    return math.acos(dot)
+
+
+def _ref_verify_lemmas(sample_count: int, seed: int) -> h2_oracle.LemmaReport:
+    rng = np.random.default_rng(seed)
+    geo = GeometryConstants()
+
+    def draw_point() -> HPoint:
+        return HPoint(float(rng.uniform(-50.0, 50.0)),
+                      float(math.exp(rng.uniform(-5.0, 5.0))))
+
+    tri_checked = tri_violations = 0
+    tri_max = 0.0
+    for _ in range(sample_count):
+        x, y, z = draw_point(), draw_point(), draw_point()
+        if min(h2_distance(z, x), h2_distance(z, y)) < 1e-9:
+            continue
+        tri_checked += 1
+        defect = h2_distance(x, z) + h2_distance(z, y) - h2_distance(x, y)
+        tri_max = max(tri_max, defect)
+        if defect > geo.eps_theta(_ref_angle_at(z, x, y)) + 1e-9:
+            tri_violations += 1
+
+    eps0 = 0.0
+    win_low = win_high = 0.0
+    for _ in range(sample_count):
+        x, y = draw_point(), draw_point()
+        d = h2_distance(x, y)
+        gap = abs(approx_defect(x, y))
+        eps0 = max(eps0, gap)
+        if 5.0 <= d < 10.0:
+            win_low = max(win_low, gap)
+        elif 10.0 <= d <= 14.0:
+            win_high = max(win_high, gap)
+
+    horo_checked = horo_violations = 0
+    min_defect = math.inf
+    eps1_fit = 0.0
+    for _ in range(sample_count):
+        sigma = float(rng.uniform(0.1, 3.0))
+        tau = float(rng.uniform(0.1, 3.0))
+        level = math.exp(sigma)
+        top = math.exp(-tau)
+        z1 = HPoint(0.0, level)
+        z2 = HPoint(0.0, top)
+        x = HPoint(float(rng.uniform(-50.0, 50.0)),
+                   level * math.exp(rng.uniform(0.0, 3.0)))
+        ry = float(rng.uniform(-50.0, 50.0))
+        uy = (1.0 / top) * math.exp(rng.uniform(0.0, 3.0))
+        denom = ry ** 2 + uy ** 2
+        y = HPoint(-ry / denom, uy / denom)
+        horo_checked += 1
+        through = h2_distance(x, z1) + (sigma + tau) + h2_distance(z2, y)
+        defect = through - h2_distance(x, y)
+        min_defect = min(min_defect, defect)
+        eps1_fit = max(eps1_fit, defect)
+        if defect > geo.eps1_bound(sigma + tau) + 1e-9:
+            horo_violations += 1
+
+    constants = GeometryConstants(a=1.0, eps0_fitted=eps0,
+                                  eps1_fitted=eps1_fit)
+    return h2_oracle.LemmaReport(
+        samples=sample_count, seed=seed, constants=constants,
+        triangle_checked=tri_checked, triangle_violations=tri_violations,
+        triangle_max_defect=tri_max,
+        approx_checked=sample_count, approx_eps0=eps0,
+        approx_window_low=win_low, approx_window_high=win_high,
+        horoball_checked=horo_checked, horoball_violations=horo_violations,
+        horoball_min_defect=min_defect)
+
+
+class TestLemmasAgainstReference:
+    """The array sweep reproduces the scalar reference exactly."""
+
+    @pytest.mark.parametrize("n, seed", [(10000, 7), (2000, 20250817),
+                                         (500, 7), (1, 5)])
+    def test_every_field_equal(self, n, seed):
+        got, want = verify_lemmas(n, seed), _ref_verify_lemmas(n, seed)
+        for field in dataclasses.fields(want):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            assert type(x) is type(y) and x == y, field.name
+
+    @pytest.mark.parametrize("z, w", [
+        # one vertical line, w above and below z
+        ((0.3, 1.0), (0.3, 4.0)),
+        ((-2.0, 5.0), (-2.0, 0.5)),
+        # nearly vertical, inside the relative threshold
+        ((1e3, 1.0), (1e3 + 1e-12, 2.0)),
+        # circle arcs toward either side, so both atan2 orders
+        ((0.0, 1.0), (3.0, 1.0)),
+        ((0.0, 1.0), (-3.0, 1.0)),
+        ((1.0, 2.0), (4.0, 0.1)),
+        ((4.0, 0.1), (1.0, 2.0)),
+        ((-40.0, 0.01), (45.0, 100.0)),
+        # a square here rounds differently as x ** 2 and as x * x
+        ((-37.005891094277864, 1.920062587542339),
+         (-6.874580182872116, 3.0758477510303464)),
+    ])
+    def test_array_tangent_matches_scalar(self, z, w):
+        zr, zi, wr, wi = (np.array([v]) for v in (*z, *w))
+        ux, uy = h2_oracle._tangents_toward(zr, zi, wr, wi)
+        assert (ux[0], uy[0]) == _ref_tangent_toward(HPoint(*z), HPoint(*w))
+
+    def test_array_distance_takes_the_scalar_squares(self):
+        # x * x in place of x ** 2 moves this distance by one ulp
+        z, w = (7.3507254806896825, 8.264404016134844), \
+            (-26.300292760579737, 0.07114056377972602)
+        got = h2_oracle._h2_distances(*(np.array([v]) for v in (*z, *w)))
+        assert got[0] == h2_distance(HPoint(*z), HPoint(*w))
+
+    def test_crafted_tangents_cover_every_branch(self):
+        vertical = [((0.3, 1.0), (0.3, 4.0)), ((-2.0, 5.0), (-2.0, 0.5))]
+        assert {_ref_tangent_toward(HPoint(*z), HPoint(*w))[1]
+                for z, w in vertical} == {1.0, -1.0}
+        arcs = [((0.0, 1.0), (3.0, 1.0)), ((0.0, 1.0), (-3.0, 1.0))]
+        assert {math.copysign(1.0, _ref_tangent_toward(
+            HPoint(*z), HPoint(*w))[0]) for z, w in arcs} == {1.0, -1.0}
+
+    def test_array_tangents_on_a_batch(self):
+        rng = np.random.default_rng(11)
+        zr, wr = rng.uniform(-50.0, 50.0, (2, 400))
+        zi, wi = np.exp(rng.uniform(-5.0, 5.0, (2, 400)))
+        wr[:50] = zr[:50]
+        ux, uy = h2_oracle._tangents_toward(zr, zi, wr, wi)
+        want = [_ref_tangent_toward(HPoint(*p), HPoint(*q)) for p, q in zip(
+            zip(zr.tolist(), zi.tolist()), zip(wr.tolist(), wi.tolist()))]
+        assert list(zip(ux.tolist(), uy.tolist())) == want
