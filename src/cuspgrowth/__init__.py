@@ -20,19 +20,16 @@ from .errors import (
 )
 from .profiles import (
     CATALOG_IDS,
-    BridgeRequest,
     CatalogParams,
     CurvatureBounds,
     Profile,
     ProfilePiece,
     ValidationReport,
     assemble_profile,
-    build_bridge,
     catalog_companions,
     catalog_profile,
     default_catalog_params,
     poly_piece,
-    profile_from_text,
     profile_to_text,
     pure_piece,
     validate_profile,
@@ -44,18 +41,15 @@ from .asymptotics import (
     GrowthClass,
     GrowthClassification,
     GrowthSeries,
+    SeriesTail,
     TrendPolicy,
     WindowPolicy,
-    area_ratio_bounds,
     classify_growth,
     critical_exponent_chain_bound,
     cuspidal_chain_check,
-    distance_from_horodistance,
     estimate_exponents,
     log_cuspidal,
-    log_horo_area,
     log_orbital_parabolic,
-    orbital_validity_floor,
     poincare_abscissa,
     sample_cuspidal,
     sample_orbital_parabolic,
@@ -68,7 +62,6 @@ from .convolution import (
     ConstantFactor,
     CuspidalInterpolant,
     PowerDecayFactor,
-    SampledFactor,
     SandwichReport,
     VGammaModel,
     conv_continuous,

@@ -18,25 +18,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ProfileError, QuadratureError
+from .errors import DomainError, QuadratureError
 from .numerics import (_NEGLIGIBLE_NATS, _gauss_panel_nats, _log_gauss_sums,
                        log_add, log_integral, log_upper_gamma)
 from .profiles import Profile
 
 __all__ = [
     "CuspModel",
-    "log_horo_area",
-    "area_ratio_bounds",
     "log_cuspidal",
     "sample_cuspidal",
     "log_orbital_parabolic",
-    "orbital_validity_floor",
     "sample_orbital_parabolic",
     "poincare_abscissa",
     "series_log_integrand",
     "SeriesTail",
     "series_convergence_at",
-    "distance_from_horodistance",
     "GrowthSeries",
     "WindowPolicy",
     "ExponentEstimate",
@@ -53,52 +49,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CuspModel:
-    """A cusp: decay profile plus area normalization and basepoint offset.
+    """A cusp: decay profile plus area normalization.
 
-    ``c_norm`` scales the horospherical area; ``h`` is the distance from
-    the reference basepoint to the cusp's horoball, entering distance
-    bookkeeping but not the area law itself.
+    The horospherical area at depth t into the cusp is
+    A(t) = c_norm * T(t)^{n-1}.
     """
     profile: Profile
     c_norm: float = 1.0
-    h: float = 0.0
 
     def __post_init__(self) -> None:
         if self.c_norm <= 0:
             raise DomainError("area normalization must be positive")
-        if self.h < 0:
-            raise DomainError("basepoint offset must be nonnegative")
 
     @property
     def dim(self) -> int:
         return self.profile.bounds.n
-
-
-def log_horo_area(cusp: CuspModel, t):
-    """ln A(t) = ln c_norm + (n-1) ln T(t)."""
-    n1 = cusp.dim - 1
-    return math.log(cusp.c_norm) + n1 * cusp.profile.log_value(t)
-
-
-def area_ratio_bounds(cusp: CuspModel, t1: float, t2: float) -> tuple[float, float]:
-    """Two-sided bounds on ln(A(t2)/A(t1)) for t2 >= t1, from the pinching
-    data alone.
-
-    The log-slope of T on a certified profile stays in
-    [-sqrt(b^2+eps), -sqrt(max(a^2-eps, 0))]: a steeper slope would force
-    the curvature proxy above b^2+eps somewhere ahead of it (the slope
-    obeys a Riccati inequality, so an excursion below -sqrt(b^2+eps) blows
-    down in finite time), and a shallower one would push the proxy below
-    a^2-eps while T still has to keep decreasing.
-    """
-    if t2 < t1:
-        raise DomainError("area_ratio_bounds needs t1 <= t2")
-    b = cusp.profile.bounds
-    n1 = cusp.dim - 1
-    dt = t2 - t1
-    steep = math.sqrt(b.b ** 2 + b.eps)
-    shallow = math.sqrt(max(b.a ** 2 - b.eps, 0.0))
-    return (-n1 * steep * dt, -n1 * shallow * dt)
 
 
 # Radii are cut into segments in blocks of this many, and integrated in
@@ -279,7 +244,7 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
 
 def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
                     *, rel_tol: float = 1e-6,
-                    label: str = "cusp-excursion") -> "GrowthSeries":
+                    label: str = "cusp-excursion") -> GrowthSeries:
     """Sample ln F over a radius grid into a GrowthSeries."""
     radii = np.asarray(radii, dtype=float)
     vals = log_cuspidal(cusp, radii, rel_tol=rel_tol)
@@ -292,9 +257,9 @@ def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.nd
     A parabolic translation moving distance R along the horosphere exits
     through depth about (R + h_y)/2, where h_y is the target point's
     signed horoball depth, so the orbit count inverts the area law:
-    v_P(R) = 1 / A((R + h_y)/2).  Scalar or vectorized in ``r``.  Values
-    below ``orbital_validity_floor`` are extrapolations of the same
-    formula, not errors.
+    v_P(R) = 1 / A((R + h_y)/2).  Scalar or vectorized in ``r``; below
+    about 10 decay lengths the excursion geometry behind the formula does
+    not hold yet, and the values there are its extrapolation.
     """
     prof = cusp.profile
     half = np.maximum((np.asarray(r, dtype=float) + h_y) / 2.0, prof.t_start)
@@ -302,19 +267,13 @@ def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.nd
     return float(out) if np.ndim(r) == 0 else out
 
 
-def orbital_validity_floor(cusp: CuspModel, h_y: float = 0.0) -> float:
-    """Radius below which the parabolic orbit formula is an extrapolation
-    (the excursion geometry behind it needs about 10 decay lengths)."""
-    return 10.0 / cusp.profile.bounds.a + max(h_y, 0.0)
-
-
-def sample_orbital_parabolic(cusp: CuspModel, radii: Sequence[float],
-                             h_y: float = 0.0,
-                             *, label: str = "parabolic-orbit") -> "GrowthSeries":
-    """Sample ln v_P over a radius grid into a GrowthSeries."""
+def sample_orbital_parabolic(cusp: CuspModel,
+                             radii: Sequence[float]) -> GrowthSeries:
+    """Sample ln v_P toward the horosphere (h_y = 0) over a radius grid
+    into a GrowthSeries."""
     radii = np.asarray(radii, dtype=float)
-    vals = np.asarray(log_orbital_parabolic(cusp, radii, h_y), dtype=float)
-    return GrowthSeries(radii=radii, log_values=vals, label=label)
+    vals = np.asarray(log_orbital_parabolic(cusp, radii), dtype=float)
+    return GrowthSeries(radii=radii, log_values=vals, label="parabolic-orbit")
 
 
 def poincare_abscissa(cusp: CuspModel) -> float:
@@ -330,18 +289,14 @@ def poincare_abscissa(cusp: CuspModel) -> float:
     return (cusp.dim - 1) * rate / 2.0
 
 
-def series_log_integrand(cusp: CuspModel, s: float,
-                         weight: str = "linear") -> Callable:
-    """Log integrand w(t) * e^{-s t} / A(t/2) of the orbit-series
-    criteria; ``weight`` picks w(t) = t ("linear", the measure-finiteness
-    form) or w(t) = 1 ("none", the bare series form).
+def series_log_integrand(cusp: CuspModel, s: float) -> Callable:
+    """Log integrand t * e^{-s t} / A(t/2) of the measure-finiteness
+    orbit-series criterion.
 
-    Summing w(d) exp(-s d) over distinct cusp excursions pairs each
+    Summing d exp(-s d) over distinct cusp excursions pairs each
     excursion of length t with the horoball area at its turning depth t/2,
     which is where the integrand comes from.
     """
-    if weight not in ("linear", "none"):
-        raise DomainError(f"unknown series weight {weight!r}")
     prof = cusp.profile
     n1 = cusp.dim - 1
     lc = math.log(cusp.c_norm)
@@ -349,9 +304,7 @@ def series_log_integrand(cusp: CuspModel, s: float,
     def f_log(t):
         t = np.asarray(t, dtype=float)
         out = -s * t - n1 * prof.log_value(t / 2.0) - lc
-        if weight == "linear":
-            out = out + np.log(t)
-        return out
+        return out + np.log(t)
 
     return f_log
 
@@ -374,21 +327,20 @@ class SeriesTail:
 
 
 def series_convergence_at(cusp: CuspModel, s: float,
-                          *, weight: str = "linear",
-                          t_min: Optional[float] = None) -> SeriesTail:
+                          *, t_min: Optional[float] = None) -> SeriesTail:
     """Decide the orbit-series integral of ``series_log_integrand`` from
     ``t_min`` (default: twice the start of the profile's final piece) to
     infinity, in closed form.
 
     Let the profile follow t^p e^{-c t} from ``start`` on.  From t = 2 start
     the integrand is exactly t^beta 2^{(n-1) p} e^{-lam t} / c_norm, with
-    beta = w - (n-1) p (w = 1 for the linear weight, 0 for none) and
-    lam = s - s* for the abscissa s*.  The tail converges iff lam > 0, or
-    lam = 0 and beta < -1; its mass is then an upper incomplete gamma
-    function, or a power integral at lam = 0.  A stretch of [t_min, 2 start]
-    before that is integrated numerically over the profile's pieces.
+    beta = 1 - (n-1) p and lam = s - s* for the abscissa s*.  The tail
+    converges iff lam > 0, or lam = 0 and beta < -1; its mass is then an
+    upper incomplete gamma function, or a power integral at lam = 0.  A
+    stretch of [t_min, 2 start] before that is integrated numerically
+    over the profile's pieces.
     """
-    f_log = series_log_integrand(cusp, s, weight)
+    f_log = series_log_integrand(cusp, s)
     prof = cusp.profile
     if t_min is None:
         t_min = 2.0 * prof.pieces[-1].t0
@@ -400,7 +352,7 @@ def series_convergence_at(cusp: CuspModel, s: float,
         raise DomainError("series tail needs a positive t_min")
     power, _, start = prof.final_law()
     n1 = cusp.dim - 1
-    beta = (1.0 if weight == "linear" else 0.0) - n1 * power
+    beta = 1.0 - n1 * power
     lam = s - poincare_abscissa(cusp)
     if lam < 0 or (lam == 0 and beta >= -1.0):
         return SeriesTail(verdict=False, log_tail=math.inf)
@@ -415,36 +367,6 @@ def series_convergence_at(cusp: CuspModel, s: float,
         log_tail = log_add(log_tail, log_integral(
             f_log, t_min, lo, breakpoints=2.0 * prof.piece_breaks()))
     return SeriesTail(verdict=True, log_tail=log_tail)
-
-
-def distance_from_horodistance(profile: Profile, d_xi: float,
-                               *, tol: float = 1e-12) -> float:
-    """Ambient distance between two points on the reference horosphere at
-    horospherical distance d_xi apart: the connecting geodesic dives to
-    the depth where the profile has shrunk by 1/d_xi, and back, giving
-    2 T^{-1}(T(t_start) / d_xi).  Inverted by bisection on ln T.
-    """
-    if d_xi <= 0:
-        raise DomainError("horospherical distance must be positive")
-    t0 = profile.t_start
-    target = profile.log_value(t0) - math.log(d_xi)
-    if target > profile.log_value(t0):
-        raise DomainError("horospherical distance below the profile's range")
-    if d_xi == 1.0:
-        return 2.0 * t0
-    hi = max(t0 + 1.0, 2.0 * t0)
-    while profile.log_value(hi) > target:
-        hi = 2.0 * hi + 1.0
-        if hi > 1e12:
-            raise DomainError("profile never reaches the target decay")
-    lo = t0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if profile.log_value(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return lo + hi
 
 
 # -- sampled growth data ------------------------------------------------------
@@ -656,32 +578,36 @@ class ChainCheckReport:
                 f"{self.chain_bound:.4f} (tol {self.tol}): {state}")
 
 
-def cuspidal_chain_check(cusp: CuspModel, r_max: float,
-                         *, n_points: int = 129,
-                         r_min: float = 1.0,
-                         tol: float = 0.25,
-                         policy: WindowPolicy = WindowPolicy(),
-                         rel_tol: float = 1e-6) -> ChainCheckReport:
+# cuspidal_chain_check samples np.linspace(1, r_max, _CHAIN_POINTS) at
+# excursion tolerance _CHAIN_REL_TOL and asserts the chain with slack
+# _CHAIN_TOL
+_CHAIN_POINTS = 129
+_CHAIN_REL_TOL = 1e-6
+_CHAIN_TOL = 0.25
+
+
+def cuspidal_chain_check(cusp: CuspModel, r_max: float) -> ChainCheckReport:
     """Sample the parabolic orbit count and the excursion integral on
-    [r_min, r_max] and check the exponent chain between them.
+    [1, r_max] and check the exponent chain between them.
 
     All four exponents are windowed estimates from the same grid (a
     truncated profile's analytic tail would otherwise hide the upper rate
     that its oscillation bands realize at finite radius), so the chain is
-    asserted with slack ``tol``.
+    asserted with slack ``_CHAIN_TOL``.
     """
-    radii = np.linspace(r_min, r_max, n_points)
+    radii = np.linspace(1.0, r_max, _CHAIN_POINTS)
     orbital = sample_orbital_parabolic(cusp, radii)
-    excursion = sample_cuspidal(cusp, radii, rel_tol=rel_tol)
-    est_p = estimate_exponents(orbital, policy)
-    est_f = estimate_exponents(excursion, policy)
+    excursion = sample_cuspidal(cusp, radii, rel_tol=_CHAIN_REL_TOL)
+    est_p = estimate_exponents(orbital)
+    est_f = estimate_exponents(excursion)
     delta_plus = est_p.omega_plus
     delta_minus = est_p.omega_minus
     bound = critical_exponent_chain_bound(delta_plus, delta_minus)
     lower_margin = est_f.omega_minus - delta_minus
     upper_margin = bound - est_f.omega_plus
     mid_ok = est_f.omega_minus <= est_f.omega_plus + 1e-12
-    passed = (lower_margin >= -tol) and (upper_margin >= -tol) and mid_ok
+    passed = (lower_margin >= -_CHAIN_TOL and upper_margin >= -_CHAIN_TOL
+              and mid_ok)
     return ChainCheckReport(
         delta_plus=delta_plus,
         delta_minus=delta_minus,
@@ -690,6 +616,6 @@ def cuspidal_chain_check(cusp: CuspModel, r_max: float,
         chain_bound=bound,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
-        tol=tol,
+        tol=_CHAIN_TOL,
         passed=passed,
     )

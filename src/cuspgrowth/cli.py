@@ -33,6 +33,9 @@ from .asymptotics import (
 )
 from .errors import CatalogError, ConfigError, CuspGrowthError
 from .h2_oracle import (
+    _DELTA_POINTS,
+    _DELTA_POLICY,
+    _DELTA_R_MIN,
     BALL_CAP,
     R_CAP,
     coset_counts,
@@ -89,13 +92,13 @@ _DEFAULTS = {
 # each command that reads it.  The radius floors are where the tail
 # windows of the command's growth fit first fill: run_example fits
 # np.linspace(1, Rmax, _GRID_POINTS), estimate_delta
-# np.linspace(r_min=4, Rcap, 257).
+# np.linspace(_DELTA_R_MIN, Rcap, _DELTA_POINTS).
 _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
     "Rmax": {"cusp-analyze": (0.0, False),
              "example-run": (
                  WindowPolicy().min_r_max(1.0, _GRID_POINTS), True)},
     "Rcap": {"oracle-verify": (
-        WindowPolicy(n_windows=2).min_r_max(4.0, 257), True)},
+        _DELTA_POLICY.min_r_max(_DELTA_R_MIN, _DELTA_POINTS), True)},
     "delta": {"oracle-verify": (0.0, False)},
     "seed": {"oracle-verify": (0, True)},
 }
@@ -356,7 +359,7 @@ def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
         excursion = sample_cuspidal(cusp, radii, rel_tol=rel_tol)
         orbital = sample_orbital_parabolic(cusp, radii)
         abscissa = poincare_abscissa(cusp)
-        tail = series_convergence_at(cusp, abscissa, weight="linear")
+        tail = series_convergence_at(cusp, abscissa)
         monotone = bool(np.all(np.diff(orbital.log_values) >= -1e-9))
         assertions.append({"name": f"orbit-monotone:{name}",
                            "passed": monotone})

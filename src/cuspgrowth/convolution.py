@@ -29,7 +29,6 @@ from .numerics import NEG_INF, log_add, log_integral, logsumexp
 __all__ = [
     "ConstantFactor",
     "PowerDecayFactor",
-    "SampledFactor",
     "VGammaModel",
     "conv_gauge",
     "conv_continuous",
@@ -77,25 +76,7 @@ class PowerDecayFactor:
         return -self.gamma * np.log1p(np.maximum(r, 0.0))
 
 
-@dataclass(frozen=True)
-class SampledFactor:
-    """Subexponential factor given by log samples, interpolated linearly
-    in the log domain between grid points."""
-    series: GrowthSeries
-
-    def __post_init__(self) -> None:
-        if len(self.series) < 2:
-            raise DomainError("sampled factor needs at least two grid points")
-
-    def log_value(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        grid = self.series.radii
-        if np.any(r < grid[0]) or np.any(r > grid[-1]):
-            raise DomainError("sampled factor queried outside its grid")
-        return np.interp(r, grid, self.series.log_values)
-
-
-Factor = Union[ConstantFactor, PowerDecayFactor, SampledFactor]
+Factor = Union[ConstantFactor, PowerDecayFactor]
 
 
 @dataclass(frozen=True)
@@ -112,12 +93,6 @@ class VGammaModel:
         arr = np.asarray(r, dtype=float)
         out = self.delta * arr + self.factor.log_value(arr)
         return float(out) if np.ndim(r) == 0 else out
-
-    def grid_breaks(self) -> tuple[float, ...]:
-        """Abscissae where the model's log value is not smooth."""
-        if isinstance(self.factor, SampledFactor):
-            return tuple(float(x) for x in self.factor.series.radii)
-        return ()
 
 
 # -- gauge convolution -----------------------------------------------------------
@@ -238,8 +213,12 @@ def _step_convolution(f: GrowthSeries, g: GrowthSeries,
     return logsumexp(vals)
 
 
+# nats by which the bracket's margins may fall below zero, for rounding
+_SANDWICH_TOL = 1e-9
+
+
 def sandwich_check(f: GrowthSeries, g: GrowthSeries,
-                   delta: float, r: float, *, tol: float = 1e-9) -> SandwichReport:
+                   delta: float, r: float) -> SandwichReport:
     """Verify the gauge bracket on the step extensions of two nondecreasing
     sampled functions.  The continuous side is integrated exactly (the
     integrand is piecewise constant), so the margins carry no quadrature
@@ -256,7 +235,8 @@ def sandwich_check(f: GrowthSeries, g: GrowthSeries,
     log_cont = _step_convolution(f, g, delta, r)
     log_lower = math.log(delta) + conv_gauge(f, g, delta, r - delta)
     log_upper = math.log(2.0 * delta) + conv_gauge(f, g, delta, r + 2.0 * delta)
-    ok = (log_cont >= log_lower - tol) and (log_cont <= log_upper + tol)
+    ok = (log_cont >= log_lower - _SANDWICH_TOL
+          and log_cont <= log_upper + _SANDWICH_TOL)
     return SandwichReport(ok=ok, log_continuous=log_cont,
                           log_lower=log_lower, log_upper=log_upper)
 
@@ -370,7 +350,7 @@ def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r: float,
 
     def band_edge(radius: float) -> float:
         return conv_continuous(vg.log_value, g_log, radius, rel_tol=rel_tol,
-                               f_breaks=vg.grid_breaks(), g_breaks=g_breaks)
+                               g_breaks=g_breaks)
 
     return Band(lower=band_edge(r - d0) - log_cpp,
                 upper=band_edge(r + d0) + log_cpp)
@@ -398,11 +378,12 @@ def _ambient_kinks(vg: VGammaModel, rho: float, rel_tol: float) -> np.ndarray:
     """Distances s = rho - t at which the band cuts ln v(s) into pieces it
     treats as linear.  A power-decay factor -gamma ln(1 + s) is convex,
     and on the grid 1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / gamma)
-    its secants lie above it by at most gamma q^2 / 8 = rel_tol nats."""
+    its secants lie above it by at most gamma q^2 / 8 = rel_tol nats.  A
+    constant factor needs no cut."""
     if isinstance(vg.factor, PowerDecayFactor):
         step = math.log1p(math.sqrt(8.0 * rel_tol / vg.factor.gamma))
         return np.expm1(step * np.arange(1, math.ceil(math.log1p(rho) / step)))
-    return np.asarray(vg.grid_breaks(), dtype=float)
+    return np.empty(0)
 
 
 def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,

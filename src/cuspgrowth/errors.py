@@ -6,6 +6,17 @@ generic ValueError/RuntimeError are reserved for programming errors.
 
 from __future__ import annotations
 
+__all__ = [
+    "CuspGrowthError",
+    "DomainError",
+    "ProfileError",
+    "BridgeConstructionError",
+    "CatalogError",
+    "QuadratureError",
+    "EnumerationCapError",
+    "ConfigError",
+]
+
 
 class CuspGrowthError(Exception):
     """Base class for all package errors."""
@@ -21,13 +32,8 @@ class ProfileError(CuspGrowthError):
 
 
 class BridgeConstructionError(ProfileError):
-    """No transition between the two analytic envelopes met the requested
-    pinching slack.  Carries the best slack that was achieved so callers
-    can widen the band or relax the request."""
-
-    def __init__(self, message: str, achieved_eps: float = float("inf")):
-        super().__init__(message)
-        self.achieved_eps = achieved_eps
+    """No monotone transition between the two analytic envelopes stays
+    sandwiched between them on the requested band."""
 
 
 class CatalogError(CuspGrowthError):

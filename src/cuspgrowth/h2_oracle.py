@@ -795,23 +795,24 @@ class DeltaReport:
                 f"{self.n_elements} orbit points within {self.r_cap!r})")
 
 
-def estimate_delta(*, r_cap: float = 12.0, r_min: float = 4.0,
-                   n_points: int = 257,
-                   policy: WindowPolicy = WindowPolicy(n_windows=2, tol=0.05),
-                   ) -> DeltaReport:
-    """Estimate the lattice's critical exponent from exact ball counts;
-    constant curvature -1 in the plane pins the true value at 1.
+# estimate_delta fits np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
+# with two halving windows, which cover the exactly countable radius
+# range; the convergence tolerance matches the O(1/R) drift that the
+# windowed ratio statistic carries at these radii
+_DELTA_R_MIN = 4.0
+_DELTA_POINTS = 257
+_DELTA_POLICY = WindowPolicy(n_windows=2, tol=0.05)
 
-    Two halving windows cover the exactly countable radius range, and the
-    convergence tolerance matches the O(1/R) drift that the windowed
-    ratio statistic carries at these radii.
-    """
+
+def estimate_delta(*, r_cap: float = 12.0) -> DeltaReport:
+    """Estimate the lattice's critical exponent from exact ball counts;
+    constant curvature -1 in the plane pins the true value at 1."""
     _check_cap(r_cap)
     norms = _sorted_norms(r_cap)["group"]
-    radii = np.linspace(r_min, r_cap, n_points)
+    radii = np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     series = GrowthSeries(radii, np.log(counts), label="lattice-orbit")
-    est = estimate_exponents(series, policy)
+    est = estimate_exponents(series, _DELTA_POLICY)
     return DeltaReport(
         estimate=0.5 * (est.window_peaks[0] + est.window_floors[0]), est=est,
         r_cap=r_cap, n_elements=int(counts[-1]))
@@ -854,12 +855,19 @@ class CountingBandReport:
         ])
 
 
-def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
-                    fit_max: float = 6.0, r_min: float = 4.0,
-                    step: float = 0.25, fit_pad: float = 0.05,
-                    rel_tol: float = 1e-8) -> CountingBandReport:
-    """Check exact orbit counts toward a point at the given cusp depth
-    against the convolution counting band.
+# verify_counting compares the counts toward the point at cusp depth
+# _COUNTING_DEPTH with the counting band, computed to _COUNTING_REL_TOL,
+# on np.arange(_COUNTING_R_MIN, r_cap, _COUNTING_STEP) with r_cap included
+_COUNTING_DEPTH = 2.0
+_COUNTING_R_MIN = 4.0
+_COUNTING_STEP = 0.25
+_COUNTING_REL_TOL = 1e-8
+
+
+def verify_counting(*, r_cap: float = 12.0, fit_max: float = 6.0,
+                    fit_pad: float = 0.05) -> CountingBandReport:
+    """Check exact orbit counts toward a point at cusp depth
+    ``_COUNTING_DEPTH`` against the convolution counting band.
 
     The ambient model is the bare unit-exponent count and the cusp is the
     plane's parabolic with horocyclic fundamental length 2, so the only
@@ -868,13 +876,11 @@ def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
     limit constant, then frozen and asserted outside.
     """
     _check_cap(r_cap)
-    if not r_min < fit_max < r_cap:
-        raise DomainError("need r_min < fit_max < r_cap")
-    norms = _sorted_norms(r_cap, depth)["group"]
-    radii = np.arange(r_min, r_cap + 1e-12, step)
+    if not _COUNTING_R_MIN < fit_max < r_cap:
+        raise DomainError(f"need {_COUNTING_R_MIN!r} < fit_max < r_cap")
+    norms = _sorted_norms(r_cap, _COUNTING_DEPTH)["group"]
+    radii = np.arange(_COUNTING_R_MIN, r_cap + 1e-12, _COUNTING_STEP)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
-    if np.any(counts == 0):
-        raise DomainError("empty counts; raise r_min")
     log_emp = np.log(counts)
 
     prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
@@ -882,7 +888,8 @@ def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
     cusp = CuspModel(profile=prof, c_norm=2.0)
     vg = VGammaModel(1.0, ConstantFactor())
     mids = np.array([
-        counting_band(vg, cusp, depth, float(x), rel_tol=rel_tol).mid
+        counting_band(vg, cusp, _COUNTING_DEPTH, float(x),
+                      rel_tol=_COUNTING_REL_TOL).mid
         for x in radii])
 
     dev = log_emp - mids
@@ -893,8 +900,8 @@ def verify_counting(*, depth: float = 2.0, r_cap: float = 12.0,
     center = float(np.mean(dev[fit_mask]))
     drift = float(np.max(np.abs(dev[~fit_mask] - center)))
     return CountingBandReport(
-        depth=depth, fit_max=fit_max, r_cap=r_cap, log_constant=log_c,
-        fit_pad=fit_pad, max_fit_deviation=max_fit,
+        depth=_COUNTING_DEPTH, fit_max=fit_max, r_cap=r_cap,
+        log_constant=log_c, fit_pad=fit_pad, max_fit_deviation=max_fit,
         max_assert_deviation=max_assert, center_offset=center,
         max_center_drift=drift, assert_ok=max_assert <= log_c,
         radii=radii, log_empirical=log_emp, log_band_mid=mids)

@@ -37,13 +37,10 @@ __all__ = [
     "Profile",
     "pure_piece",
     "poly_piece",
-    "BridgeRequest",
-    "build_bridge",
     "assemble_profile",
     "ValidationReport",
     "validate_profile",
     "profile_to_text",
-    "profile_from_text",
     "CATALOG_IDS",
     "CatalogParams",
     "default_catalog_params",
@@ -58,7 +55,15 @@ INF = float("inf")
 # ramps, which lower the plateau overhead when the value gap is tight.
 _THETA_LADDER = (0.25, 0.5, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
 
-_GRID = 4097  # verification samples per transition band and per piece
+_GRID = 4097  # verification samples per transition band
+
+# validate_profile's dense samples per piece, its relative tolerances on
+# value (join) and derivative (slope) jumps at the joins, and the slop
+# allowed on the curvature-proxy window
+_SAMPLES_PER_PIECE = 4096
+_JOIN_TOL = 1e-9
+_SLOPE_TOL = 1e-6
+_RATIO_SLOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -351,34 +356,9 @@ class Profile:
 # -- bridge construction ------------------------------------------------------
 
 @dataclass(frozen=True)
-class BridgeRequest:
-    """Transition between t^{left_power} e^{-left_rate t} active before q
-    and t^{right_power} e^{-right_rate t} active after r, with optional
-    exact analytic flanks [p, q] and [r, s].  ``eps`` is the requested
-    curvature-proxy slack."""
-    p: float
-    q: float
-    r: float
-    s: float
-    left_power: float
-    left_rate: float
-    right_power: float
-    right_rate: float
-    eps: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (self.p <= self.q < self.r <= self.s):
-            raise DomainError("bridge needs p <= q < r <= s")
-        if self.q <= 0 and (self.left_power != 0 or self.right_power != 0):
-            raise DomainError("polynomial envelopes need a positive band")
-        if self.eps < 0:
-            raise DomainError("eps must be nonnegative")
-
-
-@dataclass(frozen=True)
 class _Candidate:
     segments: tuple[dict, ...]
-    achieved_eps: float
+    proxy_slack: float
     monotone: bool
     sandwiched: bool
 
@@ -441,7 +421,7 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
     slack = 1e-9 * np.maximum(1.0, np.abs(g))
     sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
 
-    return _Candidate(segments=segments, achieved_eps=achieved,
+    return _Candidate(segments=segments, proxy_slack=achieved,
                       monotone=monotone, sandwiched=sandwiched)
 
 
@@ -450,18 +430,18 @@ def _poly_integral(coeffs: Sequence[float]) -> float:
     return c0 + c1 / 2.0 + c2 / 3.0 + c3 / 4.0
 
 
-def _build_transition(left: _Envelope, right: _Envelope,
-                      q: float, r: float) -> tuple[tuple[dict, ...], float]:
-    """Best admissible ramp/plateau/ramp transition on [q, r].
+def _transition_piece(left: _Envelope, right: _Envelope,
+                      q: float, r: float) -> ProfilePiece:
+    """Bridge piece on [q, r] carrying the admissible ramp/plateau/ramp
+    transition of least curvature-proxy slack.
 
-    Returns the segment list and the achieved curvature-proxy slack.
     Raises BridgeConstructionError when no ramp fraction yields a
     monotone, envelope-sandwiched transition.
     """
     if left == right:
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
-        return (seg,), 0.0
+        return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
     if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
@@ -470,47 +450,14 @@ def _build_transition(left: _Envelope, right: _Envelope,
         cand = _transition_candidate(left, right, q, r, theta)
         if not (cand.monotone and cand.sandwiched):
             continue
-        if best is None or cand.achieved_eps < best.achieved_eps:
+        if best is None or cand.proxy_slack < best.proxy_slack:
             best = cand
     if best is None:
         raise BridgeConstructionError(
             f"no monotone sandwiched transition on [{q}, {r}] between "
             f"(power={left.power}, rate={left.rate}) and "
             f"(power={right.power}, rate={right.rate})")
-    return best.segments, best.achieved_eps
-
-
-def build_bridge(req: BridgeRequest) -> ProfilePiece:
-    """Construct the bridge piece for ``req``, spanning [p, s].
-
-    The analytic flanks [p, q] and [r, s] are evaluated exactly; only
-    [q, r] carries the slope-space transition.  Raises
-    BridgeConstructionError (with the best achieved slack attached) when
-    the requested ``eps`` cannot be met; the usual remedy is a wider band.
-    """
-    left = _Envelope(req.left_power, req.left_rate)
-    right = _Envelope(req.right_power, req.right_rate)
-    segments, achieved = _build_transition(left, right, req.q, req.r)
-    if achieved > req.eps:
-        raise BridgeConstructionError(
-            f"transition slack {achieved:.6g} exceeds requested eps "
-            f"{req.eps:.6g}; widen [q, r] = [{req.q}, {req.r}]",
-            achieved_eps=achieved)
-    segs: list[dict] = []
-    if req.p < req.q:
-        segs.append({"kind": "analytic", "t0": req.p, "t1": req.q,
-                     "power": left.power, "rate": left.rate})
-    segs.extend(segments)
-    if req.r < req.s:
-        segs.append({"kind": "analytic", "t0": req.r, "t1": req.s,
-                     "power": right.power, "rate": right.rate})
-    return ProfilePiece(req.p, req.s, "bridge", {"segments": tuple(segs)})
-
-
-def _transition_piece(left: _Envelope, right: _Envelope,
-                      q: float, r: float) -> ProfilePiece:
-    segments, _ = _build_transition(left, right, q, r)
-    return ProfilePiece(q, r, "bridge", {"segments": segments})
+    return ProfilePiece(q, r, "bridge", {"segments": best.segments})
 
 
 def assemble_profile(bounds: CurvatureBounds,
@@ -530,7 +477,6 @@ class ValidationReport:
     implied_eps: float
     worst_join_gap: float
     worst_slope_gap: float
-    samples_per_piece: int
     convex: bool = True
 
     def summary(self) -> str:
@@ -554,16 +500,11 @@ def _piece_sample_grid(piece: ProfilePiece, samples: int) -> np.ndarray:
     return np.linspace(piece.t0, hi, samples)
 
 
-def validate_profile(profile: Profile,
-                     *,
-                     samples_per_piece: int = 4096,
-                     join_tol: float = 1e-9,
-                     slope_tol: float = 1e-6,
-                     ratio_slop: float = 1e-6) -> ValidationReport:
+def validate_profile(profile: Profile) -> ValidationReport:
     """Certify a profile on dense per-piece grids.
 
     Checks: contiguity, log-value continuity at joins (relative tolerance
-    ``join_tol``), C^1/C^2 continuity at joins, strict monotone decrease,
+    ``_JOIN_TOL``), C^1/C^2 continuity at joins, strict monotone decrease,
     and the curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
     profile's bounds.  Convexity of T is implied by the window whenever
     eps < a^2; when the declared slack already admits concave stretches it
@@ -584,21 +525,21 @@ def validate_profile(profile: Profile,
         gr = float(tables[k + 1](t, 0)[0])
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
-        if rel > join_tol:
+        if rel > _JOIN_TOL:
             msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
         for order in (1, 2):
             dl = float(tables[k](t, order)[0])
             dr = float(tables[k + 1](t, order)[0])
             srel = abs(dl - dr) / max(1.0, abs(dl))
             worst_slope = max(worst_slope, srel)
-            if srel > slope_tol:
+            if srel > _SLOPE_TOL:
                 msgs.append(
                     f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
 
     ratio_min = INF
     ratio_max = -INF
     for piece, table in zip(profile.pieces, tables):
-        t = _piece_sample_grid(piece, samples_per_piece)
+        t = _piece_sample_grid(piece, _SAMPLES_PER_PIECE)
         g = table(t, 0)
         d1 = table(t, 1)
         d2 = table(t, 2)
@@ -612,11 +553,11 @@ def validate_profile(profile: Profile,
         ratio = d2 + d1 * d1
         ratio_min = min(ratio_min, float(np.min(ratio)))
         ratio_max = max(ratio_max, float(np.max(ratio)))
-        if float(np.min(ratio)) < a2 - eps - ratio_slop:
+        if float(np.min(ratio)) < a2 - eps - _RATIO_SLOP:
             msgs.append(
                 f"curvature proxy {float(np.min(ratio)):.6g} below "
                 f"a^2 - eps = {a2 - eps:.6g} in piece at t0={piece.t0}")
-        if float(np.max(ratio)) > b2 + eps + ratio_slop:
+        if float(np.max(ratio)) > b2 + eps + _RATIO_SLOP:
             msgs.append(
                 f"curvature proxy {float(np.max(ratio)):.6g} above "
                 f"b^2 + eps = {b2 + eps:.6g} in piece at t0={piece.t0}")
@@ -628,8 +569,7 @@ def validate_profile(profile: Profile,
                             implied_eps=implied,
                             worst_join_gap=worst_join,
                             worst_slope_gap=worst_slope,
-                            samples_per_piece=samples_per_piece,
-                            convex=ratio_min >= -ratio_slop)
+                            convex=ratio_min >= -_RATIO_SLOP)
 
 
 # -- serialization ------------------------------------------------------------
@@ -637,23 +577,10 @@ def validate_profile(profile: Profile,
 _FORMAT_TAG = "cusp-profile/1"
 
 
-def _piece_from_jsonable(obj: Mapping) -> ProfilePiece:
-    params = obj["params"]
-    if obj["form"] == "bridge":
-        segs = []
-        for s in params["segments"]:
-            s = dict(s)
-            if "coeffs" in s:
-                s["coeffs"] = tuple(float(c) for c in s["coeffs"])
-            segs.append(s)
-        params = {"segments": tuple(segs)}
-    return ProfilePiece(t0=float(obj["t0"]), t1=float(obj["t1"]),
-                        form=str(obj["form"]), params=params)
-
-
 def profile_to_text(profile: Profile) -> str:
     """Serialize to JSON text.  Floats keep full precision (shortest
-    round-trip repr), so parse(serialize(p)) evaluates bit-identically."""
+    round-trip repr), so a profile rebuilt from the parsed pieces
+    evaluates bit-identically."""
     doc = {
         "format": _FORMAT_TAG,
         "bounds": {"a": profile.bounds.a, "b": profile.bounds.b,
@@ -663,20 +590,6 @@ def profile_to_text(profile: Profile) -> str:
                     "params": dict(p.params)} for p in profile.pieces],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def profile_from_text(text: str) -> Profile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"unparseable profile text: {exc}") from exc
-    if doc.get("format") != _FORMAT_TAG:
-        raise ProfileError(f"unknown profile format {doc.get('format')!r}")
-    b = doc["bounds"]
-    bounds = CurvatureBounds(a=float(b["a"]), b=float(b["b"]),
-                             n=int(b["n"]), eps=float(b["eps"]))
-    pieces = tuple(_piece_from_jsonable(p) for p in doc["pieces"])
-    return Profile(bounds=bounds, pieces=pieces)
 
 
 # -- catalog ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .asymptotics import (
     GrowthClass,
     GrowthSeries,
     TrendPolicy,
-    WindowPolicy,
     classify_growth,
     estimate_exponents,
     sample_orbital_parabolic,
@@ -38,7 +37,6 @@ from .asymptotics import (
 from .convolution import (
     ConstantFactor,
     PowerDecayFactor,
-    SampledFactor,
     VGammaModel,
     cuspidal_interpolants,
     volume_band,
@@ -54,6 +52,7 @@ __all__ = [
     "quarter_pinch_gate",
     "TaxonomyReport",
     "classify_lattice",
+    "catalog_spec",
     "Claim",
     "ExampleReport",
     "run_example",
@@ -158,25 +157,13 @@ def quarter_pinch_gate(bounds: CurvatureBounds, delta_gamma: float,
     )
 
 
-def _group_divergent(vg: VGammaModel) -> Optional[bool]:
+def _group_divergent(vg: VGammaModel) -> bool:
     # The ambient orbit series at its own exponent sums the subexponential
-    # factor, so divergence is read off the factor's decay law.
-    f = vg.factor
-    if isinstance(f, ConstantFactor):
-        return True
-    if isinstance(f, PowerDecayFactor):
-        return f.gamma <= 1.0
-    if not isinstance(f, SampledFactor):
-        return None
-    series = f.series
-    mask = series.radii >= series.radii[-1] / 2.0
-    if int(np.sum(mask)) < 3:
-        return None
-    slope = float(np.polyfit(np.log(series.radii[mask]),
-                             series.log_values[mask], 1)[0])
-    if abs(slope + 1.0) <= 0.05:
-        return None
-    return slope > -1.0
+    # factor, so divergence is read off the factor's decay law: a constant
+    # diverges, R^{-gamma} iff gamma <= 1.
+    if isinstance(vg.factor, PowerDecayFactor):
+        return vg.factor.gamma <= 1.0
+    return True
 
 
 @dataclass(frozen=True)
@@ -189,23 +176,21 @@ class TaxonomyReport:
     delta_gamma: float
     estimates: tuple[ExponentEstimate, ...]
     dominant_flags: tuple[bool, ...]
-    group_divergent: Optional[bool]
+    group_divergent: bool
     series_verdicts: tuple[Optional[bool], ...]
-    bm_finite: Optional[bool]
+    bm_finite: bool
     gate: PinchGateReport
     tol: float
     notes: tuple[str, ...] = ()
 
     def summary(self) -> str:
-        def tri(v, yes="finite", no="infinite"):
-            return "undetermined" if v is None else (yes if v else no)
         lines = [
             f"sparse: {self.sparse}",
             f"exotic: {self.exotic}",
             f"pinch class: {self.pinch_class}",
             f"quarter pinched: {self.quarter_pinched}",
             f"ambient exponent: {self.delta_gamma!r}",
-            f"invariant measure: {tri(self.bm_finite)}",
+            f"invariant measure: {'finite' if self.bm_finite else 'infinite'}",
         ]
         for i, est in enumerate(self.estimates):
             lines.append(
@@ -214,13 +199,15 @@ class TaxonomyReport:
         return "\n".join(lines)
 
 
+# the radius to which classify_lattice samples the parabolic orbit series
+_CLASSIFY_R_MAX = 4500.0
+
+
 def classify_lattice(spec: LatticeSpec,
                      *,
-                     r_max: float = 4500.0,
+                     r_max: float = _CLASSIFY_R_MAX,
                      n_points: int = 1025,
-                     policy: WindowPolicy = WindowPolicy(),
-                     tol_factor: float = 0.02,
-                     gate_slack: float = 0.0) -> TaxonomyReport:
+                     tol_factor: float = 0.02) -> TaxonomyReport:
     """Sort a lattice specification into the sparse/exotic/pinched
     taxonomy and dispatch its growth predictions.
 
@@ -228,13 +215,14 @@ def classify_lattice(spec: LatticeSpec,
     series sampled on [1, r_max]; the default radius covers a full
     oscillation cycle of every catalog family at desk scale, where the
     finite-radius bias of the window estimator is smallest.  Equality
-    tests use the relative tolerance ``tol_factor * delta``.
+    tests use the relative tolerance ``tol_factor * delta``, and the
+    quarter-pinch gate allows no pinching slack.
     """
     delta = spec.vgamma.delta
     tol = tol_factor * delta
     radii = np.linspace(1.0, r_max, n_points)
     estimates = tuple(
-        estimate_exponents(sample_orbital_parabolic(c, radii), policy)
+        estimate_exponents(sample_orbital_parabolic(c, radii))
         for c in spec.cusps)
 
     notes: list[str] = []
@@ -260,7 +248,7 @@ def classify_lattice(spec: LatticeSpec,
     else:
         pinch = PINCH_STRICT
 
-    gate = quarter_pinch_gate(spec.bounds, delta, slack=gate_slack)
+    gate = quarter_pinch_gate(spec.bounds, delta)
     if not gate.entropy_floor_ok:
         notes.append("ambient exponent violates the curvature entropy floor")
     if gate.critical_gap and exotic:
@@ -275,18 +263,13 @@ def classify_lattice(spec: LatticeSpec,
     verdicts: list[Optional[bool]] = []
     for cusp, flag in zip(spec.cusps, spec.dominant_flags):
         verdicts.append(
-            series_convergence_at(cusp, delta, weight="linear").verdict
+            series_convergence_at(cusp, delta).verdict
             if flag else None)
-    if group_div is False:
-        bm: Optional[bool] = False
-    elif group_div is None:
-        bm = None
-    else:
-        dom = [v for v, f in zip(verdicts, spec.dominant_flags) if f]
-        bm = all(dom)
-        if not dom:
-            notes.append("no dominant cusps; the weighted-series criterion "
-                         "is vacuous and the verdict follows divergence alone")
+    dom = [v for v, f in zip(verdicts, spec.dominant_flags) if f]
+    bm = group_div and all(dom)
+    if group_div and not dom:
+        notes.append("no dominant cusps; the weighted-series criterion "
+                     "is vacuous and the verdict follows divergence alone")
 
     # Theorem dispatch keyed on the dominant cusps' pinch behaviour.
     dom_diffs = [d for d, f in zip(diffs, spec.dominant_flags) if f]
@@ -303,14 +286,7 @@ def classify_lattice(spec: LatticeSpec,
             notes=("regular: volume tracks the orbit count and a limiting "
                    "growth constant exists",))
     else:
-        exact = any(abs(d) <= tol for d in dom_diffs)
-        if bm is None:
-            predictions = Predictions(
-                vgamma_class=None, vx_class=None, bm_finite=None,
-                margulis=None,
-                notes=("exotic, but the invariant-measure verdict is "
-                       "undetermined; no growth prediction",))
-        elif exact:
+        if any(abs(d) <= tol for d in dom_diffs):
             predictions = Predictions(
                 vgamma_class=GrowthClass.PURE if bm else GrowthClass.LOWER,
                 vx_class=GrowthClass.UPPER,
@@ -462,9 +438,7 @@ class ExampleReport:
             state = ("not computed" if v is None
                      else ("converges" if v else "diverges"))
             lines.append(f"cusp {i} weighted series: {state}")
-        lines.append(
-            "verdict: " + ("undetermined" if t.bm_finite is None
-                           else ("finite" if t.bm_finite else "infinite")))
+        lines.append("verdict: " + ("finite" if t.bm_finite else "infinite"))
         lines += ["", "== growth classes =="]
         lines.append(f"ambient: {self.vgamma_class.value}")
         lines.append(f"volume: {self.vx_class.value} "
@@ -497,7 +471,6 @@ class ExampleReport:
 # _GRID_POINTS), classifies to _CLASSIFY_R_MAX and caches the excursion
 # integrals every _CACHE_STEP
 _GRID_POINTS = 257
-_CLASSIFY_R_MAX = 4500.0
 _CACHE_STEP = 2.0
 
 
@@ -514,7 +487,7 @@ def run_example(name: str,
     cusps = spec.cusps
     vg = spec.vgamma
     delta = vg.delta
-    taxonomy = classify_lattice(spec, r_max=_CLASSIFY_R_MAX)
+    taxonomy = classify_lattice(spec)
 
     radii = np.linspace(1.0, r_max, _GRID_POINTS)
     log_vg = np.asarray(vg.log_value(radii), dtype=float)

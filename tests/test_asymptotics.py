@@ -19,19 +19,15 @@ from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.asymptotics import (
     CuspModel,
     cuspidal_chain_check,
-    distance_from_horodistance,
-    orbital_validity_floor,
     sample_orbital_parabolic,
     GrowthClass,
     GrowthSeries,
     TrendPolicy,
     WindowPolicy,
-    area_ratio_bounds,
     classify_growth,
     critical_exponent_chain_bound,
     log_cuspidal,
     estimate_exponents,
-    log_horo_area,
     log_orbital_parabolic,
     series_log_integrand,
     series_convergence_at,
@@ -63,29 +59,42 @@ def _pure_cusp(rate: float = 1.0, n: int = 2, c_norm: float = 1.0) -> CuspModel:
 
 class TestHoroArea:
     def test_area_law(self):
+        # A(t) = c_norm T(t)^{n-1}, read back through v_P(R) = 1 / A(R/2):
+        # ln A(1.5) = ln 5 + 2 * (-2 * 1.5)
         cusp = _pure_cusp(rate=2.0, n=3, c_norm=5.0)
-        # ln A(t) = ln 5 + 2 * (-2t)
-        assert log_horo_area(cusp, 1.5) == pytest.approx(math.log(5.0) - 6.0, rel=1e-14)
+        assert log_orbital_parabolic(cusp, 3.0) == pytest.approx(
+            6.0 - math.log(5.0), rel=1e-14)
+
+    @staticmethod
+    def _ratio_bounds(cusp: CuspModel, t1: float, t2: float) -> tuple[float, float]:
+        """Bounds on ln(A(t2) / A(t1)) from the closed-form log-slope
+        ranges of the segment rows that [t1, t2] crosses."""
+        starts = cusp.profile._table.starts
+        cuts = np.concatenate(([t1], starts[(starts > t1) & (starts < t2)], [t2]))
+        least, most = cusp.profile._dlog_range(cuts[:-1], cuts[1:])
+        widths = np.diff(cuts)
+        n1 = cusp.dim - 1
+        return n1 * float(least @ widths), n1 * float(most @ widths)
+
+    @staticmethod
+    def _log_ratio(cusp: CuspModel, t1: float, t2: float) -> float:
+        prof = cusp.profile
+        return (cusp.dim - 1) * (prof.log_value(t2) - prof.log_value(t1))
 
     def test_ratio_bounds_tight_for_constant_curvature(self):
         cusp = _pure_cusp(rate=2.0, n=2)
-        lo, hi = area_ratio_bounds(cusp, 1.0, 3.0)
-        actual = log_horo_area(cusp, 3.0) - log_horo_area(cusp, 1.0)
-        assert lo == pytest.approx(-4.0)
-        assert hi == pytest.approx(-4.0)
-        assert lo - 1e-12 <= actual <= hi + 1e-12
+        lo, hi = self._ratio_bounds(cusp, 1.0, 3.0)
+        assert lo == hi == -4.0
+        assert self._log_ratio(cusp, 1.0, 3.0) == -4.0
 
     def test_ratio_bounds_contain_catalog_profile(self):
         prof = catalog_profile("sparse-5.2", CatalogParams(m=701, windows=1))
         cusp = CuspModel(profile=prof)
         for t1, t2 in [(1.0, 50.0), (100.0, 5e5), (1e7, 5e10), (2e11, 1e12)]:
-            lo, hi = area_ratio_bounds(cusp, t1, t2)
-            actual = log_horo_area(cusp, t2) - log_horo_area(cusp, t1)
-            assert lo - 1e-9 <= actual <= hi + 1e-9, (t1, t2)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(DomainError):
-            area_ratio_bounds(_pure_cusp(), 3.0, 1.0)
+            lo, hi = self._ratio_bounds(cusp, t1, t2)
+            actual = self._log_ratio(cusp, t1, t2)
+            slack = 1e-9 * max(1.0, abs(actual))
+            assert lo - slack <= actual <= hi + slack, (t1, t2)
 
 
 class TestCuspidalFunction:
@@ -342,15 +351,14 @@ class TestMeasureCriterion:
 
 class TestClosedFormTail:
     def test_at_the_abscissa_only_the_power_decides(self):
-        # pure e^{-t}: at s* = 1/2 the integrand is t^w, divergent for
-        # both weights; t e^{-t} with weight "none" gives 2/t, still
-        # divergent; t^3 e^{-3t} gives 8/t^2 with mass 8/T
-        for weight in ("linear", "none"):
-            res = series_convergence_at(_pure_cusp(), 0.5, weight=weight)
-            assert res.diverges and res.log_tail == INF
+        # pure e^{-t}: at s* = 1/2 the integrand is t, divergent; t e^{-t}
+        # gives the constant 2, still divergent; t^3 e^{-3t} gives 8/t^2
+        # with mass 8/T
+        res = series_convergence_at(_pure_cusp(), 0.5)
+        assert res.diverges and res.log_tail == INF
         prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
                                 [poly_piece(1.0, INF, 1.0, 1.0)])
-        res = series_convergence_at(CuspModel(profile=prof), 0.5, weight="none")
+        res = series_convergence_at(CuspModel(profile=prof), 0.5)
         assert res.diverges and res.log_tail == INF
         cusp = CuspModel(profile=catalog_profile("exotic-div-5.3b"))
         res = series_convergence_at(cusp, 1.5, t_min=64.0)
@@ -363,10 +371,9 @@ class TestClosedFormTail:
         assert res.diverges and res.log_tail == INF
 
     def test_above_the_abscissa_is_an_incomplete_gamma(self):
-        # from t_min = 2: integral of e^{-t/2} is 2/e, of t e^{-t/2} 8/e;
-        # c_norm divides
-        res = series_convergence_at(_pure_cusp(), 1.0, weight="none")
-        assert res.log_tail == pytest.approx(math.log(2.0) - 1.0, abs=1e-14)
+        # from t_min = 2: integral of t e^{-t/2} is 8/e; c_norm divides
+        res = series_convergence_at(_pure_cusp(), 1.0)
+        assert res.log_tail == pytest.approx(math.log(8.0) - 1.0, abs=1e-14)
         res = series_convergence_at(_pure_cusp(c_norm=math.exp(2.0)), 1.0)
         assert res.log_tail == pytest.approx(math.log(8.0) - 3.0, abs=1e-14)
 
@@ -546,49 +553,9 @@ class TestOrbitalParabolic:
         got = log_orbital_parabolic(_pure_cusp(c_norm=math.exp(2.0)), 10.0)
         assert got == pytest.approx(3.0, rel=1e-12)
 
-    def test_validity_floor(self):
-        assert orbital_validity_floor(_pure_cusp()) == pytest.approx(10.0)
-        assert orbital_validity_floor(_pure_cusp(rate=2.0), h_y=3.0) == pytest.approx(8.0)
-
     def test_sampled_series(self):
         s = sample_orbital_parabolic(_pure_cusp(), [2.0, 4.0, 8.0])
         np.testing.assert_allclose(s.log_values, [1.0, 2.0, 4.0], rtol=1e-14)
-
-
-class TestSeriesWeight:
-    def test_bare_series_converges_above_abscissa(self):
-        # e^{-st} / A(t/2) with s=1 > 1/2 decays like e^{-t/2}.
-        res = series_convergence_at(_pure_cusp(), 1.0, weight="none")
-        assert res.converges
-
-    def test_bare_series_diverges_below_abscissa(self):
-        res = series_convergence_at(_pure_cusp(), 0.4, weight="none")
-        assert res.diverges
-
-    def test_unknown_weight_rejected(self):
-        with pytest.raises(DomainError):
-            series_log_integrand(_pure_cusp(), 1.0, weight="quadratic")
-
-
-class TestDistanceFromHorodistance:
-    def test_pure_exponential(self):
-        prof = _pure_cusp().profile
-        assert distance_from_horodistance(prof, math.exp(5.0)) == pytest.approx(10.0, abs=1e-9)
-
-    def test_unit_distance_is_start(self):
-        prof = _pure_cusp().profile
-        assert distance_from_horodistance(prof, 1.0) == 0.0
-
-    def test_self_consistency_on_catalog_tail(self):
-        prof = catalog_profile("exotic-div-5.3b")
-        for d_xi in (10.0, 1e4, 1e9):
-            r = distance_from_horodistance(prof, d_xi)
-            target = prof.log_value(prof.t_start) - math.log(d_xi)
-            assert prof.log_value(r / 2.0) == pytest.approx(target, abs=1e-8)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(DomainError):
-            distance_from_horodistance(_pure_cusp().profile, 0.5)
 
 
 class TestChainCheck:

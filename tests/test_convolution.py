@@ -17,7 +17,6 @@ from cuspgrowth import (
     DomainError,
     GrowthSeries,
     PowerDecayFactor,
-    SampledFactor,
     VGammaModel,
     assemble_profile,
     catalog_profile,
@@ -60,7 +59,6 @@ class TestAmbientModel:
     def test_constant_factor(self):
         vg = VGammaModel(1.5, ConstantFactor(2.0))
         assert vg.log_value(3.0) == pytest.approx(math.log(2.0) + 4.5, abs=1e-12)
-        assert vg.grid_breaks() == ()
 
     def test_default_factor_is_unit(self):
         assert VGammaModel(1.0).log_value(7.0) == pytest.approx(7.0, abs=1e-12)
@@ -71,17 +69,6 @@ class TestAmbientModel:
 
     def test_power_decay_bounded_at_zero(self):
         assert VGammaModel(1.0, PowerDecayFactor(2.0)).log_value(0.0) == 0.0
-
-    def test_sampled_factor_interpolates(self):
-        series = GrowthSeries([1.0, 2.0, 4.0], [0.0, 1.0, 3.0])
-        vg = VGammaModel(1.0, SampledFactor(series))
-        assert vg.log_value(3.0) == pytest.approx(3.0 + 2.0, abs=1e-12)
-        assert vg.grid_breaks() == (1.0, 2.0, 4.0)
-
-    def test_sampled_factor_rejects_off_grid(self):
-        vg = VGammaModel(1.0, SampledFactor(GrowthSeries([1.0, 2.0], [0.0, 1.0])))
-        with pytest.raises(DomainError):
-            vg.log_value(5.0)
 
     def test_vectorized(self):
         vg = VGammaModel(2.0)
@@ -96,8 +83,6 @@ class TestAmbientModel:
             ConstantFactor(0.0)
         with pytest.raises(DomainError):
             PowerDecayFactor(-1.0)
-        with pytest.raises(DomainError):
-            SampledFactor(GrowthSeries([1.0], [0.0]))
 
 
 class TestGaugeConvolution:
@@ -420,7 +405,7 @@ class TestSegmentIntegral:
 
 def _quadrature_band(vg, caches, r, rel_tol):
     """The volume band's former path: adaptive Simpson over the summed
-    caches, cut at every cache node and at the ambient model's kinks."""
+    caches, cut at every cache node (the ambient model is smooth)."""
     def s_log(u):
         u = np.asarray(u, dtype=float)
         stack = np.stack([np.asarray(c(u), dtype=float) for c in caches])
@@ -429,7 +414,7 @@ def _quadrature_band(vg, caches, r, rel_tol):
 
     breaks = [float(x) for c in caches for x in c.nodes]
     conv = conv_continuous(s_log, vg.log_value, r, rel_tol=rel_tol,
-                           f_breaks=breaks, g_breaks=vg.grid_breaks())
+                           f_breaks=breaks)
     return conv, float(np.logaddexp(conv, vg.log_value(r)))
 
 

@@ -1,0 +1,96 @@
+"""Package metadata against the code: the test extra covers what the
+tests import, and the public names resolve where they are exported."""
+
+import ast
+import importlib
+import pkgutil
+import re
+import sys
+import typing
+from pathlib import Path
+
+import pytest
+
+import cuspgrowth
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
+INIT = Path(cuspgrowth.__file__)
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """Top-level module names of the absolute imports in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _distribution_name(requirement: str) -> str:
+    """The normalized project name of a requirement string."""
+    name = re.match(r"[A-Za-z0-9._-]+", requirement.strip()).group(0)
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def test_test_extra_covers_every_third_party_import_of_the_tests():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    extra = {_distribution_name(r)
+             for r in project["optional-dependencies"]["test"]}
+    local = {p.stem for p in TESTS.glob("*.py")} | {"cuspgrowth"}
+    imported = set().union(*(_top_level_imports(p) for p in TESTS.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert sorted(third_party - {"numpy"} - extra) == []
+
+
+def _modules():
+    return [importlib.import_module(f"cuspgrowth.{info.name}")
+            for info in pkgutil.iter_modules(cuspgrowth.__path__)]
+
+
+def _package_imports() -> dict[str, list[str]]:
+    """Module name -> the names ``cuspgrowth/__init__.py`` imports from it."""
+    imports = {}
+    for node in ast.parse(INIT.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imports[node.module] = [alias.name for alias in node.names]
+    return imports
+
+
+@pytest.mark.parametrize("module", _modules(), ids=lambda m: m.__name__)
+def test_every_all_entry_resolves(module):
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module, names", sorted(_package_imports().items()),
+                         ids=sorted(_package_imports()))
+def test_package_reexports_only_declared_names(module, names):
+    declared = importlib.import_module(f"cuspgrowth.{module}").__all__
+    assert [name for name in names if name not in declared] == []
+
+
+def _classes(annotation) -> list[type]:
+    """The classes in a type annotation, generic arguments included."""
+    found = [annotation] if isinstance(annotation, type) else []
+    for arg in typing.get_args(annotation):
+        found += _classes(arg)
+    return found
+
+
+def test_reexported_functions_return_reexported_types():
+    # a caller of a re-exported function can name what it gets back
+    unexported = []
+    for name in dir(cuspgrowth):
+        obj = getattr(cuspgrowth, name)
+        if not callable(obj) or isinstance(obj, type):
+            continue
+        for cls in _classes(typing.get_type_hints(obj).get("return")):
+            if (cls.__module__.startswith("cuspgrowth.")
+                    and getattr(cuspgrowth, cls.__name__, None) is not cls):
+                unexported.append(f"{name} -> {cls.__name__}")
+    assert unexported == []

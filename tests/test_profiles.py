@@ -16,18 +16,18 @@ from hypothesis import given, settings, strategies as st
 from cuspgrowth.errors import BridgeConstructionError, CatalogError, DomainError, ProfileError
 from cuspgrowth.profiles import (
     CATALOG_IDS,
-    BridgeRequest,
     CatalogParams,
     CurvatureBounds,
     Profile,
     ProfilePiece,
+    _Envelope,
+    _SegmentTable,
+    _transition_piece,
     assemble_profile,
-    build_bridge,
     catalog_companions,
     catalog_profile,
     default_catalog_params,
     poly_piece,
-    profile_from_text,
     profile_to_text,
     pure_piece,
     validate_profile,
@@ -77,51 +77,38 @@ class TestAnalyticPieces:
 
 class TestBridge:
     def test_wide_band_meets_default_slack(self):
-        req = BridgeRequest(p=5.0, q=10.0, r=2000.0, s=2100.0,
-                            left_power=0.0, left_rate=1.0,
-                            right_power=0.0, right_rate=3.0, eps=0.1)
-        piece = build_bridge(req)
-        assert piece.t0 == 5.0 and piece.t1 == 2100.0
-        assert len(piece.params["segments"]) == 5
+        piece = _transition_piece(_Envelope(0.0, 1.0), _Envelope(0.0, 3.0),
+                                  10.0, 2000.0)
+        assert piece.t0 == 10.0 and piece.t1 == 2000.0
+        assert len(piece.params["segments"]) == 3
 
         prof = assemble_profile(
             CurvatureBounds(a=1.0, b=3.0, eps=0.1),
-            [pure_piece(0.0, 5.0, 1.0), piece, pure_piece(2100.0, INF, 3.0)])
+            [pure_piece(0.0, 10.0, 1.0), piece, pure_piece(2000.0, INF, 3.0)])
         report = validate_profile(prof)
         assert report.passed, report.summary()
         assert report.convex
 
     def test_exact_at_band_ends(self):
-        req = BridgeRequest(p=5.0, q=10.0, r=2000.0, s=2100.0,
-                            left_power=0.0, left_rate=1.0,
-                            right_power=0.0, right_rate=3.0, eps=0.1)
-        piece = build_bridge(req)
-        prof = assemble_profile(
-            CurvatureBounds(a=1.0, b=3.0, eps=0.1),
-            [pure_piece(0.0, 5.0, 1.0), piece, pure_piece(2100.0, INF, 3.0)])
-        # Flanks evaluate the analytic laws exactly.
-        assert prof.log_value(5.0) == -5.0
-        assert prof.log_value(10.0) == -10.0
-        assert prof.log_value(2050.0) == -3.0 * 2050.0
-        # Transition lands on the right envelope to rounding error.
-        assert prof.log_value(2000.0) == pytest.approx(-6000.0, rel=1e-12)
-
-    def test_narrow_band_rejected_with_achieved_slack(self):
-        req = BridgeRequest(p=10.0, q=10.0, r=20.0, s=20.0,
-                            left_power=0.0, left_rate=1.0,
-                            right_power=0.0, right_rate=3.0, eps=0.1)
-        with pytest.raises(BridgeConstructionError) as exc:
-            build_bridge(req)
-        assert exc.value.achieved_eps > 0.1
+        piece = _transition_piece(_Envelope(0.0, 1.0), _Envelope(0.0, 3.0),
+                                  10.0, 2000.0)
+        # the piece's own table: its last cubic extends through r
+        table = _SegmentTable.compile([piece])
+        ends = np.array([10.0, 2000.0])
+        # starts on the left envelope exactly
+        assert table(ends, 0)[0] == -10.0
+        # lands on the right envelope to rounding error, C^2 at both ends
+        assert table(ends, 0)[1] == pytest.approx(-6000.0, rel=1e-12)
+        np.testing.assert_allclose(table(ends, 1), [-1.0, -3.0], rtol=1e-12)
+        np.testing.assert_allclose(table(ends, 2), [0.0, 0.0], atol=1e-12)
 
     def test_identical_envelopes_collapse(self):
-        req = BridgeRequest(p=1.0, q=2.0, r=4.0, s=5.0,
-                            left_power=0.0, left_rate=2.0,
-                            right_power=0.0, right_rate=2.0, eps=0.0)
-        piece = build_bridge(req)
+        piece = _transition_piece(_Envelope(0.0, 2.0), _Envelope(0.0, 2.0),
+                                  2.0, 4.0)
+        assert [seg["kind"] for seg in piece.params["segments"]] == ["analytic"]
         prof = assemble_profile(CurvatureBounds(a=2.0, b=2.0),
-                                [pure_piece(0.0, 1.0, 2.0), piece,
-                                 pure_piece(5.0, INF, 2.0)])
+                                [pure_piece(0.0, 2.0, 2.0), piece,
+                                 pure_piece(4.0, INF, 2.0)])
         t = np.linspace(0.0, 8.0, 50)
         np.testing.assert_allclose(prof.log_value(t), -2.0 * t, rtol=0, atol=1e-12)
 
@@ -129,21 +116,15 @@ class TestBridge:
         # Right envelope value at r sits above left value at q; a monotone
         # decreasing transition cannot exist.
         with pytest.raises(BridgeConstructionError):
-            build_bridge(BridgeRequest(p=1.0, q=1.0, r=1.5, s=1.5,
-                                       left_power=0.0, left_rate=3.0,
-                                       right_power=0.0, right_rate=1.0,
-                                       eps=100.0))
+            _transition_piece(_Envelope(0.0, 3.0), _Envelope(0.0, 1.0), 1.0, 1.5)
 
     @settings(max_examples=25, deadline=None)
     @given(rate_hi=st.floats(min_value=2.1, max_value=6.0),
            width=st.floats(min_value=200.0, max_value=5000.0))
     def test_transition_is_c2_and_monotone(self, rate_hi, width):
         q = 10.0
-        req = BridgeRequest(p=q, q=q, r=q + width, s=q + width,
-                            left_power=0.0, left_rate=1.0,
-                            right_power=0.0, right_rate=rate_hi,
-                            eps=INF)
-        piece = build_bridge(req)
+        piece = _transition_piece(_Envelope(0.0, 1.0), _Envelope(0.0, rate_hi),
+                                  q, q + width)
         prof = assemble_profile(
             CurvatureBounds(a=1.0, b=rate_hi, eps=INF),
             [pure_piece(0.0, q, 1.0), piece, pure_piece(q + width, INF, rate_hi)])
@@ -199,13 +180,6 @@ class TestValidator:
                   ProfilePiece(1.0, INF, "bridge", {"segments": (cubic,)})]
         with pytest.raises(ProfileError, match="final segment"):
             assemble_profile(CurvatureBounds(a=1.0, b=1.0), pieces)
-        doc = json.loads(profile_to_text(_simple_profile(1.0)))
-        doc["pieces"] = [{"t0": 0.0, "t1": 1.0, "form": "pure_exp",
-                          "params": {"rate": 1.0}},
-                         {"t0": 1.0, "t1": INF, "form": "bridge",
-                          "params": {"segments": [cubic]}}]
-        with pytest.raises(ProfileError, match="final segment"):
-            profile_from_text(json.dumps(doc))
 
     def test_final_law_of_each_catalog_profile(self):
         want = {"sparse-5.2": (0.0, 1.0, 3.0 ** 14),
@@ -218,20 +192,30 @@ class TestValidator:
         assert catalog_companions("critical-infinite-5.4b")[0].final_law() == (1.5, 3.0, 20.0)
 
     def test_final_law_of_a_bridge_ending_in_an_analytic_flank(self):
-        bridge = build_bridge(BridgeRequest(p=1.0, q=2.0, r=12.0, s=INF,
-                                            left_power=0.0, left_rate=1.0,
-                                            right_power=1.0, right_rate=2.0,
-                                            eps=10.0))
+        transition = _transition_piece(_Envelope(0.0, 1.0), _Envelope(1.0, 2.0),
+                                       2.0, 12.0)
+        flank = {"kind": "analytic", "t0": 12.0, "t1": INF,
+                 "power": 1.0, "rate": 2.0}
+        bridge = ProfilePiece(2.0, INF, "bridge", {
+            "segments": (*transition.params["segments"], flank)})
         prof = assemble_profile(CurvatureBounds(a=1.0, b=2.0, eps=10.0),
-                                [pure_piece(0.0, 1.0, 1.0), bridge])
+                                [pure_piece(0.0, 2.0, 1.0), bridge])
         assert prof.final_law() == (1.0, 2.0, 12.0)
+
+
+def _rebuild(text: str) -> Profile:
+    """A profile from the bounds and pieces of its JSON text, as parsed."""
+    doc = json.loads(text)
+    pieces = tuple(ProfilePiece(p["t0"], p["t1"], p["form"], p["params"])
+                   for p in doc["pieces"])
+    return Profile(bounds=CurvatureBounds(**doc["bounds"]), pieces=pieces)
 
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         prof = catalog_profile("sparse-5.2")
         text = profile_to_text(prof)
-        back = profile_from_text(text)
+        back = _rebuild(text)
         assert back.bounds == prof.bounds
         assert len(back.pieces) == len(prof.pieces)
         t = np.linspace(0.0, 800.0, 4001)
@@ -243,15 +227,9 @@ class TestSerialization:
     def test_round_trip_all_catalog_ids(self):
         for name in CATALOG_IDS:
             prof = catalog_profile(name)
-            back = profile_from_text(profile_to_text(prof))
+            back = _rebuild(profile_to_text(prof))
             t = np.linspace(prof.t_start, 500.0, 997)
             assert np.array_equal(prof.log_value(t), back.log_value(t)), name
-
-    def test_malformed_text_rejected(self):
-        with pytest.raises(ProfileError):
-            profile_from_text("not json at all {")
-        with pytest.raises(ProfileError):
-            profile_from_text('{"format": "something-else"}')
 
 
 class TestCatalog:

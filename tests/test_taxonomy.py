@@ -3,7 +3,6 @@ catalog example driver."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +19,8 @@ from cuspgrowth import (
     DomainError,
     ExampleReport,
     GrowthClass,
-    GrowthSeries,
     LatticeSpec,
     PowerDecayFactor,
-    SampledFactor,
     VGammaModel,
     assemble_profile,
     catalog_companions,
@@ -172,22 +169,6 @@ class TestGroupDivergent:
         assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(0.5))) is True
         assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(1.0))) is True
         assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(1.2))) is False
-
-    def _sampled(self, slope: float) -> VGammaModel:
-        radii = np.linspace(10.0, 1000.0, 200)
-        series = GrowthSeries(radii, slope * np.log(radii), label="fit")
-        return VGammaModel(1.0, SampledFactor(series))
-
-    def test_sampled_slope_fit(self):
-        assert _group_divergent(self._sampled(-0.5)) is True
-        assert _group_divergent(self._sampled(-2.0)) is False
-        # within the dead band around the borderline exponent
-        assert _group_divergent(self._sampled(-1.0)) is None
-
-    def test_sampled_too_short(self):
-        radii = np.array([1.0, 10.0, 400.0, 1000.0])
-        series = GrowthSeries(radii, -0.5 * np.log(radii), label="fit")
-        assert _group_divergent(VGammaModel(1.0, SampledFactor(series))) is None
 
 
 class TestClassifyLattice:
