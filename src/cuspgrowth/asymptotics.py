@@ -12,7 +12,7 @@ growth exponents and growth type off sampled log data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -497,7 +497,6 @@ class TrendPolicy:
     """
     tau: float = 0.4
     band: float = 1.0
-    windows: WindowPolicy = field(default_factory=WindowPolicy)
 
 
 @dataclass(frozen=True)
@@ -524,7 +523,7 @@ def classify_growth(series: GrowthSeries, delta: float,
     """
     radii = series.radii
     resid = series.log_values - delta * radii
-    masks = _window_masks(radii, policy.windows)
+    masks = _window_masks(radii, WindowPolicy())
     peaks = [float(np.max(resid[m])) for m in masks]
     floors = [float(np.min(resid[m])) for m in masks]
     trend_peak = peaks[0] - peaks[-1]

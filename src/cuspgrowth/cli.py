@@ -172,6 +172,8 @@ def _load_tolerances(path: Optional[str]) -> dict:
         coercers = {k: float for k in TOLERANCE_DEFAULTS}
         tol.update(_parse_kv_file(Path(path), coercers))
     for key, value in tol.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         if key == "fit_pad":
             if value < 0:
                 raise ConfigError(f"{key} must be nonnegative")

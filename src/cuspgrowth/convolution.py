@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -319,10 +319,6 @@ class Band:
         if self.upper < self.lower:
             raise DomainError("band upper edge below lower edge")
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
 
 def _orbital_factor(cusp: CuspModel, h_y: float):
     prof = cusp.profile
@@ -336,24 +332,12 @@ def _orbital_factor(cusp: CuspModel, h_y: float):
 
 
 def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r: float,
-                  *, d0: float = 0.0, log_cpp: float = 0.0,
-                  rel_tol: float = 1e-8) -> Band:
-    """Two-sided envelope for the orbit count toward a point at horoball
-    depth h_y: the ambient model convolved with the parabolic orbit count,
-    with radius shift d0 and log-constant log_cpp absorbed on each side.
-
-    d0 = 0 and log_cpp = 0 degenerate the band to the bare convolution.
-    """
-    if log_cpp < 0:
-        raise DomainError("envelope constant must be at least 1")
+                  *, rel_tol: float = 1e-8) -> float:
+    """ln of the orbit count toward a point at horoball depth h_y: the
+    ambient model convolved with the parabolic orbit count."""
     g_log, g_breaks = _orbital_factor(cusp, h_y)
-
-    def band_edge(radius: float) -> float:
-        return conv_continuous(vg.log_value, g_log, radius, rel_tol=rel_tol,
-                               g_breaks=g_breaks)
-
-    return Band(lower=band_edge(r - d0) - log_cpp,
-                upper=band_edge(r + d0) + log_cpp)
+    return conv_continuous(vg.log_value, g_log, r, rel_tol=rel_tol,
+                           g_breaks=g_breaks)
 
 
 # Below this |d| the series of ln((1 - e^{-|d|}) / |d|) is exact in
@@ -402,19 +386,12 @@ def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
     return logsumexp(_log_exp_linear(y[:-1], y[1:], np.diff(t)))
 
 
-def volume_band(vg: VGammaModel, cusps: Sequence[CuspModel], r: float,
-                *, d0: float = 0.0, log_cppp: float = 0.0,
-                vol_core: float = 1.0,
-                cuspidal: Optional[Sequence[CuspidalInterpolant]] = None,
-                rel_tol: float = 1e-8) -> Band:
-    """Two-sided envelope for ball volume growth: the ambient model
-    convolved with the summed cusp excursion integrals (shift 2 d0), the
-    upper side augmented by the compact-core sweep vol_core * v(R + d0),
-    and the log-constant log_cppp absorbed on each side.
-
-    ``cuspidal`` optionally supplies one CuspidalInterpolant per cusp; by
-    default caches are built on the spot.  With no cusps the band
-    degenerates to the core sweep alone.
+def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
+                r: float, *, rel_tol: float = 1e-8) -> Band:
+    """Two-sided envelope for ball volume growth from one excursion cache
+    per cusp: the lower edge is the ambient model convolved with the
+    summed cusp excursion integrals, the upper edge adds the compact-core
+    sweep v(R).
 
     ln F is linear between the cache nodes and ln v between the kinks of
     its factor, so each convolution is an exact sum of exp-linear
@@ -422,27 +399,9 @@ def volume_band(vg: VGammaModel, cusps: Sequence[CuspModel], r: float,
     is replaced by its secants, which raises the band by at most
     ``rel_tol`` nats; every other factor gives the band exactly.
     """
-    if log_cppp < 0:
-        raise DomainError("envelope constant must be at least 1")
-    if vol_core <= 0:
-        raise DomainError("core volume must be positive")
     if rel_tol <= 0:
         raise DomainError("band tolerance must be positive")
-    if not cusps:
-        return Band(
-            lower=math.log(vol_core) + vg.log_value(r - d0) - log_cppp,
-            upper=math.log(vol_core) + vg.log_value(r + d0) + log_cppp)
-    if cuspidal is None:
-        cuspidal = cuspidal_interpolants(cusps, r + 2.0 * d0 + 1.0)
-    if (len(cuspidal) != len(cusps)
-            or not all(isinstance(c, CuspidalInterpolant) for c in cuspidal)):
+    if not all(isinstance(c, CuspidalInterpolant) for c in caches):
         raise DomainError("need one CuspidalInterpolant per cusp")
-
-    def conv_at(radius: float) -> float:
-        return logsumexp([_log_convolution(vg, c, radius, rel_tol)
-                          for c in cuspidal])
-
-    lower = conv_at(r - 2.0 * d0) - log_cppp
-    core = math.log(vol_core) + vg.log_value(r + d0)
-    upper = log_add(conv_at(r + 2.0 * d0), core) + log_cppp
-    return Band(lower=lower, upper=upper)
+    conv = logsumexp([_log_convolution(vg, c, r, rel_tol) for c in caches])
+    return Band(lower=conv, upper=log_add(conv, vg.log_value(r)))

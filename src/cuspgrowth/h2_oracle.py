@@ -578,9 +578,7 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     xi, yi, zi = _map(math.exp, xl), _map(math.exp, yl), _map(math.exp, zl)
     # d(x, z) = d(z, x) bit for bit: the same squares and product
     d_zx, d_zy = _h2_distances(zr, zi, xr, xi), _h2_distances(zr, zi, yr, yi)
-    ok = np.minimum(d_zx, d_zy) >= 1e-9
-    xr, xi, yr, yi, zr, zi = (v[ok] for v in (xr, xi, yr, yi, zr, zi))
-    excess = d_zx[ok] + d_zy[ok] - _h2_distances(xr, xi, yr, yi)
+    excess = d_zx + d_zy - _h2_distances(xr, xi, yr, yi)
     ux, uy = _tangents_toward(zr, zi, xr, xi)
     vx, vy = _tangents_toward(zr, zi, yr, yi)
     angle = _map(math.acos,
@@ -857,15 +855,17 @@ class CountingBandReport:
 
 # verify_counting compares the counts toward the point at cusp depth
 # _COUNTING_DEPTH with the counting band, computed to _COUNTING_REL_TOL,
-# on np.arange(_COUNTING_R_MIN, r_cap, _COUNTING_STEP) with r_cap included
+# on np.arange(_COUNTING_R_MIN, _COUNTING_R_CAP, _COUNTING_STEP) with
+# _COUNTING_R_CAP included; it fits on the radii up to _COUNTING_FIT_MAX
 _COUNTING_DEPTH = 2.0
 _COUNTING_R_MIN = 4.0
+_COUNTING_R_CAP = 12.0
+_COUNTING_FIT_MAX = 6.0
 _COUNTING_STEP = 0.25
 _COUNTING_REL_TOL = 1e-8
 
 
-def verify_counting(*, r_cap: float = 12.0, fit_max: float = 6.0,
-                    fit_pad: float = 0.05) -> CountingBandReport:
+def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
     """Check exact orbit counts toward a point at cusp depth
     ``_COUNTING_DEPTH`` against the convolution counting band.
 
@@ -875,11 +875,8 @@ def verify_counting(*, r_cap: float = 12.0, fit_max: float = 6.0,
     radii, padded for the residual approach drift of the count toward its
     limit constant, then frozen and asserted outside.
     """
-    _check_cap(r_cap)
-    if not _COUNTING_R_MIN < fit_max < r_cap:
-        raise DomainError(f"need {_COUNTING_R_MIN!r} < fit_max < r_cap")
-    norms = _sorted_norms(r_cap, _COUNTING_DEPTH)["group"]
-    radii = np.arange(_COUNTING_R_MIN, r_cap + 1e-12, _COUNTING_STEP)
+    norms = _sorted_norms(_COUNTING_R_CAP, _COUNTING_DEPTH)["group"]
+    radii = np.arange(_COUNTING_R_MIN, _COUNTING_R_CAP + 1e-12, _COUNTING_STEP)
     counts = np.searchsorted(norms, radii, side="left").astype(float)
     log_emp = np.log(counts)
 
@@ -889,18 +886,19 @@ def verify_counting(*, r_cap: float = 12.0, fit_max: float = 6.0,
     vg = VGammaModel(1.0, ConstantFactor())
     mids = np.array([
         counting_band(vg, cusp, _COUNTING_DEPTH, float(x),
-                      rel_tol=_COUNTING_REL_TOL).mid
+                      rel_tol=_COUNTING_REL_TOL)
         for x in radii])
 
     dev = log_emp - mids
-    fit_mask = radii <= fit_max + 1e-12
+    fit_mask = radii <= _COUNTING_FIT_MAX + 1e-12
     max_fit = float(np.max(np.abs(dev[fit_mask])))
     log_c = max_fit + fit_pad
     max_assert = float(np.max(np.abs(dev[~fit_mask])))
     center = float(np.mean(dev[fit_mask]))
     drift = float(np.max(np.abs(dev[~fit_mask] - center)))
     return CountingBandReport(
-        depth=_COUNTING_DEPTH, fit_max=fit_max, r_cap=r_cap,
+        depth=_COUNTING_DEPTH, fit_max=_COUNTING_FIT_MAX,
+        r_cap=_COUNTING_R_CAP,
         log_constant=log_c, fit_pad=fit_pad, max_fit_deviation=max_fit,
         max_assert_deviation=max_assert, center_offset=center,
         max_center_drift=drift, assert_ok=max_assert <= log_c,

@@ -199,20 +199,20 @@ class TaxonomyReport:
         return "\n".join(lines)
 
 
-# the radius to which classify_lattice samples the parabolic orbit series
+# classify_lattice samples the parabolic orbit series on
+# np.linspace(1, _CLASSIFY_R_MAX, _CLASSIFY_POINTS)
 _CLASSIFY_R_MAX = 4500.0
+_CLASSIFY_POINTS = 1025
 
 
 def classify_lattice(spec: LatticeSpec,
                      *,
-                     r_max: float = _CLASSIFY_R_MAX,
-                     n_points: int = 1025,
                      tol_factor: float = 0.02) -> TaxonomyReport:
     """Sort a lattice specification into the sparse/exotic/pinched
     taxonomy and dispatch its growth predictions.
 
     Per-cusp exponents are estimated from the closed-form parabolic orbit
-    series sampled on [1, r_max]; the default radius covers a full
+    series sampled on [1, _CLASSIFY_R_MAX]; that radius covers a full
     oscillation cycle of every catalog family at desk scale, where the
     finite-radius bias of the window estimator is smallest.  Equality
     tests use the relative tolerance ``tol_factor * delta``, and the
@@ -220,7 +220,7 @@ def classify_lattice(spec: LatticeSpec,
     """
     delta = spec.vgamma.delta
     tol = tol_factor * delta
-    radii = np.linspace(1.0, r_max, n_points)
+    radii = np.linspace(1.0, _CLASSIFY_R_MAX, _CLASSIFY_POINTS)
     estimates = tuple(
         estimate_exponents(sample_orbital_parabolic(c, radii))
         for c in spec.cusps)
@@ -484,7 +484,6 @@ def run_example(name: str,
     and score the computed behaviour against the taxonomy prediction."""
     params = params or default_catalog_params(name)
     spec = catalog_spec(name, params)
-    cusps = spec.cusps
     vg = spec.vgamma
     delta = vg.delta
     taxonomy = classify_lattice(spec)
@@ -494,15 +493,14 @@ def run_example(name: str,
     vgamma_class = classify_growth(
         GrowthSeries(radii, log_vg, label=f"{name}-ambient"), delta, trend).kind
 
-    caches = cuspidal_interpolants(cusps, r_max + 1.0, step=_CACHE_STEP,
+    caches = cuspidal_interpolants(spec.cusps, r_max + 1.0, step=_CACHE_STEP,
                                    rel_tol=rel_tol)
-    bands = [volume_band(vg, cusps, float(r), cuspidal=caches, rel_tol=rel_tol)
-             for r in radii]
+    bands = [volume_band(vg, caches, float(r), rel_tol=rel_tol) for r in radii]
     vx_lower = np.array([b.lower for b in bands])
     vx_upper = np.array([b.upper for b in bands])
     vx_series = GrowthSeries(radii, vx_upper, label=f"{name}-volume")
     vx_class = classify_growth(vx_series, delta, trend).kind
-    vx_rate = estimate_exponents(vx_series, trend.windows).omega_plus
+    vx_rate = estimate_exponents(vx_series).omega_plus
 
     ratio_series = GrowthSeries(radii, vx_upper - log_vg,
                                 label=f"{name}-volume-to-ambient")

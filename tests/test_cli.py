@@ -341,6 +341,13 @@ class TestToleranceFile:
         with pytest.raises(ConfigError, match="nonnegative"):
             self._with(tmp_path, "fit_pad=-0.1\n")
 
+    @pytest.mark.parametrize("line", ["pinch_tol=nan", "rel_tol=inf",
+                                      "fit_pad=inf"])
+    def test_non_finite_rejected(self, tmp_path, line):
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            self._with(tmp_path, line + "\n")
+
 
 class TestExitCodes:
     def test_empty_config_is_config_error(self, tmp_path, capsys):
@@ -358,6 +365,21 @@ class TestExitCodes:
         tol.write_text("weird_knob=1\n")
         rc, _ = _run(tmp_path, "profile-validate", "--tolerances", str(tol))
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line, argv", [
+        # a NaN pinch tolerance passed every comparison and classified the
+        # not-half-pinched family as strictly half-pinched
+        ("pinch_tol=nan", ["lattice-classify", "--name", "sparse-5.2"]),
+        ("rel_tol=inf", ["cusp-analyze", "--name", "sparse-5.2"]),
+    ])
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys,
+                                                  line, argv):
+        tol = tmp_path / "tol.cfg"
+        tol.write_text(line + "\n")
+        rc, out = _run(tmp_path, *argv, "--tolerances", str(tol))
+        assert rc == EXIT_CONFIG
+        assert f"{line.split('=')[0]} must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_failed_claim_is_assertion_failure(self, tmp_path, capsys):
         # a huge trend threshold blinds the classifier to the power-law

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cuspgrowth import taxonomy
+from cuspgrowth import convolution, taxonomy
 from cuspgrowth import (
     CATALOG_IDS,
     Band,
@@ -245,10 +245,9 @@ class TestCuspidalInterpolant:
 class TestCountingBand:
     def test_degenerate_band_matches_closed_form(self):
         vg = VGammaModel(1.0)
-        band = counting_band(vg, _hyperbolic_cusp(), 0.0, 10.0)
+        got = counting_band(vg, _hyperbolic_cusp(), 0.0, 10.0)
         expected = math.log(2.0) + 10.0 + math.log1p(-math.exp(-5.0))
-        assert band.lower == pytest.approx(expected, abs=1e-7)
-        assert band.upper == band.lower
+        assert got == pytest.approx(expected, abs=1e-7)
 
     def test_depth_shifts_count(self):
         # constant curvature: depth h multiplies the parabolic factor by
@@ -257,95 +256,57 @@ class TestCountingBand:
         cusp = _hyperbolic_cusp()
         b0 = counting_band(vg, cusp, 0.0, 10.0)
         b4 = counting_band(vg, cusp, 4.0, 10.0)
-        assert b4.lower - b0.lower == pytest.approx(2.0, abs=1e-7)
-
-    def test_shift_and_constant(self):
-        vg = VGammaModel(1.0)
-        cusp = _hyperbolic_cusp()
-        band = counting_band(vg, cusp, 0.0, 10.0, d0=1.0, log_cpp=math.log(3.0))
-        lo9 = counting_band(vg, cusp, 0.0, 9.0).lower
-        hi11 = counting_band(vg, cusp, 0.0, 11.0).lower
-        assert band.lower == pytest.approx(lo9 - math.log(3.0), abs=1e-9)
-        assert band.upper == pytest.approx(hi11 + math.log(3.0), abs=1e-9)
-
-    def test_rejects_shrinking_constant(self):
-        with pytest.raises(DomainError):
-            counting_band(VGammaModel(1.0), _hyperbolic_cusp(), 0.0, 10.0,
-                          log_cpp=-0.5)
+        assert b4 - b0 == pytest.approx(2.0, abs=1e-7)
 
     def test_band_ordering_enforced(self):
         with pytest.raises(DomainError):
             Band(lower=1.0, upper=0.0)
-        assert Band(0.0, 2.0).mid == 1.0
 
 
 class TestVolumeBand:
     def test_interpolant_path_agrees(self):
         vg = VGammaModel(1.0)
-        band = volume_band(vg, [_hyperbolic_cusp()], 10.0)
+        band = volume_band(vg, cuspidal_interpolants([_hyperbolic_cusp()], 11.0),
+                           10.0)
         assert band.lower == pytest.approx(10.67962568166097, abs=0.02)
 
     def test_two_cusps_double_the_excursion_mass(self):
         vg = VGammaModel(1.0)
         cusp = _hyperbolic_cusp()
         cache = cuspidal_interpolants([cusp], 11.0)
-        one = volume_band(vg, [cusp], 10.0, cuspidal=cache)
-        two = volume_band(vg, [cusp, cusp], 10.0, cuspidal=cache * 2)
+        one = volume_band(vg, cache, 10.0)
+        two = volume_band(vg, cache * 2, 10.0)
         assert two.lower - one.lower == pytest.approx(math.log(2.0), abs=1e-9)
-
-    def test_no_cusps_is_core_sweep(self):
-        vg = VGammaModel(1.0, ConstantFactor(2.0))
-        band = volume_band(vg, [], 5.0, vol_core=3.0)
-        expected = math.log(3.0) + math.log(2.0) + 5.0
-        assert band.lower == band.upper == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_radius(self):
         vg = VGammaModel(1.0)
         cache = cuspidal_interpolants([_hyperbolic_cusp()], 15.0)
-        lows = [volume_band(vg, [_hyperbolic_cusp()], r, cuspidal=cache).lower
+        lows = [volume_band(vg, cache, r).lower
                 for r in (6.0, 8.0, 10.0, 12.0)]
         assert all(b > a for a, b in zip(lows, lows[1:]))
 
-    def test_shifts_and_core(self):
-        vg = VGammaModel(1.0)
-        cusp = _hyperbolic_cusp()
-        cache = cuspidal_interpolants([cusp], 12.0)
-        band = volume_band(vg, [cusp], 10.0, d0=0.5, log_cppp=math.log(2.0),
-                           vol_core=4.0, cuspidal=cache)
-        c9 = volume_band(vg, [cusp], 9.0, cuspidal=cache).lower
-        c11 = volume_band(vg, [cusp], 11.0, cuspidal=cache).lower
-        assert band.lower == pytest.approx(c9 - math.log(2.0), abs=1e-9)
-        expected_upper = np.logaddexp(c11, math.log(4.0) + 10.5) + math.log(2.0)
-        assert band.upper == pytest.approx(float(expected_upper), abs=1e-9)
-
     def test_validation(self):
         vg = VGammaModel(1.0)
-        cusp = _hyperbolic_cusp()
+        cache = cuspidal_interpolants([_hyperbolic_cusp()], 11.0)
         with pytest.raises(DomainError):
-            volume_band(vg, [cusp], 10.0, vol_core=0.0)
-        with pytest.raises(DomainError):
-            volume_band(vg, [cusp], 10.0, log_cppp=-1.0)
-        with pytest.raises(DomainError):
-            volume_band(vg, [cusp], 10.0, rel_tol=0.0)
+            volume_band(vg, cache, 10.0, rel_tol=0.0)
         with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
-            volume_band(vg, [cusp], 10.0,
-                        cuspidal=cuspidal_interpolants([cusp], 11.0) * 2)
-        with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
-            volume_band(vg, [cusp], 10.0, cuspidal=[_exact_hyperbolic_excursion])
+            volume_band(vg, [_exact_hyperbolic_excursion], 10.0)
 
     def test_profile_starting_far_above_zero(self):
         # F vanishes below t = 600, where the cache's floor, weighted by
         # v(700 - t) up to e^1050, would dominate the band (about 305
         # nats); the band is the one of the same profile started at 0
-        def cusp(t0):
-            return CuspModel(assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+        def cache(t0, r_max):
+            cusp = CuspModel(assemble_profile(CurvatureBounds(a=1.0, b=1.0),
                                               [pure_piece(t0, INF, 1.0)]))
+            return cuspidal_interpolants([cusp], r_max)
 
         vg = VGammaModel(1.5)
-        band = volume_band(vg, [cusp(600.0)], 700.0)
+        band = volume_band(vg, cache(600.0, 701.0), 700.0)
         assert band.lower == pytest.approx(149.6, abs=0.1)
         assert band.lower == pytest.approx(
-            volume_band(vg, [cusp(0.0)], 100.0).lower, abs=1e-9)
+            volume_band(vg, cache(0.0, 101.0), 100.0).lower, abs=1e-9)
 
     def test_exact_where_the_floor_meets_the_extrapolation(self):
         # ln F = -700 + 100 (t - 2) on the cache, floored at -745 below
@@ -354,12 +315,40 @@ class TestVolumeBand:
         cache = CuspidalInterpolant(_hyperbolic_cusp(), 3.0)
         cache.nodes = np.array([2.0, 3.0])
         cache.values = np.array([-700.0, -600.0])
-        band = volume_band(VGammaModel(200.0), [_hyperbolic_cusp()], 3.0,
-                           cuspidal=[cache])
+        band = volume_band(VGammaModel(200.0), [cache], 3.0)
         floored = -145.0 - math.log(200.0) + math.log1p(-math.exp(-310.0))
         rising = -455.0 - math.log(100.0) + math.log1p(-math.exp(-145.0))
         assert band.lower == pytest.approx(float(np.logaddexp(floored, rising)),
                                            abs=1e-12)
+
+
+class TestOneConvolutionPerRadius:
+    """Each band evaluates its convolution once per radius and cusp."""
+
+    def test_volume_band(self, monkeypatch):
+        seen = []
+        original = convolution._log_convolution
+
+        def counted(vg, cache, rho, rel_tol):
+            seen.append((cache, rho))
+            return original(vg, cache, rho, rel_tol)
+
+        monkeypatch.setattr(convolution, "_log_convolution", counted)
+        caches = cuspidal_interpolants([_hyperbolic_cusp()] * 2, 11.0)
+        volume_band(VGammaModel(1.0), caches, 10.0)
+        assert seen == [(caches[0], 10.0), (caches[1], 10.0)]
+
+    def test_counting_band(self, monkeypatch):
+        radii = []
+        original = convolution.conv_continuous
+
+        def counted(f_log, g_log, r, **kwargs):
+            radii.append(r)
+            return original(f_log, g_log, r, **kwargs)
+
+        monkeypatch.setattr(convolution, "conv_continuous", counted)
+        counting_band(VGammaModel(1.0), _hyperbolic_cusp(), 0.0, 10.0)
+        assert radii == [10.0]
 
 
 def _mp_segment(y_a: float, y_b: float, h: float) -> float:
@@ -436,8 +425,8 @@ class TestBandAgainstQuadrature:
         radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)[::8]
         assert radii[0] == 1.0 and radii[-1] == 500.0
         for r in radii:
-            band = volume_band(spec.vgamma, spec.cusps, float(r),
-                               cuspidal=caches, rel_tol=self.REL_TOL)
+            band = volume_band(spec.vgamma, caches, float(r),
+                               rel_tol=self.REL_TOL)
             lower, upper = _quadrature_band(spec.vgamma, caches, float(r),
                                             self.REL_TOL)
             assert band.lower == pytest.approx(lower, abs=2 * self.REL_TOL), r

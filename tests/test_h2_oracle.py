@@ -467,12 +467,6 @@ class TestCountingBand:
         assert rep.max_assert_deviation <= rep.log_constant
         assert rep.max_center_drift < 0.15
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            verify_counting(r_cap=6.0, fit_max=6.0)
-        with pytest.raises(EnumerationCapError):
-            verify_counting(r_cap=R_CAP + 1.0)
-
 
 # Each consumer at a radius of its own, so that a fresh ball is built at
 # exactly the radius it requests.  The warm balls are larger than every

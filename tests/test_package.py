@@ -16,6 +16,7 @@ import cuspgrowth
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
 INIT = Path(cuspgrowth.__file__)
+SOURCES = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
 
 
 def _top_level_imports(path: Path) -> set[str]:
@@ -94,3 +95,31 @@ def test_reexported_functions_return_reexported_types():
                     and getattr(cuspgrowth, cls.__name__, None) is not cls):
                 unexported.append(f"{name} -> {cls.__name__}")
     assert unexported == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a name listed in the
+    module's ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # the package's __init__ imports only to re-export, so it is exempt
+    assert _unused_imports(path) == []

@@ -178,7 +178,7 @@ class TestClassifyLattice:
             vgamma=VGammaModel(1.0, ConstantFactor()),
             bounds=CurvatureBounds(a=1.0, b=1.0),
             dominant_flags=(False, False))
-        rep = classify_lattice(spec, r_max=200.0, n_points=257)
+        rep = classify_lattice(spec)
         assert not rep.sparse
         assert not rep.exotic
         assert rep.pinch_class == PINCH_STRICT
@@ -197,7 +197,7 @@ class TestClassifyLattice:
             bounds=CurvatureBounds(a=1.0, b=1.0),
             dominant_flags=(True,))
         with pytest.raises(ConfigError, match="flagged dominant"):
-            classify_lattice(spec, r_max=200.0, n_points=257)
+            classify_lattice(spec)
 
     def test_ambient_exponent_cannot_undercut_cusps(self):
         spec = LatticeSpec(
@@ -206,7 +206,7 @@ class TestClassifyLattice:
             bounds=CurvatureBounds(a=1.0, b=2.0),
             dominant_flags=(False,))
         with pytest.raises(ConfigError, match="outgrow"):
-            classify_lattice(spec, r_max=200.0, n_points=257)
+            classify_lattice(spec)
 
     def test_critical_gap_rejects_dominant_flags(self):
         spec = LatticeSpec(
@@ -215,7 +215,7 @@ class TestClassifyLattice:
             bounds=CurvatureBounds(a=1.0, b=2.0),
             dominant_flags=(True,))
         with pytest.raises(ConfigError, match="quarter-pinch"):
-            classify_lattice(spec, r_max=200.0, n_points=257)
+            classify_lattice(spec)
 
     def test_sparse_family_decision(self):
         rep = _classified("sparse-5.2")
