@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .numerics import (_NEGLIGIBLE_NATS, _gauss_panel_nats, _log_gauss_sums,
-                       log_add, log_integral, log_upper_gamma)
+from .numerics import (_gauss_panel_nats, _log_gauss_sums, log_add,
+                       log_integral, log_upper_gamma)
 from .profiles import Profile
 
 __all__ = [
@@ -65,6 +65,10 @@ class CuspModel:
     def dim(self) -> int:
         return self.profile.bounds.n
 
+
+# Stretches of an excursion integrand this many nats below the radius's
+# total cannot move a 1e-8 relative target and are dropped.
+_NEGLIGIBLE_NATS = 46.0
 
 # Radii are cut into segments in blocks of this many, and integrated in
 # chunks of about this many panels, so that the segment and node arrays,

@@ -7,7 +7,8 @@ Every float is emitted through repr and nothing records wall-clock
 state, so identical configurations produce byte-identical outputs.
 
 Exit codes: 0 all assertions passed, 1 at least one assertion failed,
-2 configuration problem, 3 internal error.
+2 configuration problem, 3 internal error, 4 numerical failure (an
+integral missed its tolerance within its budget).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .asymptotics import (
     sample_orbital_parabolic,
     series_convergence_at,
 )
-from .errors import CatalogError, ConfigError, CuspGrowthError
+from .errors import CatalogError, ConfigError, CuspGrowthError, QuadratureError
 from .h2_oracle import (
     _DELTA_POINTS,
     _DELTA_POLICY,
@@ -65,6 +66,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+EXIT_NUMERICAL = 4
 
 COMMANDS = ("profile-validate", "cusp-analyze", "lattice-classify",
             "example-run", "oracle-verify")
@@ -540,6 +542,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return run(cfg)
+    except QuadratureError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except CuspGrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

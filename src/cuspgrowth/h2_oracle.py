@@ -218,9 +218,10 @@ def _check_cap(r: float, cap: float = R_CAP) -> None:
             f"radius {r!r} exceeds the enumeration cap {cap!r}")
 
 
-def _euclid_coefficient(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Elementwise extended Euclid on coprime int64 arrays, a > 0, c >= 0:
-    the v of a*u + c*v = 1 (u = (1 - c*v) / a is exact, so untracked)."""
+def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise extended Euclid on int64 arrays, a > 0, c >= 0: g =
+    gcd(a, c) and the v of a*u + c*v = g (u = (g - c*v) / a is exact, so
+    untracked)."""
     old_r, r = a.copy(), c.copy()
     old_v, v = np.zeros_like(a), np.ones_like(a)
     live = np.flatnonzero(r)
@@ -230,7 +231,7 @@ def _euclid_coefficient(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         old_r[live], r[live] = r_l, old_r[live] - q * r_l
         old_v[live], v[live] = v_l, old_v[live] - q * v_l
         live = live[r[live] != 0]
-    return old_v
+    return old_r, old_v
 
 
 def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +260,11 @@ def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
     run, step = _ragged_offsets(c_max // 2 + 1)
     a, c = a[run], 2 * step
     col = a * a + c * c
-    keep = (col * eh <= s_cap) & (np.gcd(a, c) == 1)
+    keep = col * eh <= s_cap
     a, c, col = a[keep], c[keep], col[keep]
-    v = _euclid_coefficient(a, c)
+    g, v = _euclid(a, c)
+    coprime = g == 1
+    a, c, col, v = a[coprime], c[coprime], col[coprime], v[coprime]
     # a*d0 - c*b0 = 1 from a*u + c*v = 1
     b0, d0 = -v, (1 - c * v) // a
     # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}

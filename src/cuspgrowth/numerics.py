@@ -3,11 +3,11 @@
 Every quantity of interest in this package is a positive number that can
 span thousands of e-folds across a single evaluation window, so all sums,
 integrals and tail estimates are carried out on natural logarithms.  The
-kernels here are deliberately small: a stable log-sum-exp, an adaptive
-composite-Simpson rule that integrates ``exp(f)`` given only ``f``, a
-checked Gauss-Legendre panel rule that sums ``exp(f)`` over many panel
-groups in one array evaluation, the upper incomplete gamma function, and
-a doubling-window tail analyser.
+kernels here are deliberately small: a stable log-sum-exp, one checked
+Gauss-Legendre panel rule that integrates ``exp(f)`` given only ``f``
+(``log_integral`` for a single integral, ``_log_gauss_sums`` for many
+panel groups in one array evaluation), the upper incomplete gamma
+function, and a doubling-window tail analyser.
 """
 
 from __future__ import annotations
@@ -60,78 +60,6 @@ def log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def _simpson_log(f_log: Callable[[np.ndarray], np.ndarray],
-                 lo: float, hi: float, panels: int) -> float:
-    """Composite Simpson value of ln(integral of exp(f_log)) on [lo, hi]."""
-    t = np.linspace(lo, hi, 2 * panels + 1)
-    y = np.asarray(f_log(t), dtype=float)
-    if y.shape != t.shape:
-        raise DomainError("log integrand must be vectorized over its input")
-    if np.isnan(y).any():
-        raise DomainError(f"log integrand returned NaN on [{lo}, {hi}]")
-    w = np.full(t.size, 2.0)
-    w[0] = w[-1] = 1.0
-    w[1::2] = 4.0
-    h = (hi - lo) / (2 * panels)
-    return logsumexp(y + np.log(w)) + math.log(h / 3.0)
-
-
-# Segments whose coarse estimate sits this many nats below the running
-# maximum cannot move a 1e-8 relative target and are left unrefined.
-_NEGLIGIBLE_NATS = 46.0
-
-
-def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
-                 lo: float,
-                 hi: float,
-                 *,
-                 rel_tol: float = 1e-8,
-                 breakpoints: Sequence[float] = (),
-                 max_panels: int = 1 << 20,
-                 min_panels: int = 8) -> float:
-    """ln of the integral of exp(f_log) over [lo, hi].
-
-    The interval is split at the supplied breakpoints (points where the
-    integrand is continuous but not smooth, e.g. profile piece joins) and
-    each smooth segment is refined by panel doubling until two successive
-    Simpson values agree to ``rel_tol`` in the linear domain.  Raises
-    QuadratureError, carrying the partial estimate, if any single segment
-    still disagrees at ``max_panels`` panels.
-    """
-    if not (hi >= lo):
-        raise DomainError(f"bad integration interval [{lo}, {hi}]")
-    if hi == lo:
-        return NEG_INF
-    cuts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
-    segments = list(zip(cuts[:-1], cuts[1:]))
-
-    estimates = [_simpson_log(f_log, a, b, min_panels) for a, b in segments]
-    total = logsumexp(estimates)
-
-    for i, (a, b) in enumerate(segments):
-        if estimates[i] < total - _NEGLIGIBLE_NATS:
-            continue
-        panels = min_panels
-        prev = estimates[i]
-        while True:
-            panels *= 2
-            if panels > max_panels:
-                estimates[i] = prev
-                raise QuadratureError(
-                    f"panel budget {max_panels} exhausted on [{a}, {b}]",
-                    log_partial=logsumexp(estimates))
-            cur = _simpson_log(f_log, a, b, panels)
-            if prev == NEG_INF and cur == NEG_INF:
-                break
-            if prev > NEG_INF and abs(1.0 - math.exp(min(cur - prev, 700.0))) <= rel_tol:
-                prev = cur
-                break
-            prev = cur
-        estimates[i] = prev
-        total = logsumexp(estimates)
-    return total
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +124,8 @@ def _log_gauss(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     acc = e[:, 0].copy()
     for k in range(1, e.shape[1]):
         acc += e[:, k]
-    return m + np.log(acc) + np.log(half)
+    with np.errstate(divide="ignore"):
+        return m + np.log(acc) + np.log(half)
 
 
 def _group_logsumexp(y: np.ndarray, group: np.ndarray,
@@ -205,14 +134,16 @@ def _group_logsumexp(y: np.ndarray, group: np.ndarray,
     holds the index where each run begins."""
     m = np.maximum.reduceat(y, first)
     m = np.where(m == NEG_INF, 0.0, m)
-    return m + np.log(np.bincount(group, weights=np.exp(y - m[group]),
-                                  minlength=first.size))
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.bincount(group, weights=np.exp(y - m[group]),
+                                      minlength=first.size))
 
 
 def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
                    *, rel_tol: float,
-                   label: Callable[[int], str] = "group {}".format) -> np.ndarray:
+                   label: Callable[[int], str] = "group {}".format,
+                   max_halvings: Optional[int] = None) -> np.ndarray:
     """ln of the integral of exp(f_log) over the union of each group's
     panels, for all groups at once.
 
@@ -222,14 +153,17 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Every panel is integrated by the 8-point Gauss-Legendre rule, and
     again on its two halves.  A group passes when the summed magnitude of
     its panels' differences between the two stays within ``rel_tol`` of
-    its total; it then gets the finer value.  The panels of the groups
-    that miss are halved and checked again, at most ``_MAX_HALVINGS``
-    times, after which QuadratureError, naming the group by ``label``, is
-    raised with its finest estimate as ``log_partial``.  No value is
-    returned unchecked.
+    its total, or when both are zero; it then gets the finer value.  The
+    panels of the groups that miss are halved and checked again, at most
+    ``max_halvings`` times (default ``_MAX_HALVINGS``, read at call time),
+    after which QuadratureError, naming the group by ``label``, is raised
+    with its finest estimate as ``log_partial``.  No value is returned
+    unchecked.
     """
     if not rel_tol > 0:
         raise DomainError("rel_tol must be positive")
+    if max_halvings is None:
+        max_halvings = _MAX_HALVINGS
     out = np.empty(int(group[-1]) + 1)
     pending = np.arange(out.size)
     which = np.arange(lo.size)
@@ -242,7 +176,7 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
         fine = np.logaddexp(left, right)
         first = np.flatnonzero(np.diff(group, prepend=-1))
         total = _group_logsumexp(fine, group, first)
-        scale = total[group]
+        scale = np.where(total == NEG_INF, 0.0, total)[group]
         err = np.bincount(group, weights=np.abs(np.exp(fine - scale)
                                                 - np.exp(coarse - scale)),
                           minlength=first.size)
@@ -251,7 +185,7 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
         if ok.all():
             return out
         bad = int(np.flatnonzero(~ok)[0])
-        if halvings == _MAX_HALVINGS:
+        if halvings == max_halvings:
             raise QuadratureError(
                 f"{label(int(pending[bad]))}: the Gauss-Legendre panels and "
                 f"their halves still differ by {float(err[bad]):.3g} "
@@ -265,6 +199,52 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   np.stack([mid[redo], hi[redo]], axis=1).ravel())
         coarse = np.stack([left[redo], right[redo]], axis=1).ravel()
         which = np.repeat(which[redo], 2)
+
+
+def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
+                 lo: float,
+                 hi: float,
+                 *,
+                 rel_tol: float = 1e-8,
+                 breakpoints: Sequence[float] = (),
+                 max_panels: int = 1 << 20,
+                 min_panels: int = 8) -> float:
+    """ln of the integral of exp(f_log) over [lo, hi].
+
+    The interval is cut at the supplied breakpoints (points where the
+    integrand is continuous but not smooth, e.g. profile piece joins) and
+    each piece into ``min_panels`` equal panels.  The panels form one
+    group of ``_log_gauss_sums``, whose check halves them all until the
+    Gauss-Legendre panels and their halves agree to ``rel_tol`` of the
+    total.  The halvings stop where the next level would evaluate more
+    than 2 max_panels + 1 abscissae on a piece, as many as a composite
+    rule of ``max_panels`` panels (the first level is always checked);
+    QuadratureError, carrying the finest estimate, is raised there.
+    ``f_log`` gets a flat array of abscissae.
+    """
+    if not (hi >= lo):
+        raise DomainError(f"bad integration interval [{lo}, {hi}]")
+    if hi == lo:
+        return NEG_INF
+    cuts = np.array(sorted({lo, hi, *(float(b) for b in breakpoints
+                                      if lo < b < hi)}))
+    edges = cuts[:-1, None] + np.outer(np.diff(cuts),
+                                       np.arange(min_panels + 1) / min_panels)
+    edges[:, -1] = cuts[1:]
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+
+    def f_panels(t, _):
+        y = np.asarray(f_log(t.ravel()), dtype=float)
+        if y.shape != (t.size,):
+            raise DomainError("log integrand must be vectorized over its input")
+        return y.reshape(t.shape)
+
+    # level h evaluates 16 min_panels 2^h abscissae on each piece
+    halvings = max((max_panels // (8 * min_panels)).bit_length() - 1, 0)
+    return float(_log_gauss_sums(
+        f_panels, a, b, np.zeros(a.size, dtype=np.int64), rel_tol=rel_tol,
+        label=lambda _: f"the integral over [{lo}, {hi}]",
+        max_halvings=halvings)[0])
 
 
 _GAMMA_EPS = 1e-16      # relative step that ends the continued fraction
@@ -388,20 +368,14 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
     for k in range(max_windows):
         a = t0 * (2.0 ** k)
         b = t0 * (2.0 ** (k + 1))
-        coarse = _simpson_log(f_log, a, b, 8)
-        if segs and coarse <= total - _NEGLIGIBLE_NATS:
-            # Cannot move the accumulated mass, and is as decisive for the
-            # ratio tests as a refined value would be.
-            seg = coarse
-        else:
-            try:
-                seg = log_integral(f_log, a, b, rel_tol=rel_tol)
-            except QuadratureError as exc:
-                # Deep windows evaluate the integrand as a difference of
-                # huge terms, whose rounding noise puts rel_tol out of
-                # reach; the partial estimate is still far more accurate
-                # than the ratio thresholds require.
-                seg = exc.log_partial
+        try:
+            seg = log_integral(f_log, a, b, rel_tol=rel_tol)
+        except QuadratureError as exc:
+            # Deep windows evaluate the integrand as a difference of huge
+            # terms, whose rounding noise puts rel_tol out of reach; the
+            # partial estimate is still far more accurate than the ratio
+            # thresholds require.
+            seg = exc.log_partial
         segs.append(seg)
         total = logsumexp(segs)
         if k >= 1:

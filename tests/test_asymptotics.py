@@ -22,8 +22,6 @@ from cuspgrowth.asymptotics import (
     sample_orbital_parabolic,
     GrowthClass,
     GrowthSeries,
-    TrendPolicy,
-    WindowPolicy,
     classify_growth,
     critical_exponent_chain_bound,
     log_cuspidal,
@@ -35,7 +33,7 @@ from cuspgrowth.asymptotics import (
     sample_cuspidal,
 )
 from cuspgrowth.convolution import CuspidalInterpolant
-from cuspgrowth.numerics import log_integral, log_tail_integral
+from cuspgrowth.numerics import log_tail_integral
 from cuspgrowth.profiles import (
     CATALOG_IDS,
     CatalogParams,
@@ -47,6 +45,7 @@ from cuspgrowth.profiles import (
     pure_piece,
 )
 from cuspgrowth.taxonomy import _CACHE_STEP, catalog_spec
+from simpson_reference import simpson_log_integral
 
 INF = float("inf")
 
@@ -171,8 +170,8 @@ def _adaptive_log_cuspidal(cusp, r, rel_tol):
     def f_log(t):
         return n1 * (prof.log_value(t) - prof.log_value((r + t) / 2.0))
 
-    return log_integral(f_log, prof.t_start, r, rel_tol=rel_tol,
-                        breakpoints=_excursion_cuts(prof, r))
+    return simpson_log_integral(f_log, prof.t_start, r, rel_tol=rel_tol,
+                                breakpoints=_excursion_cuts(prof, r))
 
 
 class TestBatchedExcursion:

@@ -2,8 +2,9 @@
 
 Exercises configuration resolution (flag beats config file beats
 default), the key=value parser's failure modes, the exit-code contract
-(0 pass, 1 assertion failure, 2 bad configuration), artifact layout,
-and byte-level reproducibility of a fixed invocation.
+(0 pass, 1 assertion failure, 2 bad configuration, 4 numerical
+failure), artifact layout, and byte-level reproducibility of a fixed
+invocation.
 """
 
 import json
@@ -11,10 +12,11 @@ import math
 
 import pytest
 
-from cuspgrowth import cli, h2_oracle
+from cuspgrowth import cli, h2_oracle, numerics
 from cuspgrowth.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_NUMERICAL,
     EXIT_PASS,
     TOLERANCE_DEFAULTS,
     build_parser,
@@ -379,6 +381,19 @@ class TestExitCodes:
         rc, out = _run(tmp_path, *argv, "--tolerances", str(tol))
         assert rc == EXIT_CONFIG
         assert f"{line.split('=')[0]} must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_quadrature_miss_is_numerical_failure(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # with no halving allowed, an excursion integral of the sparse
+        # family misses a 1e-12 tolerance and raises QuadratureError
+        monkeypatch.setattr(numerics, "_MAX_HALVINGS", 0)
+        tol = tmp_path / "tol.cfg"
+        tol.write_text("rel_tol=1e-12\n")
+        rc, out = _run(tmp_path, "cusp-analyze", "--name", "sparse-5.2",
+                       "--tolerances", str(tol))
+        assert rc == EXIT_NUMERICAL
+        assert "numerical failure: the excursion integral" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_failed_claim_is_assertion_failure(self, tmp_path, capsys):

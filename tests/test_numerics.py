@@ -18,6 +18,7 @@ from cuspgrowth.numerics import (
     log_upper_gamma,
     logsumexp,
 )
+from simpson_reference import simpson_log_integral
 
 
 class TestLogSumExp:
@@ -94,6 +95,73 @@ class TestLogIntegral:
         # integral of t^3 over [1, 4] = (4^4 - 1)/4 = 63.75
         got = log_integral(lambda t: 3.0 * np.log(t), 1.0, 4.0)
         assert got == pytest.approx(math.log(63.75), abs=2e-8)
+
+
+def _kink(t):
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 5.0, -t, -2.0 * t + 5.0)
+
+
+# numpy log integrand, mpmath log integrand, lo, hi, breakpoints
+_INTEGRALS = [
+    pytest.param(lambda t: t, lambda t: t, 0.0, 1.0, (), id="exp"),
+    pytest.param(lambda t: -t - 5000.0, lambda t: -t - 5000, 0.0, 10.0, (),
+                 id="deep"),
+    pytest.param(_kink, lambda t: -t if t < 5 else -2 * t + 5, 0.0, 10.0,
+                 (5.0,), id="kink"),
+    pytest.param(lambda t: 3.0 * np.log(t), lambda t: 3 * mpmath.log(t),
+                 1.0, 4.0, (), id="cubic"),
+    pytest.param(lambda t: t, lambda t: t, 2.0, 2.0, (), id="zero-width"),
+]
+
+
+def _mp_log_integral(g, lo, hi, breakpoints):
+    """ln of the integral of exp(g) by mpmath at 50 digits, shifted by
+    g(lo) so that quad's absolute error test sees a mass near one."""
+    with mpmath.workdps(50):
+        shift = g(mpmath.mpf(lo))
+        mass = mpmath.quad(lambda t: mpmath.exp(g(t) - shift),
+                           [lo, *breakpoints, hi])
+        return float(mpmath.log(mass) + shift) if mass else -math.inf
+
+
+class TestLogIntegralDifferential:
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("f, g, lo, hi, breaks", _INTEGRALS)
+    def test_against_mpmath_and_simpson(self, f, g, lo, hi, breaks, rel_tol):
+        got = log_integral(f, lo, hi, rel_tol=rel_tol, breakpoints=breaks)
+        exact = _mp_log_integral(g, lo, hi, breaks)
+        simpson = simpson_log_integral(f, lo, hi, rel_tol=rel_tol,
+                                       breakpoints=breaks)
+        if exact == -math.inf:
+            assert got == simpson == -math.inf
+            return
+        assert got == pytest.approx(exact, rel=0, abs=rel_tol)
+        assert got == pytest.approx(simpson, rel=0, abs=rel_tol)
+
+    def test_zero_integrand(self):
+        assert log_integral(lambda t: np.full(t.shape, -math.inf),
+                            0.0, 1.0) == -math.inf
+
+    def test_finest_level_within_the_simpson_budget(self):
+        # Simpson's finest level at max_panels panels takes 2 max_panels + 1
+        # abscissae; the Gauss halves of the last level checked take no more
+        max_panels = 1024
+        sizes = []
+
+        def wavy(t):
+            sizes.append(t.size)
+            return np.sin(50.0 * t)
+
+        with pytest.raises(QuadratureError) as exc:
+            log_integral(wavy, 0.0, 20.0, max_panels=max_panels)
+        assert math.isfinite(exc.value.log_partial)
+        # the finest level evaluates the left halves, then the right ones
+        assert sizes[-2] == sizes[-1] == max(sizes)
+        assert 2 * sizes[-1] <= 2 * max_panels + 1
+        with pytest.raises(QuadratureError):
+            simpson_log_integral(wavy, 0.0, 20.0, max_panels=max_panels)
+        assert sizes[-1] == 2 * max_panels + 1
 
 
 def _exp_linear(slopes):

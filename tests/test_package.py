@@ -119,7 +119,8 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     # the package's __init__ imports only to re-export, so it is exempt
     assert _unused_imports(path) == []

@@ -1,8 +1,6 @@
 """Tests for the lattice taxonomy, the quarter-pinch gate, and the
 catalog example driver."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
