@@ -125,7 +125,7 @@ def _log_excursion_block(cusp: CuspModel, radii: np.ndarray,
         worst = int(np.argmax(panels))
         raise QuadratureError(
             f"the excursion integral at R={float(radii[worst])!r} needs "
-            f"{int(panels[worst])} panels, over the budget of {_MAX_RADIUS_PANELS}")
+            f"{panels[worst]:.0f} panels, over the budget of {_MAX_RADIUS_PANELS}")
     out = np.empty(radii.size)
     # chunk c holds the radii whose panels begin in [c, c + 1) budgets
     chunk = (np.cumsum(panels) - panels) // _CHUNK_PANELS
@@ -141,7 +141,8 @@ def _log_excursion_block(cusp: CuspModel, radii: np.ndarray,
 class _Segments:
     """Smooth stretches [lo, hi] of the excursion integrals of a radius
     array, in radius order: ``owner`` indexes the radius, ``slope`` bounds
-    the log integrand's slope, ``count`` is the number of panels and
+    the log integrand's slope, ``count`` is the number of panels (float,
+    so that the budget check sees counts past 2^63 unwrapped) and
     ``floor`` the log integrand below which the radius drops mass."""
     owner: np.ndarray
     lo: np.ndarray
@@ -214,8 +215,8 @@ def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
     live = stop > start
     start, stop, slope = start[live], stop[live], slope[live]
     count = np.ceil(slope * (stop - start) / _gauss_panel_nats(rel_tol))
-    return _Segments(owner[live], start, stop, slope,
-                     np.maximum(count, 1.0).astype(np.int64), floor[live])
+    return _Segments(owner[live], start, stop, slope, np.maximum(count, 1.0),
+                     floor[live])
 
 
 def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
@@ -223,11 +224,12 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
     """ln F at each radius, from the radii's segments."""
     f_log = _excursion_log_integrand(cusp)
     # panel k of a segment is [x_k, x_{k+1}], x_k = lo + k h, x_count = hi
-    ends = segs.count + 1
+    count = segs.count.astype(np.int64)
+    ends = count + 1
     seg = np.repeat(np.arange(segs.lo.size), ends)
     k = np.arange(seg.size) - np.repeat(np.cumsum(ends) - ends, ends)
-    step = (segs.hi - segs.lo) / segs.count
-    last = k == segs.count[seg]
+    step = (segs.hi - segs.lo) / count
+    last = k == count[seg]
     x = np.where(last, segs.hi[seg], segs.lo[seg] + k * step[seg])
     fx = f_log(x, radii[segs.owner[seg]])
     left = np.flatnonzero(~last)

@@ -109,6 +109,18 @@ _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
 _OVERRIDES = {"b": ("b", "rate_fast"), "gamma": ("gamma", "gamma"),
               "M": ("m", "m"), "mu": ("mu", "mu")}
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, "
+                         f"got {text!r}") from None
+
+
 _COERCE: dict[str, Callable[[str], object]] = {
     "command": str,
     "name": str,
@@ -122,7 +134,7 @@ _COERCE: dict[str, Callable[[str], object]] = {
     "mu": float,
     "out": str,
     "tolerances": str,
-    "plot_script": lambda s: s.strip().lower() in ("1", "true", "yes"),
+    "plot_script": _boolean,
 }
 
 
@@ -160,6 +172,8 @@ def _parse_kv_file(path: Path, allowed: dict) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} "
                 f"(known: {', '.join(sorted(allowed))})")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         try:
             out[key] = allowed[key](value)
         except ValueError as exc:
@@ -262,6 +276,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in ("b", "gamma", "mu"):  # --M is an integer
         if pick(key) is not None:
             _check_number(key, pick(key), command)
+    if not pick("out"):
+        # an empty path would write the artifacts into the working directory
+        raise ConfigError("--out must name a directory, got ''")
     return ExperimentConfig(
         command=command,
         name=name,

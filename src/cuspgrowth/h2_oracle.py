@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -357,6 +357,14 @@ def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return np.sort(np.minimum.reduceat(w[order], starts))
 
 
+def _distances(sums: np.ndarray) -> np.ndarray:
+    """MoebiusElement.displacement of each sorted weighted sum, in the same
+    float operations, taken once per distinct sum."""
+    first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
+    dist = _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
+    return np.repeat(dist, np.diff(np.r_[first, sums.size]))
+
+
 # Largest complete ball built so far per base-point depth h, as h ->
 # (radius, sorted norms).  Serving a smaller radius from it is exact: every
 # count is searchsorted(norms, x, side="left") with x at most the radius
@@ -366,56 +374,47 @@ _BALLS: dict[float, tuple[float, dict[str, np.ndarray]]] = {}
 
 
 def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
-    """Sorted displacement arrays for the four counted objects: group
-    elements, left cosets, right cosets, and nontrivial double cosets,
-    complete below radius r about the base point i * e^h.  The oracle's
-    one enumeration path: the arrays are shared and read-only, and a
-    request above the ball held at depth h replaces it.
+    """Sorted displacement arrays of the counted objects, complete below
+    radius r about the base point i * e^h: the group elements, and at
+    h = 0 also the left cosets, right cosets and nontrivial double
+    cosets.  The oracle's one enumeration path: the arrays are shared and
+    read-only, and a request above the ball held at depth h replaces it.
 
-    Coset norms are minima of the displacement over the coset; since the
-    enumeration below radius r is complete, a group-by minimum over it
-    equals the true minimum whenever that minimum is below r, which is
-    all the counting functions ever read.
+    The displacement acosh(max(1, s/2)) never decreases as the weighted
+    entry sum s grows, so every minimum and sort runs on the sums, and
+    the distances are taken once, on the sorted arrays.  Coset norms are
+    minima over the coset; since the enumeration below radius r is
+    complete, a group-by minimum over it equals the true minimum whenever
+    that minimum is below r, which is all the counting functions ever
+    read.
     """
     _check_cap(r, BALL_CAP)
     built = _BALLS.get(h)
     if built is not None and r <= built[0]:
         return built[1]
     a, b, c, d, kept = _enumerate(r, h)
-    # distance from i to the image of i * e^h: acosh of half the weighted
-    # entry sum.  At h = 0 the sum is an exact integer, and the few
-    # distinct sums each take the one rounding of math.acosh (np.arccosh
-    # is not correctly rounded)
+    s = _weighted_sums(a, b, c, d, h)
+    norms = {"group": _distances(np.sort(s))}
     if h == 0.0:
-        sums, where = np.unique(a * a + b * b + c * c + d * d,
-                                return_inverse=True)
-        disp = np.array([math.acosh(max(1.0, s / 2.0))
-                         for s in sums.tolist()])[where]
-    else:
-        disp = _map(math.acosh,
-                    np.maximum(_weighted_sums(a, b, c, d, h) / 2.0, 1.0))
-    # left coset: invariant row (c, d) up to sign
-    flip = (c < 0) | ((c == 0) & (d < 0))
-    left = _group_minima(disp, np.where(flip, -c, c), np.where(flip, -d, d))
-    # right coset: invariant column (a, c), a > 0 already canonical: one
-    # nonempty enumeration column
-    starts = (np.cumsum(kept) - kept)[kept > 0]
-    col_min = np.minimum.reduceat(disp, starts)
-    a, c, d = a[starts], c[starts], d[starts]
-    # double coset: residues of the diagonal modulo twice the lower left
-    # entry, sign-normalized to c > 0, so constant along a column;
-    # translations on both sides are quotiented out and the parabolic
-    # subgroup itself (c = 0) is excluded
-    off = c != 0
-    sign = np.where(c[off] > 0, 1, -1)
-    cc = np.abs(c[off])
-    norms = {
-        "group": np.sort(disp),
-        "left": left,
-        "right": np.sort(col_min),
-        "double": _group_minima(col_min[off], cc, (sign * a[off]) % (2 * cc),
-                                (sign * d[off]) % (2 * cc)),
-    }
+        # right coset: invariant column (a, c), a > 0 already canonical:
+        # one nonempty enumeration column
+        starts = (np.cumsum(kept) - kept)[kept > 0]
+        col_min = np.minimum.reduceat(s, starts)
+        a, c, d = a[starts], c[starts], d[starts]
+        # left coset: inversion maps the ball onto itself, each left coset
+        # onto a right coset and keeps the entry sum, so the two sorted
+        # arrays are equal
+        norms["left"] = norms["right"] = _distances(np.sort(col_min))
+        # double coset: residues of the diagonal modulo twice the lower
+        # left entry, sign-normalized to c > 0, so constant along a column;
+        # translations on both sides are quotiented out and the parabolic
+        # subgroup itself (c = 0) is excluded
+        off = c != 0
+        sign = np.where(c[off] > 0, 1, -1)
+        cc = np.abs(c[off])
+        norms["double"] = _distances(_group_minima(
+            col_min[off], cc, (sign * a[off]) % (2 * cc),
+            (sign * d[off]) % (2 * cc)))
     for arr in norms.values():
         arr.flags.writeable = False
     _BALLS[h] = (r, norms)
@@ -427,10 +426,11 @@ def _ball(norms: np.ndarray, r):
     return np.searchsorted(norms, r, side="left")
 
 
-def _annulus(norms: np.ndarray, r, gauge: float):
-    if gauge <= 0:
-        return 0
-    return _ball(norms, r + gauge / 2.0) - _ball(norms, r - gauge / 2.0)
+def _annulus(norms: np.ndarray, r, gauge):
+    """Count of norms in [r - gauge/2, r + gauge/2), 0 for a gauge <= 0;
+    radii and gauges broadcast."""
+    return np.maximum(
+        _ball(norms, r + gauge / 2.0) - _ball(norms, r - gauge / 2.0), 0)
 
 
 @dataclass(frozen=True)
@@ -687,21 +687,6 @@ class Prop28Report:
         return "\n".join(lines)
 
 
-def _fit_lower_shift(norms_big: np.ndarray, norms_small: np.ndarray,
-                     prefactor: float, gauge: float, radii: Iterable[float],
-                     grid: np.ndarray) -> Optional[float]:
-    # smallest shift s with prefactor * v^{gauge-s}_big <= v^gauge_small
-    # on every radius; the left side shrinks as s grows, so scan upward
-    for s in grid:
-        ok = all(
-            prefactor * _annulus(norms_big, r, gauge - s)
-            <= _annulus(norms_small, r, gauge) + 1e-9
-            for r in radii)
-        if ok:
-            return float(s)
-    return None
-
-
 def verify_prop28(r: float, gauge: float) -> Prop28Report:
     """Verify the ball/annulus sandwiches between group, coset, and
     double-coset counts.
@@ -715,47 +700,41 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
     if gauge <= 0:
         raise DomainError("gauge must be positive")
     norms = _sorted_norms(prop28_radius(r, gauge))
-    radii = [float(x) for x in np.arange(0.25, r + 1e-12, 0.25)]
+    radii = np.arange(0.25, r + 1e-12, 0.25)
     fit_max = r / 2.0
-    fit_radii = [x for x in radii if x <= fit_max]
-    assert_radii = [x for x in radii if x > fit_max]
+    fit = radii <= fit_max
+    annuli = {name: _annulus(arr, radii, gauge) for name, arr in norms.items()}
 
-    right_left = all(
-        _annulus(norms["left"], x, gauge) <= _annulus(norms["group"], x, gauge)
-        for x in radii)
-    right_double = all(
-        _annulus(norms["double"], x, gauge)
-        <= _annulus(norms["group"], x, gauge)
-        for x in radii)
+    right_left = bool(np.all(annuli["left"] <= annuli["group"]))
+    right_double = bool(np.all(annuli["double"] <= annuli["group"]))
 
     # right cosets against left cosets: find the smallest gauge widening
     # that absorbs them, on the whole range (the inverse map matches the
     # two coset families isometrically here, so 0 is expected)
     widen_grid = np.arange(0.0, 2.0 * _PROP28_HEADROOM + 1e-9, 0.25)
-    shift_rl = None
+    shift_rl = math.nan
     for s in widen_grid:
-        if all(_annulus(norms["right"], x, gauge)
-               <= _annulus(norms["left"], x, gauge + s) for x in radii):
+        widened = _annulus(norms["left"], radii, gauge + s)
+        if np.all(annuli["right"] <= widened):
             shift_rl = float(s)
             break
 
+    # prefactor * v^{gauge-s}_group <= v^gauge_coset with one row per
+    # shift s and one column per radius; the left side shrinks as s grows,
+    # so each fit is the first shift that holds on every fit radius, and
+    # its row is then asserted on the rest
     shift_grid = np.arange(0.0, gauge + 2.0 + 1e-9, 0.25)
+    group = _annulus(norms["group"], radii, gauge - shift_grid[:, None])
     fits = {}
-    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
-        fits[name] = _fit_lower_shift(
-            norms["group"], norms[name], prefactor, gauge, fit_radii,
-            shift_grid)
-
     assert_ok = True
     for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
-        s = fits[name]
-        if s is None:
-            assert_ok = False
+        holds = prefactor * group <= annuli[name] + 1e-9
+        ok = np.flatnonzero(np.all(holds[:, fit], axis=1))
+        if ok.size == 0:
+            fits[name], assert_ok = None, False
             continue
-        for x in assert_radii:
-            if (prefactor * _annulus(norms["group"], x, gauge - s)
-                    > _annulus(norms[name], x, gauge) + 1e-9):
-                assert_ok = False
+        fits[name] = float(shift_grid[ok[0]])
+        assert_ok = assert_ok and bool(np.all(holds[ok[0], ~fit]))
 
     notes = ("coset norms are minima over the complete enumeration; "
              "translation parameters beyond the ball radius only increase "
@@ -765,9 +744,9 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
              "double cosets only start at arccosh 3")
     return Prop28Report(
         gauge=gauge, r_max=r, fit_max=fit_max,
-        n_fit=len(fit_radii), n_assert=len(assert_radii),
+        n_fit=int(np.count_nonzero(fit)), n_assert=int(np.count_nonzero(~fit)),
         right_left_in_group=right_left, right_double_in_group=right_double,
-        shift_right_to_left=shift_rl if shift_rl is not None else math.nan,
+        shift_right_to_left=shift_rl,
         shift_left_lower=fits["left"], shift_right_lower=fits["right"],
         shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
 

@@ -7,6 +7,7 @@ were derived independently before the implementation.
 """
 
 import bisect
+import dataclasses
 import math
 
 import mpmath
@@ -41,6 +42,7 @@ from cuspgrowth.profiles import (
     assemble_profile,
     catalog_companions,
     catalog_profile,
+    default_catalog_params,
     poly_piece,
     pure_piece,
 )
@@ -221,6 +223,17 @@ class TestBatchedExcursion:
         monkeypatch.setattr(asymptotics, "_MAX_RADIUS_PANELS", 4)
         with pytest.raises(QuadratureError, match="R=200.0 needs"):
             log_cuspidal(cusp, np.array([3.0, 200.0]))
+
+    @pytest.mark.parametrize("name, b", [("exotic-div-5.3b", 1e50),
+                                         ("critical-finite-5.4a", 1e30),
+                                         ("exotic-conv-5.3a", 1e150)])
+    def test_panel_count_past_int64_raises(self, name, b):
+        # the panel count overflows int64; the budget must see it unwrapped
+        params = dataclasses.replace(default_catalog_params(name), rate_fast=b)
+        cusp = CuspModel(catalog_profile(name, params))
+        radii = np.array([8.0, 248.0])
+        with pytest.raises(QuadratureError, match="over the budget"):
+            log_cuspidal(cusp, radii)
 
 
 class TestExcursionAgainstAdaptive:

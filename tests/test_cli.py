@@ -11,6 +11,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cuspgrowth import cli, h2_oracle, numerics
 from cuspgrowth.cli import (
@@ -24,6 +25,7 @@ from cuspgrowth.cli import (
 )
 from cuspgrowth.errors import ConfigError, DomainError
 from cuspgrowth.h2_oracle import estimate_delta
+from cuspgrowth.profiles import CATALOG_IDS
 from cuspgrowth.taxonomy import run_example
 
 
@@ -150,6 +152,42 @@ class TestResolveConfig:
         path.write_text("command=oracle-verify\nM=4.5\n")
         with pytest.raises(ConfigError, match="bad value for 'M'"):
             _resolve(["--config", str(path)])
+
+    @pytest.mark.parametrize("raw", ["ture", "on", "2"])
+    def test_unrecognized_plot_script_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, raw):
+        # an unrecognized value used to turn the plot off and exit 0
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"command=profile-validate\nname=sparse-5.2\n"
+                        f"plot_script = {raw}\n")
+        rc = cli.main(["--config", str(path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:3: bad value for 'plot_script': ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key", ["out", "plot_script", "name"])
+    def test_empty_config_value_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        key):
+        # an empty out used to write the artifacts into the working directory
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"command=profile-validate\n{key} =\n")
+        rc = cli.main(["--config", str(path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: empty value for {key!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_empty_out_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["profile-validate", "--name", "sparse-5.2",
+                       "--out", ""])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --out must name a directory, got ''\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rcap_beyond_enumeration_cap(self):
         with pytest.raises(ConfigError, match="enumeration cap"):
@@ -396,6 +434,25 @@ class TestExitCodes:
         assert "numerical failure: the excursion integral" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        "cusp-analyze --name exotic-div-5.3b --b 1e50",
+        "cusp-analyze --name critical-finite-5.4a --b 1e30",
+        "example-run --name exotic-conv-5.3a --b 1e30",
+        "example-run --name exotic-div-5.3b --b 1e50",
+        "example-run --name critical-finite-5.4a --b 1e50",
+        "example-run --name critical-infinite-5.4b --b 1e30",
+    ], ids=lambda c: c.replace(" --name ", ":").replace(" --b ", "-b"))
+    def test_panel_count_past_int64_is_numerical_failure(self, tmp_path,
+                                                         capsys, command):
+        # such counts used to wrap around negative, pass the panel budget
+        # and exit 3 with an internal error
+        rc, out = _run(tmp_path, *command.split())
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the excursion integral")
+        assert "over the budget of" in err
+        assert not (out / "summary.json").exists()
+
     def test_failed_claim_is_assertion_failure(self, tmp_path, capsys):
         # a huge trend threshold blinds the classifier to the power-law
         # factor of this family, so the computed ambient class misses
@@ -409,6 +466,47 @@ class TestExitCodes:
         amap = _assertion_map(summary)
         assert not amap["exotic-conv-5.3a:computed-ambient-class"]["passed"]
         assert "FAIL" in capsys.readouterr().out
+
+
+def _maybe(values):
+    return st.one_of(st.none(), values)
+
+
+# finite values of every magnitude, and the non-finite ones
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestBoundaryFuzz:
+    """Whatever the catalog overrides and the radius, a run passes, fails
+    its assertions, rejects its configuration or reports a numerical
+    failure: never an internal error, never an escaping exception."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["profile-validate", "cusp-analyze"]),
+           name=st.sampled_from(CATALOG_IDS),
+           b=_maybe(st.one_of(st.floats(0.0, 20.0), _ANY_FLOAT)),
+           gamma=_maybe(st.one_of(st.floats(0.0, 1.0), _ANY_FLOAT)),
+           m=_maybe(st.integers(-3, 12)),
+           mu=_maybe(st.one_of(st.floats(0.0, 0.5), _ANY_FLOAT)),
+           r_max=_maybe(st.floats(-1.0, 500.0)))
+    @example(command="cusp-analyze", name="exotic-div-5.3b", b=1e30,
+             gamma=None, m=None, mu=None, r_max=None)
+    @example(command="cusp-analyze", name="critical-finite-5.4a", b=1e150,
+             gamma=None, m=None, mu=None, r_max=None)
+    @example(command="profile-validate", name="sparse-5.2", b=1e30,
+             gamma=None, m=None, mu=None, r_max=None)
+    @example(command="profile-validate", name="exotic-conv-5.3a", b=1e150,
+             gamma=None, m=None, mu=None, r_max=None)
+    def test_exit_code_in_contract(self, tmp_path_factory, command, name, b,
+                                   gamma, m, mu, r_max):
+        argv = [command, "--name", name,
+                "--out", str(tmp_path_factory.mktemp("fuzz"))]
+        for flag, value in (("--b", b), ("--gamma", gamma), ("--M", m),
+                            ("--mu", mu), ("--Rmax", r_max)):
+            if value is not None:
+                argv.append(f"{flag}={value!r}")
+        assert cli.main(argv) in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG,
+                                  EXIT_NUMERICAL)
 
 
 class TestProfileValidate:

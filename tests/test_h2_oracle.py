@@ -531,9 +531,15 @@ class TestSharedBall:
     def test_cache_holds_only_sorted_float_arrays(self, ball_runs):
         _, held = ball_runs
         for balls in held.values():
-            for radius, norms in balls.values():
+            for h, (radius, norms) in balls.items():
                 assert isinstance(radius, float)
-                assert set(norms) == {"group", "left", "right", "double"}
+                # cosets are counted at depth 0 only, where the left and
+                # right arrays are one
+                if h == 0.0:
+                    assert set(norms) == {"group", "left", "right", "double"}
+                    assert norms["left"] is norms["right"]
+                else:
+                    assert set(norms) == {"group"}
                 for arr in norms.values():
                     assert isinstance(arr, np.ndarray) and arr.dtype == float
                     assert not arr.flags.writeable
@@ -644,8 +650,9 @@ class TestBallAgainstReference:
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         got = h2_oracle._sorted_norms(r, h)
         want = _ref_sorted_norms(r, h)
-        assert set(got) == set(want)
-        for name in want:
+        # the depth-2 ball holds the group array only
+        assert set(got) == (set(want) if h == 0.0 else {"group"})
+        for name in got:
             assert np.array_equal(got[name], want[name]), name
 
     @pytest.mark.parametrize("r, h", [(6.0, 0.0), (2.5, 2.0)])
@@ -659,6 +666,171 @@ class TestBallAgainstReference:
         sizes = {name: arr.size for name, arr in norms.items()}
         assert sizes == {"group": 1_634_433, "left": 817_217,
                          "right": 817_217, "double": 408_254}
+
+
+# -- reference coset group-by and sandwich loops -----------------------------
+# The per-element distances and the left-coset group-by over the row keys
+# that the sum-based ball replaced, and the scalar verify_prop28 loops that
+# the array comparisons replaced, kept as the references they must
+# reproduce.
+
+
+def _ref_group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Sorted minima of w over the classes of rows with equal integer
+    keys: the keys are packed into one int64, the rows sorted by it, and
+    each run reduced."""
+    if w.size == 0:
+        return w
+    packed = np.zeros(w.size, dtype=np.int64)
+    for key in keys:
+        key = key - key.min()
+        packed = packed * (int(key.max()) + 1) + key
+    order = np.argsort(packed)
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
+    return np.sort(np.minimum.reduceat(w[order], starts))
+
+
+def _ref_left_cosets(r: float) -> np.ndarray:
+    a, b, c, d, _ = h2_oracle._enumerate(r)
+    sums, where = np.unique(a * a + b * b + c * c + d * d,
+                            return_inverse=True)
+    disp = np.array([math.acosh(max(1.0, s / 2.0))
+                     for s in sums.tolist()])[where]
+    # left coset: invariant row (c, d) up to sign
+    flip = (c < 0) | ((c == 0) & (d < 0))
+    return _ref_group_minima(disp, np.where(flip, -c, c),
+                             np.where(flip, -d, d))
+
+
+def _ref_annulus(norms: np.ndarray, r, gauge: float):
+    if gauge <= 0:
+        return 0
+    return (np.searchsorted(norms, r + gauge / 2.0, side="left")
+            - np.searchsorted(norms, r - gauge / 2.0, side="left"))
+
+
+def _ref_fit_lower_shift(norms_big, norms_small, prefactor, gauge, radii,
+                         grid):
+    # smallest shift s with prefactor * v^{gauge-s}_big <= v^gauge_small
+    # on every radius; the left side shrinks as s grows, so scan upward
+    for s in grid:
+        ok = all(
+            prefactor * _ref_annulus(norms_big, r, gauge - s)
+            <= _ref_annulus(norms_small, r, gauge) + 1e-9
+            for r in radii)
+        if ok:
+            return float(s)
+    return None
+
+
+def _ref_verify_prop28(r: float, gauge: float) -> h2_oracle.Prop28Report:
+    norms = h2_oracle._sorted_norms(prop28_radius(r, gauge))
+    radii = [float(x) for x in np.arange(0.25, r + 1e-12, 0.25)]
+    fit_max = r / 2.0
+    fit_radii = [x for x in radii if x <= fit_max]
+    assert_radii = [x for x in radii if x > fit_max]
+
+    right_left = all(
+        _ref_annulus(norms["left"], x, gauge)
+        <= _ref_annulus(norms["group"], x, gauge)
+        for x in radii)
+    right_double = all(
+        _ref_annulus(norms["double"], x, gauge)
+        <= _ref_annulus(norms["group"], x, gauge)
+        for x in radii)
+
+    widen_grid = np.arange(0.0, 2.0 * h2_oracle._PROP28_HEADROOM + 1e-9, 0.25)
+    shift_rl = None
+    for s in widen_grid:
+        if all(_ref_annulus(norms["right"], x, gauge)
+               <= _ref_annulus(norms["left"], x, gauge + s) for x in radii):
+            shift_rl = float(s)
+            break
+
+    shift_grid = np.arange(0.0, gauge + 2.0 + 1e-9, 0.25)
+    fits = {}
+    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
+        fits[name] = _ref_fit_lower_shift(
+            norms["group"], norms[name], prefactor, gauge, fit_radii,
+            shift_grid)
+
+    assert_ok = True
+    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
+        s = fits[name]
+        if s is None:
+            assert_ok = False
+            continue
+        for x in assert_radii:
+            if (prefactor * _ref_annulus(norms["group"], x, gauge - s)
+                    > _ref_annulus(norms[name], x, gauge) + 1e-9):
+                assert_ok = False
+
+    notes = ("coset norms are minima over the complete enumeration; "
+             "translation parameters beyond the ball radius only increase "
+             "the displacement",
+             "the double-coset shift is forced by small radii, where the "
+             "group annulus already counts the identity while nontrivial "
+             "double cosets only start at arccosh 3")
+    return h2_oracle.Prop28Report(
+        gauge=gauge, r_max=r, fit_max=fit_max,
+        n_fit=len(fit_radii), n_assert=len(assert_radii),
+        right_left_in_group=right_left, right_double_in_group=right_double,
+        shift_right_to_left=shift_rl if shift_rl is not None else math.nan,
+        shift_left_lower=fits["left"], shift_right_lower=fits["right"],
+        shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
+
+
+class TestCosetsAgainstReference:
+    """Left cosets read as right cosets, and the array sandwiches, equal
+    the group-by and the scalar loops they replace."""
+
+    def test_left_group_by_equals_both_coset_arrays(self, monkeypatch):
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        norms = h2_oracle._sorted_norms(BALL_CAP)
+        want = _ref_left_cosets(BALL_CAP)
+        assert want.size == 817_217
+        assert np.array_equal(norms["left"], want)
+        assert np.array_equal(norms["right"], want)
+
+    @pytest.mark.parametrize("gauge", [0.5, 1.0, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("r", [9.0, 12.0])
+    def test_prop28_same_report(self, r, gauge):
+        _assert_same_report(verify_prop28(r, gauge),
+                            _ref_verify_prop28(r, gauge))
+
+    @pytest.mark.parametrize("gauge", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prop28_same_report_on_synthetic_balls(self, monkeypatch, seed,
+                                                   gauge):
+        # the lattice passes every sandwich with the same shifts; these
+        # arrays also reach failed inclusions, failed assertions, other
+        # shifts and no widening at all
+        norms = _synthetic_ball(seed)
+        monkeypatch.setattr(h2_oracle, "_sorted_norms",
+                            lambda r, h=0.0: norms)
+        _assert_same_report(verify_prop28(12.0, gauge),
+                            _ref_verify_prop28(12.0, gauge))
+
+
+def _assert_same_report(got, want) -> None:
+    for field in dataclasses.fields(want):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        assert type(x) is type(y), field.name
+        assert x == y or (x != x and y != y), field.name
+
+
+def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:
+    """Sorted arrays with density e^x on [0, 12.5], the cosets drawn
+    apart from the group, so that every sandwich can fail somewhere."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n: int) -> np.ndarray:
+        return np.sort(np.log(rng.uniform(1.0, math.exp(12.5), n)))
+
+    return {"group": draw(3000), "left": draw(int(rng.integers(900, 1800))),
+            "right": draw(int(rng.integers(900, 1800))),
+            "double": draw(int(rng.integers(450, 900)))}
 
 
 class TestColumns:
