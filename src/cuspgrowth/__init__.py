@@ -59,9 +59,7 @@ from .asymptotics import (
 
 from .convolution import (
     Band,
-    ConstantFactor,
     CuspidalInterpolant,
-    PowerDecayFactor,
     SandwichReport,
     VGammaModel,
     conv_continuous,
@@ -93,7 +91,6 @@ from .h2_oracle import (
     CountingBandReport,
     CountTable,
     DeltaReport,
-    GeometryConstants,
     HPoint,
     LemmaReport,
     MoebiusElement,

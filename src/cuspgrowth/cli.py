@@ -47,6 +47,7 @@ from .h2_oracle import (
     verify_prop28,
 )
 from .profiles import (
+    _FAMILY_READS,
     CATALOG_IDS,
     CatalogParams,
     catalog_companions,
@@ -155,8 +156,11 @@ class ExperimentConfig:
     mu: Optional[float] = None
 
 
-def _parse_kv_file(path: Path, allowed: dict) -> dict:
+def _parse_kv_file(flag: str, name: str, allowed: dict) -> dict:
     """key=value lines; '#' starts a comment; keys must be recognized."""
+    if not name:
+        raise ConfigError(f"{flag} must name a file, got ''")
+    path = Path(name)
     if not path.is_file():
         raise ConfigError(f"no such file: {path}")
     out = {}
@@ -186,7 +190,7 @@ def _load_tolerances(path: Optional[str]) -> dict:
     tol = dict(TOLERANCE_DEFAULTS)
     if path is not None:
         coercers = {k: float for k in TOLERANCE_DEFAULTS}
-        tol.update(_parse_kv_file(Path(path), coercers))
+        tol.update(_parse_kv_file("--tolerances", path, coercers))
     for key, value in tol.items():
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values = {}
     if args.config is not None:
-        file_values = _parse_kv_file(Path(args.config), _COERCE)
+        file_values = _parse_kv_file("--config", args.config, _COERCE)
 
     def pick(key: str, default=None):
         cli = getattr(args, key, None)
@@ -276,6 +280,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in ("b", "gamma", "mu"):  # --M is an integer
         if pick(key) is not None:
             _check_number(key, pick(key), command)
+    families = (() if command == "oracle-verify"
+                else CATALOG_IDS if name == "all" else (name,))
+    for flag, (_, field) in _OVERRIDES.items():
+        if pick(flag) is not None and not any(
+                field in _FAMILY_READS[f] for f in families):
+            raise ConfigError(f"--{flag} has no effect: " + (
+                f"{name} does not read it" if families
+                else "oracle-verify reads no catalog family"))
     if not pick("out"):
         # an empty path would write the artifacts into the working directory
         raise ConfigError("--out must name a directory, got ''")
@@ -472,7 +484,7 @@ def _run_oracle_verify(cfg: ExperimentConfig, outdir: Path):
     constants = [
         ("triangle_max_defect", lemmas.triangle_max_defect),
         ("flow_defect_sup", lemmas.approx_eps0),
-        ("horoball_defect_sup", lemmas.constants.eps1_fitted),
+        ("horoball_defect_sup", lemmas.eps1_fitted),
         ("left_gauge_shift", sandwich.shift_left_lower),
         ("right_gauge_shift", sandwich.shift_right_lower),
         ("double_gauge_shift", sandwich.shift_double_lower),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .asymptotics import (
 from .numerics import NEG_INF, log_add, log_integral, logsumexp
 
 __all__ = [
-    "ConstantFactor",
-    "PowerDecayFactor",
     "VGammaModel",
     "conv_gauge",
     "conv_continuous",
@@ -45,53 +43,24 @@ __all__ = [
 # -- ambient orbit-count model --------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstantFactor:
-    """Subexponential factor that is a positive constant."""
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise DomainError("constant factor must be positive")
-
-    def log_value(self, r: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(r, dtype=float), math.log(self.c))
-
-
-@dataclass(frozen=True)
-class PowerDecayFactor:
-    """Subexponential factor decaying like R^{-gamma}.
-
-    Regularized to (1+R)^{-gamma} so the factor stays bounded down to
-    R = 0, where the convolution integrals start; the tail behaviour,
-    which is all the growth classes read, is unchanged.
-    """
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise DomainError("power-decay exponent must be positive")
-
-    def log_value(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return -self.gamma * np.log1p(np.maximum(r, 0.0))
-
-
-Factor = Union[ConstantFactor, PowerDecayFactor]
-
-
-@dataclass(frozen=True)
 class VGammaModel:
-    """Ambient orbit-count model ln v(R) = delta * R + ln factor(R)."""
+    """Ambient orbit-count model ln v(R) = delta R - decay ln(1 + max(R, 0)):
+    a bare exponential at decay 0, else the lower-exponential factor
+    R^{-decay}, regularized so it stays bounded down to R = 0."""
     delta: float
-    factor: Factor = ConstantFactor()
+    decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise DomainError("growth exponent must be positive")
+        if not 0.0 <= self.decay < math.inf:
+            raise DomainError("decay exponent must be finite and nonnegative")
 
     def log_value(self, r) -> float | np.ndarray:
         arr = np.asarray(r, dtype=float)
-        out = self.delta * arr + self.factor.log_value(arr)
+        out = self.delta * arr
+        if self.decay != 0.0:
+            out = out - self.decay * np.log1p(np.maximum(arr, 0.0))
         return float(out) if np.ndim(r) == 0 else out
 
 
@@ -360,14 +329,13 @@ def _log_exp_linear(y_a: np.ndarray, y_b: np.ndarray, h: np.ndarray) -> np.ndarr
 
 def _ambient_kinks(vg: VGammaModel, rho: float, rel_tol: float) -> np.ndarray:
     """Distances s = rho - t at which the band cuts ln v(s) into pieces it
-    treats as linear.  A power-decay factor -gamma ln(1 + s) is convex,
-    and on the grid 1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / gamma)
-    its secants lie above it by at most gamma q^2 / 8 = rel_tol nats.  A
-    constant factor needs no cut."""
-    if isinstance(vg.factor, PowerDecayFactor):
-        step = math.log1p(math.sqrt(8.0 * rel_tol / vg.factor.gamma))
-        return np.expm1(step * np.arange(1, math.ceil(math.log1p(rho) / step)))
-    return np.empty(0)
+    treats as linear.  The decay term -k ln(1 + s) is convex, and on the
+    grid 1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / k) its secants lie
+    above it by at most k q^2 / 8 = rel_tol nats.  Decay 0 needs no cut."""
+    if vg.decay == 0.0:
+        return np.empty(0)
+    step = math.log1p(math.sqrt(8.0 * rel_tol / vg.decay))
+    return np.expm1(step * np.arange(1, math.ceil(math.log1p(rho) / step)))
 
 
 def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
@@ -394,10 +362,10 @@ def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
     sweep v(R).
 
     ln F is linear between the cache nodes and ln v between the kinks of
-    its factor, so each convolution is an exact sum of exp-linear
-    segments, one per cusp, combined with logsumexp.  A power-decay factor
-    is replaced by its secants, which raises the band by at most
-    ``rel_tol`` nats; every other factor gives the band exactly.
+    its decay term, so each convolution is an exact sum of exp-linear
+    segments, one per cusp, combined with logsumexp.  A positive decay is
+    replaced by its secants, which raises the band by at most ``rel_tol``
+    nats; decay 0 gives the band exactly.
     """
     if rel_tol <= 0:
         raise DomainError("band tolerance must be positive")

@@ -27,7 +27,7 @@ from .asymptotics import (
     WindowPolicy,
     estimate_exponents,
 )
-from .convolution import ConstantFactor, VGammaModel, counting_band
+from .convolution import VGammaModel, counting_band
 from .profiles import CurvatureBounds, assemble_profile, pure_piece
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "prop28_radius",
     "MoebiusElement",
     "HPoint",
-    "GeometryConstants",
     "h2_distance",
     "busemann_inf",
     "t_xi",
@@ -179,36 +178,6 @@ def approx_defect(x: HPoint, y: HPoint) -> float:
     return h2_distance(x, y) - (2.0 * t_xi(x, y) + abs(b))
 
 
-@dataclass(frozen=True)
-class GeometryConstants:
-    """Comparison constants of pinched negative curvature, specialized
-    to curvature -1, plus the fitted empirical stand-ins recorded by the
-    verification routines (None until measured)."""
-    a: float = 1.0
-    eps0_fitted: Optional[float] = None
-    eps1_fitted: Optional[float] = None
-
-    def eps_theta(self, theta: float) -> float:
-        """Thin-triangle allowance at apex angle theta; ln 2 at a right
-        angle for unit curvature, +inf as the angle degenerates."""
-        if not 0.0 <= theta <= math.pi:
-            raise DomainError("angle must lie in [0, pi]")
-        spread = 1.0 - math.cos(theta)
-        if spread <= 0.0:
-            return math.inf
-        return math.log(2.0 / spread) / abs(self.a)
-
-    def eps1_bound(self, d: float) -> float:
-        """Analytic horoball-additivity allowance at horoball gap d: the
-        entry angle into the far horoball is at most arctan(1/sinh d), so
-        the defect is bounded by the thin-triangle allowance at the
-        complementary angle plus a right-angle allowance."""
-        if d <= 0:
-            raise DomainError("horoball gap must be positive")
-        theta = math.pi / 2.0 - math.atan(1.0 / math.sinh(abs(self.a) * d))
-        return self.eps_theta(theta) + self.eps_theta(math.pi / 2.0)
-
-
 # -- enumeration --------------------------------------------------------------
 
 
@@ -325,12 +294,11 @@ def _map(f, *arrays: np.ndarray) -> np.ndarray:
                        count=arrays[0].size)
 
 
-def enumerate_group(r: float, *, h: float = 0.0,
-                    r_cap: float = R_CAP) -> list[MoebiusElement]:
+def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
     """Complete, duplicate-free list of group elements moving the
     weighted base point by at most r, sorted by displacement then
     lexicographically.  Canonical signs make the list projective."""
-    _check_cap(r, r_cap)
+    _check_cap(r)
     a, b, c, d, _ = _enumerate(r, h)
     order = np.lexsort((d, c, b, a, _weighted_sums(a, b, c, d, h)))
     return [MoebiusElement(*t) for t in zip(
@@ -491,22 +459,24 @@ def _h2_distances(zr, zi, wr, wi) -> np.ndarray:
     return _map(math.acosh, 1.0 + gap / (2.0 * zi * wi))
 
 
-def _tangents_toward(zr: np.ndarray, zi: np.ndarray, wr: np.ndarray,
-                     wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangents at each z of the geodesic toward w, in the conformal
-    chart: straight up or down when the two lie on one vertical line,
-    else along the circle centered on the real axis through both."""
-    vertical = np.abs(zr - wr) < 1e-14 * np.maximum(
-        np.maximum(1.0, np.abs(zr)), np.abs(wr))
-    center = (((_square(wr) + _square(wi)) - (_square(zr) + _square(zi)))
-              / (2.0 * np.where(vertical, 1.0, wr - zr)))
-    rel = zr - center
-    sign = np.where(_map(math.atan2, wi, wr - center)
-                    > _map(math.atan2, zi, rel), 1.0, -1.0)
-    norm = _map(math.hypot, zi, rel)
-    return (np.where(vertical, 0.0, -sign * zi / norm),
-            np.where(vertical, np.where(wi >= zi, 1.0, -1.0),
-                     sign * rel / norm))
+def _triangle_allowance(a: np.ndarray, b: np.ndarray,
+                        c: np.ndarray) -> np.ndarray:
+    """Thin-triangle allowance ln(2 / (1 - cos g)) at the angle g between
+    the sides a and b, opposite c; by the half-angle law (Beardon 1983,
+    7.12) ln(sinh a sinh b / (sinh(s-a) sinh(s-b))), s = (a+b+c)/2, and
+    +inf where a side or s - a or s - b vanishes."""
+    s = (a + b + c) / 2.0
+    sides = np.stack([a, b, s - a, s - b])
+    ok = np.all(sides > 0.0, axis=0)
+    sh = np.sinh(np.where(ok, sides, 1.0))
+    return np.where(ok, np.log((sh[0] * sh[1]) / (sh[2] * sh[3])), math.inf)
+
+
+def _horoball_allowance(d: np.ndarray) -> np.ndarray:
+    """Horoball-additivity allowance at gap d > 0: ln 2 for a right angle
+    plus the triangle allowance at the complement of the largest entry
+    angle arctan(1/sinh d) into the far horoball, whose cosine is 1/cosh d."""
+    return np.log(4.0 / (1.0 - 1.0 / np.cosh(d)))
 
 
 @dataclass(frozen=True)
@@ -514,18 +484,14 @@ class LemmaReport:
     """Outcome of the randomized geometric-lemma sweep."""
     samples: int
     seed: int
-    constants: GeometryConstants
-    triangle_checked: int
     triangle_violations: int
     triangle_max_defect: float
-    approx_checked: int
     approx_eps0: float
     approx_window_low: float
     approx_window_high: float
-    horoball_checked: int
     horoball_violations: int
     horoball_min_defect: float
-    notes: tuple[str, ...] = ()
+    eps1_fitted: float
 
     @property
     def approx_window_growth(self) -> float:
@@ -540,15 +506,15 @@ class LemmaReport:
     def summary(self) -> str:
         return "\n".join([
             f"samples: {self.samples} (seed {self.seed})",
-            f"triangle defect: {self.triangle_checked} checked, "
+            f"triangle defect: {self.samples} checked, "
             f"{self.triangle_violations} violations, "
             f"max defect {self.triangle_max_defect:.6f}",
             f"flow-time approximation: fitted eps0 {self.approx_eps0:.6f}, "
             f"window max {self.approx_window_low:.6f} -> "
             f"{self.approx_window_high:.6f}",
-            f"horoball additivity: {self.horoball_checked} checked, "
+            f"horoball additivity: {self.samples} checked, "
             f"{self.horoball_violations} violations, fitted eps1 "
-            f"{self.constants.eps1_fitted:.6f}",
+            f"{self.eps1_fitted:.6f}",
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ])
 
@@ -557,7 +523,8 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     """Randomized sweep of the three comparison lemmas.
 
     Triangles: the excess d(x,z) + d(z,y) - d(x,y) never exceeds the
-    thin-triangle allowance at the measured apex angle.  Flow-time
+    thin-triangle allowance at the apex angle, read off the three side
+    lengths by the half-angle law.  Flow-time
     approximation: |d - (2 t + |b|)| is uniformly bounded; the fitted
     bound and its growth between distance windows are recorded.
     Horoball additivity: for points in two disjoint horoballs the path
@@ -567,7 +534,6 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     if sample_count < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
-    geo = GeometryConstants()
 
     def draw(*bounds: tuple[float, float]) -> list[np.ndarray]:
         # one column per Generator.uniform(low, high) call of a sample, in
@@ -581,13 +547,10 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     xi, yi, zi = _map(math.exp, xl), _map(math.exp, yl), _map(math.exp, zl)
     # d(x, z) = d(z, x) bit for bit: the same squares and product
     d_zx, d_zy = _h2_distances(zr, zi, xr, xi), _h2_distances(zr, zi, yr, yi)
-    excess = d_zx + d_zy - _h2_distances(xr, xi, yr, yi)
-    ux, uy = _tangents_toward(zr, zi, xr, xi)
-    vx, vy = _tangents_toward(zr, zi, yr, yi)
-    angle = _map(math.acos,
-                 np.maximum(-1.0, np.minimum(1.0, ux * vx + uy * vy)))
+    d_xy = _h2_distances(xr, xi, yr, yi)
+    excess = d_zx + d_zy - d_xy
     tri_violations = int(np.count_nonzero(
-        excess > _map(geo.eps_theta, angle) + 1e-9))
+        excess > _triangle_allowance(d_zx, d_zy, d_xy) + 1e-9))
     tri_max = float(excess.max(initial=0.0))
 
     xr, xl, yr, yl = draw(*point * 2)
@@ -618,20 +581,15 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
                + _h2_distances(0.0, top, yr, yi))
     defect = through - _h2_distances(xr, xi, yr, yi)
     horo_violations = int(np.count_nonzero(
-        defect > _map(geo.eps1_bound, sigma + tau) + 1e-9))
+        defect > _horoball_allowance(sigma + tau) + 1e-9))
     min_defect = float(defect.min())
-    eps1_fit = float(defect.max(initial=0.0))
 
-    constants = GeometryConstants(a=1.0, eps0_fitted=eps0,
-                                  eps1_fitted=eps1_fit)
     return LemmaReport(
-        samples=sample_count, seed=seed, constants=constants,
-        triangle_checked=excess.size, triangle_violations=tri_violations,
-        triangle_max_defect=tri_max,
-        approx_checked=sample_count, approx_eps0=eps0,
+        samples=sample_count, seed=seed, triangle_violations=tri_violations,
+        triangle_max_defect=tri_max, approx_eps0=eps0,
         approx_window_low=win_low, approx_window_high=win_high,
-        horoball_checked=sample_count, horoball_violations=horo_violations,
-        horoball_min_defect=min_defect)
+        horoball_violations=horo_violations, horoball_min_defect=min_defect,
+        eps1_fitted=float(defect.max(initial=0.0)))
 
 
 # -- coset-count sandwiches ---------------------------------------------------
@@ -865,7 +823,7 @@ def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
     prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
                             [pure_piece(0.0, math.inf, 1.0)])
     cusp = CuspModel(profile=prof, c_norm=2.0)
-    vg = VGammaModel(1.0, ConstantFactor())
+    vg = VGammaModel(1.0)
     mids = np.array([
         counting_band(vg, cusp, _COUNTING_DEPTH, float(x),
                       rel_tol=_COUNTING_REL_TOL)

@@ -615,11 +615,8 @@ class CatalogParams:
                 band of critical-infinite-5.4b
     gamma       critical-family exponent in (0, 1)
     windows     number of oscillation windows
-    eps         requested pinching slack; the constructed profile's bounds
-                record max(eps, achieved slack)
     head / gap / fast_len / tail_start   small-t layout of the aperiodic ids
     band_ratio  multiplicative width of single-transition bands
-    dim         ambient dimension n
     """
     m: int = 3
     mu: float = 1.0 / 16.0
@@ -627,13 +624,11 @@ class CatalogParams:
     beta: float = 2.2
     gamma: float = 0.5
     windows: int = 3
-    eps: float = 0.1
     head: float = 4.0
     gap: float = 4.0
     fast_len: float = 4.0
     tail_start: float = 20.0
     band_ratio: float = 10.0
-    dim: int = 2
 
 
 def default_catalog_params(name: str) -> CatalogParams:
@@ -753,16 +748,28 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     return pieces
 
 
+# The CatalogParams fields each family reads through its profile, its
+# companions and its ambient model (taxonomy._family_model).
+_CRITICAL_READS = frozenset({"m", "mu", "rate_fast", "gamma", "windows", "head"})
+_FAMILY_READS = {
+    "sparse-5.2": frozenset({"m", "rate_fast", "windows"}),
+    "exotic-conv-5.3a": frozenset({"rate_fast", "beta", "head", "band_ratio"}),
+    "exotic-div-5.3b": frozenset({"rate_fast", "head", "gap", "fast_len",
+                                  "tail_start"}),
+    "critical-finite-5.4a": _CRITICAL_READS,
+    "critical-infinite-5.4b": _CRITICAL_READS | {"beta", "band_ratio"},
+}
+
+
 def _finalize(pieces: list[ProfilePiece], params: CatalogParams) -> Profile:
-    # The declared slack is certified against the profile-level window
-    # [a^2, b^2] on the validator's dense grids; per-transition figures
-    # (measured against the narrower local rate pair) are construction
-    # diagnostics only.
-    bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=params.dim,
-                             eps=max(params.eps, 1e6))
+    # Every catalog profile requests slack 0.1.  The declared slack is
+    # certified against the profile-level window [a^2, b^2] on the
+    # validator's dense grids; per-transition figures (measured against
+    # the narrower local rate pair) are construction diagnostics only.
+    bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=1e6)
     probe = assemble_profile(bounds, pieces)
     implied = validate_profile(probe).implied_eps
-    final = replace(bounds, eps=max(params.eps, implied * (1.0 + 1e-9)))
+    final = replace(bounds, eps=max(0.1, implied * (1.0 + 1e-9)))
     return Profile(bounds=final, pieces=probe.pieces)
 
 
@@ -785,7 +792,7 @@ def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
                                 cusp comes from catalog_companions
 
     The returned profile's bounds record the achieved pinching slack when
-    it exceeds the requested one; narrow desk-scale bands are valid but
+    it exceeds the requested 0.1; narrow desk-scale bands are valid but
     carry large slack, while wide bands (large m, small mu, large
     band_ratio) reach slack <= 0.1.
     """

@@ -35,8 +35,6 @@ from .asymptotics import (
     series_convergence_at,
 )
 from .convolution import (
-    ConstantFactor,
-    PowerDecayFactor,
     VGammaModel,
     cuspidal_interpolants,
     volume_band,
@@ -159,11 +157,8 @@ def quarter_pinch_gate(bounds: CurvatureBounds, delta_gamma: float,
 
 def _group_divergent(vg: VGammaModel) -> bool:
     # The ambient orbit series at its own exponent sums the subexponential
-    # factor, so divergence is read off the factor's decay law: a constant
-    # diverges, R^{-gamma} iff gamma <= 1.
-    if isinstance(vg.factor, PowerDecayFactor):
-        return vg.factor.gamma <= 1.0
-    return True
+    # factor R^{-decay}, which diverges iff decay <= 1.
+    return vg.decay <= 1.0
 
 
 @dataclass(frozen=True)
@@ -313,21 +308,22 @@ def classify_lattice(spec: LatticeSpec,
 # -- catalog example driver ------------------------------------------------------
 
 def _family_model(name: str, params: CatalogParams):
+    """(delta, decay, dominance flags) of a catalog family's ambient model."""
     b = params.rate_fast
     if name == "sparse-5.2":
         # The oscillating cusp pushes the ambient exponent slightly above
         # b/2; the excess scales like the inverse spacing base.
         bump = (b / 2.0 - 1.0) / params.m
         delta = b / 2.0 + bump / 2.0
-        return delta, ConstantFactor(), (False,)
+        return delta, 0.0, (False,)
     if name == "exotic-conv-5.3a":
-        return b / 2.0, PowerDecayFactor(params.beta - 1.0), (True,)
+        return b / 2.0, params.beta - 1.0, (True,)
     if name == "exotic-div-5.3b":
-        return b / 2.0, ConstantFactor(), (True,)
+        return b / 2.0, 0.0, (True,)
     if name == "critical-finite-5.4a":
-        return b / 2.0, ConstantFactor(), (True,)
+        return b / 2.0, 0.0, (True,)
     if name == "critical-infinite-5.4b":
-        return b / 2.0, PowerDecayFactor(1.0 - params.gamma), (True, True)
+        return b / 2.0, 1.0 - params.gamma, (True, True)
     raise CatalogError(f"unknown catalog id {name!r}")
 
 
@@ -339,9 +335,9 @@ def catalog_spec(name: str,
     params = params or default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, factor, flags = _family_model(name, params)
+    delta, decay, flags = _family_model(name, params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
-                       vgamma=VGammaModel(delta, factor),
+                       vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
                        dominant_flags=flags)
 

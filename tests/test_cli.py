@@ -63,10 +63,10 @@ class TestResolveConfig:
         assert cfg.m is None and cfg.mu is None
 
     def test_cli_flags(self):
-        cfg = _resolve(["example-run", "--name", "exotic-div-5.3b",
+        cfg = _resolve(["example-run", "--name", "critical-infinite-5.4b",
                         "--b", "3", "--Rmax", "60", "--seed", "11",
                         "--M", "5", "--mu", "0.1", "--gamma", "0.7"])
-        assert cfg.name == "exotic-div-5.3b"
+        assert cfg.name == "critical-infinite-5.4b"
         assert cfg.b == 3.0
         assert cfg.r_max == 60.0
         assert cfg.seed == 11
@@ -189,6 +189,56 @@ class TestResolveConfig:
             "error: --out must name a directory, got ''\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--tolerances", "--config"])
+    def test_empty_file_flag_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     flag):
+        # Path('') is the working directory, which is no file to read
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["profile-validate", "--name", "sparse-5.2",
+                       flag, "", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {flag} must name a file, got ''\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("profile-validate --name sparse-5.2 --mu 1e30",
+         "--mu has no effect: sparse-5.2 does not read it"),
+        ("profile-validate --name sparse-5.2 --gamma 1e30",
+         "--gamma has no effect: sparse-5.2 does not read it"),
+        ("profile-validate --name exotic-conv-5.3a --M 5",
+         "--M has no effect: exotic-conv-5.3a does not read it"),
+        ("cusp-analyze --name exotic-div-5.3b --mu 0.2",
+         "--mu has no effect: exotic-div-5.3b does not read it"),
+        ("oracle-verify --b 5",
+         "--b has no effect: oracle-verify reads no catalog family"),
+        ("oracle-verify --name sparse-5.2 --M 4",
+         "--M has no effect: oracle-verify reads no catalog family"),
+    ])
+    def test_override_no_family_reads_exits_2(self, tmp_path, capsys,
+                                              command, message):
+        rc, out = _run(tmp_path, *command.split())
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_override_no_family_reads_from_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=lattice-classify\nname=exotic-div-5.3b\n"
+                        "gamma=0.3\n")
+        with pytest.raises(ConfigError, match="--gamma has no effect"):
+            _resolve(["--config", str(path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["profile-validate", "--name", "critical-finite-5.4a", "--mu", "0.4"],
+        ["lattice-classify", "--b", "2.5", "--gamma", "0.3", "--M", "4",
+         "--mu", "0.2"],
+        ["cusp-analyze", "--name", "critical-infinite-5.4b", "--gamma",
+         "0.3"],
+    ])
+    def test_override_some_family_reads_is_accepted(self, argv):
+        assert _resolve(argv).command == argv[0]
+
     def test_rcap_beyond_enumeration_cap(self):
         with pytest.raises(ConfigError, match="enumeration cap"):
             _resolve(["oracle-verify", "--Rcap", "14.5"])
@@ -303,8 +353,8 @@ class TestNumberRanges:
     @pytest.mark.parametrize("command, message", [
         ("profile-validate --name sparse-5.2 --b 1.5",
          "sparse-5.2 needs fast rate > 2 (overrides in effect: --b 1.5)"),
-        ("profile-validate --name sparse-5.2 --M 2 --mu 0.1",
-         "sparse-5.2 needs integer m >= 3 "
+        ("profile-validate --name critical-finite-5.4a --M 2 --mu 0.1",
+         "critical ids need integer m >= 3 "
          "(overrides in effect: --M 2 --mu 0.1)"),
         ("profile-validate --name critical-finite-5.4a --mu 0.7",
          "mu must lie in (0, 1/2) (overrides in effect: --mu 0.7)"),

@@ -10,13 +10,11 @@ from cuspgrowth import convolution, taxonomy
 from cuspgrowth import (
     CATALOG_IDS,
     Band,
-    ConstantFactor,
     CurvatureBounds,
     CuspidalInterpolant,
     CuspModel,
     DomainError,
     GrowthSeries,
-    PowerDecayFactor,
     VGammaModel,
     assemble_profile,
     catalog_profile,
@@ -56,19 +54,15 @@ def _exact_hyperbolic_excursion(u):
 
 
 class TestAmbientModel:
-    def test_constant_factor(self):
-        vg = VGammaModel(1.5, ConstantFactor(2.0))
-        assert vg.log_value(3.0) == pytest.approx(math.log(2.0) + 4.5, abs=1e-12)
-
     def test_default_factor_is_unit(self):
         assert VGammaModel(1.0).log_value(7.0) == pytest.approx(7.0, abs=1e-12)
 
     def test_power_decay(self):
-        vg = VGammaModel(1.5, PowerDecayFactor(0.5))
+        vg = VGammaModel(1.5, 0.5)
         assert vg.log_value(3.0) == pytest.approx(4.5 - 0.5 * math.log(4.0), abs=1e-12)
 
     def test_power_decay_bounded_at_zero(self):
-        assert VGammaModel(1.0, PowerDecayFactor(2.0)).log_value(0.0) == 0.0
+        assert VGammaModel(1.0, 2.0).log_value(0.0) == 0.0
 
     def test_vectorized(self):
         vg = VGammaModel(2.0)
@@ -79,10 +73,37 @@ class TestAmbientModel:
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             VGammaModel(0.0)
-        with pytest.raises(DomainError):
-            ConstantFactor(0.0)
-        with pytest.raises(DomainError):
-            PowerDecayFactor(-1.0)
+        for decay in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                VGammaModel(1.0, decay)
+
+
+# The factor classes the decay number replaced evaluated ln v(R) as
+# delta * R + ln factor(R), with ln factor(R) = ln(1.0) = 0.0 for the unit
+# constant and -gamma * log1p(max(R, 0)) for the power decay.
+_RADII = np.concatenate((
+    [0.0, 1e-300, 5e-324, 1e-12, 0.5, 1.0, math.pi, 1e3, 13122.0, 1e15],
+    np.random.default_rng(3).uniform(0.0, 2e3, 500)))
+
+
+class TestAmbientModelAgainstFactorClasses:
+    @pytest.mark.parametrize("delta", [1.0, 1.1, 1.5, 1.5 + 1.0 / 12.0, 2.0])
+    def test_zero_decay_bit_for_bit(self, delta):
+        got = VGammaModel(delta).log_value(_RADII)
+        want = delta * _RADII + np.full_like(_RADII, math.log(1.0))
+        assert np.array_equal(got, want)
+        assert [VGammaModel(delta).log_value(float(r)) for r in _RADII] \
+            == want.tolist()
+
+    @pytest.mark.parametrize("delta, decay", [
+        (1.5, 0.5), (1.5, 1.2), (1.5, 1.0 - 0.5), (1.5, 2.2 - 1.0),
+        (1.0, 2.0), (3.0, 1e-6), (1.25, 7.0)])
+    def test_power_decay_bit_for_bit(self, delta, decay):
+        got = VGammaModel(delta, decay).log_value(_RADII)
+        want = delta * _RADII + -decay * np.log1p(np.maximum(_RADII, 0.0))
+        assert np.array_equal(got, want)
+        assert [VGammaModel(delta, decay).log_value(float(r))
+                for r in _RADII] == want.tolist()
 
 
 class TestGaugeConvolution:

@@ -21,7 +21,6 @@ from cuspgrowth.h2_oracle import (
     BALL_CAP,
     R_CAP,
     CountTable,
-    GeometryConstants,
     HPoint,
     MoebiusElement,
     approx_defect,
@@ -200,35 +199,73 @@ class TestFlowTime:
         assert -1e-9 <= defect <= DEFECT_SUP + 1e-9
 
 
+# Retired allowance formulas: the thin-triangle allowance at apex angle
+# theta, and the horoball allowance at gap d (the first at the angle
+# complementary to arctan(1/sinh d), plus the first at a right angle).
+def _ref_eps_theta(theta: float) -> float:
+    spread = 1.0 - math.cos(theta)
+    return math.inf if spread <= 0.0 else math.log(2.0 / spread)
+
+
+def _ref_eps1_bound(d: float) -> float:
+    theta = math.pi / 2.0 - math.atan(1.0 / math.sinh(d))
+    return _ref_eps_theta(theta) + _ref_eps_theta(math.pi / 2.0)
+
+
+def _allowance(a: float, b: float, c: float) -> float:
+    return float(h2_oracle._triangle_allowance(
+        np.array([a]), np.array([b]), np.array([c]))[0])
+
+
 class TestGeometryConstants:
+    """The closed-form lemma allowances of curvature -1."""
+
     def test_right_angle_allowance(self):
-        geo = GeometryConstants()
-        assert geo.eps_theta(math.pi / 2.0) == pytest.approx(math.log(2.0),
-                                                             abs=1e-12)
+        # hyperbolic Pythagoras: cosh c = cosh a cosh b at a right angle
+        for a, b in [(1.0, 1.0), (0.1, 3.0), (2.5, 0.7), (8.0, 9.0)]:
+            c = math.acosh(math.cosh(a) * math.cosh(b))
+            assert _allowance(a, b, c) == pytest.approx(math.log(2.0),
+                                                        abs=1e-12)
 
     def test_monotone_in_angle(self):
-        geo = GeometryConstants()
-        assert geo.eps_theta(0.3) > geo.eps_theta(1.0) > geo.eps_theta(2.5)
-        assert geo.eps_theta(math.pi) == pytest.approx(0.0, abs=1e-12)
-        assert geo.eps_theta(0.0) == math.inf
+        # the angle at the apex grows with the opposite side c
+        a, b = 1.3, 2.1
+        cs = np.linspace(b - a, a + b, 41)
+        with np.errstate(all="raise"):
+            got = h2_oracle._triangle_allowance(
+                np.full_like(cs, a), np.full_like(cs, b), cs)
+        assert got[0] == math.inf
+        assert np.all(np.diff(got[1:]) < 0.0)
+        # a straight apex: no excess and no allowance
+        assert got[-1] == pytest.approx(0.0, abs=1e-12)
+        assert _allowance(a, b, a + b - 1e-9) == pytest.approx(0.0, abs=1e-8)
+        # a vanishing angle, and clipped s - a or s - b
+        assert _allowance(a, b, b - a - 1e-12) == math.inf
+        assert _allowance(b, a, b - a - 1e-12) == math.inf
 
-    def test_angle_domain(self):
-        geo = GeometryConstants()
-        with pytest.raises(DomainError):
-            geo.eps_theta(-0.1)
-        with pytest.raises(DomainError):
-            geo.eps_theta(3.5)
+    def test_zero_side_is_infinite(self):
+        with np.errstate(all="raise"):
+            assert _allowance(0.0, 2.0, 2.0) == math.inf
+            assert _allowance(2.0, 0.0, 2.0) == math.inf
+            assert _allowance(0.0, 0.0, 0.0) == math.inf
+
+    def test_matches_the_angle_formula_on_random_triangles(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(0.01, 20.0, (2, 2000))
+        theta = rng.uniform(1e-3, math.pi - 1e-3, 2000)
+        # hyperbolic law of cosines for the side opposite theta
+        c = np.arccosh(np.cosh(a) * np.cosh(b)
+                       - np.sinh(a) * np.sinh(b) * np.cos(theta))
+        got = h2_oracle._triangle_allowance(a, b, c)
+        want = [_ref_eps_theta(t) for t in theta.tolist()]
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
 
     def test_horoball_allowance(self):
-        geo = GeometryConstants()
-        assert geo.eps1_bound(1.0) > geo.eps1_bound(2.0) > math.log(2.0)
-        with pytest.raises(DomainError):
-            geo.eps1_bound(0.0)
-
-    def test_curvature_scaling(self):
-        sharp = GeometryConstants(a=2.0)
-        assert sharp.eps_theta(math.pi / 2.0) == pytest.approx(
-            math.log(2.0) / 2.0, abs=1e-12)
+        d = np.linspace(0.2, 6.0, 581)
+        got = h2_oracle._horoball_allowance(d)
+        want = np.array([_ref_eps1_bound(x) for x in d.tolist()])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(got) < 0.0) and got[-1] > math.log(4.0)
 
 
 class TestEnumeration:
@@ -265,7 +302,7 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
             enumerate_group(R_CAP + 0.5)
-        assert len(enumerate_group(3.0, r_cap=3.0)) > 5
+        assert len(enumerate_group(3.0)) > 5
 
     def test_weighted_enumeration_tracks_moved_base_point(self):
         # with the base point at height e^2 the cheap elements are the
@@ -375,25 +412,23 @@ class TestLemmas:
         assert rep.passed
         assert rep.triangle_violations == 0
         assert rep.horoball_violations == 0
-        assert rep.triangle_checked > 1900
 
     def test_defect_statistics(self):
         rep = _lemmas()
         assert 0.0 < rep.approx_eps0 <= DEFECT_SUP + 1e-9
         assert rep.approx_window_growth <= 0.1
-        assert rep.constants.eps0_fitted == rep.approx_eps0
 
     def test_horoball_path_never_undershoots(self):
         rep = _lemmas()
         assert rep.horoball_min_defect >= -1e-9
-        assert rep.constants.eps1_fitted > 0.0
+        assert rep.eps1_fitted > 0.0
 
     def test_deterministic_under_seed(self):
         again = verify_lemmas(2000, 20250817)
         rep = _lemmas()
         assert again.approx_eps0 == rep.approx_eps0
         assert again.triangle_max_defect == rep.triangle_max_defect
-        assert again.constants.eps1_fitted == rep.constants.eps1_fitted
+        assert again.eps1_fitted == rep.eps1_fitted
 
     def test_seed_matters(self):
         other = verify_lemmas(500, 7)
@@ -848,7 +883,9 @@ class TestColumns:
 
 # -- reference lemma sweep ---------------------------------------------------
 # The scalar sweep that the array sweep replaced, kept as the reference it
-# must reproduce bit for bit.
+# must reproduce bit for bit.  Its allowances come from the retired angle
+# formulas at the apex angle between chart tangents, a construction
+# independent of the sweep's closed forms in the side lengths.
 
 
 def _ref_tangent_toward(z: HPoint, w: HPoint) -> tuple[float, float]:
@@ -873,7 +910,6 @@ def _ref_angle_at(z: HPoint, x: HPoint, y: HPoint) -> float:
 
 def _ref_verify_lemmas(sample_count: int, seed: int) -> h2_oracle.LemmaReport:
     rng = np.random.default_rng(seed)
-    geo = GeometryConstants()
 
     def draw_point() -> HPoint:
         return HPoint(float(rng.uniform(-50.0, 50.0)),
@@ -888,7 +924,7 @@ def _ref_verify_lemmas(sample_count: int, seed: int) -> h2_oracle.LemmaReport:
         tri_checked += 1
         defect = h2_distance(x, z) + h2_distance(z, y) - h2_distance(x, y)
         tri_max = max(tri_max, defect)
-        if defect > geo.eps_theta(_ref_angle_at(z, x, y)) + 1e-9:
+        if defect > _ref_eps_theta(_ref_angle_at(z, x, y)) + 1e-9:
             tri_violations += 1
 
     eps0 = 0.0
@@ -924,19 +960,17 @@ def _ref_verify_lemmas(sample_count: int, seed: int) -> h2_oracle.LemmaReport:
         defect = through - h2_distance(x, y)
         min_defect = min(min_defect, defect)
         eps1_fit = max(eps1_fit, defect)
-        if defect > geo.eps1_bound(sigma + tau) + 1e-9:
+        if defect > _ref_eps1_bound(sigma + tau) + 1e-9:
             horo_violations += 1
 
-    constants = GeometryConstants(a=1.0, eps0_fitted=eps0,
-                                  eps1_fitted=eps1_fit)
+    # the sweep checks every sample of each lemma
+    assert tri_checked == horo_checked == sample_count
     return h2_oracle.LemmaReport(
-        samples=sample_count, seed=seed, constants=constants,
-        triangle_checked=tri_checked, triangle_violations=tri_violations,
-        triangle_max_defect=tri_max,
-        approx_checked=sample_count, approx_eps0=eps0,
+        samples=sample_count, seed=seed, triangle_violations=tri_violations,
+        triangle_max_defect=tri_max, approx_eps0=eps0,
         approx_window_low=win_low, approx_window_high=win_high,
-        horoball_checked=horo_checked, horoball_violations=horo_violations,
-        horoball_min_defect=min_defect)
+        horoball_violations=horo_violations, horoball_min_defect=min_defect,
+        eps1_fitted=eps1_fit)
 
 
 class TestLemmasAgainstReference:
@@ -967,9 +1001,14 @@ class TestLemmasAgainstReference:
          (-6.874580182872116, 3.0758477510303464)),
     ])
     def test_array_tangent_matches_scalar(self, z, w):
-        zr, zi, wr, wi = (np.array([v]) for v in (*z, *w))
-        ux, uy = h2_oracle._tangents_toward(zr, zi, wr, wi)
-        assert (ux[0], uy[0]) == _ref_tangent_toward(HPoint(*z), HPoint(*w))
+        # the closed form's apex angle at z, toward w and a third point,
+        # against the angle between the scalar chart tangents
+        z, w = HPoint(*z), HPoint(*w)
+        y = HPoint(z.re + 2.0 * z.im, 0.5 * z.im)
+        got = _allowance(h2_distance(z, w), h2_distance(z, y),
+                         h2_distance(w, y))
+        assert got == pytest.approx(_ref_eps_theta(_ref_angle_at(z, w, y)),
+                                    rel=1e-9)
 
     def test_array_distance_takes_the_scalar_squares(self):
         # x * x in place of x ** 2 moves this distance by one ulp
@@ -988,10 +1027,13 @@ class TestLemmasAgainstReference:
 
     def test_array_tangents_on_a_batch(self):
         rng = np.random.default_rng(11)
-        zr, wr = rng.uniform(-50.0, 50.0, (2, 400))
-        zi, wi = np.exp(rng.uniform(-5.0, 5.0, (2, 400)))
+        zr, wr, yr = rng.uniform(-50.0, 50.0, (3, 400))
+        zi, wi, yi = np.exp(rng.uniform(-5.0, 5.0, (3, 400)))
         wr[:50] = zr[:50]
-        ux, uy = h2_oracle._tangents_toward(zr, zi, wr, wi)
-        want = [_ref_tangent_toward(HPoint(*p), HPoint(*q)) for p, q in zip(
-            zip(zr.tolist(), zi.tolist()), zip(wr.tolist(), wi.tolist()))]
-        assert list(zip(ux.tolist(), uy.tolist())) == want
+        z, w, y = ([HPoint(*p) for p in zip(re.tolist(), im.tolist())]
+                   for re, im in ((zr, zi), (wr, wi), (yr, yi)))
+        got = h2_oracle._triangle_allowance(
+            *(np.array([h2_distance(*pair) for pair in zip(p, q)])
+              for p, q in ((z, w), (z, y), (w, y))))
+        want = [_ref_eps_theta(_ref_angle_at(*t)) for t in zip(z, w, y)]
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-9)

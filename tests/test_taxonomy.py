@@ -1,6 +1,8 @@
 """Tests for the lattice taxonomy, the quarter-pinch gate, and the
 catalog example driver."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +12,14 @@ from cuspgrowth import (
     PINCH_NONE,
     PINCH_STRICT,
     CATALOG_IDS,
+    CatalogError,
     ConfigError,
-    ConstantFactor,
     CurvatureBounds,
     CuspModel,
     DomainError,
     ExampleReport,
     GrowthClass,
     LatticeSpec,
-    PowerDecayFactor,
     VGammaModel,
     assemble_profile,
     catalog_companions,
@@ -29,7 +30,8 @@ from cuspgrowth import (
     quarter_pinch_gate,
     run_example,
 )
-from cuspgrowth.taxonomy import _family_model, _group_divergent
+from cuspgrowth.profiles import _FAMILY_READS, CatalogParams, profile_to_text
+from cuspgrowth.taxonomy import _family_model, _group_divergent, catalog_spec
 
 INF = float("inf")
 
@@ -44,9 +46,9 @@ def _catalog_spec(name: str) -> LatticeSpec:
     params = default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, factor, flags = _family_model(name, params)
+    delta, decay, flags = _family_model(name, params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
-                       vgamma=VGammaModel(delta, factor),
+                       vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
                        dominant_flags=flags)
 
@@ -139,20 +141,20 @@ class TestQuarterPinchGate:
 class TestLatticeSpec:
     def test_needs_a_cusp(self):
         with pytest.raises(DomainError):
-            LatticeSpec(cusps=(), vgamma=VGammaModel(1.0, ConstantFactor()),
+            LatticeSpec(cusps=(), vgamma=VGammaModel(1.0),
                         bounds=CurvatureBounds(a=1.0, b=1.0),
                         dominant_flags=())
 
     def test_flag_count_must_match(self):
         with pytest.raises(DomainError):
             LatticeSpec(cusps=(_pure_cusp(),),
-                        vgamma=VGammaModel(1.0, ConstantFactor()),
+                        vgamma=VGammaModel(1.0),
                         bounds=CurvatureBounds(a=1.0, b=1.0),
                         dominant_flags=(True, False))
 
     def test_sequences_become_tuples(self):
         spec = LatticeSpec(cusps=[_pure_cusp()],
-                           vgamma=VGammaModel(1.0, ConstantFactor()),
+                           vgamma=VGammaModel(1.0),
                            bounds=CurvatureBounds(a=1.0, b=1.0),
                            dominant_flags=[False])
         assert isinstance(spec.cusps, tuple)
@@ -161,19 +163,19 @@ class TestLatticeSpec:
 
 class TestGroupDivergent:
     def test_constant_factor_diverges(self):
-        assert _group_divergent(VGammaModel(1.0, ConstantFactor())) is True
+        assert _group_divergent(VGammaModel(1.0)) is True
 
     def test_power_decay_boundary(self):
-        assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(0.5))) is True
-        assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(1.0))) is True
-        assert _group_divergent(VGammaModel(1.0, PowerDecayFactor(1.2))) is False
+        assert _group_divergent(VGammaModel(1.0, 0.5)) is True
+        assert _group_divergent(VGammaModel(1.0, 1.0)) is True
+        assert _group_divergent(VGammaModel(1.0, 1.2)) is False
 
 
 class TestClassifyLattice:
     def test_regular_lattice_gets_margulis_prediction(self):
         spec = LatticeSpec(
             cusps=(_pure_cusp(1.0), _pure_cusp(1.0)),
-            vgamma=VGammaModel(1.0, ConstantFactor()),
+            vgamma=VGammaModel(1.0),
             bounds=CurvatureBounds(a=1.0, b=1.0),
             dominant_flags=(False, False))
         rep = classify_lattice(spec)
@@ -191,7 +193,7 @@ class TestClassifyLattice:
     def test_dominant_flag_must_match_ambient_exponent(self):
         spec = LatticeSpec(
             cusps=(_pure_cusp(1.0),),
-            vgamma=VGammaModel(1.0, ConstantFactor()),
+            vgamma=VGammaModel(1.0),
             bounds=CurvatureBounds(a=1.0, b=1.0),
             dominant_flags=(True,))
         with pytest.raises(ConfigError, match="flagged dominant"):
@@ -200,7 +202,7 @@ class TestClassifyLattice:
     def test_ambient_exponent_cannot_undercut_cusps(self):
         spec = LatticeSpec(
             cusps=(_pure_cusp(2.0),),
-            vgamma=VGammaModel(0.3, ConstantFactor()),
+            vgamma=VGammaModel(0.3),
             bounds=CurvatureBounds(a=1.0, b=2.0),
             dominant_flags=(False,))
         with pytest.raises(ConfigError, match="outgrow"):
@@ -209,7 +211,7 @@ class TestClassifyLattice:
     def test_critical_gap_rejects_dominant_flags(self):
         spec = LatticeSpec(
             cusps=(_pure_cusp(2.4),),
-            vgamma=VGammaModel(1.2, ConstantFactor()),
+            vgamma=VGammaModel(1.2),
             bounds=CurvatureBounds(a=1.0, b=2.0),
             dominant_flags=(True,))
         with pytest.raises(ConfigError, match="quarter-pinch"):
@@ -361,3 +363,64 @@ class TestRunExample:
         from cuspgrowth import CatalogError
         with pytest.raises(CatalogError):
             run_example("no-such-family")
+
+
+def _family_view(name: str, params: CatalogParams):
+    """What a family builds from its parameters: the text of its profile
+    and its companions, its ambient model and its dominance flags."""
+    spec = catalog_spec(name, params)
+    return (tuple(profile_to_text(c.profile) for c in spec.cusps),
+            spec.vgamma, spec.dominant_flags)
+
+
+def _perturbations(field: str, value, *, wild: bool = False):
+    if field == "mu":
+        # at the default m = 3, mu binds only above 0.375
+        near = [0.4]
+    elif isinstance(value, int):
+        near = [value + 1, value - 1]
+    else:
+        near = [value * 1.05, value * 0.95]
+    if not wild:
+        return near
+    return near + ([10 ** 6, -value] if isinstance(value, int)
+                   else [1e30, -value])
+
+
+class TestFamilyReads:
+    """_FAMILY_READS names exactly the CatalogParams fields a family reads."""
+
+    def test_declares_every_family(self):
+        fields = {f.name for f in dataclasses.fields(CatalogParams)}
+        assert set(_FAMILY_READS) == set(CATALOG_IDS)
+        assert all(reads <= fields for reads in _FAMILY_READS.values())
+        # each override flag's field is read by some family
+        assert {"rate_fast", "gamma", "m", "mu"} <= set().union(
+            *_FAMILY_READS.values())
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_undeclared_fields_change_nothing(self, name):
+        params = default_catalog_params(name)
+        base = _family_view(name, params)
+        for field in dataclasses.fields(CatalogParams):
+            if field.name in _FAMILY_READS[name]:
+                continue
+            for value in _perturbations(field.name,
+                                        getattr(params, field.name),
+                                        wild=True):
+                moved = dataclasses.replace(params, **{field.name: value})
+                assert _family_view(name, moved) == base, (field.name, value)
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_declared_fields_change_something(self, name):
+        params = default_catalog_params(name)
+        base = _family_view(name, params)
+        for field in sorted(_FAMILY_READS[name]):
+            views = []
+            for value in _perturbations(field, getattr(params, field)):
+                try:
+                    views.append(_family_view(
+                        name, dataclasses.replace(params, **{field: value})))
+                except CatalogError:
+                    continue
+            assert any(view != base for view in views), field
