@@ -48,6 +48,7 @@ from .h2_oracle import (
 )
 from .profiles import (
     _FAMILY_READS,
+    _PROFILE_READS,
     CATALOG_IDS,
     CatalogParams,
     catalog_companions,
@@ -282,12 +283,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             _check_number(key, pick(key), command)
     families = (() if command == "oracle-verify"
                 else CATALOG_IDS if name == "all" else (name,))
+    # cusp-analyze builds each family's main profile and nothing else
+    reads = _PROFILE_READS if command == "cusp-analyze" else _FAMILY_READS
     for flag, (_, field) in _OVERRIDES.items():
-        if pick(flag) is not None and not any(
-                field in _FAMILY_READS[f] for f in families):
-            raise ConfigError(f"--{flag} has no effect: " + (
-                f"{name} does not read it" if families
-                else "oracle-verify reads no catalog family"))
+        if pick(flag) is None or any(field in reads[f] for f in families):
+            continue
+        if not families:
+            raise ConfigError(f"--{flag} has no effect: "
+                              "oracle-verify reads no catalog family")
+        if any(field in _FAMILY_READS[f] for f in families):
+            raise ConfigError(f"--{flag} has no effect: cusp-analyze reads "
+                              f"only the main profile of {name}")
+        raise ConfigError(f"--{flag} has no effect: {name} does not read it")
     if not pick("out"):
         # an empty path would write the artifacts into the working directory
         raise ConfigError("--out must name a directory, got ''")

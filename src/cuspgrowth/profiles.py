@@ -265,6 +265,20 @@ class _SegmentTable:
             out[mask] = self.rows[i](t[mask], order)
         return out
 
+    def jets(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ln T, (ln T)' and (ln T)'' on a sorted float array.  Each row
+        reads its contiguous slice once per order, element for element
+        as ``__call__`` evaluates it."""
+        cuts = np.searchsorted(t, self.starts, side="left")
+        cuts[0] = 0  # below the first start reads the first row
+        ends = np.append(cuts[1:], t.size)
+        jet = (np.empty_like(t), np.empty_like(t), np.empty_like(t))
+        for row, lo, hi in zip(self.rows, cuts, ends):
+            if hi > lo:
+                for order, out in enumerate(jet):
+                    out[lo:hi] = row(t[lo:hi], order)
+        return jet
+
     def slope_range(self, lo: np.ndarray,
                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest (ln T)' on each [lo, hi], in closed form from
@@ -364,7 +378,11 @@ class _Candidate:
 
 
 def _transition_candidate(left: _Envelope, right: _Envelope,
-                          q: float, r: float, theta: float) -> _Candidate:
+                          q: float, r: float, theta: float, t: np.ndarray,
+                          lo_env: np.ndarray, hi_env: np.ndarray) -> _Candidate:
+    """The ramp/plateau/ramp transition of ramp fraction theta, checked on
+    the band's grid t against the envelopes' pointwise least and greatest
+    log values there."""
     width = r - q
     s_q = float(left(q, 1))
     s_r = float(right(r, 1))
@@ -401,12 +419,8 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
     }
     segments = (seg1, seg2, seg3)
 
-    t = np.linspace(q, r, _GRID)
-    table = _SegmentTable.compile(
-        [ProfilePiece(q, r, "bridge", {"segments": segments})])
-    g = table(t, 0)
-    d1 = table(t, 1)
-    d2 = table(t, 2)
+    g, d1, d2 = _SegmentTable.compile(
+        [ProfilePiece(q, r, "bridge", {"segments": segments})]).jets(t)
     ratio = d2 + d1 * d1
 
     lo_rate = min(left.rate, right.rate)
@@ -416,8 +430,6 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
                    float(np.max(ratio)) - hi_rate * hi_rate)
 
     monotone = bool(np.all(d1 < 0.0))
-    lo_env = np.minimum(left(t), right(t))
-    hi_env = np.maximum(left(t), right(t))
     slack = 1e-9 * np.maximum(1.0, np.abs(g))
     sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
 
@@ -445,9 +457,16 @@ def _transition_piece(left: _Envelope, right: _Envelope,
     if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
+    # the grid and the envelopes on it do not depend on the ramp fraction
+    t = np.linspace(q, r, _GRID)
+    at_left = left(t)
+    at_right = right(t)
+    lo_env = np.minimum(at_left, at_right)
+    hi_env = np.maximum(at_left, at_right)
     best: _Candidate | None = None
     for theta in _THETA_LADDER:
-        cand = _transition_candidate(left, right, q, r, theta)
+        cand = _transition_candidate(left, right, q, r, theta,
+                                     t, lo_env, hi_env)
         if not (cand.monotone and cand.sandwiched):
             continue
         if best is None or cand.proxy_slack < best.proxy_slack:
@@ -521,15 +540,15 @@ def validate_profile(profile: Profile) -> ValidationReport:
     tables = [_SegmentTable.compile([piece]) for piece in profile.pieces]
     for k, leftp in enumerate(profile.pieces[:-1]):
         t = np.array([leftp.t1])
-        gl = float(tables[k](t, 0)[0])
-        gr = float(tables[k + 1](t, 0)[0])
+        left_jet = [float(v[0]) for v in tables[k].jets(t)]
+        right_jet = [float(v[0]) for v in tables[k + 1].jets(t)]
+        gl, gr = left_jet[0], right_jet[0]
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
         if rel > _JOIN_TOL:
             msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
         for order in (1, 2):
-            dl = float(tables[k](t, order)[0])
-            dr = float(tables[k + 1](t, order)[0])
+            dl, dr = left_jet[order], right_jet[order]
             srel = abs(dl - dr) / max(1.0, abs(dl))
             worst_slope = max(worst_slope, srel)
             if srel > _SLOPE_TOL:
@@ -539,10 +558,7 @@ def validate_profile(profile: Profile) -> ValidationReport:
     ratio_min = INF
     ratio_max = -INF
     for piece, table in zip(profile.pieces, tables):
-        t = _piece_sample_grid(piece, _SAMPLES_PER_PIECE)
-        g = table(t, 0)
-        d1 = table(t, 1)
-        d2 = table(t, 2)
+        g, d1, d2 = table.jets(_piece_sample_grid(piece, _SAMPLES_PER_PIECE))
         if not np.all(np.isfinite(g)):
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
@@ -748,16 +764,24 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     return pieces
 
 
-# The CatalogParams fields each family reads through its profile, its
-# companions and its ambient model (taxonomy._family_model).
-_CRITICAL_READS = frozenset({"m", "mu", "rate_fast", "gamma", "windows", "head"})
-_FAMILY_READS = {
+# The CatalogParams fields that shape each family's main profile, and
+# those the family reads in all: through its main profile, its companions
+# and its ambient model (taxonomy._family_model).  Only 5.4b reads more
+# than shapes its main profile: gamma (its companion's tail power, its
+# ambient decay and range checks) and band_ratio (its companion's band).
+_CRITICAL_READS = frozenset({"m", "mu", "rate_fast", "windows", "head"})
+_PROFILE_READS = {
     "sparse-5.2": frozenset({"m", "rate_fast", "windows"}),
     "exotic-conv-5.3a": frozenset({"rate_fast", "beta", "head", "band_ratio"}),
     "exotic-div-5.3b": frozenset({"rate_fast", "head", "gap", "fast_len",
                                   "tail_start"}),
-    "critical-finite-5.4a": _CRITICAL_READS,
-    "critical-infinite-5.4b": _CRITICAL_READS | {"beta", "band_ratio"},
+    "critical-finite-5.4a": _CRITICAL_READS | {"gamma"},
+    "critical-infinite-5.4b": _CRITICAL_READS | {"beta"},
+}
+_FAMILY_READS = {
+    **_PROFILE_READS,
+    "critical-infinite-5.4b": (_PROFILE_READS["critical-infinite-5.4b"]
+                               | {"gamma", "band_ratio"}),
 }
 
 

@@ -210,6 +210,11 @@ class TestResolveConfig:
          "--M has no effect: exotic-conv-5.3a does not read it"),
         ("cusp-analyze --name exotic-div-5.3b --mu 0.2",
          "--mu has no effect: exotic-div-5.3b does not read it"),
+        # gamma reaches 5.4b only through its companion and its ambient
+        # model, and cusp-analyze builds neither
+        ("cusp-analyze --name critical-infinite-5.4b --gamma 0.3",
+         "--gamma has no effect: cusp-analyze reads only the main profile "
+         "of critical-infinite-5.4b"),
         ("oracle-verify --b 5",
          "--b has no effect: oracle-verify reads no catalog family"),
         ("oracle-verify --name sparse-5.2 --M 4",
@@ -229,12 +234,23 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="--gamma has no effect"):
             _resolve(["--config", str(path)])
 
+    def test_override_only_companions_read_from_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command=cusp-analyze\nname=critical-infinite-5.4b\n"
+                        "gamma=0.3\n")
+        with pytest.raises(ConfigError, match=(
+                "^--gamma has no effect: cusp-analyze reads only the main "
+                "profile of critical-infinite-5.4b$")):
+            _resolve(["--config", str(path)])
+
     @pytest.mark.parametrize("argv", [
         ["profile-validate", "--name", "critical-finite-5.4a", "--mu", "0.4"],
         ["lattice-classify", "--b", "2.5", "--gamma", "0.3", "--M", "4",
          "--mu", "0.2"],
-        ["cusp-analyze", "--name", "critical-infinite-5.4b", "--gamma",
+        ["profile-validate", "--name", "critical-infinite-5.4b", "--gamma",
          "0.3"],
+        ["cusp-analyze", "--name", "critical-finite-5.4a", "--gamma", "0.3"],
+        ["cusp-analyze", "--gamma", "0.3"],
     ])
     def test_override_some_family_reads_is_accepted(self, argv):
         assert _resolve(argv).command == argv[0]

@@ -6,21 +6,36 @@ rather than hand-picked numbers, because the construction itself is the
 object under test.
 """
 
+import contextlib
+import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspgrowth import profiles
 from cuspgrowth.errors import BridgeConstructionError, CatalogError, DomainError, ProfileError
 from cuspgrowth.profiles import (
+    _GRID,
+    _JOIN_TOL,
+    _RATIO_SLOP,
+    _SAMPLES_PER_PIECE,
+    _SLOPE_TOL,
+    _THETA_LADDER,
     CATALOG_IDS,
     CatalogParams,
     CurvatureBounds,
     Profile,
     ProfilePiece,
+    ValidationReport,
+    _Candidate,
+    _cubic_coeffs,
     _Envelope,
+    _piece_sample_grid,
+    _poly_integral,
     _SegmentTable,
     _transition_piece,
     assemble_profile,
@@ -230,6 +245,29 @@ class TestSerialization:
             back = _rebuild(profile_to_text(prof))
             t = np.linspace(prof.t_start, 500.0, 997)
             assert np.array_equal(prof.log_value(t), back.log_value(t)), name
+
+    # sha256 of profile_to_text at the default parameters, frozen when the
+    # bridge ladder moved onto one shared grid per transition: a bridge that
+    # picks another ramp fraction, or any float that moves, changes them
+    FROZEN_DIGESTS = {
+        "sparse-5.2": (
+            "c8e94d9307fe208247d8ce1703138b19e6c89706500bd5f9e447433601cec3c0",),
+        "exotic-conv-5.3a": (
+            "8707ce3418ea612f37a33c055c89126c523410a73594ad6b7014161f703bd9ca",),
+        "exotic-div-5.3b": (
+            "fd49182f6f9852d94ac4004961cb26f4f7ddf01b7ff92b4b94cba83ffd36b447",),
+        "critical-finite-5.4a": (
+            "bd93d735cdc1e0727b710fd675831d758521e524f85d28014777e4de97d6f355",),
+        "critical-infinite-5.4b": (
+            "ac2ad27be74aaff086c385b03c58963add4a57a0254262ead9da5b15c80fe880",
+            "ab0d005d1ee0db6c794d208a55926f84eead7322ca3a60273840141bc10de75d"),
+    }
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_catalog_text_frozen(self, name):
+        digests = tuple(hashlib.sha256(profile_to_text(p).encode()).hexdigest()
+                        for p in _with_companions(name))
+        assert digests == self.FROZEN_DIGESTS[name]
 
 
 class TestCatalog:
@@ -497,3 +535,276 @@ class TestSegmentTable:
                     assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
                     # closed form, so attained up to the sampling step
                     assert least[0] >= s.min() - 1e-6 and most[0] <= s.max() + 1e-6
+
+
+# -- bridge ladder and validator against the per-candidate reference ----------
+#
+# The evaluation below is the one the shared-grid ladder replaced: each
+# ramp fraction rebuilt the band's grid, evaluated both envelopes on it
+# afresh and read its segment table through three masked calls, and the
+# validator read each piece's table the same way.  The chosen segments,
+# the profile text and every report field must agree with it bit for bit.
+
+
+def _ref_transition_candidate(left, right, q, r, theta):
+    width = r - q
+    s_q = float(left(q, 1))
+    s_r = float(right(r, 1))
+    d_q = float(left(q, 2))
+    d_r = float(right(r, 2))
+    gap = float(right(r)) - float(left(q))
+
+    # Plateau level from the exact area constraint: integral of sigma over
+    # [q, r] equals the log-value gap between the envelopes.
+    s_star = (gap / width
+              - theta * (s_q + s_r) / 2.0
+              - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
+
+    w_ramp = theta * width
+    seg1 = {
+        "kind": "cubic",
+        "t0": q, "t1": q + w_ramp,
+        "anchor": float(left(q)),
+        "coeffs": _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
+    }
+    a1 = seg1["anchor"] + w_ramp * _poly_integral(seg1["coeffs"])
+    seg2 = {
+        "kind": "cubic",
+        "t0": q + w_ramp, "t1": r - w_ramp,
+        "anchor": a1,
+        "coeffs": (s_star, 0.0, 0.0, 0.0),
+    }
+    a2 = a1 + (width - 2.0 * w_ramp) * s_star
+    seg3 = {
+        "kind": "cubic",
+        "t0": r - w_ramp, "t1": r,
+        "anchor": a2,
+        "coeffs": _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp),
+    }
+    segments = (seg1, seg2, seg3)
+
+    t = np.linspace(q, r, _GRID)
+    table = _SegmentTable.compile(
+        [ProfilePiece(q, r, "bridge", {"segments": segments})])
+    g = table(t, 0)
+    d1 = table(t, 1)
+    d2 = table(t, 2)
+    ratio = d2 + d1 * d1
+
+    lo_rate = min(left.rate, right.rate)
+    hi_rate = max(left.rate, right.rate)
+    achieved = max(0.0,
+                   lo_rate * lo_rate - float(np.min(ratio)),
+                   float(np.max(ratio)) - hi_rate * hi_rate)
+
+    monotone = bool(np.all(d1 < 0.0))
+    lo_env = np.minimum(left(t), right(t))
+    hi_env = np.maximum(left(t), right(t))
+    slack = 1e-9 * np.maximum(1.0, np.abs(g))
+    sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
+
+    return _Candidate(segments=segments, proxy_slack=achieved,
+                      monotone=monotone, sandwiched=sandwiched)
+
+
+def _ref_transition_piece(left, right, q, r):
+    if left == right:
+        seg = {"kind": "analytic", "t0": q, "t1": r,
+               "power": left.power, "rate": left.rate}
+        return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
+    if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
+        raise BridgeConstructionError(
+            "envelope not decreasing at a transition endpoint")
+    best = None
+    for theta in _THETA_LADDER:
+        cand = _ref_transition_candidate(left, right, q, r, theta)
+        if not (cand.monotone and cand.sandwiched):
+            continue
+        if best is None or cand.proxy_slack < best.proxy_slack:
+            best = cand
+    if best is None:
+        raise BridgeConstructionError(
+            f"no monotone sandwiched transition on [{q}, {r}] between "
+            f"(power={left.power}, rate={left.rate}) and "
+            f"(power={right.power}, rate={right.rate})")
+    return ProfilePiece(q, r, "bridge", {"segments": best.segments})
+
+
+def _ref_validate_profile(profile):
+    msgs = []
+    a2 = profile.bounds.a ** 2
+    b2 = profile.bounds.b ** 2
+    eps = profile.bounds.eps
+
+    worst_join = 0.0
+    worst_slope = 0.0
+    # one table per piece: a join is checked with each side's own law
+    tables = [_SegmentTable.compile([piece]) for piece in profile.pieces]
+    for k, leftp in enumerate(profile.pieces[:-1]):
+        t = np.array([leftp.t1])
+        gl = float(tables[k](t, 0)[0])
+        gr = float(tables[k + 1](t, 0)[0])
+        rel = abs(gl - gr) / max(1.0, abs(gl))
+        worst_join = max(worst_join, rel)
+        if rel > _JOIN_TOL:
+            msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
+        for order in (1, 2):
+            dl = float(tables[k](t, order)[0])
+            dr = float(tables[k + 1](t, order)[0])
+            srel = abs(dl - dr) / max(1.0, abs(dl))
+            worst_slope = max(worst_slope, srel)
+            if srel > _SLOPE_TOL:
+                msgs.append(
+                    f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
+
+    ratio_min = INF
+    ratio_max = -INF
+    for piece, table in zip(profile.pieces, tables):
+        t = _piece_sample_grid(piece, _SAMPLES_PER_PIECE)
+        g = table(t, 0)
+        d1 = table(t, 1)
+        d2 = table(t, 2)
+        if not np.all(np.isfinite(g)):
+            msgs.append(f"non-finite log value in piece at t0={piece.t0}")
+            continue
+        if np.any(d1 > 1e-12):
+            msgs.append(f"non-decreasing log profile in piece at t0={piece.t0}")
+        if np.any(np.diff(g) >= 0):
+            msgs.append(f"sampled values not strictly decreasing in piece at t0={piece.t0}")
+        ratio = d2 + d1 * d1
+        ratio_min = min(ratio_min, float(np.min(ratio)))
+        ratio_max = max(ratio_max, float(np.max(ratio)))
+        if float(np.min(ratio)) < a2 - eps - _RATIO_SLOP:
+            msgs.append(
+                f"curvature proxy {float(np.min(ratio)):.6g} below "
+                f"a^2 - eps = {a2 - eps:.6g} in piece at t0={piece.t0}")
+        if float(np.max(ratio)) > b2 + eps + _RATIO_SLOP:
+            msgs.append(
+                f"curvature proxy {float(np.max(ratio)):.6g} above "
+                f"b^2 + eps = {b2 + eps:.6g} in piece at t0={piece.t0}")
+
+    implied = max(0.0, a2 - ratio_min, ratio_max - b2)
+    return ValidationReport(passed=not msgs,
+                            messages=tuple(msgs),
+                            ratio_range=(ratio_min, ratio_max),
+                            implied_eps=implied,
+                            worst_join_gap=worst_join,
+                            worst_slope_gap=worst_slope,
+                            convex=ratio_min >= -_RATIO_SLOP)
+
+
+def _catalog_build(name, params, *, reference):
+    """The family's main profile and companions, or the error they raise;
+    ``reference`` builds them through the per-candidate bridge and the
+    table-evaluated validator."""
+    with contextlib.ExitStack() as stack:
+        if reference:
+            stack.enter_context(mock.patch.object(
+                profiles, "_transition_piece", _ref_transition_piece))
+            stack.enter_context(mock.patch.object(
+                profiles, "validate_profile", _ref_validate_profile))
+        try:
+            return ((catalog_profile(name, params),)
+                    + catalog_companions(name, params))
+        except (BridgeConstructionError, CatalogError) as exc:
+            return type(exc), str(exc)
+
+
+def _assert_same_build(name, params):
+    got = _catalog_build(name, params, reference=False)
+    want = _catalog_build(name, params, reference=True)
+    if not isinstance(want[0], Profile):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for prof, ref in zip(got, want):
+        # bridge segments compare with ==; the text's shortest round-trip
+        # reprs also tell -0.0 from 0.0
+        assert [p.params for p in prof.pieces] == [p.params for p in ref.pieces]
+        assert profile_to_text(prof) == profile_to_text(ref)
+        report = validate_profile(prof)
+        expected = _ref_validate_profile(prof)
+        assert report == expected
+        assert repr(report) == repr(expected)
+
+
+@st.composite
+def _in_range_params(draw):
+    # beta in (1 + gamma, 2 + gamma), as critical-infinite-5.4b needs
+    gamma = draw(st.floats(0.05, 0.95))
+    return CatalogParams(
+        m=draw(st.integers(3, 5)),
+        mu=draw(st.floats(0.01, 0.3)),
+        band_ratio=draw(st.floats(1.5, 40.0)),
+        head=draw(st.floats(0.5, 8.0)),
+        rate_fast=draw(st.floats(2.05, 8.0)),
+        beta=gamma + draw(st.floats(1.05, 1.95)),
+        gamma=gamma,
+        windows=draw(st.integers(1, 3)))
+
+
+class TestLadderAgainstReference:
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_default_families(self, name):
+        _assert_same_build(name, default_catalog_params(name))
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(params=_in_range_params())
+    def test_in_range_parameters(self, name, params):
+        _assert_same_build(name, params)
+
+    def test_report_of_a_failing_profile(self):
+        # value and slope jumps at both joins, a rising stretch (t^2 e^{-t}
+        # on [1, 2)) and a curvature proxy on both sides of the window
+        prof = assemble_profile(
+            CurvatureBounds(a=2.0, b=2.5),
+            [pure_piece(0.0, 1.0, 1.0), poly_piece(1.0, 3.0, 2.0, 1.0),
+             pure_piece(3.0, INF, 3.0)])
+        report = validate_profile(prof)
+        for kind in ("log-value jump", "order-1 derivative jump",
+                     "order-2 derivative jump", "non-decreasing",
+                     "not strictly decreasing", "below", "above"):
+            assert any(kind in m for m in report.messages), kind
+        assert report == _ref_validate_profile(prof)
+
+
+class TestJets:
+    @staticmethod
+    def _assert_jets_match_call(table, t):
+        for order, got in enumerate(table.jets(t)):
+            assert _bit_equal(got, table(t, order)), order
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_matches_call_on_sorted_grids(self, name):
+        for prof in _with_companions(name):
+            table = prof._table
+            starts = table.starts
+            # starts below the first start (which reads the first row)
+            self._assert_jets_match_call(
+                table, np.linspace(starts[0] - 1.0, 2.0 * starts[-1] + 100.0,
+                                   100_001))
+            # every start hit exactly, with its neighbouring floats
+            self._assert_jets_match_call(table, np.sort(np.concatenate(
+                [np.nextafter(starts, -INF), starts,
+                 np.nextafter(starts, INF)])))
+            # repeated abscissae, one point, no point
+            self._assert_jets_match_call(table, np.repeat(starts, 3))
+            self._assert_jets_match_call(table, starts[-1:] + 1.0)
+            self._assert_jets_match_call(table, np.empty(0))
+
+    def test_spans_a_dropped_zero_width_plateau(self):
+        # the head transition of the critical ids is the theta = 1/2
+        # candidate on [2, 9]: its plateau at 5.5 has no room
+        prof = catalog_profile("critical-finite-5.4a")
+        piece = next(p for p in prof.pieces if p.form == "bridge")
+        assert [(s["t0"], s["t1"]) for s in piece.params["segments"]] == [
+            (2.0, 5.5), (5.5, 5.5), (5.5, 9.0)]
+        table = _SegmentTable.compile([piece])
+        assert len(table.rows) == 2
+        t = np.linspace(2.0, 9.0, _GRID)
+        assert np.count_nonzero(t == 5.5) == 1
+        self._assert_jets_match_call(table, t)
+        self._assert_jets_match_call(table, np.array([5.5]))
+        self._assert_jets_match_call(
+            table, np.array([np.nextafter(5.5, -INF), 5.5, 5.5]))

@@ -30,7 +30,12 @@ from cuspgrowth import (
     quarter_pinch_gate,
     run_example,
 )
-from cuspgrowth.profiles import _FAMILY_READS, CatalogParams, profile_to_text
+from cuspgrowth.profiles import (
+    _FAMILY_READS,
+    _PROFILE_READS,
+    CatalogParams,
+    profile_to_text,
+)
 from cuspgrowth.taxonomy import _family_model, _group_divergent, catalog_spec
 
 INF = float("inf")
@@ -373,6 +378,18 @@ def _family_view(name: str, params: CatalogParams):
             spec.vgamma, spec.dominant_flags)
 
 
+def _profiles_view(name: str, params: CatalogParams):
+    """What profile-validate builds: the main profile and its companions."""
+    return tuple(profile_to_text(p) for p in
+                 (catalog_profile(name, params),)
+                 + catalog_companions(name, params))
+
+
+def _main_view(name: str, params: CatalogParams):
+    """What cusp-analyze builds: the main profile alone."""
+    return profile_to_text(catalog_profile(name, params))
+
+
 def _perturbations(field: str, value, *, wild: bool = False):
     if field == "mu":
         # at the default m = 3, mu binds only above 0.375
@@ -387,40 +404,67 @@ def _perturbations(field: str, value, *, wild: bool = False):
                    else [1e30, -value])
 
 
+def _assert_undeclared_change_nothing(name, reads, view):
+    params = default_catalog_params(name)
+    base = view(name, params)
+    for field in dataclasses.fields(CatalogParams):
+        if field.name in reads[name]:
+            continue
+        value = getattr(params, field.name)
+        for moved_value in _perturbations(field.name, value, wild=True):
+            moved = dataclasses.replace(params, **{field.name: moved_value})
+            try:
+                got = view(name, moved)
+            except CatalogError:
+                # a range check on a field the family reads elsewhere
+                # rejects the value, which is no silent change; a nearby
+                # value must pass it
+                assert field.name in _FAMILY_READS[name], field.name
+                assert moved_value not in _perturbations(field.name, value)
+                continue
+            assert got == base, (field.name, moved_value)
+
+
+def _assert_declared_change_something(name, reads, view):
+    params = default_catalog_params(name)
+    base = view(name, params)
+    for field in sorted(reads[name]):
+        views = []
+        for value in _perturbations(field, getattr(params, field)):
+            try:
+                views.append(view(
+                    name, dataclasses.replace(params, **{field: value})))
+            except CatalogError:
+                continue
+        assert any(v != base for v in views), field
+
+
 class TestFamilyReads:
-    """_FAMILY_READS names exactly the CatalogParams fields a family reads."""
+    """_FAMILY_READS names exactly the CatalogParams fields a family reads,
+    and _PROFILE_READS those that shape its main profile."""
 
     def test_declares_every_family(self):
         fields = {f.name for f in dataclasses.fields(CatalogParams)}
-        assert set(_FAMILY_READS) == set(CATALOG_IDS)
+        assert set(_FAMILY_READS) == set(_PROFILE_READS) == set(CATALOG_IDS)
         assert all(reads <= fields for reads in _FAMILY_READS.values())
+        assert all(_PROFILE_READS[name] <= _FAMILY_READS[name]
+                   for name in CATALOG_IDS)
         # each override flag's field is read by some family
         assert {"rate_fast", "gamma", "m", "mu"} <= set().union(
             *_FAMILY_READS.values())
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_undeclared_fields_change_nothing(self, name):
-        params = default_catalog_params(name)
-        base = _family_view(name, params)
-        for field in dataclasses.fields(CatalogParams):
-            if field.name in _FAMILY_READS[name]:
-                continue
-            for value in _perturbations(field.name,
-                                        getattr(params, field.name),
-                                        wild=True):
-                moved = dataclasses.replace(params, **{field.name: value})
-                assert _family_view(name, moved) == base, (field.name, value)
+        _assert_undeclared_change_nothing(name, _FAMILY_READS, _family_view)
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_declared_fields_change_something(self, name):
-        params = default_catalog_params(name)
-        base = _family_view(name, params)
-        for field in sorted(_FAMILY_READS[name]):
-            views = []
-            for value in _perturbations(field, getattr(params, field)):
-                try:
-                    views.append(_family_view(
-                        name, dataclasses.replace(params, **{field: value})))
-                except CatalogError:
-                    continue
-            assert any(view != base for view in views), field
+        _assert_declared_change_something(name, _FAMILY_READS, _family_view)
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    @pytest.mark.parametrize("reads, view", [
+        (_FAMILY_READS, _profiles_view), (_PROFILE_READS, _main_view)],
+        ids=["profile-validate", "cusp-analyze"])
+    def test_each_command_reads_its_declared_set(self, name, reads, view):
+        _assert_undeclared_change_nothing(name, reads, view)
+        _assert_declared_change_something(name, reads, view)
