@@ -53,18 +53,16 @@ __all__ = [
 ]
 
 R_CAP = 14.0
-# verify_prop28 widens its annuli by up to twice this much beyond the
-# gauge, so it reads its ball that far above the radius plus half a gauge
-_PROP28_HEADROOM = 0.5
 # largest ball any count may read: what verify_prop28 needs at R_CAP with
 # the default gauge 1
-BALL_CAP = R_CAP + 1.0
+BALL_CAP = R_CAP + 0.5
 
 
 def prop28_radius(r: float, gauge: float) -> float:
-    """Radius of the ball that verify_prop28(r, gauge) reads; it must not
-    exceed BALL_CAP."""
-    return r + gauge / 2.0 + _PROP28_HEADROOM
+    """Radius of the ball that coset_counts(r, gauge) and verify_prop28(r,
+    gauge) read: the top of the outermost annulus.  It must not exceed
+    BALL_CAP."""
+    return r + gauge / 2.0
 
 
 @dataclass(frozen=True)
@@ -182,9 +180,18 @@ def approx_defect(x: HPoint, y: HPoint) -> float:
 
 
 def _check_cap(r: float, cap: float = R_CAP) -> None:
+    # the ball bound 2 cosh(r) is even in r: a negative radius would
+    # enumerate the ball of radius |r|
+    if not (math.isfinite(r) and r >= 0):
+        raise DomainError(f"radius {r!r} must be finite and non-negative")
     if r > cap:
         raise EnumerationCapError(
             f"radius {r!r} exceeds the enumeration cap {cap!r}")
+
+
+def _check_gauge(gauge: float) -> None:
+    if not (math.isfinite(gauge) and gauge > 0):
+        raise DomainError(f"gauge {gauge!r} must be finite and positive")
 
 
 def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,14 +433,13 @@ def coset_counts(r: float, gauge: float) -> CountTable:
     """Counts of group elements, cosets, and double cosets at every
     multiple of the gauge up to r, plus the group annulus counts."""
     _check_cap(r)
-    if gauge <= 0:
-        raise DomainError("gauge must be positive")
+    _check_gauge(gauge)
     radii = np.arange(gauge, r + gauge / 2.0, gauge)
     radii = radii[radii <= r + 1e-12]
     if radii.size == 0:
         raise DomainError(f"gauge {gauge!r} exceeds radius {r!r}: "
                           f"no gauge multiple to count at")
-    norms = _sorted_norms(r + gauge / 2.0)
+    norms = _sorted_norms(prop28_radius(r, gauge))
     return CountTable(
         gauge=gauge,
         radii=radii,
@@ -611,7 +617,6 @@ class Prop28Report:
     n_assert: int
     right_left_in_group: bool
     right_double_in_group: bool
-    shift_right_to_left: float
     shift_left_lower: Optional[float]
     shift_right_lower: Optional[float]
     shift_double_lower: Optional[float]
@@ -634,8 +639,6 @@ class Prop28Report:
             + ("ok" if self.right_left_in_group else "FAIL"),
             "exact: double-coset annuli <= group annuli: "
             + ("ok" if self.right_double_in_group else "FAIL"),
-            f"smallest gauge widening, right cosets inside left cosets: "
-            f"{self.shift_right_to_left!r}",
             f"fitted lower shifts (left / right / double): "
             f"{self.shift_left_lower!r} / {self.shift_right_lower!r} / "
             f"{self.shift_double_lower!r}",
@@ -655,27 +658,18 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
     outside its range.
     """
     _check_cap(r)
-    if gauge <= 0:
-        raise DomainError("gauge must be positive")
-    norms = _sorted_norms(prop28_radius(r, gauge))
+    _check_gauge(gauge)
     radii = np.arange(0.25, r + 1e-12, 0.25)
     fit_max = r / 2.0
     fit = radii <= fit_max
+    if not fit.any() or fit.all():
+        raise DomainError(f"radius {r!r} leaves no fit row or no assert row "
+                          f"on the quarter-unit grid; it must be at least 0.5")
+    norms = _sorted_norms(prop28_radius(r, gauge))
     annuli = {name: _annulus(arr, radii, gauge) for name, arr in norms.items()}
 
     right_left = bool(np.all(annuli["left"] <= annuli["group"]))
     right_double = bool(np.all(annuli["double"] <= annuli["group"]))
-
-    # right cosets against left cosets: find the smallest gauge widening
-    # that absorbs them, on the whole range (the inverse map matches the
-    # two coset families isometrically here, so 0 is expected)
-    widen_grid = np.arange(0.0, 2.0 * _PROP28_HEADROOM + 1e-9, 0.25)
-    shift_rl = math.nan
-    for s in widen_grid:
-        widened = _annulus(norms["left"], radii, gauge + s)
-        if np.all(annuli["right"] <= widened):
-            shift_rl = float(s)
-            break
 
     # prefactor * v^{gauge-s}_group <= v^gauge_coset with one row per
     # shift s and one column per radius; the left side shrinks as s grows,
@@ -704,7 +698,6 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=int(np.count_nonzero(fit)), n_assert=int(np.count_nonzero(~fit)),
         right_left_in_group=right_left, right_double_in_group=right_double,
-        shift_right_to_left=shift_rl,
         shift_left_lower=fits["left"], shift_right_lower=fits["right"],
         shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
 

@@ -115,19 +115,6 @@ class PinchGateReport:
     critical_gap: bool
     delta_gamma: float
 
-    def summary(self) -> str:
-        if not self.applies:
-            return "quarter-pinch gate: not applicable (b^2 > 4a^2 + slack)"
-        lines = [
-            "quarter-pinch gate: applies",
-            f"  parabolic exponents confined to [{self.delta_floor!r}, {self.delta_plus_cap!r}]",
-            f"  entropy floor {self.entropy_floor!r}: "
-            + ("ok" if self.entropy_floor_ok else "VIOLATED by the ambient exponent"),
-            f"  critical gap (every cusp exponent < ambient): "
-            + ("asserted" if self.critical_gap else "not implied"),
-        ]
-        return "\n".join(lines)
-
 
 def quarter_pinch_gate(bounds: CurvatureBounds, delta_gamma: float,
                        *, slack: float = 0.0) -> PinchGateReport:

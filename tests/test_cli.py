@@ -311,7 +311,7 @@ class TestNumberRanges:
         path = tmp_path / "run.cfg"
         path.write_text("command=oracle-verify\nRcap=14\ndelta=8\n")
         with pytest.raises(ConfigError, match="--delta 8.0 with --Rcap 14.0 "
-                           "would enumerate the lattice to radius 18.5"):
+                           "would enumerate the lattice to radius 18.0"):
             _resolve(["--config", str(path)])
 
     @pytest.mark.parametrize("command", [

@@ -449,14 +449,12 @@ class TestProp28:
         rep = _prop28(1.0)
         assert rep.passed
         assert rep.right_left_in_group and rep.right_double_in_group
-        assert rep.shift_right_to_left == 0.0
         assert (rep.shift_left_lower, rep.shift_right_lower) == (0.0, 0.0)
         assert rep.shift_double_lower == 0.75
 
     def test_gauge_two(self):
         rep = _prop28(2.0)
         assert rep.passed
-        assert rep.shift_right_to_left == 0.0
         assert (rep.shift_left_lower, rep.shift_right_lower) == (0.0, 0.0)
         assert rep.shift_double_lower == 1.75
 
@@ -501,6 +499,41 @@ class TestCountingBand:
                                                  abs=1e-6)
         assert rep.max_assert_deviation <= rep.log_constant
         assert rep.max_center_drift < 0.15
+
+
+# calls whose radius or gauge no count can read
+_BAD_ENTRIES = {
+    "enumerate_group-nan": lambda: enumerate_group(math.nan),
+    "enumerate_group-inf": lambda: enumerate_group(math.inf),
+    "enumerate_group--inf": lambda: enumerate_group(-math.inf),
+    # 2 cosh(r) is even in r: this read the radius-3 ball
+    "enumerate_group--3": lambda: enumerate_group(-3.0),
+    "estimate_delta-nan": lambda: estimate_delta(r_cap=math.nan),
+    "coset_counts-r-nan": lambda: coset_counts(math.nan, 1.0),
+    "coset_counts-gauge-nan": lambda: coset_counts(12.0, math.nan),
+    "coset_counts-gauge-inf": lambda: coset_counts(12.0, math.inf),
+    "verify_prop28-r-nan": lambda: verify_prop28(math.nan, 1.0),
+    "verify_prop28-r--inf": lambda: verify_prop28(-math.inf, 1.0),
+    "verify_prop28-gauge-nan": lambda: verify_prop28(12.0, math.nan),
+    "verify_prop28-gauge-inf": lambda: verify_prop28(12.0, math.inf),
+    # fewer than two quarter-unit rows: no fit row or no assert row
+    **{f"verify_prop28-r-{r}": (lambda r=r: verify_prop28(r, 1.0))
+       for r in (-1.0, 0.0, 0.25, 0.49)},
+}
+
+
+class TestEntryChecks:
+    """A radius or gauge that no count can read is a DomainError, not a
+    bare ValueError from numpy or a vacuous pass."""
+
+    @pytest.mark.parametrize("case", list(_BAD_ENTRIES))
+    def test_rejected(self, case):
+        with pytest.raises(DomainError):
+            _BAD_ENTRIES[case]()
+
+    def test_smallest_checked_radius(self):
+        rep = verify_prop28(0.5, 1.0)
+        assert (rep.n_fit, rep.n_assert) == (1, 1)
 
 
 # Each consumer at a radius of its own, so that a fresh ball is built at
@@ -699,8 +732,8 @@ class TestBallAgainstReference:
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         norms = h2_oracle._sorted_norms(BALL_CAP)
         sizes = {name: arr.size for name, arr in norms.items()}
-        assert sizes == {"group": 1_634_433, "left": 817_217,
-                         "right": 817_217, "double": 408_254}
+        assert sizes == {"group": 991_417, "left": 495_709,
+                         "right": 495_709, "double": 247_938}
 
 
 # -- reference coset group-by and sandwich loops -----------------------------
@@ -775,14 +808,6 @@ def _ref_verify_prop28(r: float, gauge: float) -> h2_oracle.Prop28Report:
         <= _ref_annulus(norms["group"], x, gauge)
         for x in radii)
 
-    widen_grid = np.arange(0.0, 2.0 * h2_oracle._PROP28_HEADROOM + 1e-9, 0.25)
-    shift_rl = None
-    for s in widen_grid:
-        if all(_ref_annulus(norms["right"], x, gauge)
-               <= _ref_annulus(norms["left"], x, gauge + s) for x in radii):
-            shift_rl = float(s)
-            break
-
     shift_grid = np.arange(0.0, gauge + 2.0 + 1e-9, 0.25)
     fits = {}
     for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
@@ -811,7 +836,6 @@ def _ref_verify_prop28(r: float, gauge: float) -> h2_oracle.Prop28Report:
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=len(fit_radii), n_assert=len(assert_radii),
         right_left_in_group=right_left, right_double_in_group=right_double,
-        shift_right_to_left=shift_rl if shift_rl is not None else math.nan,
         shift_left_lower=fits["left"], shift_right_lower=fits["right"],
         shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
 
@@ -824,7 +848,7 @@ class TestCosetsAgainstReference:
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         norms = h2_oracle._sorted_norms(BALL_CAP)
         want = _ref_left_cosets(BALL_CAP)
-        assert want.size == 817_217
+        assert want.size == 495_709
         assert np.array_equal(norms["left"], want)
         assert np.array_equal(norms["right"], want)
 
@@ -839,8 +863,8 @@ class TestCosetsAgainstReference:
     def test_prop28_same_report_on_synthetic_balls(self, monkeypatch, seed,
                                                    gauge):
         # the lattice passes every sandwich with the same shifts; these
-        # arrays also reach failed inclusions, failed assertions, other
-        # shifts and no widening at all
+        # arrays also reach failed inclusions, failed assertions and other
+        # shifts
         norms = _synthetic_ball(seed)
         monkeypatch.setattr(h2_oracle, "_sorted_norms",
                             lambda r, h=0.0: norms)
@@ -851,8 +875,7 @@ class TestCosetsAgainstReference:
 def _assert_same_report(got, want) -> None:
     for field in dataclasses.fields(want):
         x, y = getattr(got, field.name), getattr(want, field.name)
-        assert type(x) is type(y), field.name
-        assert x == y or (x != x and y != y), field.name
+        assert type(x) is type(y) and x == y, field.name
 
 
 def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:

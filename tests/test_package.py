@@ -124,3 +124,49 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports(path):
     # the package's __init__ imports only to re-export, so it is exempt
     assert _unused_imports(path) == []
+
+
+def _module_private_definitions(path: Path) -> dict[str, int]:
+    """Single-underscore names a module defines at its top level, with the
+    line of each definition."""
+    defined = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names one file reads: loaded names, attribute names and imported
+    names."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_private_definitions():
+    # a private definition that nothing reads is a leftover of a deletion
+    readers = [p for folder in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    read = set().union(*(_read_names(p) for p in readers))
+    unread = [f"{path.name}:{line}: {name}"
+              for path in sorted(INIT.parent.glob("*.py"))
+              for name, line in _module_private_definitions(path).items()
+              if name not in read]
+    assert unread == []

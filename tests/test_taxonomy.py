@@ -91,7 +91,6 @@ class TestQuarterPinchGate:
         assert rep.applies
         assert not rep.entropy_floor_ok
         assert not rep.critical_gap
-        assert "VIOLATED" in rep.summary()
 
     def test_not_applicable(self):
         rep = quarter_pinch_gate(CurvatureBounds(a=1.0, b=3.0), 1.5)
@@ -99,7 +98,6 @@ class TestQuarterPinchGate:
         assert not rep.critical_gap
         # no inconsistency can be flagged by a gate that does not apply
         assert rep.entropy_floor_ok
-        assert "not applicable" in rep.summary()
 
     def test_slack_widens_the_window(self):
         bounds = CurvatureBounds(a=1.0, b=3.0)
