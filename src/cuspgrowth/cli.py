@@ -34,9 +34,7 @@ from .asymptotics import (
 )
 from .errors import CatalogError, ConfigError, CuspGrowthError, QuadratureError
 from .h2_oracle import (
-    _DELTA_POINTS,
-    _DELTA_POLICY,
-    _DELTA_R_MIN,
+    _DELTA_FLOOR,
     BALL_CAP,
     R_CAP,
     coset_counts,
@@ -95,14 +93,12 @@ _DEFAULTS = {
 # Smallest value of a numeric flag, (floor, floor itself allowed), for
 # each command that reads it.  The radius floors are where the tail
 # windows of the command's growth fit first fill: run_example fits
-# np.linspace(1, Rmax, _GRID_POINTS), estimate_delta
-# np.linspace(_DELTA_R_MIN, Rcap, _DELTA_POINTS).
+# np.linspace(1, Rmax, _GRID_POINTS); estimate_delta's is _DELTA_FLOOR.
 _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
     "Rmax": {"cusp-analyze": (0.0, False),
              "example-run": (
                  WindowPolicy().min_r_max(1.0, _GRID_POINTS), True)},
-    "Rcap": {"oracle-verify": (
-        _DELTA_POLICY.min_r_max(_DELTA_R_MIN, _DELTA_POINTS), True)},
+    "Rcap": {"oracle-verify": (_DELTA_FLOOR, True)},
     "delta": {"oracle-verify": (0.0, False)},
     "seed": {"oracle-verify": (0, True)},
 }

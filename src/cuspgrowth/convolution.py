@@ -349,7 +349,9 @@ def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
         return NEG_INF
     t = np.concatenate(([lo, rho], cache._kinks(),
                         rho - _ambient_kinks(vg, rho, rel_tol)))
-    t = np.unique(t[(t >= lo) & (t <= rho)])
+    # np.unique, without the numpy.ma import its first call costs
+    t = np.sort(t[(t >= lo) & (t <= rho)])
+    t = np.r_[t[:1], t[1:][t[1:] != t[:-1]]]
     y = cache(t) + vg.log_value(rho - t)
     return logsumexp(_log_exp_linear(y[:-1], y[1:], np.diff(t)))
 

@@ -169,13 +169,6 @@ def t_xi(x: HPoint, y: HPoint) -> float:
     return math.log(gap) - math.log(level)
 
 
-def approx_defect(x: HPoint, y: HPoint) -> float:
-    """Signed defect d(x,y) - (2 t_xi + |busemann|) of the flow-time
-    approximation; the oracle bounds its absolute value empirically."""
-    b = busemann_inf(x, y)
-    return h2_distance(x, y) - (2.0 * t_xi(x, y) + abs(b))
-
-
 # -- enumeration --------------------------------------------------------------
 
 
@@ -195,11 +188,13 @@ def _check_gauge(gauge: float) -> None:
 
 
 def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise extended Euclid on int64 arrays, a > 0, c >= 0: g =
-    gcd(a, c) and the v of a*u + c*v = g (u = (g - c*v) / a is exact, so
-    untracked)."""
-    old_r, r = a.copy(), c.copy()
-    old_v, v = np.zeros_like(a), np.ones_like(a)
+    """Elementwise extended Euclid, a > 0, c >= 0: g = gcd(a, c) and the v
+    of a*u + c*v = g (u = (g - c*v) / a is exact, so untracked), as int64.
+    It runs on int32 copies: every remainder is at most max(a, c) and
+    every |v| at most a, and the entries stay far below 2^31 in any ball
+    that fits in memory (see _enumerate)."""
+    old_r, r = a.astype(np.int32), c.astype(np.int32)
+    old_v, v = np.zeros_like(old_r), np.ones_like(old_r)
     live = np.flatnonzero(r)
     while live.size:
         r_l, v_l = r[live], v[live]
@@ -207,7 +202,7 @@ def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         old_r[live], r[live] = r_l, old_r[live] - q * r_l
         old_v[live], v[live] = v_l, old_v[live] - q * v_l
         live = live[r[live] != 0]
-    return old_r, old_v
+    return old_r.astype(np.int64), old_v.astype(np.int64)
 
 
 def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,13 +214,13 @@ def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
-    """The nonempty columns (a, c) of the elements with weighted entry sum
-    at most s_cap: a > 0 odd, c even and coprime to a, in the trace bound.
-    Each admits a one-parameter family (b, d) = (b0 + ka, d0 + kc) whose
-    norm is quadratic in k, so the k window is solved in closed form; the
-    congruence forces k to one parity class.  Returns a, c, b0, d0, the
-    first k and the number of k values, one entry per column: the c >= 0
-    columns a then c ascending, then their c < 0 mirrors."""
+    """The nonempty columns (a, c), c >= 0, of the elements with weighted
+    entry sum at most s_cap: a > 0 odd, c even and coprime to a, in the
+    trace bound.  Each admits a one-parameter family (b, d) = (b0 + ka,
+    d0 + kc) whose norm is quadratic in k, so the k window is solved in
+    closed form; the congruence forces k to one parity class.  Returns a,
+    c, b0, d0, the first k and the number of k values, one entry per
+    column, a then c ascending."""
     bound_ac = s_cap / eh
     a_max = int(math.isqrt(int(bound_ac))) + 1
     a = np.arange(1, a_max + 1, 2, dtype=np.int64)
@@ -253,23 +248,20 @@ def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
     k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
     k_lo += (k_lo + b0) % 2
     count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
-    # conjugation by diag(1, -1) keeps every weighted sum and maps column
-    # (a, c) to (a, -c) with (-b0, d0): element (a, b, c, d) at k goes to
-    # (a, -b, -c, d) at -k, so the mirror's window is the negated one
     full = count > 0
-    mirror = full & (c > 0)
-    k_last = k_lo + 2 * (count - 1)
-    return tuple(np.concatenate((x[full], y[mirror])) for x, y in (
-        (a, a), (c, -c), (b0, -b0), (d0, d0), (k_lo, -k_last), (count, count)))
+    return tuple(x[full] for x in (a, c, b0, d0, k_lo, count))
 
 
 def _enumerate(r: float, h: float = 0.0) -> tuple[np.ndarray, ...]:
-    """All canonical group elements with weighted displacement <= r, as
-    int64 entry arrays (a, b, c, d), column by column (see _columns) and
-    by k within a column, and the number kept from each column.  The
-    squares stay exact: they overflow only past entries of 3e9, and a ball
-    with such an entry also holds the unipotent elements up to it, over a
-    billion of them."""
+    """The canonical group elements with c >= 0 and weighted displacement
+    <= r, as int64 entry arrays (a, b, c, d), column by column (see
+    _columns) and by k within a column, and the number kept from each
+    column.  Conjugation by diag(1, -1) maps (a, b, c, d) to (a, -b, -c,
+    d): it keeps a^2 + c^2 and b^2 + d^2, so every weighted sum at every
+    depth, and fixes only the c = 0 column, so the ball is these elements
+    and the mirrors of those with c > 0.  The squares stay exact: they
+    overflow only past entries of 3e9, and a ball with such an entry also
+    holds the unipotent elements up to it, over a billion of them."""
     s_cap = 2.0 * math.cosh(r)
     eh = math.exp(h)
     a, c, b0, d0, k_lo, count = _columns(s_cap, eh)
@@ -307,6 +299,9 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
     lexicographically.  Canonical signs make the list projective."""
     _check_cap(r)
     a, b, c, d, _ = _enumerate(r, h)
+    mirror = c > 0
+    a, b, c, d = (np.concatenate((x, y[mirror]))
+                  for x, y in ((a, a), (b, -b), (c, -c), (d, d)))
     order = np.lexsort((d, c, b, a, _weighted_sums(a, b, c, d, h)))
     return [MoebiusElement(*t) for t in zip(
         a[order].tolist(), b[order].tolist(),
@@ -317,9 +312,9 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
 
 
 def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Sorted minima of w over the classes of rows with equal integer
-    keys: the keys are packed into one int64, the rows sorted by it, and
-    each run reduced."""
+    """Minima of w over the classes of rows with equal integer keys: the
+    keys are packed into one int64, the rows sorted by it, and each run
+    reduced."""
     if w.size == 0:
         return w
     packed = np.zeros(w.size, dtype=np.int64)
@@ -329,39 +324,55 @@ def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     order = np.argsort(packed)
     packed = packed[order]
     starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
-    return np.sort(np.minimum.reduceat(w[order], starts))
+    return np.minimum.reduceat(w[order], starts)
 
 
-def _distances(sums: np.ndarray) -> np.ndarray:
-    """MoebiusElement.displacement of each sorted weighted sum, in the same
-    float operations, taken once per distinct sum."""
+def _counted(sums: np.ndarray,
+             once: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The displacements of the weighted sums in counted form: distinct,
+    the sorted distinct displacements, and below, the number of counted
+    displacements under each one and, last, in all.  Each sum counts
+    twice, for itself and its mirror, except those also in once, which
+    count once.  On the sorted array arr of all counted displacements,
+    searchsorted(arr, x, "left") equals below[searchsorted(distinct, x,
+    "left")].  The displacements are MoebiusElement.displacement's float
+    operations, taken once per distinct sum."""
+    sums = np.sort(sums)
     first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
     dist = _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
-    return np.repeat(dist, np.diff(np.r_[first, sums.size]))
+    below = (2 * np.r_[first, sums.size]
+             - np.searchsorted(np.sort(once), np.r_[sums[first], math.inf]))
+    # distinct sums may round to one displacement
+    keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
+    return dist[keep], below[np.r_[keep, dist.size]]
 
 
 # Largest complete ball built so far per base-point depth h, as h ->
-# (radius, sorted norms).  Serving a smaller radius from it is exact: every
-# count is searchsorted(norms, x, side="left") with x at most the radius
-# asked for, and the displacement grows with the weighted entry sum, so
-# what a larger ball adds lies at or above that radius and is never counted.
-_BALLS: dict[float, tuple[float, dict[str, np.ndarray]]] = {}
+# (radius, counted norms).  Serving a smaller radius from it is exact:
+# every count is a count of norms below some x at most the radius asked
+# for, and the displacement grows with the weighted entry sum, so what a
+# larger ball adds lies at or above that radius and is never counted.
+_BALLS: dict[float,
+             tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]] = {}
 
 
-def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
-    """Sorted displacement arrays of the counted objects, complete below
-    radius r about the base point i * e^h: the group elements, and at
-    h = 0 also the left cosets, right cosets and nontrivial double
-    cosets.  The oracle's one enumeration path: the arrays are shared and
-    read-only, and a request above the ball held at depth h replaces it.
+def _sorted_norms(r: float,
+                  h: float = 0.0) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Displacements of the counted objects, complete below radius r
+    about the base point i * e^h, in the counted form of _counted: the
+    group elements, and at h = 0 also the left cosets, right cosets and
+    nontrivial double cosets.  The oracle's one enumeration path: the
+    arrays are shared and read-only, and a request above the ball held
+    at depth h replaces it.
 
-    The displacement acosh(max(1, s/2)) never decreases as the weighted
-    entry sum s grows, so every minimum and sort runs on the sums, and
-    the distances are taken once, on the sorted arrays.  Coset norms are
-    minima over the coset; since the enumeration below radius r is
-    complete, a group-by minimum over it equals the true minimum whenever
-    that minimum is below r, which is all the counting functions ever
-    read.
+    The ball is enumerated on its c >= 0 half (see _enumerate): the
+    mirror of each c > 0 element, column and double coset is another one
+    with the same weighted sums, so each counts twice.  The displacement
+    acosh(max(1, s/2)) never decreases as the weighted entry sum s grows,
+    so every minimum and sort runs on the sums.  Coset norms are minima
+    over the coset; since the enumeration below radius r is complete, a
+    group-by minimum over it equals the true minimum whenever that
+    minimum is below r, which is all the counting functions ever read.
     """
     _check_cap(r, BALL_CAP)
     built = _BALLS.get(h)
@@ -369,7 +380,7 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
         return built[1]
     a, b, c, d, kept = _enumerate(r, h)
     s = _weighted_sums(a, b, c, d, h)
-    norms = {"group": _distances(np.sort(s))}
+    norms = {"group": _counted(s, s[c == 0])}
     if h == 0.0:
         # right coset: invariant column (a, c), a > 0 already canonical:
         # one nonempty enumeration column
@@ -377,31 +388,38 @@ def _sorted_norms(r: float, h: float = 0.0) -> dict[str, np.ndarray]:
         col_min = np.minimum.reduceat(s, starts)
         a, c, d = a[starts], c[starts], d[starts]
         # left coset: inversion maps the ball onto itself, each left coset
-        # onto a right coset and keeps the entry sum, so the two sorted
-        # arrays are equal
-        norms["left"] = norms["right"] = _distances(np.sort(col_min))
+        # onto a right coset and keeps the entry sum, so the two are equal
+        norms["left"] = norms["right"] = _counted(col_min, col_min[c == 0])
         # double coset: residues of the diagonal modulo twice the lower
         # left entry, sign-normalized to c > 0, so constant along a column;
         # translations on both sides are quotiented out and the parabolic
-        # subgroup itself (c = 0) is excluded
-        off = c != 0
-        sign = np.where(c[off] > 0, 1, -1)
-        cc = np.abs(c[off])
-        norms["double"] = _distances(_group_minima(
-            col_min[off], cc, (sign * a[off]) % (2 * cc),
-            (sign * d[off]) % (2 * cc)))
-    for arr in norms.values():
-        arr.flags.writeable = False
+        # subgroup itself (c = 0) is excluded.  The mirror column (a, -c)
+        # has key (c, -a mod 2c, -d mod 2c); a is odd and c even, so
+        # exactly one key of each mirror pair has its second entry below
+        # c; the pair's two cosets share their minimum, so it is grouped
+        # under that key and counts twice
+        off = c > 0
+        a, c, d, col_min = a[off], c[off], d[off], col_min[off]
+        span = 2 * c
+        alpha, delta = a % span, d % span
+        flip = alpha > c
+        norms["double"] = _counted(_group_minima(
+            col_min, c, np.where(flip, span - alpha, alpha),
+            np.where(flip, -delta % span, delta)), np.empty(0))
+    for pair in norms.values():
+        for arr in pair:
+            arr.flags.writeable = False
     _BALLS[h] = (r, norms)
     return norms
 
 
-def _ball(norms: np.ndarray, r):
+def _ball(norms: tuple[np.ndarray, np.ndarray], r):
     """Count of norms below r, for a radius or an array of radii."""
-    return np.searchsorted(norms, r, side="left")
+    distinct, below = norms
+    return below[np.searchsorted(distinct, r, side="left")]
 
 
-def _annulus(norms: np.ndarray, r, gauge):
+def _annulus(norms: tuple[np.ndarray, np.ndarray], r, gauge):
     """Count of norms in [r - gauge/2, r + gauge/2), 0 for a gauge <= 0;
     radii and gauges broadcast."""
     return np.maximum(
@@ -562,7 +580,8 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     xr, xl, yr, yl = draw(*point * 2)
     xi, yi = _map(math.exp, xl), _map(math.exp, yl)
     d = _h2_distances(xr, xi, yr, yi)
-    # approx_defect: t_xi is 0 unless the horizontal gap exceeds the level
+    # the defect d - (2 t_xi + |busemann|): t_xi is 0 unless the
+    # horizontal gap exceeds the level
     gap, level = np.abs(xr - yr), np.maximum(xi, yi)
     far = gap > level
     t = np.zeros(sample_count)
@@ -729,19 +748,25 @@ class DeltaReport:
 # estimate_delta fits np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
 # with two halving windows, which cover the exactly countable radius
 # range; the convergence tolerance matches the O(1/R) drift that the
-# windowed ratio statistic carries at these radii
+# windowed ratio statistic carries at these radii.  _DELTA_FLOOR, 996/121,
+# is the least r_cap at which every window holds the samples it needs
 _DELTA_R_MIN = 4.0
 _DELTA_POINTS = 257
 _DELTA_POLICY = WindowPolicy(n_windows=2, tol=0.05)
+_DELTA_FLOOR = _DELTA_POLICY.min_r_max(_DELTA_R_MIN, _DELTA_POINTS)
 
 
 def estimate_delta(*, r_cap: float = 12.0) -> DeltaReport:
     """Estimate the lattice's critical exponent from exact ball counts;
     constant curvature -1 in the plane pins the true value at 1."""
     _check_cap(r_cap)
+    if r_cap < _DELTA_FLOOR:
+        raise DomainError(
+            f"r_cap {r_cap!r} is below estimate_delta's floor "
+            f"{_DELTA_FLOOR!r}: its fit windows would hold too few samples")
     norms = _sorted_norms(r_cap)["group"]
     radii = np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
-    counts = np.searchsorted(norms, radii, side="left").astype(float)
+    counts = _ball(norms, radii).astype(float)
     series = GrowthSeries(radii, np.log(counts), label="lattice-orbit")
     est = estimate_exponents(series, _DELTA_POLICY)
     return DeltaReport(
@@ -810,7 +835,7 @@ def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
     """
     norms = _sorted_norms(_COUNTING_R_CAP, _COUNTING_DEPTH)["group"]
     radii = np.arange(_COUNTING_R_MIN, _COUNTING_R_CAP + 1e-12, _COUNTING_STEP)
-    counts = np.searchsorted(norms, radii, side="left").astype(float)
+    counts = _ball(norms, radii).astype(float)
     log_emp = np.log(counts)
 
     prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),

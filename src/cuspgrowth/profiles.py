@@ -330,7 +330,9 @@ class Profile:
     def piece_breaks(self) -> np.ndarray:
         """All interior non-smooth abscissae (piece joins and bridge
         segment joins), for use as quadrature breakpoints."""
-        return np.unique(self._table.starts[1:])
+        # np.unique, without the numpy.ma import its first call costs
+        starts = np.sort(self._table.starts[1:])
+        return np.r_[starts[:1], starts[1:][starts[1:] != starts[:-1]]]
 
     def _dlog_range(self, lo: np.ndarray,
                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,18 +379,18 @@ class _Candidate:
     sandwiched: bool
 
 
-def _transition_candidate(left: _Envelope, right: _Envelope,
-                          q: float, r: float, theta: float, t: np.ndarray,
+def _transition_candidate(q: float, r: float, theta: float,
+                          ends: tuple[tuple[float, float, float], ...],
+                          rates: tuple[float, float], t: np.ndarray,
                           lo_env: np.ndarray, hi_env: np.ndarray) -> _Candidate:
     """The ramp/plateau/ramp transition of ramp fraction theta, checked on
     the band's grid t against the envelopes' pointwise least and greatest
-    log values there."""
+    log values there.  ends holds ln T, (ln T)' and (ln T)'' of the left
+    envelope at q and of the right one at r; rates the least and greatest
+    envelope rate."""
     width = r - q
-    s_q = float(left(q, 1))
-    s_r = float(right(r, 1))
-    d_q = float(left(q, 2))
-    d_r = float(right(r, 2))
-    gap = float(right(r)) - float(left(q))
+    (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
+    gap = v_r - v_q
 
     # Plateau level from the exact area constraint: integral of sigma over
     # [q, r] equals the log-value gap between the envelopes.
@@ -400,7 +402,7 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
     seg1 = {
         "kind": "cubic",
         "t0": q, "t1": q + w_ramp,
-        "anchor": float(left(q)),
+        "anchor": v_q,
         "coeffs": _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
     }
     a1 = seg1["anchor"] + w_ramp * _poly_integral(seg1["coeffs"])
@@ -423,8 +425,7 @@ def _transition_candidate(left: _Envelope, right: _Envelope,
         [ProfilePiece(q, r, "bridge", {"segments": segments})]).jets(t)
     ratio = d2 + d1 * d1
 
-    lo_rate = min(left.rate, right.rate)
-    hi_rate = max(left.rate, right.rate)
+    lo_rate, hi_rate = rates
     achieved = max(0.0,
                    lo_rate * lo_rate - float(np.min(ratio)),
                    float(np.max(ratio)) - hi_rate * hi_rate)
@@ -454,10 +455,14 @@ def _transition_piece(left: _Envelope, right: _Envelope,
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
-    if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
+    # the end values, the grid and the envelopes on it do not depend on
+    # the ramp fraction
+    ends = tuple(tuple(float(env(x, k)) for k in range(3))
+                 for env, x in ((left, q), (right, r)))
+    if ends[0][1] >= 0 or ends[1][1] >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
-    # the grid and the envelopes on it do not depend on the ramp fraction
+    rates = (min(left.rate, right.rate), max(left.rate, right.rate))
     t = np.linspace(q, r, _GRID)
     at_left = left(t)
     at_right = right(t)
@@ -465,7 +470,7 @@ def _transition_piece(left: _Envelope, right: _Envelope,
     hi_env = np.maximum(at_left, at_right)
     best: _Candidate | None = None
     for theta in _THETA_LADDER:
-        cand = _transition_candidate(left, right, q, r, theta,
+        cand = _transition_candidate(q, r, theta, ends, rates,
                                      t, lo_env, hi_env)
         if not (cand.monotone and cand.sandwiched):
             continue

@@ -10,10 +10,12 @@ invocation.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuspgrowth import cli, h2_oracle, numerics
+from cuspgrowth.asymptotics import GrowthSeries, estimate_exponents
 from cuspgrowth.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -415,8 +417,16 @@ class TestNumberRanges:
     def test_radius_floors_match_the_fits(self):
         floor = cli._MINIMA["Rcap"]["oracle-verify"][0]
         assert estimate_delta(r_cap=floor).n_elements > 0
+        # below its floor estimate_delta refuses before the fit, whose
+        # windows would be short of samples there
+        below = math.nextafter(floor, 0.0)
+        with pytest.raises(DomainError, match="below estimate_delta's floor"):
+            estimate_delta(r_cap=below)
+        radii = np.linspace(h2_oracle._DELTA_R_MIN, below,
+                            h2_oracle._DELTA_POINTS)
         with pytest.raises(DomainError, match="holds 7 samples"):
-            estimate_delta(r_cap=math.nextafter(floor, 0.0))
+            estimate_exponents(GrowthSeries(radii, radii),
+                               h2_oracle._DELTA_POLICY)
         floor = cli._MINIMA["Rmax"]["example-run"][0]
         assert run_example("exotic-div-5.3b", r_max=floor).passed
         with pytest.raises(DomainError, match="holds 7 samples"):

@@ -23,7 +23,6 @@ from cuspgrowth.h2_oracle import (
     CountTable,
     HPoint,
     MoebiusElement,
-    approx_defect,
     busemann_inf,
     coset_counts,
     enumerate_group,
@@ -46,6 +45,13 @@ BASE = HPoint(0.0, 1.0)
 # window in the plane; the worst case sits at equal heights with the
 # horizontal gap equal to the height
 DEFECT_SUP = math.acosh(1.5)
+
+
+def approx_defect(x: HPoint, y: HPoint) -> float:
+    """Signed defect d(x,y) - (2 t_xi + |busemann|) of the flow-time
+    approximation; the oracle bounds its absolute value empirically."""
+    b = busemann_inf(x, y)
+    return h2_distance(x, y) - (2.0 * t_xi(x, y) + abs(b))
 
 
 def hpoints(im_lo: float = math.exp(-5.0), im_hi: float = math.exp(5.0)):
@@ -490,6 +496,21 @@ class TestDelta:
         with pytest.raises(EnumerationCapError):
             estimate_delta(r_cap=R_CAP + 2.0)
 
+    @pytest.mark.parametrize("r_cap", [
+        0.0, 5.0, 8.0, math.nextafter(h2_oracle._DELTA_FLOOR, 0.0)])
+    def test_below_the_floor(self, monkeypatch, r_cap):
+        def no_ball(r, h=0.0):
+            raise AssertionError("a ball was built below the floor")
+
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        monkeypatch.setattr(h2_oracle, "_enumerate", no_ball)
+        floor = h2_oracle._DELTA_FLOOR
+        assert floor == 996 / 121
+        with pytest.raises(DomainError) as err:
+            estimate_delta(r_cap=r_cap)
+        assert f"r_cap {r_cap!r}" in str(err.value)
+        assert f"floor {floor!r}" in str(err.value)
+
 
 class TestCountingBand:
     def test_two_phase_band_membership(self):
@@ -608,10 +629,17 @@ class TestSharedBall:
                     assert norms["left"] is norms["right"]
                 else:
                     assert set(norms) == {"group"}
-                for arr in norms.values():
-                    assert isinstance(arr, np.ndarray) and arr.dtype == float
-                    assert not arr.flags.writeable
-                    assert np.all(np.diff(arr) >= 0)
+                # the counted form: distinct sorted distances, and the
+                # count below each one and in all
+                for distinct, below in norms.values():
+                    assert isinstance(distinct, np.ndarray)
+                    assert distinct.dtype == float
+                    assert below.dtype == np.int64
+                    assert not distinct.flags.writeable
+                    assert not below.flags.writeable
+                    assert np.all(np.diff(distinct) > 0)
+                    assert below.size == distinct.size + 1
+                    assert below[0] == 0 and np.all(np.diff(below) > 0)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -709,6 +737,18 @@ def _ref_enumerate_group(r: float, h: float = 0.0) -> list[MoebiusElement]:
     return elems
 
 
+def _expand(norms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The sorted array of all counted distances of a counted form."""
+    distinct, below = norms
+    return np.repeat(distinct, np.diff(below))
+
+
+def _compact(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The counted form of a sorted array."""
+    distinct, counts = np.unique(arr, return_counts=True)
+    return distinct, np.r_[0, np.cumsum(counts)]
+
+
 class TestBallAgainstReference:
     """The numpy ball build reproduces the scalar reference exactly."""
 
@@ -721,7 +761,7 @@ class TestBallAgainstReference:
         # the depth-2 ball holds the group array only
         assert set(got) == (set(want) if h == 0.0 else {"group"})
         for name in got:
-            assert np.array_equal(got[name], want[name]), name
+            assert _expand(got[name]).tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("r, h", [(6.0, 0.0), (2.5, 2.0)])
     def test_enumerate_group_same_list(self, r, h):
@@ -731,9 +771,146 @@ class TestBallAgainstReference:
         # frozen from the reference at the largest ball any count reads
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         norms = h2_oracle._sorted_norms(BALL_CAP)
-        sizes = {name: arr.size for name, arr in norms.items()}
+        sizes = {name: int(below[-1]) for name, (_, below) in norms.items()}
         assert sizes == {"group": 991_417, "left": 495_709,
                          "right": 495_709, "double": 247_938}
+
+    def test_counted_form_counts_like_the_sorted_array(self):
+        # sums that round to one distance, sums counted once, repeats
+        big = 2.0 * math.cosh(14.0)
+        sums = np.array([2.0, 6.0, 6.0, 10.0, big, math.nextafter(big, 0.0),
+                         math.nextafter(big, math.inf), 18.0, 2.0 * big])
+        once = sums[[0, 3, 5]]
+        distinct, below = h2_oracle._counted(sums, once)
+        want = np.sort(np.r_[sums, np.delete(sums, [0, 3, 5])])
+        want = np.array([math.acosh(max(1.0, s / 2.0)) for s in want.tolist()])
+        assert distinct.size < np.unique(sums).size
+        assert np.all(np.diff(distinct) > 0)
+        assert _expand((distinct, below)).tobytes() == want.tobytes()
+        x = np.r_[want, np.linspace(-1.0, 20.0, 97), math.inf]
+        assert np.array_equal(h2_oracle._ball((distinct, below), x),
+                              np.searchsorted(want, x, side="left"))
+        empty = h2_oracle._counted(sums[:0], once[:0])
+        assert empty[0].size == 0 and empty[1].tolist() == [0]
+
+
+# -- reference full-disk ball -------------------------------------------------
+# The enumeration over both signs of c that the half-disk enumeration and
+# its mirror weights replaced, with its int64 Euclid, and the ball of raw
+# sorted distance arrays built from it, kept as the reference.
+
+
+def _ref_euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise extended Euclid on int64 arrays, a > 0, c >= 0: g =
+    gcd(a, c) and the v of a*u + c*v = g (u = (g - c*v) / a is exact, so
+    untracked)."""
+    old_r, r = a.copy(), c.copy()
+    old_v, v = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r)
+    while live.size:
+        r_l, v_l = r[live], v[live]
+        q = old_r[live] // r_l
+        old_r[live], r[live] = r_l, old_r[live] - q * r_l
+        old_v[live], v[live] = v_l, old_v[live] - q * v_l
+        live = live[r[live] != 0]
+    return old_r, old_v
+
+
+def _ref_columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
+    """The nonempty columns (a, c) of the elements with weighted entry sum
+    at most s_cap: a > 0 odd, c even and coprime to a, in the trace bound.
+    Each admits a one-parameter family (b, d) = (b0 + ka, d0 + kc) whose
+    norm is quadratic in k, so the k window is solved in closed form; the
+    congruence forces k to one parity class.  Returns a, c, b0, d0, the
+    first k and the number of k values, one entry per column: the c >= 0
+    columns a then c ascending, then their c < 0 mirrors."""
+    bound_ac = s_cap / eh
+    a_max = int(math.isqrt(int(bound_ac))) + 1
+    a = np.arange(1, a_max + 1, 2, dtype=np.int64)
+    c_span = bound_ac - a * a
+    a, c_span = a[c_span >= 0], c_span[c_span >= 0]
+    c_max = np.sqrt(c_span).astype(np.int64) + 2
+    # c runs over 0, 2, ..., c_max for each a
+    run, step = h2_oracle._ragged_offsets(c_max // 2 + 1)
+    a, c = a[run], 2 * step
+    col = a * a + c * c
+    keep = col * eh <= s_cap
+    a, c, col = a[keep], c[keep], col[keep]
+    g, v = _ref_euclid(a, c)
+    coprime = g == 1
+    a, c, col, v = a[coprime], c[coprime], col[coprime], v[coprime]
+    # a*d0 - c*b0 = 1 from a*u + c*v = 1
+    b0, d0 = -v, (1 - c * v) // a
+    # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
+    m_cap = (s_cap - col * eh) * eh
+    qb = 2.0 * (a * b0 + c * d0)
+    qc = b0 * b0 + d0 * d0 - m_cap
+    disc = qb * qb - 4.0 * col * qc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    k_lo = np.ceil((-qb - root) / (2.0 * col) - 1e-9).astype(np.int64)
+    k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
+    k_lo += (k_lo + b0) % 2
+    count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
+    # conjugation by diag(1, -1) keeps every weighted sum and maps column
+    # (a, c) to (a, -c) with (-b0, d0): element (a, b, c, d) at k goes to
+    # (a, -b, -c, d) at -k, so the mirror's window is the negated one
+    full = count > 0
+    mirror = full & (c > 0)
+    k_last = k_lo + 2 * (count - 1)
+    return tuple(np.concatenate((x[full], y[mirror])) for x, y in (
+        (a, a), (c, -c), (b0, -b0), (d0, d0), (k_lo, -k_last), (count, count)))
+
+
+def _ref_disk_enumerate(r: float, h: float = 0.0) -> tuple[np.ndarray, ...]:
+    """All canonical group elements with weighted displacement <= r, as
+    int64 entry arrays (a, b, c, d), column by column (see _ref_columns)
+    and by k within a column, and the number kept from each column.  The
+    squares stay exact: they overflow only past entries of 3e9, and a ball
+    with such an entry also holds the unipotent elements up to it, over a
+    billion of them."""
+    s_cap = 2.0 * math.cosh(r)
+    eh = math.exp(h)
+    a, c, b0, d0, k_lo, count = _ref_columns(s_cap, eh)
+    run, step = h2_oracle._ragged_offsets(count)
+    k = k_lo[run] + 2 * step
+    a, c = a[run], c[run]
+    b = b0[run] + k * a
+    d = d0[run] + k * c
+    # the ball is the run's peak memory: drop the expansion indices first
+    del run, step, k
+    keep = eh * (a * a + c * c) + (b * b + d * d) / eh <= s_cap * (1.0 + 1e-12)
+    kept = np.add.reduceat(keep, np.cumsum(count) - count)
+    return a[keep], b[keep], c[keep], d[keep], kept
+
+
+def _ref_distances(sums: np.ndarray) -> np.ndarray:
+    """MoebiusElement.displacement of each sorted weighted sum, in the same
+    float operations, taken once per distinct sum."""
+    first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
+    dist = h2_oracle._map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
+    return np.repeat(dist, np.diff(np.r_[first, sums.size]))
+
+
+def _ref_disk_norms(r: float) -> dict[str, np.ndarray]:
+    """Sorted raw distance arrays of the group, its left and right cosets
+    and its nontrivial double cosets, complete below radius r about i."""
+    a, b, c, d, kept = _ref_disk_enumerate(r)
+    s = h2_oracle._weighted_sums(a, b, c, d, 0.0)
+    norms = {"group": _ref_distances(np.sort(s))}
+    # right coset: one nonempty enumeration column
+    starts = (np.cumsum(kept) - kept)[kept > 0]
+    col_min = np.minimum.reduceat(s, starts)
+    a, c, d = a[starts], c[starts], d[starts]
+    norms["left"] = norms["right"] = _ref_distances(np.sort(col_min))
+    # double coset: residues of the diagonal modulo twice the lower left
+    # entry, sign-normalized to c > 0
+    off = c != 0
+    sign = np.where(c[off] > 0, 1, -1)
+    cc = np.abs(c[off])
+    norms["double"] = _ref_distances(_ref_group_minima(
+        col_min[off], cc, (sign * a[off]) % (2 * cc),
+        (sign * d[off]) % (2 * cc)))
+    return norms
 
 
 # -- reference coset group-by and sandwich loops -----------------------------
@@ -760,7 +937,7 @@ def _ref_group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
 
 
 def _ref_left_cosets(r: float) -> np.ndarray:
-    a, b, c, d, _ = h2_oracle._enumerate(r)
+    a, b, c, d, _ = _ref_disk_enumerate(r)
     sums, where = np.unique(a * a + b * b + c * c + d * d,
                             return_inverse=True)
     disp = np.array([math.acosh(max(1.0, s / 2.0))
@@ -792,8 +969,10 @@ def _ref_fit_lower_shift(norms_big, norms_small, prefactor, gauge, radii,
     return None
 
 
-def _ref_verify_prop28(r: float, gauge: float) -> h2_oracle.Prop28Report:
-    norms = h2_oracle._sorted_norms(prop28_radius(r, gauge))
+def _ref_verify_prop28(r: float, gauge: float,
+                       norms=None) -> h2_oracle.Prop28Report:
+    if norms is None:
+        norms = _ref_disk_norms(prop28_radius(r, gauge))
     radii = [float(x) for x in np.arange(0.25, r + 1e-12, 0.25)]
     fit_max = r / 2.0
     fit_radii = [x for x in radii if x <= fit_max]
@@ -849,8 +1028,8 @@ class TestCosetsAgainstReference:
         norms = h2_oracle._sorted_norms(BALL_CAP)
         want = _ref_left_cosets(BALL_CAP)
         assert want.size == 495_709
-        assert np.array_equal(norms["left"], want)
-        assert np.array_equal(norms["right"], want)
+        assert np.array_equal(_expand(norms["left"]), want)
+        assert np.array_equal(_expand(norms["right"]), want)
 
     @pytest.mark.parametrize("gauge", [0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("r", [9.0, 12.0])
@@ -866,10 +1045,11 @@ class TestCosetsAgainstReference:
         # arrays also reach failed inclusions, failed assertions and other
         # shifts
         norms = _synthetic_ball(seed)
+        counted = {name: _compact(arr) for name, arr in norms.items()}
         monkeypatch.setattr(h2_oracle, "_sorted_norms",
-                            lambda r, h=0.0: norms)
+                            lambda r, h=0.0: counted)
         _assert_same_report(verify_prop28(12.0, gauge),
-                            _ref_verify_prop28(12.0, gauge))
+                            _ref_verify_prop28(12.0, gauge, norms))
 
 
 def _assert_same_report(got, want) -> None:
@@ -893,8 +1073,7 @@ def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:
 
 class TestColumns:
     def test_column_invariants_at_the_ball_cap(self):
-        a, c, b0, d0, _, count = h2_oracle._columns(
-            2.0 * math.cosh(BALL_CAP), 1.0)
+        a, c, b0, d0, _, count = _ref_columns(2.0 * math.cosh(BALL_CAP), 1.0)
         # every column's base element has unit determinant, exactly
         assert np.all(a * d0 - c * b0 == 1)
         assert np.all(count > 0)
@@ -902,6 +1081,25 @@ class TestColumns:
         span = 2 * int(np.abs(c).max()) + 1
         assert np.array_equal(np.sort(a * span + c), np.sort(a * span - c))
         assert np.unique(a * span + c).size == a.size
+
+    def test_euclid_is_exact_up_to_the_int32_range(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2 ** 31 - 1, 20000) | 1
+        c = rng.integers(0, 2 ** 31 - 1, 20000) & ~1
+        c[:100] = 0
+        for got, want in zip(h2_oracle._euclid(a, c), _ref_euclid(a, c)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r, h", [(BALL_CAP, 0.0), (12.0, 2.0),
+                                      (2.5, 2.0), (0.0, 0.0)])
+    def test_half_disk_is_the_reference_c_nonnegative_part(self, r, h):
+        s_cap, eh = 2.0 * math.cosh(r), math.exp(h)
+        got = h2_oracle._columns(s_cap, eh)
+        want = _ref_columns(s_cap, eh)
+        half = want[1] >= 0
+        for x, y in zip(got, want):
+            assert x.dtype == np.int64
+            assert np.array_equal(x, y[half])
 
 
 # -- reference lemma sweep ---------------------------------------------------

@@ -3,8 +3,10 @@ tests import, and the public names resolve where they are exported."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -170,3 +172,24 @@ def test_no_unread_private_definitions():
               for name, line in _module_private_definitions(path).items()
               if name not in read]
     assert unread == []
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 12-18 ms that every
+    # command would pay; a fresh interpreter shows whether any path does
+    commands = [["oracle-verify", "--Rcap", "9"], ["cusp-analyze"],
+                ["example-run", "--name", "critical-infinite-5.4b"],
+                ["example-run", "--name", "exotic-div-5.3b"]]
+    script = "\n".join([
+        "import sys",
+        "from cuspgrowth import cli",
+        *(f"cli.main({args + ['--out', str(tmp_path / str(i))]!r})"
+          for i, args in enumerate(commands)),
+        "print('numpy.ma' in sys.modules)",
+    ])
+    paths = [str(INIT.parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
