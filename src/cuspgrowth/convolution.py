@@ -51,17 +51,22 @@ class VGammaModel:
     decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise DomainError("growth exponent must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise DomainError(
+                f"growth exponent delta must be finite and positive, "
+                f"got {self.delta!r}")
         if not 0.0 <= self.decay < math.inf:
             raise DomainError("decay exponent must be finite and nonnegative")
 
     def log_value(self, r) -> float | np.ndarray:
         arr = np.asarray(r, dtype=float)
-        out = self.delta * arr
+        out = self.delta * arr.ravel()
         if self.decay != 0.0:
-            out = out - self.decay * np.log1p(np.maximum(arr, 0.0))
-        return float(out) if np.ndim(r) == 0 else out
+            damp = np.maximum(arr.ravel(), 0.0)
+            np.log1p(damp, out=damp)
+            damp *= self.decay
+            out -= damp
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # -- gauge convolution -----------------------------------------------------------
@@ -231,7 +236,11 @@ class CuspidalInterpolant:
 
     def __init__(self, cusp: CuspModel, r_max: float,
                  *, step: float = 0.5, rel_tol: float = 1e-6) -> None:
-        if step <= 0 or r_max <= cusp.profile.t_start + step:
+        if not 0.0 < step < math.inf:
+            raise DomainError(f"cache step must be finite and positive, got {step!r}")
+        if not math.isfinite(r_max):
+            raise DomainError(f"cache horizon r_max must be finite, got {r_max!r}")
+        if r_max <= cusp.profile.t_start + step:
             raise DomainError("interpolation grid needs room past the profile start")
         t0 = cusp.profile.t_start
         self.t_start = t0
@@ -243,16 +252,19 @@ class CuspidalInterpolant:
 
     def __call__(self, r) -> float | np.ndarray:
         arr = np.asarray(r, dtype=float)
-        if np.any(arr > self.r_max * (1.0 + 1e-12)):
+        flat = arr.ravel()
+        if np.any(flat > self.r_max * (1.0 + 1e-12)):
             raise DomainError(
-                f"excursion cache built to {self.r_max}, queried at {float(np.max(arr))}")
-        out = np.interp(arr, self.nodes, self.values)
-        below = arr < self.nodes[0]
+                f"excursion cache built to {self.r_max}, queried at {float(np.max(flat))}")
+        out = np.interp(flat, self.nodes, self.values)
+        below = flat < self.nodes[0]
         if np.any(below):
-            ext = self.values[0] + self._slope * (arr - self.nodes[0])
-            ext = np.where(arr < self.t_start, _LOG_FLOOR, ext)
-            out = np.where(below, np.maximum(ext, _LOG_FLOOR), out)
-        return float(out) if np.ndim(r) == 0 else out
+            # the extrapolation, on the points that read it
+            x = flat[below]
+            ext = self.values[0] + self._slope * (x - self.nodes[0])
+            ext[x < self.t_start] = _LOG_FLOOR
+            out[below] = np.maximum(ext, _LOG_FLOOR)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     @property
     def _slope(self) -> float:
@@ -280,12 +292,17 @@ def cuspidal_interpolants(cusps: Sequence[CuspModel], r_max: float,
 
 @dataclass(frozen=True)
 class Band:
-    """A two-sided log envelope at one radius."""
-    lower: float
-    upper: float
+    """A two-sided log envelope: floats at one radius, or arrays of one
+    shape holding the edges at each radius of an array."""
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.upper < self.lower:
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise DomainError("band edge is NaN")
+        if np.any(upper < lower):
             raise DomainError("band upper edge below lower edge")
 
 
@@ -320,44 +337,143 @@ def _log_exp_linear(y_a: np.ndarray, y_b: np.ndarray, h: np.ndarray) -> np.ndarr
 
         max(y_a, y_b) + ln h + ln((1 - e^{-|d|}) / |d|),   d = y_b - y_a.
     """
-    x = np.abs(y_b - y_a)
-    small = x < _SERIES_CUTOFF
-    safe = np.where(small, 1.0, x)
-    shape = np.where(small, x * (x / 24.0 - 0.5), np.log(-np.expm1(-safe) / safe))
-    return np.maximum(y_a, y_b) + np.log(h) + shape
+    x = np.subtract(y_b, y_a)
+    np.abs(x, out=x)
+    small = np.flatnonzero(x < _SERIES_CUTOFF)
+    d = x[small]
+    x[small] = 1.0
+    np.negative(x, out=x)
+    # (e^{-|d|} - 1) / -|d|, the same quotient as (1 - e^{-|d|}) / |d|
+    shape = np.expm1(x)
+    shape /= x
+    np.log(shape, out=shape)
+    shape[small] = d * (d / 24.0 - 0.5)
+    out = np.maximum(y_a, y_b, out=x)
+    out += np.log(h)
+    out += shape
+    return out
 
 
-def _ambient_kinks(vg: VGammaModel, rho: float, rel_tol: float) -> np.ndarray:
+# Points per chunk of radii that the volume band evaluates on flat node
+# arrays: enough to spread numpy's per-call cost over many radii, few
+# enough that the chunk's temporaries stay within a few hundred kB.
+_CHUNK_POINTS = 8192
+
+
+def _ambient_grid(vg: VGammaModel, radii: np.ndarray,
+                  rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Distances s = rho - t at which the band cuts ln v(s) into pieces it
-    treats as linear.  The decay term -k ln(1 + s) is convex, and on the
-    grid 1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / k) its secants lie
-    above it by at most k q^2 / 8 = rel_tol nats.  Decay 0 needs no cut."""
+    treats as linear, for all radii at once: the grid s_0 = 0 < s_1 < ...
+    and, per radius, how many leading grid points it reads.
+
+    The decay term -k ln(1 + s) is convex, and on the grid 1 + s_k =
+    (1 + q)^k with q = sqrt(8 rel_tol / k) its secants lie above it by at
+    most k q^2 / 8 = rel_tol nats; radius rho reads the s_k with k <
+    ceil(ln(1 + rho) / ln(1 + q)).  Decay 0 needs no cut, so every radius
+    reads s_0 alone."""
     if vg.decay == 0.0:
-        return np.empty(0)
+        return np.zeros(1), np.ones(radii.size, dtype=np.intp)
     step = math.log1p(math.sqrt(8.0 * rel_tol / vg.decay))
-    return np.expm1(step * np.arange(1, math.ceil(math.log1p(rho) / step)))
+    reads = np.array([math.ceil(math.log1p(max(rho, 0.0)) / step)
+                      for rho in radii.tolist()], dtype=np.intp)
+    grid = np.expm1(step * np.arange(int(reads.max(initial=1))))
+    return grid, reads
 
 
-def _log_convolution(vg: VGammaModel, cache: CuspidalInterpolant,
-                     rho: float, rel_tol: float) -> float:
-    """ln of the integral over [0, rho] of F(t) v(rho - t) dt, summed in
-    closed form over the segments between the kinks of both factors.
-    F vanishes below the profile start, so the sum starts there: the
-    cache's floor, weighted by v(rho - t), need not be small."""
+def _block_logsumexp(values: np.ndarray, starts: np.ndarray,
+                     stops: np.ndarray) -> list[float]:
+    """``numerics.logsumexp`` of each slice values[starts[i]:stops[i]],
+    bit for bit: entries between one slice's stop and the next slice's
+    start must be -inf.  The maxima and exponentials are taken on the
+    whole array, each sum on its own slice."""
+    top = np.maximum.reduceat(values, starts)
+    if np.isnan(top).any():
+        raise DomainError("NaN summand in logsumexp")
+    if (top == math.inf).any():
+        raise DomainError("+inf summand in logsumexp")
+    shift = np.where(top == NEG_INF, 0.0, top)
+    terms = np.exp(values - np.repeat(shift, np.diff(starts, append=values.size)))
+    return [m + math.log(float(np.add.reduce(terms[a:b]))) if m != NEG_INF
+            else NEG_INF
+            for m, a, b in zip(top.tolist(), starts.tolist(), stops.tolist())]
+
+
+def _chunk_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
+                        kinks: np.ndarray, grid: np.ndarray, rho: np.ndarray,
+                        n_kinks: np.ndarray, n_grid: np.ndarray) -> list[float]:
+    """The convolutions of one cache at a chunk of radii.  Radius i's
+    nodes are kinks[:n_kinks[i]] merged with rho[i] - grid[:n_grid[i]];
+    all radii's nodes lie in one flat array, each radius's ascending run
+    after the previous one's."""
+    n = n_kinks + n_grid
+    stop = np.cumsum(n)
+    t = np.empty(int(stop[-1]))
+    for a, b, m, r in zip((stop - n).tolist(), n_kinks.tolist(),
+                          n_grid.tolist(), rho.tolist()):
+        run = t[a:a + b + m]
+        run[:b] = kinks[:b]
+        np.subtract(r, grid[m - 1::-1], out=run[b:])
+        # a stable sort merges the two ascending halves in one pass
+        run.sort(kind="stable")
+    # a kink on a grid point is one node; two radii's runs never meet,
+    # as each ends at its rho and the next starts at lo < rho
+    dup = t[1:] == t[:-1]
+    if dup.any():
+        kept = np.cumsum(np.r_[True, ~dup])
+        t = t[np.r_[True, ~dup]]
+        n = np.diff(kept[stop - 1], prepend=0)
+        stop = np.cumsum(n)
+    y = cache(t)
+    s = np.repeat(rho, n)
+    s -= t
+    y += vg.log_value(s)
+    del s
+    h = np.subtract(t[1:], t[:-1])
+    del t
+    seams = stop[:-1] - 1
+    h[seams] = 1.0
+    seg = _log_exp_linear(y[:-1], y[1:], h)
+    seg[seams] = NEG_INF
+    return _block_logsumexp(seg, stop - n, stop - 1)
+
+
+def _log_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
+                      radii: np.ndarray, grid: np.ndarray,
+                      reads: np.ndarray) -> np.ndarray:
+    """ln of the integral over [0, rho] of F(t) v(rho - t) dt at each
+    radius rho, summed in closed form over the segments between the
+    kinks of both factors.  F vanishes below the profile start, so each
+    sum starts there: the cache's floor, weighted by v(rho - t), need
+    not be small."""
     lo = max(0.0, cache.t_start)
-    if rho <= lo:
-        return NEG_INF
-    t = np.concatenate(([lo, rho], cache._kinks(),
-                        rho - _ambient_kinks(vg, rho, rel_tol)))
-    # np.unique, without the numpy.ma import its first call costs
-    t = np.sort(t[(t >= lo) & (t <= rho)])
-    t = np.r_[t[:1], t[1:][t[1:] != t[:-1]]]
-    y = cache(t) + vg.log_value(rho - t)
-    return logsumexp(_log_exp_linear(y[:-1], y[1:], np.diff(t)))
+    out = np.full(radii.size, NEG_INF)
+    live = np.flatnonzero(radii > lo)
+    if live.size == 0:
+        return out
+    # the cache's kinks in [lo, inf), with lo itself, sorted and distinct
+    kinks = np.sort(np.append(cache._kinks(), lo))
+    kinks = kinks[kinks >= lo]
+    kinks = kinks[np.r_[True, kinks[1:] != kinks[:-1]]]
+    rho = radii[live]
+    n_kinks = np.searchsorted(kinks, rho, "right")
+    n_grid = np.minimum(reads[live], np.searchsorted(grid, rho - lo, "right"))
+    # s <= rho - lo may still give an rho - s that rounds below lo; the
+    # s that the search drops give rho - s that round onto lo at most,
+    # which is a node already
+    low = rho - grid[n_grid - 1] < lo
+    while low.any():
+        n_grid -= low
+        low = rho - grid[n_grid - 1] < lo
+    n = n_kinks + n_grid
+    chunk = (np.cumsum(n) - n) // _CHUNK_POINTS
+    for part in np.split(np.arange(live.size), np.flatnonzero(np.diff(chunk)) + 1):
+        out[live[part]] = _chunk_convolutions(vg, cache, kinks, grid, rho[part],
+                                              n_kinks[part], n_grid[part])
+    return out
 
 
 def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
-                r: float, *, rel_tol: float = 1e-8) -> Band:
+                r, *, rel_tol: float = 1e-8) -> Band:
     """Two-sided envelope for ball volume growth from one excursion cache
     per cusp: the lower edge is the ambient model convolved with the
     summed cusp excursion integrals, the upper edge adds the compact-core
@@ -367,11 +483,26 @@ def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
     its decay term, so each convolution is an exact sum of exp-linear
     segments, one per cusp, combined with logsumexp.  A positive decay is
     replaced by its secants, which raises the band by at most ``rel_tol``
-    nats; decay 0 gives the band exactly.
+    nats; decay 0 gives the band exactly.  Scalar or vectorized in ``r``:
+    each cache bands all radii in one pass, a chunk of radii at a time,
+    and a scalar is banded exactly as an array of one.
     """
-    if rel_tol <= 0:
-        raise DomainError("band tolerance must be positive")
-    if not all(isinstance(c, CuspidalInterpolant) for c in caches):
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"band rel_tol must be finite and positive, got {rel_tol!r}")
+    if not caches or not all(isinstance(c, CuspidalInterpolant) for c in caches):
         raise DomainError("need one CuspidalInterpolant per cusp")
-    conv = logsumexp([_log_convolution(vg, c, r, rel_tol) for c in caches])
-    return Band(lower=conv, upper=log_add(conv, vg.log_value(r)))
+    radii = np.asarray(r, dtype=float)
+    flat = radii.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("band radii r must be finite")
+    grid, reads = _ambient_grid(vg, flat, rel_tol)
+    # radius by radius, the convolutions of every cusp
+    convs = np.array([_log_convolutions(vg, c, flat, grid, reads)
+                      for c in caches]).T.ravel()
+    starts = np.arange(flat.size) * len(caches)
+    lower = _block_logsumexp(convs, starts, starts + len(caches))
+    upper = [log_add(a, b) for a, b in zip(lower, vg.log_value(flat).tolist())]
+    if radii.ndim == 0:
+        return Band(lower=lower[0], upper=upper[0])
+    return Band(lower=np.array(lower).reshape(radii.shape),
+                upper=np.array(upper).reshape(radii.shape))

@@ -478,9 +478,8 @@ def run_example(name: str,
 
     caches = cuspidal_interpolants(spec.cusps, r_max + 1.0, step=_CACHE_STEP,
                                    rel_tol=rel_tol)
-    bands = [volume_band(vg, caches, float(r), rel_tol=rel_tol) for r in radii]
-    vx_lower = np.array([b.lower for b in bands])
-    vx_upper = np.array([b.upper for b in bands])
+    band = volume_band(vg, caches, radii, rel_tol=rel_tol)
+    vx_lower, vx_upper = band.lower, band.upper
     vx_series = GrowthSeries(radii, vx_upper, label=f"{name}-volume")
     vx_class = classify_growth(vx_series, delta, trend).kind
     vx_rate = estimate_exponents(vx_series).omega_plus

@@ -7,6 +7,7 @@ failure), artifact layout, and byte-level reproducibility of a fixed
 invocation.
 """
 
+import hashlib
 import json
 import math
 
@@ -721,6 +722,33 @@ class TestReproducibility:
         first = {p.name: p.read_bytes() for p in outs[0].iterdir()}
         second = {p.name: p.read_bytes() for p in outs[1].iterdir()}
         assert first == second
+
+
+class TestGrowthTablesFrozen:
+    # sha256 of growth-<name>.csv from `example-run --name all --Rmax 500`,
+    # frozen from the per-radius volume band that the one-pass band
+    # replaced: a band sum that moves by one bit changes them
+    FROZEN_DIGESTS = {
+        "sparse-5.2":
+            "95ff83d12ddb41993790f6b74b7e6636a5467ea98cf2a5ad53083a6e28159ade",
+        "exotic-conv-5.3a":
+            "c89af36a7def3e8212623dfae060c6d64d35e909d0c88a25e5007851f428a6c3",
+        "exotic-div-5.3b":
+            "e0658636285e9fed7217a8bb4d0c3dabc73f9a2854b8da999343833b721c75e9",
+        "critical-finite-5.4a":
+            "7b60dd8d9a3f0892694544a600a94697cce6629879aaab08db64f601849cc24d",
+        "critical-infinite-5.4b":
+            "0519aef99a535233fdd4c5ed133cd1c8f7933f9a3cd8e80b990b185734be80b5",
+    }
+
+    def test_every_family_at_the_default_radius(self, tmp_path):
+        rc, out = _run(tmp_path, "example-run", "--name", "all",
+                       "--Rmax", "500")
+        assert rc == EXIT_PASS
+        digests = {name: hashlib.sha256(
+            (out / f"growth-{name}.csv").read_bytes()).hexdigest()
+            for name in CATALOG_IDS}
+        assert digests == self.FROZEN_DIGESTS
 
 
 class TestStdout:

@@ -1,6 +1,7 @@
 """Convolutions, the gauge sandwich, and the counting/volume envelopes."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -30,6 +31,8 @@ from cuspgrowth import (
     volume_band,
 )
 from cuspgrowth.convolution import _SERIES_CUTOFF, _log_exp_linear
+
+import band_reference
 
 INF = float("inf")
 
@@ -71,8 +74,9 @@ class TestAmbientModel:
         assert isinstance(vg.log_value(1.0), float)
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            VGammaModel(0.0)
+        for delta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="delta"):
+                VGammaModel(delta)
         for decay in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 VGammaModel(1.0, decay)
@@ -249,6 +253,14 @@ class TestCuspidalInterpolant:
         with pytest.raises(DomainError):
             CuspidalInterpolant(_hyperbolic_cusp(), 0.2)
 
+    @pytest.mark.parametrize("r_max, step, name", [
+        (math.nan, 0.5, "r_max"), (math.inf, 0.5, "r_max"),
+        (-math.inf, 0.5, "r_max"), (20.0, math.nan, "step"),
+        (20.0, math.inf, "step"), (20.0, 0.0, "step")])
+    def test_rejects_non_finite_horizon_and_step(self, r_max, step, name):
+        with pytest.raises(DomainError, match=name):
+            cuspidal_interpolants([_hyperbolic_cusp()], r_max, step=step)
+
     def test_floor_below_profile_start(self):
         prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
                                 [pure_piece(5.0, INF, 1.0)])
@@ -282,6 +294,17 @@ class TestCountingBand:
     def test_band_ordering_enforced(self):
         with pytest.raises(DomainError):
             Band(lower=1.0, upper=0.0)
+        with pytest.raises(DomainError):
+            Band(lower=np.array([0.0, 1.0]), upper=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("lower, upper", [
+        (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+        (-math.inf, math.nan),
+        (np.array([0.0, math.nan]), np.array([1.0, 2.0])),
+        (np.array([0.0, 1.0]), np.array([math.nan, 2.0]))])
+    def test_nan_edges_rejected(self, lower, upper):
+        with pytest.raises(DomainError, match="NaN"):
+            Band(lower=lower, upper=upper)
 
 
 class TestVolumeBand:
@@ -313,6 +336,42 @@ class TestVolumeBand:
             volume_band(vg, cache, 10.0, rel_tol=0.0)
         with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
             volume_band(vg, [_exact_hyperbolic_excursion], 10.0)
+        with pytest.raises(DomainError, match="one CuspidalInterpolant per cusp"):
+            volume_band(vg, [], 10.0)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_rejects_a_bad_tolerance(self, decay, rel_tol):
+        # NaN used to pass the positivity check: ignored at decay 0, a
+        # bare ValueError from the secant grid at decay > 0
+        cache = cuspidal_interpolants([_hyperbolic_cusp()], 11.0)
+        with pytest.raises(DomainError, match="rel_tol"):
+            volume_band(VGammaModel(1.0, decay), cache, 10.0, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    @pytest.mark.parametrize("r", [
+        math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 3.0]),
+        np.array([math.inf])])
+    def test_rejects_non_finite_radii(self, decay, r):
+        # a NaN radius used to give the band (-inf, nan)
+        cache = cuspidal_interpolants([_hyperbolic_cusp()], 11.0)
+        with pytest.raises(DomainError, match="radii r"):
+            volume_band(VGammaModel(1.0, decay), cache, r)
+
+    def test_scalar_and_vector(self):
+        vg = VGammaModel(1.0, 0.5)
+        caches = cuspidal_interpolants([_hyperbolic_cusp()], 11.0)
+        radii = np.array([[-1.0, 0.0, 2.5], [5.0, 7.25, 10.0]])
+        band = volume_band(vg, caches, radii)
+        assert band.lower.shape == band.upper.shape == (2, 3)
+        for r, lower, upper in zip(radii.ravel().tolist(),
+                                   band.lower.ravel().tolist(),
+                                   band.upper.ravel().tolist()):
+            one = volume_band(vg, caches, r)
+            assert type(one.lower) is float and type(one.upper) is float
+            assert (one.lower, one.upper) == (lower, upper)
+        empty = volume_band(vg, caches, np.empty(0))
+        assert empty.lower.shape == empty.upper.shape == (0,)
 
     def test_profile_starting_far_above_zero(self):
         # F vanishes below t = 600, where the cache's floor, weighted by
@@ -330,13 +389,9 @@ class TestVolumeBand:
             volume_band(vg, cache(0.0, 101.0), 100.0).lower, abs=1e-9)
 
     def test_exact_where_the_floor_meets_the_extrapolation(self):
-        # ln F = -700 + 100 (t - 2) on the cache, floored at -745 below
-        # t = 1.55; with ln v(s) = 200 s the floored stretch [0, 1.55]
-        # carries almost all of the convolution at R = 3
-        cache = CuspidalInterpolant(_hyperbolic_cusp(), 3.0)
-        cache.nodes = np.array([2.0, 3.0])
-        cache.values = np.array([-700.0, -600.0])
-        band = volume_band(VGammaModel(200.0), [cache], 3.0)
+        # with ln v(s) = 200 s the floored stretch [0, 1.55] carries
+        # almost all of the convolution at R = 3
+        band = volume_band(VGammaModel(200.0), [_floor_knee_cache()], 3.0)
         floored = -145.0 - math.log(200.0) + math.log1p(-math.exp(-310.0))
         rising = -455.0 - math.log(100.0) + math.log1p(-math.exp(-145.0))
         assert band.lower == pytest.approx(float(np.logaddexp(floored, rising)),
@@ -347,17 +402,32 @@ class TestOneConvolutionPerRadius:
     """Each band evaluates its convolution once per radius and cusp."""
 
     def test_volume_band(self, monkeypatch):
-        seen = []
-        original = convolution._log_convolution
+        # run_example bands all its radii in one call, which reads each
+        # radius's node set from each cache exactly once
+        name = "critical-infinite-5.4b"
+        spec = catalog_spec(name, default_catalog_params(name))
+        caches = cuspidal_interpolants(spec.cusps, 501.0,
+                                       step=taxonomy._CACHE_STEP, rel_tol=1e-6)
+        radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)
+        nodes = sum(band_reference.node_set(spec.vgamma, c, float(r), 1e-6).size
+                    for c in caches for r in radii)
+        bands, points = [], []
+        volume_band_ = taxonomy.volume_band
+        read = CuspidalInterpolant.__call__
 
-        def counted(vg, cache, rho, rel_tol):
-            seen.append((cache, rho))
-            return original(vg, cache, rho, rel_tol)
+        def banded(vg, caches, r, **kwargs):
+            bands.append(np.shape(r))
+            return volume_band_(vg, caches, r, **kwargs)
 
-        monkeypatch.setattr(convolution, "_log_convolution", counted)
-        caches = cuspidal_interpolants([_hyperbolic_cusp()] * 2, 11.0)
-        volume_band(VGammaModel(1.0), caches, 10.0)
-        assert seen == [(caches[0], 10.0), (caches[1], 10.0)]
+        def counted(cache, t):
+            points.append(np.size(t))
+            return read(cache, t)
+
+        monkeypatch.setattr(taxonomy, "volume_band", banded)
+        monkeypatch.setattr(CuspidalInterpolant, "__call__", counted)
+        taxonomy.run_example(name)
+        assert bands == [(taxonomy._GRID_POINTS,)]
+        assert sum(points) == nodes
 
     def test_counting_band(self, monkeypatch):
         radii = []
@@ -411,6 +481,131 @@ class TestSegmentIntegral:
         y = np.array([0.0, 1e-6, 0.5, 40.0])
         assert np.array_equal(_log_exp_linear(y[:-1], y[1:], np.ones(3)),
                               _log_exp_linear(y[1:], y[:-1], np.ones(3)))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _floor_knee_cache() -> CuspidalInterpolant:
+    # ln F = -700 + 100 (t - 2) on the cache, floored at -745 below the
+    # knee at t = 1.55
+    cache = CuspidalInterpolant(_hyperbolic_cusp(), 3.0)
+    cache.nodes = np.array([2.0, 3.0])
+    cache.values = np.array([-700.0, -600.0])
+    return cache
+
+
+def _late_start_cache(t0: float = 5.0) -> CuspidalInterpolant:
+    # F vanishes below t0
+    prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+                            [pure_piece(t0, INF, 1.0)])
+    return CuspidalInterpolant(CuspModel(prof), 40.0, step=0.75)
+
+
+class TestBandAgainstPerRadiusReference:
+    """The one-pass band equals the retired per-radius convolutions, bit
+    for bit (``band_reference``)."""
+
+    @staticmethod
+    def _check(vg, caches, radii, rel_tol):
+        band = volume_band(vg, caches, radii, rel_tol=rel_tol)
+        want = [band_reference.volume_band(vg, caches, float(r), rel_tol)
+                for r in radii]
+        assert _bits(band.lower) == _bits([w[0] for w in want])
+        assert _bits(band.upper) == _bits([w[1] for w in want])
+        return band
+
+    @pytest.mark.parametrize("name", ["critical-infinite-5.4b",
+                                      "exotic-div-5.3b"])
+    def test_benchmark_families_on_the_example_grid(self, name):
+        spec = catalog_spec(name, default_catalog_params(name))
+        caches = cuspidal_interpolants(spec.cusps, 501.0,
+                                       step=taxonomy._CACHE_STEP, rel_tol=1e-6)
+        self._check(spec.vgamma, caches,
+                    np.linspace(1.0, 500.0, taxonomy._GRID_POINTS), 1e-6)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.75])
+    def test_radii_at_and_below_the_profile_start(self, decay):
+        cache = _late_start_cache()
+        radii = np.array([-3.0, 0.0, 2.5, 5.0, math.nextafter(5.0, 6.0),
+                          5.3, 6.0, 17.0, 39.0])
+        band = self._check(VGammaModel(1.0, decay), [cache], radii, 1e-6)
+        assert np.all(band.lower[:4] == -INF)
+        assert np.all(np.isfinite(band.lower[4:]))
+
+    @pytest.mark.parametrize("lo", [5.0, 0.7])
+    def test_grid_points_that_round_onto_the_profile_start(self, monkeypatch, lo):
+        # rho - s_k within a few ulps of lo, where rho - s_k >= lo and
+        # s_k <= rho - lo disagree after rounding (at lo = 0.7 and
+        # k = 340, 344, 348 even on a node other than lo); each radius
+        # keeps the reference's node set, not just its sum
+        vg, rel_tol = VGammaModel(1.0, 0.75), 1e-6
+        step = math.log1p(math.sqrt(8.0 * rel_tol / vg.decay))
+        radii = []
+        ks = np.array([1, 2, 3, 7, 40, 300, 340, 344, 348])
+        for s_k in np.expm1(step * ks).tolist():
+            r = lo + s_k
+            radii += [r := math.nextafter(r, -INF) for _ in range(5)]
+            radii += [r := math.nextafter(r, INF) for _ in range(10)]
+        cache = _late_start_cache(lo)
+        nodes = sum(band_reference.node_set(vg, cache, r, rel_tol).size
+                    for r in radii)
+        points = []
+        read = CuspidalInterpolant.__call__
+
+        def counted(cache, t):
+            points.append(np.size(t))
+            return read(cache, t)
+
+        monkeypatch.setattr(CuspidalInterpolant, "__call__", counted)
+        self._check(vg, [cache], np.array(radii), rel_tol)
+        assert sum(points) == nodes
+
+    @pytest.mark.parametrize("decay", [0.0, 0.75])
+    def test_radii_on_cache_nodes(self, decay):
+        cache = _late_start_cache()
+        self._check(VGammaModel(1.0, decay), [cache],
+                    cache.nodes[[0, 1, 2, 9, 20, -1]], 1e-6)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.5])
+    def test_knee_inside_the_convolution_range(self, decay):
+        radii = np.array([1.0, 1.5, 1.55, 1.6, 2.0, 2.5, 3.0])
+        self._check(VGammaModel(200.0, decay), [_floor_knee_cache()],
+                    radii, 1e-8)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    @pytest.mark.parametrize("cusps", [1, 2])
+    def test_one_and_two_cusps(self, decay, cusps):
+        caches = cuspidal_interpolants(
+            [CuspModel(catalog_profile("sparse-5.2")), _hyperbolic_cusp()][:cusps],
+            61.0, rel_tol=1e-6)
+        self._check(VGammaModel(1.5, decay), caches,
+                    np.linspace(0.0, 60.0, 97), 1e-8)
+
+    @pytest.mark.parametrize("points", [1, 100, 10 ** 9])
+    def test_chunking_leaves_every_bit(self, monkeypatch, points):
+        monkeypatch.setattr(convolution, "_CHUNK_POINTS", points)
+        caches = cuspidal_interpolants([_hyperbolic_cusp()] * 2, 41.0)
+        self._check(VGammaModel(1.0, 0.5), caches,
+                    np.linspace(0.5, 40.0, 33), 1e-6)
+
+
+def test_band_pass_memory():
+    # the band pass is chunked: its temporaries stay far below one
+    # array per radius of the run
+    name = "critical-infinite-5.4b"
+    spec = catalog_spec(name, default_catalog_params(name))
+    caches = cuspidal_interpolants(spec.cusps, 501.0,
+                                   step=taxonomy._CACHE_STEP, rel_tol=1e-6)
+    radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)
+    tracemalloc.start()
+    try:
+        volume_band(spec.vgamma, caches, radii, rel_tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _quadrature_band(vg, caches, r, rel_tol):
