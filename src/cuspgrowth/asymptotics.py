@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .numerics import (_gauss_panel_nats, _log_gauss_sums, log_add,
-                       log_integral, log_upper_gamma)
+from .numerics import (_checked_radii, _gauss_panel_nats, _log_gauss_sums,
+                       log_add, log_integral, log_upper_gamma)
 from .profiles import Profile
 
 __all__ = [
@@ -103,11 +103,8 @@ def log_cuspidal(cusp: CuspModel, r, *, rel_tol: float = 1e-8) -> float | np.nda
     Gauss-Legendre rule of ``numerics._log_gauss_sums``.  A radius that
     misses ``rel_tol`` raises QuadratureError.
     """
+    radii, flat = _checked_radii(r, rel_tol, "excursion")
     prof = cusp.profile
-    radii = np.asarray(r, dtype=float)
-    flat = radii.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise DomainError("excursion radii must be finite")
     out = np.full(flat.shape, -math.inf)
     live = np.flatnonzero(flat > prof.t_start)
     for first in range(0, live.size, _BLOCK_RADII):

@@ -24,7 +24,7 @@ from .asymptotics import (
     log_cuspidal,
     log_orbital_parabolic,
 )
-from .numerics import NEG_INF, log_add, log_integral, logsumexp
+from .numerics import NEG_INF, _checked_radii, log_add, log_integral, logsumexp
 
 __all__ = [
     "VGammaModel",
@@ -119,7 +119,8 @@ def conv_continuous(f_log: Callable[[np.ndarray], np.ndarray],
                     f_breaks: Sequence[float] = (),
                     g_breaks: Sequence[float] = ()) -> float:
     """ln of the continuous convolution integral of exp(f_log) and
-    exp(g_log) over [0, R]:  integral of f(t) g(R-t) dt.
+    exp(g_log) over [0, R]:  integral of f(t) g(R-t) dt, by quadrature.
+    No library code calls it; the tests keep it as the bands' reference.
 
     ``f_breaks``/``g_breaks`` list the factors' non-smooth abscissae; the
     second factor's are pulled back through t -> R - t.
@@ -247,7 +248,6 @@ class CuspidalInterpolant:
         count = int(math.ceil((r_max - t0) / step))
         self.nodes = t0 + step * np.arange(1, count + 1, dtype=float)
         self.values = log_cuspidal(cusp, self.nodes, rel_tol=rel_tol)
-        self.cusp = cusp
         self.r_max = float(self.nodes[-1])
 
     def __call__(self, r) -> float | np.ndarray:
@@ -304,26 +304,6 @@ class Band:
             raise DomainError("band edge is NaN")
         if np.any(upper < lower):
             raise DomainError("band upper edge below lower edge")
-
-
-def _orbital_factor(cusp: CuspModel, h_y: float):
-    prof = cusp.profile
-
-    def g_log(u):
-        return log_orbital_parabolic(cusp, np.asarray(u, dtype=float), h_y)
-
-    breaks = [2.0 * b - h_y for b in prof.piece_breaks()]
-    breaks.append(2.0 * prof.t_start - h_y)
-    return g_log, breaks
-
-
-def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r: float,
-                  *, rel_tol: float = 1e-8) -> float:
-    """ln of the orbit count toward a point at horoball depth h_y: the
-    ambient model convolved with the parabolic orbit count."""
-    g_log, g_breaks = _orbital_factor(cusp, h_y)
-    return conv_continuous(vg.log_value, g_log, r, rel_tol=rel_tol,
-                           g_breaks=g_breaks)
 
 
 # Below this |d| the series of ln((1 - e^{-|d|}) / |d|) is exact in
@@ -398,10 +378,10 @@ def _block_logsumexp(values: np.ndarray, starts: np.ndarray,
             for m, a, b in zip(top.tolist(), starts.tolist(), stops.tolist())]
 
 
-def _chunk_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
+def _chunk_convolutions(vg: VGammaModel, f_log: Callable,
                         kinks: np.ndarray, grid: np.ndarray, rho: np.ndarray,
                         n_kinks: np.ndarray, n_grid: np.ndarray) -> list[float]:
-    """The convolutions of one cache at a chunk of radii.  Radius i's
+    """The convolutions of ln F = ``f_log`` at a chunk of radii.  Radius i's
     nodes are kinks[:n_kinks[i]] merged with rho[i] - grid[:n_grid[i]];
     all radii's nodes lie in one flat array, each radius's ascending run
     after the previous one's."""
@@ -423,7 +403,7 @@ def _chunk_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
         t = t[np.r_[True, ~dup]]
         n = np.diff(kept[stop - 1], prepend=0)
         stop = np.cumsum(n)
-    y = cache(t)
+    y = f_log(t)
     s = np.repeat(rho, n)
     s -= t
     y += vg.log_value(s)
@@ -437,22 +417,19 @@ def _chunk_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
     return _block_logsumexp(seg, stop - n, stop - 1)
 
 
-def _log_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
-                      radii: np.ndarray, grid: np.ndarray,
+def _log_convolutions(vg: VGammaModel, f_log: Callable, lo: float,
+                      f_kinks: np.ndarray, radii: np.ndarray, grid: np.ndarray,
                       reads: np.ndarray) -> np.ndarray:
-    """ln of the integral over [0, rho] of F(t) v(rho - t) dt at each
+    """ln of the integral over [lo, rho] of F(t) v(rho - t) dt at each
     radius rho, summed in closed form over the segments between the
-    kinks of both factors.  F vanishes below the profile start, so each
-    sum starts there: the cache's floor, weighted by v(rho - t), need
-    not be small."""
-    lo = max(0.0, cache.t_start)
+    kinks of both factors.  ln F = ``f_log`` must be linear between its
+    kinks ``f_kinks`` on [lo, inf)."""
     out = np.full(radii.size, NEG_INF)
     live = np.flatnonzero(radii > lo)
     if live.size == 0:
         return out
-    # the cache's kinks in [lo, inf), with lo itself, sorted and distinct
-    kinks = np.sort(np.append(cache._kinks(), lo))
-    kinks = kinks[kinks >= lo]
+    # F's kinks above lo, with lo itself, sorted and distinct
+    kinks = np.sort(np.append(f_kinks[f_kinks > lo], lo))
     kinks = kinks[np.r_[True, kinks[1:] != kinks[:-1]]]
     rho = radii[live]
     n_kinks = np.searchsorted(kinks, rho, "right")
@@ -467,7 +444,7 @@ def _log_convolutions(vg: VGammaModel, cache: CuspidalInterpolant,
     n = n_kinks + n_grid
     chunk = (np.cumsum(n) - n) // _CHUNK_POINTS
     for part in np.split(np.arange(live.size), np.flatnonzero(np.diff(chunk)) + 1):
-        out[live[part]] = _chunk_convolutions(vg, cache, kinks, grid, rho[part],
+        out[live[part]] = _chunk_convolutions(vg, f_log, kinks, grid, rho[part],
                                               n_kinks[part], n_grid[part])
     return out
 
@@ -487,17 +464,14 @@ def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
     each cache bands all radii in one pass, a chunk of radii at a time,
     and a scalar is banded exactly as an array of one.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"band rel_tol must be finite and positive, got {rel_tol!r}")
+    radii, flat = _checked_radii(r, rel_tol, "band")
     if not caches or not all(isinstance(c, CuspidalInterpolant) for c in caches):
         raise DomainError("need one CuspidalInterpolant per cusp")
-    radii = np.asarray(r, dtype=float)
-    flat = radii.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise DomainError("band radii r must be finite")
     grid, reads = _ambient_grid(vg, flat, rel_tol)
-    # radius by radius, the convolutions of every cusp
-    convs = np.array([_log_convolutions(vg, c, flat, grid, reads)
+    # radius by radius, the convolutions of every cusp, each from its
+    # profile start, below which the cache's floor times v need not be small
+    convs = np.array([_log_convolutions(vg, c, max(0.0, c.t_start), c._kinks(),
+                                        flat, grid, reads)
                       for c in caches]).T.ravel()
     starts = np.arange(flat.size) * len(caches)
     lower = _block_logsumexp(convs, starts, starts + len(caches))
@@ -506,3 +480,22 @@ def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
         return Band(lower=lower[0], upper=upper[0])
     return Band(lower=np.array(lower).reshape(radii.shape),
                 upper=np.array(upper).reshape(radii.shape))
+
+
+def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r,
+                  *, rel_tol: float = 1e-8) -> float | np.ndarray:
+    """ln of the ambient model convolved with the parabolic orbit count
+    toward a point at horoball depth h_y, scalar or vectorized in ``r``
+    as ``volume_band``.  The cusp's profile must be one law T = e^{-ct}:
+    ln v_P is then linear but for its clamp at 2 t_start - h_y, and the
+    segment sum is exact up to the secants of a positive decay."""
+    radii, flat = _checked_radii(r, rel_tol, "band")
+    if not math.isfinite(h_y):
+        raise DomainError(f"counting_band depth h_y must be finite, got {h_y!r}")
+    prof = cusp.profile
+    if prof.piece_breaks().size or prof.final_law()[0] != 0.0:
+        raise DomainError("counting_band cusp needs a profile of one law T = e^{-ct}")
+    out = _log_convolutions(vg, lambda u: log_orbital_parabolic(cusp, u, h_y), 0.0,
+                            np.array([2.0 * prof.t_start - h_y]), flat,
+                            *_ambient_grid(vg, flat, rel_tol))
+    return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)

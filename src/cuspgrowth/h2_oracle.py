@@ -842,10 +842,8 @@ def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
                             [pure_piece(0.0, math.inf, 1.0)])
     cusp = CuspModel(profile=prof, c_norm=2.0)
     vg = VGammaModel(1.0)
-    mids = np.array([
-        counting_band(vg, cusp, _COUNTING_DEPTH, float(x),
-                      rel_tol=_COUNTING_REL_TOL)
-        for x in radii])
+    mids = counting_band(vg, cusp, _COUNTING_DEPTH, radii,
+                         rel_tol=_COUNTING_REL_TOL)
 
     dev = log_emp - mids
     fit_mask = radii <= _COUNTING_FIT_MAX + 1e-12

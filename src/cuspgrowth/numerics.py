@@ -62,6 +62,17 @@ def log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _checked_radii(r, rel_tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Radii ``r`` of a scalar-or-array evaluation, as an array and
+    flattened, once they and ``rel_tol`` are checked; ``what`` names it."""
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"{what} rel_tol must be finite and positive, got {rel_tol!r}")
+    radii = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise DomainError(f"{what} radii r must be finite")
+    return radii, radii.ravel()
+
+
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
     by Newton's method on the Legendre polynomial P_n (without importing

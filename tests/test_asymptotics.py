@@ -33,7 +33,7 @@ from cuspgrowth.asymptotics import (
     poincare_abscissa,
     sample_cuspidal,
 )
-from cuspgrowth.convolution import CuspidalInterpolant
+from cuspgrowth.convolution import CuspidalInterpolant, cuspidal_interpolants
 from cuspgrowth.numerics import log_tail_integral
 from cuspgrowth.profiles import (
     CATALOG_IDS,
@@ -202,6 +202,22 @@ class TestBatchedExcursion:
             log_cuspidal(_pure_cusp(), np.array([2.0, INF]))
         with pytest.raises(DomainError, match="finite"):
             log_cuspidal(_pure_cusp(), float("nan"))
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), INF, -1.0, 0.0])
+    @pytest.mark.parametrize("call", [
+        lambda cusp, tol: log_cuspidal(cusp, 10.0, rel_tol=tol),
+        lambda cusp, tol: CuspidalInterpolant(cusp, 10.0, rel_tol=tol),
+        lambda cusp, tol: cuspidal_interpolants([cusp], 10.0, rel_tol=tol),
+    ], ids=["log_cuspidal", "CuspidalInterpolant", "cuspidal_interpolants"])
+    def test_rejects_bad_rel_tol(self, monkeypatch, call, rel_tol):
+        # rejected by name before any integration; 0 must not surface as
+        # a QuadratureError, which the command line reports as exit 4
+        def integrate(*args):
+            raise AssertionError("integrated before checking rel_tol")
+
+        monkeypatch.setattr(asymptotics, "_log_excursion_block", integrate)
+        with pytest.raises(DomainError, match="rel_tol"):
+            call(CuspModel(catalog_profile("sparse-5.2")), rel_tol)
 
     def test_miss_at_minimum_budget_raises(self, monkeypatch):
         # at rel_tol 1e-10 the 8-point rule on the companion's R = 8 panels

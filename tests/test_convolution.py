@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cuspgrowth import convolution, taxonomy
+from cuspgrowth import convolution, h2_oracle, taxonomy
 from cuspgrowth import (
     CATALOG_IDS,
     Band,
@@ -26,6 +26,8 @@ from cuspgrowth import (
     cuspidal_interpolants,
     default_catalog_params,
     log_cuspidal,
+    log_orbital_parabolic,
+    poly_piece,
     pure_piece,
     sandwich_check,
     volume_band,
@@ -291,6 +293,76 @@ class TestCountingBand:
         b4 = counting_band(vg, cusp, 4.0, 10.0)
         assert b4 - b0 == pytest.approx(2.0, abs=1e-7)
 
+    @pytest.mark.parametrize("t0", [0.0, 3.0])
+    @pytest.mark.parametrize("h_y", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    def test_against_quadrature(self, t0, h_y, decay):
+        # at t0 = 3 the clamp kink 2 t0 - h_y falls inside (0, R); the
+        # segment sum is exact at decay 0, and at decay 0.5 its secants
+        # raise it by at most rel_tol nats
+        rel_tol = 1e-6
+        prof = assemble_profile(CurvatureBounds(a=1.5, b=1.5, n=3),
+                                [pure_piece(t0, INF, 1.5)])
+        cusp = CuspModel(prof, c_norm=2.5)
+        vg = VGammaModel(1.2, decay)
+        radii = np.linspace(-2.0, 20.0, 45)
+        got = counting_band(vg, cusp, h_y, radii, rel_tol=rel_tol)
+        want = np.array([_quadrature_counting(vg, cusp, h_y, float(r))
+                         for r in radii])
+        assert np.array_equal(got[radii <= 0.0], want[radii <= 0.0])
+        assert np.all(got[radii <= 0.0] == -INF)
+        gap = got[radii > 0.0] - want[radii > 0.0]
+        assert gap.min() >= -1e-9
+        assert gap.max() <= (1e-9 if decay == 0.0 else rel_tol + 1e-9)
+
+    def test_oracle_configuration_against_mpmath(self):
+        # verify_counting's band: unit rate, c_norm 2, depth 2, so that
+        # ln of the convolution is R + 1 + ln(1 - e^{-R/2})
+        prof = assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+                                [pure_piece(0.0, INF, 1.0)])
+        radii = np.arange(4.0, 12.0 + 1e-12, 0.25)
+        got = counting_band(VGammaModel(1.0), CuspModel(prof, c_norm=2.0),
+                            2.0, radii)
+        with mpmath.workdps(50):
+            want = [float(mpmath.mpf(r) + 1
+                          + mpmath.log(-mpmath.expm1(-mpmath.mpf(r) / 2)))
+                    for r in radii.tolist()]
+        assert np.max(np.abs(got - want)) <= 4e-15
+
+    @pytest.mark.parametrize("r", [-1.0, 0.0, 0.3, 7.25, 40.0])
+    def test_scalar_is_an_array_of_one(self, r):
+        vg, cusp = VGammaModel(1.0, 0.5), _hyperbolic_cusp()
+        got = counting_band(vg, cusp, 2.0, r)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(counting_band(vg, cusp, 2.0, np.array([r])))
+
+    @pytest.mark.parametrize("r", [INF, float("nan"), np.array([3.0, -INF])])
+    def test_rejects_non_finite_radius(self, r):
+        with pytest.raises(DomainError, match="radii r"):
+            counting_band(VGammaModel(1.0), _hyperbolic_cusp(), 0.0, r)
+
+    @pytest.mark.parametrize("h_y", [-INF, INF, float("nan")])
+    def test_rejects_non_finite_depth(self, h_y):
+        # at -inf the clamp would hold every depth at the profile start
+        # and return a finite value
+        with pytest.raises(DomainError, match="h_y"):
+            counting_band(VGammaModel(1.0), _hyperbolic_cusp(), h_y, 10.0)
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), INF, 0.0, -1.0])
+    def test_rejects_bad_rel_tol(self, rel_tol):
+        with pytest.raises(DomainError, match="rel_tol"):
+            counting_band(VGammaModel(1.0), _hyperbolic_cusp(), 0.0, 10.0,
+                          rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("prof", [
+        catalog_profile("sparse-5.2"),
+        assemble_profile(CurvatureBounds(a=1.0, b=1.0),
+                         [poly_piece(1.0, INF, 2.0, 1.0)]),
+    ], ids=["piece-breaks", "power"])
+    def test_rejects_profile_of_more_than_one_pure_law(self, prof):
+        with pytest.raises(DomainError, match="cusp"):
+            counting_band(VGammaModel(1.0), CuspModel(prof), 0.0, 10.0)
+
     def test_band_ordering_enforced(self):
         with pytest.raises(DomainError):
             Band(lower=1.0, upper=0.0)
@@ -430,16 +502,21 @@ class TestOneConvolutionPerRadius:
         assert sum(points) == nodes
 
     def test_counting_band(self, monkeypatch):
-        radii = []
-        original = convolution.conv_continuous
+        # verify_counting bands all 33 radii in one call, and no
+        # quadrature runs
+        bands, quadratures = [], []
+        counting_band_ = h2_oracle.counting_band
 
-        def counted(f_log, g_log, r, **kwargs):
-            radii.append(r)
-            return original(f_log, g_log, r, **kwargs)
+        def banded(vg, cusp, h_y, r, **kwargs):
+            bands.append(np.shape(r))
+            return counting_band_(vg, cusp, h_y, r, **kwargs)
 
-        monkeypatch.setattr(convolution, "conv_continuous", counted)
-        counting_band(VGammaModel(1.0), _hyperbolic_cusp(), 0.0, 10.0)
-        assert radii == [10.0]
+        monkeypatch.setattr(h2_oracle, "counting_band", banded)
+        monkeypatch.setattr(convolution, "conv_continuous",
+                            lambda *args, **kwargs: quadratures.append(args))
+        h2_oracle.verify_counting()
+        assert bands == [(33,)]
+        assert quadratures == []
 
 
 def _mp_segment(y_a: float, y_b: float, h: float) -> float:
@@ -621,6 +698,14 @@ def _quadrature_band(vg, caches, r, rel_tol):
     conv = conv_continuous(s_log, vg.log_value, r, rel_tol=rel_tol,
                            f_breaks=breaks)
     return conv, float(np.logaddexp(conv, vg.log_value(r)))
+
+
+def _quadrature_counting(vg, cusp, h_y, r):
+    """The counting band's former path: Gauss quadrature cut at the
+    orbital factor's clamp."""
+    return conv_continuous(
+        vg.log_value, lambda u: log_orbital_parabolic(cusp, u, h_y), r,
+        rel_tol=1e-10, g_breaks=[2.0 * cusp.profile.t_start - h_y])
 
 
 @pytest.fixture(scope="module", params=CATALOG_IDS)
