@@ -786,12 +786,9 @@ class CountingBandReport:
     fit_pad: float
     max_fit_deviation: float
     max_assert_deviation: float
-    center_offset: float
     max_center_drift: float
     assert_ok: bool
     radii: np.ndarray
-    log_empirical: np.ndarray
-    log_band_mid: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -856,6 +853,5 @@ def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
         depth=_COUNTING_DEPTH, fit_max=_COUNTING_FIT_MAX,
         r_cap=_COUNTING_R_CAP,
         log_constant=log_c, fit_pad=fit_pad, max_fit_deviation=max_fit,
-        max_assert_deviation=max_assert, center_offset=center,
-        max_center_drift=drift, assert_ok=max_assert <= log_c,
-        radii=radii, log_empirical=log_emp, log_band_mid=mids)
+        max_assert_deviation=max_assert, max_center_drift=drift,
+        assert_ok=max_assert <= log_c, radii=radii)

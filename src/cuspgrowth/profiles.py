@@ -215,6 +215,25 @@ def _row(seg: Mapping) -> _Envelope | _Cubic:
                   tuple(seg["coeffs"]))
 
 
+def _active_segments(t0: float, segments: Sequence[Mapping]
+                     ) -> tuple[list[float], list[Mapping]]:
+    """The starts and segments of the rows of a bridge piece that begins
+    at t0: a zero-width segment is active nowhere and gets no row, and the
+    first row starts at t0."""
+    kept = [seg for seg in segments if seg["t1"] > seg["t0"]]
+    return [t0] + [seg["t0"] for seg in kept[1:]], kept
+
+
+def _row_slices(t: np.ndarray,
+                starts: Sequence[float]) -> list[tuple[int, int]]:
+    """The [lo, hi) index range of the sorted array t that each row of
+    the given strictly increasing starts is active on; below the first
+    start reads the first row."""
+    cuts = np.searchsorted(t, starts, side="left").tolist()
+    cuts[0] = 0
+    return list(zip(cuts, cuts[1:] + [t.size]))
+
+
 @dataclass(frozen=True, eq=False)
 class _SegmentTable:
     """The segments of consecutive pieces, flattened in order.
@@ -234,10 +253,9 @@ class _SegmentTable:
         rows: list[_Envelope | _Cubic] = []
         for piece in pieces:
             if piece.form == "bridge":
-                segs = [seg for seg in piece.params["segments"]
-                        if seg["t1"] > seg["t0"]]
-                starts.append(piece.t0)
-                starts.extend(seg["t0"] for seg in segs[1:])
+                seg_starts, segs = _active_segments(piece.t0,
+                                                    piece.params["segments"])
+                starts.extend(seg_starts)
                 rows.extend(_row(seg) for seg in segs)
             else:
                 starts.append(piece.t0)
@@ -269,11 +287,8 @@ class _SegmentTable:
         """ln T, (ln T)' and (ln T)'' on a sorted float array.  Each row
         reads its contiguous slice once per order, element for element
         as ``__call__`` evaluates it."""
-        cuts = np.searchsorted(t, self.starts, side="left")
-        cuts[0] = 0  # below the first start reads the first row
-        ends = np.append(cuts[1:], t.size)
         jet = (np.empty_like(t), np.empty_like(t), np.empty_like(t))
-        for row, lo, hi in zip(self.rows, cuts, ends):
+        for row, (lo, hi) in zip(self.rows, _row_slices(t, self.starts)):
             if hi > lo:
                 for order, out in enumerate(jet):
                     out[lo:hi] = row(t[lo:hi], order)
@@ -371,23 +386,13 @@ class Profile:
 
 # -- bridge construction ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Candidate:
-    segments: tuple[dict, ...]
-    proxy_slack: float
-    monotone: bool
-    sandwiched: bool
-
-
-def _transition_candidate(q: float, r: float, theta: float,
-                          ends: tuple[tuple[float, float, float], ...],
-                          rates: tuple[float, float], t: np.ndarray,
-                          lo_env: np.ndarray, hi_env: np.ndarray) -> _Candidate:
-    """The ramp/plateau/ramp transition of ramp fraction theta, checked on
-    the band's grid t against the envelopes' pointwise least and greatest
-    log values there.  ends holds ln T, (ln T)' and (ln T)'' of the left
-    envelope at q and of the right one at r; rates the least and greatest
-    envelope rate."""
+def _ramp_plateau_ramp(q: float, r: float, theta: float,
+                       ends: tuple[tuple[float, float, float], ...]
+                       ) -> tuple[dict, dict, dict]:
+    """The ramp/plateau/ramp segments of ramp fraction theta on [q, r].
+    ends holds ln T, (ln T)' and (ln T)'' of the left envelope at q and of
+    the right one at r.  The plateau (the middle segment) has the log-slope
+    coefficients (s*, 0, 0, 0)."""
     width = r - q
     (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
     gap = v_r - v_q
@@ -419,23 +424,7 @@ def _transition_candidate(q: float, r: float, theta: float,
         "anchor": a2,
         "coeffs": _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp),
     }
-    segments = (seg1, seg2, seg3)
-
-    g, d1, d2 = _SegmentTable.compile(
-        [ProfilePiece(q, r, "bridge", {"segments": segments})]).jets(t)
-    ratio = d2 + d1 * d1
-
-    lo_rate, hi_rate = rates
-    achieved = max(0.0,
-                   lo_rate * lo_rate - float(np.min(ratio)),
-                   float(np.max(ratio)) - hi_rate * hi_rate)
-
-    monotone = bool(np.all(d1 < 0.0))
-    slack = 1e-9 * np.maximum(1.0, np.abs(g))
-    sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
-
-    return _Candidate(segments=segments, proxy_slack=achieved,
-                      monotone=monotone, sandwiched=sandwiched)
+    return seg1, seg2, seg3
 
 
 def _poly_integral(coeffs: Sequence[float]) -> float:
@@ -443,11 +432,52 @@ def _poly_integral(coeffs: Sequence[float]) -> float:
     return c0 + c1 / 2.0 + c2 / 3.0 + c3 / 4.0
 
 
+def _monotone_proxy_range(plateau: dict,
+                          slices: Sequence[tuple[dict, _Cubic, int, int]],
+                          t: np.ndarray) -> tuple[float, float] | None:
+    """Least and greatest curvature proxy (ln T)'' + (ln T)'^2 of a
+    ramp/plateau/ramp transition on the grid t, read over the
+    (segment, row, lo, hi) slices of t; None when (ln T)' is not negative
+    at every grid point.
+
+    The plateau needs no per-point work.  Its row evaluates, at a finite
+    u, (ln T)' = s* + u (0 + u (0 + u 0)) and
+    (ln T)'' = (0 + u (2 0 + u 3 0)) / width.  In round-to-nearest
+    u * (+-0) is a zero and 0.0 + (+-0) is +0.0, so each nested sum is
+    +0.0 and each product a signed zero.  Hence (ln T)' = s* + (+-0) = s*
+    (for s* = +-0 only the sign of the zero may change, which neither
+    ``< 0`` nor the square sees), (ln T)'' = +0.0 / width = +0.0, and the
+    proxy is +0.0 + s* s* = s*^2 exactly, NaN and infinities included.
+    """
+    s_star = plateau["coeffs"][0]
+    least: list[float] = []
+    most: list[float] = []
+    for seg, row, lo, hi in slices:
+        if seg is plateau:
+            if not s_star < 0.0:
+                return None
+            least.append(s_star * s_star)
+            most.append(s_star * s_star)
+            continue
+        d1 = row(t[lo:hi], 1)
+        if not np.all(d1 < 0.0):
+            return None
+        ratio = row(t[lo:hi], 2) + d1 * d1
+        least.append(np.min(ratio))
+        most.append(np.max(ratio))
+    # np.min and np.max propagate a NaN proxy, as on the whole grid
+    return float(np.min(least)), float(np.max(most))
+
+
 def _transition_piece(left: _Envelope, right: _Envelope,
                       q: float, r: float) -> ProfilePiece:
     """Bridge piece on [q, r] carrying the admissible ramp/plateau/ramp
-    transition of least curvature-proxy slack.
+    transition of least curvature-proxy slack, the earliest ramp fraction
+    of the ladder among equals.
 
+    Every ramp fraction is checked on one shared grid of the band.  The
+    monotone ones are ranked by (proxy slack, ladder position), and the
+    envelope sandwich is evaluated in that order only until one passes.
     Raises BridgeConstructionError when no ramp fraction yields a
     monotone, envelope-sandwiched transition.
     """
@@ -462,26 +492,38 @@ def _transition_piece(left: _Envelope, right: _Envelope,
     if ends[0][1] >= 0 or ends[1][1] >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
-    rates = (min(left.rate, right.rate), max(left.rate, right.rate))
+    lo_rate = min(left.rate, right.rate)
+    hi_rate = max(left.rate, right.rate)
     t = np.linspace(q, r, _GRID)
     at_left = left(t)
     at_right = right(t)
     lo_env = np.minimum(at_left, at_right)
     hi_env = np.maximum(at_left, at_right)
-    best: _Candidate | None = None
-    for theta in _THETA_LADDER:
-        cand = _transition_candidate(q, r, theta, ends, rates,
-                                     t, lo_env, hi_env)
-        if not (cand.monotone and cand.sandwiched):
-            continue
-        if best is None or cand.proxy_slack < best.proxy_slack:
-            best = cand
-    if best is None:
-        raise BridgeConstructionError(
-            f"no monotone sandwiched transition on [{q}, {r}] between "
-            f"(power={left.power}, rate={left.rate}) and "
-            f"(power={right.power}, rate={right.rate})")
-    return ProfilePiece(q, r, "bridge", {"segments": best.segments})
+
+    ranked = []
+    for rank, theta in enumerate(_THETA_LADDER):
+        segments = _ramp_plateau_ramp(q, r, theta, ends)
+        starts, kept = _active_segments(q, segments)
+        slices = [(seg, _row(seg), lo, hi) for seg, (lo, hi)
+                  in zip(kept, _row_slices(t, starts)) if hi > lo]
+        proxy = _monotone_proxy_range(segments[1], slices, t)
+        if proxy is not None:
+            # max(0.0, ...) reads a NaN proxy as slack 0.0
+            slack = max(0.0, lo_rate * lo_rate - proxy[0],
+                        proxy[1] - hi_rate * hi_rate)
+            ranked.append((slack, rank, segments, slices))
+    ranked.sort(key=lambda cand: cand[:2])
+    for _, _, segments, slices in ranked:
+        g = np.empty_like(t)
+        for _, row, lo, hi in slices:
+            g[lo:hi] = row(t[lo:hi])
+        tol = 1e-9 * np.maximum(1.0, np.abs(g))
+        if np.all(g >= lo_env - tol) and np.all(g <= hi_env + tol):
+            return ProfilePiece(q, r, "bridge", {"segments": segments})
+    raise BridgeConstructionError(
+        f"no monotone sandwiched transition on [{q}, {r}] between "
+        f"(power={left.power}, rate={left.rate}) and "
+        f"(power={right.power}, rate={right.rate})")
 
 
 def assemble_profile(bounds: CurvatureBounds,

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -31,11 +32,11 @@ from cuspgrowth.profiles import (
     Profile,
     ProfilePiece,
     ValidationReport,
-    _Candidate,
     _cubic_coeffs,
     _Envelope,
     _piece_sample_grid,
     _poly_integral,
+    _ramp_plateau_ramp,
     _SegmentTable,
     _transition_piece,
     assemble_profile,
@@ -542,8 +543,19 @@ class TestSegmentTable:
 # The evaluation below is the one the shared-grid ladder replaced: each
 # ramp fraction rebuilt the band's grid, evaluated both envelopes on it
 # afresh and read its segment table through three masked calls, and the
-# validator read each piece's table the same way.  The chosen segments,
-# the profile text and every report field must agree with it bit for bit.
+# validator read each piece's table the same way.  It checks every ramp
+# fraction in full (proxy, monotonicity and sandwich) and keeps the first
+# of strictly least slack, where the ladder ranks first and checks the
+# sandwich lazily.  The chosen segments, the profile text and every
+# report field must agree with it bit for bit.
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    segments: tuple
+    proxy_slack: float
+    monotone: bool
+    sandwiched: bool
 
 
 def _ref_transition_candidate(left, right, q, r, theta):
@@ -754,6 +766,63 @@ class TestLadderAgainstReference:
     def test_in_range_parameters(self, name, params):
         _assert_same_build(name, params)
 
+    # The three bands below were found by searching random envelope pairs
+    # and bands with the reference, then frozen.
+
+    @staticmethod
+    def _assert_same_piece(left, right, q, r):
+        got = _transition_piece(left, right, q, r)
+        want = _ref_transition_piece(left, right, q, r)
+        # repr tells -0.0 from 0.0 in every coefficient
+        assert repr(got) == repr(want)
+        return got
+
+    def test_slack_tie_won_past_an_unsandwiched_candidate(self):
+        left = _Envelope(2.0083462509581183, 4.518231569603959)
+        right = _Envelope(0.033707827467932105, 2.2025275909780304)
+        q, r = 0.6612510318460889, 9.201297564815158
+        cands = [_ref_transition_candidate(left, right, q, r, theta)
+                 for theta in _THETA_LADDER]
+        ranked = sorted((c.proxy_slack, k) for k, c in enumerate(cands)
+                        if c.monotone)
+        # theta = 1/2 ranks first and fails the sandwich; 1/16 ties with
+        # it and wins, while 1/8, sandwiched too, is one ulp worse
+        assert [k for _, k in ranked[:4]] == [1, 3, 4, 5]
+        assert len({slack for slack, _ in ranked[:4]}) == 1
+        assert [cands[k].sandwiched for k in (1, 2, 3)] == [False, True, True]
+        assert cands[2].proxy_slack > cands[3].proxy_slack
+        piece = self._assert_same_piece(left, right, q, r)
+        assert piece.params["segments"] == cands[3].segments
+
+    def test_half_ramps_that_round_past_each_other(self):
+        left = _Envelope(0.46639426933909545, 2.272022856006579)
+        right = _Envelope(2.709371063234318, 4.767373057410012)
+        q, r = 0.513271550585291, 2.9263515616838047
+        half = 0.5 * (r - q)
+        assert q + half > r - half
+        piece = self._assert_same_piece(left, right, q, r)
+        # the theta = 1/2 candidate wins; its plateau ends before it
+        # starts, so its table has no plateau row
+        plateau = piece.params["segments"][1]
+        assert (plateau["t0"], plateau["t1"]) == (q + half, r - half)
+        table = _SegmentTable.compile([piece])
+        assert table.starts.tolist() == [q, r - half]
+
+    def test_ladder_that_rejects_every_candidate(self):
+        left = _Envelope(1.0158925378501862, 3.75781405251292)
+        right = _Envelope(0.0, 3.5713558008720816)
+        q, r = 7.984691105518831, 23.225573944283866
+        cands = [_ref_transition_candidate(left, right, q, r, theta)
+                 for theta in _THETA_LADDER]
+        # every ramp fraction is monotone, so each reaches the sandwich
+        assert all(c.monotone and not c.sandwiched for c in cands)
+        with pytest.raises(BridgeConstructionError) as want:
+            _ref_transition_piece(left, right, q, r)
+        with pytest.raises(BridgeConstructionError) as got:
+            _transition_piece(left, right, q, r)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("no monotone sandwiched transition")
+
     def test_report_of_a_failing_profile(self):
         # value and slope jumps at both joins, a rising stretch (t^2 e^{-t}
         # on [1, 2)) and a curvature proxy on both sides of the window
@@ -767,6 +836,52 @@ class TestLadderAgainstReference:
                      "not strictly decreasing", "below", "above"):
             assert any(kind in m for m in report.messages), kind
         assert report == _ref_validate_profile(prof)
+
+
+class TestPlateauConstants:
+    """The ladder reads the plateau row (s*, 0, 0, 0) without evaluating
+    it: (ln T)' as s*, (ln T)'' as +0.0 and the proxy as s*^2.  These are
+    checked here against the cubic's log-slope polynomial and its
+    derivative, written out, on finite u inside and outside [0, 1]."""
+
+    U = np.array([-1e6, -2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0,
+                  1.0 + 2.0 ** -52, 7.0, 1e6])
+    S_STAR = (-3.7, -1e-300, -5e-324, -1e300, -INF, -0.0, 0.0, 2.5, INF,
+              float("nan"))
+
+    @staticmethod
+    def _polynomial(coeffs, u, width):
+        c0, c1, c2, c3 = coeffs
+        d1 = c0 + u * (c1 + u * (c2 + u * c3))
+        d2 = (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / width
+        return d1, d2
+
+    @pytest.mark.parametrize("zeros", [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+                                       (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)])
+    def test_flat_row_against_the_polynomial(self, zeros):
+        for s_star in self.S_STAR:
+            for width in (1e-3, 1.0, 7.0):
+                with np.errstate(over="ignore"):
+                    d1, d2 = self._polynomial((s_star, *zeros), self.U, width)
+                    proxy = d2 + d1 * d1
+                assert _bit_equal(proxy, np.full_like(self.U, s_star * s_star))
+                assert np.array_equal(d1 < 0.0, np.full(self.U.shape, s_star < 0.0))
+                if s_star != 0.0:
+                    assert _bit_equal(d1, np.full_like(self.U, s_star))
+                if not np.any(np.signbit(zeros)):
+                    assert _bit_equal(d2, np.zeros_like(self.U))
+                else:
+                    assert np.all(d2 == 0.0)
+
+    def test_negative_zero_coefficients_change_the_sign_of_d2(self):
+        # why the constants hold for the ladder's own plateau row, whose
+        # zeros are +0.0, and not for every flat cubic
+        _, d2 = self._polynomial((-1.0, -0.0, -0.0, -0.0), self.U[7:8], 1.0)
+        assert np.signbit(d2[0])
+        ends = ((-1.0, -1.0, 0.0), (-9.0, -3.0, 0.0))
+        for theta in _THETA_LADDER:
+            plateau = _ramp_plateau_ramp(1.0, 3.0, theta, ends)[1]
+            assert not np.any(np.signbit(plateau["coeffs"][1:]))
 
 
 class TestJets:
