@@ -45,7 +45,6 @@ from .h2_oracle import (
     verify_prop28,
 )
 from .profiles import (
-    _FAMILY_READS,
     _PROFILE_READS,
     CATALOG_IDS,
     CatalogParams,
@@ -56,6 +55,7 @@ from .profiles import (
     validate_profile,
 )
 from .taxonomy import (
+    _FAMILY_READS,
     _GRID_POINTS,
     catalog_spec,
     classify_lattice,
@@ -447,7 +447,8 @@ def _run_example(cfg: ExperimentConfig, outdir: Path):
                         band=cfg.tolerances["trend_band"])
     for name in _names(cfg):
         rep = run_example(name, _params_for(cfg, name), r_max=cfg.r_max,
-                          trend=trend, rel_tol=cfg.tolerances["rel_tol"])
+                          trend=trend, rel_tol=cfg.tolerances["rel_tol"],
+                          tol_factor=cfg.tolerances["pinch_tol"])
         for claim in rep.claims:
             assertions.append({
                 "name": f"{name}:{claim.name}",

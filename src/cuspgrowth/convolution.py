@@ -24,7 +24,8 @@ from .asymptotics import (
     log_cuspidal,
     log_orbital_parabolic,
 )
-from .numerics import NEG_INF, _checked_radii, log_add, log_integral, logsumexp
+from .numerics import (NEG_INF, _block_logsumexp, _checked_radii, log_add,
+                       log_integral, logsumexp)
 
 __all__ = [
     "VGammaModel",
@@ -358,24 +359,6 @@ def _ambient_grid(vg: VGammaModel, radii: np.ndarray,
                       for rho in radii.tolist()], dtype=np.intp)
     grid = np.expm1(step * np.arange(int(reads.max(initial=1))))
     return grid, reads
-
-
-def _block_logsumexp(values: np.ndarray, starts: np.ndarray,
-                     stops: np.ndarray) -> list[float]:
-    """``numerics.logsumexp`` of each slice values[starts[i]:stops[i]],
-    bit for bit: entries between one slice's stop and the next slice's
-    start must be -inf.  The maxima and exponentials are taken on the
-    whole array, each sum on its own slice."""
-    top = np.maximum.reduceat(values, starts)
-    if np.isnan(top).any():
-        raise DomainError("NaN summand in logsumexp")
-    if (top == math.inf).any():
-        raise DomainError("+inf summand in logsumexp")
-    shift = np.where(top == NEG_INF, 0.0, top)
-    terms = np.exp(values - np.repeat(shift, np.diff(starts, append=values.size)))
-    return [m + math.log(float(np.add.reduce(terms[a:b]))) if m != NEG_INF
-            else NEG_INF
-            for m, a, b in zip(top.tolist(), starts.tolist(), stops.tolist())]
 
 
 def _chunk_convolutions(vg: VGammaModel, f_log: Callable,

@@ -788,7 +788,6 @@ class CountingBandReport:
     max_assert_deviation: float
     max_center_drift: float
     assert_ok: bool
-    radii: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -854,4 +853,4 @@ def verify_counting(*, fit_pad: float = 0.05) -> CountingBandReport:
         r_cap=_COUNTING_R_CAP,
         log_constant=log_c, fit_pad=fit_pad, max_fit_deviation=max_fit,
         max_assert_deviation=max_assert, max_center_drift=drift,
-        assert_ok=max_assert <= log_c, radii=radii)
+        assert_ok=max_assert <= log_c)

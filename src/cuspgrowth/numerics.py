@@ -32,6 +32,23 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
+def _block_logsumexp(values: np.ndarray, starts: np.ndarray,
+                     stops: np.ndarray) -> list[float]:
+    """``logsumexp`` of each slice values[starts[i]:stops[i]], bit for
+    bit; entries between one slice's stop and the next start must be
+    -inf.  Maxima and exponentials are taken on the whole array."""
+    top = np.maximum.reduceat(values, starts)
+    if np.isnan(top).any():
+        raise DomainError("NaN summand in logsumexp")
+    if (top == math.inf).any():
+        raise DomainError("+inf summand in logsumexp")
+    shift = np.where(top == NEG_INF, 0.0, top)
+    terms = np.exp(values - np.repeat(shift, np.diff(starts, append=values.size)))
+    return [m + math.log(float(np.add.reduce(terms[a:b]))) if m != NEG_INF
+            else NEG_INF
+            for m, a, b in zip(top.tolist(), starts.tolist(), stops.tolist())]
+
+
 def logsumexp(values: np.ndarray | Sequence[float]) -> float:
     """ln(sum(exp(values))) computed without overflow.
 
@@ -42,14 +59,7 @@ def logsumexp(values: np.ndarray | Sequence[float]) -> float:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         return NEG_INF
-    if np.isnan(arr).any():
-        raise DomainError("NaN summand in logsumexp")
-    m = float(np.max(arr))
-    if m == NEG_INF:
-        return NEG_INF
-    if math.isinf(m):
-        raise DomainError("+inf summand in logsumexp")
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return _block_logsumexp(arr, np.zeros(1, np.intp), np.array([arr.size]))[0]
 
 
 def log_add(a: float, b: float) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -331,6 +331,8 @@ class Profile:
             raise ProfileError("final segment must be an analytic law "
                                "t^power e^{-rate t}, not a cubic transition")
         object.__setattr__(self, "_table", table)
+        # validate_profile's report, made on its first call
+        object.__setattr__(self, "_report", None)
 
     @property
     def t_start(self) -> float:
@@ -574,8 +576,15 @@ def validate_profile(profile: Profile) -> ValidationReport:
     and the curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
     profile's bounds.  Convexity of T is implied by the window whenever
     eps < a^2; when the declared slack already admits concave stretches it
-    is reported through the ``convex`` flag instead of failing.
+    is reported through the ``convex`` flag instead of failing.  A
+    profile is certified once; later calls return the same report.
     """
+    if profile._report is None:
+        object.__setattr__(profile, "_report", _certify(profile))
+    return profile._report
+
+
+def _certify(profile: Profile) -> ValidationReport:
     msgs: list[str] = []
     a2 = profile.bounds.a ** 2
     b2 = profile.bounds.b ** 2
@@ -657,15 +666,6 @@ def profile_to_text(profile: Profile) -> str:
 
 # -- catalog ------------------------------------------------------------------
 
-CATALOG_IDS = (
-    "sparse-5.2",
-    "exotic-conv-5.3a",
-    "exotic-div-5.3b",
-    "critical-finite-5.4a",
-    "critical-infinite-5.4b",
-)
-
-
 @dataclass(frozen=True)
 class CatalogParams:
     """Parameters shared by the catalog families; each family reads the
@@ -675,7 +675,7 @@ class CatalogParams:
     mu          lower clamp fraction for the slow-band end (critical ids)
     rate_fast   fast decay rate b (> 2)
     beta        polynomial power of the convergent exotic tail / the fast
-                band of critical-infinite-5.4b
+                band of the critical family with infinite measure
     gamma       critical-family exponent in (0, 1)
     windows     number of oscillation windows
     head / gap / fast_len / tail_start   small-t layout of the aperiodic ids
@@ -694,20 +694,6 @@ class CatalogParams:
     band_ratio: float = 10.0
 
 
-def default_catalog_params(name: str) -> CatalogParams:
-    """Family-specific defaults.
-
-    The critical ids shorten the head so it finishes before their first
-    oscillation window [m^2, m^4] at the default m=3.
-    """
-    if name not in CATALOG_IDS:
-        raise CatalogError(f"unknown catalog id {name!r}")
-    base = CatalogParams()
-    if name in ("critical-finite-5.4a", "critical-infinite-5.4b"):
-        return replace(base, head=2.0)
-    return base
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise CatalogError(msg)
@@ -719,9 +705,9 @@ def _require_finite_square(p: CatalogParams) -> None:
              f"fast rate {p.rate_fast!r} is too large: its square overflows")
 
 
-def _sparse_pieces(p: CatalogParams) -> list[ProfilePiece]:
-    _require(p.m >= 3, "sparse-5.2 needs integer m >= 3")
-    _require(p.rate_fast > 2.0, "sparse-5.2 needs fast rate > 2")
+def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+    _require(p.m >= 3, f"{name} needs integer m >= 3")
+    _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     _require(p.windows >= 1, "need at least one oscillation window")
     slow = _Envelope(0.0, 1.0)
     fast = _Envelope(0.0, p.rate_fast)
@@ -754,21 +740,21 @@ def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece]:
             poly_piece(t0, INF, power, p.rate_fast)]
 
 
-def _exotic_conv_pieces(p: CatalogParams) -> list[ProfilePiece]:
-    _require(p.rate_fast > 2.0, "exotic-conv-5.3a needs fast rate > 2")
-    _require(p.beta > 1.0, "exotic-conv-5.3a needs power > 1")
+def _exotic_conv_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+    _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
+    _require(p.beta > 1.0, f"{name} needs power > 1")
     _require(p.head > 0 and p.band_ratio > 1, "bad transition band")
     return _tail_pieces(p, p.beta)
 
 
-def _exotic_div_pieces(p: CatalogParams) -> list[ProfilePiece]:
-    _require(p.rate_fast > 2.0, "exotic-div-5.3b needs fast rate > 2")
+def _exotic_div_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+    _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     a_end = p.head
     fast_start = a_end + p.gap
     fast_end = fast_start + p.fast_len
     tail = p.tail_start
     _require(0 < a_end < fast_start < fast_end < tail,
-             "exotic-div-5.3b needs head < fast band < tail start")
+             f"{name} needs head < fast band < tail start")
     _require(tail > 3.0 / p.rate_fast, "tail must start beyond the envelope peak")
     return [pure_piece(0.0, a_end, 1.0),
             _transition_piece(_Envelope(0.0, 1.0),
@@ -811,25 +797,70 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     return pieces
 
 
-# The CatalogParams fields that shape each family's main profile, and
-# those the family reads in all: through its main profile, its companions
-# and its ambient model (taxonomy._family_model).  Only 5.4b reads more
-# than shapes its main profile: gamma (its companion's tail power, its
-# ambient decay and range checks) and band_ratio (its companion's band).
+def _critical_finite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+    _require(0.0 < p.gamma < 1.0, "gamma must lie in (0, 1)")
+    return _critical_pieces(p, 2.0 + p.gamma)
+
+
+def _critical_infinite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+    _require(0.0 < p.gamma < 1.0, "gamma must lie in (0, 1)")
+    _require(1.0 + p.gamma < p.beta < 2.0 + p.gamma,
+             f"{name} needs beta in (1+gamma, 2+gamma)")
+    return _critical_pieces(p, p.beta)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A catalog family: ``pieces(name, params)`` checks and builds its
+    main profile from the fields ``reads``, and ``companion(params)`` the
+    second perturbed cusp of a family with one, which also reads
+    ``companion_reads``."""
+    pieces: Callable[[str, CatalogParams], list[ProfilePiece]]
+    reads: frozenset[str]
+    defaults: CatalogParams = CatalogParams()
+    companion: Optional[Callable[[CatalogParams], list[ProfilePiece]]] = None
+    companion_reads: frozenset[str] = frozenset()
+
+
 _CRITICAL_READS = frozenset({"m", "mu", "rate_fast", "windows", "head"})
-_PROFILE_READS = {
-    "sparse-5.2": frozenset({"m", "rate_fast", "windows"}),
-    "exotic-conv-5.3a": frozenset({"rate_fast", "beta", "head", "band_ratio"}),
-    "exotic-div-5.3b": frozenset({"rate_fast", "head", "gap", "fast_len",
-                                  "tail_start"}),
-    "critical-finite-5.4a": _CRITICAL_READS | {"gamma"},
-    "critical-infinite-5.4b": _CRITICAL_READS | {"beta"},
+# the critical ids shorten the head so it finishes before their first
+# oscillation window [m^2, m^4] at the default m = 3
+_CRITICAL_DEFAULTS = CatalogParams(head=2.0)
+
+# The catalog, in the paper's order (sections 5.2-5.4).
+_FAMILIES = {
+    # slow/fast pure-exponential oscillation on windows [m^{4n}, m^{4n+2}]
+    "sparse-5.2": _Family(_sparse_pieces, frozenset({"m", "rate_fast", "windows"})),
+    # one transition to the convergence-critical tail t^beta e^{-b t}, beta > 1
+    "exotic-conv-5.3a": _Family(
+        _exotic_conv_pieces, frozenset({"rate_fast", "beta", "head", "band_ratio"})),
+    # fast excursion then the divergence-critical tail t^3 e^{-b t}
+    "exotic-div-5.3b": _Family(_exotic_div_pieces, frozenset(
+        {"rate_fast", "head", "gap", "fast_len", "tail_start"})),
+    # oscillation between t e^{-(b/2) t} and t^{2+gamma} e^{-b t} on
+    # windows [m^{2n}, m^{2n+2}]
+    "critical-finite-5.4a": _Family(_critical_finite_pieces,
+                                    _CRITICAL_READS | {"gamma"}, _CRITICAL_DEFAULTS),
+    # the same layout with fast power beta in (1+gamma, 2+gamma), and a
+    # companion cusp whose tail t^{1+gamma} e^{-b t} makes the relevant
+    # series diverge; gamma reaches the main profile only through its
+    # range checks
+    "critical-infinite-5.4b": _Family(
+        _critical_infinite_pieces, _CRITICAL_READS | {"beta"}, _CRITICAL_DEFAULTS,
+        lambda p: _tail_pieces(p, 1.0 + p.gamma), frozenset({"gamma", "band_ratio"})),
 }
-_FAMILY_READS = {
-    **_PROFILE_READS,
-    "critical-infinite-5.4b": (_PROFILE_READS["critical-infinite-5.4b"]
-                               | {"gamma", "band_ratio"}),
-}
+
+CATALOG_IDS = tuple(_FAMILIES)
+
+# the CatalogParams fields that shape each family's main profile
+_PROFILE_READS = {name: family.reads for name, family in _FAMILIES.items()}
+
+
+def default_catalog_params(name: str) -> CatalogParams:
+    """Family-specific defaults."""
+    if name not in CATALOG_IDS:
+        raise CatalogError(f"unknown catalog id {name!r}")
+    return _FAMILIES[name].defaults
 
 
 def _finalize(pieces: list[ProfilePiece], params: CatalogParams) -> Profile:
@@ -837,30 +868,21 @@ def _finalize(pieces: list[ProfilePiece], params: CatalogParams) -> Profile:
     # certified against the profile-level window [a^2, b^2] on the
     # validator's dense grids; per-transition figures (measured against
     # the narrower local rate pair) are construction diagnostics only.
-    bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=1e6)
+    # The probe's window is open (eps = inf), and the final slack is at
+    # least the implied one, so the window, the one check that reads
+    # eps, passes on both: the final profile's report is the probe's.
+    bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF)
     probe = assemble_profile(bounds, pieces)
-    implied = validate_profile(probe).implied_eps
-    final = replace(bounds, eps=max(0.1, implied * (1.0 + 1e-9)))
-    return Profile(bounds=final, pieces=probe.pieces)
+    report = validate_profile(probe)
+    profile = replace(probe, bounds=replace(
+        bounds, eps=max(0.1, report.implied_eps * (1.0 + 1e-9))))
+    object.__setattr__(profile, "_report", report)
+    return profile
 
 
 def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
-    """Construct the named catalog profile.
-
-    Families:
-
-    * ``sparse-5.2``            slow/fast pure-exponential oscillation on
-                                windows [m^{4n}, m^{4n+2}]
-    * ``exotic-conv-5.3a``      one transition to the convergence-critical
-                                tail t^beta e^{-b t}, beta > 1
-    * ``exotic-div-5.3b``       fast excursion then the divergence-critical
-                                tail t^3 e^{-b t}
-    * ``critical-finite-5.4a``  oscillation between t e^{-(b/2) t} and
-                                t^{2+gamma} e^{-b t} on windows
-                                [m^{2n}, m^{2n+2}]
-    * ``critical-infinite-5.4b`` same layout with fast power beta in
-                                (1+gamma, 2+gamma); its second perturbed
-                                cusp comes from catalog_companions
+    """Construct the named catalog profile (the families are described
+    in ``_FAMILIES``).
 
     The returned profile's bounds record the achieved pinching slack when
     it exceeds the requested 0.1; narrow desk-scale bands are valid but
@@ -869,39 +891,20 @@ def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
     """
     params = params or default_catalog_params(name)
     _require_finite_square(params)
-    if name == "sparse-5.2":
-        pieces = _sparse_pieces(params)
-    elif name == "exotic-conv-5.3a":
-        pieces = _exotic_conv_pieces(params)
-    elif name == "exotic-div-5.3b":
-        pieces = _exotic_div_pieces(params)
-    elif name == "critical-finite-5.4a":
-        _require(0.0 < params.gamma < 1.0, "gamma must lie in (0, 1)")
-        pieces = _critical_pieces(params, 2.0 + params.gamma)
-    elif name == "critical-infinite-5.4b":
-        _require(0.0 < params.gamma < 1.0, "gamma must lie in (0, 1)")
-        _require(1.0 + params.gamma < params.beta < 2.0 + params.gamma,
-                 "critical-infinite-5.4b needs beta in (1+gamma, 2+gamma)")
-        pieces = _critical_pieces(params, params.beta)
-    else:
+    if name not in CATALOG_IDS:
         raise CatalogError(f"unknown catalog id {name!r}; "
                            f"known ids: {', '.join(CATALOG_IDS)}")
-    return _finalize(pieces, params)
+    return _finalize(_FAMILIES[name].pieces(name, params), params)
 
 
 def catalog_companions(name: str,
                        params: CatalogParams | None = None) -> tuple[Profile, ...]:
-    """Additional perturbed-cusp profiles of the named example lattice.
-
-    Only ``critical-infinite-5.4b`` has one: the cusp whose tail
-    t^{1+gamma} e^{-b t} makes the relevant series diverge.
-    """
-    if name not in CATALOG_IDS:
-        raise CatalogError(f"unknown catalog id {name!r}")
-    params = params or default_catalog_params(name)
-    if name != "critical-infinite-5.4b":
+    """Additional perturbed-cusp profiles of the named example lattice:
+    one for a family with a companion, none otherwise."""
+    defaults = default_catalog_params(name)  # rejects an unknown id
+    companion = _FAMILIES[name].companion
+    if companion is None:
         return ()
+    params = params or defaults
     _require_finite_square(params)
-    # the second perturbed cusp: one transition to the divergence-critical
-    # tail t^{1+gamma} e^{-b t}
-    return (_finalize(_tail_pieces(params, 1.0 + params.gamma), params),)
+    return (_finalize(companion(params), params),)

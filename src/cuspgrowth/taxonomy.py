@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CatalogError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .profiles import (
+    _FAMILIES,
     CatalogParams,
     CurvatureBounds,
     catalog_companions,
@@ -294,26 +295,6 @@ def classify_lattice(spec: LatticeSpec,
 
 # -- catalog example driver ------------------------------------------------------
 
-def _family_model(name: str, params: CatalogParams):
-    """(delta, decay, dominance flags) of a catalog family's ambient model."""
-    b = params.rate_fast
-    if name == "sparse-5.2":
-        # The oscillating cusp pushes the ambient exponent slightly above
-        # b/2; the excess scales like the inverse spacing base.
-        bump = (b / 2.0 - 1.0) / params.m
-        delta = b / 2.0 + bump / 2.0
-        return delta, 0.0, (False,)
-    if name == "exotic-conv-5.3a":
-        return b / 2.0, params.beta - 1.0, (True,)
-    if name == "exotic-div-5.3b":
-        return b / 2.0, 0.0, (True,)
-    if name == "critical-finite-5.4a":
-        return b / 2.0, 0.0, (True,)
-    if name == "critical-infinite-5.4b":
-        return b / 2.0, 1.0 - params.gamma, (True, True)
-    raise CatalogError(f"unknown catalog id {name!r}")
-
-
 def catalog_spec(name: str,
                  params: CatalogParams | None = None) -> LatticeSpec:
     """Assemble the full lattice description of a catalog family: cusp
@@ -322,14 +303,21 @@ def catalog_spec(name: str,
     params = params or default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, decay, flags = _family_model(name, params)
+    delta, decay, flags = _LATTICES[name]["model"](params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
                        vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
                        dominant_flags=flags)
 
 
-# Expected behaviour per family: the dispatched prediction triple
+# sampled-band residuals carry a polynomial transient; below this radius
+# the computed growth classes reflect the transient, not the regime
+_SAMPLED_CLAIM_RADIUS = 500.0
+
+
+# Each catalog family's example lattice: "model" gives its ambient
+# model (delta, decay, dominance flags) from the fields "reads", and the
+# rest is its expected behaviour: the dispatched prediction triple
 # (ambient class, volume class, measure verdict), the Margulis-function
 # prediction, the growth classes the desk-scale series actually realize,
 # and the realizable excursion signatures.  The upper-excursion regime of
@@ -337,35 +325,48 @@ def catalog_spec(name: str,
 # those the computed volume class is recorded but not scored; what IS
 # scored is the rising trend of the volume-to-ambient peaks, the finite-
 # radius footprint of the same mechanism.
-
-# sampled-band residuals carry a polynomial transient; below this radius
-# the computed growth classes reflect the transient, not the regime
-_SAMPLED_CLAIM_RADIUS = 500.0
-
-_EXPECTED = {
+_LATTICES = {
     "sparse-5.2": dict(
+        # the oscillating cusp pushes the ambient exponent slightly above
+        # b/2, by half a bump that scales like the inverse spacing base
+        model=lambda p: (p.rate_fast / 2.0 + (p.rate_fast / 2.0 - 1.0) / p.m / 2.0,
+                         0.0, (False,)),
+        reads=frozenset({"rate_fast", "m"}),
         sparse=True, exotic=False, pinch=PINCH_NONE,
         pred=(None, None, None), margulis=None,
         ambient=GrowthClass.PURE, volume=None, peak_trend=None, gap=0.05),
     "exotic-conv-5.3a": dict(
+        model=lambda p: (p.rate_fast / 2.0, p.beta - 1.0, (True,)),
+        reads=frozenset({"rate_fast", "beta"}),
         sparse=False, exotic=True, pinch=PINCH_STRICT,
         pred=(GrowthClass.LOWER, GrowthClass.LOWER, False), margulis=None,
         ambient=GrowthClass.LOWER, volume=GrowthClass.LOWER,
         peak_trend=None, gap=None),
     "exotic-div-5.3b": dict(
+        model=lambda p: (p.rate_fast / 2.0, 0.0, (True,)),
+        reads=frozenset({"rate_fast"}),
         sparse=False, exotic=True, pinch=PINCH_STRICT,
         pred=(GrowthClass.PURE, GrowthClass.PURE, True), margulis=None,
         ambient=GrowthClass.PURE, volume=GrowthClass.PURE,
         peak_trend=None, gap=None),
     "critical-finite-5.4a": dict(
+        model=lambda p: (p.rate_fast / 2.0, 0.0, (True,)),
+        reads=frozenset({"rate_fast"}),
         sparse=False, exotic=True, pinch=PINCH_EXACT,
         pred=(GrowthClass.PURE, GrowthClass.UPPER, True), margulis=False,
         ambient=GrowthClass.PURE, volume=None, peak_trend=0.15, gap=None),
     "critical-infinite-5.4b": dict(
+        model=lambda p: (p.rate_fast / 2.0, 1.0 - p.gamma, (True, True)),
+        reads=frozenset({"rate_fast", "gamma"}),
         sparse=False, exotic=True, pinch=PINCH_EXACT,
         pred=(GrowthClass.LOWER, GrowthClass.UPPER, False), margulis=False,
         ambient=GrowthClass.LOWER, volume=None, peak_trend=0.15, gap=None),
 }
+
+# The CatalogParams fields each family reads in all: through its main
+# profile, its companions and its ambient model.
+_FAMILY_READS = {name: f.reads | f.companion_reads | _LATTICES[name]["reads"]
+                 for name, f in _FAMILIES.items()}
 
 
 def _class_name(kind: Optional[GrowthClass]) -> str:
@@ -462,14 +463,16 @@ def run_example(name: str,
                 *,
                 r_max: float = 500.0,
                 trend: TrendPolicy = TrendPolicy(),
-                rel_tol: float = 1e-6) -> ExampleReport:
-    """Build a catalog family, classify it, compute its growth series,
-    and score the computed behaviour against the taxonomy prediction."""
+                rel_tol: float = 1e-6,
+                tol_factor: float = 0.02) -> ExampleReport:
+    """Build a catalog family, classify it (``tol_factor`` as in
+    ``classify_lattice``), compute its growth series, and score the
+    computed behaviour against the taxonomy prediction."""
     params = params or default_catalog_params(name)
     spec = catalog_spec(name, params)
     vg = spec.vgamma
     delta = vg.delta
-    taxonomy = classify_lattice(spec)
+    taxonomy = classify_lattice(spec, tol_factor=tol_factor)
 
     radii = np.linspace(1.0, r_max, _GRID_POINTS)
     log_vg = np.asarray(vg.log_value(radii), dtype=float)
@@ -488,7 +491,7 @@ def run_example(name: str,
                                 label=f"{name}-volume-to-ambient")
     peak_trend = classify_growth(ratio_series, 0.0, trend).trend_peak
 
-    exp = _EXPECTED[name]
+    exp = _LATTICES[name]
     pred = taxonomy.predictions
     want_vg, want_vx, want_bm = exp["pred"]
     claims = [

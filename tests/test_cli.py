@@ -8,6 +8,7 @@ invocation.
 """
 
 import hashlib
+import inspect
 import json
 import math
 
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cuspgrowth import cli, h2_oracle, numerics
-from cuspgrowth.asymptotics import GrowthSeries, estimate_exponents
+from cuspgrowth import cli, h2_oracle, numerics, profiles
+from cuspgrowth.asymptotics import GrowthSeries, TrendPolicy, estimate_exponents
 from cuspgrowth.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -27,9 +28,9 @@ from cuspgrowth.cli import (
     resolve_config,
 )
 from cuspgrowth.errors import ConfigError, DomainError
-from cuspgrowth.h2_oracle import estimate_delta
+from cuspgrowth.h2_oracle import estimate_delta, verify_counting
 from cuspgrowth.profiles import CATALOG_IDS
-from cuspgrowth.taxonomy import run_example
+from cuspgrowth.taxonomy import classify_lattice, run_example
 
 
 def _resolve(argv):
@@ -445,6 +446,21 @@ class TestToleranceFile:
         assert cfg.tolerances["pinch_tol"] == 0.05
         assert cfg.tolerances["trend_tau"] == TOLERANCE_DEFAULTS["trend_tau"]
 
+    def test_defaults_are_the_library_defaults(self):
+        # each knob overrides a library default; the copies must agree
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        assert TOLERANCE_DEFAULTS == {
+            "pinch_tol": default(classify_lattice, "tol_factor"),
+            "trend_tau": TrendPolicy().tau,
+            "trend_band": TrendPolicy().band,
+            "rel_tol": default(run_example, "rel_tol"),
+            "fit_pad": default(verify_counting, "fit_pad"),
+        }
+        assert (default(run_example, "tol_factor")
+                == default(classify_lattice, "tol_factor"))
+
     def test_unknown_knob(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key 'weird_knob'"):
             self._with(tmp_path, "weird_knob=1\n")
@@ -600,6 +616,20 @@ class TestProfileValidate:
         assert "certified: yes" in text
         assert (out / "profile-sparse-5.2.txt").is_file()
 
+    def test_each_profile_is_certified_once(self, tmp_path, monkeypatch):
+        certify = profiles._certify
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return certify(profile)
+
+        monkeypatch.setattr(profiles, "_certify", counted)
+        rc, out = _run(tmp_path, "profile-validate", "--name", "all")
+        assert rc == EXIT_PASS
+        # five main profiles and one companion
+        assert len(calls) == len(_summary(out)["assertions"]) == 6
+
     def test_artifact_list_matches_disk(self, tmp_path):
         rc, out = _run(tmp_path, "profile-validate", "--name",
                        "critical-finite-5.4a")
@@ -661,6 +691,22 @@ class TestExampleRun:
         text = (out / "example-exotic-div-5.3b.txt").read_text()
         assert "only prediction claims are scored" in text
         assert (out / "growth-exotic-div-5.3b.csv").is_file()
+
+    def test_pinch_tol_reaches_the_pinch_class_claim(self, tmp_path):
+        # at pinch_tol 1.0 the family reads as exactly half-pinched; both
+        # commands must classify with the tolerance file's value
+        tol = tmp_path / "tol.cfg"
+        tol.write_text("pinch_tol=1.0\n")
+        name = "exotic-div-5.3b"
+        args = ("--name", name, "--tolerances", str(tol))
+        rc, out = _run(tmp_path / "classify", "lattice-classify", *args)
+        assert rc == EXIT_PASS
+        classified = _assertion_map(_summary(out))[f"classified:{name}"]
+        rc, out = _run(tmp_path / "example", "example-run", *args,
+                       "--Rmax", "60")
+        claim = _assertion_map(_summary(out))[f"{name}:pinch-class"]
+        assert classified["pinch_class"] == claim["computed"] == "exactly-half-pinched"
+        assert rc == EXIT_FAIL and not claim["passed"]
 
     def test_plot_script_emission(self, tmp_path):
         rc, out = _run(tmp_path, "example-run", "--name", "sparse-5.2",

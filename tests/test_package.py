@@ -193,3 +193,20 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_catalog_ids_are_named_only_by_the_family_records():
+    # each catalog family is defined by one record in profiles._FAMILIES
+    # and one in taxonomy._LATTICES; every other reader looks it up
+    named = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        keys = {id(key) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                in (["_FAMILIES"], ["_LATTICES"])
+                for key in node.value.keys}
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in keys
+                  and any(name in node.value for name in cuspgrowth.CATALOG_IDS)]
+    assert named == []

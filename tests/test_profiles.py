@@ -177,6 +177,18 @@ class TestValidator:
         assert not report.passed
         assert report.implied_eps == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name, params", [
+        *((name, None) for name in CATALOG_IDS),
+        # an implied slack above 1e6, which a probe at eps = 1e6 would fail
+        ("exotic-div-5.3b", CatalogParams(rate_fast=1e3))])
+    def test_catalog_profiles_report_as_a_fresh_validation(self, name, params):
+        # a catalog profile keeps the report made while its slack was fixed
+        for prof in (catalog_profile(name, params),
+                     *catalog_companions(name, params)):
+            fresh = validate_profile(Profile(bounds=prof.bounds, pieces=prof.pieces))
+            assert fresh.passed
+            assert validate_profile(prof) == fresh
+
     def test_gap_between_pieces_rejected_at_assembly(self):
         with pytest.raises(ProfileError):
             assemble_profile(CurvatureBounds(a=1.0, b=1.0),

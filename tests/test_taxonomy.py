@@ -30,13 +30,13 @@ from cuspgrowth import (
     quarter_pinch_gate,
     run_example,
 )
-from cuspgrowth.profiles import (
+from cuspgrowth.profiles import _PROFILE_READS, CatalogParams, profile_to_text
+from cuspgrowth.taxonomy import (
     _FAMILY_READS,
-    _PROFILE_READS,
-    CatalogParams,
-    profile_to_text,
+    _LATTICES,
+    _group_divergent,
+    catalog_spec,
 )
-from cuspgrowth.taxonomy import _family_model, _group_divergent, catalog_spec
 
 INF = float("inf")
 
@@ -51,7 +51,7 @@ def _catalog_spec(name: str) -> LatticeSpec:
     params = default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, decay, flags = _family_model(name, params)
+    delta, decay, flags = _LATTICES[name]["model"](params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
                        vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
