@@ -450,7 +450,6 @@ class ExponentEstimate:
     window_peaks: tuple[float, ...]
     window_floors: tuple[float, ...]
     r_tail_min: float
-    policy: WindowPolicy
 
 
 def estimate_exponents(series: GrowthSeries,
@@ -475,7 +474,6 @@ def estimate_exponents(series: GrowthSeries,
         window_peaks=peaks,
         window_floors=floors,
         r_tail_min=float(radii[-1]) / (2.0 ** policy.n_windows),
-        policy=policy,
     )
 
 
@@ -506,10 +504,8 @@ class TrendPolicy:
 class GrowthClassification:
     kind: GrowthClass
     trend_peak: float
-    trend_floor: float
     oscillation: float
     delta: float
-    policy: TrendPolicy
 
 
 def classify_growth(series: GrowthSeries, delta: float,
@@ -541,9 +537,7 @@ def classify_growth(series: GrowthSeries, delta: float,
     else:
         kind = GrowthClass.INDETERMINATE
     return GrowthClassification(kind=kind, trend_peak=trend_peak,
-                                trend_floor=trend_floor,
-                                oscillation=oscillation, delta=delta,
-                                policy=policy)
+                                oscillation=oscillation, delta=delta)
 
 
 def critical_exponent_chain_bound(omega_plus: float, omega_minus: float) -> float:

@@ -187,24 +187,6 @@ def _check_gauge(gauge: float) -> None:
         raise DomainError(f"gauge {gauge!r} must be finite and positive")
 
 
-def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise extended Euclid, a > 0, c >= 0: g = gcd(a, c) and the v
-    of a*u + c*v = g (u = (g - c*v) / a is exact, so untracked), as int64.
-    It runs on int32 copies: every remainder is at most max(a, c) and
-    every |v| at most a, and the entries stay far below 2^31 in any ball
-    that fits in memory (see _enumerate)."""
-    old_r, r = a.astype(np.int32), c.astype(np.int32)
-    old_v, v = np.zeros_like(old_r), np.ones_like(old_r)
-    live = np.flatnonzero(r)
-    while live.size:
-        r_l, v_l = r[live], v[live]
-        q = old_r[live] // r_l
-        old_r[live], r[live] = r_l, old_r[live] - q * r_l
-        old_v[live], v[live] = v_l, old_v[live] - q * v_l
-        live = live[r[live] != 0]
-    return old_r.astype(np.int64), old_v.astype(np.int64)
-
-
 def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs of the given lengths laid end to end: each slot's run
     index and its offset inside the run."""
@@ -213,68 +195,60 @@ def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - starts[run]
 
 
-def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
-    """The nonempty columns (a, c), c >= 0, of the elements with weighted
-    entry sum at most s_cap: a > 0 odd, c even and coprime to a, in the
-    trace bound.  Each admits a one-parameter family (b, d) = (b0 + ka,
-    d0 + kc) whose norm is quadratic in k, so the k window is solved in
-    closed form; the congruence forces k to one parity class.  Returns a,
-    c, b0, d0, the first k and the number of k values, one entry per
-    column, a then c ascending."""
-    bound_ac = s_cap / eh
-    a_max = int(math.isqrt(int(bound_ac))) + 1
-    a = np.arange(1, a_max + 1, 2, dtype=np.int64)
-    c_span = bound_ac - a * a
-    a, c_span = a[c_span >= 0], c_span[c_span >= 0]
-    c_max = np.sqrt(c_span).astype(np.int64) + 2
-    # c runs over 0, 2, ..., c_max for each a
-    run, step = _ragged_offsets(c_max // 2 + 1)
-    a, c = a[run], 2 * step
-    col = a * a + c * c
-    keep = col * eh <= s_cap
-    a, c, col = a[keep], c[keep], col[keep]
-    g, v = _euclid(a, c)
-    coprime = g == 1
-    a, c, col, v = a[coprime], c[coprime], col[coprime], v[coprime]
-    # a*d0 - c*b0 = 1 from a*u + c*v = 1
-    b0, d0 = -v, (1 - c * v) // a
-    # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
-    m_cap = (s_cap - col * eh) * eh
-    qb = 2.0 * (a * b0 + c * d0)
-    qc = b0 * b0 + d0 * d0 - m_cap
-    disc = qb * qb - 4.0 * col * qc
-    root = np.sqrt(np.maximum(disc, 0.0))
-    k_lo = np.ceil((-qb - root) / (2.0 * col) - 1e-9).astype(np.int64)
-    k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
-    k_lo += (k_lo + b0) % 2
-    count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
-    full = count > 0
-    return tuple(x[full] for x in (a, c, b0, d0, k_lo, count))
+# the identity as a start state (x, y, u, v) of _walk: the row that the
+# first syllable moves, then the row that it adds.  A = [[1, 2], [0, 1]]
+# adds twice the bottom row to the top one, B = [[1, 0], [2, 1]] twice
+# the top row to the bottom one
+_A_FIRST = (1, 0, 0, 1)
+_B_FIRST = (0, 1, 1, 0)
 
 
-def _enumerate(r: float, h: float = 0.0) -> tuple[np.ndarray, ...]:
-    """The canonical group elements with c >= 0 and weighted displacement
-    <= r, as int64 entry arrays (a, b, c, d), column by column (see
-    _columns) and by k within a column, and the number kept from each
-    column.  Conjugation by diag(1, -1) maps (a, b, c, d) to (a, -b, -c,
-    d): it keeps a^2 + c^2 and b^2 + d^2, so every weighted sum at every
-    depth, and fixes only the c = 0 column, so the ball is these elements
-    and the mirrors of those with c > 0.  The squares stay exact: they
-    overflow only past entries of 3e9, and a ball with such an entry also
-    holds the unipotent elements up to it, over a billion of them."""
+def _walk(r: float, h: float, starts: tuple[tuple[int, ...], ...]):
+    """The reduced words in A and B with weighted displacement <= r whose
+    rightmost syllable is a start's letter to a positive power, grown by
+    whole syllables X^k on the left: first the identity, once, then the
+    words of one syllable, of two, and so on, as int64 arrays (x, y, u,
+    v) per syllable count.  (x, y) is the row that the next syllable
+    moves and (u, v) the row that it adds: X^k takes (x, y, u, v) to (u,
+    v, x + 2ku, y + 2kv).  The weighted sum e^h (x^2 + u^2) + e^{-h} (y^2
+    + v^2) does not change when the rows swap, so the walk needs no
+    letter, and the top row is the one with the odd first entry.  Only
+    words in the ball grow, since every letter prepended raises the
+    weighted sum (see _sorted_norms); the sum of X^k w is quadratic in k,
+    so each word's k window is solved in closed form, less k = 0, the
+    word itself.  The squares stay exact: they overflow only past entries
+    of 3e9, and a ball with such an entry also holds the unipotent
+    elements up to it, over a billion of them."""
     s_cap = 2.0 * math.cosh(r)
     eh = math.exp(h)
-    a, c, b0, d0, k_lo, count = _columns(s_cap, eh)
-    run, step = _ragged_offsets(count)
-    k = k_lo[run] + 2 * step
-    a, c = a[run], c[run]
-    b = b0[run] + k * a
-    d = d0[run] + k * c
-    # the ball is the run's peak memory: drop the expansion indices first
-    del run, step, k
-    keep = eh * (a * a + c * c) + (b * b + d * d) / eh <= s_cap * (1.0 + 1e-12)
-    kept = np.add.reduceat(keep, np.cumsum(count) - count)
-    return a[keep], b[keep], c[keep], d[keep], kept
+    x, y, u, v = (np.array(z, dtype=np.int64) for z in zip(*starts))
+    first = True
+    while True:
+        keep = (eh * (x * x + u * u) + (y * y + v * v) / eh
+                <= s_cap * (1.0 + 1e-12))
+        x, y, u, v = x[keep], y[keep], u[keep], v[keep]
+        if x.size == 0:
+            return
+        # the start states are all the identity
+        yield (x[:1], y[:1], u[:1], v[:1]) if first else (x, y, u, v)
+        # the weighted sum of X^k w is at most s_cap for k in [k_lo, k_hi]
+        row = eh * (u * u) + (v * v) / eh
+        qb = 4.0 * (eh * (x * u) + (y * v) / eh)
+        qc = eh * (x * x) + (y * y) / eh + row - s_cap
+        disc = qb * qb - 16.0 * row * qc
+        root = np.sqrt(np.maximum(disc, 0.0))
+        k_lo = np.ceil((-qb - root) / (8.0 * row) - 1e-9).astype(np.int64)
+        k_hi = np.floor((-qb + root) / (8.0 * row) + 1e-9).astype(np.int64)
+        if first:
+            k_lo = np.maximum(k_lo, 1)
+            first = False
+        # k = 0 is the word itself
+        zero = (k_lo <= 0) & (k_hi >= 0)
+        run, step = _ragged_offsets(np.maximum(k_hi - k_lo + 1 - zero, 0))
+        k = k_lo[run] + step
+        k += (k >= 0) & zero[run]
+        x, y, u, v = x[run], y[run], u[run], v[run]
+        x, y, u, v = u, v, x + 2 * k * u, y + 2 * k * v
 
 
 def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -298,10 +272,21 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
     weighted base point by at most r, sorted by displacement then
     lexicographically.  Canonical signs make the list projective."""
     _check_cap(r)
-    a, b, c, d, _ = _enumerate(r, h)
-    mirror = c > 0
-    a, b, c, d = (np.concatenate((x, y[mirror]))
-                  for x, y in ((a, a), (b, -b), (c, -c), (d, d)))
+    words = list(_walk(r, h, (_A_FIRST, _B_FIRST)))
+    if not words:
+        return []
+    x, y, u, v = (np.concatenate(z) for z in zip(*words))
+    # the top row (a, b) is the one with the odd first entry
+    top = x % 2 == 1
+    a, b, c, d = (np.where(top, p, q) for p, q in ((x, u), (y, v), (u, x),
+                                                    (v, y)))
+    # conjugation by diag(1, -1) maps A to A^{-1} and B to B^{-1}: the
+    # mirror (a, -b, -c, d) of each word but the identity, the first
+    a, b, c, d = (np.concatenate((p, sign * p[1:]))
+                  for p, sign in ((a, 1), (b, -1), (c, -1), (d, 1)))
+    # a is odd: the canonical sign makes it positive
+    sign = np.where(a > 0, 1, -1)
+    a, b, c, d = a * sign, b * sign, c * sign, d * sign
     order = np.lexsort((d, c, b, a, _weighted_sums(a, b, c, d, h)))
     return [MoebiusElement(*t) for t in zip(
         a[order].tolist(), b[order].tolist(),
@@ -311,37 +296,21 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
 # -- coset counting -----------------------------------------------------------
 
 
-def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Minima of w over the classes of rows with equal integer keys: the
-    keys are packed into one int64, the rows sorted by it, and each run
-    reduced."""
-    if w.size == 0:
-        return w
-    packed = np.zeros(w.size, dtype=np.int64)
-    for key in keys:
-        key = key - key.min()
-        packed = packed * (int(key.max()) + 1) + key
-    order = np.argsort(packed)
-    packed = packed[order]
-    starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
-    return np.minimum.reduceat(w[order], starts)
-
-
-def _counted(sums: np.ndarray,
-             once: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _counted(sums: np.ndarray, once: np.ndarray,
+             times: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """The displacements of the weighted sums in counted form: distinct,
     the sorted distinct displacements, and below, the number of counted
     displacements under each one and, last, in all.  Each sum counts
-    twice, for itself and its mirror, except those also in once, which
-    count once.  On the sorted array arr of all counted displacements,
-    searchsorted(arr, x, "left") equals below[searchsorted(distinct, x,
-    "left")].  The displacements are MoebiusElement.displacement's float
-    operations, taken once per distinct sum."""
+    times times, except those also in once, which count once.  On the
+    sorted array arr of all counted displacements, searchsorted(arr, x,
+    "left") equals below[searchsorted(distinct, x, "left")].  The
+    displacements are MoebiusElement.displacement's float operations,
+    taken once per distinct sum."""
     sums = np.sort(sums)
     first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
     dist = _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
-    below = (2 * np.r_[first, sums.size]
-             - np.searchsorted(np.sort(once), np.r_[sums[first], math.inf]))
+    below = (times * np.r_[first, sums.size] - (times - 1) * np.searchsorted(
+        np.sort(once), np.r_[sums[first], math.inf]))
     # distinct sums may round to one displacement
     keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
     return dist[keep], below[np.r_[keep, dist.size]]
@@ -365,47 +334,49 @@ def _sorted_norms(r: float,
     arrays are shared and read-only, and a request above the ball held
     at depth h replaces it.
 
-    The ball is enumerated on its c >= 0 half (see _enumerate): the
-    mirror of each c > 0 element, column and double coset is another one
-    with the same weighted sums, so each counts twice.  The displacement
-    acosh(max(1, s/2)) never decreases as the weighted entry sum s grows,
-    so every minimum and sort runs on the sums.  Coset norms are minima
-    over the coset; since the enumeration below radius r is complete, a
-    group-by minimum over it equals the true minimum whenever that
-    minimum is below r, which is all the counting functions ever read.
+    The ball is one walk over reduced words (see _walk): modulo +-1 the
+    group is free on A and B (Sanov 1947), so each element is one reduced
+    word, and each coset of the parabolic subgroup P = <A> is a set of
+    words.  The walk prunes exactly, at every depth h.  D = {|Re z| <= 1,
+    |z +- 1/2| >= 1/2} is the Dirichlet domain at i, and its sides pair
+    A^{+-1} and B^{+-1}.  By ping-pong, w z0 lies beyond the side of the
+    first letter Y of w, the side between i and Y i, for every z0 in the
+    interior of D, and i e^h lies there.  So for a letter X with X w
+    reduced, X^{-1} is not Y, w z0 is strictly nearer i than X^{-1} i,
+    and d(i, X w z0) = d(X^{-1} i, w z0) > d(i, w z0): every letter
+    prepended raises the weighted sum, 2 cosh d(i, g i e^h).
+
+    At h = 0 inversion keeps the entry sum and reverses words, so every
+    letter appended raises it too.  The minimum of each right coset g P
+    then sits at its word that does not end in A^{+-1}, and the minimum
+    of each double coset P g P, g outside P, at its word that neither
+    starts nor ends in A^{+-1}; inversion maps left cosets onto right
+    ones, so the two counts are one.  There (a, b, c, d) -> (d, c, b,
+    a), conjugation by [[0, 1], [1, 0]], swaps A and B and keeps the
+    entry sum, and at every depth the mirror (a, -b, -c, d), conjugation
+    by diag(1, -1), flips the exponents and keeps the weighted sum.  So
+    at h = 0 one walk over the words ending in B^k, k > 0, gives every
+    count: the group is the identity once and each walked sum four
+    times, the right and left cosets the identity's coset once and each
+    walked sum twice, and the double cosets the walked words with an odd
+    syllable count, which start in B too, each twice.  At h != 0 the walk starts from A and B,
+    and each sum but the identity's counts twice.  The displacement
+    acosh(max(1, s/2)) never decreases as the weighted sum s grows, so
+    every sort runs on the sums.
     """
     _check_cap(r, BALL_CAP)
     built = _BALLS.get(h)
     if built is not None and r <= built[0]:
         return built[1]
-    a, b, c, d, kept = _enumerate(r, h)
-    s = _weighted_sums(a, b, c, d, h)
-    norms = {"group": _counted(s, s[c == 0])}
+    starts = (_B_FIRST,) if h == 0.0 else (_A_FIRST, _B_FIRST)
+    sums = [_weighted_sums(*word, h) for word in _walk(r, h, starts)]
+    none = np.empty(0)
+    walked = np.concatenate([none, *sums])
+    identity = walked[:1]
+    norms = {"group": _counted(walked, identity, 4 if h == 0.0 else 2)}
     if h == 0.0:
-        # right coset: invariant column (a, c), a > 0 already canonical:
-        # one nonempty enumeration column
-        starts = (np.cumsum(kept) - kept)[kept > 0]
-        col_min = np.minimum.reduceat(s, starts)
-        a, c, d = a[starts], c[starts], d[starts]
-        # left coset: inversion maps the ball onto itself, each left coset
-        # onto a right coset and keeps the entry sum, so the two are equal
-        norms["left"] = norms["right"] = _counted(col_min, col_min[c == 0])
-        # double coset: residues of the diagonal modulo twice the lower
-        # left entry, sign-normalized to c > 0, so constant along a column;
-        # translations on both sides are quotiented out and the parabolic
-        # subgroup itself (c = 0) is excluded.  The mirror column (a, -c)
-        # has key (c, -a mod 2c, -d mod 2c); a is odd and c even, so
-        # exactly one key of each mirror pair has its second entry below
-        # c; the pair's two cosets share their minimum, so it is grouped
-        # under that key and counts twice
-        off = c > 0
-        a, c, d, col_min = a[off], c[off], d[off], col_min[off]
-        span = 2 * c
-        alpha, delta = a % span, d % span
-        flip = alpha > c
-        norms["double"] = _counted(_group_minima(
-            col_min, c, np.where(flip, span - alpha, alpha),
-            np.where(flip, -delta % span, delta)), np.empty(0))
+        norms["left"] = norms["right"] = _counted(walked, identity)
+        norms["double"] = _counted(np.concatenate([none, *sums[1::2]]), none)
     for pair in norms.values():
         for arr in pair:
             arr.flags.writeable = False

@@ -162,7 +162,6 @@ class TaxonomyReport:
     group_divergent: bool
     series_verdicts: tuple[Optional[bool], ...]
     bm_finite: bool
-    gate: PinchGateReport
     tol: float
     notes: tuple[str, ...] = ()
 
@@ -289,7 +288,7 @@ def classify_lattice(spec: LatticeSpec,
         quarter_pinched=gate.applies, predictions=predictions,
         delta_gamma=delta, estimates=estimates,
         dominant_flags=spec.dominant_flags, group_divergent=group_div,
-        series_verdicts=tuple(verdicts), bm_finite=bm, gate=gate, tol=tol,
+        series_verdicts=tuple(verdicts), bm_finite=bm, tol=tol,
         notes=tuple(notes))
 
 

@@ -736,13 +736,13 @@ class TestOracleVerify:
 
     def test_one_enumeration_per_depth(self, tmp_path, monkeypatch):
         depths = []
-        enumerate_ball = h2_oracle._enumerate
+        walk = h2_oracle._walk
 
-        def counted(r, h=0.0):
+        def counted(r, h, starts):
             depths.append(h)
-            return enumerate_ball(r, h)
+            return walk(r, h, starts)
 
-        monkeypatch.setattr(h2_oracle, "_enumerate", counted)
+        monkeypatch.setattr(h2_oracle, "_walk", counted)
         monkeypatch.setattr(h2_oracle, "_BALLS", {}, raising=False)
         rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "9", "--seed", "3")
         assert rc == EXIT_PASS

@@ -499,11 +499,11 @@ class TestDelta:
     @pytest.mark.parametrize("r_cap", [
         0.0, 5.0, 8.0, math.nextafter(h2_oracle._DELTA_FLOOR, 0.0)])
     def test_below_the_floor(self, monkeypatch, r_cap):
-        def no_ball(r, h=0.0):
+        def no_ball(r, h, starts):
             raise AssertionError("a ball was built below the floor")
 
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
-        monkeypatch.setattr(h2_oracle, "_enumerate", no_ball)
+        monkeypatch.setattr(h2_oracle, "_walk", no_ball)
         floor = h2_oracle._DELTA_FLOOR
         assert floor == 996 / 121
         with pytest.raises(DomainError) as err:
@@ -1071,7 +1071,156 @@ def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:
             "double": draw(int(rng.integers(450, 900)))}
 
 
+# -- retired half-disk ball build ---------------------------------------------
+# The enumeration of the c >= 0 columns with its int32 Euclid, and the
+# column-minimum and residue-key coset grouping, that the reduced-word
+# walk replaced, kept verbatim as the reference it must reproduce.
+
+
+def _euclid(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise extended Euclid, a > 0, c >= 0: g = gcd(a, c) and the v
+    of a*u + c*v = g (u = (g - c*v) / a is exact, so untracked), as int64.
+    It runs on int32 copies: every remainder is at most max(a, c) and
+    every |v| at most a, and the entries stay far below 2^31 in any ball
+    that fits in memory (see _enumerate)."""
+    old_r, r = a.astype(np.int32), c.astype(np.int32)
+    old_v, v = np.zeros_like(old_r), np.ones_like(old_r)
+    live = np.flatnonzero(r)
+    while live.size:
+        r_l, v_l = r[live], v[live]
+        q = old_r[live] // r_l
+        old_r[live], r[live] = r_l, old_r[live] - q * r_l
+        old_v[live], v[live] = v_l, old_v[live] - q * v_l
+        live = live[r[live] != 0]
+    return old_r.astype(np.int64), old_v.astype(np.int64)
+
+
+def _columns(s_cap: float, eh: float) -> tuple[np.ndarray, ...]:
+    """The nonempty columns (a, c), c >= 0, of the elements with weighted
+    entry sum at most s_cap: a > 0 odd, c even and coprime to a, in the
+    trace bound.  Each admits a one-parameter family (b, d) = (b0 + ka,
+    d0 + kc) whose norm is quadratic in k, so the k window is solved in
+    closed form; the congruence forces k to one parity class.  Returns a,
+    c, b0, d0, the first k and the number of k values, one entry per
+    column, a then c ascending."""
+    bound_ac = s_cap / eh
+    a_max = int(math.isqrt(int(bound_ac))) + 1
+    a = np.arange(1, a_max + 1, 2, dtype=np.int64)
+    c_span = bound_ac - a * a
+    a, c_span = a[c_span >= 0], c_span[c_span >= 0]
+    c_max = np.sqrt(c_span).astype(np.int64) + 2
+    # c runs over 0, 2, ..., c_max for each a
+    run, step = h2_oracle._ragged_offsets(c_max // 2 + 1)
+    a, c = a[run], 2 * step
+    col = a * a + c * c
+    keep = col * eh <= s_cap
+    a, c, col = a[keep], c[keep], col[keep]
+    g, v = _euclid(a, c)
+    coprime = g == 1
+    a, c, col, v = a[coprime], c[coprime], col[coprime], v[coprime]
+    # a*d0 - c*b0 = 1 from a*u + c*v = 1
+    b0, d0 = -v, (1 - c * v) // a
+    # (b0+ka)^2 + (d0+kc)^2 <= (s_cap - col*eh) / e^{-h}
+    m_cap = (s_cap - col * eh) * eh
+    qb = 2.0 * (a * b0 + c * d0)
+    qc = b0 * b0 + d0 * d0 - m_cap
+    disc = qb * qb - 4.0 * col * qc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    k_lo = np.ceil((-qb - root) / (2.0 * col) - 1e-9).astype(np.int64)
+    k_hi = np.floor((-qb + root) / (2.0 * col) + 1e-9).astype(np.int64)
+    k_lo += (k_lo + b0) % 2
+    count = np.where(disc >= 0, np.maximum((k_hi - k_lo) // 2 + 1, 0), 0)
+    full = count > 0
+    return tuple(x[full] for x in (a, c, b0, d0, k_lo, count))
+
+
+def _enumerate(r: float, h: float = 0.0) -> tuple[np.ndarray, ...]:
+    """The canonical group elements with c >= 0 and weighted displacement
+    <= r, as int64 entry arrays (a, b, c, d), column by column (see
+    _columns) and by k within a column, and the number kept from each
+    column.  Conjugation by diag(1, -1) maps (a, b, c, d) to (a, -b, -c,
+    d): it keeps a^2 + c^2 and b^2 + d^2, so every weighted sum at every
+    depth, and fixes only the c = 0 column, so the ball is these elements
+    and the mirrors of those with c > 0.  The squares stay exact: they
+    overflow only past entries of 3e9, and a ball with such an entry also
+    holds the unipotent elements up to it, over a billion of them."""
+    s_cap = 2.0 * math.cosh(r)
+    eh = math.exp(h)
+    a, c, b0, d0, k_lo, count = _columns(s_cap, eh)
+    run, step = h2_oracle._ragged_offsets(count)
+    k = k_lo[run] + 2 * step
+    a, c = a[run], c[run]
+    b = b0[run] + k * a
+    d = d0[run] + k * c
+    # the ball is the run's peak memory: drop the expansion indices first
+    del run, step, k
+    keep = eh * (a * a + c * c) + (b * b + d * d) / eh <= s_cap * (1.0 + 1e-12)
+    kept = np.add.reduceat(keep, np.cumsum(count) - count)
+    return a[keep], b[keep], c[keep], d[keep], kept
+
+
+def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Minima of w over the classes of rows with equal integer keys: the
+    keys are packed into one int64, the rows sorted by it, and each run
+    reduced."""
+    if w.size == 0:
+        return w
+    packed = np.zeros(w.size, dtype=np.int64)
+    for key in keys:
+        key = key - key.min()
+        packed = packed * (int(key.max()) + 1) + key
+    order = np.argsort(packed)
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
+    return np.minimum.reduceat(w[order], starts)
+
+
+def _half_disk_norms(r: float,
+                     h: float = 0.0) -> dict[str, tuple[np.ndarray, ...]]:
+    """The counted forms that _sorted_norms built from _enumerate."""
+    a, b, c, d, kept = _enumerate(r, h)
+    s = h2_oracle._weighted_sums(a, b, c, d, h)
+    norms = {"group": h2_oracle._counted(s, s[c == 0])}
+    if h == 0.0:
+        # right coset: invariant column (a, c), a > 0 already canonical:
+        # one nonempty enumeration column
+        starts = (np.cumsum(kept) - kept)[kept > 0]
+        col_min = np.minimum.reduceat(s, starts)
+        a, c, d = a[starts], c[starts], d[starts]
+        # left coset: inversion maps the ball onto itself, each left coset
+        # onto a right coset and keeps the entry sum, so the two are equal
+        norms["left"] = norms["right"] = h2_oracle._counted(
+            col_min, col_min[c == 0])
+        # double coset: residues of the diagonal modulo twice the lower
+        # left entry, sign-normalized to c > 0, so constant along a column;
+        # translations on both sides are quotiented out and the parabolic
+        # subgroup itself (c = 0) is excluded.  The mirror column (a, -c)
+        # has key (c, -a mod 2c, -d mod 2c); a is odd and c even, so
+        # exactly one key of each mirror pair has its second entry below
+        # c; the pair's two cosets share their minimum, so it is grouped
+        # under that key and counts twice
+        off = c > 0
+        a, c, d, col_min = a[off], c[off], d[off], col_min[off]
+        span = 2 * c
+        alpha, delta = a % span, d % span
+        flip = alpha > c
+        norms["double"] = h2_oracle._counted(_group_minima(
+            col_min, c, np.where(flip, span - alpha, alpha),
+            np.where(flip, -delta % span, delta)), np.empty(0))
+    return norms
+
+
+# radii and depths at which the walk reproduces the retired build byte for
+# byte: every radius and depth the commands read, the ball cap, the
+# smallest balls, and a depth on either side of 0
+_WALK_CASES = [(14.5, 0.0), (13.0, 0.0), (12.0, 0.0), (9.0, 0.0), (6.0, 0.0),
+               (1.0, 0.0), (0.0, 0.0), (12.0, 2.0), (10.0, 2.0), (6.0, 2.0),
+               (2.5, 2.0), (14.0, 1.0), (11.0, -1.0)]
+
+
 class TestColumns:
+    """The retired half-disk build, and the walk against it."""
+
     def test_column_invariants_at_the_ball_cap(self):
         a, c, b0, d0, _, count = _ref_columns(2.0 * math.cosh(BALL_CAP), 1.0)
         # every column's base element has unit determinant, exactly
@@ -1087,19 +1236,113 @@ class TestColumns:
         a = rng.integers(0, 2 ** 31 - 1, 20000) | 1
         c = rng.integers(0, 2 ** 31 - 1, 20000) & ~1
         c[:100] = 0
-        for got, want in zip(h2_oracle._euclid(a, c), _ref_euclid(a, c)):
+        for got, want in zip(_euclid(a, c), _ref_euclid(a, c)):
             assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("r, h", [(BALL_CAP, 0.0), (12.0, 2.0),
                                       (2.5, 2.0), (0.0, 0.0)])
     def test_half_disk_is_the_reference_c_nonnegative_part(self, r, h):
         s_cap, eh = 2.0 * math.cosh(r), math.exp(h)
-        got = h2_oracle._columns(s_cap, eh)
+        got = _columns(s_cap, eh)
         want = _ref_columns(s_cap, eh)
         half = want[1] >= 0
         for x, y in zip(got, want):
             assert x.dtype == np.int64
             assert np.array_equal(x, y[half])
+
+    @pytest.mark.parametrize("r, h", _WALK_CASES)
+    def test_walk_reproduces_the_half_disk(self, monkeypatch, r, h):
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        got = h2_oracle._sorted_norms(r, h)
+        want = _half_disk_norms(r, h)
+        assert set(got) == set(want)
+        for name in want:
+            for x, y in zip(got[name], want[name]):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_sum_at_the_bound(self, monkeypatch):
+        # the identity's weighted sum at depth 2 is 2 cosh 2 to rounding:
+        # the keep predicate takes it, the retired column pre-window
+        # dropped it, and it lies at distance 2, where no count reads it
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        got = h2_oracle._sorted_norms(2.0, 2.0)["group"]
+        want = _half_disk_norms(2.0, 2.0)["group"]
+        assert (got[1][-1], want[1][-1]) == (1, 0)
+        x = np.linspace(0.0, 2.0, 81)
+        assert np.array_equal(h2_oracle._ball(got, x),
+                              h2_oracle._ball(want, x))
+
+
+_LETTERS = (A, A.inverse(), B, B.inverse())
+
+
+def _reduced_words(length: int) -> list[tuple[int, ...]]:
+    """Every reduced word of at most the given length, as indices into
+    _LETTERS; letter i ^ 1 is the inverse of letter i."""
+    words = frontier = [()]
+    for _ in range(length):
+        frontier = [(i,) + w for w in frontier for i in range(4)
+                    if not w or i != w[0] ^ 1]
+        words = words + frontier
+    return words
+
+
+def _element(word: tuple[int, ...]) -> MoebiusElement:
+    g = I2
+    for i in word:
+        g = g @ _LETTERS[i]
+    return g
+
+
+def _rises(g: MoebiusElement, gx: MoebiusElement, h: float) -> bool:
+    """Whether gx has the larger weighted sum, from the exact integer
+    changes of a^2 + c^2 and b^2 + d^2."""
+    up = gx.a ** 2 + gx.c ** 2 - g.a ** 2 - g.c ** 2
+    down = gx.b ** 2 + gx.d ** 2 - g.b ** 2 - g.d ** 2
+    return math.exp(h) * up + math.exp(-h) * down > 0.0
+
+
+class TestWalkPremises:
+    """The facts that make the walk's prune and its symmetry counts exact."""
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, 0.25, 2.0])
+    def test_every_left_extension_rises(self, h):
+        for word in _reduced_words(6):
+            g = _element(word)
+            for i in range(4):
+                if not word or i != word[0] ^ 1:
+                    assert _rises(g, _LETTERS[i] @ g, h), (word, i)
+
+    def test_every_right_extension_rises_at_depth_zero(self):
+        for word in _reduced_words(6):
+            g = _element(word)
+            for i in range(4):
+                if not word or i != word[-1] ^ 1:
+                    assert _rises(g, g @ _LETTERS[i], 0.0), (word, i)
+
+    def test_words_are_the_ball(self):
+        # the reduced words are distinct elements, and those in a small
+        # ball are the whole ball
+        words = _reduced_words(6)
+        elements = {_element(w) for w in words}
+        assert len(elements) == len(words)
+        ball = {g for g in elements if g.displacement() <= 5.0}
+        assert ball == set(enumerate_group(5.0))
+
+    @pytest.mark.parametrize("r", [6.0, 9.0])
+    def test_letter_swap_maps_the_ball_onto_itself(self, r):
+        # (a, b, c, d) -> (d, c, b, a) swaps A and B and keeps the sum
+        ball = enumerate_group(r)
+        assert {MoebiusElement(g.d, g.c, g.b, g.a) for g in ball} == set(ball)
+
+    def test_empty_ball(self, monkeypatch):
+        # the identity's sum 2 cosh 2 already exceeds 2 cosh 0.5
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        norms = h2_oracle._sorted_norms(0.5, 2.0)
+        assert set(norms) == {"group"}
+        distinct, below = norms["group"]
+        assert distinct.size == 0 and below.tolist() == [0]
+        assert enumerate_group(0.5, h=2.0) == []
 
 
 # -- reference lemma sweep ---------------------------------------------------
