@@ -19,14 +19,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .asymptotics import (
     CuspModel,
     TrendPolicy,
-    WindowPolicy,
     poincare_abscissa,
     sample_cuspidal,
     sample_orbital_parabolic,
@@ -56,7 +55,7 @@ from .profiles import (
 )
 from .taxonomy import (
     _FAMILY_READS,
-    _GRID_POINTS,
+    _R_MAX_FLOOR,
     catalog_spec,
     classify_lattice,
     run_example,
@@ -81,31 +80,17 @@ TOLERANCE_DEFAULTS = {
     "fit_pad": 0.05,
 }
 
-_DEFAULTS = {
-    "name": "all",
-    "Rmax": 500.0,
-    "Rcap": 12.0,
-    "delta": 1.0,
-    "seed": 7,
-    "out": "cuspgrowth-out",
-}
-
 # Smallest value of a numeric flag, (floor, floor itself allowed), for
 # each command that reads it.  The radius floors are where the tail
-# windows of the command's growth fit first fill: run_example fits
-# np.linspace(1, Rmax, _GRID_POINTS); estimate_delta's is _DELTA_FLOOR.
+# windows of the command's growth fit first fill: run_example's is
+# _R_MAX_FLOOR, estimate_delta's _DELTA_FLOOR.
 _MINIMA: dict[str, dict[str, tuple[float, bool]]] = {
     "Rmax": {"cusp-analyze": (0.0, False),
-             "example-run": (
-                 WindowPolicy().min_r_max(1.0, _GRID_POINTS), True)},
+             "example-run": (_R_MAX_FLOOR, True)},
     "Rcap": {"oracle-verify": (_DELTA_FLOOR, True)},
     "delta": {"oracle-verify": (0.0, False)},
     "seed": {"oracle-verify": (0, True)},
 }
-
-# catalog override flags: flag -> (ExperimentConfig field, CatalogParams field)
-_OVERRIDES = {"b": ("b", "rate_fast"), "gamma": ("gamma", "gamma"),
-              "M": ("m", "m"), "mu": ("mu", "mu")}
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
@@ -119,21 +104,31 @@ def _boolean(text: str) -> bool:
                          f"got {text!r}") from None
 
 
-_COERCE: dict[str, Callable[[str], object]] = {
-    "command": str,
-    "name": str,
-    "Rmax": float,
-    "Rcap": float,
-    "delta": float,
-    "seed": int,
-    "b": float,
-    "gamma": float,
-    "M": int,
-    "mu": float,
-    "out": str,
-    "tolerances": str,
-    "plot_script": _boolean,
+# Every flag but --config, by its config-file key: (ExperimentConfig
+# field, type, default, help).  The flag is --key with '_' read as '-';
+# a _boolean flag takes no value on the command line.
+_FLAGS = {
+    "name": ("name", str, "all", "catalog id or 'all'"),
+    "Rmax": ("r_max", float, 500.0, "sampling radius for growth data"),
+    "Rcap": ("r_cap", float, 12.0, "oracle enumeration radius"),
+    "delta": ("gauge", float, 1.0, "annulus gauge for oracle counts"),
+    "seed": ("seed", int, 7, "PRNG seed"),
+    "b": ("b", float, None, "override: fast decay rate of the catalog"),
+    "gamma": ("gamma", float, None,
+              "override: critical-family exponent in (0, 1)"),
+    "M": ("m", int, None,
+          "override: geometric spacing base of the oscillation windows"),
+    "mu": ("mu", float, None, "override: lower clamp fraction of the "
+           "slow-band end (critical ids)"),
+    "out": ("out", str, "cuspgrowth-out", "output directory"),
+    "tolerances": ("tolerances", str, None,
+                   "key=value overrides for check tolerances"),
+    "plot_script": ("plot_script", _boolean, False,
+                    "also emit a gnuplot script for the CSVs"),
 }
+
+# catalog override flags: flag -> CatalogParams field
+_OVERRIDES = {"b": "rate_fast", "gamma": "gamma", "M": "m", "mu": "mu"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,82 +202,64 @@ def build_parser() -> argparse.ArgumentParser:
                         help="what to run (may also come from --config)")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file mirroring the flags below")
-    parser.add_argument("--name", help="catalog id or 'all'")
-    parser.add_argument("--Rmax", type=float,
-                        help="sampling radius for growth data")
-    parser.add_argument("--Rcap", type=float,
-                        help="oracle enumeration radius")
-    parser.add_argument("--delta", type=float,
-                        help="annulus gauge for oracle counts")
-    parser.add_argument("--seed", type=int, help="PRNG seed")
-    parser.add_argument("--b", type=float,
-                        help="override: fast decay rate of the catalog")
-    parser.add_argument("--gamma", type=float,
-                        help="override: slow polynomial tail exponent")
-    parser.add_argument("--M", type=int,
-                        help="override: excursion scale base")
-    parser.add_argument("--mu", type=float,
-                        help="override: excursion amplitude")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--tolerances", metavar="FILE",
-                        help="key=value overrides for check tolerances")
-    parser.add_argument("--plot-script", action="store_true",
-                        dest="plot_script", default=None,
-                        help="also emit a gnuplot script for the CSVs")
+    for key, (_, kind, _, text) in _FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is _boolean:
+            # None when absent, so that a config file can still set it
+            parser.add_argument(flag, action="store_true", default=None,
+                                help=text)
+        else:
+            metavar = "FILE" if key == "tolerances" else None
+            parser.add_argument(flag, type=kind, metavar=metavar, help=text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = {}
+    values = {key: default for key, (_, _, default, _) in _FLAGS.items()}
     if args.config is not None:
-        file_values = _parse_kv_file("--config", args.config, _COERCE)
+        kinds = {key: kind for key, (_, kind, _, _) in _FLAGS.items()}
+        values.update(_parse_kv_file("--config", args.config,
+                                     {"command": str, **kinds}))
+    # a flag given on the command line beats the config file
+    values.update((k, v) for k, v in vars(args).items() if v is not None)
 
-    def pick(key: str, default=None):
-        cli = getattr(args, key, None)
-        if cli is not None:
-            return cli
-        if key in file_values:
-            return file_values[key]
-        return _DEFAULTS.get(key, default)
-
-    command = pick("command")
+    command = values.get("command")
     if command is None:
         raise ConfigError("no command given (flags and config file are "
                           "both silent); expected one of: "
                           + ", ".join(COMMANDS))
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    name = pick("name")
+    name = values["name"]
     if name != "all" and name not in CATALOG_IDS:
         raise ConfigError(f"unknown catalog id {name!r} "
                           f"(known: all, {', '.join(CATALOG_IDS)})")
-    numbers = {"Rmax": float(pick("Rmax")), "Rcap": float(pick("Rcap")),
-               "delta": float(pick("delta")), "seed": int(pick("seed"))}
-    for key, value in numbers.items():
-        _check_number(key, value, command)
-    if numbers["Rcap"] > R_CAP:
-        raise ConfigError(f"--Rcap {numbers['Rcap']!r} exceeds the oracle "
-                          f"enumeration cap {R_CAP!r}")
-    reach = prop28_radius(numbers["Rcap"], numbers["delta"])
+    for key in ("Rmax", "Rcap", "delta", "seed"):
+        _check_number(key, values[key], command)
+    r_cap, gauge = values["Rcap"], values["delta"]
+    if r_cap > R_CAP:
+        raise ConfigError(f"--Rcap {r_cap!r} exceeds the oracle enumeration "
+                          f"cap {R_CAP!r}")
+    reach = prop28_radius(r_cap, gauge)
     if command == "oracle-verify" and reach > BALL_CAP:
         raise ConfigError(
-            f"--delta {numbers['delta']!r} with --Rcap {numbers['Rcap']!r} "
-            f"would enumerate the lattice to radius {reach!r}, above the "
-            f"oracle's ball cap {BALL_CAP!r}; lower --delta or --Rcap")
-    if command == "oracle-verify" and numbers["delta"] > numbers["Rcap"]:
+            f"--delta {gauge!r} with --Rcap {r_cap!r} would enumerate the "
+            f"lattice to radius {reach!r}, above the oracle's ball cap "
+            f"{BALL_CAP!r}; lower --delta or --Rcap")
+    if command == "oracle-verify" and gauge > r_cap:
         # the count table holds the gauge multiples up to Rcap
         raise ConfigError(
-            f"--delta {numbers['delta']!r} exceeds --Rcap {numbers['Rcap']!r}: "
-            f"no multiple of the gauge lies within the counting radius")
+            f"--delta {gauge!r} exceeds --Rcap {r_cap!r}: no multiple of "
+            f"the gauge lies within the counting radius")
     for key in ("b", "gamma", "mu"):  # --M is an integer
-        if pick(key) is not None:
-            _check_number(key, pick(key), command)
+        if values[key] is not None:
+            _check_number(key, values[key], command)
     families = (() if command == "oracle-verify"
                 else CATALOG_IDS if name == "all" else (name,))
     # cusp-analyze builds each family's main profile and nothing else
     reads = _PROFILE_READS if command == "cusp-analyze" else _FAMILY_READS
-    for flag, (_, field) in _OVERRIDES.items():
-        if pick(flag) is None or any(field in reads[f] for f in families):
+    for flag, field in _OVERRIDES.items():
+        if values[flag] is None or any(field in reads[f] for f in families):
             continue
         if not families:
             raise ConfigError(f"--{flag} has no effect: "
@@ -291,20 +268,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"--{flag} has no effect: cusp-analyze reads "
                               f"only the main profile of {name}")
         raise ConfigError(f"--{flag} has no effect: {name} does not read it")
-    if not pick("out"):
+    if not values["out"]:
         # an empty path would write the artifacts into the working directory
         raise ConfigError("--out must name a directory, got ''")
-    return ExperimentConfig(
-        command=command,
-        name=name,
-        r_max=numbers["Rmax"],
-        r_cap=numbers["Rcap"],
-        gauge=numbers["delta"],
-        seed=numbers["seed"],
-        out=Path(pick("out")),
-        tolerances=_load_tolerances(pick("tolerances")),
-        plot_script=bool(pick("plot_script", False)),
-        b=pick("b"), gamma=pick("gamma"), m=pick("M"), mu=pick("mu"))
+    values["out"] = Path(values["out"])
+    values["tolerances"] = _load_tolerances(values["tolerances"])
+    return ExperimentConfig(command=command, **{
+        field: values[key] for key, (field, *_) in _FLAGS.items()})
 
 
 def _check_number(key: str, value: float, command: str) -> None:
@@ -325,15 +295,14 @@ def _names(cfg: ExperimentConfig) -> tuple[str, ...]:
 
 def _overrides(cfg: ExperimentConfig) -> dict[str, object]:
     """The catalog override flags in effect, with their values."""
-    values = {flag: getattr(cfg, field)
-              for flag, (field, _) in _OVERRIDES.items()}
+    values = {flag: getattr(cfg, _FLAGS[flag][0]) for flag in _OVERRIDES}
     return {flag: v for flag, v in values.items() if v is not None}
 
 
 def _params_for(cfg: ExperimentConfig, name: str) -> CatalogParams:
     return dataclasses.replace(
         default_catalog_params(name),
-        **{_OVERRIDES[flag][1]: v for flag, v in _overrides(cfg).items()})
+        **{_OVERRIDES[flag]: v for flag, v in _overrides(cfg).items()})
 
 
 def _jsonable(value):

@@ -297,23 +297,25 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
 
 
 def _counted(sums: np.ndarray, once: np.ndarray,
-             times: int = 2) -> tuple[np.ndarray, np.ndarray]:
+             times: tuple[int, ...] = (2,)) -> tuple[np.ndarray, ...]:
     """The displacements of the weighted sums in counted form: distinct,
-    the sorted distinct displacements, and below, the number of counted
-    displacements under each one and, last, in all.  Each sum counts
-    times times, except those also in once, which count once.  On the
-    sorted array arr of all counted displacements, searchsorted(arr, x,
-    "left") equals below[searchsorted(distinct, x, "left")].  The
-    displacements are MoebiusElement.displacement's float operations,
-    taken once per distinct sum."""
+    the sorted distinct displacements, then for each multiplicity t in
+    times the array below, the number of counted displacements under
+    each one and, last, in all, where each sum counts t times, except
+    those also in once, which count once.  On the sorted array arr of
+    all counted displacements, searchsorted(arr, x, "left") equals
+    below[searchsorted(distinct, x, "left")].  The displacements are
+    MoebiusElement.displacement's float operations, taken once per
+    distinct sum and shared by every multiplicity."""
     sums = np.sort(sums)
     first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
     dist = _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
-    below = (times * np.r_[first, sums.size] - (times - 1) * np.searchsorted(
-        np.sort(once), np.r_[sums[first], math.inf]))
     # distinct sums may round to one displacement
     keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
-    return dist[keep], below[np.r_[keep, dist.size]]
+    ends = np.r_[keep, dist.size]
+    runs = np.r_[first, sums.size][ends]
+    ones = np.searchsorted(np.sort(once), np.r_[sums[first], math.inf])[ends]
+    return (dist[keep], *(t * runs - (t - 1) * ones for t in times))
 
 
 # Largest complete ball built so far per base-point depth h, as h ->
@@ -373,9 +375,10 @@ def _sorted_norms(r: float,
     none = np.empty(0)
     walked = np.concatenate([none, *sums])
     identity = walked[:1]
-    norms = {"group": _counted(walked, identity, 4 if h == 0.0 else 2)}
+    dist, *below = _counted(walked, identity, (4, 2) if h == 0.0 else (2,))
+    norms = {"group": (dist, below[0])}
     if h == 0.0:
-        norms["left"] = norms["right"] = _counted(walked, identity)
+        norms["left"] = norms["right"] = (dist, below[1])
         norms["double"] = _counted(np.concatenate([none, *sums[1::2]]), none)
     for pair in norms.values():
         for arr in pair:

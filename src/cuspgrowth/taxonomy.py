@@ -30,6 +30,7 @@ from .asymptotics import (
     GrowthClass,
     GrowthSeries,
     TrendPolicy,
+    WindowPolicy,
     classify_growth,
     estimate_exponents,
     sample_orbital_parabolic,
@@ -223,7 +224,7 @@ def classify_lattice(spec: LatticeSpec,
     diffs = [est.omega_plus - 2.0 * est.omega_minus for est in estimates]
     sparse = any(d > tol for d in diffs)
     exotic = any(spec.dominant_flags)
-    if any(d > tol for d in diffs):
+    if sparse:
         pinch = PINCH_NONE
     elif any(abs(d) <= tol for d in diffs):
         pinch = PINCH_EXACT
@@ -452,9 +453,11 @@ class ExampleReport:
 
 # run_example samples its growth series on np.linspace(1, r_max,
 # _GRID_POINTS), classifies to _CLASSIFY_R_MAX and caches the excursion
-# integrals every _CACHE_STEP
+# integrals every _CACHE_STEP.  _R_MAX_FLOOR is the least r_max at which
+# every tail window of its growth fit holds the samples it needs
 _GRID_POINTS = 257
 _CACHE_STEP = 2.0
+_R_MAX_FLOOR = WindowPolicy().min_r_max(1.0, _GRID_POINTS)
 
 
 def run_example(name: str,

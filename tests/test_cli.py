@@ -11,6 +11,7 @@ import hashlib
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +263,46 @@ class TestResolveConfig:
     def test_rcap_beyond_enumeration_cap(self):
         with pytest.raises(ConfigError, match="enumeration cap"):
             _resolve(["oracle-verify", "--Rcap", "14.5"])
+
+
+class TestFlagTable:
+    """cli._FLAGS is the one definition of the flags: the parser, the
+    config-file keys and the README all follow it."""
+
+    def test_parser_options_are_the_table(self):
+        dests = {action.dest for action in build_parser()._actions}
+        assert dests - {"help", "config", "command"} == set(cli._FLAGS)
+
+    def test_config_file_resolves_like_the_flags(self, tmp_path):
+        tol = tmp_path / "tol.cfg"
+        tol.write_text("pinch_tol=0.05\n")
+        values = {"name": "critical-finite-5.4a", "Rmax": "60", "Rcap": "10",
+                  "delta": "0.5", "seed": "3", "b": "2.5", "gamma": "0.3",
+                  "M": "4", "mu": "0.2", "out": str(tmp_path / "elsewhere"),
+                  "tolerances": str(tol), "plot_script": "yes"}
+        assert set(values) == set(cli._FLAGS)
+        path = tmp_path / "run.cfg"
+        path.write_text("command=profile-validate\n" + "".join(
+            f"{key}={value}\n" for key, value in values.items()))
+        from_file = _resolve(["--config", str(path)])
+        argv = ["profile-validate", "--plot-script"]
+        for key, value in values.items():
+            if key != "plot_script":
+                argv += [f"--{key}", value]
+        assert from_file == _resolve(argv)
+        default = _resolve(["profile-validate"])
+        for field, *_ in cli._FLAGS.values():
+            assert getattr(from_file, field) != getattr(default, field), field
+
+    def test_readme_names_every_flag(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        flags = readme[readme.index("\nFlags: "):]
+        flags = flags[:flags.index("\n\n")]
+        for action in build_parser()._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert option in flags, option
 
 
 class TestNumberRanges:

@@ -793,6 +793,23 @@ class TestBallAgainstReference:
         empty = h2_oracle._counted(sums[:0], once[:0])
         assert empty[0].size == 0 and empty[1].tolist() == [0]
 
+    def test_one_acosh_pass_for_the_group_and_its_cosets(self, monkeypatch):
+        # at h = 0 the group and the one-sided cosets count the same walked
+        # sums: one pass maps them, a second the double cosets' sums
+        monkeypatch.setattr(h2_oracle, "_BALLS", {})
+        passes = []
+        mapped = h2_oracle._map
+
+        def counted(f, *arrays):
+            if f is math.acosh:
+                passes.append(arrays[0].size)
+            return mapped(f, *arrays)
+
+        monkeypatch.setattr(h2_oracle, "_map", counted)
+        norms = h2_oracle._sorted_norms(9.0)
+        assert len(passes) == 2
+        assert norms["group"][0] is norms["left"][0] is norms["right"][0]
+
 
 # -- reference full-disk ball -------------------------------------------------
 # The enumeration over both signs of c that the half-disk enumeration and

@@ -35,6 +35,14 @@ RUNS = (
     ("example-run", ["example-run", "--name", "all", "--Rmax", "500"]),
     ("oracle-verify", ["oracle-verify"]),
     ("oracle-verify-rcap14", ["oracle-verify", "--Rcap", "14", "--seed", "1"]),
+    ("help", ["--help"]),
+    # configuration errors, which exit 2 with a message naming the flag
+    ("example-run-rmax5", ["example-run", "--Rmax", "5"]),
+    ("oracle-verify-b", ["oracle-verify", "--b", "3"]),
+    ("cusp-analyze-gamma", ["cusp-analyze", "--name",
+                            "critical-infinite-5.4b", "--gamma", "0.3"]),
+    ("oracle-verify-delta2", ["oracle-verify", "--Rcap", "14",
+                              "--delta", "2"]),
 )
 
 # lines of unified diff shown per differing text file
