@@ -251,7 +251,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(
             f"--delta {gauge!r} exceeds --Rcap {r_cap!r}: no multiple of "
             f"the gauge lies within the counting radius")
-    for key in ("b", "gamma", "mu"):  # --M is an integer
+    for key in ("b", "gamma", "M", "mu"):
         if values[key] is not None:
             _check_number(key, values[key], command)
     families = (() if command == "oracle-verify"
@@ -278,7 +278,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_number(key: str, value: float, command: str) -> None:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        # an integer flag past the float range: its digits would flood
+        # the message
+        raise ConfigError(f"--{key} is too large: it exceeds the float "
+                          f"range") from None
+    if not finite:
         raise ConfigError(f"--{key} must be a finite number, got {value!r}")
     if command not in _MINIMA.get(key, {}):
         return

@@ -13,6 +13,7 @@ sandwiches, and the counting-formula envelope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -202,53 +203,138 @@ def _ragged_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _A_FIRST = (1, 0, 0, 1)
 _B_FIRST = (0, 1, 1, 0)
 
+# words that _walk grows at a time: the temporaries of one step, its
+# syllables and its chains, stay a few MB however many words wait
+_CHUNK = 1 << 14
+
+
+def _in_ball(s_cap: float, eh: float, x, y, u, v) -> np.ndarray:
+    """Whether each state's weighted sum is at most s_cap, to rounding."""
+    return (eh * (x * x + u * u) + (y * y + v * v) / eh
+            <= s_cap * (1.0 + 1e-12))
+
+
+def _chain(x, y, u, v, s, m):
+    """The states after m pairs of unit steps T_s then T_{-s}, where T_k
+    takes (x, y, u, v) to (u, v, x + 2ku, y + 2kv).  On the rows p = (x,
+    y) and q = (u, v) the pair acts as [[1, 2s], [-2s, -3]] = -(I + N),
+    N^2 = 0, so with d = p + s q the pairs give (-1)^m (p - 2m d, q +
+    2sm d), exactly."""
+    dx, dy = x + s * u, y + s * v
+    sign = 1 - 2 * (m & 1)
+    two_m = 2 * m
+    return (sign * (x - two_m * dx), sign * (y - two_m * dy),
+            sign * (u + s * two_m * dx), sign * (v + s * two_m * dy))
+
+
+def _window(qa: np.ndarray, qb: np.ndarray,
+            qc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers k with qa k^2 + qb k + qc <= 0, qa > 0, as [lo, hi],
+    widened by a slop of 1e-9 that the exact test of _in_ball undoes."""
+    root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    return (np.ceil((-qb - root) / (2.0 * qa) - 1e-9).astype(np.int64),
+            np.floor((-qb + root) / (2.0 * qa) + 1e-9).astype(np.int64))
+
+
+def _grow(s_cap, eh, first, x, y, u, v, blocked, odd):
+    """One step of _walk (see there) on words with their blocked signs
+    and odd syllable counts: the words in the ball that are one syllable
+    X^k, |k| >= 2, or one chain longer, as the same six arrays."""
+    # the weighted sum of X^k w, less s_cap, is quadratic in k
+    row = eh * (u * u) + (v * v) / eh
+    k_lo, k_hi = _window(4.0 * row, 4.0 * (eh * (x * u) + (y * v) / eh),
+                         eh * (x * x) + (y * y) / eh + row - s_cap)
+    # a chain starts at T_s w for each unit s in the window but the
+    # blocked one
+    chains = [np.flatnonzero((k_lo <= s) & (s <= k_hi) & (blocked != s))
+              for s in (1, -1)]
+    if first:
+        k_lo = np.maximum(k_lo, 2)
+    # k = 0 is the word itself, and k = +-1 start its chains
+    units = np.maximum(np.minimum(k_hi, 1) - np.maximum(k_lo, -1) + 1, 0)
+    run, step = _ragged_offsets(np.maximum(k_hi - k_lo + 1 - units, 0))
+    k = k_lo[run] + step
+    k += (k >= -1) * units[run]
+    ur, vr = u[run], v[run]
+    grown = [(ur, vr, x[run] + 2 * k * ur, y[run] + 2 * k * vr,
+              np.zeros(k.size, dtype=np.int8), ~odd[run])]
+    # the chain of sign s = -t: its first member e = T_s w, then the
+    # states m pairs of steps t, -t past e, whose weighted sums, less
+    # s_cap, are 8a m^2 + 4b m + c, each also one step t further
+    run = np.concatenate(chains)
+    t = np.repeat(np.array([-1, 1], dtype=np.int8), [i.size for i in chains])
+    x, y, u, v = (u[run], v[run], x[run] - 2 * t * u[run],
+                  y[run] - 2 * t * v[run])
+    odd = odd[run]
+    dx, dy = x + t * u, y + t * v
+    b = eh * ((t * u - x) * dx) + ((t * v - y) * dy) / eh
+    _, m_hi = _window(8.0 * (eh * (dx * dx) + (dy * dy) / eh), 4.0 * b,
+                      eh * (x * x + u * u) + (y * y + v * v) / eh - s_cap)
+    run, m = _ragged_offsets(np.maximum(m_hi + 1, 0))
+    t, odd = t[run], odd[run]
+    x, y, u, v = _chain(x[run], y[run], u[run], v[run], t, m)
+    grown.append((x, y, u, v, t, ~odd))
+    grown.append((u, v, x + 2 * t * u, y + 2 * t * v, -t, odd))
+    keep = [_in_ball(s_cap, eh, *part[:4]) for part in grown]
+    return tuple(np.concatenate([z[k] for z, k in zip(column, keep)])
+                 for column in zip(*grown))
+
 
 def _walk(r: float, h: float, starts: tuple[tuple[int, ...], ...]):
     """The reduced words in A and B with weighted displacement <= r whose
-    rightmost syllable is a start's letter to a positive power, grown by
-    whole syllables X^k on the left: first the identity, once, then the
-    words of one syllable, of two, and so on, as int64 arrays (x, y, u,
-    v) per syllable count.  (x, y) is the row that the next syllable
-    moves and (u, v) the row that it adds: X^k takes (x, y, u, v) to (u,
-    v, x + 2ku, y + 2kv).  The weighted sum e^h (x^2 + u^2) + e^{-h} (y^2
-    + v^2) does not change when the rows swap, so the walk needs no
-    letter, and the top row is the one with the odd first entry.  Only
-    words in the ball grow, since every letter prepended raises the
-    weighted sum (see _sorted_norms); the sum of X^k w is quadratic in k,
-    so each word's k window is solved in closed form, less k = 0, the
-    word itself.  The squares stay exact: they overflow only past entries
-    of 3e9, and a ball with such an entry also holds the unipotent
-    elements up to it, over a billion of them."""
+    rightmost syllable is a start's letter to a positive power, grown on
+    the left: first the identity, once, then batches of words, each as
+    int64 arrays (x, y, u, v) and a bool array, whether the word has an
+    odd syllable count.  (x, y) is the row that the next syllable moves
+    and (u, v) the row that it adds: X^k takes (x, y, u, v) to (u, v, x +
+    2ku, y + 2kv).  The weighted sum e^h (x^2 + u^2) + e^{-h} (y^2 + v^2)
+    does not change when the rows swap, so the walk needs no letter, and
+    the top row is the one with the odd first entry.  Only words in the
+    ball grow, since every letter prepended raises the weighted sum (see
+    _sorted_norms).
+
+    A word w grows in one step (_grow) by the syllables X^k, |k| >= 2,
+    and by its chains: the runs of unit syllables whose signs alternate,
+    X^s Y^{-s} X^s ..., along the third cusp, whose parabolic subgroups
+    are the conjugates of A B^{-1}.  The sum of X^k w is quadratic in k,
+    so each word's k window is solved in closed form.  A pair of unit
+    steps, +s then -s, acts on the rows as [[1, 2s], [-2s, -3]] =
+    -(I + N), N^2 = 0, so the chain's members have a closed form
+    (_chain) whose sums are quadratic in the number m of pairs; each
+    member is the one before it with one letter prepended, so the
+    members in the ball are a prefix, and its end is solved in closed
+    form as well.  The windows take a slop of 1e-9 and the exact test
+    filters what they let in.  A word carries the unit sign that would
+    continue its own chain, blocked, since that chain is walked whole: a
+    chain member starts one chain, of the sign it ends in, a word ending
+    in |k| >= 2 two, and a start, which takes positive powers only, the
+    chain of sign +1.  So every reduced word is walked once, and a batch
+    holds words of several syllable counts.  The words grow _CHUNK at a
+    time, depth first, which bounds the temporaries and the words
+    waiting.  The squares stay exact: they overflow only past entries of
+    3e9, and a ball with such an entry also holds the unipotent elements
+    up to it, over a billion of them."""
     s_cap = 2.0 * math.cosh(r)
     eh = math.exp(h)
     x, y, u, v = (np.array(z, dtype=np.int64) for z in zip(*starts))
-    first = True
-    while True:
-        keep = (eh * (x * x + u * u) + (y * y + v * v) / eh
-                <= s_cap * (1.0 + 1e-12))
-        x, y, u, v = x[keep], y[keep], u[keep], v[keep]
-        if x.size == 0:
-            return
-        # the start states are all the identity
-        yield (x[:1], y[:1], u[:1], v[:1]) if first else (x, y, u, v)
-        # the weighted sum of X^k w is at most s_cap for k in [k_lo, k_hi]
-        row = eh * (u * u) + (v * v) / eh
-        qb = 4.0 * (eh * (x * u) + (y * v) / eh)
-        qc = eh * (x * x) + (y * y) / eh + row - s_cap
-        disc = qb * qb - 16.0 * row * qc
-        root = np.sqrt(np.maximum(disc, 0.0))
-        k_lo = np.ceil((-qb - root) / (8.0 * row) - 1e-9).astype(np.int64)
-        k_hi = np.floor((-qb + root) / (8.0 * row) + 1e-9).astype(np.int64)
-        if first:
-            k_lo = np.maximum(k_lo, 1)
-            first = False
-        # k = 0 is the word itself
-        zero = (k_lo <= 0) & (k_hi >= 0)
-        run, step = _ragged_offsets(np.maximum(k_hi - k_lo + 1 - zero, 0))
-        k = k_lo[run] + step
-        k += (k >= 0) & zero[run]
-        x, y, u, v = x[run], y[run], u[run], v[run]
-        x, y, u, v = u, v, x + 2 * k * u, y + 2 * k * v
+    # the start states are all the identity
+    if not _in_ball(s_cap, eh, x, y, u, v)[0]:
+        return
+    yield x[:1], y[:1], u[:1], v[:1], np.zeros(1, dtype=bool)
+    # a start takes positive powers only: its -1 chain is blocked
+    pending = [(_grow(s_cap, eh, True, x, y, u, v,
+                      np.full(x.size, -1, dtype=np.int8),
+                      np.zeros(x.size, dtype=bool)), 0)]
+    while pending:
+        batch, i = pending.pop()
+        if batch[0].size == 0:
+            continue
+        if i == 0:
+            yield batch[:4] + batch[5:]
+        if i + _CHUNK < batch[0].size:
+            pending.append((batch, i + _CHUNK))
+        pending.append((_grow(s_cap, eh, False,
+                              *(z[i:i + _CHUNK] for z in batch)), 0))
 
 
 def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -275,7 +361,7 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
     words = list(_walk(r, h, (_A_FIRST, _B_FIRST)))
     if not words:
         return []
-    x, y, u, v = (np.concatenate(z) for z in zip(*words))
+    x, y, u, v, _ = (np.concatenate(z) for z in zip(*words))
     # the top row (a, b) is the one with the odd first entry
     top = x % 2 == 1
     a, b, c, d = (np.where(top, p, q) for p, q in ((x, u), (y, v), (u, x),
@@ -296,6 +382,28 @@ def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
 # -- coset counting -----------------------------------------------------------
 
 
+def _distinct(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted weighted sums: the index of each distinct sum's first
+    copy, and each distinct sum's displacement, in
+    MoebiusElement.displacement's float operations."""
+    fresh = np.ones(sums.size, dtype=bool)
+    np.not_equal(sums[1:], sums[:-1], out=fresh[1:])
+    first = np.flatnonzero(fresh)
+    return first, _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
+
+
+def _tally(dist: np.ndarray, below: np.ndarray, ones: np.ndarray,
+           times: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The counted form of _counted from the displacements of the
+    distinct sums, the number of sums below each one and then in all
+    (below), and the number of those that count once (ones, alike)."""
+    # distinct sums may round to one displacement
+    keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
+    ends = np.r_[keep, dist.size]
+    below, ones = below[ends], ones[ends]
+    return (dist[keep], *(t * below - (t - 1) * ones for t in times))
+
+
 def _counted(sums: np.ndarray, once: np.ndarray,
              times: tuple[int, ...] = (2,)) -> tuple[np.ndarray, ...]:
     """The displacements of the weighted sums in counted form: distinct,
@@ -305,17 +413,11 @@ def _counted(sums: np.ndarray, once: np.ndarray,
     those also in once, which count once.  On the sorted array arr of
     all counted displacements, searchsorted(arr, x, "left") equals
     below[searchsorted(distinct, x, "left")].  The displacements are
-    MoebiusElement.displacement's float operations, taken once per
-    distinct sum and shared by every multiplicity."""
+    taken once per distinct sum and shared by every multiplicity."""
     sums = np.sort(sums)
-    first = np.flatnonzero(np.diff(sums, prepend=-math.inf))
-    dist = _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
-    # distinct sums may round to one displacement
-    keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
-    ends = np.r_[keep, dist.size]
-    runs = np.r_[first, sums.size][ends]
-    ones = np.searchsorted(np.sort(once), np.r_[sums[first], math.inf])[ends]
-    return (dist[keep], *(t * runs - (t - 1) * ones for t in times))
+    first, dist = _distinct(sums)
+    ones = np.searchsorted(np.sort(once), np.r_[sums[first], math.inf])
+    return _tally(dist, np.r_[first, sums.size], ones, times)
 
 
 # Largest complete ball built so far per base-point depth h, as h ->
@@ -346,7 +448,10 @@ def _sorted_norms(r: float,
     interior of D, and i e^h lies there.  So for a letter X with X w
     reduced, X^{-1} is not Y, w z0 is strictly nearer i than X^{-1} i,
     and d(i, X w z0) = d(X^{-1} i, w z0) > d(i, w z0): every letter
-    prepended raises the weighted sum, 2 cosh d(i, g i e^h).
+    prepended raises the weighted sum, 2 cosh d(i, g i e^h).  Along a
+    chain of the third cusp each member prepends one letter to the one
+    before, so the members in the ball are a prefix of the chain, and
+    the walk's closed-form window for it is exact.
 
     At h = 0 inversion keeps the entry sum and reverses words, so every
     letter appended raises it too.  The minimum of each right coset g P
@@ -361,25 +466,45 @@ def _sorted_norms(r: float,
     count: the group is the identity once and each walked sum four
     times, the right and left cosets the identity's coset once and each
     walked sum twice, and the double cosets the walked words with an odd
-    syllable count, which start in B too, each twice.  At h != 0 the walk starts from A and B,
-    and each sum but the identity's counts twice.  The displacement
-    acosh(max(1, s/2)) never decreases as the weighted sum s grows, so
-    every sort runs on the sums.
+    syllable count, which start in B too, each twice.  At h != 0 the
+    walk starts from A and B, and each sum but the identity's counts
+    twice.  The displacement acosh(max(1, s/2)) never decreases as the
+    weighted sum s grows, so the one sort runs on the sums, and one
+    acosh pass maps the distinct ones: the odd words' sums are walked
+    sums, counted under the group's distinct sums.
     """
     _check_cap(r, BALL_CAP)
     built = _BALLS.get(h)
     if built is not None and r <= built[0]:
         return built[1]
     starts = (_B_FIRST,) if h == 0.0 else (_A_FIRST, _B_FIRST)
-    sums = [_weighted_sums(*word, h) for word in _walk(r, h, starts)]
-    none = np.empty(0)
-    walked = np.concatenate([none, *sums])
-    identity = walked[:1]
-    dist, *below = _counted(walked, identity, (4, 2) if h == 0.0 else (2,))
-    norms = {"group": (dist, below[0])}
+    walked, odd_sums = [np.empty(0)], [np.empty(0)]
+    for *word, odd in _walk(r, h, starts):
+        sums = _weighted_sums(*word, h)
+        walked.append(sums)
+        if h == 0.0:
+            odd_sums.append(sums[odd])
+    sums = np.concatenate(walked)
+    # the identity, walked first, counts once
+    identity = sums[:1].copy()
+    # in place: the ball's largest array
+    sums.sort()
+    first, dist = _distinct(sums)
+    ones = np.searchsorted(identity, np.r_[sums[first], math.inf])
+    group, *below = _tally(dist, np.r_[first, sums.size], ones,
+                           (4, 2) if h == 0.0 else (2,))
+    norms = {"group": (group, below[0])}
     if h == 0.0:
-        norms["left"] = norms["right"] = (dist, below[1])
-        norms["double"] = _counted(np.concatenate([none, *sums[1::2]]), none)
+        norms["left"] = norms["right"] = (group, below[1])
+        # the odd words' sums are walked sums: below each distinct sum
+        # lie the odd ones up to the one before it
+        odd_sums = np.concatenate(odd_sums)
+        odd_sums.sort()
+        below = np.searchsorted(odd_sums, np.r_[sums[first], math.inf])
+        has = np.flatnonzero(np.diff(below))
+        below = below[np.r_[has, first.size]]
+        norms["double"] = _tally(dist[has], below, np.zeros_like(below),
+                                 (2,))
     for pair in norms.values():
         for arr in pair:
             arr.flags.writeable = False
@@ -447,8 +572,9 @@ def coset_counts(r: float, gauge: float) -> CountTable:
 
 
 def _square(x: np.ndarray) -> np.ndarray:
-    # x ** 2 element by element: float.__rpow__ is libm's pow
-    return _map((2.0).__rpow__, x)
+    # x ** 2 element by element: pow on floats is libm's pow
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(2.0)),
+                       dtype=float, count=x.size)
 
 
 def _h2_distances(zr, zi, wr, wi) -> np.ndarray:

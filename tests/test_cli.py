@@ -405,6 +405,22 @@ class TestNumberRanges:
             f"{float(argv[4])!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "oracle-verify --seed",
+        "profile-validate --name sparse-5.2 --M",
+    ], ids=["seed", "M"])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                  command):
+        huge = "1" + "0" * 400
+        rc, out = _run(tmp_path, *command.split(), huge)
+        assert rc == EXIT_CONFIG
+        flag = command.split()[-1]
+        err = capsys.readouterr().err
+        assert err == (f"error: {flag} is too large: it exceeds the float "
+                       f"range\n")
+        assert "0" * 20 not in err
+        assert not out.exists()
+
     def test_override_in_config_file_is_checked(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("command=profile-validate\nname=sparse-5.2\nb=nan\n")

@@ -795,7 +795,8 @@ class TestBallAgainstReference:
 
     def test_one_acosh_pass_for_the_group_and_its_cosets(self, monkeypatch):
         # at h = 0 the group and the one-sided cosets count the same walked
-        # sums: one pass maps them, a second the double cosets' sums
+        # sums, and the double cosets' sums are some of them: one pass
+        # maps them all
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         passes = []
         mapped = h2_oracle._map
@@ -807,7 +808,7 @@ class TestBallAgainstReference:
 
         monkeypatch.setattr(h2_oracle, "_map", counted)
         norms = h2_oracle._sorted_norms(9.0)
-        assert len(passes) == 2
+        assert len(passes) == 1
         assert norms["group"][0] is norms["left"][0] is norms["right"][0]
 
 
@@ -1229,10 +1230,12 @@ def _half_disk_norms(r: float,
 
 # radii and depths at which the walk reproduces the retired build byte for
 # byte: every radius and depth the commands read, the ball cap, the
-# smallest balls, and a depth on either side of 0
+# smallest balls, and depths on either side of 0, where the chains run
+# long at a base point off i
 _WALK_CASES = [(14.5, 0.0), (13.0, 0.0), (12.0, 0.0), (9.0, 0.0), (6.0, 0.0),
                (1.0, 0.0), (0.0, 0.0), (12.0, 2.0), (10.0, 2.0), (6.0, 2.0),
-               (2.5, 2.0), (14.0, 1.0), (11.0, -1.0)]
+               (2.5, 2.0), (14.0, 1.0), (11.0, -1.0), (14.5, 0.5),
+               (12.0, -2.0)]
 
 
 class TestColumns:
@@ -1360,6 +1363,46 @@ class TestWalkPremises:
         distinct, below = norms["group"]
         assert distinct.size == 0 and below.tolist() == [0]
         assert enumerate_group(0.5, h=2.0) == []
+
+
+def _step(state, k):
+    """The walk's single syllable step X^k on a state (x, y, u, v)."""
+    x, y, u, v = state
+    return u, v, x + 2 * k * u, y + 2 * k * v
+
+
+class TestChains:
+    """The third cusp's parabolic chains, which the walk adds whole."""
+
+    def test_closed_form_is_the_single_steps(self):
+        # reduced words of up to six syllables, then a chain of up to 101
+        # alternating unit steps: member 2m is m pairs from the word,
+        # member 2m + 1 is m pairs from its first step
+        rng = np.random.default_rng(24)
+        states = []
+        for _ in range(300):
+            state = (h2_oracle._A_FIRST, h2_oracle._B_FIRST)[rng.integers(2)]
+            for k in rng.choice([-3, -2, -1, 1, 2, 3], rng.integers(7)):
+                state = _step(state, int(k))
+            states.append(state)
+        start = tuple(np.array(z, dtype=np.int64) for z in zip(*states))
+        for s in (1, -1):
+            signs = np.full(len(states), s, dtype=np.int8)
+            first = _step(start, s)
+            stepped = start
+            for j in range(102):
+                m = np.full(len(states), j // 2, dtype=np.int64)
+                got = (h2_oracle._chain(*start, signs, m) if j % 2 == 0
+                       else h2_oracle._chain(*first, -signs, m))
+                for g, want in zip(got, stepped):
+                    assert g.dtype == np.int64 and np.array_equal(g, want)
+                stepped = _step(stepped, s if j % 2 == 0 else -s)
+
+    def test_the_ball_cap_walks_in_few_rounds(self):
+        # one syllable count per round took 705 rounds here, most of them
+        # on a few long chains
+        walk = h2_oracle._walk(BALL_CAP, 0.0, (h2_oracle._B_FIRST,))
+        assert sum(1 for _ in walk) < 64
 
 
 # -- reference lemma sweep ---------------------------------------------------
