@@ -246,12 +246,11 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
 
 
 def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
-                    *, rel_tol: float = 1e-6,
-                    label: str = "cusp-excursion") -> GrowthSeries:
+                    *, rel_tol: float = 1e-6) -> GrowthSeries:
     """Sample ln F over a radius grid into a GrowthSeries."""
     radii = np.asarray(radii, dtype=float)
     vals = log_cuspidal(cusp, radii, rel_tol=rel_tol)
-    return GrowthSeries(radii=radii, log_values=vals, label=label)
+    return GrowthSeries(radii=radii, log_values=vals, label="cusp-excursion")
 
 
 def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.ndarray:
@@ -320,14 +319,6 @@ class SeriesTail:
     verdict: bool
     log_tail: float
 
-    @property
-    def converges(self) -> bool:
-        return self.verdict
-
-    @property
-    def diverges(self) -> bool:
-        return not self.verdict
-
 
 def series_convergence_at(cusp: CuspModel, s: float,
                           *, t_min: Optional[float] = None) -> SeriesTail:
@@ -394,26 +385,26 @@ class GrowthSeries:
         if np.any(np.isnan(vals)):
             raise DomainError("log values must not be NaN")
 
-    def __len__(self) -> int:
-        return int(self.radii.size)
+
+# samples that each tail window must hold
+_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
 class WindowPolicy:
     """Tail-window layout for exponent estimation: the outermost
     ``n_windows`` radius-halving windows (R_max/2^{j+1}, R_max/2^j],
-    each required to hold at least ``min_points`` samples.  ``tol`` is the
-    window-to-window agreement defining convergence."""
+    each required to hold at least ``_MIN_POINTS`` samples.  ``tol`` is
+    the window-to-window agreement defining convergence."""
     n_windows: int = 4
     tol: float = 0.02
-    min_points: int = 8
 
     def min_r_max(self, r_lo: float, n_points: int) -> float:
         """Smallest R_max at which np.linspace(r_lo, R_max, n_points)
         fills every window, for grids whose innermost window opens below
         r_lo: that window then holds the grid's first samples."""
         span = n_points - 1
-        k = self.min_points - 1
+        k = _MIN_POINTS - 1
         return r_lo * (span - k) / (span / 2.0 ** (self.n_windows - 1) - k)
 
 
@@ -424,10 +415,10 @@ def _window_masks(radii: np.ndarray, policy: WindowPolicy) -> list[np.ndarray]:
         hi = r_max / (2.0 ** j)
         lo = r_max / (2.0 ** (j + 1))
         mask = (radii > lo) & (radii <= hi)
-        if int(np.sum(mask)) < policy.min_points:
+        if int(np.sum(mask)) < _MIN_POINTS:
             raise DomainError(
                 f"window ({lo:.6g}, {hi:.6g}] holds {int(np.sum(mask))} samples, "
-                f"needs {policy.min_points}")
+                f"needs {_MIN_POINTS}")
         masks.append(mask)
     return masks
 

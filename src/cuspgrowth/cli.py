@@ -378,7 +378,7 @@ def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
         lines.append(f"[{name}]")
         lines.append(f"series abscissa: {abscissa!r}")
         lines.append(f"weighted tail verdict at the abscissa: "
-                     f"{'converges' if tail.converges else 'diverges'}")
+                     f"{'converges' if tail.verdict else 'diverges'}")
         lines.append("")
         fname = f"cusp-{name}.csv"
         rows = ["R,log_excursion_mass,log_orbit_count"]

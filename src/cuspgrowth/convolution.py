@@ -142,26 +142,18 @@ def conv_continuous(f_log: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Margins of the two-sided gauge bracket of a continuous convolution:
+    """The two-sided gauge bracket of a continuous convolution,
 
         delta (f*g)_delta(R - delta)  <=  (f*g)(R)
                                       <=  2 delta (f*g)_delta(R + 2 delta),
 
-    for nondecreasing f, g.  Margins are in nats; both nonnegative when
-    the bracket holds.
+    for nondecreasing f, g: its three sides in nats, and whether it
+    holds.
     """
     ok: bool
     log_continuous: float
     log_lower: float
     log_upper: float
-
-    @property
-    def lower_margin(self) -> float:
-        return self.log_continuous - self.log_lower
-
-    @property
-    def upper_margin(self) -> float:
-        return self.log_upper - self.log_continuous
 
 
 def _step_log_values(series: GrowthSeries, t: np.ndarray, delta: float) -> np.ndarray:

@@ -394,30 +394,22 @@ def _distinct(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tally(dist: np.ndarray, below: np.ndarray, ones: np.ndarray,
            times: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The counted form of _counted from the displacements of the
-    distinct sums, the number of sums below each one and then in all
-    (below), and the number of those that count once (ones, alike)."""
+    """The counted form of weighted sums, from the displacements dist of
+    the distinct sorted sums, the number of sums below each distinct sum
+    and then in all (below), and how many of those count once (ones,
+    alike).
+
+    The form is distinct, the sorted distinct displacements, then for
+    each multiplicity t in times an array below: the number of counted
+    displacements under each distinct one and, last, in all, where each
+    sum counts t times and those in ones once.  On the sorted array arr
+    of all counted displacements, searchsorted(arr, x, "left") equals
+    below[searchsorted(distinct, x, "left")]."""
     # distinct sums may round to one displacement
     keep = np.flatnonzero(np.diff(dist, prepend=-math.inf))
     ends = np.r_[keep, dist.size]
     below, ones = below[ends], ones[ends]
     return (dist[keep], *(t * below - (t - 1) * ones for t in times))
-
-
-def _counted(sums: np.ndarray, once: np.ndarray,
-             times: tuple[int, ...] = (2,)) -> tuple[np.ndarray, ...]:
-    """The displacements of the weighted sums in counted form: distinct,
-    the sorted distinct displacements, then for each multiplicity t in
-    times the array below, the number of counted displacements under
-    each one and, last, in all, where each sum counts t times, except
-    those also in once, which count once.  On the sorted array arr of
-    all counted displacements, searchsorted(arr, x, "left") equals
-    below[searchsorted(distinct, x, "left")].  The displacements are
-    taken once per distinct sum and shared by every multiplicity."""
-    sums = np.sort(sums)
-    first, dist = _distinct(sums)
-    ones = np.searchsorted(np.sort(once), np.r_[sums[first], math.inf])
-    return _tally(dist, np.r_[first, sums.size], ones, times)
 
 
 # Largest complete ball built so far per base-point depth h, as h ->
@@ -432,7 +424,7 @@ _BALLS: dict[float,
 def _sorted_norms(r: float,
                   h: float = 0.0) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Displacements of the counted objects, complete below radius r
-    about the base point i * e^h, in the counted form of _counted: the
+    about the base point i * e^h, in the counted form of _tally: the
     group elements, and at h = 0 also the left cosets, right cosets and
     nontrivial double cosets.  The oracle's one enumeration path: the
     arrays are shared and read-only, and a request above the ball held
@@ -833,10 +825,6 @@ class DeltaReport:
     est: ExponentEstimate
     r_cap: float
     n_elements: int
-
-    @property
-    def converged(self) -> bool:
-        return self.est.converged_plus
 
     def summary(self) -> str:
         return (f"critical exponent {self.estimate:.4f} "

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -272,21 +273,21 @@ class _SegmentTable:
             np.bincount(idx.ravel(), minlength=len(self.rows)))
         return idx, present
 
-    def __call__(self, t: np.ndarray, order: int) -> np.ndarray:
-        """ln T (order 0), (ln T)' (1) or (ln T)'' (2) on a float array."""
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """ln T on a float array, in any order."""
         idx, present = self._rows_at(t)
         if present.size == 1:
-            return self.rows[present[0]](t, order)
+            return self.rows[present[0]](t)
         out = np.empty_like(t)
         for i in present:
             mask = idx == i
-            out[mask] = self.rows[i](t[mask], order)
+            out[mask] = self.rows[i](t[mask])
         return out
 
     def jets(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ln T, (ln T)' and (ln T)'' on a sorted float array.  Each row
-        reads its contiguous slice once per order, element for element
-        as ``__call__`` evaluates it."""
+        reads its contiguous slice once per order; ln T comes out
+        element for element as ``__call__`` evaluates it."""
         jet = (np.empty_like(t), np.empty_like(t), np.empty_like(t))
         for row, (lo, hi) in zip(self.rows, _row_slices(t, self.starts)):
             if hi > lo:
@@ -311,7 +312,10 @@ class _SegmentTable:
 class Profile:
     """A contiguous, strictly decreasing piecewise log-profile.  The
     pieces are its construction and serialization form; every evaluation
-    reads the segment table they are compiled into on construction."""
+    reads the segment table they are compiled into on construction:
+    ln T through ``log_value``, and the derivatives through the table's
+    ``jets`` (the certifier and the bridge ladder) and ``slope_range``
+    (the excursion integral's panels)."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]
 
@@ -357,33 +361,18 @@ class Profile:
         cross a piece break.  Sizes the excursion integral's panels."""
         return self._table.slope_range(lo, hi)
 
-    def _eval(self, t, order: int):
+    def log_value(self, t):
+        """ln T(t) for a float or an array.  An abscissa below t_start
+        within the rounding tolerance 1e-12 max(1, t_start) reads
+        T(t_start); one further below raises DomainError."""
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         if np.any(arr < self.t_start - 1e-12 * max(1.0, self.t_start)):
             raise DomainError(
                 f"profile evaluated below its start t_start={self.t_start}")
-        out = self._table(np.maximum(arr, self.t_start), order)
+        out = self._table(np.maximum(arr, self.t_start))
         return float(out[0]) if scalar else out
-
-    def log_value(self, t):
-        """ln T(t)."""
-        return self._eval(t, 0)
-
-    def dlog(self, t):
-        """(ln T)'(t)."""
-        return self._eval(t, 1)
-
-    def d2log(self, t):
-        """(ln T)''(t)."""
-        return self._eval(t, 2)
-
-    def curvature_ratio(self, t):
-        """T''(t)/T(t) = (ln T)'' + ((ln T)')^2, the pinching proxy."""
-        d1 = self._eval(t, 1)
-        d2 = self._eval(t, 2)
-        return d2 + d1 * d1
 
 
 # -- bridge construction ------------------------------------------------------
@@ -705,10 +694,23 @@ def _require_finite_square(p: CatalogParams) -> None:
              f"fast rate {p.rate_fast!r} is too large: its square overflows")
 
 
+# ln of the largest float, past which a window edge m^k overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _require_edge_fits(who: str, m: int, k: int) -> None:
+    # checked before the power is taken; an int compares exactly with a
+    # float, however large it is
+    _require(k < _LOG_FLOAT_MAX / math.log(m),
+             f"{who} window edge m^{k} overflows a float: "
+             f"m or windows is too large")
+
+
 def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
     _require(p.m >= 3, f"{name} needs integer m >= 3")
     _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     _require(p.windows >= 1, "need at least one oscillation window")
+    _require_edge_fits(name, p.m, 4 * p.windows + 2)
     slow = _Envelope(0.0, 1.0)
     fast = _Envelope(0.0, p.rate_fast)
     pieces: list[ProfilePiece] = []
@@ -771,6 +773,7 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     _require(b > 2.0, "critical ids need fast rate > 2")
     _require(0 < p.mu < 0.5, "mu must lie in (0, 1/2)")
     _require(p.windows >= 1, "need at least one oscillation window")
+    _require_edge_fits("critical ids", p.m, 2 * p.windows + 2)
     slow = _Envelope(1.0, b / 2.0)
     fast = _Envelope(fast_power, b)
     p1 = float(p.m) ** 2

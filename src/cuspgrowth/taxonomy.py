@@ -104,7 +104,7 @@ class Predictions:
 class PinchGateReport:
     """Consequences of a quarter-pinched curvature window.
 
-    When b^2 <= 4a^2 (+ slack) the parabolic exponents of every cusp are
+    When b^2 <= 4a^2 the parabolic exponents of every cusp are
     trapped in [a(n-1)/2, b(n-1)/2], which lies strictly below the
     ambient exponent as soon as that exceeds the entropy floor (n-1)a; an
     ambient exponent below the floor is a specification inconsistency.
@@ -118,20 +118,13 @@ class PinchGateReport:
     delta_gamma: float
 
 
-def quarter_pinch_gate(bounds: CurvatureBounds, delta_gamma: float,
-                       *, slack: float = 0.0) -> PinchGateReport:
-    """Check b^2 <= 4a^2 + slack and derive its exponent consequences.
-
-    ``slack`` is the pinching perturbation allowed by the gate; it is NOT
-    the bounds' certification tolerance, which measures how far a desk
-    profile's curvature proxy strays and can be large near bridges.
-    """
+def quarter_pinch_gate(bounds: CurvatureBounds,
+                       delta_gamma: float) -> PinchGateReport:
+    """Check b^2 <= 4a^2 and derive its exponent consequences."""
     if delta_gamma <= 0:
         raise DomainError("ambient exponent must be positive")
-    if slack < 0:
-        raise DomainError("pinching slack must be nonnegative")
     n1 = bounds.n - 1
-    applies = bounds.b ** 2 <= 4.0 * bounds.a ** 2 + slack + 1e-12
+    applies = bounds.b ** 2 <= 4.0 * bounds.a ** 2 + 1e-12
     floor = n1 * bounds.a
     return PinchGateReport(
         applies=applies,

@@ -33,6 +33,9 @@ from cuspgrowth.h2_oracle import estimate_delta, verify_counting
 from cuspgrowth.profiles import CATALOG_IDS
 from cuspgrowth.taxonomy import classify_lattice, run_example
 
+# a spacing base inside the float range
+_HUGE_M = "1" + "0" * 300
+
 
 def _resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
@@ -437,7 +440,14 @@ class TestNumberRanges:
          "mu must lie in (0, 1/2) (overrides in effect: --mu 0.7)"),
         ("lattice-classify --name critical-infinite-5.4b --gamma 1.5",
          "gamma must lie in (0, 1) (overrides in effect: --gamma 1.5)"),
-    ], ids=["b", "M-mu", "mu", "gamma"])
+        # a float, but the last window edge m^14 or m^8 is past the range
+        (f"profile-validate --name sparse-5.2 --M {_HUGE_M}",
+         f"sparse-5.2 window edge m^14 overflows a float: m or windows is "
+         f"too large (overrides in effect: --M {_HUGE_M})"),
+        (f"profile-validate --name critical-finite-5.4a --M {_HUGE_M}",
+         f"critical ids window edge m^8 overflows a float: m or windows is "
+         f"too large (overrides in effect: --M {_HUGE_M})"),
+    ], ids=["b", "M-mu", "mu", "gamma", "M-edge-sparse", "M-edge-critical"])
     def test_out_of_range_override_names_the_flags(self, tmp_path, capsys,
                                                    command, message):
         rc, _ = _run(tmp_path, *command.split())

@@ -194,16 +194,17 @@ class TestSandwich:
         assert rep.log_continuous == pytest.approx(math.log(5.0), abs=1e-12)
         assert rep.log_lower == pytest.approx(math.log(3.0), abs=1e-12)
         assert rep.log_upper == pytest.approx(math.log(12.0), abs=1e-12)
-        assert rep.lower_margin == pytest.approx(math.log(5.0 / 3.0), abs=1e-12)
-        assert rep.upper_margin == pytest.approx(math.log(12.0 / 5.0), abs=1e-12)
+        assert rep.log_continuous - rep.log_lower == pytest.approx(
+            math.log(5.0 / 3.0), abs=1e-12)
+        assert rep.log_upper - rep.log_continuous == pytest.approx(
+            math.log(12.0 / 5.0), abs=1e-12)
 
     def test_exponential_data(self):
         radii = 0.5 * np.arange(1, 25)
         f = GrowthSeries(radii, radii.copy())
         rep = sandwich_check(f, f, 0.5, 10.0)
         assert rep.ok
-        assert rep.lower_margin >= 0
-        assert rep.upper_margin >= 0
+        assert rep.log_lower <= rep.log_continuous <= rep.log_upper
 
     def test_rejects_decreasing(self):
         f = GrowthSeries([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.5, 2.0])

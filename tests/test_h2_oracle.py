@@ -486,7 +486,7 @@ class TestDelta:
         rep = estimate_delta()
         assert rep.estimate == pytest.approx(0.9090215730743529, abs=1e-9)
         assert 0.85 <= rep.estimate <= 1.15
-        assert rep.converged
+        assert rep.est.converged_plus
         assert rep.n_elements == 81361
 
     def test_summary(self):
@@ -781,7 +781,7 @@ class TestBallAgainstReference:
         sums = np.array([2.0, 6.0, 6.0, 10.0, big, math.nextafter(big, 0.0),
                          math.nextafter(big, math.inf), 18.0, 2.0 * big])
         once = sums[[0, 3, 5]]
-        distinct, below = h2_oracle._counted(sums, once)
+        distinct, below = _counted(sums, once)
         want = np.sort(np.r_[sums, np.delete(sums, [0, 3, 5])])
         want = np.array([math.acosh(max(1.0, s / 2.0)) for s in want.tolist()])
         assert distinct.size < np.unique(sums).size
@@ -790,7 +790,7 @@ class TestBallAgainstReference:
         x = np.r_[want, np.linspace(-1.0, 20.0, 97), math.inf]
         assert np.array_equal(h2_oracle._ball((distinct, below), x),
                               np.searchsorted(want, x, side="left"))
-        empty = h2_oracle._counted(sums[:0], once[:0])
+        empty = _counted(sums[:0], once[:0])
         assert empty[0].size == 0 and empty[1].tolist() == [0]
 
     def test_one_acosh_pass_for_the_group_and_its_cosets(self, monkeypatch):
@@ -1193,12 +1193,28 @@ def _group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(w[order], starts)
 
 
+def _counted(sums: np.ndarray, once: np.ndarray,
+             times: tuple[int, ...] = (2,)) -> tuple[np.ndarray, ...]:
+    """The displacements of the weighted sums in counted form: distinct,
+    the sorted distinct displacements, then for each multiplicity t in
+    times the array below, the number of counted displacements under
+    each one and, last, in all, where each sum counts t times, except
+    those also in once, which count once.  On the sorted array arr of
+    all counted displacements, searchsorted(arr, x, "left") equals
+    below[searchsorted(distinct, x, "left")].  The displacements are
+    taken once per distinct sum and shared by every multiplicity."""
+    sums = np.sort(sums)
+    first, dist = h2_oracle._distinct(sums)
+    ones = np.searchsorted(np.sort(once), np.r_[sums[first], math.inf])
+    return h2_oracle._tally(dist, np.r_[first, sums.size], ones, times)
+
+
 def _half_disk_norms(r: float,
                      h: float = 0.0) -> dict[str, tuple[np.ndarray, ...]]:
     """The counted forms that _sorted_norms built from _enumerate."""
     a, b, c, d, kept = _enumerate(r, h)
     s = h2_oracle._weighted_sums(a, b, c, d, h)
-    norms = {"group": h2_oracle._counted(s, s[c == 0])}
+    norms = {"group": _counted(s, s[c == 0])}
     if h == 0.0:
         # right coset: invariant column (a, c), a > 0 already canonical:
         # one nonempty enumeration column
@@ -1207,7 +1223,7 @@ def _half_disk_norms(r: float,
         a, c, d = a[starts], c[starts], d[starts]
         # left coset: inversion maps the ball onto itself, each left coset
         # onto a right coset and keeps the entry sum, so the two are equal
-        norms["left"] = norms["right"] = h2_oracle._counted(
+        norms["left"] = norms["right"] = _counted(
             col_min, col_min[c == 0])
         # double coset: residues of the diagonal modulo twice the lower
         # left entry, sign-normalized to c > 0, so constant along a column;
@@ -1222,7 +1238,7 @@ def _half_disk_norms(r: float,
         span = 2 * c
         alpha, delta = a % span, d % span
         flip = alpha > c
-        norms["double"] = h2_oracle._counted(_group_minima(
+        norms["double"] = _counted(_group_minima(
             col_min, c, np.where(flip, span - alpha, alpha),
             np.where(flip, -delta % span, delta)), np.empty(0))
     return norms

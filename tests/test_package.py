@@ -174,6 +174,18 @@ def test_no_unread_private_definitions():
     assert unread == []
 
 
+def test_private_definitions_have_a_reader_in_src():
+    # a private definition that only the tests read is a retired path;
+    # it belongs next to the tests that keep it as a reference
+    read = set().union(*(_read_names(p)
+                         for p in sorted((ROOT / "src").rglob("*.py"))))
+    test_only = [f"{path.name}:{line}: {name}"
+                 for path in sorted(INIT.parent.glob("*.py"))
+                 for name, line in _module_private_definitions(path).items()
+                 if name not in read]
+    assert test_only == []
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call, 12-18 ms that every
     # command would pay; a fresh interpreter shows whether any path does

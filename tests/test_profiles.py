@@ -61,9 +61,10 @@ class TestAnalyticPieces:
     def test_pure_exp_values(self):
         prof = _simple_profile(2.0)
         assert prof.log_value(3.0) == -6.0
-        assert prof.dlog(3.0) == -2.0
-        assert prof.d2log(3.0) == 0.0
-        assert prof.curvature_ratio(3.0) == 4.0
+        value, d1, d2 = prof._table.jets(np.array([3.0]))
+        assert (value[0], d1[0], d2[0]) == (-6.0, -2.0, 0.0)
+        # the curvature proxy the validator reads
+        assert d2[0] + d1[0] * d1[0] == 4.0
 
     def test_poly_exp_values(self):
         prof = assemble_profile(
@@ -71,9 +72,10 @@ class TestAnalyticPieces:
             [poly_piece(1.0, INF, 2.5, 3.0)])
         t = 2.0
         assert prof.log_value(t) == pytest.approx(2.5 * math.log(2.0) - 6.0, rel=1e-15)
-        assert prof.dlog(t) == pytest.approx(2.5 / 2.0 - 3.0, rel=1e-15)
+        _, d1, d2 = prof._table.jets(np.array([t]))
+        assert d1[0] == pytest.approx(2.5 / 2.0 - 3.0, rel=1e-15)
         # ratio = (alpha/t - c)^2 - alpha/t^2
-        assert prof.curvature_ratio(t) == pytest.approx((-1.75) ** 2 - 0.625, rel=1e-14)
+        assert d2[0] + d1[0] * d1[0] == pytest.approx((-1.75) ** 2 - 0.625, rel=1e-14)
 
     def test_vectorized_eval(self):
         prof = _simple_profile(1.0)
@@ -111,12 +113,13 @@ class TestBridge:
         # the piece's own table: its last cubic extends through r
         table = _SegmentTable.compile([piece])
         ends = np.array([10.0, 2000.0])
+        value, d1, d2 = table.jets(ends)
         # starts on the left envelope exactly
-        assert table(ends, 0)[0] == -10.0
+        assert value[0] == -10.0
         # lands on the right envelope to rounding error, C^2 at both ends
-        assert table(ends, 0)[1] == pytest.approx(-6000.0, rel=1e-12)
-        np.testing.assert_allclose(table(ends, 1), [-1.0, -3.0], rtol=1e-12)
-        np.testing.assert_allclose(table(ends, 2), [0.0, 0.0], atol=1e-12)
+        assert value[1] == pytest.approx(-6000.0, rel=1e-12)
+        np.testing.assert_allclose(d1, [-1.0, -3.0], rtol=1e-12)
+        np.testing.assert_allclose(d2, [0.0, 0.0], atol=1e-12)
 
     def test_identical_envelopes_collapse(self):
         piece = _transition_piece(_Envelope(0.0, 2.0), _Envelope(0.0, 2.0),
@@ -365,6 +368,15 @@ class TestCatalog:
                             CatalogParams(beta=3.9, gamma=0.5))
         with pytest.raises(CatalogError):
             catalog_profile("no-such-id")
+        # a last window edge past the float range is refused before any
+        # window is built: at m = 3 from 162 windows (sparse) or 323
+        # (critical) on
+        for name in ("sparse-5.2", "critical-finite-5.4a",
+                     "critical-infinite-5.4b"):
+            for windows in (400, 10 ** 400):
+                with pytest.raises(CatalogError, match="overflows a float"):
+                    catalog_profile(name, CatalogParams(windows=windows,
+                                                        head=2.0))
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_fast_rate_whose_square_overflows_rejected(self, name):
@@ -374,6 +386,20 @@ class TestCatalog:
         if name == "critical-infinite-5.4b":
             with pytest.raises(CatalogError, match="its square overflows"):
                 catalog_companions(name, params)
+
+    @pytest.mark.parametrize("m", [3, 10, 12345, 10 ** 50])
+    def test_window_edge_check_agrees_with_the_float_power(self, m):
+        # k is the largest power of m that is still a float
+        k = 1
+        while True:
+            try:
+                float(m) ** (k + 1)
+            except OverflowError:
+                break
+            k += 1
+        profiles._require_edge_fits("x", m, k)
+        with pytest.raises(CatalogError, match=f"m\\^{k + 1} overflows"):
+            profiles._require_edge_fits("x", m, k + 1)
 
     def test_mu_clamp_keeps_band_open(self):
         # Large mu must not silently produce an empty transition band.
@@ -447,18 +473,24 @@ def _ref_piece(piece, t, order):
     return out
 
 
+def _ref_pieces(pieces, t, order):
+    # below the first start reads the first piece, as the table does
+    starts = np.array([p.t0 for p in pieces])
+    idx = np.clip(np.searchsorted(starts, t, side="right") - 1,
+                  0, len(pieces) - 1)
+    out = np.empty_like(t)
+    for i, piece in enumerate(pieces):
+        mask = idx == i
+        if mask.any():
+            out[mask] = _ref_piece(piece, t[mask], order)
+    return out
+
+
 def _ref_eval(prof, t, order):
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.maximum(np.atleast_1d(arr).astype(float), prof.t_start)
-    starts = np.array([p.t0 for p in prof.pieces])
-    idx = np.clip(np.searchsorted(starts, arr, side="right") - 1,
-                  0, len(prof.pieces) - 1)
-    out = np.empty_like(arr)
-    for i, piece in enumerate(prof.pieces):
-        mask = idx == i
-        if mask.any():
-            out[mask] = _ref_piece(piece, arr[mask], order)
+    out = _ref_pieces(prof.pieces, arr, order)
     return float(out[0]) if scalar else out
 
 
@@ -499,13 +531,20 @@ class TestSegmentTable:
     def test_matches_two_level_reference(self, name, order):
         for prof in _with_companions(name):
             dense, near = _probe_points(prof)
-            method = (prof.log_value, prof.dlog, prof.d2log)[order]
+            # every order through the table's jets, on sorted grids from
+            # t_start on
+            for t in (dense, np.maximum(np.sort(near), prof.t_start)):
+                got = prof._table.jets(t)[order]
+                assert _bit_equal(got, _ref_eval(prof, t, order))
+            if order:
+                continue
+            # ln T through log_value, on any order and on floats
             for t in (dense, near, dense[::-1].copy()):
-                assert _bit_equal(method(t), _ref_eval(prof, t, order))
+                assert _bit_equal(prof.log_value(t), _ref_eval(prof, t, 0))
             for x in near:
-                got = method(float(x))
+                got = prof.log_value(float(x))
                 assert isinstance(got, float)
-                assert _bit_equal(got, _ref_eval(prof, float(x), order)), x
+                assert _bit_equal(got, _ref_eval(prof, float(x), 0)), x
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_breaks_unchanged(self, name):
@@ -542,7 +581,7 @@ class TestSegmentTable:
                 x, y = np.sort(rng.uniform(a, b, 2))
                 for lo, hi in ((a, b), (x, y)):
                     t = np.linspace(lo, hi, 4001)
-                    s = prof.dlog(t)
+                    s = prof._table.jets(t)[1]
                     least, most = prof._dlog_range(np.array([lo]), np.array([hi]))
                     slack = 1e-9 * max(1.0, float(np.max(np.abs(s))))
                     assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
@@ -554,12 +593,12 @@ class TestSegmentTable:
 #
 # The evaluation below is the one the shared-grid ladder replaced: each
 # ramp fraction rebuilt the band's grid, evaluated both envelopes on it
-# afresh and read its segment table through three masked calls, and the
-# validator read each piece's table the same way.  It checks every ramp
-# fraction in full (proxy, monotonicity and sandwich) and keeps the first
-# of strictly least slack, where the ladder ranks first and checks the
-# sandwich lazily.  The chosen segments, the profile text and every
-# report field must agree with it bit for bit.
+# afresh and read its bridge piece once per order, and the validator read
+# each piece the same way, both through the two-level reference above.
+# It checks every ramp fraction in full (proxy, monotonicity and
+# sandwich) and keeps the first of strictly least slack, where the ladder
+# ranks first and checks the sandwich lazily.  The chosen segments, the
+# profile text and every report field must agree with it bit for bit.
 
 
 @dataclass(frozen=True)
@@ -608,11 +647,8 @@ def _ref_transition_candidate(left, right, q, r, theta):
     segments = (seg1, seg2, seg3)
 
     t = np.linspace(q, r, _GRID)
-    table = _SegmentTable.compile(
-        [ProfilePiece(q, r, "bridge", {"segments": segments})])
-    g = table(t, 0)
-    d1 = table(t, 1)
-    d2 = table(t, 2)
+    piece = ProfilePiece(q, r, "bridge", {"segments": segments})
+    g, d1, d2 = (_ref_piece(piece, t, order) for order in range(3))
     ratio = d2 + d1 * d1
 
     lo_rate = min(left.rate, right.rate)
@@ -662,19 +698,19 @@ def _ref_validate_profile(profile):
 
     worst_join = 0.0
     worst_slope = 0.0
-    # one table per piece: a join is checked with each side's own law
-    tables = [_SegmentTable.compile([piece]) for piece in profile.pieces]
-    for k, leftp in enumerate(profile.pieces[:-1]):
+    # a join is checked with each side's own law
+    pieces = profile.pieces
+    for k, leftp in enumerate(pieces[:-1]):
         t = np.array([leftp.t1])
-        gl = float(tables[k](t, 0)[0])
-        gr = float(tables[k + 1](t, 0)[0])
+        gl = float(_ref_piece(leftp, t, 0)[0])
+        gr = float(_ref_piece(pieces[k + 1], t, 0)[0])
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
         if rel > _JOIN_TOL:
             msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
         for order in (1, 2):
-            dl = float(tables[k](t, order)[0])
-            dr = float(tables[k + 1](t, order)[0])
+            dl = float(_ref_piece(leftp, t, order)[0])
+            dr = float(_ref_piece(pieces[k + 1], t, order)[0])
             srel = abs(dl - dr) / max(1.0, abs(dl))
             worst_slope = max(worst_slope, srel)
             if srel > _SLOPE_TOL:
@@ -683,11 +719,9 @@ def _ref_validate_profile(profile):
 
     ratio_min = INF
     ratio_max = -INF
-    for piece, table in zip(profile.pieces, tables):
+    for piece in pieces:
         t = _piece_sample_grid(piece, _SAMPLES_PER_PIECE)
-        g = table(t, 0)
-        d1 = table(t, 1)
-        d2 = table(t, 2)
+        g, d1, d2 = (_ref_piece(piece, t, order) for order in range(3))
         if not np.all(np.isfinite(g)):
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
@@ -898,27 +932,25 @@ class TestPlateauConstants:
 
 class TestJets:
     @staticmethod
-    def _assert_jets_match_call(table, t):
+    def _assert_jets_match_reference(table, pieces, t):
+        # the two-level reference, without the profile's start clamp
         for order, got in enumerate(table.jets(t)):
-            assert _bit_equal(got, table(t, order)), order
+            assert _bit_equal(got, _ref_pieces(pieces, t, order)), order
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_matches_call_on_sorted_grids(self, name):
         for prof in _with_companions(name):
-            table = prof._table
-            starts = table.starts
-            # starts below the first start (which reads the first row)
-            self._assert_jets_match_call(
-                table, np.linspace(starts[0] - 1.0, 2.0 * starts[-1] + 100.0,
-                                   100_001))
-            # every start hit exactly, with its neighbouring floats
-            self._assert_jets_match_call(table, np.sort(np.concatenate(
-                [np.nextafter(starts, -INF), starts,
-                 np.nextafter(starts, INF)])))
-            # repeated abscissae, one point, no point
-            self._assert_jets_match_call(table, np.repeat(starts, 3))
-            self._assert_jets_match_call(table, starts[-1:] + 1.0)
-            self._assert_jets_match_call(table, np.empty(0))
+            starts = prof._table.starts
+            grids = (
+                # starts below the first start (which reads the first row)
+                np.linspace(starts[0] - 1.0, 2.0 * starts[-1] + 100.0, 100_001),
+                # every start hit exactly, with its neighbouring floats
+                np.sort(np.concatenate([np.nextafter(starts, -INF), starts,
+                                        np.nextafter(starts, INF)])),
+                # repeated abscissae, one point, no point
+                np.repeat(starts, 3), starts[-1:] + 1.0, np.empty(0))
+            for t in grids:
+                self._assert_jets_match_reference(prof._table, prof.pieces, t)
 
     def test_spans_a_dropped_zero_width_plateau(self):
         # the head transition of the critical ids is the theta = 1/2
@@ -931,7 +963,7 @@ class TestJets:
         assert len(table.rows) == 2
         t = np.linspace(2.0, 9.0, _GRID)
         assert np.count_nonzero(t == 5.5) == 1
-        self._assert_jets_match_call(table, t)
-        self._assert_jets_match_call(table, np.array([5.5]))
-        self._assert_jets_match_call(
-            table, np.array([np.nextafter(5.5, -INF), 5.5, 5.5]))
+        self._assert_jets_match_reference(table, [piece], t)
+        self._assert_jets_match_reference(table, [piece], np.array([5.5]))
+        self._assert_jets_match_reference(
+            table, [piece], np.array([np.nextafter(5.5, -INF), 5.5, 5.5]))

@@ -99,11 +99,6 @@ class TestQuarterPinchGate:
         # no inconsistency can be flagged by a gate that does not apply
         assert rep.entropy_floor_ok
 
-    def test_slack_widens_the_window(self):
-        bounds = CurvatureBounds(a=1.0, b=3.0)
-        assert not quarter_pinch_gate(bounds, 1.5).applies
-        assert quarter_pinch_gate(bounds, 1.5, slack=5.0).applies
-
     def test_exact_quarter_pinch_boundary(self):
         rep = quarter_pinch_gate(CurvatureBounds(a=1.5, b=3.0), 1.5)
         assert rep.applies
@@ -121,8 +116,6 @@ class TestQuarterPinchGate:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             quarter_pinch_gate(CurvatureBounds(a=1.0, b=2.0), 0.0)
-        with pytest.raises(DomainError):
-            quarter_pinch_gate(CurvatureBounds(a=1.0, b=2.0), 1.0, slack=-0.1)
 
     @given(a=st.floats(0.05, 10.0), ratio=st.floats(0.1, 2.0),
            delta=st.floats(0.01, 50.0))

@@ -33,6 +33,8 @@ RUNS = (
     ("cusp-analyze", ["cusp-analyze", "--name", "all"]),
     ("lattice-classify", ["lattice-classify"]),
     ("example-run", ["example-run", "--name", "all", "--Rmax", "500"]),
+    ("example-run-plot", ["example-run", "--name", "exotic-div-5.3b",
+                          "--plot-script"]),
     ("oracle-verify", ["oracle-verify"]),
     ("oracle-verify-rcap14", ["oracle-verify", "--Rcap", "14", "--seed", "1"]),
     ("help", ["--help"]),
@@ -43,6 +45,9 @@ RUNS = (
                             "critical-infinite-5.4b", "--gamma", "0.3"]),
     ("oracle-verify-delta2", ["oracle-verify", "--Rcap", "14",
                               "--delta", "2"]),
+    # a spacing base inside the float range whose window edges overflow it
+    ("profile-validate-huge-m", ["profile-validate", "--name", "sparse-5.2",
+                                 "--M", "1" + "0" * 300]),
 )
 
 # lines of unified diff shown per differing text file
