@@ -91,16 +91,12 @@ from .h2_oracle import (
     CountingBandReport,
     CountTable,
     DeltaReport,
-    HPoint,
     LemmaReport,
     MoebiusElement,
     Prop28Report,
-    busemann_inf,
     coset_counts,
     enumerate_group,
     estimate_delta,
-    h2_distance,
-    t_xi,
     verify_counting,
     verify_lemmas,
     verify_prop28,

@@ -13,7 +13,6 @@ sandwiches, and the counting-formula envelope.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,10 +35,6 @@ __all__ = [
     "BALL_CAP",
     "prop28_radius",
     "MoebiusElement",
-    "HPoint",
-    "h2_distance",
-    "busemann_inf",
-    "t_xi",
     "enumerate_group",
     "CountTable",
     "coset_counts",
@@ -126,48 +121,6 @@ class MoebiusElement:
     def displacement(self, h: float = 0.0) -> float:
         """Distance from i to the image of i * e^h."""
         return math.acosh(max(1.0, self.weighted_sum(h) / 2.0))
-
-    def apply(self, z: "HPoint") -> "HPoint":
-        w = complex(z.re, z.im)
-        img = (self.a * w + self.b) / (self.c * w + self.d)
-        return HPoint(img.real, img.imag)
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """Upper half-plane point."""
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        if not self.im > 0:
-            raise DomainError("point must lie in the open upper half-plane")
-
-
-def h2_distance(z: HPoint, w: HPoint) -> float:
-    gap = (z.re - w.re) ** 2 + (z.im - w.im) ** 2
-    return math.acosh(1.0 + gap / (2.0 * z.im * w.im))
-
-
-def busemann_inf(x: HPoint, y: HPoint) -> float:
-    """Busemann cocycle centered at the cusp at infinity; positive when
-    y sits deeper in the cusp than x."""
-    return math.log(y.im) - math.log(x.im)
-
-
-def t_xi(x: HPoint, y: HPoint) -> float:
-    """Minimal flow time until the shallower point, lifted to the deeper
-    point's horosphere, comes within horocyclic distance 1 of it.
-
-    On the level im = L the horocyclic metric is |re difference| / L, and
-    the radial flow toward the cusp multiplies the level by e^t, so the
-    alignment time is ln |re x - re y| - ln max(im x, im y), clamped at 0.
-    """
-    gap = abs(x.re - y.re)
-    level = max(x.im, y.im)
-    if gap <= level:
-        return 0.0
-    return math.log(gap) - math.log(level)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -344,15 +297,6 @@ def _weighted_sums(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return math.exp(h) * (a * a + c * c) + math.exp(-h) * (b * b + d * d)
 
 
-def _map(f, *arrays: np.ndarray) -> np.ndarray:
-    """f applied to Python floats element by element, so that an array
-    result equals the scalar formula bit for bit: numpy's transcendental
-    functions are not correctly rounded, and neither is libm's x ** 2,
-    which therefore differs from x * x now and then."""
-    return np.fromiter(map(f, *(x.tolist() for x in arrays)), dtype=float,
-                       count=arrays[0].size)
-
-
 def enumerate_group(r: float, *, h: float = 0.0) -> list[MoebiusElement]:
     """Complete, duplicate-free list of group elements moving the
     weighted base point by at most r, sorted by displacement then
@@ -389,7 +333,12 @@ def _distinct(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fresh = np.ones(sums.size, dtype=bool)
     np.not_equal(sums[1:], sums[:-1], out=fresh[1:])
     first = np.flatnonzero(fresh)
-    return first, _map(math.acosh, np.maximum(sums[first] / 2.0, 1.0))
+    # Python's acosh, not numpy's, whose last digit can differ: every
+    # count compares these displacements with radii, so they must equal
+    # MoebiusElement.displacement bit for bit
+    half = np.maximum(sums[first] / 2.0, 1.0)
+    return first, np.fromiter(map(math.acosh, half.tolist()), dtype=float,
+                              count=half.size)
 
 
 def _tally(dist: np.ndarray, below: np.ndarray, ones: np.ndarray,
@@ -563,16 +512,11 @@ def coset_counts(r: float, gauge: float) -> CountTable:
 # -- lemma verification -------------------------------------------------------
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    # x ** 2 element by element: pow on floats is libm's pow
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(2.0)),
-                       dtype=float, count=x.size)
-
-
 def _h2_distances(zr, zi, wr, wi) -> np.ndarray:
-    """h2_distance over coordinate arrays, in the same float operations."""
-    gap = _square(zr - wr) + _square(zi - wi)
-    return _map(math.acosh, 1.0 + gap / (2.0 * zi * wi))
+    """Hyperbolic distances between the points zr + i zi and wr + i wi of
+    the upper half-plane, over coordinate arrays."""
+    gap = np.square(zr - wr) + np.square(zi - wi)
+    return np.arccosh(1.0 + gap / (2.0 * zi * wi))
 
 
 def _triangle_allowance(a: np.ndarray, b: np.ndarray,
@@ -653,15 +597,13 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
 
     def draw(*bounds: tuple[float, float]) -> list[np.ndarray]:
         # one column per Generator.uniform(low, high) call of a sample, in
-        # call order: the same stream, and uniform's own formula
-        u = rng.random((sample_count, len(bounds)))
-        return [low + (high - low) * u[:, j]
-                for j, (low, high) in enumerate(bounds)]
+        # call order
+        low, high = np.array(bounds).T
+        return list(rng.uniform(low, high, (sample_count, len(bounds))).T)
 
     point = ((-50.0, 50.0), (-5.0, 5.0))
     xr, xl, yr, yl, zr, zl = draw(*point * 3)
-    xi, yi, zi = _map(math.exp, xl), _map(math.exp, yl), _map(math.exp, zl)
-    # d(x, z) = d(z, x) bit for bit: the same squares and product
+    xi, yi, zi = np.exp(xl), np.exp(yl), np.exp(zl)
     d_zx, d_zy = _h2_distances(zr, zi, xr, xi), _h2_distances(zr, zi, yr, yi)
     d_xy = _h2_distances(xr, xi, yr, yi)
     excess = d_zx + d_zy - d_xy
@@ -670,15 +612,15 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     tri_max = float(excess.max(initial=0.0))
 
     xr, xl, yr, yl = draw(*point * 2)
-    xi, yi = _map(math.exp, xl), _map(math.exp, yl)
+    xi, yi = np.exp(xl), np.exp(yl)
     d = _h2_distances(xr, xi, yr, yi)
     # the defect d - (2 t_xi + |busemann|): t_xi is 0 unless the
     # horizontal gap exceeds the level
     gap, level = np.abs(xr - yr), np.maximum(xi, yi)
     far = gap > level
     t = np.zeros(sample_count)
-    t[far] = _map(math.log, gap[far]) - _map(math.log, level[far])
-    busemann = _map(math.log, yi) - _map(math.log, xi)
+    t[far] = np.log(gap[far]) - np.log(level[far])
+    busemann = np.log(yi) - np.log(xi)
     dev = np.abs(d - (2.0 * t + np.abs(busemann)))
     eps0 = float(dev.max(initial=0.0))
     win_low = float(dev[(5.0 <= d) & (d < 10.0)].max(initial=0.0))
@@ -689,10 +631,10 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     sigma, tau, xr, xu, ry, yu = draw(
         (0.1, 3.0), (0.1, 3.0), (-50.0, 50.0), (0.0, 3.0), (-50.0, 50.0),
         (0.0, 3.0))
-    level, top = _map(math.exp, sigma), _map(math.exp, -tau)
-    xi = level * _map(math.exp, xu)
-    uy = (1.0 / top) * _map(math.exp, yu)
-    denom = _square(ry) + _square(uy)
+    level, top = np.exp(sigma), np.exp(-tau)
+    xi = level * np.exp(xu)
+    uy = (1.0 / top) * np.exp(yu)
+    denom = np.square(ry) + np.square(uy)
     yr, yi = -ry / denom, uy / denom
     through = (_h2_distances(xr, xi, 0.0, level) + (sigma + tau)
                + _h2_distances(0.0, top, yr, yi))

@@ -334,14 +334,6 @@ class TailAnalysis:
     log_segments: tuple[float, ...]
     ratios: tuple[float, ...]
 
-    @property
-    def converges(self) -> bool:
-        return self.verdict is True
-
-    @property
-    def diverges(self) -> bool:
-        return self.verdict is False
-
 
 def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
                       t0: float,

@@ -111,7 +111,11 @@ class _Envelope:
             return np.full_like(t, -self.rate) if order == 1 else np.zeros_like(t)
         if order == 0:
             return self.power * np.log(t) - self.rate * t
-        return self.power / t - self.rate if order == 1 else -self.power / (t * t)
+        if order == 1:
+            return self.power / t - self.rate
+        # t * t overflows at depths near the float range; -0.0 is the limit
+        with np.errstate(over="ignore"):
+            return -self.power / (t * t)
 
     def slope_range(self, lo: np.ndarray, hi: np.ndarray):
         """Least and greatest log-slope on [lo, hi]: power/t - rate is

@@ -475,6 +475,16 @@ class TestNumberRanges:
         assert not _assertion_map(_summary(out))[
             "certified:critical-finite-5.4a"]["passed"]
 
+    def test_deep_envelope_curvature_runs_without_a_warning(self, tmp_path):
+        # at m = 10^21 the deepest windows reach t * t past the float
+        # range, where the envelope's second log-derivative -power / t^2
+        # is -0.0; a RuntimeWarning there is an error under this suite
+        rc, out = _run(tmp_path, "profile-validate", "--name",
+                       "critical-finite-5.4a", "--M", "1" + "0" * 21)
+        assert rc == EXIT_PASS
+        assert _assertion_map(_summary(out))[
+            "certified:critical-finite-5.4a"]["passed"]
+
     def test_finite_overrides_still_accepted(self, tmp_path):
         cfg = _resolve(["example-run", "--b", "2.5", "--gamma", "0.3",
                         "--mu", "0.2", "--M", "4"])

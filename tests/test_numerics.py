@@ -230,18 +230,18 @@ class TestGaussSums:
 class TestTailAnalysis:
     def test_exponential_tail_converges(self):
         res = log_tail_integral(lambda t: -t, 1.0)
-        assert res.converges
+        assert res.verdict is True
         assert res.log_tail == pytest.approx(-1.0, abs=1e-6)
 
     def test_harmonic_tail_diverges(self):
         res = log_tail_integral(lambda t: -np.log(t), 1.0)
-        assert res.diverges
+        assert res.verdict is False
 
     def test_inverse_square_tail_value(self):
         # integral of t^{-2} over [1, inf) = 1; window ratio is exactly 1/2
         # so the geometric remainder estimate closes the sum exactly.
         res = log_tail_integral(lambda t: -2.0 * np.log(t), 1.0)
-        assert res.converges
+        assert res.verdict is True
         assert res.log_tail == pytest.approx(0.0, abs=1e-7)
 
     def test_undetermined_zone(self):

@@ -186,6 +186,33 @@ def test_private_definitions_have_a_reader_in_src():
     assert test_only == []
 
 
+def _layer_targets() -> set[str]:
+    """The names in the ``Layer(module, "function" or "Class.method")``
+    targets that the benchmark's traced run wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            == "Layer" for name in node.args[1].value.split(".")}
+
+
+def test_public_definitions_have_a_reader():
+    # a public function or class that neither the package, nor an
+    # acceptance criterion, nor the benchmark reads is library surface
+    # that only the tests keep; the package's __init__ re-exports and so
+    # reads nothing
+    readers = [p for p in sorted((ROOT / "src").rglob("*.py"))
+               if p.name != INIT.name]
+    read = set().union(*(_read_names(p) for p in readers),
+                       _read_names(TESTS / "test_acceptance.py"),
+                       _layer_targets())
+    unread = [f"{path.name}:{node.lineno}: {node.name}"
+              for path in SOURCES
+              for node in ast.parse(path.read_text(), str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call, 12-18 ms that every
     # command would pay; a fresh interpreter shows whether any path does

@@ -48,6 +48,10 @@ RUNS = (
     # a spacing base inside the float range whose window edges overflow it
     ("profile-validate-huge-m", ["profile-validate", "--name", "sparse-5.2",
                                  "--M", "1" + "0" * 300]),
+    # window edges inside the float range whose squares overflow it
+    ("profile-validate-deep-m", ["profile-validate", "--name",
+                                 "critical-finite-5.4a", "--M",
+                                 "1" + "0" * 21]),
 )
 
 # lines of unified diff shown per differing text file
