@@ -6,6 +6,13 @@ report, and a machine-readable summary) into the output directory.
 Every float is emitted through repr and nothing records wall-clock
 state, so identical configurations produce byte-identical outputs.
 
+The command runners compute and return their artifacts; ``run`` alone
+writes them, only after all of the command's computations finish, with
+``summary.json`` last, listing exactly the files written.  A run that
+stops on an error before then (exit 2, 3 or 4) writes nothing.  An
+artifact that cannot be written exits 2 naming the file; the files
+before it stay written, but no ``summary.json``.
+
 Exit codes: 0 all assertions passed, 1 at least one assertion failed,
 2 configuration problem, 3 internal error, 4 numerical failure (an
 integral missed its tolerance within its budget).
@@ -324,12 +331,22 @@ def _jsonable(value):
     return str(value)
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text with one row per entry of the columns: an integer column
+    through str(int), any other through repr(float)."""
+    cells = [[str(int(v)) for v in c] if np.asarray(c).dtype.kind in "iu"
+             else [repr(float(v)) for v in c] for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 # -- command runners -----------------------------------------------------------
+# Each takes the config alone and returns its assertions and its
+# artifacts, a dict from file name to text in write order.
 
 
-def _run_profile_validate(cfg: ExperimentConfig, outdir: Path):
+def _run_profile_validate(cfg: ExperimentConfig):
     assertions = []
-    artifacts = []
+    artifacts = {}
     lines = []
     for name in _names(cfg):
         params = _params_for(cfg, name)
@@ -352,17 +369,14 @@ def _run_profile_validate(cfg: ExperimentConfig, outdir: Path):
             for msg in rep.messages:
                 lines.append(f"note: {msg}")
             lines.append("")
-            fname = f"profile-{tag}.txt"
-            (outdir / fname).write_text(profile_to_text(prof))
-            artifacts.append(fname)
-    (outdir / "profiles.txt").write_text("\n".join(lines))
-    artifacts.append("profiles.txt")
+            artifacts[f"profile-{tag}.txt"] = profile_to_text(prof)
+    artifacts["profiles.txt"] = "\n".join(lines)
     return assertions, artifacts
 
 
-def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
+def _run_cusp_analyze(cfg: ExperimentConfig):
     assertions = []
-    artifacts = []
+    artifacts = {}
     lines = []
     rel_tol = cfg.tolerances["rel_tol"]
     for name in _names(cfg):
@@ -380,21 +394,15 @@ def _run_cusp_analyze(cfg: ExperimentConfig, outdir: Path):
         lines.append(f"weighted tail verdict at the abscissa: "
                      f"{'converges' if tail.verdict else 'diverges'}")
         lines.append("")
-        fname = f"cusp-{name}.csv"
-        rows = ["R,log_excursion_mass,log_orbit_count"]
-        for i, r in enumerate(radii):
-            rows.append(f"{float(r)!r},{float(excursion.log_values[i])!r},"
-                        f"{float(orbital.log_values[i])!r}")
-        (outdir / fname).write_text("\n".join(rows) + "\n")
-        artifacts.append(fname)
-    (outdir / "cusps.txt").write_text("\n".join(lines))
-    artifacts.append("cusps.txt")
+        artifacts[f"cusp-{name}.csv"] = _csv(
+            "R,log_excursion_mass,log_orbit_count",
+            radii, excursion.log_values, orbital.log_values)
+    artifacts["cusps.txt"] = "\n".join(lines)
     return assertions, artifacts
 
 
-def _run_lattice_classify(cfg: ExperimentConfig, outdir: Path):
+def _run_lattice_classify(cfg: ExperimentConfig):
     assertions = []
-    artifacts = []
     chunks = []
     for name in _names(cfg):
         spec = catalog_spec(name, _params_for(cfg, name))
@@ -411,14 +419,12 @@ def _run_lattice_classify(cfg: ExperimentConfig, outdir: Path):
             "omega_minus": [_jsonable(e.omega_minus) for e in rep.estimates],
         })
         chunks.append(f"[{name}]\n{rep.summary()}\n")
-    (outdir / "classification.txt").write_text("\n".join(chunks))
-    artifacts.append("classification.txt")
-    return assertions, artifacts
+    return assertions, {"classification.txt": "\n".join(chunks)}
 
 
-def _run_example(cfg: ExperimentConfig, outdir: Path):
+def _run_example(cfg: ExperimentConfig):
     assertions = []
-    artifacts = []
+    artifacts = {}
     trend = TrendPolicy(tau=cfg.tolerances["trend_tau"],
                         band=cfg.tolerances["trend_band"])
     for name in _names(cfg):
@@ -432,15 +438,15 @@ def _run_example(cfg: ExperimentConfig, outdir: Path):
                 "expected": _jsonable(claim.expected),
                 "computed": _jsonable(claim.computed),
             })
-        (outdir / f"example-{name}.txt").write_text(rep.to_text())
-        (outdir / f"growth-{name}.csv").write_text(rep.csv_text())
-        artifacts.extend([f"example-{name}.txt", f"growth-{name}.csv"])
+        artifacts[f"example-{name}.txt"] = rep.to_text()
+        artifacts[f"growth-{name}.csv"] = _csv(
+            "R,log_v_gamma,log_v_x_lower,log_v_x_upper",
+            rep.radii, rep.log_vgamma, rep.log_vx_lower, rep.log_vx_upper)
     return assertions, artifacts
 
 
-def _run_oracle_verify(cfg: ExperimentConfig, outdir: Path):
+def _run_oracle_verify(cfg: ExperimentConfig):
     assertions = []
-    artifacts = []
     lemmas = verify_lemmas(10000, cfg.seed)
     sandwich = verify_prop28(cfg.r_cap, cfg.gauge)
     exponent = estimate_delta(r_cap=cfg.r_cap)
@@ -457,9 +463,6 @@ def _run_oracle_verify(cfg: ExperimentConfig, outdir: Path):
                        "passed": bool(0.85 <= exponent.estimate <= 1.15),
                        "estimate": _jsonable(exponent.estimate)})
     assertions.append({"name": "counting-band", "passed": bool(band.passed)})
-
-    (outdir / "oracle-counts.csv").write_text(table.to_csv_text())
-    artifacts.append("oracle-counts.csv")
 
     constants = [
         ("triangle_max_defect", lemmas.triangle_max_defect),
@@ -478,9 +481,11 @@ def _run_oracle_verify(cfg: ExperimentConfig, outdir: Path):
         "== counting band ==", band.summary(), "",
         "== fitted constants ==",
         *[f"{key} = {value!r}" for key, value in constants], ""])
-    (outdir / "oracle.txt").write_text(report)
-    artifacts.append("oracle.txt")
-    return assertions, artifacts
+    counts = _csv("R,v_gamma,v_gamma_annulus,v_left_cosets,v_right_cosets,"
+                  "v_double_cosets", table.radii, table.v_group,
+                  table.v_group_annulus, table.v_left, table.v_right,
+                  table.v_double)
+    return assertions, {"oracle-counts.csv": counts, "oracle.txt": report}
 
 
 _RUNNERS = {
@@ -492,16 +497,12 @@ _RUNNERS = {
 }
 
 
-def _write_plot_script(outdir: Path, artifacts: list[str]) -> Optional[str]:
-    csvs = [a for a in artifacts if a.endswith(".csv")]
-    if not csvs:
-        return None
+def _plot_script(csvs: list[str]) -> str:
     lines = ['set datafile separator ","', "set key autotitle columnhead",
              "set xlabel 'R'"]
     for fname in csvs:
         lines.append(f'plot "{fname}" using 1:2 with lines')
-    (outdir / "plot.gp").write_text("\n".join(lines) + "\n")
-    return "plot.gp"
+    return "\n".join(lines) + "\n"
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -511,17 +512,16 @@ def run(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"cannot create output directory "
                           f"{cfg.out}: {exc}") from exc
     try:
-        assertions, artifacts = _RUNNERS[cfg.command](cfg, cfg.out)
+        assertions, artifacts = _RUNNERS[cfg.command](cfg)
     except CatalogError as exc:
         flags = " ".join(f"--{flag} {value!r}"
                          for flag, value in _overrides(cfg).items())
         if not flags:
             raise
         raise CatalogError(f"{exc} (overrides in effect: {flags})") from exc
-    if cfg.plot_script:
-        extra = _write_plot_script(cfg.out, artifacts)
-        if extra is not None:
-            artifacts.append(extra)
+    csvs = [name for name in artifacts if name.endswith(".csv")]
+    if cfg.plot_script and csvs:
+        artifacts["plot.gp"] = _plot_script(csvs)
     passed = all(a["passed"] for a in assertions)
     summary = {
         "command": cfg.command,
@@ -532,8 +532,15 @@ def run(cfg: ExperimentConfig) -> int:
         "artifacts": sorted(artifacts) + ["summary.json"],
         "tolerances": cfg.tolerances,
     }
-    (cfg.out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    artifacts["summary.json"] = json.dumps(summary, indent=2,
+                                           sort_keys=True) + "\n"
+    # the one writer of the output directory, after every computation
+    for name, text in artifacts.items():
+        path = cfg.out / name
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     for entry in assertions:
         print(("ok   " if entry["passed"] else "FAIL ") + entry["name"])
     print(f"{cfg.command}: {'PASS' if passed else 'FAIL'} "

@@ -477,15 +477,6 @@ class CountTable:
     v_right: np.ndarray
     v_double: np.ndarray
 
-    def to_csv_text(self) -> str:
-        rows = ["R,v_gamma,v_gamma_annulus,v_left_cosets,"
-                "v_right_cosets,v_double_cosets"]
-        for i, r in enumerate(self.radii):
-            rows.append(f"{float(r)!r},{self.v_group[i]},"
-                        f"{self.v_group_annulus[i]},{self.v_left[i]},"
-                        f"{self.v_right[i]},{self.v_double[i]}")
-        return "\n".join(rows) + "\n"
-
 
 def coset_counts(r: float, gauge: float) -> CountTable:
     """Counts of group elements, cosets, and double cosets at every

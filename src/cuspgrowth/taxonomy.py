@@ -430,19 +430,6 @@ class ExampleReport:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
 
-    def csv_rows(self) -> list[tuple[float, float, float, float]]:
-        return [
-            (float(r), float(a), float(lo), float(hi))
-            for r, a, lo, hi in zip(self.radii, self.log_vgamma,
-                                    self.log_vx_lower, self.log_vx_upper)
-        ]
-
-    def csv_text(self) -> str:
-        rows = ["R,log_v_gamma,log_v_x_lower,log_v_x_upper"]
-        for r, a, lo, hi in self.csv_rows():
-            rows.append(f"{r!r},{a!r},{lo!r},{hi!r}")
-        return "\n".join(rows) + "\n"
-
 
 # run_example samples its growth series on np.linspace(1, r_max,
 # _GRID_POINTS), classifies to _CLASSIFY_R_MAX and caches the excursion

@@ -637,6 +637,26 @@ class TestExitCodes:
         assert not amap["exotic-conv-5.3a:computed-ambient-class"]["passed"]
         assert "FAIL" in capsys.readouterr().out
 
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys):
+        # a directory where the report goes: the write fails after the
+        # computations, like an output directory that cannot be created
+        out = tmp_path / "out"
+        (out / "oracle.txt").mkdir(parents=True)
+        rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "9")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'oracle.txt'}: ")
+        assert not (out / "summary.json").exists()
+
+    def test_failed_family_writes_nothing(self, tmp_path, capsys):
+        # the first three families accept --mu 0.45 and finish; the
+        # fourth rejects it, and the run leaves none of their artifacts
+        rc, out = _run(tmp_path, "example-run", "--name", "all",
+                       "--mu", "0.45")
+        assert rc == EXIT_CONFIG
+        assert "mu=0.45 leaves no transition band" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 def _maybe(values):
     return st.one_of(st.none(), values)
@@ -793,6 +813,22 @@ class TestExampleRun:
         script = (out / "plot.gp").read_text()
         assert 'plot "growth-sparse-5.2.csv"' in script
 
+    def test_growth_csv_shape(self, tmp_path):
+        name = "exotic-div-5.3b"
+        rc, out = _run(tmp_path, "example-run", "--name", name,
+                       "--Rmax", "500")
+        assert rc == EXIT_PASS
+        lines = (out / f"growth-{name}.csv").read_text().strip().split("\n")
+        assert lines[0] == "R,log_v_gamma,log_v_x_lower,log_v_x_upper"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        # one row per radius of the report, which repr round-trips
+        assert [r for r, *_ in rows] == list(run_example(name).radii)
+        assert rows[0][0] == pytest.approx(1.0)
+        assert rows[-1][0] == pytest.approx(500.0)
+        # log-domain envelope ordering survives the round trip
+        for _, _, lo, hi in rows:
+            assert lo <= hi + 1e-9
+
 
 class TestOracleVerify:
     def test_default_invocation(self, tmp_path):
@@ -826,6 +862,25 @@ class TestOracleVerify:
         # the count sandwiches, the exponent and the count table at h = 0,
         # the counting band at its target depth 2
         assert sorted(depths) == [0.0, 2.0]
+
+    def test_count_table_csv(self, tmp_path):
+        rc, out = _run(tmp_path, "oracle-verify", "--Rcap", "12",
+                       "--delta", "2")
+        assert rc == EXIT_PASS
+        lines = (out / "oracle-counts.csv").read_text().strip().split("\n")
+        assert lines[0] == ("R,v_gamma,v_gamma_annulus,v_left_cosets,"
+                            "v_right_cosets,v_double_cosets")
+        assert lines[1] == "2.0,5,12,3,3,2"
+        assert len(lines) == 7
+
+
+class TestCsv:
+    def test_int64_counts_are_plain_integers(self):
+        # numpy 2 prints an np.int64 as np.int64(5)
+        text = cli._csv("R,count,log", np.array([2.0, 4.0]),
+                        np.array([5, 12], dtype=np.int64),
+                        np.array([0.5, 1.5]))
+        assert text == "R,count,log\n2.0,5,0.5\n4.0,12,1.5\n"
 
 
 class TestReproducibility:

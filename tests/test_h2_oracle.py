@@ -374,14 +374,6 @@ class TestCosetCounts:
         tab = _table()
         assert np.array_equal(2 * tab.v_left, tab.v_group + 1)
 
-    def test_csv_shape(self):
-        text = _table().to_csv_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == ("R,v_gamma,v_gamma_annulus,v_left_cosets,"
-                            "v_right_cosets,v_double_cosets")
-        assert lines[1] == "2.0,5,12,3,3,2"
-        assert len(lines) == 7
-
     def test_coset_norm_inversion_symmetry(self):
         # |gP| computed by direct translation minimization equals |Pg^-1|
         for g in (B, A @ B, B @ A @ B):

@@ -342,19 +342,6 @@ class TestRunExample:
         assert "overall: PASS" in text
         assert "PASS  computed-volume-class" in text
 
-    def test_report_csv_shape(self):
-        rep = _example("exotic-div-5.3b")
-        rows = rep.csv_rows()
-        assert len(rows) == len(rep.radii)
-        assert rows[0][0] == pytest.approx(1.0)
-        assert rows[-1][0] == pytest.approx(500.0)
-        lines = rep.csv_text().strip().split("\n")
-        assert lines[0] == "R,log_v_gamma,log_v_x_lower,log_v_x_upper"
-        assert len(lines) == len(rows) + 1
-        # log-domain envelope ordering survives the round trip
-        for _, _, lo, hi in rows:
-            assert lo <= hi + 1e-9
-
     def test_unknown_family_rejected(self):
         from cuspgrowth import CatalogError
         with pytest.raises(CatalogError):

@@ -45,6 +45,9 @@ RUNS = (
                             "critical-infinite-5.4b", "--gamma", "0.3"]),
     ("oracle-verify-delta2", ["oracle-verify", "--Rcap", "14",
                               "--delta", "2"]),
+    # a family past the first rejects the override: exits 2 having
+    # written nothing, not even the families that ran before it
+    ("example-run-mu045", ["example-run", "--name", "all", "--mu", "0.45"]),
     # a spacing base inside the float range whose window edges overflow it
     ("profile-validate-huge-m", ["profile-validate", "--name", "sparse-5.2",
                                  "--M", "1" + "0" * 300]),
