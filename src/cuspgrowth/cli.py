@@ -8,10 +8,12 @@ state, so identical configurations produce byte-identical outputs.
 
 The command runners compute and return their artifacts; ``run`` alone
 writes them, only after all of the command's computations finish, with
-``summary.json`` last, listing exactly the files written.  A run that
-stops on an error before then (exit 2, 3 or 4) writes nothing.  An
-artifact that cannot be written exits 2 naming the file; the files
-before it stay written, but no ``summary.json``.
+``summary.json`` last, listing exactly the files written; first it
+removes the files that an earlier ``summary.json`` there lists.  A run
+that stops on an error before then (exit 2, 3 or 4) writes nothing, and
+an artifact path that is a directory exits 2 naming it before any file
+is touched.  Another failed write exits 2 too, leaving the files before
+it but no ``summary.json``.
 
 Exit codes: 0 all assertions passed, 1 at least one assertion failed,
 2 configuration problem, 3 internal error, 4 numerical failure (an
@@ -505,6 +507,18 @@ def _plot_script(csvs: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stale_files(out: Path) -> list[Path]:
+    """The files that an earlier ``summary.json`` in ``out`` lists in its
+    ``artifacts``, by plain file name; none if it does not parse."""
+    try:
+        listed = json.loads((out / "summary.json").read_text())["artifacts"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return []
+    return [out / name for name in (listed if isinstance(listed, list) else [])
+            if isinstance(name, str) and name == Path(name).name
+            and (out / name).is_file()]
+
+
 def run(cfg: ExperimentConfig) -> int:
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -534,7 +548,16 @@ def run(cfg: ExperimentConfig) -> int:
     }
     artifacts["summary.json"] = json.dumps(summary, indent=2,
                                            sort_keys=True) + "\n"
-    # the one writer of the output directory, after every computation
+    # the one writer of the output directory, after every computation:
+    # it checks every path, removes the earlier run's files, then writes
+    for path in (cfg.out / name for name in artifacts):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: is a directory")
+    for path in _stale_files(cfg.out):
+        try:
+            path.unlink()
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {path}: {exc}") from exc
     for name, text in artifacts.items():
         path = cfg.out / name
         try:

@@ -665,7 +665,6 @@ class Prop28Report:
     shift_right_lower: Optional[float]
     shift_double_lower: Optional[float]
     assert_ok: bool
-    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -732,18 +731,12 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
         fits[name] = float(shift_grid[ok[0]])
         assert_ok = assert_ok and bool(np.all(holds[ok[0], ~fit]))
 
-    notes = ("coset norms are minima over the complete enumeration; "
-             "translation parameters beyond the ball radius only increase "
-             "the displacement",
-             "the double-coset shift is forced by small radii, where the "
-             "group annulus already counts the identity while nontrivial "
-             "double cosets only start at arccosh 3")
     return Prop28Report(
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=int(np.count_nonzero(fit)), n_assert=int(np.count_nonzero(~fit)),
         right_left_in_group=right_left, right_double_in_group=right_double,
         shift_left_lower=fits["left"], shift_right_lower=fits["right"],
-        shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
+        shift_double_lower=fits["double"], assert_ok=assert_ok)
 
 
 # -- critical exponent and counting formula -----------------------------------

@@ -11,7 +11,7 @@ family and scores the computed behaviour against the prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class Predictions:
     vx_class: Optional[GrowthClass]
     bm_finite: Optional[bool]
     margulis: Optional[bool]
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -247,35 +246,19 @@ def classify_lattice(spec: LatticeSpec,
         notes.append("no dominant cusps; the weighted-series criterion "
                      "is vacuous and the verdict follows divergence alone")
 
-    # Theorem dispatch keyed on the dominant cusps' pinch behaviour.
+    # Theorem dispatch keyed on the dominant cusps' pinch behaviour, in
+    # four branches: sparse, regular, exotic at the half-pinch boundary,
+    # and exotic strictly half-pinched.
     dom_diffs = [d for d, f in zip(diffs, spec.dominant_flags) if f]
+    ambient = GrowthClass.PURE if bm else GrowthClass.LOWER
     if sparse:
-        predictions = Predictions(
-            vgamma_class=None, vx_class=None, bm_finite=None, margulis=None,
-            notes=("sparse: any asymptotic behaviour is achievable; an upper "
-                   "volume rate strictly above the ambient exponent is "
-                   "realized by the catalog construction",))
+        predictions = Predictions(None, None, None, None)
     elif not exotic:
-        predictions = Predictions(
-            vgamma_class=GrowthClass.PURE, vx_class=GrowthClass.PURE,
-            bm_finite=True, margulis=True,
-            notes=("regular: volume tracks the orbit count and a limiting "
-                   "growth constant exists",))
+        predictions = Predictions(GrowthClass.PURE, GrowthClass.PURE, True, True)
+    elif any(abs(d) <= tol for d in dom_diffs):
+        predictions = Predictions(ambient, GrowthClass.UPPER, bm, False)
     else:
-        if any(abs(d) <= tol for d in dom_diffs):
-            predictions = Predictions(
-                vgamma_class=GrowthClass.PURE if bm else GrowthClass.LOWER,
-                vx_class=GrowthClass.UPPER,
-                bm_finite=bm, margulis=False,
-                notes=("exotic at the half-pinch boundary: volume outgrows "
-                       "the orbit count on excursion radii",))
-        else:
-            predictions = Predictions(
-                vgamma_class=GrowthClass.PURE if bm else GrowthClass.LOWER,
-                vx_class=GrowthClass.PURE if bm else GrowthClass.LOWER,
-                bm_finite=bm, margulis=None,
-                notes=("exotic, strictly half-pinched: volume and orbit "
-                       "count share a growth class",))
+        predictions = Predictions(ambient, ambient, bm, None)
 
     return TaxonomyReport(
         sparse=sparse, exotic=exotic, pinch_class=pinch,
@@ -296,7 +279,7 @@ def catalog_spec(name: str,
     params = params or default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, decay, flags = _LATTICES[name]["model"](params)
+    delta, decay, flags = _LATTICES[name].model(params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
                        vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
@@ -308,70 +291,81 @@ def catalog_spec(name: str,
 _SAMPLED_CLAIM_RADIUS = 500.0
 
 
-# Each catalog family's example lattice: "model" gives its ambient
-# model (delta, decay, dominance flags) from the fields "reads", and the
-# rest is its expected behaviour: the dispatched prediction triple
-# (ambient class, volume class, measure verdict), the Margulis-function
-# prediction, the growth classes the desk-scale series actually realize,
-# and the realizable excursion signatures.  The upper-excursion regime of
-# the critical families lives at radii far beyond desk scale, so for
-# those the computed volume class is recorded but not scored; what IS
-# scored is the rising trend of the volume-to-ambient peaks, the finite-
-# radius footprint of the same mechanism.
+def _class_name(kind: Optional[GrowthClass]) -> str:
+    return "unconstrained" if kind is None else kind.value
+
+
+# The claims every run scores, in order, each with the printer of its
+# expected and computed values: the taxonomy's decisions, the dispatched
+# predictions, and the growth class the ambient series realizes
+_CLAIMS = (
+    ("sparse", str), ("exotic", str), ("pinch-class", str),
+    ("predicted-ambient-class", _class_name),
+    ("predicted-volume-class", _class_name),
+    ("predicted-invariant-measure", lambda v: "unconstrained" if v is None
+     else ("finite" if v else "infinite")),
+    ("margulis-prediction", lambda v: "no prediction" if v is None else str(v)),
+    ("computed-ambient-class", _class_name),
+)
+
+
+class _Lattice(NamedTuple):
+    """A catalog family's example lattice: ``model(params)`` gives its
+    ambient model (delta, decay, dominance flags) from the fields
+    ``reads``, and ``expect`` one value per ``_CLAIMS`` entry.  The
+    sampled figures, where set, are scored from ``_SAMPLED_CLAIM_RADIUS``
+    on: the volume class, and the least peak trend and rate gap."""
+    model: Callable[[CatalogParams], tuple[float, float, tuple[bool, ...]]]
+    reads: frozenset[str]
+    expect: tuple
+    volume: Optional[GrowthClass] = None
+    peak_trend: Optional[float] = None
+    gap: Optional[float] = None
+
+
+# The critical families' upper-excursion regime lies far beyond desk
+# radii, so they score the rising volume-to-ambient peaks, its finite-
+# radius footprint, and not their computed volume class.
 _LATTICES = {
-    "sparse-5.2": dict(
+    "sparse-5.2": _Lattice(
         # the oscillating cusp pushes the ambient exponent slightly above
         # b/2, by half a bump that scales like the inverse spacing base
         model=lambda p: (p.rate_fast / 2.0 + (p.rate_fast / 2.0 - 1.0) / p.m / 2.0,
                          0.0, (False,)),
         reads=frozenset({"rate_fast", "m"}),
-        sparse=True, exotic=False, pinch=PINCH_NONE,
-        pred=(None, None, None), margulis=None,
-        ambient=GrowthClass.PURE, volume=None, peak_trend=None, gap=0.05),
-    "exotic-conv-5.3a": dict(
+        expect=(True, False, PINCH_NONE, None, None, None, None,
+                GrowthClass.PURE),
+        gap=0.05),
+    "exotic-conv-5.3a": _Lattice(
         model=lambda p: (p.rate_fast / 2.0, p.beta - 1.0, (True,)),
         reads=frozenset({"rate_fast", "beta"}),
-        sparse=False, exotic=True, pinch=PINCH_STRICT,
-        pred=(GrowthClass.LOWER, GrowthClass.LOWER, False), margulis=None,
-        ambient=GrowthClass.LOWER, volume=GrowthClass.LOWER,
-        peak_trend=None, gap=None),
-    "exotic-div-5.3b": dict(
+        expect=(False, True, PINCH_STRICT, GrowthClass.LOWER,
+                GrowthClass.LOWER, False, None, GrowthClass.LOWER),
+        volume=GrowthClass.LOWER),
+    "exotic-div-5.3b": _Lattice(
         model=lambda p: (p.rate_fast / 2.0, 0.0, (True,)),
         reads=frozenset({"rate_fast"}),
-        sparse=False, exotic=True, pinch=PINCH_STRICT,
-        pred=(GrowthClass.PURE, GrowthClass.PURE, True), margulis=None,
-        ambient=GrowthClass.PURE, volume=GrowthClass.PURE,
-        peak_trend=None, gap=None),
-    "critical-finite-5.4a": dict(
+        expect=(False, True, PINCH_STRICT, GrowthClass.PURE,
+                GrowthClass.PURE, True, None, GrowthClass.PURE),
+        volume=GrowthClass.PURE),
+    "critical-finite-5.4a": _Lattice(
         model=lambda p: (p.rate_fast / 2.0, 0.0, (True,)),
         reads=frozenset({"rate_fast"}),
-        sparse=False, exotic=True, pinch=PINCH_EXACT,
-        pred=(GrowthClass.PURE, GrowthClass.UPPER, True), margulis=False,
-        ambient=GrowthClass.PURE, volume=None, peak_trend=0.15, gap=None),
-    "critical-infinite-5.4b": dict(
+        expect=(False, True, PINCH_EXACT, GrowthClass.PURE,
+                GrowthClass.UPPER, True, False, GrowthClass.PURE),
+        peak_trend=0.15),
+    "critical-infinite-5.4b": _Lattice(
         model=lambda p: (p.rate_fast / 2.0, 1.0 - p.gamma, (True, True)),
         reads=frozenset({"rate_fast", "gamma"}),
-        sparse=False, exotic=True, pinch=PINCH_EXACT,
-        pred=(GrowthClass.LOWER, GrowthClass.UPPER, False), margulis=False,
-        ambient=GrowthClass.LOWER, volume=None, peak_trend=0.15, gap=None),
+        expect=(False, True, PINCH_EXACT, GrowthClass.LOWER,
+                GrowthClass.UPPER, False, False, GrowthClass.LOWER),
+        peak_trend=0.15),
 }
 
 # The CatalogParams fields each family reads in all: through its main
 # profile, its companions and its ambient model.
-_FAMILY_READS = {name: f.reads | f.companion_reads | _LATTICES[name]["reads"]
+_FAMILY_READS = {name: f.reads | f.companion_reads | _LATTICES[name].reads
                  for name, f in _FAMILIES.items()}
-
-
-def _class_name(kind: Optional[GrowthClass]) -> str:
-    return "unconstrained" if kind is None else kind.value
-
-
-def _verdict_name(v: Optional[bool]) -> str:
-    return "unconstrained" if v is None else ("finite" if v else "infinite")
-
-
-def _margulis_name(v: Optional[bool]) -> str:
-    return "no prediction" if v is None else str(v)
 
 
 @dataclass(frozen=True)
@@ -473,27 +467,14 @@ def run_example(name: str,
                                 label=f"{name}-volume-to-ambient")
     peak_trend = classify_growth(ratio_series, 0.0, trend).trend_peak
 
-    exp = _LATTICES[name]
+    lattice = _LATTICES[name]
     pred = taxonomy.predictions
-    want_vg, want_vx, want_bm = exp["pred"]
-    claims = [
-        Claim("sparse", str(exp["sparse"]), str(taxonomy.sparse),
-              taxonomy.sparse == exp["sparse"]),
-        Claim("exotic", str(exp["exotic"]), str(taxonomy.exotic),
-              taxonomy.exotic == exp["exotic"]),
-        Claim("pinch-class", exp["pinch"], taxonomy.pinch_class,
-              taxonomy.pinch_class == exp["pinch"]),
-        Claim("predicted-ambient-class", _class_name(want_vg),
-              _class_name(pred.vgamma_class), pred.vgamma_class == want_vg),
-        Claim("predicted-volume-class", _class_name(want_vx),
-              _class_name(pred.vx_class), pred.vx_class == want_vx),
-        Claim("predicted-invariant-measure", _verdict_name(want_bm),
-              _verdict_name(pred.bm_finite), pred.bm_finite == want_bm),
-        Claim("margulis-prediction", _margulis_name(exp["margulis"]),
-              _margulis_name(pred.margulis), pred.margulis == exp["margulis"]),
-        Claim("computed-ambient-class", exp["ambient"].value,
-              vgamma_class.value, vgamma_class == exp["ambient"]),
-    ]
+    computed = (taxonomy.sparse, taxonomy.exotic, taxonomy.pinch_class,
+                pred.vgamma_class, pred.vx_class, pred.bm_finite,
+                pred.margulis, vgamma_class)
+    claims = [Claim(claim, show(want), show(got), got == want)
+              for (claim, show), want, got
+              in zip(_CLAIMS, lattice.expect, computed)]
     notes: list[str] = []
     if r_max + 1e-9 < _SAMPLED_CLAIM_RADIUS:
         # band-residual classes flatten only near the calibrated radius;
@@ -503,24 +484,22 @@ def run_example(name: str,
             f"{_SAMPLED_CLAIM_RADIUS!r} to clear the residual transient; "
             f"ran at {r_max!r}, so only prediction claims are scored")
     else:
-        if exp["volume"] is not None:
+        want_vx = lattice.expect[4]  # the predicted volume class
+        if lattice.volume is not None:
             claims.append(Claim("computed-volume-class",
-                                exp["volume"].value, vx_class.value,
-                                vx_class == exp["volume"]))
+                                lattice.volume.value, vx_class.value,
+                                vx_class == lattice.volume))
         elif want_vx is not None:
             notes.append(
                 f"the predicted '{want_vx.value}' volume regime lies beyond "
                 f"desk radii; the computed class at R <= {r_max!r} is "
                 f"'{vx_class.value}' and is not scored")
-        if exp["peak_trend"] is not None:
-            claims.append(Claim("excursion-peak-trend",
-                                f">= {exp['peak_trend']!r}", f"{peak_trend!r}",
-                                peak_trend >= exp["peak_trend"]))
-        if exp["gap"] is not None:
-            gap = vx_rate - delta
-            claims.append(Claim("upper-volume-rate-gap",
-                                f">= {exp['gap']!r}", f"{gap!r}",
-                                gap >= exp["gap"]))
+        for claim, least, got in (
+                ("excursion-peak-trend", lattice.peak_trend, peak_trend),
+                ("upper-volume-rate-gap", lattice.gap, vx_rate - delta)):
+            if least is not None:
+                claims.append(Claim(claim, f">= {least!r}", f"{got!r}",
+                                    got >= least))
 
     return ExampleReport(
         name=name, params=params, taxonomy=taxonomy, delta_gamma=delta,

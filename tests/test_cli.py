@@ -638,8 +638,9 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
     def test_unwritable_artifact_is_config_error(self, tmp_path, capsys):
-        # a directory where the report goes: the write fails after the
-        # computations, like an output directory that cannot be created
+        # a directory where the report goes: the run refuses it after the
+        # computations, like an output directory that cannot be created,
+        # and before it writes any file
         out = tmp_path / "out"
         (out / "oracle.txt").mkdir(parents=True)
         rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "9")
@@ -647,6 +648,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / 'oracle.txt'}: ")
         assert not (out / "summary.json").exists()
+        assert not (out / "oracle-counts.csv").exists()
 
     def test_failed_family_writes_nothing(self, tmp_path, capsys):
         # the first three families accept --mu 0.45 and finish; the
@@ -736,6 +738,47 @@ class TestProfileValidate:
         assert "summary.json" in summary["artifacts"]
         on_disk = sorted(p.name for p in out.iterdir())
         assert summary["artifacts"] == on_disk
+
+
+class TestReusedOutputDirectory:
+    def test_earlier_run_files_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        rc, _ = _run(tmp_path, "example-run", "--name", "all", "--Rmax", "60")
+        assert rc == EXIT_PASS
+        rc, _ = _run(tmp_path, "example-run", "--name", "sparse-5.2",
+                     "--Rmax", "60")
+        assert rc == EXIT_PASS
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            _summary(out)["artifacts"] + ["notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_only_plain_listed_files_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        for path in (tmp_path / "outside.txt", out / "sub" / "inner.txt",
+                     out / "old.txt", out / "kept.txt"):
+            path.write_text("x\n")
+        (out / "summary.json").write_text(json.dumps({"artifacts": [
+            "old.txt", "../outside.txt", "sub/inner.txt", "sub", "..", 7]}))
+        rc, _ = _run(tmp_path, "profile-validate", "--name", "sparse-5.2")
+        assert rc == EXIT_PASS
+        assert not (out / "old.txt").exists()
+        for path in (tmp_path / "outside.txt", out / "sub" / "inner.txt",
+                     out / "kept.txt"):
+            assert path.read_text() == "x\n"
+
+    @pytest.mark.parametrize("text", ["{not json", '{"artifacts": "kept.txt"}',
+                                      '["kept.txt"]', "{}"])
+    def test_unreadable_summary_removes_nothing(self, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("x\n")
+        (out / "summary.json").write_text(text)
+        rc, _ = _run(tmp_path, "profile-validate", "--name", "sparse-5.2")
+        assert rc == EXIT_PASS
+        assert (out / "kept.txt").read_text() == "x\n"
 
 
 class TestCuspAnalyze:

@@ -1012,18 +1012,12 @@ def _ref_verify_prop28(r: float, gauge: float,
                     > _ref_annulus(norms[name], x, gauge) + 1e-9):
                 assert_ok = False
 
-    notes = ("coset norms are minima over the complete enumeration; "
-             "translation parameters beyond the ball radius only increase "
-             "the displacement",
-             "the double-coset shift is forced by small radii, where the "
-             "group annulus already counts the identity while nontrivial "
-             "double cosets only start at arccosh 3")
     return h2_oracle.Prop28Report(
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=len(fit_radii), n_assert=len(assert_radii),
         right_left_in_group=right_left, right_double_in_group=right_double,
         shift_left_lower=fits["left"], shift_right_lower=fits["right"],
-        shift_double_lower=fits["double"], assert_ok=assert_ok, notes=notes)
+        shift_double_lower=fits["double"], assert_ok=assert_ok)
 
 
 class TestCosetsAgainstReference:

@@ -32,8 +32,10 @@ from cuspgrowth import (
 )
 from cuspgrowth.profiles import _PROFILE_READS, CatalogParams, profile_to_text
 from cuspgrowth.taxonomy import (
+    _CLAIMS,
     _FAMILY_READS,
     _LATTICES,
+    _R_MAX_FLOOR,
     _group_divergent,
     catalog_spec,
 )
@@ -51,7 +53,7 @@ def _catalog_spec(name: str) -> LatticeSpec:
     params = default_catalog_params(name)
     main = catalog_profile(name, params)
     companions = catalog_companions(name, params)
-    delta, decay, flags = _LATTICES[name]["model"](params)
+    delta, decay, flags = _LATTICES[name].model(params)
     return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
                        vgamma=VGammaModel(delta, decay),
                        bounds=main.bounds,
@@ -223,7 +225,6 @@ class TestClassifyLattice:
         assert rep.predictions.vx_class is None
         assert rep.predictions.bm_finite is None
         assert rep.predictions.margulis is None
-        assert rep.predictions.notes
         est = rep.estimates[0]
         assert abs(est.omega_plus - 1.5) <= 0.01
         assert abs(est.omega_minus - 0.5) <= 0.01
@@ -299,18 +300,47 @@ class TestClassifyLattice:
         assert "cusp 0" in text
 
 
+# the claims every run scores, then each family's sampled claims, which
+# it scores from radius 500 on
+_PREDICTION_CLAIMS = [
+    "sparse", "exotic", "pinch-class",
+    "predicted-ambient-class", "predicted-volume-class",
+    "predicted-invariant-measure", "margulis-prediction",
+    "computed-ambient-class",
+]
+_SAMPLED_CLAIMS = {
+    "sparse-5.2": ["upper-volume-rate-gap"],
+    "exotic-conv-5.3a": ["computed-volume-class"],
+    "exotic-div-5.3b": ["computed-volume-class"],
+    "critical-finite-5.4a": ["excursion-peak-trend"],
+    "critical-infinite-5.4b": ["excursion-peak-trend"],
+}
+
+
 class TestRunExample:
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_claim_names_at_full_radius(self, name):
+        rep = _example(name)
+        assert [c.name for c in rep.claims] == (
+            _PREDICTION_CLAIMS + _SAMPLED_CLAIMS[name])
+        assert rep.passed
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_claim_names_at_the_radius_floor(self, name):
+        rep = run_example(name, r_max=_R_MAX_FLOOR)
+        assert [c.name for c in rep.claims] == _PREDICTION_CLAIMS
+        assert rep.passed
+        assert len(rep.notes) == 1
+        assert rep.notes[0].startswith("sampled-band claims need radius >= ")
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_every_record_expects_one_value_per_claim(self, name):
+        assert len(_LATTICES[name].expect) == len(_CLAIMS)
+
     def test_divergent_exotic_example_passes(self):
         rep = _example("exotic-div-5.3b")
         assert rep.passed
         assert all(c.passed for c in rep.claims)
-        names = [c.name for c in rep.claims]
-        assert names == [
-            "sparse", "exotic", "pinch-class",
-            "predicted-ambient-class", "predicted-volume-class",
-            "predicted-invariant-measure", "margulis-prediction",
-            "computed-ambient-class", "computed-volume-class",
-        ]
         assert rep.vgamma_class is GrowthClass.PURE
         assert rep.vx_class is GrowthClass.PURE
         assert rep.delta_gamma == pytest.approx(1.5)

@@ -33,6 +33,9 @@ RUNS = (
     ("cusp-analyze", ["cusp-analyze", "--name", "all"]),
     ("lattice-classify", ["lattice-classify"]),
     ("example-run", ["example-run", "--name", "all", "--Rmax", "500"]),
+    # below the sampled-claim radius: prediction claims and the
+    # transient note only
+    ("example-run-rmax60", ["example-run", "--name", "all", "--Rmax", "60"]),
     ("example-run-plot", ["example-run", "--name", "exotic-div-5.3b",
                           "--plot-script"]),
     ("oracle-verify", ["oracle-verify"]),
