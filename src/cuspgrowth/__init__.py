@@ -51,8 +51,6 @@ from .asymptotics import (
     log_cuspidal,
     log_orbital_parabolic,
     poincare_abscissa,
-    sample_cuspidal,
-    sample_orbital_parabolic,
     series_convergence_at,
     series_log_integrand,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .profiles import Profile
 __all__ = [
     "CuspModel",
     "log_cuspidal",
-    "sample_cuspidal",
     "log_orbital_parabolic",
-    "sample_orbital_parabolic",
     "poincare_abscissa",
     "series_log_integrand",
     "SeriesTail",
@@ -58,8 +56,9 @@ class CuspModel:
     c_norm: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c_norm <= 0:
-            raise DomainError("area normalization must be positive")
+        if not 0 < self.c_norm < math.inf:
+            raise DomainError(f"area normalization c_norm must be positive "
+                              f"and finite, got c_norm={self.c_norm}")
 
     @property
     def dim(self) -> int:
@@ -245,14 +244,6 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
                            a[keep], b[keep], owner, rel_tol=rel_tol, label=label)
 
 
-def sample_cuspidal(cusp: CuspModel, radii: Sequence[float],
-                    *, rel_tol: float = 1e-6) -> GrowthSeries:
-    """Sample ln F over a radius grid into a GrowthSeries."""
-    radii = np.asarray(radii, dtype=float)
-    vals = log_cuspidal(cusp, radii, rel_tol=rel_tol)
-    return GrowthSeries(radii=radii, log_values=vals, label="cusp-excursion")
-
-
 def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.ndarray:
     """ln of the modelled parabolic orbit count through radius R.
 
@@ -267,15 +258,6 @@ def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.nd
     half = np.maximum((np.asarray(r, dtype=float) + h_y) / 2.0, prof.t_start)
     out = -math.log(cusp.c_norm) - (cusp.dim - 1) * prof.log_value(half)
     return float(out) if np.ndim(r) == 0 else out
-
-
-def sample_orbital_parabolic(cusp: CuspModel,
-                             radii: Sequence[float]) -> GrowthSeries:
-    """Sample ln v_P toward the horosphere (h_y = 0) over a radius grid
-    into a GrowthSeries."""
-    radii = np.asarray(radii, dtype=float)
-    vals = np.asarray(log_orbital_parabolic(cusp, radii), dtype=float)
-    return GrowthSeries(radii=radii, log_values=vals, label="parabolic-orbit")
 
 
 def poincare_abscissa(cusp: CuspModel) -> float:
@@ -371,7 +353,6 @@ class GrowthSeries:
     with ln f(R) values."""
     radii: np.ndarray
     log_values: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         radii = np.asarray(self.radii, dtype=float)
@@ -431,7 +412,8 @@ class ExponentEstimate:
     ln f(R) / R seen across the tail windows; the ``converged`` flags
     report whether the two outermost windows agree to the policy
     tolerance.  For multiplicatively rescaled data the estimates shift by
-    at most ln(scale) / R_tail_min, the exact sensitivity of a ratio
+    at most ln(scale) / R_tail_min, with R_tail_min = R_max / 2^n_windows
+    the innermost window's lower edge: the exact sensitivity of a ratio
     statistic; no tighter invariance is possible.
     """
     omega_plus: float
@@ -440,7 +422,6 @@ class ExponentEstimate:
     converged_minus: bool
     window_peaks: tuple[float, ...]
     window_floors: tuple[float, ...]
-    r_tail_min: float
 
 
 def estimate_exponents(series: GrowthSeries,
@@ -451,7 +432,7 @@ def estimate_exponents(series: GrowthSeries,
         raise DomainError("exponent estimation needs positive radii")
     if radii[0] <= 0:
         keep = radii > 0
-        series = GrowthSeries(radii[keep], series.log_values[keep], series.label)
+        series = GrowthSeries(radii[keep], series.log_values[keep])
         radii = series.radii
     masks = _window_masks(radii, policy)
     ratios = series.log_values / radii
@@ -464,7 +445,6 @@ def estimate_exponents(series: GrowthSeries,
         converged_minus=abs(floors[0] - floors[1]) <= policy.tol,
         window_peaks=peaks,
         window_floors=floors,
-        r_tail_min=float(radii[-1]) / (2.0 ** policy.n_windows),
     )
 
 
@@ -583,8 +563,9 @@ def cuspidal_chain_check(cusp: CuspModel, r_max: float) -> ChainCheckReport:
     asserted with slack ``_CHAIN_TOL``.
     """
     radii = np.linspace(1.0, r_max, _CHAIN_POINTS)
-    orbital = sample_orbital_parabolic(cusp, radii)
-    excursion = sample_cuspidal(cusp, radii, rel_tol=_CHAIN_REL_TOL)
+    orbital = GrowthSeries(radii, log_orbital_parabolic(cusp, radii))
+    excursion = GrowthSeries(
+        radii, log_cuspidal(cusp, radii, rel_tol=_CHAIN_REL_TOL))
     est_p = estimate_exponents(orbital)
     est_f = estimate_exponents(excursion)
     delta_plus = est_p.omega_plus

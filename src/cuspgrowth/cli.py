@@ -35,9 +35,9 @@ import numpy as np
 from .asymptotics import (
     CuspModel,
     TrendPolicy,
+    log_cuspidal,
+    log_orbital_parabolic,
     poincare_abscissa,
-    sample_cuspidal,
-    sample_orbital_parabolic,
     series_convergence_at,
 )
 from .errors import CatalogError, ConfigError, CuspGrowthError, QuadratureError
@@ -321,18 +321,6 @@ def _params_for(cfg: ExperimentConfig, name: str) -> CatalogParams:
         **{_OVERRIDES[flag]: v for flag, v in _overrides(cfg).items()})
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "value"):
-        return value.value
-    return str(value)
-
-
 def _csv(header: str, *columns) -> str:
     """CSV text with one row per entry of the columns: an integer column
     through str(int), any other through repr(float)."""
@@ -360,7 +348,7 @@ def _run_profile_validate(cfg: ExperimentConfig):
             assertions.append({
                 "name": f"certified:{tag}",
                 "passed": bool(rep.passed),
-                "implied_eps": _jsonable(rep.implied_eps),
+                "implied_eps": rep.implied_eps,
                 "convex": bool(rep.convex),
             })
             lines.append(f"[{tag}]")
@@ -384,11 +372,11 @@ def _run_cusp_analyze(cfg: ExperimentConfig):
     for name in _names(cfg):
         cusp = CuspModel(profile=catalog_profile(name, _params_for(cfg, name)))
         radii = np.linspace(min(8.0, cfg.r_max / 4.0), cfg.r_max, 65)
-        excursion = sample_cuspidal(cusp, radii, rel_tol=rel_tol)
-        orbital = sample_orbital_parabolic(cusp, radii)
+        excursion = log_cuspidal(cusp, radii, rel_tol=rel_tol)
+        orbital = log_orbital_parabolic(cusp, radii)
         abscissa = poincare_abscissa(cusp)
         tail = series_convergence_at(cusp, abscissa)
-        monotone = bool(np.all(np.diff(orbital.log_values) >= -1e-9))
+        monotone = bool(np.all(np.diff(orbital) >= -1e-9))
         assertions.append({"name": f"orbit-monotone:{name}",
                            "passed": monotone})
         lines.append(f"[{name}]")
@@ -398,7 +386,7 @@ def _run_cusp_analyze(cfg: ExperimentConfig):
         lines.append("")
         artifacts[f"cusp-{name}.csv"] = _csv(
             "R,log_excursion_mass,log_orbit_count",
-            radii, excursion.log_values, orbital.log_values)
+            radii, excursion, orbital)
     artifacts["cusps.txt"] = "\n".join(lines)
     return assertions, artifacts
 
@@ -413,12 +401,13 @@ def _run_lattice_classify(cfg: ExperimentConfig):
             "name": f"classified:{name}",
             "passed": True,
             "pinch_class": rep.pinch_class,
-            "bm_finite": _jsonable(rep.bm_finite),
-            "predicted_ambient": _jsonable(rep.predictions.vgamma_class),
-            "predicted_volume": _jsonable(rep.predictions.vx_class),
-            "delta_gamma": _jsonable(rep.delta_gamma),
-            "omega_plus": [_jsonable(e.omega_plus) for e in rep.estimates],
-            "omega_minus": [_jsonable(e.omega_minus) for e in rep.estimates],
+            "bm_finite": rep.bm_finite,
+            "predicted_ambient": getattr(rep.predictions.vgamma_class,
+                                         "value", None),
+            "predicted_volume": getattr(rep.predictions.vx_class, "value", None),
+            "delta_gamma": rep.delta_gamma,
+            "omega_plus": [e.omega_plus for e in rep.estimates],
+            "omega_minus": [e.omega_minus for e in rep.estimates],
         })
         chunks.append(f"[{name}]\n{rep.summary()}\n")
     return assertions, {"classification.txt": "\n".join(chunks)}
@@ -437,8 +426,8 @@ def _run_example(cfg: ExperimentConfig):
             assertions.append({
                 "name": f"{name}:{claim.name}",
                 "passed": bool(claim.passed),
-                "expected": _jsonable(claim.expected),
-                "computed": _jsonable(claim.computed),
+                "expected": claim.expected,
+                "computed": claim.computed,
             })
         artifacts[f"example-{name}.txt"] = rep.to_text()
         artifacts[f"growth-{name}.csv"] = _csv(
@@ -463,7 +452,7 @@ def _run_oracle_verify(cfg: ExperimentConfig):
                        "passed": bool(sandwich.passed)})
     assertions.append({"name": "exponent-near-one",
                        "passed": bool(0.85 <= exponent.estimate <= 1.15),
-                       "estimate": _jsonable(exponent.estimate)})
+                       "estimate": exponent.estimate})
     assertions.append({"name": "counting-band", "passed": bool(band.passed)})
 
     constants = [

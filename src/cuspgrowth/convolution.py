@@ -72,8 +72,10 @@ class VGammaModel:
 
 # -- gauge convolution -----------------------------------------------------------
 
-def _values_on_multiples(series: GrowthSeries, count: int, delta: float) -> np.ndarray:
-    """Log values of a series at delta, 2 delta, ..., count*delta."""
+def _values_on_multiples(series: GrowthSeries, count: int, delta: float,
+                         which: str) -> np.ndarray:
+    """Log values of a series at delta, 2 delta, ..., count*delta; an error
+    names it the ``which`` ("first" or "second") series."""
     targets = np.arange(1, count + 1, dtype=float) * delta
     idx = np.searchsorted(series.radii, targets)
     idx = np.clip(idx, 0, series.radii.size - 1)
@@ -87,7 +89,7 @@ def _values_on_multiples(series: GrowthSeries, count: int, delta: float) -> np.n
     if np.any(bad):
         missing = targets[bad][0]
         raise DomainError(
-            f"series {series.label!r} has no sample at {missing!r} "
+            f"{which} series has no sample at {missing!r} "
             f"(gauge multiple)")
     return series.log_values[idx]
 
@@ -106,8 +108,8 @@ def conv_gauge(f: GrowthSeries, g: GrowthSeries, delta: float, r: float) -> floa
     n = int(math.floor(r / delta))
     if n < 2:
         return NEG_INF
-    f_vals = _values_on_multiples(f, n - 1, delta)
-    g_vals = _values_on_multiples(g, n - 1, delta)
+    f_vals = _values_on_multiples(f, n - 1, delta, "first")
+    g_vals = _values_on_multiples(g, n - 1, delta, "second")
     terms = f_vals + g_vals[::-1]
     return logsumexp(np.sort(terms))
 
@@ -156,11 +158,12 @@ class SandwichReport:
     log_upper: float
 
 
-def _step_log_values(series: GrowthSeries, t: np.ndarray, delta: float) -> np.ndarray:
+def _step_log_values(series: GrowthSeries, t: np.ndarray, delta: float,
+                     which: str) -> np.ndarray:
     # Step extension of grid data: constant f(j delta) on [j delta, (j+1) delta),
     # with the first cell borrowing the value at delta.
     j = np.maximum(np.floor(t / delta + 1e-12).astype(int), 1)
-    return _values_on_multiples(series, int(np.max(j)), delta)[j - 1]
+    return _values_on_multiples(series, int(np.max(j)), delta, which)[j - 1]
 
 
 def _step_convolution(f: GrowthSeries, g: GrowthSeries,
@@ -175,8 +178,8 @@ def _step_convolution(f: GrowthSeries, g: GrowthSeries,
     edges = np.array(sorted(cuts))
     mids = 0.5 * (edges[:-1] + edges[1:])
     lens = np.diff(edges)
-    vals = (_step_log_values(f, mids, delta)
-            + _step_log_values(g, r - mids, delta)
+    vals = (_step_log_values(f, mids, delta, "first")
+            + _step_log_values(g, r - mids, delta, "second")
             + np.log(lens))
     return logsumexp(vals)
 
@@ -195,10 +198,10 @@ def sandwich_check(f: GrowthSeries, g: GrowthSeries,
         raise DomainError("gauge must be positive")
     if r < 2.0 * delta:
         raise DomainError("radius below two gauge steps leaves an empty bracket")
-    for s in (f, g):
+    for which, s in (("first", f), ("second", g)):
         if np.any(np.diff(s.log_values) < 0):
             raise DomainError(
-                f"series {s.label!r} is not nondecreasing; the bracket "
+                f"{which} series is not nondecreasing; the bracket "
                 f"assumes monotone growth functions")
     log_cont = _step_convolution(f, g, delta, r)
     log_lower = math.log(delta) + conv_gauge(f, g, delta, r - delta)

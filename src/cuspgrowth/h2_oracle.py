@@ -781,7 +781,7 @@ def estimate_delta(*, r_cap: float = 12.0) -> DeltaReport:
     norms = _sorted_norms(r_cap)["group"]
     radii = np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
     counts = _ball(norms, radii).astype(float)
-    series = GrowthSeries(radii, np.log(counts), label="lattice-orbit")
+    series = GrowthSeries(radii, np.log(counts))
     est = estimate_exponents(series, _DELTA_POLICY)
     return DeltaReport(
         estimate=0.5 * (est.window_peaks[0] + est.window_floors[0]), est=est,

@@ -335,41 +335,43 @@ class TailAnalysis:
     ratios: tuple[float, ...]
 
 
+# log_tail_integral's window rule, as its docstring states it; each
+# window is integrated to _TAIL_REL_TOL
+_RATIO_CONV = 0.9
+_RATIO_DIV = 1.0
+_HARD_RATIO = math.exp(10.0)
+_RUN_LENGTH = 4
+_TAIL_REL_TOL = 1e-8
+_REMAINDER_CUT = 1e-9
+
+
 def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
                       t0: float,
                       *,
-                      ratio_conv: float = 0.9,
-                      ratio_div: float = 1.0,
-                      run_length: int = 4,
-                      max_windows: int = 40,
-                      rel_tol: float = 1e-8,
-                      remainder_cut: float = 1e-9,
-                      hard_ratio: Optional[float] = None) -> TailAnalysis:
+                      max_windows: int = 40) -> TailAnalysis:
     """Analyse the integral of exp(f_log) over [t0, infinity).
 
     The tail is scanned over the doubling windows [t0*2^k, t0*2^{k+1}].
-    ``run_length`` consecutive window ratios at or below ``ratio_conv``
+    ``_RUN_LENGTH`` consecutive window ratios at or below ``_RATIO_CONV``
     certify convergence; after that verdict the scan keeps extending until
-    the geometric remainder bound drops below ``remainder_cut`` of the
+    the geometric remainder bound drops below ``_REMAINDER_CUT`` of the
     accumulated mass, and the bound is folded into ``log_tail``.
 
     Divergence is never declared from early windows alone: because the
     window width doubles, the first ratios of a slowly convergent tail
     routinely sit above 1 before the decay catches up.  The scan therefore
     runs to ``max_windows`` and reports divergence only when the final
-    ``run_length`` ratios all sit at or above ``ratio_div`` (less a small
+    ``_RUN_LENGTH`` ratios all sit at or above ``_RATIO_DIV`` (less a small
     allowance for quadrature noise).  The one exception is a run of ratios
-    at or above ``hard_ratio`` (default e^10), far beyond what that
-    transient can produce, which ends the scan immediately and keeps
-    refinement costs bounded for strongly divergent integrands.  A
-    divergence run observed after a convergence verdict is conflicting
-    evidence and yields verdict None.
+    at or above ``_HARD_RATIO`` (e^10), far beyond what that transient can
+    produce, which ends the scan immediately and keeps refinement costs
+    bounded for strongly divergent integrands.  A divergence run observed
+    after a convergence verdict is conflicting evidence and yields verdict
+    None.
     """
     if t0 <= 0:
         raise DomainError("tail scan needs a positive starting point")
-    if hard_ratio is None:
-        hard_ratio = math.exp(10.0)
-    div_floor = ratio_div * (1.0 - 8.0 * rel_tol)
+    div_floor = _RATIO_DIV * (1.0 - 8.0 * _TAIL_REL_TOL)
     segs: list[float] = []
     ratios: list[float] = []
     conv_run = 0
@@ -382,7 +384,7 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
         a = t0 * (2.0 ** k)
         b = t0 * (2.0 ** (k + 1))
         try:
-            seg = log_integral(f_log, a, b, rel_tol=rel_tol)
+            seg = log_integral(f_log, a, b, rel_tol=_TAIL_REL_TOL)
         except QuadratureError as exc:
             # Deep windows evaluate the integrand as a difference of huge
             # terms, whose rounding noise puts rel_tol out of reach; the
@@ -398,38 +400,38 @@ def log_tail_integral(f_log: Callable[[np.ndarray], np.ndarray],
                 d = seg - segs[-2]
                 r = math.exp(d) if d < 700.0 else math.inf
             ratios.append(r)
-            if r <= ratio_conv:
+            if r <= _RATIO_CONV:
                 conv_run += 1
                 div_run = hard_run = 0
             elif r >= div_floor:
                 div_run += 1
                 conv_run = 0
-                hard_run = hard_run + 1 if r >= hard_ratio else 0
+                hard_run = hard_run + 1 if r >= _HARD_RATIO else 0
             else:
                 conv_run = div_run = hard_run = 0
             if verdict is None:
-                if conv_run >= run_length:
+                if conv_run >= _RUN_LENGTH:
                     verdict = True
-                elif hard_run >= run_length:
+                elif hard_run >= _RUN_LENGTH:
                     verdict = False
                     break
-            elif verdict is True and div_run >= run_length:
+            elif verdict is True and div_run >= _RUN_LENGTH:
                 verdict = None
                 conflicted = True
                 break
             if verdict is True:
                 # Remainder after the last window is at most a geometric
                 # series with the observed (capped) ratio.
-                rho = min(max(r, 1e-300), ratio_conv)
+                rho = min(max(r, 1e-300), _RATIO_CONV)
                 rem = segs[-1] + math.log(rho / (1.0 - rho))
-                if rem <= total + math.log(remainder_cut):
+                if rem <= total + math.log(_REMAINDER_CUT):
                     break
-    if (verdict is None and not conflicted and len(ratios) >= run_length
-            and all(r >= div_floor for r in ratios[-run_length:])):
+    if (verdict is None and not conflicted and len(ratios) >= _RUN_LENGTH
+            and all(r >= div_floor for r in ratios[-_RUN_LENGTH:])):
         verdict = False
     mass = total
     if verdict is True:
-        rho = min(max(ratios[-1], 1e-300), ratio_conv)
+        rho = min(max(ratios[-1], 1e-300), _RATIO_CONV)
         mass = log_add(mass, segs[-1] + math.log(rho / (1.0 - rho)))
     return TailAnalysis(verdict=verdict, log_tail=mass,
                         log_segments=tuple(segs), ratios=tuple(ratios))

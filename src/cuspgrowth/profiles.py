@@ -81,12 +81,15 @@ class CurvatureBounds:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.a <= self.b):
-            raise DomainError(f"need 0 < a <= b, got a={self.a}, b={self.b}")
+        # written so that a NaN fails each check
+        if not 0 < self.a <= self.b < INF:
+            raise DomainError(
+                f"need 0 < a <= b < inf, got a={self.a}, b={self.b}")
         if self.n < 2:
             raise DomainError(f"dimension must be >= 2, got {self.n}")
-        if self.eps < 0:
-            raise DomainError("pinching slack must be nonnegative")
+        if not self.eps >= 0:
+            raise DomainError(f"pinching slack eps must be nonnegative, "
+                              f"got eps={self.eps}")
 
 
 @dataclass(frozen=True)
@@ -540,19 +543,6 @@ class ValidationReport:
     worst_slope_gap: float
     convex: bool = True
 
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"profile validation: {state}",
-            f"  curvature proxy range: [{self.ratio_range[0]:.6g}, {self.ratio_range[1]:.6g}]",
-            f"  implied pinching slack: {self.implied_eps:.6g}",
-            f"  worst relative join gap: {self.worst_join_gap:.3g}",
-            f"  worst relative slope gap: {self.worst_slope_gap:.3g}",
-            f"  everywhere convex: {self.convex}",
-        ]
-        lines.extend("  " + m for m in self.messages)
-        return "\n".join(lines)
-
 
 def _piece_sample_grid(piece: ProfilePiece, samples: int) -> np.ndarray:
     hi = piece.t1
@@ -866,7 +856,8 @@ _PROFILE_READS = {name: family.reads for name, family in _FAMILIES.items()}
 def default_catalog_params(name: str) -> CatalogParams:
     """Family-specific defaults."""
     if name not in CATALOG_IDS:
-        raise CatalogError(f"unknown catalog id {name!r}")
+        raise CatalogError(f"unknown catalog id {name!r}; "
+                           f"known ids: {', '.join(CATALOG_IDS)}")
     return _FAMILIES[name].defaults
 
 
@@ -896,11 +887,9 @@ def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
     carry large slack, while wide bands (large m, small mu, large
     band_ratio) reach slack <= 0.1.
     """
-    params = params or default_catalog_params(name)
+    defaults = default_catalog_params(name)  # rejects an unknown id
+    params = params or defaults
     _require_finite_square(params)
-    if name not in CATALOG_IDS:
-        raise CatalogError(f"unknown catalog id {name!r}; "
-                           f"known ids: {', '.join(CATALOG_IDS)}")
     return _finalize(_FAMILIES[name].pieces(name, params), params)
 
 

@@ -33,7 +33,7 @@ from .asymptotics import (
     WindowPolicy,
     classify_growth,
     estimate_exponents,
-    sample_orbital_parabolic,
+    log_orbital_parabolic,
     series_convergence_at,
 )
 from .convolution import (
@@ -197,7 +197,7 @@ def classify_lattice(spec: LatticeSpec,
     tol = tol_factor * delta
     radii = np.linspace(1.0, _CLASSIFY_R_MAX, _CLASSIFY_POINTS)
     estimates = tuple(
-        estimate_exponents(sample_orbital_parabolic(c, radii))
+        estimate_exponents(GrowthSeries(radii, log_orbital_parabolic(c, radii)))
         for c in spec.cusps)
 
     notes: list[str] = []
@@ -452,19 +452,17 @@ def run_example(name: str,
 
     radii = np.linspace(1.0, r_max, _GRID_POINTS)
     log_vg = np.asarray(vg.log_value(radii), dtype=float)
-    vgamma_class = classify_growth(
-        GrowthSeries(radii, log_vg, label=f"{name}-ambient"), delta, trend).kind
+    vgamma_class = classify_growth(GrowthSeries(radii, log_vg), delta, trend).kind
 
     caches = cuspidal_interpolants(spec.cusps, r_max + 1.0, step=_CACHE_STEP,
                                    rel_tol=rel_tol)
     band = volume_band(vg, caches, radii, rel_tol=rel_tol)
     vx_lower, vx_upper = band.lower, band.upper
-    vx_series = GrowthSeries(radii, vx_upper, label=f"{name}-volume")
+    vx_series = GrowthSeries(radii, vx_upper)
     vx_class = classify_growth(vx_series, delta, trend).kind
     vx_rate = estimate_exponents(vx_series).omega_plus
 
-    ratio_series = GrowthSeries(radii, vx_upper - log_vg,
-                                label=f"{name}-volume-to-ambient")
+    ratio_series = GrowthSeries(radii, vx_upper - log_vg)
     peak_trend = classify_growth(ratio_series, 0.0, trend).trend_peak
 
     lattice = _LATTICES[name]

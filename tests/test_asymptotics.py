@@ -20,9 +20,9 @@ from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.asymptotics import (
     CuspModel,
     cuspidal_chain_check,
-    sample_orbital_parabolic,
     GrowthClass,
     GrowthSeries,
+    WindowPolicy,
     classify_growth,
     critical_exponent_chain_bound,
     log_cuspidal,
@@ -31,7 +31,6 @@ from cuspgrowth.asymptotics import (
     series_log_integrand,
     series_convergence_at,
     poincare_abscissa,
-    sample_cuspidal,
 )
 from cuspgrowth.convolution import CuspidalInterpolant, cuspidal_interpolants
 from cuspgrowth.numerics import log_tail_integral
@@ -65,6 +64,12 @@ class TestHoroArea:
         cusp = _pure_cusp(rate=2.0, n=3, c_norm=5.0)
         assert log_orbital_parabolic(cusp, 3.0) == pytest.approx(
             6.0 - math.log(5.0), rel=1e-14)
+
+    @pytest.mark.parametrize("c_norm", [math.nan, math.inf, 0.0, -1.0])
+    def test_normalization_must_be_positive_and_finite(self, c_norm):
+        # a NaN or infinite c_norm would turn ln v_P into NaN or -inf
+        with pytest.raises(DomainError, match="c_norm"):
+            _pure_cusp(c_norm=c_norm)
 
     @staticmethod
     def _ratio_bounds(cusp: CuspModel, t1: float, t2: float) -> tuple[float, float]:
@@ -142,8 +147,8 @@ class TestCuspidalFunction:
 
     def test_sample_series(self):
         cusp = _pure_cusp()
-        series = sample_cuspidal(cusp, [2.0, 4.0, 8.0])
-        assert series.log_values[2] == pytest.approx(
+        values = log_cuspidal(cusp, np.array([2.0, 4.0, 8.0]), rel_tol=1e-6)
+        assert values[2] == pytest.approx(
             math.log(2.0 * (math.exp(4.0) - 1.0)), abs=1e-5)
 
 
@@ -229,8 +234,6 @@ class TestBatchedExcursion:
             _adaptive_log_cuspidal(cusp, 8.0, 1e-10), abs=1e-8)
         with pytest.raises(QuadratureError):
             log_cuspidal(cusp, np.array([4.0, 8.0, 12.0]), rel_tol=1e-10)
-        with pytest.raises(QuadratureError):
-            sample_cuspidal(cusp, [4.0, 8.0, 12.0], rel_tol=1e-10)
 
     def test_panel_budget_raises(self, monkeypatch):
         cusp = CuspModel(catalog_profile("sparse-5.2"))
@@ -519,7 +522,8 @@ class TestEstimateExponents:
         scaled = GrowthSeries(base.radii, base.log_values + log_scale)
         e0 = estimate_exponents(base)
         e1 = estimate_exponents(scaled)
-        bound = abs(log_scale) / e0.r_tail_min + 1e-12
+        r_tail_min = base.radii[-1] / 2.0 ** WindowPolicy().n_windows
+        bound = abs(log_scale) / r_tail_min + 1e-12
         assert abs(e1.omega_plus - e0.omega_plus) <= bound
         assert abs(e1.omega_minus - e0.omega_minus) <= bound
 
@@ -580,8 +584,8 @@ class TestOrbitalParabolic:
         assert got == pytest.approx(3.0, rel=1e-12)
 
     def test_sampled_series(self):
-        s = sample_orbital_parabolic(_pure_cusp(), [2.0, 4.0, 8.0])
-        np.testing.assert_allclose(s.log_values, [1.0, 2.0, 4.0], rtol=1e-14)
+        values = log_orbital_parabolic(_pure_cusp(), np.array([2.0, 4.0, 8.0]))
+        np.testing.assert_allclose(values, [1.0, 2.0, 4.0], rtol=1e-14)
 
 
 class TestChainCheck:
@@ -602,3 +606,55 @@ class TestChainCheck:
         assert rep.delta_minus == pytest.approx(0.5, abs=0.01)
         assert rep.chain_bound == pytest.approx(2.0, abs=0.02)
         assert rep.omega_plus_f <= 2.0
+
+
+def _split(prof):
+    """The profile with its first piece cut at its midpoint and its final
+    piece at max(1.5 t0, t0 + 7.3), each into two pieces of the same law."""
+    first, *middle, last = prof.pieces
+
+    def cut(piece, at):
+        return (dataclasses.replace(piece, t1=at),
+                dataclasses.replace(piece, t0=at))
+
+    return assemble_profile(prof.bounds, [
+        *cut(first, 0.5 * (first.t0 + first.t1)), *middle,
+        *cut(last, max(1.5 * last.t0, last.t0 + 7.3))])
+
+
+class TestSplitInvariance:
+    """A cut inside a piece leaves ln T bit for bit, so what reads the
+    profile may move only by quadrature: the excursion integral within
+    its rel_tol, and the series abscissa and verdict not at all."""
+
+    @pytest.fixture(params=_excursion_profiles(),
+                    ids=[n for n, _ in _excursion_profiles()])
+    def pair(self, request):
+        prof = request.param[1]
+        split = _split(prof)
+        assert len(split.pieces) == len(prof.pieces) + 2
+        return prof, split
+
+    def test_log_value_is_bit_identical(self, pair):
+        prof, split = pair
+        t = np.linspace(prof.t_start, 2.0 * split.pieces[-1].t0, 200_001)
+        starts = np.union1d(prof._table.starts, split._table.starts)
+        for x in (t, starts):
+            assert np.array_equal(split.log_value(x), prof.log_value(x))
+
+    def test_series_abscissa_and_verdict_are_unchanged(self, pair):
+        prof, split = pair
+        cusp, split_cusp = CuspModel(prof), CuspModel(split)
+        s = poincare_abscissa(cusp)
+        assert poincare_abscissa(split_cusp) == s
+        assert (series_convergence_at(split_cusp, s).verdict
+                == series_convergence_at(cusp, s).verdict)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_excursion_moves_within_rel_tol(self, pair, rel_tol):
+        prof, split = pair
+        # the cache grid of run_example's default radius
+        nodes = prof.t_start + _CACHE_STEP * np.arange(1, 251)
+        got = log_cuspidal(CuspModel(split), nodes, rel_tol=rel_tol)
+        want = log_cuspidal(CuspModel(prof), nodes, rel_tol=rel_tol)
+        assert np.max(np.abs(got - want)) <= rel_tol

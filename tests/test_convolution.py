@@ -47,7 +47,7 @@ def _hyperbolic_cusp() -> CuspModel:
 
 def _flat_series(count: int, delta: float, level: float = 0.0) -> GrowthSeries:
     radii = delta * np.arange(1, count + 1)
-    return GrowthSeries(radii, np.full(count, level), label="flat")
+    return GrowthSeries(radii, np.full(count, level))
 
 
 def _exact_hyperbolic_excursion(u):
@@ -141,8 +141,11 @@ class TestGaugeConvolution:
 
     def test_missing_grid_point(self):
         f = GrowthSeries([2.0, 3.0, 4.0], [0.0, 0.0, 0.0])
-        with pytest.raises(DomainError, match="no sample"):
-            conv_gauge(f, f, 1.0, 5.0)
+        g = _flat_series(4, 1.0)
+        with pytest.raises(DomainError, match="^first series has no sample"):
+            conv_gauge(f, g, 1.0, 5.0)
+        with pytest.raises(DomainError, match="^second series has no sample"):
+            conv_gauge(g, f, 1.0, 5.0)
 
     def test_bad_gauge(self):
         f = _flat_series(4, 1.0)
@@ -208,8 +211,11 @@ class TestSandwich:
 
     def test_rejects_decreasing(self):
         f = GrowthSeries([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.5, 2.0])
-        with pytest.raises(DomainError, match="nondecreasing"):
-            sandwich_check(f, f, 1.0, 3.0)
+        g = _flat_series(4, 1.0)
+        with pytest.raises(DomainError, match="^first series is not nondecreasing"):
+            sandwich_check(f, g, 1.0, 3.0)
+        with pytest.raises(DomainError, match="^second series is not nondecreasing"):
+            sandwich_check(g, f, 1.0, 3.0)
 
     def test_rejects_tiny_radius(self):
         f = _flat_series(4, 1.0)

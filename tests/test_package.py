@@ -249,3 +249,66 @@ def test_catalog_ids_are_named_only_by_the_family_records():
                   and id(node) not in keys
                   and any(name in node.value for name in cuspgrowth.CATALOG_IDS)]
     assert named == []
+
+
+def _defaulted_parameters(path: Path):
+    """(callee, parameter, position, line) of each defaulted parameter of
+    a function or method in one file.  The callee is the name a call
+    uses: the class for ``__init__``, None for ``__call__``, whose
+    instances are called under any name.  The position counts the
+    positional arguments a call passes (a method's ``self`` is not
+    passed); a keyword-only parameter has none."""
+    found = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                skip = cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list)
+                callee = {"__init__": cls, "__call__": None}.get(node.name,
+                                                                 node.name)
+                first = len(positional) - len(args.defaults)
+                found.extend((callee, arg.arg, first + i - skip, node.lineno)
+                             for i, arg in enumerate(positional[first:]))
+                found.extend((callee, arg.arg, None, node.lineno)
+                             for arg, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                             if default is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text(), str(path)).body, None)
+    return found
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether a call may set the parameter: by keyword, through
+    ``**``, or positionally (a ``*`` argument reaches any position)."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call overrides is a constant dressed as a knob;
+    # calls are matched to a definition by the name they call
+    calls = {}
+    for folder in ("src", "tests", "tools", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    every = [call for named in calls.values() for call in named]
+    unset = [f"{path.name}:{line}: {callee or '__call__'}({parameter})"
+             for path in SOURCES + [INIT]
+             for callee, parameter, position, line in _defaulted_parameters(path)
+             if not any(_passes(call, parameter, position) for call in
+                        (every if callee is None else calls.get(callee, ())))]
+    assert unset == []

@@ -104,7 +104,7 @@ class TestBridge:
             CurvatureBounds(a=1.0, b=3.0, eps=0.1),
             [pure_piece(0.0, 10.0, 1.0), piece, pure_piece(2000.0, INF, 3.0)])
         report = validate_profile(prof)
-        assert report.passed, report.summary()
+        assert report.passed, report.messages
         assert report.convex
 
     def test_exact_at_band_ends(self):
@@ -179,6 +179,25 @@ class TestValidator:
         report = validate_profile(prof)
         assert not report.passed
         assert report.implied_eps == pytest.approx(3.0, rel=1e-12)
+
+    def test_nan_slack_is_rejected(self):
+        # the rate-3 proxy 9 lies outside [1, 4]: with eps = 0 the profile
+        # fails, and a NaN slack must not certify it instead
+        pieces = [pure_piece(0.0, INF, 3.0)]
+        prof = assemble_profile(CurvatureBounds(a=1.0, b=2.0, eps=0.0), pieces)
+        assert not validate_profile(prof).passed
+        with pytest.raises(DomainError, match="eps=nan"):
+            CurvatureBounds(a=1.0, b=2.0, eps=math.nan)
+
+    @pytest.mark.parametrize("a, b", [(1.0, INF), (INF, INF), (math.nan, 2.0),
+                                      (1.0, math.nan)])
+    def test_non_finite_curvature_bounds_are_rejected(self, a, b):
+        with pytest.raises(DomainError, match="a <= b < inf"):
+            CurvatureBounds(a=a, b=b)
+
+    def test_open_slack_window_stays_legal(self):
+        # the catalog's probe profile validates under eps = inf
+        assert CurvatureBounds(a=1.0, b=2.0, eps=INF).eps == INF
 
     @pytest.mark.parametrize("name, params", [
         *((name, None) for name in CATALOG_IDS),
@@ -291,7 +310,7 @@ class TestCatalog:
         for name in CATALOG_IDS:
             prof = catalog_profile(name)
             report = validate_profile(prof)
-            assert report.passed, f"{name}: {report.summary()}"
+            assert report.passed, (name, report.messages)
             for comp in catalog_companions(name):
                 assert validate_profile(comp).passed, name
 
@@ -350,7 +369,7 @@ class TestCatalog:
             prof = catalog_profile(name, params)
             assert prof.bounds.eps <= 0.1, (name, prof.bounds.eps)
             report = validate_profile(prof)
-            assert report.passed, f"{name}: {report.summary()}"
+            assert report.passed, (name, report.messages)
             assert report.convex, name
             for comp in catalog_companions(name, params):
                 assert comp.bounds.eps <= 0.1, name
@@ -406,6 +425,21 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog_profile("critical-finite-5.4a",
                             CatalogParams(m=3, mu=0.45, head=2.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog_profile("nope"),
+        lambda: catalog_profile("nope", CatalogParams()),
+        lambda: catalog_profile("nope", CatalogParams(rate_fast=1e300)),
+        lambda: catalog_companions("nope"),
+        lambda: catalog_companions("nope", CatalogParams(rate_fast=1e300)),
+        lambda: default_catalog_params("nope")],
+        ids=["profile", "profile-params", "profile-huge-rate", "companions",
+             "companions-huge-rate", "defaults"])
+    def test_unknown_id_reads_one_way(self, build):
+        known = ", ".join(CATALOG_IDS)
+        with pytest.raises(CatalogError) as exc:
+            build()
+        assert str(exc.value) == f"unknown catalog id 'nope'; known ids: {known}"
 
     def test_default_params_per_family(self):
         assert default_catalog_params("sparse-5.2").head == 4.0

@@ -41,6 +41,14 @@ RUNS = (
     ("oracle-verify", ["oracle-verify"]),
     ("oracle-verify-rcap14", ["oracle-verify", "--Rcap", "14", "--seed", "1"]),
     ("help", ["--help"]),
+    # accepted catalog overrides
+    ("profile-validate-gamma", ["profile-validate", "--name",
+                                "critical-infinite-5.4b", "--gamma", "0.3"]),
+    ("cusp-analyze-b-m", ["cusp-analyze", "--name", "sparse-5.2",
+                          "--b", "4", "--M", "4"]),
+    ("example-run-overrides", ["example-run", "--name",
+                               "critical-finite-5.4a", "--gamma", "0.3",
+                               "--b", "3.5", "--Rmax", "60"]),
     # configuration errors, which exit 2 with a message naming the flag
     ("example-run-rmax5", ["example-run", "--Rmax", "5"]),
     ("oracle-verify-b", ["oracle-verify", "--b", "3"]),
