@@ -380,6 +380,14 @@ class WindowPolicy:
     n_windows: int = 4
     tol: float = 0.02
 
+    def __post_init__(self) -> None:
+        # the converged flags compare the two outermost windows; written
+        # so that a NaN fails each check
+        if not (isinstance(self.n_windows, (int, np.integer)) and self.n_windows >= 2):
+            raise DomainError(f"n_windows must be an integer >= 2, got {self.n_windows!r}")
+        if not self.tol >= 0:
+            raise DomainError(f"tol must be nonnegative, got {self.tol!r}")
+
     def min_r_max(self, r_lo: float, n_points: int) -> float:
         """Smallest R_max at which np.linspace(r_lo, R_max, n_points)
         fills every window, for grids whose innermost window opens below

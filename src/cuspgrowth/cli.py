@@ -6,14 +6,14 @@ report, and a machine-readable summary) into the output directory.
 Every float is emitted through repr and nothing records wall-clock
 state, so identical configurations produce byte-identical outputs.
 
-The command runners compute and return their artifacts; ``run`` alone
-writes them, only after all of the command's computations finish, with
-``summary.json`` last, listing exactly the files written; first it
-removes the files that an earlier ``summary.json`` there lists.  A run
-that stops on an error before then (exit 2, 3 or 4) writes nothing, and
-an artifact path that is a directory exits 2 naming it before any file
-is touched.  Another failed write exits 2 too, leaving the files before
-it but no ``summary.json``.
+The command runners compute their artifacts, rendering every report's
+text here, and return them; ``run`` alone writes them, only after all of
+the command's computations finish, with ``summary.json`` last, listing
+exactly the files written; first it removes the files that an earlier
+``summary.json`` there lists.  A run that stops on an error before then
+(exit 2, 3 or 4) writes nothing, and an artifact path that is a
+directory exits 2 naming it before any file is touched.  Another failed
+write exits 2 too, leaving the files before it but no ``summary.json``.
 
 Exit codes: 0 all assertions passed, 1 at least one assertion failed,
 2 configuration problem, 3 internal error, 4 numerical failure (an
@@ -65,6 +65,8 @@ from .profiles import (
 from .taxonomy import (
     _FAMILY_READS,
     _R_MAX_FLOOR,
+    ExampleReport,
+    TaxonomyReport,
     catalog_spec,
     classify_lattice,
     run_example,
@@ -329,6 +331,56 @@ def _csv(header: str, *columns) -> str:
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
+def _taxonomy_text(t: TaxonomyReport) -> str:
+    """A lattice's taxonomy, as lattice-classify and each example's
+    report print it."""
+    lines = [
+        f"sparse: {t.sparse}",
+        f"exotic: {t.exotic}",
+        f"pinch class: {t.pinch_class}",
+        f"quarter pinched: {t.quarter_pinched}",
+        f"ambient exponent: {t.delta_gamma!r}",
+        f"invariant measure: {'finite' if t.bm_finite else 'infinite'}",
+    ]
+    for i, est in enumerate(t.estimates):
+        lines.append(
+            f"cusp {i}: upper {est.omega_plus:.4f} lower {est.omega_minus:.4f}"
+            + (" (dominant)" if t.dominant_flags[i] else ""))
+    return "\n".join(lines)
+
+
+def _example_text(rep: ExampleReport) -> str:
+    """The report of one example run: its taxonomy, exponents,
+    invariant-measure verdict, growth classes and scored claims."""
+    t = rep.taxonomy
+    lines = [f"example: {rep.name}", "", "== taxonomy ==", _taxonomy_text(t),
+             "", "== exponents =="]
+    for i, est in enumerate(t.estimates):
+        lines.append(
+            f"cusp {i}: upper {est.omega_plus!r} lower {est.omega_minus!r} "
+            f"converged {est.converged_plus}/{est.converged_minus}")
+    lines += ["", "== invariant measure ==",
+              f"group divergent: {t.group_divergent}"]
+    for i, v in enumerate(t.series_verdicts):
+        state = ("not computed" if v is None
+                 else ("converges" if v else "diverges"))
+        lines.append(f"cusp {i} weighted series: {state}")
+    lines += ["verdict: " + ("finite" if t.bm_finite else "infinite"),
+              "", "== growth classes ==",
+              f"ambient: {rep.vgamma_class.value}",
+              f"volume: {rep.vx_class.value} "
+              f"(upper rate {rep.vx_upper_rate!r}, "
+              f"volume-to-ambient peak trend {rep.vx_peak_trend!r})",
+              "", "== claims =="]
+    for c in rep.claims:
+        lines.append(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
+                     f"expected {c.expected}, computed {c.computed}")
+    lines += ["", f"overall: {'PASS' if rep.passed else 'FAIL'}"]
+    for note in rep.notes:
+        lines.append(f"note: {note}")
+    return "\n".join(lines) + "\n"
+
+
 # -- command runners -----------------------------------------------------------
 # Each takes the config alone and returns its assertions and its
 # artifacts, a dict from file name to text in write order.
@@ -409,7 +461,7 @@ def _run_lattice_classify(cfg: ExperimentConfig):
             "omega_plus": [e.omega_plus for e in rep.estimates],
             "omega_minus": [e.omega_minus for e in rep.estimates],
         })
-        chunks.append(f"[{name}]\n{rep.summary()}\n")
+        chunks.append(f"[{name}]\n{_taxonomy_text(rep)}\n")
     return assertions, {"classification.txt": "\n".join(chunks)}
 
 
@@ -429,7 +481,7 @@ def _run_example(cfg: ExperimentConfig):
                 "expected": claim.expected,
                 "computed": claim.computed,
             })
-        artifacts[f"example-{name}.txt"] = rep.to_text()
+        artifacts[f"example-{name}.txt"] = _example_text(rep)
         artifacts[f"growth-{name}.csv"] = _csv(
             "R,log_v_gamma,log_v_x_lower,log_v_x_upper",
             rep.radii, rep.log_vgamma, rep.log_vx_lower, rep.log_vx_upper)
@@ -459,22 +511,58 @@ def _run_oracle_verify(cfg: ExperimentConfig):
         ("triangle_max_defect", lemmas.triangle_max_defect),
         ("flow_defect_sup", lemmas.approx_eps0),
         ("horoball_defect_sup", lemmas.eps1_fitted),
-        ("left_gauge_shift", sandwich.shift_left_lower),
-        ("right_gauge_shift", sandwich.shift_right_lower),
+        # left and right cosets count alike: one shift fills both slots
+        ("left_gauge_shift", sandwich.shift_cosets_lower),
+        ("right_gauge_shift", sandwich.shift_cosets_lower),
         ("double_gauge_shift", sandwich.shift_double_lower),
         ("exponent_estimate", exponent.estimate),
         ("counting_log_constant", band.log_constant),
     ]
     report = "\n".join([
-        "== geometric lemmas ==", lemmas.summary(), "",
-        "== count sandwiches ==", sandwich.summary(), "",
-        "== critical exponent ==", exponent.summary(), "",
-        "== counting band ==", band.summary(), "",
+        "== geometric lemmas ==",
+        f"samples: {lemmas.samples} (seed {lemmas.seed})",
+        f"triangle defect: {lemmas.samples} checked, "
+        f"{lemmas.triangle_violations} violations, "
+        f"max defect {lemmas.triangle_max_defect:.6f}",
+        f"flow-time approximation: fitted eps0 {lemmas.approx_eps0:.6f}, "
+        f"window max {lemmas.approx_window_low:.6f} -> "
+        f"{lemmas.approx_window_high:.6f}",
+        f"horoball additivity: {lemmas.samples} checked, "
+        f"{lemmas.horoball_violations} violations, fitted eps1 "
+        f"{lemmas.eps1_fitted:.6f}",
+        f"verdict: {'PASS' if lemmas.passed else 'FAIL'}", "",
+        "== count sandwiches ==",
+        f"gauge {sandwich.gauge!r}, radii up to {sandwich.r_max!r} "
+        f"({sandwich.n_fit} fit rows, {sandwich.n_assert} assert rows)",
+        "exact: left-coset annuli <= group annuli: "
+        + ("ok" if sandwich.right_left_in_group else "FAIL"),
+        "exact: double-coset annuli <= group annuli: "
+        + ("ok" if sandwich.right_double_in_group else "FAIL"),
+        f"fitted lower shifts (left / right / double): "
+        f"{sandwich.shift_cosets_lower!r} / {sandwich.shift_cosets_lower!r} / "
+        f"{sandwich.shift_double_lower!r}",
+        "outer-half assertion: " + ("ok" if sandwich.assert_ok else "FAIL"),
+        f"verdict: {'PASS' if sandwich.passed else 'FAIL'}", "",
+        "== critical exponent ==",
+        f"critical exponent {exponent.estimate:.4f} "
+        f"(outer window {exponent.est.window_floors[0]:.4f} to "
+        f"{exponent.est.window_peaks[0]:.4f}, "
+        f"{exponent.n_elements} orbit points within {exponent.r_cap!r})", "",
+        "== counting band ==",
+        f"target depth {band.depth!r}, fitted on radii <= "
+        f"{band.fit_max!r}, asserted up to {band.r_cap!r}",
+        f"fitted log constant {band.log_constant:.6f} "
+        f"(deviation {band.max_fit_deviation:.6f} + pad "
+        f"{band.fit_pad:.6f})",
+        f"outer deviation {band.max_assert_deviation:.6f}: "
+        + ("inside the band" if band.assert_ok else "ESCAPES the band"),
+        f"outer drift around the fitted center: "
+        f"{band.max_center_drift:.6f}", "",
         "== fitted constants ==",
         *[f"{key} = {value!r}" for key, value in constants], ""])
     counts = _csv("R,v_gamma,v_gamma_annulus,v_left_cosets,v_right_cosets,"
                   "v_double_cosets", table.radii, table.v_group,
-                  table.v_group_annulus, table.v_left, table.v_right,
+                  table.v_group_annulus, table.v_cosets, table.v_cosets,
                   table.v_double)
     return assertions, {"oracle-counts.csv": counts, "oracle.txt": report}
 

@@ -374,8 +374,8 @@ def _sorted_norms(r: float,
                   h: float = 0.0) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Displacements of the counted objects, complete below radius r
     about the base point i * e^h, in the counted form of _tally: the
-    group elements, and at h = 0 also the left cosets, right cosets and
-    nontrivial double cosets.  The oracle's one enumeration path: the
+    group elements, and at h = 0 also the cosets of P and the nontrivial
+    double cosets.  The oracle's one enumeration path: the
     arrays are shared and read-only, and a request above the ball held
     at depth h replaces it.
 
@@ -399,20 +399,20 @@ def _sorted_norms(r: float,
     then sits at its word that does not end in A^{+-1}, and the minimum
     of each double coset P g P, g outside P, at its word that neither
     starts nor ends in A^{+-1}; inversion maps left cosets onto right
-    ones, so the two counts are one.  There (a, b, c, d) -> (d, c, b,
-    a), conjugation by [[0, 1], [1, 0]], swaps A and B and keeps the
-    entry sum, and at every depth the mirror (a, -b, -c, d), conjugation
-    by diag(1, -1), flips the exponents and keeps the weighted sum.  So
-    at h = 0 one walk over the words ending in B^k, k > 0, gives every
-    count: the group is the identity once and each walked sum four
-    times, the right and left cosets the identity's coset once and each
+    ones, so the two counts are one, kept once as the cosets.  There (a,
+    b, c, d) -> (d, c, b, a), conjugation by [[0, 1], [1, 0]], swaps A
+    and B and keeps the entry sum, and at every depth the mirror (a, -b,
+    -c, d), conjugation by diag(1, -1), flips the exponents and keeps
+    the weighted sum.  So at h = 0 one walk over the words ending in B^k,
+    k > 0, gives every count: the group is the identity once and each
+    walked sum four times, the cosets the identity's coset once and each
     walked sum twice, and the double cosets the walked words with an odd
-    syllable count, which start in B too, each twice.  At h != 0 the
-    walk starts from A and B, and each sum but the identity's counts
-    twice.  The displacement acosh(max(1, s/2)) never decreases as the
-    weighted sum s grows, so the one sort runs on the sums, and one
-    acosh pass maps the distinct ones: the odd words' sums are walked
-    sums, counted under the group's distinct sums.
+    syllable count, which start in B too, each twice.  At h != 0 the walk
+    starts from A and B, and each sum but the identity's counts twice.
+    The displacement acosh(max(1, s/2)) never decreases as the weighted
+    sum s grows, so the one sort runs on the sums, and one acosh pass
+    maps the distinct ones: the odd words' sums are walked sums, counted
+    under the group's distinct sums.
     """
     _check_cap(r, BALL_CAP)
     built = _BALLS.get(h)
@@ -436,7 +436,7 @@ def _sorted_norms(r: float,
                            (4, 2) if h == 0.0 else (2,))
     norms = {"group": (group, below[0])}
     if h == 0.0:
-        norms["left"] = norms["right"] = (group, below[1])
+        norms["cosets"] = (group, below[1])
         # the odd words' sums are walked sums: below each distinct sum
         # lie the odd ones up to the one before it
         odd_sums = np.concatenate(odd_sums)
@@ -473,8 +473,7 @@ class CountTable:
     radii: np.ndarray
     v_group: np.ndarray
     v_group_annulus: np.ndarray
-    v_left: np.ndarray
-    v_right: np.ndarray
+    v_cosets: np.ndarray
     v_double: np.ndarray
 
 
@@ -494,8 +493,7 @@ def coset_counts(r: float, gauge: float) -> CountTable:
         radii=radii,
         v_group=_ball(norms["group"], radii),
         v_group_annulus=_annulus(norms["group"], radii, gauge),
-        v_left=_ball(norms["left"], radii),
-        v_right=_ball(norms["right"], radii),
+        v_cosets=_ball(norms["cosets"], radii),
         v_double=_ball(norms["double"], radii),
     )
 
@@ -553,21 +551,6 @@ class LemmaReport:
         return (self.triangle_violations == 0
                 and self.horoball_violations == 0
                 and self.horoball_min_defect >= -1e-9)
-
-    def summary(self) -> str:
-        return "\n".join([
-            f"samples: {self.samples} (seed {self.seed})",
-            f"triangle defect: {self.samples} checked, "
-            f"{self.triangle_violations} violations, "
-            f"max defect {self.triangle_max_defect:.6f}",
-            f"flow-time approximation: fitted eps0 {self.approx_eps0:.6f}, "
-            f"window max {self.approx_window_low:.6f} -> "
-            f"{self.approx_window_high:.6f}",
-            f"horoball additivity: {self.samples} checked, "
-            f"{self.horoball_violations} violations, fitted eps1 "
-            f"{self.eps1_fitted:.6f}",
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
-        ])
 
 
 def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
@@ -652,7 +635,9 @@ class Prop28Report:
     Right-hand sides hold exactly by injectivity (each coset is witnessed
     by its minimizing element); the left-hand sides need gauge shifts and
     prefactors, so those shifts are fitted on the inner half of the
-    radius range and then asserted on the outer half.
+    radius range and then asserted on the outer half.  Left and right
+    cosets count alike (see _sorted_norms), so one sandwich and one
+    shift serve both.
     """
     gauge: float
     r_max: float
@@ -661,8 +646,7 @@ class Prop28Report:
     n_assert: int
     right_left_in_group: bool
     right_double_in_group: bool
-    shift_left_lower: Optional[float]
-    shift_right_lower: Optional[float]
+    shift_cosets_lower: Optional[float]
     shift_double_lower: Optional[float]
     assert_ok: bool
 
@@ -670,25 +654,8 @@ class Prop28Report:
     def passed(self) -> bool:
         return (self.right_left_in_group and self.right_double_in_group
                 and self.assert_ok
-                and None not in (self.shift_left_lower,
-                                 self.shift_right_lower,
+                and None not in (self.shift_cosets_lower,
                                  self.shift_double_lower))
-
-    def summary(self) -> str:
-        lines = [
-            f"gauge {self.gauge!r}, radii up to {self.r_max!r} "
-            f"({self.n_fit} fit rows, {self.n_assert} assert rows)",
-            "exact: left-coset annuli <= group annuli: "
-            + ("ok" if self.right_left_in_group else "FAIL"),
-            "exact: double-coset annuli <= group annuli: "
-            + ("ok" if self.right_double_in_group else "FAIL"),
-            f"fitted lower shifts (left / right / double): "
-            f"{self.shift_left_lower!r} / {self.shift_right_lower!r} / "
-            f"{self.shift_double_lower!r}",
-            "outer-half assertion: " + ("ok" if self.assert_ok else "FAIL"),
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return "\n".join(lines)
 
 
 def verify_prop28(r: float, gauge: float) -> Prop28Report:
@@ -711,7 +678,7 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
     norms = _sorted_norms(prop28_radius(r, gauge))
     annuli = {name: _annulus(arr, radii, gauge) for name, arr in norms.items()}
 
-    right_left = bool(np.all(annuli["left"] <= annuli["group"]))
+    right_left = bool(np.all(annuli["cosets"] <= annuli["group"]))
     right_double = bool(np.all(annuli["double"] <= annuli["group"]))
 
     # prefactor * v^{gauge-s}_group <= v^gauge_coset with one row per
@@ -722,7 +689,7 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
     group = _annulus(norms["group"], radii, gauge - shift_grid[:, None])
     fits = {}
     assert_ok = True
-    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
+    for name, prefactor in (("cosets", 0.5), ("double", 0.25)):
         holds = prefactor * group <= annuli[name] + 1e-9
         ok = np.flatnonzero(np.all(holds[:, fit], axis=1))
         if ok.size == 0:
@@ -735,8 +702,8 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=int(np.count_nonzero(fit)), n_assert=int(np.count_nonzero(~fit)),
         right_left_in_group=right_left, right_double_in_group=right_double,
-        shift_left_lower=fits["left"], shift_right_lower=fits["right"],
-        shift_double_lower=fits["double"], assert_ok=assert_ok)
+        shift_cosets_lower=fits["cosets"], shift_double_lower=fits["double"],
+        assert_ok=assert_ok)
 
 
 # -- critical exponent and counting formula -----------------------------------
@@ -751,12 +718,6 @@ class DeltaReport:
     est: ExponentEstimate
     r_cap: float
     n_elements: int
-
-    def summary(self) -> str:
-        return (f"critical exponent {self.estimate:.4f} "
-                f"(outer window {self.est.window_floors[0]:.4f} to "
-                f"{self.est.window_peaks[0]:.4f}, "
-                f"{self.n_elements} orbit points within {self.r_cap!r})")
 
 
 # estimate_delta fits np.linspace(_DELTA_R_MIN, r_cap, _DELTA_POINTS)
@@ -806,19 +767,6 @@ class CountingBandReport:
     @property
     def passed(self) -> bool:
         return self.assert_ok
-
-    def summary(self) -> str:
-        return "\n".join([
-            f"target depth {self.depth!r}, fitted on radii <= "
-            f"{self.fit_max!r}, asserted up to {self.r_cap!r}",
-            f"fitted log constant {self.log_constant:.6f} "
-            f"(deviation {self.max_fit_deviation:.6f} + pad "
-            f"{self.fit_pad:.6f})",
-            f"outer deviation {self.max_assert_deviation:.6f}: "
-            + ("inside the band" if self.assert_ok else "ESCAPES the band"),
-            f"outer drift around the fitted center: "
-            f"{self.max_center_drift:.6f}",
-        ])
 
 
 # verify_counting compares the counts toward the point at cusp depth

@@ -85,8 +85,8 @@ class CurvatureBounds:
         if not 0 < self.a <= self.b < INF:
             raise DomainError(
                 f"need 0 < a <= b < inf, got a={self.a}, b={self.b}")
-        if self.n < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.n}")
+        if not (2 <= self.n < INF and self.n == int(self.n)):
+            raise DomainError(f"dimension n must be an integer >= 2, got {self.n}")
         if not self.eps >= 0:
             raise DomainError(f"pinching slack eps must be nonnegative, "
                               f"got eps={self.eps}")
@@ -99,10 +99,11 @@ class _Envelope:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise DomainError("envelope rate must be positive")
-        if self.power < 0:
-            raise DomainError("envelope power must be nonnegative")
+        # written so that a NaN or an infinity fails each check
+        if not 0 < self.rate < INF:
+            raise DomainError("envelope rate must be positive and finite")
+        if not 0 <= self.power < INF:
+            raise DomainError("envelope power must be nonnegative and finite")
 
     def __call__(self, t, order: int = 0):
         """ln of the law (order 0) or its first (1) or second (2)
@@ -196,14 +197,14 @@ class ProfilePiece:
 
 
 def pure_piece(t0: float, t1: float, rate: float) -> ProfilePiece:
-    if rate <= 0:
-        raise ProfileError("pure_exp rate must be positive")
+    if not 0 < rate < INF:
+        raise ProfileError("pure_exp rate must be positive and finite")
     return ProfilePiece(t0, t1, "pure_exp", {"rate": float(rate)})
 
 
 def poly_piece(t0: float, t1: float, power: float, rate: float) -> ProfilePiece:
-    if rate <= 0 or power < 0:
-        raise ProfileError("poly_exp needs rate > 0 and power >= 0")
+    if not (0 < rate < INF and 0 <= power < INF):
+        raise ProfileError("poly_exp needs finite rate > 0 and power >= 0")
     return ProfilePiece(t0, t1, "poly_exp",
                         {"power": float(power), "rate": float(rate)})
 

@@ -158,21 +158,6 @@ class TaxonomyReport:
     tol: float
     notes: tuple[str, ...] = ()
 
-    def summary(self) -> str:
-        lines = [
-            f"sparse: {self.sparse}",
-            f"exotic: {self.exotic}",
-            f"pinch class: {self.pinch_class}",
-            f"quarter pinched: {self.quarter_pinched}",
-            f"ambient exponent: {self.delta_gamma!r}",
-            f"invariant measure: {'finite' if self.bm_finite else 'infinite'}",
-        ]
-        for i, est in enumerate(self.estimates):
-            lines.append(
-                f"cusp {i}: upper {est.omega_plus:.4f} lower {est.omega_minus:.4f}"
-                + (" (dominant)" if self.dominant_flags[i] else ""))
-        return "\n".join(lines)
-
 
 # classify_lattice samples the parabolic orbit series on
 # np.linspace(1, _CLASSIFY_R_MAX, _CLASSIFY_POINTS)
@@ -393,36 +378,6 @@ class ExampleReport:
     claims: tuple[Claim, ...]
     passed: bool
     notes: tuple[str, ...] = ()
-
-    def to_text(self) -> str:
-        t = self.taxonomy
-        lines = [f"example: {self.name}", "", "== taxonomy =="]
-        lines.append(t.summary())
-        lines += ["", "== exponents =="]
-        for i, est in enumerate(t.estimates):
-            lines.append(
-                f"cusp {i}: upper {est.omega_plus!r} lower {est.omega_minus!r} "
-                f"converged {est.converged_plus}/{est.converged_minus}")
-        lines += ["", "== invariant measure =="]
-        lines.append(f"group divergent: {t.group_divergent}")
-        for i, v in enumerate(t.series_verdicts):
-            state = ("not computed" if v is None
-                     else ("converges" if v else "diverges"))
-            lines.append(f"cusp {i} weighted series: {state}")
-        lines.append("verdict: " + ("finite" if t.bm_finite else "infinite"))
-        lines += ["", "== growth classes =="]
-        lines.append(f"ambient: {self.vgamma_class.value}")
-        lines.append(f"volume: {self.vx_class.value} "
-                     f"(upper rate {self.vx_upper_rate!r}, "
-                     f"volume-to-ambient peak trend {self.vx_peak_trend!r})")
-        lines += ["", "== claims =="]
-        for c in self.claims:
-            lines.append(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
-                         f"expected {c.expected}, computed {c.computed}")
-        lines += ["", f"overall: {'PASS' if self.passed else 'FAIL'}"]
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
 
 
 # run_example samples its growth series on np.linspace(1, r_max,

@@ -32,7 +32,11 @@ from cuspgrowth.asymptotics import (
     series_convergence_at,
     poincare_abscissa,
 )
-from cuspgrowth.convolution import CuspidalInterpolant, cuspidal_interpolants
+from cuspgrowth.convolution import (
+    CuspidalInterpolant,
+    cuspidal_interpolants,
+    volume_band,
+)
 from cuspgrowth.numerics import log_tail_integral
 from cuspgrowth.profiles import (
     CATALOG_IDS,
@@ -45,7 +49,12 @@ from cuspgrowth.profiles import (
     poly_piece,
     pure_piece,
 )
-from cuspgrowth.taxonomy import _CACHE_STEP, catalog_spec
+from cuspgrowth.taxonomy import (
+    _CACHE_STEP,
+    _GRID_POINTS,
+    catalog_spec,
+    classify_lattice,
+)
 from simpson_reference import simpson_log_integral
 
 INF = float("inf")
@@ -532,6 +541,19 @@ class TestEstimateExponents:
         with pytest.raises(DomainError):
             estimate_exponents(s)
 
+    @pytest.mark.parametrize("n_windows", [1, 0, -1, math.nan, 2.5, 3.0])
+    def test_policy_needs_two_windows(self, n_windows):
+        # the converged flags compare the two outermost windows: one
+        # window raised IndexError in estimate_exponents, none ValueError,
+        # and a float count TypeError
+        with pytest.raises(DomainError, match="n_windows"):
+            WindowPolicy(n_windows=n_windows)
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.01])
+    def test_policy_tolerance_must_be_nonnegative(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            WindowPolicy(tol=tol)
+
 
 class TestClassifyGrowth:
     def test_pure(self):
@@ -622,10 +644,20 @@ def _split(prof):
         *cut(last, max(1.5 * last.t0, last.t0 + 7.3))])
 
 
+def _split_spec(name):
+    """A catalog family's lattice, and the same lattice with every cusp's
+    profile cut as _split cuts it."""
+    spec = catalog_spec(name)
+    return spec, dataclasses.replace(spec, cusps=tuple(
+        dataclasses.replace(c, profile=_split(c.profile)) for c in spec.cusps))
+
+
 class TestSplitInvariance:
     """A cut inside a piece leaves ln T bit for bit, so what reads the
     profile may move only by quadrature: the excursion integral within
-    its rel_tol, and the series abscissa and verdict not at all."""
+    its rel_tol, the caches and the volume band by what the integral
+    moved, and the series abscissa, the verdicts and the taxonomy not at
+    all."""
 
     @pytest.fixture(params=_excursion_profiles(),
                     ids=[n for n, _ in _excursion_profiles()])
@@ -658,3 +690,42 @@ class TestSplitInvariance:
         got = log_cuspidal(CuspModel(split), nodes, rel_tol=rel_tol)
         want = log_cuspidal(CuspModel(prof), nodes, rel_tol=rel_tol)
         assert np.max(np.abs(got - want)) <= rel_tol
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_volume_band_moves_by_the_cache_shift(self, name):
+        # run_example's caches and radius grid at its default radius
+        pair = _split_spec(name)
+        caches = [cuspidal_interpolants(spec.cusps, 501.0, step=_CACHE_STEP,
+                                        rel_tol=1e-6) for spec in pair]
+        # ln F is linear between the points where either cache bends, and
+        # its extrapolation runs down to the profile start, so its largest
+        # shift is read there
+        shift = max(float(np.max(np.abs(a(at) - b(at))))
+                    for a, b in zip(*caches)
+                    for at in [np.r_[a.t_start, a._kinks(), b._kinks()]])
+        radii = np.linspace(1.0, 500.0, _GRID_POINTS)
+        band, split_band = (volume_band(spec.vgamma, c, radii, rel_tol=1e-6)
+                            for spec, c in zip(pair, caches))
+        # Each edge is ln of a sum of exp-linear segments that grows with
+        # every value of ln F, so a shift of ln F by at most `shift` moves
+        # it by at most `shift`.  Both bands cut ln v on one secant grid,
+        # and their nodes differ only at the caches' knees, where F sits at
+        # its floor e^-745.  Rounding is the rest: every term that weighs
+        # in an edge is at most `top` in size, so a rounding errs by at
+        # most top 2^-53, and an edge takes at most 15 of them (ln F
+        # interpolated, 2; plus ln v, 1; a segment's max, ln h and shape,
+        # 2; the logsumexp's shift, exp and log of the sum, 3, the sum's
+        # own error far below top 2^-53; its top added back, 1; across the
+        # cusps another logsumexp, 4; the upper edge's log_add, 2), so
+        # the two bands' roundings differ by at most 30 top 2^-53.
+        top = max(float(np.max(np.abs(getattr(b, edge))))
+                  for b in (band, split_band) for edge in ("lower", "upper"))
+        allowance = 30.0 * top * 2.0 ** -53
+        for edge in ("lower", "upper"):
+            moved = np.abs(getattr(split_band, edge) - getattr(band, edge))
+            assert np.max(moved) <= shift + allowance, edge
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_taxonomy_report_is_equal(self, name):
+        spec, split = _split_spec(name)
+        assert classify_lattice(split) == classify_lattice(spec)

@@ -7,6 +7,7 @@ failure), artifact layout, and byte-level reproducibility of a fixed
 invocation.
 """
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -31,7 +32,7 @@ from cuspgrowth.cli import (
 from cuspgrowth.errors import ConfigError, DomainError
 from cuspgrowth.h2_oracle import estimate_delta, verify_counting
 from cuspgrowth.profiles import CATALOG_IDS
-from cuspgrowth.taxonomy import classify_lattice, run_example
+from cuspgrowth.taxonomy import catalog_spec, classify_lattice, run_example
 
 # a spacing base inside the float range
 _HUGE_M = "1" + "0" * 300
@@ -915,6 +916,90 @@ class TestOracleVerify:
                             "v_right_cosets,v_double_cosets")
         assert lines[1] == "2.0,5,12,3,3,2"
         assert len(lines) == 7
+
+
+def _section(report: str, title: str) -> list[str]:
+    """The lines of the section '== title ==' of a report."""
+    return report.split(f"== {title} ==\n", 1)[1].split("\n\n", 1)[0].split("\n")
+
+
+class TestReportText:
+    """cli renders every report from the library's records.  No flag
+    reaches the FAIL lines of the lemma, sandwich and counting sections,
+    so their tests replace fields of the real records."""
+
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_taxonomy_text(self, name):
+        rep = classify_lattice(catalog_spec(name))
+        lines = cli._taxonomy_text(rep).split("\n")
+        assert lines[2] == f"pinch class: {rep.pinch_class}"
+        assert [line.split(":")[0] for line in lines[6:]] == [
+            f"cusp {i}" for i in range(len(rep.estimates))]
+
+    def test_example_text_sections(self):
+        text = cli._example_text(run_example("exotic-div-5.3b"))
+        for section in ("== taxonomy ==", "== exponents ==",
+                        "== invariant measure ==", "== growth classes ==",
+                        "== claims =="):
+            assert section in text
+        assert "overall: PASS" in text
+        assert "PASS  computed-volume-class" in text
+
+    def test_oracle_sections_pass(self, tmp_path):
+        rc, out = _run(tmp_path, "oracle-verify", "--Rcap", "12")
+        assert rc == EXIT_PASS
+        report = (out / "oracle.txt").read_text()
+        lemmas = _section(report, "geometric lemmas")
+        assert lemmas[3].startswith("horoball additivity: 10000 checked, ")
+        assert lemmas[-1] == "verdict: PASS"
+        # the one coset shift fills both the left and the right slot
+        assert _section(report, "count sandwiches")[3:] == [
+            "fitted lower shifts (left / right / double): 0.0 / 0.0 / 0.75",
+            "outer-half assertion: ok", "verdict: PASS"]
+        assert _section(report, "fitted constants")[3:6] == [
+            "left_gauge_shift = 0.0", "right_gauge_shift = 0.0",
+            "double_gauge_shift = 0.75"]
+        assert _section(report, "critical exponent")[0].startswith(
+            "critical exponent 0.9090 (outer window ")
+
+    @pytest.mark.parametrize("runner, fields, assertion, section, want", [
+        ("verify_lemmas", {"triangle_violations": 2, "horoball_violations": 1},
+         "geometric-lemmas", "geometric lemmas",
+         ["10000 checked, 2 violations, max defect ",
+          "10000 checked, 1 violations, fitted eps1 ", "verdict: FAIL"]),
+        ("verify_lemmas", {"horoball_min_defect": -0.5},
+         "geometric-lemmas", "geometric lemmas",
+         ["10000 checked, 0 violations, fitted eps1 ", "verdict: FAIL"]),
+        ("verify_prop28", {"right_left_in_group": False},
+         "count-sandwiches", "count sandwiches",
+         ["exact: left-coset annuli <= group annuli: FAIL",
+          "exact: double-coset annuli <= group annuli: ok",
+          "outer-half assertion: ok", "verdict: FAIL"]),
+        ("verify_prop28", {"right_double_in_group": False, "assert_ok": False},
+         "count-sandwiches", "count sandwiches",
+         ["exact: left-coset annuli <= group annuli: ok",
+          "exact: double-coset annuli <= group annuli: FAIL",
+          "outer-half assertion: FAIL", "verdict: FAIL"]),
+        ("verify_prop28", {"shift_cosets_lower": None},
+         "count-sandwiches", "count sandwiches",
+         ["fitted lower shifts (left / right / double): None / None / 0.75",
+          "verdict: FAIL"]),
+        ("verify_counting", {"assert_ok": False}, "counting-band",
+         "counting band", [": ESCAPES the band\n"]),
+    ])
+    def test_failing_section(self, tmp_path, monkeypatch, runner, fields,
+                             assertion, section, want):
+        real = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs:
+                            dataclasses.replace(real(*args, **kwargs),
+                                                **fields))
+        rc, out = _run(tmp_path, "oracle-verify", "--Rcap", "12")
+        assert rc == EXIT_FAIL
+        assert [a["name"] for a in _summary(out)["assertions"]
+                if not a["passed"]] == [assertion]
+        text = "\n".join(_section((out / "oracle.txt").read_text(), section))
+        for part in want:
+            assert part in text
 
 
 class TestCsv:

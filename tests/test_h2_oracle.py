@@ -346,33 +346,45 @@ class TestCosetCounts:
     def test_frozen_table(self):
         tab = _table()
         rows = np.column_stack([tab.v_group, tab.v_group_annulus,
-                                tab.v_left, tab.v_right, tab.v_double])
+                                tab.v_cosets, tab.v_double])
         assert tab.radii.tolist() == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
         assert rows.tolist() == [
-            [5, 12, 3, 3, 2],
-            [25, 60, 13, 13, 8],
-            [221, 460, 111, 111, 60],
-            [1473, 3504, 737, 737, 364],
-            [11069, 26084, 5535, 5535, 2752],
-            [81361, 191404, 40681, 40681, 20252],
+            [5, 12, 3, 2],
+            [25, 60, 13, 8],
+            [221, 460, 111, 60],
+            [1473, 3504, 737, 364],
+            [11069, 26084, 5535, 2752],
+            [81361, 191404, 40681, 20252],
         ]
 
     def test_left_and_right_cosets_agree(self):
-        # inversion swaps the two coset families and preserves the norm
-        tab = _table()
-        assert np.array_equal(tab.v_left, tab.v_right)
+        # inversion swaps the two coset families and preserves the norm,
+        # so the one coset count is each family's: P g keeps the bottom
+        # row (c, d) of g up to sign, g P its first column (a, c)
+        tab = coset_counts(8.0, 2.0)
+        minima = {"left": {}, "right": {}}
+        for g in enumerate_group(8.0):
+            flip = g.c < 0 or (g.c == 0 and g.d < 0)
+            for side, key in (("left", (-g.c, -g.d) if flip else (g.c, g.d)),
+                              ("right", (g.a, g.c))):
+                minima[side][key] = min(g.displacement(),
+                                        minima[side].get(key, math.inf))
+        for side, found in minima.items():
+            norms = np.sort(np.fromiter(found.values(), dtype=float))
+            assert np.array_equal(np.searchsorted(norms, tab.radii, "left"),
+                                  tab.v_cosets), side
 
     def test_monotone_and_nested(self):
         tab = _table()
-        for col in (tab.v_group, tab.v_left, tab.v_right, tab.v_double):
+        for col in (tab.v_group, tab.v_cosets, tab.v_double):
             assert np.all(np.diff(col) >= 0)
-        assert np.all(tab.v_double <= tab.v_right)
-        assert np.all(tab.v_right <= tab.v_group)
+        assert np.all(tab.v_double <= tab.v_cosets)
+        assert np.all(tab.v_cosets <= tab.v_group)
 
     def test_halving_structure(self):
         # every nontrivial coset picks up minimizing elements in pairs
         tab = _table()
-        assert np.array_equal(2 * tab.v_left, tab.v_group + 1)
+        assert np.array_equal(2 * tab.v_cosets, tab.v_group + 1)
 
     def test_coset_norm_inversion_symmetry(self):
         # |gP| computed by direct translation minimization equals |Pg^-1|
@@ -433,31 +445,25 @@ class TestLemmas:
         with pytest.raises(DomainError):
             verify_lemmas(0, 1)
 
-    def test_summary_text(self):
-        text = _lemmas().summary()
-        assert "PASS" in text
-        assert "horoball additivity" in text
-
 
 class TestProp28:
     def test_gauge_one(self):
         rep = _prop28(1.0)
         assert rep.passed
         assert rep.right_left_in_group and rep.right_double_in_group
-        assert (rep.shift_left_lower, rep.shift_right_lower) == (0.0, 0.0)
+        assert rep.shift_cosets_lower == 0.0
         assert rep.shift_double_lower == 0.75
 
     def test_gauge_two(self):
         rep = _prop28(2.0)
         assert rep.passed
-        assert (rep.shift_left_lower, rep.shift_right_lower) == (0.0, 0.0)
+        assert rep.shift_cosets_lower == 0.0
         assert rep.shift_double_lower == 1.75
 
     def test_two_phase_split(self):
         rep = _prop28(1.0)
         assert rep.fit_max == 6.0
         assert rep.n_fit == rep.n_assert == 24
-        assert "PASS" in rep.summary()
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -477,9 +483,6 @@ class TestDelta:
         assert 0.85 <= rep.estimate <= 1.15
         assert rep.est.converged_plus
         assert rep.n_elements == 81361
-
-    def test_summary(self):
-        assert "critical exponent" in estimate_delta().summary()
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -611,11 +614,9 @@ class TestSharedBall:
         for balls in held.values():
             for h, (radius, norms) in balls.items():
                 assert isinstance(radius, float)
-                # cosets are counted at depth 0 only, where the left and
-                # right arrays are one
+                # cosets are counted at depth 0 only
                 if h == 0.0:
-                    assert set(norms) == {"group", "left", "right", "double"}
-                    assert norms["left"] is norms["right"]
+                    assert set(norms) == {"group", "cosets", "double"}
                 else:
                     assert set(norms) == {"group"}
                 # the counted form: distinct sorted distances, and the
@@ -747,10 +748,14 @@ class TestBallAgainstReference:
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         got = h2_oracle._sorted_norms(r, h)
         want = _ref_sorted_norms(r, h)
-        # the depth-2 ball holds the group array only
-        assert set(got) == (set(want) if h == 0.0 else {"group"})
-        for name in got:
-            assert _expand(got[name]).tobytes() == want[name].tobytes(), name
+        # the depth-2 ball holds the group array only; the reference
+        # groups left and right cosets apart, and each is the one count
+        assert set(got) == ({"group", "cosets", "double"} if h == 0.0
+                            else {"group"})
+        for name, ref in (("group", "group"), ("cosets", "left"),
+                          ("cosets", "right"), ("double", "double")):
+            if name in got:
+                assert _expand(got[name]).tobytes() == want[ref].tobytes(), ref
 
     @pytest.mark.parametrize("r, h", [(6.0, 0.0), (2.5, 2.0)])
     def test_enumerate_group_same_list(self, r, h):
@@ -761,8 +766,8 @@ class TestBallAgainstReference:
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         norms = h2_oracle._sorted_norms(BALL_CAP)
         sizes = {name: int(below[-1]) for name, (_, below) in norms.items()}
-        assert sizes == {"group": 991_417, "left": 495_709,
-                         "right": 495_709, "double": 247_938}
+        assert sizes == {"group": 991_417, "cosets": 495_709,
+                         "double": 247_938}
 
     def test_counted_form_counts_like_the_sorted_array(self):
         # sums that round to one distance, sums counted once, repeats
@@ -797,7 +802,7 @@ class TestBallAgainstReference:
         monkeypatch.setattr(h2_oracle, "_distinct", counted)
         norms = h2_oracle._sorted_norms(9.0)
         assert len(passes) == 1
-        assert norms["group"][0] is norms["left"][0] is norms["right"][0]
+        assert norms["group"][0] is norms["cosets"][0]
 
 
 # -- reference full-disk ball -------------------------------------------------
@@ -899,8 +904,9 @@ def _ref_distances(sums: np.ndarray) -> np.ndarray:
 
 
 def _ref_disk_norms(r: float) -> dict[str, np.ndarray]:
-    """Sorted raw distance arrays of the group, its left and right cosets
-    and its nontrivial double cosets, complete below radius r about i."""
+    """Sorted raw distance arrays of the group, its cosets (right and left
+    alike) and its nontrivial double cosets, complete below radius r
+    about i."""
     a, b, c, d, kept = _ref_disk_enumerate(r)
     s = h2_oracle._weighted_sums(a, b, c, d, 0.0)
     norms = {"group": _ref_distances(np.sort(s))}
@@ -908,7 +914,7 @@ def _ref_disk_norms(r: float) -> dict[str, np.ndarray]:
     starts = (np.cumsum(kept) - kept)[kept > 0]
     col_min = np.minimum.reduceat(s, starts)
     a, c, d = a[starts], c[starts], d[starts]
-    norms["left"] = norms["right"] = _ref_distances(np.sort(col_min))
+    norms["cosets"] = _ref_distances(np.sort(col_min))
     # double coset: residues of the diagonal modulo twice the lower left
     # entry, sign-normalized to c > 0
     off = c != 0
@@ -943,16 +949,18 @@ def _ref_group_minima(w: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return np.sort(np.minimum.reduceat(w[order], starts))
 
 
-def _ref_left_cosets(r: float) -> np.ndarray:
+def _ref_one_sided_cosets(r: float) -> dict[str, np.ndarray]:
     a, b, c, d, _ = _ref_disk_enumerate(r)
     sums, where = np.unique(a * a + b * b + c * c + d * d,
                             return_inverse=True)
     disp = np.array([math.acosh(max(1.0, s / 2.0))
                      for s in sums.tolist()])[where]
-    # left coset: invariant row (c, d) up to sign
+    # left coset: invariant row (c, d) up to sign; right coset: invariant
+    # column (a, c), a > 0 already canonical
     flip = (c < 0) | ((c == 0) & (d < 0))
-    return _ref_group_minima(disp, np.where(flip, -c, c),
-                             np.where(flip, -d, d))
+    return {"left": _ref_group_minima(disp, np.where(flip, -c, c),
+                                      np.where(flip, -d, d)),
+            "right": _ref_group_minima(disp, a, c)}
 
 
 def _ref_annulus(norms: np.ndarray, r, gauge: float):
@@ -986,7 +994,7 @@ def _ref_verify_prop28(r: float, gauge: float,
     assert_radii = [x for x in radii if x > fit_max]
 
     right_left = all(
-        _ref_annulus(norms["left"], x, gauge)
+        _ref_annulus(norms["cosets"], x, gauge)
         <= _ref_annulus(norms["group"], x, gauge)
         for x in radii)
     right_double = all(
@@ -996,13 +1004,13 @@ def _ref_verify_prop28(r: float, gauge: float,
 
     shift_grid = np.arange(0.0, gauge + 2.0 + 1e-9, 0.25)
     fits = {}
-    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
+    for name, prefactor in (("cosets", 0.5), ("double", 0.25)):
         fits[name] = _ref_fit_lower_shift(
             norms["group"], norms[name], prefactor, gauge, fit_radii,
             shift_grid)
 
     assert_ok = True
-    for name, prefactor in (("left", 0.5), ("right", 0.5), ("double", 0.25)):
+    for name, prefactor in (("cosets", 0.5), ("double", 0.25)):
         s = fits[name]
         if s is None:
             assert_ok = False
@@ -1016,21 +1024,21 @@ def _ref_verify_prop28(r: float, gauge: float,
         gauge=gauge, r_max=r, fit_max=fit_max,
         n_fit=len(fit_radii), n_assert=len(assert_radii),
         right_left_in_group=right_left, right_double_in_group=right_double,
-        shift_left_lower=fits["left"], shift_right_lower=fits["right"],
-        shift_double_lower=fits["double"], assert_ok=assert_ok)
+        shift_cosets_lower=fits["cosets"], shift_double_lower=fits["double"],
+        assert_ok=assert_ok)
 
 
 class TestCosetsAgainstReference:
-    """Left cosets read as right cosets, and the array sandwiches, equal
-    the group-by and the scalar loops they replace."""
+    """The one coset count, and the array sandwiches, equal the left and
+    right group-bys and the scalar loops they replace."""
 
     def test_left_group_by_equals_both_coset_arrays(self, monkeypatch):
+        # the left and the right group-by each give the one coset array
         monkeypatch.setattr(h2_oracle, "_BALLS", {})
         norms = h2_oracle._sorted_norms(BALL_CAP)
-        want = _ref_left_cosets(BALL_CAP)
-        assert want.size == 495_709
-        assert np.array_equal(_expand(norms["left"]), want)
-        assert np.array_equal(_expand(norms["right"]), want)
+        for side, want in _ref_one_sided_cosets(BALL_CAP).items():
+            assert want.size == 495_709, side
+            assert np.array_equal(_expand(norms["cosets"]), want), side
 
     @pytest.mark.parametrize("gauge", [0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("r", [9.0, 12.0])
@@ -1067,8 +1075,8 @@ def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:
     def draw(n: int) -> np.ndarray:
         return np.sort(np.log(rng.uniform(1.0, math.exp(12.5), n)))
 
-    return {"group": draw(3000), "left": draw(int(rng.integers(900, 1800))),
-            "right": draw(int(rng.integers(900, 1800))),
+    return {"group": draw(3000),
+            "cosets": draw(int(rng.integers(900, 1800))),
             "double": draw(int(rng.integers(450, 900)))}
 
 
@@ -1206,8 +1214,7 @@ def _half_disk_norms(r: float,
         a, c, d = a[starts], c[starts], d[starts]
         # left coset: inversion maps the ball onto itself, each left coset
         # onto a right coset and keeps the entry sum, so the two are equal
-        norms["left"] = norms["right"] = _counted(
-            col_min, col_min[c == 0])
+        norms["cosets"] = _counted(col_min, col_min[c == 0])
         # double coset: residues of the diagonal modulo twice the lower
         # left entry, sign-normalized to c > 0, so constant along a column;
         # translations on both sides are quotiented out and the parabolic

@@ -92,6 +92,30 @@ class TestAnalyticPieces:
         with pytest.raises(ProfileError):
             poly_piece(0.0, INF, 2.0, 1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, INF, 0.0, -1.0])
+    def test_pure_law_must_be_positive_and_finite(self, rate):
+        # a NaN rate fails rate <= 0 too, and made every count NaN
+        with pytest.raises(ProfileError, match="rate"):
+            pure_piece(0.0, INF, rate)
+
+    @pytest.mark.parametrize("power, rate", [
+        (math.nan, 1.0), (INF, 1.0), (-1.0, 1.0), (1.0, math.nan),
+        (1.0, INF), (1.0, 0.0)])
+    def test_poly_law_must_be_finite(self, power, rate):
+        with pytest.raises(ProfileError, match="rate > 0 and power >= 0"):
+            poly_piece(5.0, INF, power, rate)
+
+    @pytest.mark.parametrize("params", [
+        {"rate": math.nan}, {"rate": INF}, {"power": math.nan, "rate": 1.0},
+        {"power": INF, "rate": 1.0}, {"power": 1.0, "rate": math.nan}])
+    def test_envelope_law_must_be_finite(self, params):
+        # a piece built around pure_piece and poly_piece meets the
+        # envelope's own check
+        form = "poly_exp" if "power" in params else "pure_exp"
+        with pytest.raises(DomainError, match="envelope"):
+            assemble_profile(CurvatureBounds(a=1.0, b=2.0),
+                             [ProfilePiece(5.0, INF, form, params)])
+
 
 class TestBridge:
     def test_wide_band_meets_default_slack(self):
@@ -194,6 +218,15 @@ class TestValidator:
     def test_non_finite_curvature_bounds_are_rejected(self, a, b):
         with pytest.raises(DomainError, match="a <= b < inf"):
             CurvatureBounds(a=a, b=b)
+
+    @pytest.mark.parametrize("n", [math.nan, INF, 2.5, 1, 1.0])
+    def test_dimension_must_be_an_integer_from_two(self, n):
+        # n = 2.5 counted the orbits of a 1.5-dimensional horosphere
+        with pytest.raises(DomainError, match=f"dimension n .* got {n}"):
+            CurvatureBounds(a=1.0, b=2.0, n=n)
+
+    def test_integral_float_dimension_stays_legal(self):
+        assert CurvatureBounds(a=1.0, b=2.0, n=3.0).n == 3
 
     def test_open_slack_window_stays_legal(self):
         # the catalog's probe profile validates under eps = inf

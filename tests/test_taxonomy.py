@@ -295,9 +295,6 @@ class TestClassifyLattice:
         assert len(rep.estimates) == len(rep.dominant_flags)
         assert rep.delta_gamma >= max(e.omega_plus for e in rep.estimates) - rep.tol
         assert any("modelling assumption" in n for n in rep.notes)
-        text = rep.summary()
-        assert "pinch class" in text
-        assert "cusp 0" in text
 
 
 # the claims every run scores, then each family's sampled claims, which
@@ -361,16 +358,6 @@ class TestRunExample:
         assert rep.vx_class is GrowthClass.UPPER
         margulis = next(c for c in rep.claims if c.name == "margulis-prediction")
         assert margulis.computed == "no prediction"
-
-    def test_report_text_sections(self):
-        rep = _example("exotic-div-5.3b")
-        text = rep.to_text()
-        for section in ("== taxonomy ==", "== exponents ==",
-                        "== invariant measure ==", "== growth classes ==",
-                        "== claims =="):
-            assert section in text
-        assert "overall: PASS" in text
-        assert "PASS  computed-volume-class" in text
 
     def test_unknown_family_rejected(self):
         from cuspgrowth import CatalogError

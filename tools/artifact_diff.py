@@ -49,6 +49,12 @@ RUNS = (
     ("example-run-overrides", ["example-run", "--name",
                                "critical-finite-5.4a", "--gamma", "0.3",
                                "--b", "3.5", "--Rmax", "60"]),
+    # failed claims, which exit 1 and print the FAIL lines of the reports
+    ("example-run-m4", ["example-run", "--name", "critical-finite-5.4a",
+                        "--M", "4"]),
+    ("example-run-gamma09", ["example-run", "--name",
+                             "critical-infinite-5.4b", "--gamma", "0.9"]),
+    ("oracle-verify-rcap83", ["oracle-verify", "--Rcap", "8.3"]),
     # configuration errors, which exit 2 with a message naming the flag
     ("example-run-rmax5", ["example-run", "--Rmax", "5"]),
     ("oracle-verify-b", ["oracle-verify", "--b", "3"]),
