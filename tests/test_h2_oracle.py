@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from plane_reference import HPoint, apply, busemann_inf, h2_distance, t_xi
 
-from cuspgrowth import h2_oracle
+from cuspgrowth import cli, h2_oracle
 from cuspgrowth.errors import DomainError, EnumerationCapError
 from cuspgrowth.h2_oracle import (
     BALL_CAP,
@@ -70,6 +70,21 @@ def _prop28(gauge: float):
 @lru_cache(maxsize=None)
 def _lemmas():
     return verify_lemmas(2000, 20250817)
+
+
+@pytest.fixture(scope="module")
+def oracle_text(tmp_path_factory):
+    """oracle.txt of one `oracle-verify --Rcap 12`: cli renders the
+    sections from this module's records."""
+    out = tmp_path_factory.mktemp("oracle") / "out"
+    assert cli.main(["oracle-verify", "--Rcap", "12", "--out", str(out)]) == 0
+    return (out / "oracle.txt").read_text()
+
+
+def _section(report: str, title: str) -> list[str]:
+    """The lines of the section '== title ==' of a report."""
+    body = report.split(f"== {title} ==\n", 1)[1]
+    return body.split("\n\n", 1)[0].split("\n")
 
 
 class TestMoebiusElement:
@@ -445,6 +460,11 @@ class TestLemmas:
         with pytest.raises(DomainError):
             verify_lemmas(0, 1)
 
+    def test_summary_text(self, oracle_text):
+        lemmas = _section(oracle_text, "geometric lemmas")
+        assert lemmas[3].startswith("horoball additivity: 10000 checked, ")
+        assert lemmas[-1] == "verdict: PASS"
+
 
 class TestProp28:
     def test_gauge_one(self):
@@ -483,6 +503,10 @@ class TestDelta:
         assert 0.85 <= rep.estimate <= 1.15
         assert rep.est.converged_plus
         assert rep.n_elements == 81361
+
+    def test_summary(self, oracle_text):
+        assert _section(oracle_text, "critical exponent")[0].startswith(
+            "critical exponent 0.9090 (outer window ")
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
