@@ -391,10 +391,19 @@ class WindowPolicy:
     def min_r_max(self, r_lo: float, n_points: int) -> float:
         """Smallest R_max at which np.linspace(r_lo, R_max, n_points)
         fills every window, for grids whose innermost window opens below
-        r_lo: that window then holds the grid's first samples."""
+        r_lo: that window then holds the grid's first samples.  Raises
+        DomainError when no R_max does: the innermost window's share of
+        the grid's steps, span / 2^(n_windows - 1), is at most
+        _MIN_POINTS - 1 at every radius."""
         span = n_points - 1
         k = _MIN_POINTS - 1
-        return r_lo * (span - k) / (span / 2.0 ** (self.n_windows - 1) - k)
+        innermost = span / 2.0 ** (self.n_windows - 1)
+        if not innermost > k:
+            raise DomainError(
+                f"no R_max fills {self.n_windows} windows with {n_points} "
+                f"grid points: the innermost window would hold "
+                f"{innermost:g} steps of the grid, needs more than {k}")
+        return r_lo * (span - k) / (innermost - k)
 
 
 def _window_masks(radii: np.ndarray, policy: WindowPolicy) -> list[np.ndarray]:

@@ -26,7 +26,9 @@ import argparse
 import dataclasses
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -626,21 +628,36 @@ def run(cfg: ExperimentConfig) -> int:
     artifacts["summary.json"] = json.dumps(summary, indent=2,
                                            sort_keys=True) + "\n"
     # the one writer of the output directory, after every computation:
-    # it checks every path, removes the earlier run's files, then writes
+    # it checks every path, writes every file into a temporary sibling
+    # directory, and only then removes the earlier run's files and moves
+    # the new ones into place, summary.json last, so that a write that
+    # fails midway (a full disk, say) leaves the directory as it was
     for path in (cfg.out / name for name in artifacts):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: is a directory")
-    for path in _stale_files(cfg.out):
-        try:
-            path.unlink()
-        except OSError as exc:
-            raise ConfigError(f"cannot remove {path}: {exc}") from exc
-    for name, text in artifacts.items():
-        path = cfg.out / name
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    out = cfg.out.resolve()
+    try:
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    except OSError as exc:
+        raise ConfigError(f"cannot write next to {cfg.out}: {exc}") from exc
+    try:
+        for name, text in artifacts.items():
+            try:
+                (staging / name).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {cfg.out / name}: {exc}") from exc
+        for path in _stale_files(cfg.out):
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise ConfigError(f"cannot remove {path}: {exc}") from exc
+        for name in artifacts:
+            try:
+                (staging / name).replace(out / name)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {cfg.out / name}: {exc}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     for entry in assertions:
         print(("ok   " if entry["passed"] else "FAIL ") + entry["name"])
     print(f"{cfg.command}: {'PASS' if passed else 'FAIL'} "

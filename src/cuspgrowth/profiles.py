@@ -15,9 +15,12 @@ transition is a ramp/plateau/ramp piecewise cubic that starts with the left
 envelope's slope and slope-derivative, ends with the right envelope's, and
 whose plateau level is solved in closed form so that the integral of sigma
 across the band equals the exact log-value gap between the envelopes.  The
-transition is therefore value- and C^2-exact at both ends, monotone when
-the plateau is negative, and its curvature proxy sigma' + sigma^2 is
-certified on a dense grid rather than assumed.
+transition is therefore value- and C^2-exact at both ends, and its
+monotonicity and curvature proxy sigma' + sigma^2 are certified rather
+than assumed: both are read exactly, row by row, from closed forms (the
+proxy of a cubic row is a degree-6 polynomial whose extremes sit at the
+row's ends or at real roots of its derivative).  Only the envelope
+sandwich of a transition is sampled, on a grid of ``_GRID`` points.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,12 +60,11 @@ INF = float("inf")
 # ramps, which lower the plateau overhead when the value gap is tight.
 _THETA_LADDER = (0.25, 0.5, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
 
-_GRID = 4097  # verification samples per transition band
+_GRID = 4097  # envelope-sandwich samples per transition band
 
-# validate_profile's dense samples per piece, its relative tolerances on
-# value (join) and derivative (slope) jumps at the joins, and the slop
-# allowed on the curvature-proxy window
-_SAMPLES_PER_PIECE = 4096
+# validate_profile's relative tolerances on value (join) and derivative
+# (slope) jumps at the joins, and the slop allowed on the curvature-proxy
+# window
 _JOIN_TOL = 1e-9
 _SLOPE_TOL = 1e-6
 _RATIO_SLOP = 1e-6
@@ -121,13 +124,6 @@ class _Envelope:
         with np.errstate(over="ignore"):
             return -self.power / (t * t)
 
-    def slope_range(self, lo: np.ndarray, hi: np.ndarray):
-        """Least and greatest log-slope on [lo, hi]: power/t - rate is
-        monotone, so they sit at the ends."""
-        at_lo = self(lo, 1)
-        at_hi = self(hi, 1)
-        return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
-
 
 @dataclass(frozen=True)
 class _Cubic:
@@ -149,22 +145,122 @@ class _Cubic:
         integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
         return self.anchor + self.width * integ
 
-    def slope_range(self, lo: np.ndarray, hi: np.ndarray):
-        """Least and greatest log-slope on [lo, hi]: the cubic's extremes
-        sit at the ends or at the roots of c1 + 2 c2 u + 3 c3 u^2."""
-        c0, c1, c2, c3 = self.coeffs
-        if c3 != 0.0:
-            disc = c2 * c2 - 3.0 * c1 * c3
-            roots = ((-c2 - math.sqrt(disc)) / (3.0 * c3),
-                     (-c2 + math.sqrt(disc)) / (3.0 * c3)) if disc >= 0.0 else ()
-        else:
-            roots = (-c1 / (2.0 * c2),) if c2 != 0.0 else ()
-        u_lo = (lo - self.t0) / self.width
-        u_hi = (hi - self.t0) / self.width
-        # a root outside [lo, hi] is clipped onto an end
-        slopes = [c0 + u * (c1 + u * (c2 + u * c3))
-                  for u in (u_lo, u_hi, *(np.clip(x, u_lo, u_hi) for x in roots))]
-        return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
+
+def _cubic_slope_range(coeffs, u_lo, u_hi):
+    """Least and greatest log-slope c0 + c1 u + c2 u^2 + c3 u^3 on each
+    [u_lo, u_hi]; the four coefficients and the ends broadcast together.
+    The extremes sit at the ends or at the real roots of
+    c1 + 2 c2 u + 3 c3 u^2."""
+    c0, c1, c2, c3 = np.asarray(coeffs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cubic = c3 != 0.0
+        disc = c2 * c2 - 3.0 * c1 * c3
+        root = np.sqrt(disc)
+        first = np.where(cubic, (-c2 - root) / (3.0 * c3), -c1 / (2.0 * c2))
+        second = np.where(cubic, (-c2 + root) / (3.0 * c3), first)
+        real = np.where(cubic, disc >= 0.0, c2 != 0.0)
+    # a root outside [u_lo, u_hi] is clipped onto an end; a missing one is
+    # read at u_lo, which is a candidate already
+    slopes = [c0 + u * (c1 + u * (c2 + u * c3))
+              for u in (u_lo, u_hi, *(np.where(real, np.clip(x, u_lo, u_hi), u_lo)
+                                      for x in (first, second)))]
+    return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
+
+
+def _cubic_proxy_range(coeffs, width, u_lo, u_hi):
+    """Least and greatest curvature proxy (ln T)'' + (ln T)'^2 of cubic
+    rows on [u_lo, u_hi], NaN for a row whose proxy's derivative leaves
+    the float range.  Row i has the log-slope
+    sigma = c0 + c1 u + c2 u^2 + c3 u^3 in u = (t - t0)/width[i], the four
+    coefficients given as arrays over the rows.
+
+    The proxy sigma'/width + sigma^2 is a polynomial of degree 6 in u, so
+    its extremes sit at the ends or at real roots of its derivative
+    sigma''/width + 2 sigma sigma', of degree 5.  The roots of every row
+    come from one batched companion-matrix eigenvalue solve; a derivative
+    of lower degree d is solved as its product with u^(5-d), whose added
+    roots are zeros.  The real part of each root, clipped to the span, is
+    a candidate: a complex or an added root only adds a point of the
+    span.  On the plateau (s*, 0, 0, 0) of finite s* the derivative
+    vanishes and every candidate reads sigma = s* and sigma' = +0.0 (each
+    nested sum is +0.0 in round-to-nearest), so the proxy is s*^2 exactly.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        # the derivative's coefficients, highest power first, from the
+        # coefficients scaled down by a power of two to at most 1 in size:
+        # the scaling is exact and moves no root, and it keeps their
+        # products in the float range
+        _, exponent = np.frexp(np.max(np.abs(coeffs), axis=0))
+        scale = np.ldexp(1.0, np.maximum(exponent, 0))
+        c0, c1, c2, c3 = coeffs / scale
+        w = width * scale
+        deriv = np.stack([6.0 * c3 * c3, 10.0 * c2 * c3,
+                          8.0 * c1 * c3 + 4.0 * c2 * c2,
+                          6.0 * (c0 * c3 + c1 * c2),
+                          6.0 * c3 / w + 2.0 * (2.0 * c0 * c2 + c1 * c1),
+                          2.0 * c2 / w + 2.0 * c0 * c1], axis=-1)
+        # a leading coefficient below 1e-150 of the largest one counts as
+        # zero: the roots it carries lie beyond 1e30 in u, off the span
+        size = np.abs(deriv)
+        nonzero = size > 1e-150 * size.max(axis=-1, keepdims=True)
+        lead = np.argmax(nonzero, axis=-1)
+        if lead.any():
+            # rolling the leading zeros to the end multiplies by u^(5-d)
+            deriv = np.take_along_axis(deriv, (np.arange(6) + lead[:, None]) % 6, -1)
+    # a vanishing derivative (a constant proxy) needs no roots; one that
+    # leaves the float range is not solved, and its row reads NaN
+    solved = np.any(nonzero, axis=-1)
+    companion = np.zeros((np.count_nonzero(solved), 5, 5))
+    companion[:, 0] = deriv[solved, 1:] / -deriv[solved, :1]
+    companion[:, range(1, 5), range(4)] = 1.0
+    roots = np.zeros((len(solved), 5))
+    roots[solved] = np.linalg.eigvals(companion).real
+    u = np.column_stack([u_lo, u_hi, roots])
+    np.clip(u, u_lo[:, None], u_hi[:, None], out=u)
+    c0, c1, c2, c3 = coeffs[:, :, None]
+    width = width[:, None]
+    with np.errstate(all="ignore"):
+        # as _Cubic evaluates (ln T)' and (ln T)''
+        d1 = c0 + u * (c1 + u * (c2 + u * c3))
+        proxy = (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / width + d1 * d1
+    finite = np.isfinite(size.max(axis=-1))
+    return (np.where(finite, proxy.min(axis=-1), np.nan),
+            np.where(finite, proxy.max(axis=-1), np.nan))
+
+
+def _envelope_slope(power, rate, t):
+    """(ln T)' = power/t - rate of the laws t^power e^{-rate t}, as
+    _Envelope evaluates it: -rate for the pure law."""
+    with np.errstate(all="ignore"):
+        return np.where(power == 0.0, -rate, power / t - rate)
+
+
+def _envelope_ranges(power, rate, lo, hi):
+    """Greatest log-slope, and least and greatest curvature proxy, of the
+    laws t^power e^{-rate t} on [lo, hi], all arrays over the laws.  The
+    log-slope power/t - rate is monotone, and the proxy
+    power (power - 1)/t^2 - 2 power rate/t + rate^2 has its one critical
+    point at t = (power - 1)/rate; at hi = inf the law reads its limits
+    -rate and rate^2.  Power 0 is the pure law, whose proxy is rate^2."""
+    with np.errstate(all="ignore"):
+        t = np.stack([lo, hi, np.clip((power - 1.0) / rate, lo, hi)])
+        d1 = _envelope_slope(power, rate, t)
+        # as _Envelope evaluates (ln T)''
+        proxy = np.where(power == 0.0, rate * rate, -power / (t * t) + d1 * d1)
+    return np.max(d1[:2], axis=0), np.min(proxy, axis=0), np.max(proxy, axis=0)
+
+
+def _row_arrays(rows: Sequence[_Envelope | _Cubic]) -> tuple[np.ndarray, ...]:
+    """The rows' parameters as arrays over the rows: whether each is a
+    cubic; its four log-slope coefficients, t0 and width; and its power
+    and rate.  A parameter of the other kind of row reads 0 (1 for a
+    width or a rate)."""
+    cubic = [isinstance(row, _Cubic) for row in rows]
+    params = np.array([(*row.coeffs, row.t0, row.width, 0.0, 1.0) if is_cubic
+                       else (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, row.power, row.rate)
+                       for row, is_cubic in zip(rows, cubic)]).T
+    return np.array(cubic), params[:4], params[4], params[5], params[6], params[7]
 
 
 @dataclass(frozen=True)
@@ -303,16 +399,29 @@ class _SegmentTable:
                     out[lo:hi] = row(t[lo:hi], order)
         return jet
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return _row_arrays(self.rows)
+
     def slope_range(self, lo: np.ndarray,
                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest (ln T)' on each [lo, hi], in closed form from
-        its row; no interval may cross a start."""
-        idx, present = self._rows_at(0.5 * (lo + hi))
+        its row; no interval may cross a start.  A law's slope is
+        monotone, so its extremes sit at the ends."""
+        idx = self._rows_at(0.5 * (lo + hi))[0]
+        cubic, coeffs, t0, width, power, rate = (x[..., idx] for x in self._arrays)
         least = np.empty_like(lo)
         most = np.empty_like(lo)
-        for i in present:
-            mask = idx == i
-            least[mask], most[mask] = self.rows[i].slope_range(lo[mask], hi[mask])
+        if cubic.any():
+            t0, width = t0[cubic], width[cubic]
+            least[cubic], most[cubic] = _cubic_slope_range(
+                coeffs[:, cubic], (lo[cubic] - t0) / width, (hi[cubic] - t0) / width)
+        law = ~cubic
+        if law.any():
+            at_lo, at_hi = (_envelope_slope(power[law], rate[law], x[law])
+                            for x in (lo, hi))
+            least[law] = np.minimum(at_lo, at_hi)
+            most[law] = np.maximum(at_lo, at_hi)
         return least, most
 
 
@@ -322,8 +431,8 @@ class Profile:
     pieces are its construction and serialization form; every evaluation
     reads the segment table they are compiled into on construction:
     ln T through ``log_value``, and the derivatives through the table's
-    ``jets`` (the certifier and the bridge ladder) and ``slope_range``
-    (the excursion integral's panels)."""
+    ``jets`` (the certifier's point checks) and ``slope_range`` (the
+    excursion integral's panels)."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]
 
@@ -385,6 +494,19 @@ class Profile:
 
 # -- bridge construction ------------------------------------------------------
 
+def _plateau_level(q: float, r: float, theta, ends):
+    """The plateau log-slope s* of the ramp/plateau/ramp transitions of
+    ramp fraction theta (a float or an array) on [q, r], from the exact
+    area constraint: the integral of sigma over [q, r] equals the
+    log-value gap between the envelopes."""
+    width = r - q
+    (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
+    gap = v_r - v_q
+    return (gap / width
+            - theta * (s_q + s_r) / 2.0
+            - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
+
+
 def _ramp_plateau_ramp(q: float, r: float, theta: float,
                        ends: tuple[tuple[float, float, float], ...]
                        ) -> tuple[dict, dict, dict]:
@@ -393,14 +515,8 @@ def _ramp_plateau_ramp(q: float, r: float, theta: float,
     the right one at r.  The plateau (the middle segment) has the log-slope
     coefficients (s*, 0, 0, 0)."""
     width = r - q
-    (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
-    gap = v_r - v_q
-
-    # Plateau level from the exact area constraint: integral of sigma over
-    # [q, r] equals the log-value gap between the envelopes.
-    s_star = (gap / width
-              - theta * (s_q + s_r) / 2.0
-              - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
+    (v_q, s_q, d_q), (_, s_r, d_r) = ends
+    s_star = _plateau_level(q, r, theta, ends)
 
     w_ramp = theta * width
     seg1 = {
@@ -431,91 +547,120 @@ def _poly_integral(coeffs: Sequence[float]) -> float:
     return c0 + c1 / 2.0 + c2 / 3.0 + c3 / 4.0
 
 
-def _monotone_proxy_range(plateau: dict,
-                          slices: Sequence[tuple[dict, _Cubic, int, int]],
-                          t: np.ndarray) -> tuple[float, float] | None:
-    """Least and greatest curvature proxy (ln T)'' + (ln T)'^2 of a
-    ramp/plateau/ramp transition on the grid t, read over the
-    (segment, row, lo, hi) slices of t; None when (ln T)' is not negative
-    at every grid point.
+# a transition band (left, right, q, r): the envelopes a bridge joins on [q, r]
+_Band = tuple[_Envelope, _Envelope, float, float]
 
-    The plateau needs no per-point work.  Its row evaluates, at a finite
-    u, (ln T)' = s* + u (0 + u (0 + u 0)) and
-    (ln T)'' = (0 + u (2 0 + u 3 0)) / width.  In round-to-nearest
-    u * (+-0) is a zero and 0.0 + (+-0) is +0.0, so each nested sum is
-    +0.0 and each product a signed zero.  Hence (ln T)' = s* + (+-0) = s*
-    (for s* = +-0 only the sign of the zero may change, which neither
-    ``< 0`` nor the square sees), (ln T)'' = +0.0 / width = +0.0, and the
-    proxy is +0.0 + s* s* = s*^2 exactly, NaN and infinities included.
+
+def _ladder_ranges(q: np.ndarray, r: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Greatest log-slope and least and greatest curvature proxy of every
+    ramp fraction of the ladder on each band [q, r], exact per row: one
+    row per band, one column per ramp fraction.  ``ends`` holds each
+    band's ``_ramp_plateau_ramp`` ends, shape (bands, 2, 3).
+
+    The rows of all candidates of all bands are built as coefficient
+    arrays, with the arithmetic of ``_ramp_plateau_ramp``, and read in one
+    batch.  Each row is read on the span its segment is active on in the
+    bridge's table: a zero-width segment is active nowhere, the first kept
+    segment starts at q, and each kept segment ends where the next one
+    starts.
     """
-    s_star = plateau["coeffs"][0]
-    least: list[float] = []
-    most: list[float] = []
-    for seg, row, lo, hi in slices:
-        if seg is plateau:
-            if not s_star < 0.0:
-                return None
-            least.append(s_star * s_star)
-            most.append(s_star * s_star)
-            continue
-        d1 = row(t[lo:hi], 1)
-        if not np.all(d1 < 0.0):
-            return None
-        ratio = row(t[lo:hi], 2) + d1 * d1
-        least.append(np.min(ratio))
-        most.append(np.max(ratio))
-    # np.min and np.max propagate a NaN proxy, as on the whole grid
-    return float(np.min(least)), float(np.max(most))
+    q = q[:, None]
+    r = r[:, None]
+    (v_q, s_q, d_q), (v_r, s_r, d_r) = (
+        [x[:, None] for x in side] for side in np.moveaxis(ends, 0, -1))
+    theta = np.array(_THETA_LADDER)
+    s_star = _plateau_level(q, r, theta, ((v_q, s_q, d_q), (v_r, s_r, d_r)))
+    w_ramp = theta * (r - q)
+    rows = (_cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
+            (s_star, 0.0, 0.0, 0.0),
+            _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp))
+    shape = w_ramp.shape
+    coeffs = np.empty((4, 3) + shape)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            coeffs[j, i] = c
+    t0 = np.array([np.broadcast_to(q, shape), q + w_ramp, r - w_ramp])
+    t1 = np.array([q + w_ramp, r - w_ramp, np.broadcast_to(r, shape)])
+    kept = t1 > t0
+    start = np.where(np.cumsum(kept, axis=0) > kept, t0, q)
+    end = np.array(t1)
+    for i in (1, 0):
+        end[i] = np.where(kept[i + 1], start[i + 1], end[i + 1])
+    active = kept & (end > start)
+    width = np.where(active, t1 - t0, 1.0)
+    u_lo = ((start - t0) / width).ravel()
+    u_hi = ((end - t0) / width).ravel()
+    coeffs = coeffs.reshape(4, -1)
+    slope = _cubic_slope_range(coeffs, u_lo, u_hi)[1].reshape(active.shape)
+    least, most = (x.reshape(active.shape) for x in
+                   _cubic_proxy_range(coeffs, width.ravel(), u_lo, u_hi))
+    return (np.where(active, slope, -INF).max(axis=0),
+            np.where(active, least, INF).min(axis=0),
+            np.where(active, most, -INF).max(axis=0))
 
 
-def _transition_piece(left: _Envelope, right: _Envelope,
-                      q: float, r: float) -> ProfilePiece:
-    """Bridge piece on [q, r] carrying the admissible ramp/plateau/ramp
-    transition of least curvature-proxy slack, the earliest ramp fraction
-    of the ladder among equals.
+def _transition_pieces(bands: Sequence[_Band]) -> list[ProfilePiece]:
+    """Bridge pieces for the transition bands (left, right, q, r), in
+    order.  Each carries the admissible ramp/plateau/ramp transition of
+    least curvature-proxy slack on [q, r], the earliest ramp fraction of
+    the ladder among equals.
 
-    Every ramp fraction is checked on one shared grid of the band.  The
-    monotone ones are ranked by (proxy slack, ladder position), and the
-    envelope sandwich is evaluated in that order only until one passes.
-    Raises BridgeConstructionError when no ramp fraction yields a
-    monotone, envelope-sandwiched transition.
+    Every ramp fraction's monotonicity and proxy range are read exactly
+    per row, in closed form, for all bands in one batch
+    (``_ladder_ranges``).  The monotone ones whose slack is not NaN are
+    ranked by (proxy slack, ladder position), and the envelope sandwich,
+    sampled on ``_GRID`` points of the band, is evaluated in that order
+    only until one passes.  Raises BridgeConstructionError, for the first
+    band in order that has none, when no ramp fraction yields a monotone,
+    envelope-sandwiched transition.
     """
+    if not bands:
+        return []
+    ends = [tuple(tuple(float(env(x, k)) for k in range(3))
+                  for env, x in ((left, q), (right, r)))
+            for left, right, q, r in bands]
+    with np.errstate(all="ignore"):
+        # huge rates overflow to inf here, as scalar arithmetic would
+        ranges = _ladder_ranges(np.array([band[2] for band in bands]),
+                                np.array([band[3] for band in bands]),
+                                np.array(ends))
+    return [_transition_piece(*band, band_ends, *(x[k] for x in ranges))
+            for k, (band, band_ends) in enumerate(zip(bands, ends))]
+
+
+def _transition_piece(left: _Envelope, right: _Envelope, q: float, r: float,
+                      ends, slope: np.ndarray, least: np.ndarray,
+                      most: np.ndarray) -> ProfilePiece:
+    """The bridge piece of one band, from its ends and its ladder's
+    greatest log-slope and proxy range (see ``_transition_pieces``)."""
     if left == right:
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
-    # the end values, the grid and the envelopes on it do not depend on
-    # the ramp fraction
-    ends = tuple(tuple(float(env(x, k)) for k in range(3))
-                 for env, x in ((left, q), (right, r)))
     if ends[0][1] >= 0 or ends[1][1] >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
     lo_rate = min(left.rate, right.rate)
     hi_rate = max(left.rate, right.rate)
+    slack = np.maximum(np.maximum(lo_rate * lo_rate - least,
+                                  most - hi_rate * hi_rate), 0.0)
+    # a NaN extreme rejects the candidate; an infinite one (a proxy past
+    # the float range) ranks it last, and the certificate then fails it
+    admissible = np.flatnonzero((slope < 0.0) & ~np.isnan(slack))
+    # the sandwich's grid and the envelopes on it do not depend on the
+    # ramp fraction
     t = np.linspace(q, r, _GRID)
     at_left = left(t)
     at_right = right(t)
     lo_env = np.minimum(at_left, at_right)
     hi_env = np.maximum(at_left, at_right)
-
-    ranked = []
-    for rank, theta in enumerate(_THETA_LADDER):
-        segments = _ramp_plateau_ramp(q, r, theta, ends)
+    for rank in sorted(admissible.tolist(), key=lambda k: (slack[k], k)):
+        segments = _ramp_plateau_ramp(q, r, _THETA_LADDER[rank], ends)
         starts, kept = _active_segments(q, segments)
-        slices = [(seg, _row(seg), lo, hi) for seg, (lo, hi)
-                  in zip(kept, _row_slices(t, starts)) if hi > lo]
-        proxy = _monotone_proxy_range(segments[1], slices, t)
-        if proxy is not None:
-            # max(0.0, ...) reads a NaN proxy as slack 0.0
-            slack = max(0.0, lo_rate * lo_rate - proxy[0],
-                        proxy[1] - hi_rate * hi_rate)
-            ranked.append((slack, rank, segments, slices))
-    ranked.sort(key=lambda cand: cand[:2])
-    for _, _, segments, slices in ranked:
         g = np.empty_like(t)
-        for _, row, lo, hi in slices:
-            g[lo:hi] = row(t[lo:hi])
+        for seg, (lo, hi) in zip(kept, _row_slices(t, starts)):
+            g[lo:hi] = _row(seg)(t[lo:hi])
         tol = 1e-9 * np.maximum(1.0, np.abs(g))
         if np.all(g >= lo_env - tol) and np.all(g <= hi_env + tol):
             return ProfilePiece(q, r, "bridge", {"segments": segments})
@@ -545,27 +690,46 @@ class ValidationReport:
     convex: bool = True
 
 
-def _piece_sample_grid(piece: ProfilePiece, samples: int) -> np.ndarray:
-    hi = piece.t1
-    if hi == INF:
-        hi = piece.t0 + max(100.0, 9.0 * piece.t0)
-    return np.linspace(piece.t0, hi, samples)
-
-
 def validate_profile(profile: Profile) -> ValidationReport:
-    """Certify a profile on dense per-piece grids.
+    """Certify a profile, exactly per row.
 
     Checks: contiguity, log-value continuity at joins (relative tolerance
-    ``_JOIN_TOL``), C^1/C^2 continuity at joins, strict monotone decrease,
-    and the curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
-    profile's bounds.  Convexity of T is implied by the window whenever
-    eps < a^2; when the declared slack already admits concave stretches it
-    is reported through the ``convex`` flag instead of failing.  A
-    profile is certified once; later calls return the same report.
+    ``_JOIN_TOL``), C^1/C^2 continuity at joins, finite log values at the
+    joins and the row starts, strict monotone decrease, and the
+    curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
+    profile's bounds.  The greatest log-slope and the proxy range of
+    every row come from closed forms on the span the row is active on
+    (``_row_ranges``), the final piece's up to infinity; a NaN or
+    infinite proxy fails the profile.
+    Convexity of T is implied by the window whenever eps < a^2; when the
+    declared slack already admits concave stretches it is reported
+    through the ``convex`` flag instead of failing.  A profile is
+    certified once; later calls return the same report.
     """
     if profile._report is None:
         object.__setattr__(profile, "_report", _certify(profile))
     return profile._report
+
+
+def _row_ranges(rows: Sequence[_Envelope | _Cubic], lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greatest log-slope, and least and greatest curvature proxy, of
+    each row on its [lo, hi], in one batch per row kind."""
+    cubic, coeffs, t0, width, power, rate = _row_arrays(rows)
+    slope = np.empty(len(rows))
+    least = np.empty(len(rows))
+    most = np.empty(len(rows))
+    if cubic.any():
+        coeffs, t0, width = coeffs[:, cubic], t0[cubic], width[cubic]
+        u_lo = (lo[cubic] - t0) / width
+        u_hi = (hi[cubic] - t0) / width
+        slope[cubic] = _cubic_slope_range(coeffs, u_lo, u_hi)[1]
+        least[cubic], most[cubic] = _cubic_proxy_range(coeffs, width, u_lo, u_hi)
+    law = ~cubic
+    if law.any():
+        slope[law], least[law], most[law] = _envelope_ranges(
+            power[law], rate[law], lo[law], hi[law])
+    return slope, least, most
 
 
 def _certify(profile: Profile) -> ValidationReport:
@@ -573,15 +737,27 @@ def _certify(profile: Profile) -> ValidationReport:
     a2 = profile.bounds.a ** 2
     b2 = profile.bounds.b ** 2
     eps = profile.bounds.eps
+    pieces = profile.pieces
+
+    # one table per piece, read at the joins on both sides (each side with
+    # its own law) and at the row starts, all in one jets call per piece
+    tables = [_SegmentTable.compile([piece]) for piece in pieces]
+    points = []
+    jets = []
+    for k, (piece, table) in enumerate(zip(pieces, tables)):
+        t = np.sort(np.r_[table.starts[table.starts < piece.t1],
+                          [pieces[k - 1].t1] if k else [],
+                          [piece.t1] if piece.t1 < INF else []])
+        points.append(t)
+        jets.append(table.jets(t))
 
     worst_join = 0.0
     worst_slope = 0.0
-    # one table per piece: a join is checked with each side's own law
-    tables = [_SegmentTable.compile([piece]) for piece in profile.pieces]
-    for k, leftp in enumerate(profile.pieces[:-1]):
-        t = np.array([leftp.t1])
-        left_jet = [float(v[0]) for v in tables[k].jets(t)]
-        right_jet = [float(v[0]) for v in tables[k + 1].jets(t)]
+    for k, leftp in enumerate(pieces[:-1]):
+        left_jet = [float(v[np.searchsorted(points[k], leftp.t1)])
+                    for v in jets[k]]
+        right_jet = [float(v[np.searchsorted(points[k + 1], leftp.t1)])
+                     for v in jets[k + 1]]
         gl, gr = left_jet[0], right_jet[0]
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
@@ -595,27 +771,43 @@ def _certify(profile: Profile) -> ValidationReport:
                 msgs.append(
                     f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
 
+    # every row of every piece, on the span it is active on in the piece
+    spans = []
+    for piece, table in zip(pieces, tables):
+        starts = table.starts.tolist()
+        ends = [min(end, piece.t1) for end in starts[1:] + [piece.t1]]
+        spans.append([(row, lo, hi) for row, lo, hi
+                      in zip(table.rows, starts, ends) if hi > lo])
+    rows, lo, hi = zip(*(span for piece_spans in spans for span in piece_spans))
+    slope, least, most = _row_ranges(rows, np.array(lo), np.array(hi))
+    # each piece's extremes over its rows; every piece has a row
+    firsts = np.cumsum([0] + [len(piece_spans) for piece_spans in spans[:-1]])
+    per_piece = zip(np.maximum.reduceat(slope, firsts).tolist(),
+                    np.minimum.reduceat(least, firsts).tolist(),
+                    np.maximum.reduceat(most, firsts).tolist())
+
     ratio_min = INF
     ratio_max = -INF
-    for piece, table in zip(profile.pieces, tables):
-        g, d1, d2 = table.jets(_piece_sample_grid(piece, _SAMPLES_PER_PIECE))
-        if not np.all(np.isfinite(g)):
+    for piece, jet, (steepest, p_min, p_max) in zip(pieces, jets, per_piece):
+        if not np.all(np.isfinite(jet[0])):
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
-        if np.any(d1 > 1e-12):
+        if steepest > 1e-12:
             msgs.append(f"non-decreasing log profile in piece at t0={piece.t0}")
-        if np.any(np.diff(g) >= 0):
-            msgs.append(f"sampled values not strictly decreasing in piece at t0={piece.t0}")
-        ratio = d2 + d1 * d1
-        ratio_min = min(ratio_min, float(np.min(ratio)))
-        ratio_max = max(ratio_max, float(np.max(ratio)))
-        if float(np.min(ratio)) < a2 - eps - _RATIO_SLOP:
+        if not steepest < 0.0:
+            msgs.append(f"log values not strictly decreasing in piece at t0={piece.t0}")
+        if not (math.isfinite(p_min) and math.isfinite(p_max)):
+            msgs.append(f"non-finite curvature proxy in piece at t0={piece.t0}")
+            continue
+        ratio_min = min(ratio_min, p_min)
+        ratio_max = max(ratio_max, p_max)
+        if p_min < a2 - eps - _RATIO_SLOP:
             msgs.append(
-                f"curvature proxy {float(np.min(ratio)):.6g} below "
+                f"curvature proxy {p_min:.6g} below "
                 f"a^2 - eps = {a2 - eps:.6g} in piece at t0={piece.t0}")
-        if float(np.max(ratio)) > b2 + eps + _RATIO_SLOP:
+        if p_max > b2 + eps + _RATIO_SLOP:
             msgs.append(
-                f"curvature proxy {float(np.max(ratio)):.6g} above "
+                f"curvature proxy {p_max:.6g} above "
                 f"b^2 + eps = {b2 + eps:.6g} in piece at t0={piece.t0}")
 
     implied = max(0.0, a2 - ratio_min, ratio_max - b2)
@@ -701,14 +893,14 @@ def _require_edge_fits(who: str, m: int, k: int) -> None:
              f"m or windows is too large")
 
 
-def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(p.m >= 3, f"{name} needs integer m >= 3")
     _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     _require(p.windows >= 1, "need at least one oscillation window")
     _require_edge_fits(name, p.m, 4 * p.windows + 2)
     slow = _Envelope(0.0, 1.0)
     fast = _Envelope(0.0, p.rate_fast)
-    pieces: list[ProfilePiece] = []
+    pieces: list[ProfilePiece | _Band] = []
     prev_end = 0.0
     for n in range(1, p.windows + 1):
         pn = float(p.m) ** (4 * n)
@@ -719,32 +911,31 @@ def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
         end = float(p.m) ** (4 * n + 2)
         _require(prev_end < q < r < s < end, "degenerate sparse window layout")
         pieces.append(pure_piece(prev_end, q, 1.0))
-        pieces.append(_transition_piece(slow, fast, q, r))
+        pieces.append((slow, fast, q, r))
         pieces.append(pure_piece(r, s, p.rate_fast))
-        pieces.append(_transition_piece(fast, slow, s, end))
+        pieces.append((fast, slow, s, end))
         prev_end = end
     pieces.append(pure_piece(prev_end, INF, 1.0))
     return pieces
 
 
-def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece]:
+def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece | _Band]:
     # unit-rate head, then one transition onto the tail t^power e^{-b t}
     t0 = p.head * p.band_ratio
     _require(t0 > power / p.rate_fast, "tail must start beyond the envelope peak")
     return [pure_piece(0.0, p.head, 1.0),
-            _transition_piece(_Envelope(0.0, 1.0),
-                              _Envelope(power, p.rate_fast), p.head, t0),
+            (_Envelope(0.0, 1.0), _Envelope(power, p.rate_fast), p.head, t0),
             poly_piece(t0, INF, power, p.rate_fast)]
 
 
-def _exotic_conv_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+def _exotic_conv_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     _require(p.beta > 1.0, f"{name} needs power > 1")
     _require(p.head > 0 and p.band_ratio > 1, "bad transition band")
     return _tail_pieces(p, p.beta)
 
 
-def _exotic_div_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+def _exotic_div_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     a_end = p.head
     fast_start = a_end + p.gap
@@ -754,15 +945,13 @@ def _exotic_div_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
              f"{name} needs head < fast band < tail start")
     _require(tail > 3.0 / p.rate_fast, "tail must start beyond the envelope peak")
     return [pure_piece(0.0, a_end, 1.0),
-            _transition_piece(_Envelope(0.0, 1.0),
-                              _Envelope(0.0, p.rate_fast), a_end, fast_start),
+            (_Envelope(0.0, 1.0), _Envelope(0.0, p.rate_fast), a_end, fast_start),
             pure_piece(fast_start, fast_end, p.rate_fast),
-            _transition_piece(_Envelope(0.0, p.rate_fast),
-                              _Envelope(3.0, p.rate_fast), fast_end, tail),
+            (_Envelope(0.0, p.rate_fast), _Envelope(3.0, p.rate_fast), fast_end, tail),
             poly_piece(tail, INF, 3.0, p.rate_fast)]
 
 
-def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
+def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece | _Band]:
     b = p.rate_fast
     _require(p.m >= 3, "critical ids need integer m >= 3")
     _require(b > 2.0, "critical ids need fast rate > 2")
@@ -776,7 +965,7 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
     _require(p1 > 2.0 / b, "slow envelope must decrease on the windows")
     # Head: unit-rate law, then one transition onto the slow envelope.
     pieces = [pure_piece(0.0, p.head, 1.0),
-              _transition_piece(_Envelope(0.0, 1.0), slow, p.head, p1)]
+              (_Envelope(0.0, 1.0), slow, p.head, p1)]
     for n in range(1, p.windows + 1):
         pn = float(p.m) ** (2 * n)
         rn_big = float(p.m) ** (2 * n + 1)
@@ -787,20 +976,20 @@ def _critical_pieces(p: CatalogParams, fast_power: float) -> list[ProfilePiece]:
         next_p = float(p.m) ** (2 * n + 2)
         _require(s < next_p, "degenerate critical window layout")
         pieces.append(poly_piece(pn, q, 1.0, b / 2.0))
-        pieces.append(_transition_piece(slow, fast, q, r))
+        pieces.append((slow, fast, q, r))
         pieces.append(poly_piece(r, s, fast_power, b))
-        pieces.append(_transition_piece(fast, slow, s, next_p))
+        pieces.append((fast, slow, s, next_p))
     final_p = float(p.m) ** (2 * p.windows + 2)
     pieces.append(poly_piece(final_p, INF, 1.0, b / 2.0))
     return pieces
 
 
-def _critical_finite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+def _critical_finite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(0.0 < p.gamma < 1.0, "gamma must lie in (0, 1)")
     return _critical_pieces(p, 2.0 + p.gamma)
 
 
-def _critical_infinite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]:
+def _critical_infinite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(0.0 < p.gamma < 1.0, "gamma must lie in (0, 1)")
     _require(1.0 + p.gamma < p.beta < 2.0 + p.gamma,
              f"{name} needs beta in (1+gamma, 2+gamma)")
@@ -809,14 +998,15 @@ def _critical_infinite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece]
 
 @dataclass(frozen=True)
 class _Family:
-    """A catalog family: ``pieces(name, params)`` checks and builds its
+    """A catalog family: ``pieces(name, params)`` checks and lays out its
     main profile from the fields ``reads``, and ``companion(params)`` the
     second perturbed cusp of a family with one, which also reads
-    ``companion_reads``."""
-    pieces: Callable[[str, CatalogParams], list[ProfilePiece]]
+    ``companion_reads``; a transition is laid out as its band, bridged
+    when the profile is finalized."""
+    pieces: Callable[[str, CatalogParams], list[ProfilePiece | _Band]]
     reads: frozenset[str]
     defaults: CatalogParams = CatalogParams()
-    companion: Optional[Callable[[CatalogParams], list[ProfilePiece]]] = None
+    companion: Optional[Callable[[CatalogParams], list[ProfilePiece | _Band]]] = None
     companion_reads: frozenset[str] = frozenset()
 
 
@@ -862,19 +1052,32 @@ def default_catalog_params(name: str) -> CatalogParams:
     return _FAMILIES[name].defaults
 
 
-def _finalize(pieces: list[ProfilePiece], params: CatalogParams) -> Profile:
+def _round_up(x: float) -> float:
+    """x >= 0.1 rounded up to ten significant digits, to within one
+    rounding of the last division."""
+    scale = 10.0 ** (9 - math.floor(math.log10(x)))
+    return math.ceil(x * scale) / scale
+
+
+def _finalize(layout: list[ProfilePiece | _Band], params: CatalogParams) -> Profile:
     # Every catalog profile requests slack 0.1.  The declared slack is
-    # certified against the profile-level window [a^2, b^2] on the
-    # validator's dense grids; per-transition figures (measured against
-    # the narrower local rate pair) are construction diagnostics only.
-    # The probe's window is open (eps = inf), and the final slack is at
-    # least the implied one, so the window, the one check that reads
+    # certified against the profile-level window [a^2, b^2], exactly per
+    # row; per-transition figures (measured against the narrower local
+    # rate pair) are construction diagnostics only.  It is the implied
+    # slack widened by 1e-9 and rounded up to ten digits: an extreme at a
+    # root of the proxy's derivative is exact only to rounding, and its
+    # last bits follow the eigenvalue solver, which the profile text must
+    # not.  The probe's window is open (eps = inf), and the final slack is
+    # at least the implied one, so the window, the one check that reads
     # eps, passes on both: the final profile's report is the probe's.
+    bands = [item for item in layout if isinstance(item, tuple)]
+    bridges = iter(_transition_pieces(bands))
+    pieces = [next(bridges) if isinstance(item, tuple) else item for item in layout]
     bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF)
     probe = assemble_profile(bounds, pieces)
     report = validate_profile(probe)
-    profile = replace(probe, bounds=replace(
-        bounds, eps=max(0.1, report.implied_eps * (1.0 + 1e-9))))
+    eps = _round_up(max(0.1, report.implied_eps * (1.0 + 1e-9)))
+    profile = replace(probe, bounds=replace(bounds, eps=eps))
     object.__setattr__(profile, "_report", report)
     return profile
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgrowth import asymptotics, numerics
+from cuspgrowth import asymptotics, h2_oracle, numerics, taxonomy
 from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.asymptotics import (
     CuspModel,
@@ -553,6 +553,19 @@ class TestEstimateExponents:
     def test_policy_tolerance_must_be_nonnegative(self, tol):
         with pytest.raises(DomainError, match="tol"):
             WindowPolicy(tol=tol)
+
+    @pytest.mark.parametrize("n_windows", [7, 8, 40])
+    def test_no_r_max_fills_too_many_windows(self, n_windows):
+        # 256 steps over 2^(n_windows - 1) leave the innermost window 7
+        # steps or fewer at any radius; the bare formula read -83.0 at
+        # n_windows = 7 and -49.8 at 8
+        with pytest.raises(DomainError, match=f"no R_max fills {n_windows} windows"):
+            WindowPolicy(n_windows=n_windows).min_r_max(1.0, 257)
+
+    def test_floors_keep_their_values(self):
+        # the two floors the command line checks, to the bit
+        assert taxonomy._R_MAX_FLOOR.hex() == "0x1.3eb851eb851ecp+3"  # 9.96
+        assert h2_oracle._DELTA_FLOOR.hex() == "0x1.0767ab5f34e48p+3"  # 996/121
 
 
 class TestClassifyGrowth:

@@ -8,6 +8,7 @@ invocation.
 """
 
 import dataclasses
+import errno
 import hashlib
 import inspect
 import json
@@ -650,6 +651,31 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {out / 'oracle.txt'}: ")
         assert not (out / "summary.json").exists()
         assert not (out / "oracle-counts.csv").exists()
+
+    def test_write_that_fails_midway_leaves_nothing(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a full disk after the first file: the earlier run's artifacts
+        # stay as they were, no file of the new run lands, and no staging
+        # directory is left next to the output directory
+        rc, out = _run(tmp_path, "oracle-verify", "--Rcap", "9")
+        assert rc == EXIT_PASS
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text = Path.write_text
+        written = []
+
+        def full_disk(path, text):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            written.append(path)
+            return write_text(path, text)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        rc, _ = _run(tmp_path, "oracle-verify", "--Rcap", "10")
+        monkeypatch.undo()
+        assert rc == EXIT_CONFIG
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_failed_family_writes_nothing(self, tmp_path, capsys):
         # the first three families accept --mu 0.45 and finish; the
