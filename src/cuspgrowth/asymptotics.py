@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -133,8 +133,7 @@ def _log_excursion_block(cusp: CuspModel, radii: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class _Segments:
+class _Segments(NamedTuple):
     """Smooth stretches [lo, hi] of the excursion integrals of a radius
     array, in radius order: ``owner`` indexes the radius, ``slope`` bounds
     the log integrand's slope, ``count`` is the number of panels (float,
@@ -293,8 +292,7 @@ def series_log_integrand(cusp: CuspModel, s: float) -> Callable:
     return f_log
 
 
-@dataclass(frozen=True)
-class SeriesTail:
+class SeriesTail(NamedTuple):
     """Verdict and mass of an orbit-series tail integral: ``log_tail`` is
     the log of the integral over [t_min, infinity), +inf when it
     diverges."""
@@ -389,20 +387,28 @@ class WindowPolicy:
             raise DomainError(f"tol must be nonnegative, got {self.tol!r}")
 
     def min_r_max(self, r_lo: float, n_points: int) -> float:
-        """Smallest R_max at which np.linspace(r_lo, R_max, n_points)
-        fills every window, for grids whose innermost window opens below
-        r_lo: that window then holds the grid's first samples.  Raises
-        DomainError when no R_max does: the innermost window's share of
-        the grid's steps, span / 2^(n_windows - 1), is at most
-        _MIN_POINTS - 1 at every radius."""
+        """Smallest R_max at which every window of np.linspace(r_lo,
+        R_max, n_points) holds _MIN_POINTS samples; raises DomainError
+        when no R_max does.
+
+        Only the innermost window can run short: each outer one is at
+        least twice as long.  Below R_max = 2^n_windows r_lo the innermost
+        window opens below r_lo and holds the grid's first samples, up to
+        R_max / 2^(n_windows - 1); it holds _MIN_POINTS of them from the
+        value returned on.  Above, it opens above r_lo and covers at most
+        span / (2^n_windows - 1) of the grid's span = n_points - 1 steps;
+        it then holds _MIN_POINTS samples only if that exceeds
+        _MIN_POINTS - 1, and in that case the value returned already lies
+        below 2^n_windows r_lo."""
         span = n_points - 1
         k = _MIN_POINTS - 1
-        innermost = span / 2.0 ** (self.n_windows - 1)
-        if not innermost > k:
+        cells = 2.0 ** self.n_windows - 1.0
+        if not span > cells * k:
             raise DomainError(
                 f"no R_max fills {self.n_windows} windows with {n_points} "
-                f"grid points: the innermost window would hold "
-                f"{innermost:g} steps of the grid, needs more than {k}")
+                f"grid points: the innermost window would span at most "
+                f"{span / cells:g} steps of the grid, needs more than {k}")
+        innermost = span / 2.0 ** (self.n_windows - 1)
         return r_lo * (span - k) / (innermost - k)
 
 
@@ -421,8 +427,7 @@ def _window_masks(radii: np.ndarray, policy: WindowPolicy) -> list[np.ndarray]:
     return masks
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     """Upper/lower growth exponents read from tail windows.
 
     ``omega_plus`` is the largest, ``omega_minus`` the smallest value of
@@ -474,8 +479,7 @@ class GrowthClass(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class TrendPolicy:
+class TrendPolicy(NamedTuple):
     """Thresholds for growth-type classification of the normalized
     residual ln f(R) - delta R over the tail windows.
 
@@ -488,8 +492,7 @@ class TrendPolicy:
     band: float = 1.0
 
 
-@dataclass(frozen=True)
-class GrowthClassification:
+class GrowthClassification(NamedTuple):
     kind: GrowthClass
     trend_peak: float
     oscillation: float
@@ -537,8 +540,7 @@ def critical_exponent_chain_bound(omega_plus: float, omega_minus: float) -> floa
     return max(omega_plus, 2.0 * (omega_plus - omega_minus))
 
 
-@dataclass(frozen=True)
-class ChainCheckReport:
+class ChainCheckReport(NamedTuple):
     """Estimated link of parabolic exponents to excursion-integral growth.
 
     The chain asserts delta_minus <= omega_minus(F) <= omega_plus(F) <=

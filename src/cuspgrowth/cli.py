@@ -30,7 +30,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -144,8 +144,7 @@ _FLAGS = {
 _OVERRIDES = {"b": "rate_fast", "gamma": "gamma", "M": "m", "mu": "mu"}
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     name: str
     r_max: float

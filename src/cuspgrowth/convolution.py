@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,8 +142,7 @@ def conv_continuous(f_log: Callable[[np.ndarray], np.ndarray],
 
 # -- the sandwich between gauge and continuous convolutions ----------------------
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """The two-sided gauge bracket of a continuous convolution,
 
         delta (f*g)_delta(R - delta)  <=  (f*g)(R)

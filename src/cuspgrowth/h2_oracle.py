@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -466,8 +466,7 @@ def _annulus(norms: tuple[np.ndarray, np.ndarray], r, gauge):
         _ball(norms, r + gauge / 2.0) - _ball(norms, r - gauge / 2.0), 0)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Ball and annulus counts on a gauge grid."""
     gauge: float
     radii: np.ndarray
@@ -528,8 +527,7 @@ def _horoball_allowance(d: np.ndarray) -> np.ndarray:
     return np.log(4.0 / (1.0 - 1.0 / np.cosh(d)))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of the randomized geometric-lemma sweep."""
     samples: int
     seed: int
@@ -628,8 +626,7 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
 # -- coset-count sandwiches ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prop28Report:
+class Prop28Report(NamedTuple):
     """Two-phase verification of the coset-count sandwiches.
 
     Right-hand sides hold exactly by injectivity (each coset is witnessed
@@ -709,8 +706,7 @@ def verify_prop28(r: float, gauge: float) -> Prop28Report:
 # -- critical exponent and counting formula -----------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Windowed critical-exponent estimate from exact orbit counts; the
     point estimate is the midpoint of the outermost window's ratio range,
     the window least biased by the finite radius."""
@@ -749,8 +745,7 @@ def estimate_delta(*, r_cap: float = 12.0) -> DeltaReport:
         r_cap=r_cap, n_elements=int(counts[-1]))
 
 
-@dataclass(frozen=True)
-class CountingBandReport:
+class CountingBandReport(NamedTuple):
     """Two-phase counting-formula check: the log constant absorbing the
     empirical deviation from the convolution envelope is fitted on the
     inner radii and then asserted, frozen, on the outer radii."""

@@ -13,8 +13,7 @@ function, and a doubling-window tail analyser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -319,8 +318,7 @@ def log_upper_gamma(a: float, x: float) -> float:
     return log_add(_log_upper_gamma_cf(a, 1.0), band)
 
 
-@dataclass(frozen=True)
-class TailAnalysis:
+class TailAnalysis(NamedTuple):
     """Outcome of a doubling-window scan of an improper integral.
 
     ``verdict`` is True when the window ratios certify convergence, False

@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,8 +125,7 @@ class _Envelope:
             return -self.power / (t * t)
 
 
-@dataclass(frozen=True)
-class _Cubic:
+class _Cubic(NamedTuple):
     """Transition segment whose log-slope is the cubic
     c0 + c1 u + c2 u^2 + c3 u^3 in u = (t - t0)/width, with ln value
     ``anchor`` at t0."""
@@ -339,7 +338,6 @@ def _row_slices(t: np.ndarray,
     return list(zip(cuts, cuts[1:] + [t.size]))
 
 
-@dataclass(frozen=True, eq=False)
 class _SegmentTable:
     """The segments of consecutive pieces, flattened in order.
 
@@ -349,8 +347,11 @@ class _SegmentTable:
     Starts strictly increase: a zero-width segment (a transition whose
     plateau has no room) is active nowhere and gets no row.
     """
-    starts: np.ndarray
-    rows: tuple[_Envelope | _Cubic, ...]
+
+    def __init__(self, starts: np.ndarray,
+                 rows: tuple[_Envelope | _Cubic, ...]) -> None:
+        self.starts = starts
+        self.rows = rows
 
     @classmethod
     def compile(cls, pieces: Sequence[ProfilePiece]) -> "_SegmentTable":
@@ -679,8 +680,7 @@ def assemble_profile(bounds: CurvatureBounds,
 
 # -- validation --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     messages: tuple[str, ...]
     ratio_range: tuple[float, float]
@@ -996,8 +996,7 @@ def _critical_infinite_pieces(name: str, p: CatalogParams) -> list[ProfilePiece 
     return _critical_pieces(p, p.beta)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """A catalog family: ``pieces(name, params)`` checks and lays out its
     main profile from the fields ``reads``, and ``companion(params)`` the
     second perturbed cusp of a family with one, which also reads
@@ -1070,9 +1069,10 @@ def _finalize(layout: list[ProfilePiece | _Band], params: CatalogParams) -> Prof
     # not.  The probe's window is open (eps = inf), and the final slack is
     # at least the implied one, so the window, the one check that reads
     # eps, passes on both: the final profile's report is the probe's.
-    bands = [item for item in layout if isinstance(item, tuple)]
+    bands = [item for item in layout if not isinstance(item, ProfilePiece)]
     bridges = iter(_transition_pieces(bands))
-    pieces = [next(bridges) if isinstance(item, tuple) else item for item in layout]
+    pieces = [item if isinstance(item, ProfilePiece) else next(bridges)
+              for item in layout]
     bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF)
     probe = assemble_profile(bounds, pieces)
     report = validate_profile(probe)

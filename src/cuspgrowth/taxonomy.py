@@ -89,8 +89,7 @@ class LatticeSpec:
             raise DomainError("need one dominance flag per cusp")
 
 
-@dataclass(frozen=True)
-class Predictions:
+class Predictions(NamedTuple):
     """Predicted growth behaviour; None marks a claim the taxonomy does
     not constrain."""
     vgamma_class: Optional[GrowthClass]
@@ -99,8 +98,7 @@ class Predictions:
     margulis: Optional[bool]
 
 
-@dataclass(frozen=True)
-class PinchGateReport:
+class PinchGateReport(NamedTuple):
     """Consequences of a quarter-pinched curvature window.
 
     When b^2 <= 4a^2 the parabolic exponents of every cusp are
@@ -142,8 +140,7 @@ def _group_divergent(vg: VGammaModel) -> bool:
     return vg.decay <= 1.0
 
 
-@dataclass(frozen=True)
-class TaxonomyReport:
+class TaxonomyReport(NamedTuple):
     sparse: bool
     exotic: bool
     pinch_class: str
@@ -353,16 +350,14 @@ _FAMILY_READS = {name: f.reads | f.companion_reads | _LATTICES[name].reads
                  for name, f in _FAMILIES.items()}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     expected: str
     computed: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(NamedTuple):
     name: str
     params: CatalogParams
     taxonomy: TaxonomyReport

@@ -562,6 +562,33 @@ class TestEstimateExponents:
         with pytest.raises(DomainError, match=f"no R_max fills {n_windows} windows"):
             WindowPolicy(n_windows=n_windows).min_r_max(1.0, 257)
 
+    @pytest.mark.parametrize("n_windows", [2, 3, 4, 5, 6])
+    def test_min_r_max_is_the_least_filling_radius(self, n_windows):
+        # brute force: at the floor every window fills and just below it
+        # one runs short; without a floor no radius fills them.  At
+        # n_windows = 6 with 257 points the floor once read 249.0, where
+        # the innermost window, opening above r_lo, held 5 samples
+        policy = WindowPolicy(n_windows=n_windows)
+
+        def fills(r_lo, n_points, r_max):
+            try:
+                estimate_exponents(GrowthSeries(np.linspace(r_lo, r_max, n_points),
+                                                np.zeros(n_points)), policy)
+            except DomainError:
+                return False
+            return True
+
+        for r_lo in (0.5, 1.0, 4.0):
+            for n_points in (65, 129, 257):
+                try:
+                    floor = policy.min_r_max(r_lo, n_points)
+                except DomainError:
+                    radii = np.geomspace(1.001 * r_lo, 1e4 * r_lo, 400)
+                    assert not any(fills(r_lo, n_points, r) for r in radii)
+                else:
+                    assert fills(r_lo, n_points, floor)
+                    assert not fills(r_lo, n_points, floor * (1.0 - 1e-9))
+
     def test_floors_keep_their_values(self):
         # the two floors the command line checks, to the bit
         assert taxonomy._R_MAX_FLOOR.hex() == "0x1.3eb851eb851ecp+3"  # 9.96

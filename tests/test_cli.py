@@ -7,7 +7,6 @@ failure), artifact layout, and byte-level reproducibility of a fixed
 invocation.
 """
 
-import dataclasses
 import errno
 import hashlib
 import inspect
@@ -1012,8 +1011,7 @@ class TestReportText:
                              assertion, section, want):
         real = getattr(cli, runner)
         monkeypatch.setattr(cli, runner, lambda *args, **kwargs:
-                            dataclasses.replace(real(*args, **kwargs),
-                                                **fields))
+                            real(*args, **kwargs)._replace(**fields))
         rc, out = _run(tmp_path, "oracle-verify", "--Rcap", "12")
         assert rc == EXIT_FAIL
         assert [a["name"] for a in _summary(out)["assertions"]

@@ -6,7 +6,6 @@ small ball counts are cross-checked against an independent norm-pruned
 walk of the generators.
 """
 
-import dataclasses
 import math
 from collections import deque
 from functools import lru_cache
@@ -617,12 +616,12 @@ class TestSharedBall:
     def test_same_result_as_a_fresh_ball(self, ball_runs, case, prebuilt):
         runs, _ = ball_runs
         a, b = runs["fresh"][case], runs[prebuilt][case]
-        for field in dataclasses.fields(a):
-            x, y = getattr(a, field.name), getattr(b, field.name)
+        for field in a._fields:
+            x, y = getattr(a, field), getattr(b, field)
             if isinstance(x, np.ndarray):
-                assert np.array_equal(x, y), field.name
+                assert np.array_equal(x, y), field
             else:
-                assert x == y, field.name
+                assert x == y, field
 
     def test_largest_ball_is_kept(self, ball_runs):
         _, held = ball_runs
@@ -1086,9 +1085,9 @@ class TestCosetsAgainstReference:
 
 
 def _assert_same_report(got, want) -> None:
-    for field in dataclasses.fields(want):
-        x, y = getattr(got, field.name), getattr(want, field.name)
-        assert type(x) is type(y) and x == y, field.name
+    for field in want._fields:
+        x, y = getattr(got, field), getattr(want, field)
+        assert type(x) is type(y) and x == y, field
 
 
 def _synthetic_ball(seed: int) -> dict[str, np.ndarray]:
@@ -1538,13 +1537,13 @@ class TestLemmasAgainstReference:
         # numpy's exp, log and arccosh may differ from Python's in the
         # last digit; 1e-12 is a thousandth of the sweep's 1e-9 slop
         got, want = verify_lemmas(n, seed), _ref_verify_lemmas(n, seed)
-        for field in dataclasses.fields(want):
-            x, y = getattr(got, field.name), getattr(want, field.name)
-            assert type(x) is type(y), field.name
+        for field in want._fields:
+            x, y = getattr(got, field), getattr(want, field)
+            assert type(x) is type(y), field
             if isinstance(y, float):
-                assert abs(x - y) <= 1e-12, field.name
+                assert abs(x - y) <= 1e-12, field
             else:
-                assert x == y, field.name
+                assert x == y, field
 
     @pytest.mark.parametrize("z, w", [
         # one vertical line, w above and below z

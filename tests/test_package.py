@@ -77,6 +77,26 @@ def test_package_reexports_only_declared_names(module, names):
     assert [name for name in names if name not in declared] == []
 
 
+# The records whose construction validates stay dataclasses: a
+# NamedTuple's _replace and _make skip any __new__ check.  CatalogParams
+# stays one because callers override it with dataclasses.replace.  Every
+# other record is a NamedTuple: its class generates one method at import,
+# where a frozen dataclass generates six.
+_DATACLASSES = {
+    "CurvatureBounds", "_Envelope", "ProfilePiece", "Profile", "CuspModel",
+    "GrowthSeries", "WindowPolicy", "VGammaModel", "Band", "MoebiusElement",
+    "LatticeSpec", "CatalogParams",
+}
+
+
+def test_only_validated_records_are_dataclasses():
+    found = {cls.__name__ for module in _modules()
+             for cls in vars(module).values()
+             if isinstance(cls, type) and cls.__module__ == module.__name__
+             and "__dataclass_fields__" in vars(cls)}
+    assert found == _DATACLASSES
+
+
 def _classes(annotation) -> list[type]:
     """The classes in a type annotation, generic arguments included."""
     found = [annotation] if isinstance(annotation, type) else []

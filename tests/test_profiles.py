@@ -10,7 +10,7 @@ import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from unittest import mock
 
 import mpmath
@@ -900,8 +900,8 @@ def _assert_same_report(got, want):
     """Equal reports, the proxy range and the implied slack to _RANGE_TOL."""
     assert got.ratio_range == pytest.approx(want.ratio_range, rel=_RANGE_TOL)
     assert got.implied_eps == pytest.approx(want.implied_eps, rel=_RANGE_TOL)
-    assert got == replace(want, ratio_range=got.ratio_range,
-                          implied_eps=got.implied_eps)
+    assert got == want._replace(ratio_range=got.ratio_range,
+                                implied_eps=got.implied_eps)
 
 
 def _catalog_build(name, params, *, reference):
