@@ -185,8 +185,8 @@ def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
     r = radii[owner]
     # f = (n-1) (ln T(t) - ln T(m)), m = (R + t)/2, has slope
     # (n-1) (s(t) - s(m)/2) with s = (ln T)', which lies in [least, most]
-    t_least, t_most = prof._dlog_range(lo, hi)
-    m_least, m_most = prof._dlog_range(0.5 * (r + lo), 0.5 * (r + hi))
+    t_least, t_most = prof._table.slope_range(lo, hi)
+    m_least, m_most = prof._table.slope_range(0.5 * (r + lo), 0.5 * (r + hi))
     least = (cusp.dim - 1) * (t_least - 0.5 * m_most)
     most = (cusp.dim - 1) * (t_most - 0.5 * m_least)
     slope = np.maximum(np.abs(least), np.abs(most))

@@ -44,6 +44,7 @@ from .asymptotics import (
 )
 from .errors import CatalogError, ConfigError, CuspGrowthError, QuadratureError
 from .h2_oracle import (
+    _COUNT_ROWS,
     _DELTA_FLOOR,
     BALL_CAP,
     R_CAP,
@@ -65,7 +66,9 @@ from .profiles import (
     validate_profile,
 )
 from .taxonomy import (
+    _CACHE_NODES,
     _FAMILY_READS,
+    _R_MAX_CAP,
     _R_MAX_FLOOR,
     ExampleReport,
     TaxonomyReport,
@@ -263,6 +266,16 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(
             f"--delta {gauge!r} exceeds --Rcap {r_cap!r}: no multiple of "
             f"the gauge lies within the counting radius")
+    if command == "oracle-verify" and gauge < r_cap / _COUNT_ROWS:
+        raise ConfigError(
+            f"--delta {gauge!r} with --Rcap {r_cap!r} would count at "
+            f"{r_cap / gauge:.6g} gauge multiples, above the oracle's budget "
+            f"of {_COUNT_ROWS}; it needs --delta >= {r_cap / _COUNT_ROWS!r}")
+    if command == "example-run" and values["Rmax"] > _R_MAX_CAP:
+        raise ConfigError(
+            f"--Rmax {values['Rmax']!r} is out of range for example-run: it "
+            f"needs --Rmax <= {_R_MAX_CAP!r}, where each excursion cache "
+            f"holds its budget of {_CACHE_NODES} nodes")
     for key in ("b", "gamma", "M", "mu"):
         if values[key] is not None:
             _check_number(key, values[key], command)

@@ -52,6 +52,10 @@ R_CAP = 14.0
 # largest ball any count may read: what verify_prop28 needs at R_CAP with
 # the default gauge 1
 BALL_CAP = R_CAP + 0.5
+# most gauge multiples a count table may hold (r / gauge of them): at
+# Rcap 14, oracle-verify peaked at 100 MB with 100,000 rows, 47 MB with
+# 14 and 620 MB with a million
+_COUNT_ROWS = 100_000
 
 
 def prop28_radius(r: float, gauge: float) -> float:

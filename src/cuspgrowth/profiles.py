@@ -426,6 +426,38 @@ class _SegmentTable:
         return least, most
 
 
+def _table_ranges(tables: Sequence[_SegmentTable], ends: Sequence[float]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greatest log-slope, and least and greatest curvature proxy, of each
+    table up to its end, exact per row: every row is read in closed form
+    on the span it is active on, the rows of all tables in one batch per
+    row kind."""
+    spans = []
+    for k, (table, end) in enumerate(zip(tables, ends)):
+        starts = table.starts.tolist()
+        stops = [min(stop, end) for stop in starts[1:] + [end]]
+        spans += [(k, row, lo, hi) for row, lo, hi
+                  in zip(table.rows, starts, stops) if hi > lo]
+    owner, rows, lo, hi = zip(*spans)
+    owner, lo, hi = np.array(owner), np.array(lo), np.array(hi)
+    cubic, coeffs, t0, width, power, rate = _row_arrays(rows)
+    slope, least, most = np.empty((3, len(rows)))
+    if cubic.any():
+        coeffs, t0, width = coeffs[:, cubic], t0[cubic], width[cubic]
+        u_lo = (lo[cubic] - t0) / width
+        u_hi = (hi[cubic] - t0) / width
+        slope[cubic] = _cubic_slope_range(coeffs, u_lo, u_hi)[1]
+        least[cubic], most[cubic] = _cubic_proxy_range(coeffs, width, u_lo, u_hi)
+    law = ~cubic
+    if law.any():
+        slope[law], least[law], most[law] = _envelope_ranges(
+            power[law], rate[law], lo[law], hi[law])
+    # each table's extremes over its rows; every table has a row
+    firsts = np.searchsorted(owner, np.arange(len(tables)))
+    return (np.maximum.reduceat(slope, firsts), np.minimum.reduceat(least, firsts),
+            np.maximum.reduceat(most, firsts))
+
+
 @dataclass(frozen=True)
 class Profile:
     """A contiguous, strictly decreasing piecewise log-profile.  The
@@ -473,12 +505,6 @@ class Profile:
         starts = np.sort(self._table.starts[1:])
         return np.r_[starts[:1], starts[1:][starts[1:] != starts[:-1]]]
 
-    def _dlog_range(self, lo: np.ndarray,
-                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least and greatest (ln T)' on each [lo, hi]; no interval may
-        cross a piece break.  Sizes the excursion integral's panels."""
-        return self._table.slope_range(lo, hi)
-
     def log_value(self, t):
         """ln T(t) for a float or an array.  An abscissa below t_start
         within the rounding tolerance 1e-12 max(1, t_start) reads
@@ -495,19 +521,6 @@ class Profile:
 
 # -- bridge construction ------------------------------------------------------
 
-def _plateau_level(q: float, r: float, theta, ends):
-    """The plateau log-slope s* of the ramp/plateau/ramp transitions of
-    ramp fraction theta (a float or an array) on [q, r], from the exact
-    area constraint: the integral of sigma over [q, r] equals the
-    log-value gap between the envelopes."""
-    width = r - q
-    (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
-    gap = v_r - v_q
-    return (gap / width
-            - theta * (s_q + s_r) / 2.0
-            - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
-
-
 def _ramp_plateau_ramp(q: float, r: float, theta: float,
                        ends: tuple[tuple[float, float, float], ...]
                        ) -> tuple[dict, dict, dict]:
@@ -516,8 +529,12 @@ def _ramp_plateau_ramp(q: float, r: float, theta: float,
     the right one at r.  The plateau (the middle segment) has the log-slope
     coefficients (s*, 0, 0, 0)."""
     width = r - q
-    (v_q, s_q, d_q), (_, s_r, d_r) = ends
-    s_star = _plateau_level(q, r, theta, ends)
+    (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
+    # the exact area constraint: the integral of sigma over [q, r] equals
+    # the log-value gap between the envelopes
+    s_star = ((v_r - v_q) / width
+              - theta * (s_q + s_r) / 2.0
+              - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
 
     w_ramp = theta * width
     seg1 = {
@@ -552,89 +569,53 @@ def _poly_integral(coeffs: Sequence[float]) -> float:
 _Band = tuple[_Envelope, _Envelope, float, float]
 
 
-def _ladder_ranges(q: np.ndarray, r: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Greatest log-slope and least and greatest curvature proxy of every
-    ramp fraction of the ladder on each band [q, r], exact per row: one
-    row per band, one column per ramp fraction.  ``ends`` holds each
-    band's ``_ramp_plateau_ramp`` ends, shape (bands, 2, 3).
-
-    The rows of all candidates of all bands are built as coefficient
-    arrays, with the arithmetic of ``_ramp_plateau_ramp``, and read in one
-    batch.  Each row is read on the span its segment is active on in the
-    bridge's table: a zero-width segment is active nowhere, the first kept
-    segment starts at q, and each kept segment ends where the next one
-    starts.
-    """
-    q = q[:, None]
-    r = r[:, None]
-    (v_q, s_q, d_q), (v_r, s_r, d_r) = (
-        [x[:, None] for x in side] for side in np.moveaxis(ends, 0, -1))
-    theta = np.array(_THETA_LADDER)
-    s_star = _plateau_level(q, r, theta, ((v_q, s_q, d_q), (v_r, s_r, d_r)))
-    w_ramp = theta * (r - q)
-    rows = (_cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
-            (s_star, 0.0, 0.0, 0.0),
-            _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp))
-    shape = w_ramp.shape
-    coeffs = np.empty((4, 3) + shape)
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            coeffs[j, i] = c
-    t0 = np.array([np.broadcast_to(q, shape), q + w_ramp, r - w_ramp])
-    t1 = np.array([q + w_ramp, r - w_ramp, np.broadcast_to(r, shape)])
-    kept = t1 > t0
-    start = np.where(np.cumsum(kept, axis=0) > kept, t0, q)
-    end = np.array(t1)
-    for i in (1, 0):
-        end[i] = np.where(kept[i + 1], start[i + 1], end[i + 1])
-    active = kept & (end > start)
-    width = np.where(active, t1 - t0, 1.0)
-    u_lo = ((start - t0) / width).ravel()
-    u_hi = ((end - t0) / width).ravel()
-    coeffs = coeffs.reshape(4, -1)
-    slope = _cubic_slope_range(coeffs, u_lo, u_hi)[1].reshape(active.shape)
-    least, most = (x.reshape(active.shape) for x in
-                   _cubic_proxy_range(coeffs, width.ravel(), u_lo, u_hi))
-    return (np.where(active, slope, -INF).max(axis=0),
-            np.where(active, least, INF).min(axis=0),
-            np.where(active, most, -INF).max(axis=0))
-
-
 def _transition_pieces(bands: Sequence[_Band]) -> list[ProfilePiece]:
     """Bridge pieces for the transition bands (left, right, q, r), in
     order.  Each carries the admissible ramp/plateau/ramp transition of
     least curvature-proxy slack on [q, r], the earliest ramp fraction of
     the ladder among equals.
 
-    Every ramp fraction's monotonicity and proxy range are read exactly
-    per row, in closed form, for all bands in one batch
-    (``_ladder_ranges``).  The monotone ones whose slack is not NaN are
-    ranked by (proxy slack, ladder position), and the envelope sandwich,
-    sampled on ``_GRID`` points of the band, is evaluated in that order
-    only until one passes.  Raises BridgeConstructionError, for the first
-    band in order that has none, when no ramp fraction yields a monotone,
-    envelope-sandwiched transition.
+    Every ramp fraction's transition is a segment table, and the greatest
+    log-slope and proxy range of each up to r are read by the certifier's
+    own reader, for all bands in one batch (``_table_ranges``).  The
+    monotone ones whose slack is not NaN are ranked by (proxy slack,
+    ladder position), and the envelope sandwich, sampled on ``_GRID``
+    points of the band, is evaluated in that order only until one passes.
+    Raises BridgeConstructionError, for the first band in order that has
+    none, when no ramp fraction yields a monotone, envelope-sandwiched
+    transition.
     """
     if not bands:
         return []
     ends = [tuple(tuple(float(env(x, k)) for k in range(3))
                   for env, x in ((left, q), (right, r)))
             for left, right, q, r in bands]
+    # each band's ladder: the segments of every ramp fraction and their table
+    ladders = []
+    for (_, _, q, r), band_ends in zip(bands, ends):
+        ladder = []
+        for theta in _THETA_LADDER:
+            segments = _ramp_plateau_ramp(q, r, theta, band_ends)
+            starts, kept = _active_segments(q, segments)
+            ladder.append((segments, _SegmentTable(np.array(starts),
+                                                   tuple(map(_row, kept)))))
+        ladders.append(ladder)
     with np.errstate(all="ignore"):
         # huge rates overflow to inf here, as scalar arithmetic would
-        ranges = _ladder_ranges(np.array([band[2] for band in bands]),
-                                np.array([band[3] for band in bands]),
-                                np.array(ends))
-    return [_transition_piece(*band, band_ends, *(x[k] for x in ranges))
-            for k, (band, band_ends) in enumerate(zip(bands, ends))]
+        ranges = _table_ranges([table for ladder in ladders for _, table in ladder],
+                               [r for *_, r in bands for _ in _THETA_LADDER])
+    ranges = [x.reshape(len(bands), -1) for x in ranges]
+    return [_transition_piece(*band, band_ends, ladder, *(x[k] for x in ranges))
+            for k, (band, band_ends, ladder) in enumerate(zip(bands, ends, ladders))]
 
 
 def _transition_piece(left: _Envelope, right: _Envelope, q: float, r: float,
-                      ends, slope: np.ndarray, least: np.ndarray,
+                      ends, ladder: Sequence[tuple[tuple[dict, ...], _SegmentTable]],
+                      slope: np.ndarray, least: np.ndarray,
                       most: np.ndarray) -> ProfilePiece:
-    """The bridge piece of one band, from its ends and its ladder's
-    greatest log-slope and proxy range (see ``_transition_pieces``)."""
+    """The bridge piece of one band, from its ends, its ladder's segments
+    and tables, and their greatest log-slope and proxy range (see
+    ``_transition_pieces``)."""
     if left == right:
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
@@ -657,11 +638,8 @@ def _transition_piece(left: _Envelope, right: _Envelope, q: float, r: float,
     lo_env = np.minimum(at_left, at_right)
     hi_env = np.maximum(at_left, at_right)
     for rank in sorted(admissible.tolist(), key=lambda k: (slack[k], k)):
-        segments = _ramp_plateau_ramp(q, r, _THETA_LADDER[rank], ends)
-        starts, kept = _active_segments(q, segments)
-        g = np.empty_like(t)
-        for seg, (lo, hi) in zip(kept, _row_slices(t, starts)):
-            g[lo:hi] = _row(seg)(t[lo:hi])
+        segments, table = ladder[rank]
+        g = table(t)
         tol = 1e-9 * np.maximum(1.0, np.abs(g))
         if np.all(g >= lo_env - tol) and np.all(g <= hi_env + tol):
             return ProfilePiece(q, r, "bridge", {"segments": segments})
@@ -699,7 +677,7 @@ def validate_profile(profile: Profile) -> ValidationReport:
     curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
     profile's bounds.  The greatest log-slope and the proxy range of
     every row come from closed forms on the span the row is active on
-    (``_row_ranges``), the final piece's up to infinity; a NaN or
+    (``_table_ranges``), the final piece's up to infinity; a NaN or
     infinite proxy fails the profile.
     Convexity of T is implied by the window whenever eps < a^2; when the
     declared slack already admits concave stretches it is reported
@@ -709,27 +687,6 @@ def validate_profile(profile: Profile) -> ValidationReport:
     if profile._report is None:
         object.__setattr__(profile, "_report", _certify(profile))
     return profile._report
-
-
-def _row_ranges(rows: Sequence[_Envelope | _Cubic], lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greatest log-slope, and least and greatest curvature proxy, of
-    each row on its [lo, hi], in one batch per row kind."""
-    cubic, coeffs, t0, width, power, rate = _row_arrays(rows)
-    slope = np.empty(len(rows))
-    least = np.empty(len(rows))
-    most = np.empty(len(rows))
-    if cubic.any():
-        coeffs, t0, width = coeffs[:, cubic], t0[cubic], width[cubic]
-        u_lo = (lo[cubic] - t0) / width
-        u_hi = (hi[cubic] - t0) / width
-        slope[cubic] = _cubic_slope_range(coeffs, u_lo, u_hi)[1]
-        least[cubic], most[cubic] = _cubic_proxy_range(coeffs, width, u_lo, u_hi)
-    law = ~cubic
-    if law.any():
-        slope[law], least[law], most[law] = _envelope_ranges(
-            power[law], rate[law], lo[law], hi[law])
-    return slope, least, most
 
 
 def _certify(profile: Profile) -> ValidationReport:
@@ -771,20 +728,8 @@ def _certify(profile: Profile) -> ValidationReport:
                 msgs.append(
                     f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
 
-    # every row of every piece, on the span it is active on in the piece
-    spans = []
-    for piece, table in zip(pieces, tables):
-        starts = table.starts.tolist()
-        ends = [min(end, piece.t1) for end in starts[1:] + [piece.t1]]
-        spans.append([(row, lo, hi) for row, lo, hi
-                      in zip(table.rows, starts, ends) if hi > lo])
-    rows, lo, hi = zip(*(span for piece_spans in spans for span in piece_spans))
-    slope, least, most = _row_ranges(rows, np.array(lo), np.array(hi))
-    # each piece's extremes over its rows; every piece has a row
-    firsts = np.cumsum([0] + [len(piece_spans) for piece_spans in spans[:-1]])
-    per_piece = zip(np.maximum.reduceat(slope, firsts).tolist(),
-                    np.minimum.reduceat(least, firsts).tolist(),
-                    np.maximum.reduceat(most, firsts).tolist())
+    per_piece = zip(*(x.tolist() for x in
+                      _table_ranges(tables, [piece.t1 for piece in pieces])))
 
     ratio_min = INF
     ratio_max = -INF
@@ -921,6 +866,7 @@ def _sparse_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
 
 def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece | _Band]:
     # unit-rate head, then one transition onto the tail t^power e^{-b t}
+    _require(p.head > 0 and p.band_ratio > 1, "bad transition band")
     t0 = p.head * p.band_ratio
     _require(t0 > power / p.rate_fast, "tail must start beyond the envelope peak")
     return [pure_piece(0.0, p.head, 1.0),
@@ -931,7 +877,6 @@ def _tail_pieces(p: CatalogParams, power: float) -> list[ProfilePiece | _Band]:
 def _exotic_conv_pieces(name: str, p: CatalogParams) -> list[ProfilePiece | _Band]:
     _require(p.rate_fast > 2.0, f"{name} needs fast rate > 2")
     _require(p.beta > 1.0, f"{name} needs power > 1")
-    _require(p.head > 0 and p.band_ratio > 1, "bad transition band")
     return _tail_pieces(p, p.beta)
 
 

@@ -378,10 +378,16 @@ class ExampleReport(NamedTuple):
 # run_example samples its growth series on np.linspace(1, r_max,
 # _GRID_POINTS), classifies to _CLASSIFY_R_MAX and caches the excursion
 # integrals every _CACHE_STEP.  _R_MAX_FLOOR is the least r_max at which
-# every tail window of its growth fit holds the samples it needs
+# every tail window of its growth fit holds the samples it needs.  Each
+# cache holds ceil((r_max + 1 - t_start) / _CACHE_STEP) nodes, and a
+# profile starts at t_start >= 0, so up to _R_MAX_CAP none holds more
+# than _CACHE_NODES; there, example-run on the one-cusp exotic-div-5.3b
+# took about a minute and peaked at 134 MB on a 2-vCPU Xeon
 _GRID_POINTS = 257
 _CACHE_STEP = 2.0
 _R_MAX_FLOOR = WindowPolicy().min_r_max(1.0, _GRID_POINTS)
+_CACHE_NODES = 1_000_000
+_R_MAX_CAP = _CACHE_NODES * _CACHE_STEP - 1.0
 
 
 def run_example(name: str,

@@ -86,7 +86,7 @@ class TestHoroArea:
         ranges of the segment rows that [t1, t2] crosses."""
         starts = cusp.profile._table.starts
         cuts = np.concatenate(([t1], starts[(starts > t1) & (starts < t2)], [t2]))
-        least, most = cusp.profile._dlog_range(cuts[:-1], cuts[1:])
+        least, most = cusp.profile._table.slope_range(cuts[:-1], cuts[1:])
         widths = np.diff(cuts)
         n1 = cusp.dim - 1
         return n1 * float(least @ widths), n1 * float(most @ widths)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cuspgrowth import cli, h2_oracle, numerics, profiles
+from cuspgrowth import cli, h2_oracle, numerics, profiles, taxonomy
 from cuspgrowth.asymptotics import GrowthSeries, TrendPolicy, estimate_exponents
 from cuspgrowth.cli import (
     EXIT_CONFIG,
@@ -392,6 +392,36 @@ class TestNumberRanges:
     ])
     def test_delta_within_the_ball_cap_accepted(self, argv):
         assert _resolve(argv).gauge == float(argv[argv.index("--delta") + 1])
+
+    @pytest.mark.parametrize("command", [
+        "example-run --name exotic-div-5.3b --Rmax 1e12",
+        "oracle-verify --Rcap 14 --delta 1e-9",
+    ], ids=lambda c: c.split()[-2])
+    def test_value_past_the_memory_budget_exits_2(self, tmp_path, capsys,
+                                                  command):
+        argv = command.split()
+        rc, out = _run(tmp_path, *argv)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {argv[-2]} ")
+        assert not out.exists()
+
+    def test_rmax_cap_is_the_cache_node_budget(self):
+        cap = taxonomy._R_MAX_CAP
+        # a profile starting at 0 fills exactly the budget
+        assert math.ceil((cap + 1.0) / taxonomy._CACHE_STEP) == taxonomy._CACHE_NODES
+        assert _resolve(["example-run", "--Rmax", repr(cap)]).r_max == cap
+        with pytest.raises(ConfigError, match=f"needs --Rmax <= {cap!r}, "):
+            _resolve(["example-run", "--Rmax", repr(math.nextafter(cap, math.inf))])
+        # only example-run caches excursion integrals
+        assert _resolve(["cusp-analyze", "--Rmax", "1e300"]).r_max == 1e300
+
+    def test_delta_floor_is_the_row_budget(self):
+        least = 14.0 / h2_oracle._COUNT_ROWS
+        argv = ["oracle-verify", "--Rcap", "14", "--delta"]
+        assert _resolve([*argv, repr(least)]).gauge == least
+        with pytest.raises(ConfigError, match=f"needs --delta >= {least!r}$"):
+            _resolve([*argv, repr(math.nextafter(least, 0.0))])
+        assert h2_oracle.coset_counts(14.0, least).radii.size <= h2_oracle._COUNT_ROWS
 
     @pytest.mark.parametrize("command", [
         "profile-validate --name sparse-5.2 --b nan",

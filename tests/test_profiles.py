@@ -462,6 +462,13 @@ class TestCatalog:
         with pytest.raises(CatalogError, match=f"m\\^{k + 1} overflows"):
             profiles._require_edge_fits("x", m, k + 1)
 
+    @pytest.mark.parametrize("band_ratio", [1.0, 0.5])
+    def test_companion_band_must_open(self, band_ratio):
+        # an empty band divided by zero; a reversed one had no rows
+        params = CatalogParams(head=2.0, band_ratio=band_ratio)
+        with pytest.raises(CatalogError, match="bad transition band"):
+            catalog_companions("critical-infinite-5.4b", params)
+
     def test_mu_clamp_keeps_band_open(self):
         # Large mu must not silently produce an empty transition band.
         with pytest.raises(CatalogError):
@@ -658,7 +665,7 @@ class TestSegmentTable:
                 for lo, hi in ((a, b), (x, y)):
                     t = np.linspace(lo, hi, 4001)
                     s = prof._table.jets(t)[1]
-                    least, most = prof._dlog_range(np.array([lo]), np.array([hi]))
+                    least, most = prof._table.slope_range(np.array([lo]), np.array([hi]))
                     slack = 1e-9 * max(1.0, float(np.max(np.abs(s))))
                     assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
                     # closed form, so attained up to the sampling step

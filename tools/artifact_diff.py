@@ -49,6 +49,16 @@ RUNS = (
     ("example-run-overrides", ["example-run", "--name",
                                "critical-finite-5.4a", "--gamma", "0.3",
                                "--b", "3.5", "--Rmax", "60"]),
+    # bridge ladders on bands the defaults do not reach: every family at
+    # other fast rates (at 2.5 no ramp fraction bridges the critical head
+    # band [2, 9], and the run exits 2 naming it), and wide critical windows
+    ("profile-validate-b35", ["profile-validate", "--name", "all",
+                              "--b", "3.5"]),
+    ("profile-validate-b25", ["profile-validate", "--name", "all",
+                              "--b", "2.5"]),
+    ("profile-validate-mu-m", ["profile-validate", "--name",
+                               "critical-finite-5.4a", "--mu", "0.2",
+                               "--M", "5"]),
     # failed claims, which exit 1 and print the FAIL lines of the reports
     ("example-run-m4", ["example-run", "--name", "critical-finite-5.4a",
                         "--M", "4"]),
