@@ -112,17 +112,22 @@ class _Envelope:
         """ln of the law (order 0) or its first (1) or second (2)
         derivative; power 0 is the pure exponential, without the log."""
         t = np.asarray(t, dtype=float)
+        if order:
+            return _law_derivative(self.power, self.rate, t, order)
         if self.power == 0.0:
-            if order == 0:
-                return -self.rate * t
-            return np.full_like(t, -self.rate) if order == 1 else np.zeros_like(t)
-        if order == 0:
-            return self.power * np.log(t) - self.rate * t
+            return -self.rate * t
+        return self.power * np.log(t) - self.rate * t
+
+
+def _law_derivative(power, rate, t, order):
+    """(ln T)' = power/t - rate (order 1) or (ln T)'' = -power/t^2 (2) of
+    the laws t^power e^{-rate t}, the arguments broadcast together: -rate
+    and +0.0 for the pure law (power 0).  t * t overflows at depths near
+    the float range, where -0.0 is the limit."""
+    with np.errstate(all="ignore"):
         if order == 1:
-            return self.power / t - self.rate
-        # t * t overflows at depths near the float range; -0.0 is the limit
-        with np.errstate(over="ignore"):
-            return -self.power / (t * t)
+            return np.where(power == 0.0, -rate, power / t - rate)
+        return np.where(power == 0.0, 0.0, -power / (t * t))
 
 
 class _Cubic(NamedTuple):
@@ -136,13 +141,21 @@ class _Cubic(NamedTuple):
 
     def __call__(self, t, order: int = 0):
         u = (t - self.t0) / self.width
+        if order:
+            return _cubic_derivative(self.coeffs, u, order, self.width)
         c0, c1, c2, c3 = self.coeffs
-        if order == 1:
-            return c0 + u * (c1 + u * (c2 + u * c3))
-        if order == 2:
-            return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / self.width
         integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
         return self.anchor + self.width * integ
+
+
+def _cubic_derivative(coeffs, u, order, width=1.0):
+    """(ln T)' = c0 + c1 u + c2 u^2 + c3 u^3 (order 1) or
+    (ln T)'' = (c1 + 2 c2 u + 3 c3 u^2)/width (2) of cubic rows, the
+    coefficients, u and the width broadcast together."""
+    c0, c1, c2, c3 = coeffs
+    if order == 1:
+        return c0 + u * (c1 + u * (c2 + u * c3))
+    return (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / width
 
 
 def _cubic_slope_range(coeffs, u_lo, u_hi):
@@ -160,7 +173,7 @@ def _cubic_slope_range(coeffs, u_lo, u_hi):
         real = np.where(cubic, disc >= 0.0, c2 != 0.0)
     # a root outside [u_lo, u_hi] is clipped onto an end; a missing one is
     # read at u_lo, which is a candidate already
-    slopes = [c0 + u * (c1 + u * (c2 + u * c3))
+    slopes = [_cubic_derivative((c0, c1, c2, c3), u, 1)
               for u in (u_lo, u_hi, *(np.where(real, np.clip(x, u_lo, u_hi), u_lo)
                                       for x in (first, second)))]
     return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
@@ -217,22 +230,13 @@ def _cubic_proxy_range(coeffs, width, u_lo, u_hi):
     roots[solved] = np.linalg.eigvals(companion).real
     u = np.column_stack([u_lo, u_hi, roots])
     np.clip(u, u_lo[:, None], u_hi[:, None], out=u)
-    c0, c1, c2, c3 = coeffs[:, :, None]
-    width = width[:, None]
+    coeffs = coeffs[:, :, None]
     with np.errstate(all="ignore"):
-        # as _Cubic evaluates (ln T)' and (ln T)''
-        d1 = c0 + u * (c1 + u * (c2 + u * c3))
-        proxy = (c1 + u * (2.0 * c2 + u * 3.0 * c3)) / width + d1 * d1
+        d1 = _cubic_derivative(coeffs, u, 1)
+        proxy = _cubic_derivative(coeffs, u, 2, width[:, None]) + d1 * d1
     finite = np.isfinite(size.max(axis=-1))
     return (np.where(finite, proxy.min(axis=-1), np.nan),
             np.where(finite, proxy.max(axis=-1), np.nan))
-
-
-def _envelope_slope(power, rate, t):
-    """(ln T)' = power/t - rate of the laws t^power e^{-rate t}, as
-    _Envelope evaluates it: -rate for the pure law."""
-    with np.errstate(all="ignore"):
-        return np.where(power == 0.0, -rate, power / t - rate)
 
 
 def _envelope_ranges(power, rate, lo, hi):
@@ -244,9 +248,8 @@ def _envelope_ranges(power, rate, lo, hi):
     -rate and rate^2.  Power 0 is the pure law, whose proxy is rate^2."""
     with np.errstate(all="ignore"):
         t = np.stack([lo, hi, np.clip((power - 1.0) / rate, lo, hi)])
-        d1 = _envelope_slope(power, rate, t)
-        # as _Envelope evaluates (ln T)''
-        proxy = np.where(power == 0.0, rate * rate, -power / (t * t) + d1 * d1)
+        d1 = _law_derivative(power, rate, t, 1)
+        proxy = _law_derivative(power, rate, t, 2) + d1 * d1
     return np.max(d1[:2], axis=0), np.min(proxy, axis=0), np.max(proxy, axis=0)
 
 
@@ -328,24 +331,17 @@ def _active_segments(t0: float, segments: Sequence[Mapping]
     return [t0] + [seg["t0"] for seg in kept[1:]], kept
 
 
-def _row_slices(t: np.ndarray,
-                starts: Sequence[float]) -> list[tuple[int, int]]:
-    """The [lo, hi) index range of the sorted array t that each row of
-    the given strictly increasing starts is active on; below the first
-    start reads the first row."""
-    cuts = np.searchsorted(t, starts, side="left").tolist()
-    cuts[0] = 0
-    return list(zip(cuts, cuts[1:] + [t.size]))
-
-
 class _SegmentTable:
     """The segments of consecutive pieces, flattened in order.
 
     Row i (an analytic law or a cubic transition) is active from
     ``starts[i]`` to the next start; a piece's first row starts at the
     piece's own t0, and the first and last rows extend past the ends.
-    Starts strictly increase: a zero-width segment (a transition whose
-    plateau has no room) is active nowhere and gets no row.
+    Every row reads ln T and its derivatives through its own
+    ``__call__(t, order)``.  There is one row per start, and the starts
+    strictly increase: a zero-width segment (a transition whose plateau
+    has no room) is active nowhere and gets no row, and ``compile``
+    raises ProfileError for a piece that would break this.
     """
 
     def __init__(self, starts: np.ndarray,
@@ -361,12 +357,19 @@ class _SegmentTable:
             if piece.form == "bridge":
                 seg_starts, segs = _active_segments(piece.t0,
                                                     piece.params["segments"])
-                starts.extend(seg_starts)
                 rows.extend(_row(seg) for seg in segs)
             else:
-                starts.append(piece.t0)
+                seg_starts = [piece.t0]
                 rows.append(_Envelope(piece.params.get("power", 0.0),
                                       piece.params["rate"]))
+            # the piece's starts follow the previous row's and precede its end
+            edges = starts[-1:] + seg_starts + [piece.t1]
+            starts.extend(seg_starts)
+            if len(rows) != len(starts) or not all(
+                    lo < hi for lo, hi in zip(edges, edges[1:])):
+                raise ProfileError(
+                    f"{piece.form} piece on [{piece.t0}, {piece.t1}) needs one "
+                    f"row per start, the starts strictly increasing inside it")
         return cls(np.asarray(starts, dtype=float), tuple(rows))
 
     def _rows_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,17 +392,6 @@ class _SegmentTable:
             out[mask] = self.rows[i](t[mask])
         return out
 
-    def jets(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """ln T, (ln T)' and (ln T)'' on a sorted float array.  Each row
-        reads its contiguous slice once per order; ln T comes out
-        element for element as ``__call__`` evaluates it."""
-        jet = (np.empty_like(t), np.empty_like(t), np.empty_like(t))
-        for row, (lo, hi) in zip(self.rows, _row_slices(t, self.starts)):
-            if hi > lo:
-                for order, out in enumerate(jet):
-                    out[lo:hi] = row(t[lo:hi], order)
-        return jet
-
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return _row_arrays(self.rows)
@@ -419,7 +411,7 @@ class _SegmentTable:
                 coeffs[:, cubic], (lo[cubic] - t0) / width, (hi[cubic] - t0) / width)
         law = ~cubic
         if law.any():
-            at_lo, at_hi = (_envelope_slope(power[law], rate[law], x[law])
+            at_lo, at_hi = (_law_derivative(power[law], rate[law], x[law], 1)
                             for x in (lo, hi))
             least[law] = np.minimum(at_lo, at_hi)
             most[law] = np.maximum(at_lo, at_hi)
@@ -462,9 +454,11 @@ def _table_ranges(tables: Sequence[_SegmentTable], ends: Sequence[float]
 class Profile:
     """A contiguous, strictly decreasing piecewise log-profile.  The
     pieces are its construction and serialization form; every evaluation
-    reads the segment table they are compiled into on construction:
-    ln T through ``log_value``, and the derivatives through the table's
-    ``jets`` (the certifier's point checks) and ``slope_range`` (the
+    reads the segment table they are compiled into on construction, and
+    a piece that leaves a start without a row or the starts not strictly
+    increasing raises ProfileError there.  ln T is read through
+    ``log_value``, the derivatives through the rows' own ``__call__``
+    (the certifier's join checks) and the table's ``slope_range`` (the
     excursion integral's panels)."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]
@@ -500,10 +494,8 @@ class Profile:
 
     def piece_breaks(self) -> np.ndarray:
         """All interior non-smooth abscissae (piece joins and bridge
-        segment joins), for use as quadrature breakpoints."""
-        # np.unique, without the numpy.ma import its first call costs
-        starts = np.sort(self._table.starts[1:])
-        return np.r_[starts[:1], starts[1:][starts[1:] != starts[:-1]]]
+        segment joins), increasing, for use as quadrature breakpoints."""
+        return self._table.starts[1:].copy()
 
     def log_value(self, t):
         """ln T(t) for a float or an array.  An abscissa below t_start
@@ -671,9 +663,11 @@ class ValidationReport(NamedTuple):
 def validate_profile(profile: Profile) -> ValidationReport:
     """Certify a profile, exactly per row.
 
-    Checks: contiguity, log-value continuity at joins (relative tolerance
-    ``_JOIN_TOL``), C^1/C^2 continuity at joins, finite log values at the
-    joins and the row starts, strict monotone decrease, and the
+    Checks: log-value continuity (relative tolerance ``_JOIN_TOL``) and
+    C^1/C^2 continuity (``_SLOPE_TOL``) at every row join of the
+    profile's segment table, piece joins and bridge-segment joins alike,
+    each side read through its own row; finite log values at both ends
+    of every row's span; strict monotone decrease; and the
     curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
     profile's bounds.  The greatest log-slope and the proxy range of
     every row come from closed forms on the span the row is active on
@@ -695,46 +689,34 @@ def _certify(profile: Profile) -> ValidationReport:
     b2 = profile.bounds.b ** 2
     eps = profile.bounds.eps
     pieces = profile.pieces
+    table = profile._table
+    starts = table.starts.tolist()
 
-    # one table per piece, read at the joins on both sides (each side with
-    # its own law) and at the row starts, all in one jets call per piece
-    tables = [_SegmentTable.compile([piece]) for piece in pieces]
-    points = []
-    jets = []
-    for k, (piece, table) in enumerate(zip(pieces, tables)):
-        t = np.sort(np.r_[table.starts[table.starts < piece.t1],
-                          [pieces[k - 1].t1] if k else [],
-                          [piece.t1] if piece.t1 < INF else []])
-        points.append(t)
-        jets.append(table.jets(t))
+    # every row in orders 0-2 at both ends of its span (the last row at its
+    # start only): each join compares the rows on its two sides
+    at_ends = [[row(np.array(starts[i:i + 2]), order) for order in range(3)]
+               for i, row in enumerate(table.rows)]
+    worst = [0.0, 0.0]  # the relative log-value and derivative jumps
+    for i, start in enumerate(starts[1:], 1):
+        for order, (left, right) in enumerate(zip(at_ends[i - 1], at_ends[i])):
+            gl = float(left[1])
+            rel = abs(gl - float(right[0])) / max(1.0, abs(gl))
+            worst[order > 0] = max(worst[order > 0], rel)
+            if rel > (_SLOPE_TOL if order else _JOIN_TOL):
+                kind = f"order-{order} derivative" if order else "log-value"
+                msgs.append(f"{kind} jump {rel:.3g} at t={start}")
 
-    worst_join = 0.0
-    worst_slope = 0.0
-    for k, leftp in enumerate(pieces[:-1]):
-        left_jet = [float(v[np.searchsorted(points[k], leftp.t1)])
-                    for v in jets[k]]
-        right_jet = [float(v[np.searchsorted(points[k + 1], leftp.t1)])
-                     for v in jets[k + 1]]
-        gl, gr = left_jet[0], right_jet[0]
-        rel = abs(gl - gr) / max(1.0, abs(gl))
-        worst_join = max(worst_join, rel)
-        if rel > _JOIN_TOL:
-            msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
-        for order in (1, 2):
-            dl, dr = left_jet[order], right_jet[order]
-            srel = abs(dl - dr) / max(1.0, abs(dl))
-            worst_slope = max(worst_slope, srel)
-            if srel > _SLOPE_TOL:
-                msgs.append(
-                    f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
-
-    per_piece = zip(*(x.tolist() for x in
-                      _table_ranges(tables, [piece.t1 for piece in pieces])))
+    # each piece's rows, a slice of the table up to the piece's end
+    firsts = np.searchsorted(table.starts, [piece.t0 for piece in pieces]).tolist()
+    cuts = list(zip(firsts, firsts[1:] + [len(starts)]))
+    per_piece = zip(*(x.tolist() for x in _table_ranges(
+        [_SegmentTable(table.starts[a:b], table.rows[a:b]) for a, b in cuts],
+        [piece.t1 for piece in pieces])))
 
     ratio_min = INF
     ratio_max = -INF
-    for piece, jet, (steepest, p_min, p_max) in zip(pieces, jets, per_piece):
-        if not np.all(np.isfinite(jet[0])):
+    for piece, (a, b), (steepest, p_min, p_max) in zip(pieces, cuts, per_piece):
+        if not all(np.all(np.isfinite(read[0])) for read in at_ends[a:b]):
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
         if steepest > 1e-12:
@@ -760,8 +742,8 @@ def _certify(profile: Profile) -> ValidationReport:
                             messages=tuple(msgs),
                             ratio_range=(ratio_min, ratio_max),
                             implied_eps=implied,
-                            worst_join_gap=worst_join,
-                            worst_slope_gap=worst_slope,
+                            worst_join_gap=worst[0],
+                            worst_slope_gap=worst[1],
                             convex=ratio_min >= -_RATIO_SLOP)
 
 

@@ -69,7 +69,7 @@ class TestAnalyticPieces:
     def test_pure_exp_values(self):
         prof = _simple_profile(2.0)
         assert prof.log_value(3.0) == -6.0
-        value, d1, d2 = prof._table.jets(np.array([3.0]))
+        value, d1, d2 = (prof._table.rows[0](np.array([3.0]), k) for k in range(3))
         assert (value[0], d1[0], d2[0]) == (-6.0, -2.0, 0.0)
         # the curvature proxy the validator reads
         assert d2[0] + d1[0] * d1[0] == 4.0
@@ -80,7 +80,7 @@ class TestAnalyticPieces:
             [poly_piece(1.0, INF, 2.5, 3.0)])
         t = 2.0
         assert prof.log_value(t) == pytest.approx(2.5 * math.log(2.0) - 6.0, rel=1e-15)
-        _, d1, d2 = prof._table.jets(np.array([t]))
+        _, d1, d2 = (prof._table.rows[0](np.array([t]), k) for k in range(3))
         assert d1[0] == pytest.approx(2.5 / 2.0 - 3.0, rel=1e-15)
         # ratio = (alpha/t - c)^2 - alpha/t^2
         assert d2[0] + d1[0] * d1[0] == pytest.approx((-1.75) ** 2 - 0.625, rel=1e-14)
@@ -142,10 +142,9 @@ class TestBridge:
     def test_exact_at_band_ends(self):
         piece = _transition_piece(_Envelope(0.0, 1.0), _Envelope(0.0, 3.0),
                                   10.0, 2000.0)
-        # the piece's own table: its last cubic extends through r
-        table = _SegmentTable.compile([piece])
+        # the piece's own segments: its last cubic extends through r
         ends = np.array([10.0, 2000.0])
-        value, d1, d2 = table.jets(ends)
+        value, d1, d2 = (_ref_pieces([piece], ends, k) for k in range(3))
         # starts on the left envelope exactly
         assert value[0] == -10.0
         # lands on the right envelope to rounding error, C^2 at both ends
@@ -195,6 +194,22 @@ class TestValidator:
         report = validate_profile(prof)
         assert not report.passed
         assert any("jump" in m for m in report.messages)
+
+    def test_detects_jumps_inside_a_bridge(self):
+        # three slope -1 segments whose anchors jump at 2 and 2.5: every
+        # row join is checked, not only the joins of pieces
+        segments = tuple({"kind": "cubic", "t0": t0, "t1": t1, "anchor": anchor,
+                          "coeffs": (-1.0, 0.0, 0.0, 0.0)}
+                         for t0, t1, anchor in ((1, 2, -1), (2, 2.5, -1.5),
+                                                (2.5, 3, -2.5)))
+        prof = assemble_profile(
+            CurvatureBounds(a=1.0, b=1.0),
+            [pure_piece(0, 1, 1), ProfilePiece(1, 3, "bridge", {"segments": segments}),
+             pure_piece(3, INF, 1)])
+        report = validate_profile(prof)
+        assert report.messages == ("log-value jump 0.25 at t=2.0",
+                                   "log-value jump 0.25 at t=2.5")
+        assert report == _ref_validate_profile(prof)
 
     def test_detects_non_monotone(self):
         # t^2 e^{-t} increases until t = 2.
@@ -270,6 +285,24 @@ class TestValidator:
         pieces = [pure_piece(0.0, 1.0, 1.0),
                   ProfilePiece(1.0, INF, "bridge", {"segments": (cubic,)})]
         with pytest.raises(ProfileError, match="final segment"):
+            assemble_profile(CurvatureBounds(a=1.0, b=1.0), pieces)
+
+    @pytest.mark.parametrize("t0, t1, segments", [
+        (0.5, 1.0, ()),
+        (0.5, 1.0, ({"kind": "analytic", "t0": 0.5, "t1": 0.5,
+                     "power": 0.0, "rate": 1.0},)),
+        (1.0, 3.0, tuple({"kind": "cubic", "t0": a, "t1": b, "anchor": -a,
+                          "coeffs": (-1.0, 0.0, 0.0, 0.0)}
+                         for a, b in ((1.0, 2.0), (4.0, 5.0))))],
+        ids=["no-segment", "zero-width-segment", "segment-past-the-end"])
+    def test_bridge_without_one_row_per_increasing_start_rejected(self, t0, t1,
+                                                                  segments):
+        # such a bridge once built: ln T raised IndexError, or the
+        # certificate read values never written, or passed
+        pieces = [pure_piece(0.0, t0, 1.0),
+                  ProfilePiece(t0, t1, "bridge", {"segments": segments}),
+                  pure_piece(t1, INF, 1.0)]
+        with pytest.raises(ProfileError, match=f"bridge piece on \\[{t0}, {t1}\\)"):
             assemble_profile(CurvatureBounds(a=1.0, b=1.0), pieces)
 
     def test_final_law_of_each_catalog_profile(self):
@@ -591,6 +624,17 @@ def _with_companions(name):
     return (catalog_profile(name),) + catalog_companions(name)
 
 
+def _read_rows(table, t, order):
+    """ln T (order 0) or its derivative of that order at t, each point
+    read by the row's own ``__call__`` that the table's dispatch picks."""
+    idx, present = table._rows_at(t)
+    out = np.empty_like(t)
+    for i in present:
+        mask = idx == i
+        out[mask] = table.rows[i](t[mask], order)
+    return out
+
+
 def _bit_equal(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
@@ -614,10 +658,10 @@ class TestSegmentTable:
     def test_matches_two_level_reference(self, name, order):
         for prof in _with_companions(name):
             dense, near = _probe_points(prof)
-            # every order through the table's jets, on sorted grids from
+            # every order through the table's rows, on sorted grids from
             # t_start on
             for t in (dense, np.maximum(np.sort(near), prof.t_start)):
-                got = prof._table.jets(t)[order]
+                got = _read_rows(prof._table, t, order)
                 assert _bit_equal(got, _ref_eval(prof, t, order))
             if order:
                 continue
@@ -660,11 +704,11 @@ class TestSegmentTable:
         for prof in _with_companions(name):
             starts = prof._table.starts
             edges = np.append(starts, 2.0 * starts[-1] + 100.0)
-            for a, b in zip(edges[:-1], edges[1:]):
+            for row, a, b in zip(prof._table.rows, edges[:-1], edges[1:]):
                 x, y = np.sort(rng.uniform(a, b, 2))
                 for lo, hi in ((a, b), (x, y)):
                     t = np.linspace(lo, hi, 4001)
-                    s = prof._table.jets(t)[1]
+                    s = row(t, 1)
                     least, most = prof._table.slope_range(np.array([lo]), np.array([hi]))
                     slack = 1e-9 * max(1.0, float(np.max(np.abs(s))))
                     assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
@@ -844,24 +888,27 @@ def _ref_validate_profile(profile):
 
     worst_join = 0.0
     worst_slope = 0.0
-    # a join is checked with each side's own law
+    # every join of two consecutive spans, piece joins and segment joins
+    # alike, at the start of the right one, each side with its own segment
     pieces = profile.pieces
-    for k, leftp in enumerate(pieces[:-1]):
-        t = np.array([leftp.t1])
-        gl = float(_ref_piece(leftp, t, 0)[0])
-        gr = float(_ref_piece(pieces[k + 1], t, 0)[0])
+    spans = [span for piece in pieces for span in _ref_spans(piece)]
+    for (left, _, _), (right, start, _) in zip(spans, spans[1:]):
+        start = float(start)
+        t = np.array([start])
+        gl = float(_ref_segment(left, t, 0)[0])
+        gr = float(_ref_segment(right, t, 0)[0])
         rel = abs(gl - gr) / max(1.0, abs(gl))
         worst_join = max(worst_join, rel)
         if rel > _JOIN_TOL:
-            msgs.append(f"log-value jump {rel:.3g} at t={leftp.t1}")
+            msgs.append(f"log-value jump {rel:.3g} at t={start}")
         for order in (1, 2):
-            dl = float(_ref_piece(leftp, t, order)[0])
-            dr = float(_ref_piece(pieces[k + 1], t, order)[0])
+            dl = float(_ref_segment(left, t, order)[0])
+            dr = float(_ref_segment(right, t, order)[0])
             srel = abs(dl - dr) / max(1.0, abs(dl))
             worst_slope = max(worst_slope, srel)
             if srel > _SLOPE_TOL:
                 msgs.append(
-                    f"order-{order} derivative jump {srel:.3g} at t={leftp.t1}")
+                    f"order-{order} derivative jump {srel:.3g} at t={start}")
 
     ratio_min = INF
     ratio_max = -INF
@@ -1204,7 +1251,7 @@ class TestClosedForm:
             for piece in prof.pieces:
                 end = piece.t1 if piece.t1 < INF else piece.t0 + max(100.0, 9.0 * piece.t0)
                 t = np.linspace(piece.t0, end, 400_001)
-                _, d1, d2 = _SegmentTable.compile([piece]).jets(t)
+                d1, d2 = (_ref_pieces([piece], t, k) for k in (1, 2))
                 ratio = d2 + d1 * d1
                 lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
             assert a2 - eps <= lo and hi <= b2 + eps, name
@@ -1217,7 +1264,8 @@ class TestClosedForm:
         # family is built and certified.  Each transition reads its grid
         # of _GRID points three times (the two envelopes and the
         # sandwiched candidate) and its two ends in three orders; the
-        # validator reads every row start and every join in three orders.
+        # validator reads every row at both ends of its span in three
+        # orders.
         # A sampled certificate or ladder would read many more.
         seen = []
 
@@ -1232,8 +1280,7 @@ class TestClosedForm:
         with counting(_Envelope), counting(_Cubic):
             built = _with_companions(name)
         transitions = sum(p.form == "bridge" for prof in built for p in prof.pieces)
-        points = sum(len(_SegmentTable.compile([p]).rows) + 2
-                     for prof in built for p in prof.pieces)
+        points = sum(len(prof._table.rows) + 2 * len(prof.pieces) for prof in built)
         read = np.concatenate(seen)
         assert np.unique(read).size <= _GRID * transitions + points
         assert read.size <= 3 * ((_GRID + 2) * transitions + points)
@@ -1267,11 +1314,15 @@ class TestClosedForm:
 
 
 class TestJets:
+    """ln T and its first two derivatives, read through the table's rows,
+    against the two-level reference."""
+
     @staticmethod
     def _assert_jets_match_reference(table, pieces, t):
         # the two-level reference, without the profile's start clamp
-        for order, got in enumerate(table.jets(t)):
-            assert _bit_equal(got, _ref_pieces(pieces, t, order)), order
+        for order in range(3):
+            assert _bit_equal(_read_rows(table, t, order),
+                              _ref_pieces(pieces, t, order)), order
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_matches_call_on_sorted_grids(self, name):
