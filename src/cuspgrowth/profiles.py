@@ -16,11 +16,11 @@ envelope's slope and slope-derivative, ends with the right envelope's, and
 whose plateau level is solved in closed form so that the integral of sigma
 across the band equals the exact log-value gap between the envelopes.  The
 transition is therefore value- and C^2-exact at both ends, and its
-monotonicity and curvature proxy sigma' + sigma^2 are certified rather
-than assumed: both are read exactly, row by row, from closed forms (the
-proxy of a cubic row is a degree-6 polynomial whose extremes sit at the
-row's ends or at real roots of its derivative).  Only the envelope
-sandwich of a transition is sampled, on a grid of ``_GRID`` points.
+monotonicity, curvature proxy sigma' + sigma^2 and envelope sandwich are
+certified rather than assumed: all three are read exactly, row by row,
+from closed forms (the proxy of a cubic row is a degree-6 polynomial whose
+extremes sit at the row's ends or at real roots of its derivative, and
+t times the slope gap to an envelope is a polynomial of degree 4).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,8 +58,6 @@ INF = float("inf")
 # wins.  Wide ramps first (gentler curvature), then progressively thinner
 # ramps, which lower the plateau overhead when the value gap is tight.
 _THETA_LADDER = (0.25, 0.5, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
-
-_GRID = 4097  # envelope-sandwich samples per transition band
 
 # validate_profile's relative tolerances on value (join) and derivative
 # (slope) jumps at the joins, and the slop allowed on the curvature-proxy
@@ -95,57 +92,44 @@ class CurvatureBounds:
                               f"got eps={self.eps}")
 
 
+def _check_law(power: float, rate: float) -> None:
+    # written so that a NaN or an infinity fails each check
+    if not 0 < rate < INF:
+        raise DomainError("envelope rate must be positive and finite")
+    if not 0 <= power < INF:
+        raise DomainError("envelope power must be nonnegative and finite")
+
+
 @dataclass(frozen=True)
 class _Envelope:
-    """Analytic law t^power * exp(-rate * t), handled in the log domain."""
+    """Analytic law t^power * exp(-rate * t), the envelope on one side
+    of a transition band."""
     power: float
     rate: float
 
     def __post_init__(self) -> None:
-        # written so that a NaN or an infinity fails each check
-        if not 0 < self.rate < INF:
-            raise DomainError("envelope rate must be positive and finite")
-        if not 0 <= self.power < INF:
-            raise DomainError("envelope power must be nonnegative and finite")
-
-    def __call__(self, t, order: int = 0):
-        """ln of the law (order 0) or its first (1) or second (2)
-        derivative; power 0 is the pure exponential, without the log."""
-        t = np.asarray(t, dtype=float)
-        if order:
-            return _law_derivative(self.power, self.rate, t, order)
-        if self.power == 0.0:
-            return -self.rate * t
-        return self.power * np.log(t) - self.rate * t
+        _check_law(self.power, self.rate)
 
 
-def _law_derivative(power, rate, t, order):
-    """(ln T)' = power/t - rate (order 1) or (ln T)'' = -power/t^2 (2) of
-    the laws t^power e^{-rate t}, the arguments broadcast together: -rate
-    and +0.0 for the pure law (power 0).  t * t overflows at depths near
-    the float range, where -0.0 is the limit."""
+def _law(power, rate, t, order: int = 0):
+    """ln of the laws t^power e^{-rate t} (order 0), or their first
+    (power/t - rate) or second (-power/t^2) derivative, the arguments
+    broadcast together.  Power 0 is the pure law, without the log: -rate t,
+    -rate and +0.0.  t * t overflows at depths near the float range, where
+    -0.0 is the limit."""
     with np.errstate(all="ignore"):
+        if order == 0:
+            # power ln t + (-rate t) is power ln t - rate t, bit for bit
+            value = -rate * t
+            power_law = power != 0.0
+            if np.all(power_law):
+                value += power * np.log(t)
+            elif np.any(power_law):
+                value = np.where(power_law, power * np.log(t) + value, value)
+            return value
         if order == 1:
             return np.where(power == 0.0, -rate, power / t - rate)
         return np.where(power == 0.0, 0.0, -power / (t * t))
-
-
-class _Cubic(NamedTuple):
-    """Transition segment whose log-slope is the cubic
-    c0 + c1 u + c2 u^2 + c3 u^3 in u = (t - t0)/width, with ln value
-    ``anchor`` at t0."""
-    t0: float
-    width: float
-    anchor: float
-    coeffs: tuple[float, float, float, float]
-
-    def __call__(self, t, order: int = 0):
-        u = (t - self.t0) / self.width
-        if order:
-            return _cubic_derivative(self.coeffs, u, order, self.width)
-        c0, c1, c2, c3 = self.coeffs
-        integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
-        return self.anchor + self.width * integ
 
 
 def _cubic_derivative(coeffs, u, order, width=1.0):
@@ -179,6 +163,33 @@ def _cubic_slope_range(coeffs, u_lo, u_hi):
     return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
 
 
+def _real_roots(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real parts of the roots of each polynomial of degree at most d
+    (a row of d + 1 coefficients, highest power first), and whether its
+    coefficients are finite.  One batched companion-matrix eigenvalue
+    solve serves every row; a polynomial of lower degree k is solved as
+    its product with u^(d-k), whose added roots are zeros, and a vanishing
+    or non-finite one is not solved and reads d zeros."""
+    d = poly.shape[-1] - 1
+    with np.errstate(all="ignore"):
+        # a leading coefficient below 1e-150 of the largest one counts as
+        # zero: the roots it carries lie beyond 1e30 in u, off the span
+        size = np.abs(poly)
+        nonzero = size > 1e-150 * size.max(axis=-1, keepdims=True)
+        lead = np.argmax(nonzero, axis=-1)
+        if lead.any():
+            # rolling the leading zeros to the end multiplies by u^(d-k)
+            poly = np.take_along_axis(
+                poly, (np.arange(d + 1) + lead[:, None]) % (d + 1), -1)
+    solved = np.any(nonzero, axis=-1)
+    companion = np.zeros((np.count_nonzero(solved), d, d))
+    companion[:, 0] = poly[solved, 1:] / -poly[solved, :1]
+    companion[:, range(1, d), range(d - 1)] = 1.0
+    roots = np.zeros((len(solved), d))
+    roots[solved] = np.linalg.eigvals(companion).real
+    return roots, np.isfinite(size.max(axis=-1))
+
+
 def _cubic_proxy_range(coeffs, width, u_lo, u_hi):
     """Least and greatest curvature proxy (ln T)'' + (ln T)'^2 of cubic
     rows on [u_lo, u_hi], NaN for a row whose proxy's derivative leaves
@@ -188,14 +199,12 @@ def _cubic_proxy_range(coeffs, width, u_lo, u_hi):
 
     The proxy sigma'/width + sigma^2 is a polynomial of degree 6 in u, so
     its extremes sit at the ends or at real roots of its derivative
-    sigma''/width + 2 sigma sigma', of degree 5.  The roots of every row
-    come from one batched companion-matrix eigenvalue solve; a derivative
-    of lower degree d is solved as its product with u^(5-d), whose added
-    roots are zeros.  The real part of each root, clipped to the span, is
-    a candidate: a complex or an added root only adds a point of the
-    span.  On the plateau (s*, 0, 0, 0) of finite s* the derivative
-    vanishes and every candidate reads sigma = s* and sigma' = +0.0 (each
-    nested sum is +0.0 in round-to-nearest), so the proxy is s*^2 exactly.
+    sigma''/width + 2 sigma sigma', of degree 5 (``_real_roots``).  The
+    real part of each root, clipped to the span, is a candidate: a
+    complex or an added root only adds a point of the span.  On the
+    plateau (s*, 0, 0, 0) of finite s* the derivative vanishes and every
+    candidate reads sigma = s* and sigma' = +0.0 (each nested sum is +0.0
+    in round-to-nearest), so the proxy is s*^2 exactly.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     with np.errstate(all="ignore"):
@@ -212,29 +221,13 @@ def _cubic_proxy_range(coeffs, width, u_lo, u_hi):
                           6.0 * (c0 * c3 + c1 * c2),
                           6.0 * c3 / w + 2.0 * (2.0 * c0 * c2 + c1 * c1),
                           2.0 * c2 / w + 2.0 * c0 * c1], axis=-1)
-        # a leading coefficient below 1e-150 of the largest one counts as
-        # zero: the roots it carries lie beyond 1e30 in u, off the span
-        size = np.abs(deriv)
-        nonzero = size > 1e-150 * size.max(axis=-1, keepdims=True)
-        lead = np.argmax(nonzero, axis=-1)
-        if lead.any():
-            # rolling the leading zeros to the end multiplies by u^(5-d)
-            deriv = np.take_along_axis(deriv, (np.arange(6) + lead[:, None]) % 6, -1)
-    # a vanishing derivative (a constant proxy) needs no roots; one that
-    # leaves the float range is not solved, and its row reads NaN
-    solved = np.any(nonzero, axis=-1)
-    companion = np.zeros((np.count_nonzero(solved), 5, 5))
-    companion[:, 0] = deriv[solved, 1:] / -deriv[solved, :1]
-    companion[:, range(1, 5), range(4)] = 1.0
-    roots = np.zeros((len(solved), 5))
-    roots[solved] = np.linalg.eigvals(companion).real
+    roots, finite = _real_roots(deriv)
     u = np.column_stack([u_lo, u_hi, roots])
     np.clip(u, u_lo[:, None], u_hi[:, None], out=u)
     coeffs = coeffs[:, :, None]
     with np.errstate(all="ignore"):
         d1 = _cubic_derivative(coeffs, u, 1)
         proxy = _cubic_derivative(coeffs, u, 2, width[:, None]) + d1 * d1
-    finite = np.isfinite(size.max(axis=-1))
     return (np.where(finite, proxy.min(axis=-1), np.nan),
             np.where(finite, proxy.max(axis=-1), np.nan))
 
@@ -248,21 +241,9 @@ def _envelope_ranges(power, rate, lo, hi):
     -rate and rate^2.  Power 0 is the pure law, whose proxy is rate^2."""
     with np.errstate(all="ignore"):
         t = np.stack([lo, hi, np.clip((power - 1.0) / rate, lo, hi)])
-        d1 = _law_derivative(power, rate, t, 1)
-        proxy = _law_derivative(power, rate, t, 2) + d1 * d1
+        d1 = _law(power, rate, t, 1)
+        proxy = _law(power, rate, t, 2) + d1 * d1
     return np.max(d1[:2], axis=0), np.min(proxy, axis=0), np.max(proxy, axis=0)
-
-
-def _row_arrays(rows: Sequence[_Envelope | _Cubic]) -> tuple[np.ndarray, ...]:
-    """The rows' parameters as arrays over the rows: whether each is a
-    cubic; its four log-slope coefficients, t0 and width; and its power
-    and rate.  A parameter of the other kind of row reads 0 (1 for a
-    width or a rate)."""
-    cubic = [isinstance(row, _Cubic) for row in rows]
-    params = np.array([(*row.coeffs, row.t0, row.width, 0.0, 1.0) if is_cubic
-                       else (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, row.power, row.rate)
-                       for row, is_cubic in zip(rows, cubic)]).T
-    return np.array(cubic), params[:4], params[4], params[5], params[6], params[7]
 
 
 @dataclass(frozen=True)
@@ -307,19 +288,13 @@ def poly_piece(t0: float, t1: float, power: float, rate: float) -> ProfilePiece:
                         {"power": float(power), "rate": float(rate)})
 
 
-# -- piece evaluation ---------------------------------------------------------
+# -- the segment table ---------------------------------------------------------
 
-def _cubic_coeffs(y0: float, y1: float, m0: float, m1: float) -> tuple[float, float, float, float]:
-    """Hermite cubic on [0, 1] with end values y0, y1 and end slopes m0, m1."""
+def _cubic_coeffs(y0, y1, m0, m1):
+    """Hermite cubic on [0, 1] with end values y0, y1 and end slopes m0,
+    m1; the arguments broadcast together."""
     d = y1 - y0
     return (y0, m0, 3.0 * d - 2.0 * m0 - m1, -2.0 * d + m0 + m1)
-
-
-def _row(seg: Mapping) -> _Envelope | _Cubic:
-    if seg["kind"] == "analytic":
-        return _Envelope(seg["power"], seg["rate"])
-    return _Cubic(seg["t0"], seg["t1"] - seg["t0"], seg["anchor"],
-                  tuple(seg["coeffs"]))
 
 
 def _active_segments(t0: float, segments: Sequence[Mapping]
@@ -331,37 +306,60 @@ def _active_segments(t0: float, segments: Sequence[Mapping]
     return [t0] + [seg["t0"] for seg in kept[1:]], kept
 
 
-class _SegmentTable:
-    """The segments of consecutive pieces, flattened in order.
+def _law_row(power: float, rate: float) -> tuple[float, ...]:
+    """The segment-table row of the law t^power e^{-rate t}."""
+    _check_law(power, rate)
+    return (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, power, rate)
 
-    Row i (an analytic law or a cubic transition) is active from
-    ``starts[i]`` to the next start; a piece's first row starts at the
-    piece's own t0, and the first and last rows extend past the ends.
-    Every row reads ln T and its derivatives through its own
-    ``__call__(t, order)``.  There is one row per start, and the starts
-    strictly increase: a zero-width segment (a transition whose plateau
-    has no room) is active nowhere and gets no row, and ``compile``
-    raises ProfileError for a piece that would break this.
+
+class _SegmentTable(NamedTuple):
+    """Rows of analytic laws and cubic transitions, stored as columns.
+
+    Row i is active from ``starts[i]`` to the next start.  It is a cubic
+    transition where ``cubic[i]``: its log-slope is the cubic
+    c0 + c1 u + c2 u^2 + c3 u^3 (``coeffs[:, i]``) in
+    u = (t - t0[i])/width[i], with ln value ``anchor[i]`` at t0[i].  It is
+    the law t^power[i] e^{-rate[i] t} otherwise.  A column of the other
+    kind of row reads 0 (1 for a width or a rate).
+
+    A profile's table (``compile``) flattens the segments of its pieces
+    in order: a piece's first row starts at the piece's own t0, the first
+    and last rows extend past the ends, and there is one row per start,
+    the starts strictly increasing.  A zero-width segment (a transition
+    whose plateau has no room) is active nowhere and gets no row, and
+    ``compile`` raises ProfileError for a piece that would break this.
+    The bridge ladder's table holds every candidate transition of a
+    profile; its starts increase only within each candidate's rows.
+
+    ``read`` is the one evaluator: it reads ln T and its first two
+    derivatives, each point on a given row, in one gather per row kind.
     """
-
-    def __init__(self, starts: np.ndarray,
-                 rows: tuple[_Envelope | _Cubic, ...]) -> None:
-        self.starts = starts
-        self.rows = rows
+    starts: np.ndarray
+    cubic: np.ndarray
+    t0: np.ndarray
+    width: np.ndarray
+    anchor: np.ndarray
+    coeffs: np.ndarray
+    power: np.ndarray
+    rate: np.ndarray
 
     @classmethod
     def compile(cls, pieces: Sequence[ProfilePiece]) -> "_SegmentTable":
         starts: list[float] = []
-        rows: list[_Envelope | _Cubic] = []
+        # (cubic flag, t0, width, anchor, c0, c1, c2, c3, power, rate) per row
+        rows: list[tuple[float, ...]] = []
         for piece in pieces:
             if piece.form == "bridge":
                 seg_starts, segs = _active_segments(piece.t0,
                                                     piece.params["segments"])
-                rows.extend(_row(seg) for seg in segs)
+                rows.extend(_law_row(seg["power"], seg["rate"])
+                            if seg["kind"] == "analytic" else
+                            (1.0, seg["t0"], seg["t1"] - seg["t0"], seg["anchor"],
+                             *seg["coeffs"], 0.0, 1.0) for seg in segs)
             else:
                 seg_starts = [piece.t0]
-                rows.append(_Envelope(piece.params.get("power", 0.0),
-                                      piece.params["rate"]))
+                rows.append(_law_row(piece.params.get("power", 0.0),
+                                     piece.params["rate"]))
             # the piece's starts follow the previous row's and precede its end
             edges = starts[-1:] + seg_starts + [piece.t1]
             starts.extend(seg_starts)
@@ -370,82 +368,102 @@ class _SegmentTable:
                 raise ProfileError(
                     f"{piece.form} piece on [{piece.t0}, {piece.t1}) needs one "
                     f"row per start, the starts strictly increasing inside it")
-        return cls(np.asarray(starts, dtype=float), tuple(rows))
+        cols = np.array(rows, dtype=float).T.copy()
+        return cls(np.array(starts, dtype=float), cols[0] != 0.0, *cols[1:4],
+                   cols[4:8], *cols[8:])
 
-    def _rows_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The row active at each t, and the distinct rows among them."""
-        idx = np.searchsorted(self.starts, t, side="right")
-        idx -= 1
-        np.maximum(idx, 0, out=idx)
-        present = np.flatnonzero(
-            np.bincount(idx.ravel(), minlength=len(self.rows)))
-        return idx, present
+    def rows_at(self, t: np.ndarray) -> np.ndarray:
+        """The row active at each t: the number of later starts at or
+        below it (the first row below the first start)."""
+        return np.searchsorted(self.starts[1:], t, side="right")
+
+    def read(self, idx, t: np.ndarray, order: int = 0) -> np.ndarray:
+        """ln T (order 0) or its derivative of that order at t, each t
+        read on row idx, an array shaped like t or one row's index."""
+        cubic = self.cubic.take(idx)
+        if not cubic.any():
+            return _law(self.power.take(idx), self.rate.take(idx), t, order)
+        if cubic.all():
+            return self._read_cubic(idx, t, order)
+        out = np.empty(np.shape(t))
+        law = ~cubic
+        out[cubic] = self._read_cubic(idx[cubic], t[cubic], order)
+        idx = idx[law]
+        out[law] = _law(self.power.take(idx), self.rate.take(idx), t[law], order)
+        return out
+
+    def _read_cubic(self, idx, t, order):
+        width = self.width.take(idx)
+        u = (t - self.t0.take(idx)) / width
+        coeffs = self.coeffs.take(idx, axis=1)
+        if order:
+            return _cubic_derivative(coeffs, u, order, width)
+        c0, c1, c2, c3 = coeffs
+        integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
+        return self.anchor.take(idx) + width * integ
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """ln T on a float array, in any order."""
-        idx, present = self._rows_at(t)
-        if present.size == 1:
-            return self.rows[present[0]](t)
-        out = np.empty_like(t)
-        for i in present:
-            mask = idx == i
-            out[mask] = self.rows[i](t[mask])
-        return out
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return _row_arrays(self.rows)
+        return self.read(self.rows_at(t), t)
 
     def slope_range(self, lo: np.ndarray,
                     hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest (ln T)' on each [lo, hi], in closed form from
         its row; no interval may cross a start.  A law's slope is
         monotone, so its extremes sit at the ends."""
-        idx = self._rows_at(0.5 * (lo + hi))[0]
-        cubic, coeffs, t0, width, power, rate = (x[..., idx] for x in self._arrays)
+        idx = self.rows_at(0.5 * (lo + hi))
+        cubic = self.cubic[idx]
         least = np.empty_like(lo)
         most = np.empty_like(lo)
         if cubic.any():
-            t0, width = t0[cubic], width[cubic]
+            i = idx[cubic]
+            t0, width = self.t0[i], self.width[i]
             least[cubic], most[cubic] = _cubic_slope_range(
-                coeffs[:, cubic], (lo[cubic] - t0) / width, (hi[cubic] - t0) / width)
+                self.coeffs[:, i], (lo[cubic] - t0) / width, (hi[cubic] - t0) / width)
         law = ~cubic
         if law.any():
-            at_lo, at_hi = (_law_derivative(power[law], rate[law], x[law], 1)
+            i = idx[law]
+            at_lo, at_hi = (_law(self.power[i], self.rate[i], x[law], 1)
                             for x in (lo, hi))
             least[law] = np.minimum(at_lo, at_hi)
             most[law] = np.maximum(at_lo, at_hi)
         return least, most
 
 
-def _table_ranges(tables: Sequence[_SegmentTable], ends: Sequence[float]
+def _row_spans(table: _SegmentTable, owner: np.ndarray,
+               ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's span: from its start to the next row's start if the
+    two rows have the same owner, and at most to its owner's end."""
+    starts = table.starts
+    stops = np.append(np.where(owner[1:] == owner[:-1], starts[1:], INF), INF)
+    return starts, np.minimum(stops, ends[owner])
+
+
+def _table_ranges(table: _SegmentTable, owner: np.ndarray, ends: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greatest log-slope, and least and greatest curvature proxy, of each
-    table up to its end, exact per row: every row is read in closed form
-    on the span it is active on, the rows of all tables in one batch per
-    row kind."""
-    spans = []
-    for k, (table, end) in enumerate(zip(tables, ends)):
-        starts = table.starts.tolist()
-        stops = [min(stop, end) for stop in starts[1:] + [end]]
-        spans += [(k, row, lo, hi) for row, lo, hi
-                  in zip(table.rows, starts, stops) if hi > lo]
-    owner, rows, lo, hi = zip(*spans)
-    owner, lo, hi = np.array(owner), np.array(lo), np.array(hi)
-    cubic, coeffs, t0, width, power, rate = _row_arrays(rows)
-    slope, least, most = np.empty((3, len(rows)))
+    """Greatest log-slope, and least and greatest curvature proxy, of the
+    rows of each owner, exact per row: the rows of owner k, consecutive
+    in the table, are read in closed form on their spans
+    (``_row_spans``) up to ``ends[k]``.  One batch per row kind serves
+    every row; each owner needs a row of positive span."""
+    lo, hi = _row_spans(table, owner, ends)
+    rows = np.flatnonzero(hi > lo)
+    lo, hi = lo[rows], hi[rows]
+    cubic = table.cubic[rows]
+    slope, least, most = np.empty((3, rows.size))
     if cubic.any():
-        coeffs, t0, width = coeffs[:, cubic], t0[cubic], width[cubic]
+        i = rows[cubic]
+        coeffs, t0, width = table.coeffs[:, i], table.t0[i], table.width[i]
         u_lo = (lo[cubic] - t0) / width
         u_hi = (hi[cubic] - t0) / width
         slope[cubic] = _cubic_slope_range(coeffs, u_lo, u_hi)[1]
         least[cubic], most[cubic] = _cubic_proxy_range(coeffs, width, u_lo, u_hi)
     law = ~cubic
     if law.any():
+        i = rows[law]
         slope[law], least[law], most[law] = _envelope_ranges(
-            power[law], rate[law], lo[law], hi[law])
-    # each table's extremes over its rows; every table has a row
-    firsts = np.searchsorted(owner, np.arange(len(tables)))
+            table.power[i], table.rate[i], lo[law], hi[law])
+    firsts = np.searchsorted(owner[rows], np.arange(len(ends)))
     return (np.maximum.reduceat(slope, firsts), np.minimum.reduceat(least, firsts),
             np.maximum.reduceat(most, firsts))
 
@@ -454,12 +472,13 @@ def _table_ranges(tables: Sequence[_SegmentTable], ends: Sequence[float]
 class Profile:
     """A contiguous, strictly decreasing piecewise log-profile.  The
     pieces are its construction and serialization form; every evaluation
-    reads the segment table they are compiled into on construction, and
-    a piece that leaves a start without a row or the starts not strictly
-    increasing raises ProfileError there.  ln T is read through
-    ``log_value``, the derivatives through the rows' own ``__call__``
-    (the certifier's join checks) and the table's ``slope_range`` (the
-    excursion integral's panels)."""
+    reads the columnar segment table they are compiled into on
+    construction, and a piece that leaves a start without a row or the
+    starts not strictly increasing raises ProfileError there.  ln T is
+    read through ``log_value``, which refuses an abscissa that is NaN,
+    infinite or below the start; the certificate reads the table's
+    ``read`` in orders 0-2 and the excursion integral its
+    ``slope_range``."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]
 
@@ -474,7 +493,7 @@ class Profile:
         if self.pieces[-1].t1 != INF:
             raise ProfileError("final piece must extend to infinity")
         table = _SegmentTable.compile(self.pieces)
-        if not isinstance(table.rows[-1], _Envelope):
+        if table.cubic[-1]:
             # a cubic transition extrapolated to infinity is no decay law
             raise ProfileError("final segment must be an analytic law "
                                "t^power e^{-rate t}, not a cubic transition")
@@ -489,8 +508,8 @@ class Profile:
     def final_law(self) -> tuple[float, float, float]:
         """(power, rate, start): the profile is t^power e^{-rate t} on
         [start, infinity)."""
-        law = self._table.rows[-1]
-        return law.power, law.rate, float(self._table.starts[-1])
+        table = self._table
+        return float(table.power[-1]), float(table.rate[-1]), float(table.starts[-1])
 
     def piece_breaks(self) -> np.ndarray:
         """All interior non-smooth abscissae (piece joins and bridge
@@ -500,25 +519,33 @@ class Profile:
     def log_value(self, t):
         """ln T(t) for a float or an array.  An abscissa below t_start
         within the rounding tolerance 1e-12 max(1, t_start) reads
-        T(t_start); one further below raises DomainError."""
+        T(t_start); one further below, a NaN or an infinity raises
+        DomainError."""
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(arr < self.t_start - 1e-12 * max(1.0, self.t_start)):
-            raise DomainError(
-                f"profile evaluated below its start t_start={self.t_start}")
-        out = self._table(np.maximum(arr, self.t_start))
+        floor = self.t_start - 1e-12 * max(1.0, self.t_start)
+        least = arr.min(initial=INF)
+        # written so that a NaN, which the extremes propagate, fails it
+        if not (least >= floor and arr.max(initial=-INF) < INF):
+            bad = float(arr[~((arr >= floor) & (arr < INF))].flat[0])
+            why = (f"below its start t_start={self.t_start}" if math.isfinite(bad)
+                   else "not a finite abscissa")
+            raise DomainError(f"profile evaluated at t={bad}, {why}")
+        if least < self.t_start:
+            arr = np.maximum(arr, self.t_start)
+        out = self._table(arr)
         return float(out[0]) if scalar else out
 
 
 # -- bridge construction ------------------------------------------------------
 
-def _ramp_plateau_ramp(q: float, r: float, theta: float,
-                       ends: tuple[tuple[float, float, float], ...]
-                       ) -> tuple[dict, dict, dict]:
-    """The ramp/plateau/ramp segments of ramp fraction theta on [q, r].
-    ends holds ln T, (ln T)' and (ln T)'' of the left envelope at q and of
-    the right one at r.  The plateau (the middle segment) has the log-slope
+def _ramp_plateau_ramp(q, r, theta, ends) -> np.ndarray:
+    """The ramp/plateau/ramp segments of ramp fraction theta on [q, r], as
+    the array of fields (t0, t1, anchor, c0, c1, c2, c3) by segment: shape
+    (7, 3) plus the shape that the arguments broadcast to.  ends holds
+    ln T, (ln T)' and (ln T)'' of the left envelope at q and of the right
+    one at r.  The plateau (the middle segment) has the log-slope
     coefficients (s*, 0, 0, 0)."""
     width = r - q
     (v_q, s_q, d_q), (v_r, s_r, d_r) = ends
@@ -527,32 +554,21 @@ def _ramp_plateau_ramp(q: float, r: float, theta: float,
     s_star = ((v_r - v_q) / width
               - theta * (s_q + s_r) / 2.0
               - theta * theta * width * (d_q - d_r) / 12.0) / (1.0 - theta)
-
     w_ramp = theta * width
-    seg1 = {
-        "kind": "cubic",
-        "t0": q, "t1": q + w_ramp,
-        "anchor": v_q,
-        "coeffs": _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
-    }
-    a1 = seg1["anchor"] + w_ramp * _poly_integral(seg1["coeffs"])
-    seg2 = {
-        "kind": "cubic",
-        "t0": q + w_ramp, "t1": r - w_ramp,
-        "anchor": a1,
-        "coeffs": (s_star, 0.0, 0.0, 0.0),
-    }
+    ramp_in = _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0)
+    a1 = v_q + w_ramp * _poly_integral(ramp_in)
     a2 = a1 + (width - 2.0 * w_ramp) * s_star
-    seg3 = {
-        "kind": "cubic",
-        "t0": r - w_ramp, "t1": r,
-        "anchor": a2,
-        "coeffs": _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp),
-    }
-    return seg1, seg2, seg3
+    ramp_out = _cubic_coeffs(s_star, s_r, 0.0, d_r * w_ramp)
+    fields = ((q, q + w_ramp, r - w_ramp), (q + w_ramp, r - w_ramp, r), (v_q, a1, a2),
+              *zip(ramp_in, (s_star, 0.0, 0.0, 0.0), ramp_out))
+    out = np.empty((7, 3) + np.shape(s_star))
+    for i, field in enumerate(fields):
+        for j, x in enumerate(field):
+            out[i, j] = x
+    return out
 
 
-def _poly_integral(coeffs: Sequence[float]) -> float:
+def _poly_integral(coeffs):
     c0, c1, c2, c3 = coeffs
     return c0 + c1 / 2.0 + c2 / 3.0 + c3 / 4.0
 
@@ -561,84 +577,217 @@ def _poly_integral(coeffs: Sequence[float]) -> float:
 _Band = tuple[_Envelope, _Envelope, float, float]
 
 
+class _Ladder(NamedTuple):
+    """Every ramp fraction's transition on each band [q, r], as one
+    segment table.  Candidate k = band * len(_THETA_LADDER) + ladder
+    position owns the rows with ``owner`` k, and
+    ``segments[:, :, band, position]`` are its three segments' fields
+    (``_ramp_plateau_ramp``).  ``laws`` holds the power and rate of each
+    band's left and right envelope, and ``ends`` their ln T, (ln T)' and
+    (ln T)'' at q and at r."""
+    table: _SegmentTable
+    owner: np.ndarray
+    segments: np.ndarray
+    laws: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    ends: np.ndarray
+
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's span, up to its band's r."""
+        return _row_spans(self.table, self.owner,
+                          np.repeat(self.r, len(_THETA_LADDER)))
+
+
+def _ladder(bands: Sequence[_Band]) -> _Ladder:
+    """The ladder of the bands (left, right, q, r), in array passes."""
+    laws = np.array([(left.power, left.rate, right.power, right.rate)
+                     for left, right, _, _ in bands]).T
+    q, r = np.array([band[2:] for band in bands], dtype=float).T
+    # ln T, (ln T)' and (ln T)'' of the left law at q and the right one at r
+    ends = np.array([_law(laws[0::2], laws[1::2], np.array([q, r]), order)
+                     for order in range(3)]).swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        # huge rates overflow to inf here, as scalar arithmetic would
+        segments = _ramp_plateau_ramp(q[:, None], r[:, None], np.array(_THETA_LADDER),
+                                      ends[:, :, :, None])
+    # the rows of every candidate in (band, ladder position, segment) order;
+    # a zero-width segment gets no row, and the first row starts at q
+    fields = np.moveaxis(segments, 1, -1).reshape(7, -1, 3)
+    kept = fields[1] > fields[0]
+    first = kept & (np.cumsum(kept, axis=1) == 1)
+    starts = np.where(first, np.repeat(q, len(_THETA_LADDER))[:, None], fields[0])
+    t0, t1, anchor, *coeffs = fields[:, kept]
+    zero = np.zeros_like(t0)
+    table = _SegmentTable(starts[kept], zero == 0.0, t0, t1 - t0, anchor,
+                          np.array(coeffs), zero, zero + 1.0)
+    return _Ladder(table, np.nonzero(kept)[0], segments, laws, q, r, ends)
+
+
+def _envelope_crossings(laws: np.ndarray, q: np.ndarray,
+                        r: np.ndarray) -> np.ndarray:
+    """The abscissae in [q, r] where each band's two envelopes cross, two
+    per band, NaN where there is none.  Their log gap
+    f = (p_l - p_r) ln t - (c_l - c_r) t has one critical point, at
+    t = (p_l - p_r)/(c_l - c_r), so it is monotone on either side of it
+    and vanishes at most once on each; each zero is bisected down to
+    adjacent floats."""
+    dp = laws[0] - laws[2]
+    dc = laws[1] - laws[3]
+
+    def gap(band, t):
+        return dp[band] * np.log(t) - dc[band] * t
+
+    with np.errstate(all="ignore"):
+        turn = np.clip(dp / dc, q, r)
+        a = np.stack([q, np.where(np.isnan(turn), q, turn)], axis=-1)
+        b = np.stack([a[:, 1], r], axis=-1)
+        every = np.arange(q.size)[:, None]
+        sign = np.sign(gap(every, a))
+        live = ((sign * np.sign(gap(every, b)) <= 0.0)
+                & ((dp != 0.0) | (dc != 0.0))[:, None])
+        band, side = np.nonzero(live)
+        lo, hi, sign = a[band, side], b[band, side], sign[band, side]
+        while True:
+            mid = 0.5 * (lo + hi)
+            inside = (lo < mid) & (mid < hi)
+            if not inside.any():
+                break
+            past = np.sign(gap(band, mid)) != sign
+            hi = np.where(inside & past, mid, hi)
+            lo = np.where(inside & ~past, mid, lo)
+    crossings = np.full((q.size, 2), np.nan)
+    crossings[band, side] = lo
+    return crossings
+
+
+def _sandwich(ladder: _Ladder, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ln T and the lower and upper envelope at the points of each given
+    row of the ladder, on its span, among which ln T minus either
+    envelope takes its extremes, each shaped (rows, 12).
+
+    The points are the span's ends, the two crossings of the envelopes
+    (``_envelope_crossings``; an absent one reads the start) and the four
+    roots of t (ln T - law)' for each envelope, each clipped to the span.
+    On a cubic row, t = t0 + width u and (ln T - law)' is
+    sigma(u) - p/t + c, so t (ln T - law)' is the polynomial
+    t sigma(u) + c t - p of degree 4 in u, solved by ``_real_roots``.  A
+    row whose polynomial leaves the float range reads NaN points.
+    Between two crossings one envelope is the lower, so the deficit
+    under it and the excess over the other take their extremes among
+    these points: checking there is checking everywhere."""
+    table = ladder.table
+    lo, hi = (x[rows] for x in ladder.spans())
+    band = ladder.owner[rows] // len(_THETA_LADDER)
+    t0, width = table.t0[rows], table.width[rows]
+    c0, c1, c2, c3 = table.coeffs[:, rows]
+    # the left and the right envelope of each row
+    power, rate = ladder.laws[0::2, band], ladder.laws[1::2, band]
+    poly = np.empty((2, rows.size, 5))
+    with np.errstate(all="ignore"):
+        poly[:, :, 0] = width * c3
+        poly[:, :, 1] = t0 * c3 + width * c2
+        poly[:, :, 2] = t0 * c2 + width * c1
+        poly[:, :, 3] = t0 * c1 + width * (c0 + rate)
+        poly[:, :, 4] = t0 * (c0 + rate) - power
+        roots, finite = _real_roots(poly.reshape(-1, 5))
+        at_roots = t0[:, None] + width[:, None] * roots.reshape(2, -1, 4)
+    crossing = _envelope_crossings(ladder.laws, ladder.q, ladder.r)[band]
+    t = np.column_stack([lo, hi, np.where(np.isnan(crossing), lo[:, None], crossing),
+                         *at_roots])
+    np.clip(t, lo[:, None], hi[:, None], out=t)
+    t[~finite.reshape(2, -1).all(axis=0)] = np.nan
+    g = table.read(np.broadcast_to(rows[:, None], t.shape), t)
+    left, right = _law(power[:, :, None], rate[:, :, None], t)
+    return g, np.minimum(left, right), np.maximum(left, right)
+
+
 def _transition_pieces(bands: Sequence[_Band]) -> list[ProfilePiece]:
     """Bridge pieces for the transition bands (left, right, q, r), in
     order.  Each carries the admissible ramp/plateau/ramp transition of
     least curvature-proxy slack on [q, r], the earliest ramp fraction of
     the ladder among equals.
 
-    Every ramp fraction's transition is a segment table, and the greatest
-    log-slope and proxy range of each up to r are read by the certifier's
-    own reader, for all bands in one batch (``_table_ranges``).  The
-    monotone ones whose slack is not NaN are ranked by (proxy slack,
-    ladder position), and the envelope sandwich, sampled on ``_GRID``
-    points of the band, is evaluated in that order only until one passes.
-    Raises BridgeConstructionError, for the first band in order that has
-    none, when no ramp fraction yields a monotone, envelope-sandwiched
+    Every (band, ramp fraction) candidate is a set of rows in one ladder
+    table (``_ladder``), built in array passes, and the greatest
+    log-slope and proxy range of each up to r are read by the
+    certifier's own reader (``_table_ranges``).  The monotone candidates
+    whose slack is not NaN are ranked by (proxy slack, ladder position).
+    The envelope sandwich is exact: ln T must lie between the two
+    envelopes, within 1e-9 max(1, |ln T|), at every point where its gap
+    to either can take an extreme (``_sandwich``).  It is checked for
+    the best-ranked candidate of every band at once, then for the next
+    one of the bands still open, until each band has one.  Raises
+    BridgeConstructionError, for the first band in order that has none,
+    when no ramp fraction yields a monotone, envelope-sandwiched
     transition.
     """
     if not bands:
         return []
-    ends = [tuple(tuple(float(env(x, k)) for k in range(3))
-                  for env, x in ((left, q), (right, r)))
-            for left, right, q, r in bands]
-    # each band's ladder: the segments of every ramp fraction and their table
-    ladders = []
-    for (_, _, q, r), band_ends in zip(bands, ends):
-        ladder = []
-        for theta in _THETA_LADDER:
-            segments = _ramp_plateau_ramp(q, r, theta, band_ends)
-            starts, kept = _active_segments(q, segments)
-            ladder.append((segments, _SegmentTable(np.array(starts),
-                                                   tuple(map(_row, kept)))))
-        ladders.append(ladder)
+    ladder = _ladder(bands)
+    laws = ladder.laws
+    (_, s_q, _), (_, s_r, _) = ladder.ends
     with np.errstate(all="ignore"):
         # huge rates overflow to inf here, as scalar arithmetic would
-        ranges = _table_ranges([table for ladder in ladders for _, table in ladder],
-                               [r for *_, r in bands for _ in _THETA_LADDER])
-    ranges = [x.reshape(len(bands), -1) for x in ranges]
-    return [_transition_piece(*band, band_ends, ladder, *(x[k] for x in ranges))
-            for k, (band, band_ends, ladder) in enumerate(zip(bands, ends, ladders))]
+        slope, least, most = (x.reshape(len(bands), -1) for x in _table_ranges(
+            ladder.table, ladder.owner, np.repeat(ladder.r, len(_THETA_LADDER))))
+        lo_rate = np.minimum(laws[1], laws[3])[:, None]
+        hi_rate = np.maximum(laws[1], laws[3])[:, None]
+        slack = np.maximum(np.maximum(lo_rate * lo_rate - least,
+                                      most - hi_rate * hi_rate), 0.0)
+    # a NaN extreme rejects the candidate; an infinite one (a proxy past
+    # the float range) ranks it last, and the certificate then fails it
+    admissible = (slope < 0.0) & ~np.isnan(slack)
+    ranked = np.argsort(np.where(admissible, slack, np.nan), axis=1, kind="stable")
+    same = [left == right for left, right, _, _ in bands]
+    rising = (s_q >= 0) | (s_r >= 0)
+    choice = np.full(len(bands), -1)
+    lo, hi = ladder.spans()
+    open_bands = np.flatnonzero(~np.array(same) & ~rising & admissible.any(axis=1))
+    for rank in range(len(_THETA_LADDER)):
+        if not open_bands.size:
+            break
+        candidates = open_bands * len(_THETA_LADDER) + ranked[open_bands, rank]
+        chosen = np.zeros(admissible.size, dtype=bool)
+        chosen[candidates] = True
+        rows = np.flatnonzero(chosen[ladder.owner] & (hi > lo))
+        g, lo_env, hi_env = _sandwich(ladder, rows)
+        tol = 1e-9 * np.maximum(1.0, np.abs(g))
+        inside = (g >= lo_env - tol) & (g <= hi_env + tol)
+        fails = np.bincount(np.searchsorted(candidates, ladder.owner[rows]),
+                            weights=np.count_nonzero(~inside, axis=1),
+                            minlength=candidates.size)
+        choice[open_bands[fails == 0]] = ranked[open_bands[fails == 0], rank]
+        open_bands = open_bands[(fails > 0)
+                                & (admissible[open_bands].sum(axis=1) > rank + 1)]
+    return [_transition_piece(band, rank, ladder.segments[:, :, k, rank].tolist(),
+                              same[k], rising[k])
+            for k, (band, rank) in enumerate(zip(bands, choice.tolist()))]
 
 
-def _transition_piece(left: _Envelope, right: _Envelope, q: float, r: float,
-                      ends, ladder: Sequence[tuple[tuple[dict, ...], _SegmentTable]],
-                      slope: np.ndarray, least: np.ndarray,
-                      most: np.ndarray) -> ProfilePiece:
-    """The bridge piece of one band, from its ends, its ladder's segments
-    and tables, and their greatest log-slope and proxy range (see
-    ``_transition_pieces``)."""
-    if left == right:
+def _transition_piece(band: _Band, rank: int, fields: list, same: bool,
+                      rising: bool) -> ProfilePiece:
+    """The bridge piece of one band, from its ladder's choice (-1 for
+    none) and the fields of the chosen segments (``_transition_pieces``)."""
+    left, right, q, r = band
+    if same:
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
-    if ends[0][1] >= 0 or ends[1][1] >= 0:
+    if rising:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
-    lo_rate = min(left.rate, right.rate)
-    hi_rate = max(left.rate, right.rate)
-    slack = np.maximum(np.maximum(lo_rate * lo_rate - least,
-                                  most - hi_rate * hi_rate), 0.0)
-    # a NaN extreme rejects the candidate; an infinite one (a proxy past
-    # the float range) ranks it last, and the certificate then fails it
-    admissible = np.flatnonzero((slope < 0.0) & ~np.isnan(slack))
-    # the sandwich's grid and the envelopes on it do not depend on the
-    # ramp fraction
-    t = np.linspace(q, r, _GRID)
-    at_left = left(t)
-    at_right = right(t)
-    lo_env = np.minimum(at_left, at_right)
-    hi_env = np.maximum(at_left, at_right)
-    for rank in sorted(admissible.tolist(), key=lambda k: (slack[k], k)):
-        segments, table = ladder[rank]
-        g = table(t)
-        tol = 1e-9 * np.maximum(1.0, np.abs(g))
-        if np.all(g >= lo_env - tol) and np.all(g <= hi_env + tol):
-            return ProfilePiece(q, r, "bridge", {"segments": segments})
-    raise BridgeConstructionError(
-        f"no monotone sandwiched transition on [{q}, {r}] between "
-        f"(power={left.power}, rate={left.rate}) and "
-        f"(power={right.power}, rate={right.rate})")
+    if rank < 0:
+        raise BridgeConstructionError(
+            f"no monotone sandwiched transition on [{q}, {r}] between "
+            f"(power={left.power}, rate={left.rate}) and "
+            f"(power={right.power}, rate={right.rate})")
+    t0, t1, anchor, *coeffs = fields
+    # the band's own q and r bound the bridge
+    t0[0], t1[2] = q, r
+    segments = tuple({"kind": "cubic", "t0": a, "t1": b, "anchor": v, "coeffs": c}
+                     for a, b, v, c in zip(t0, t1, anchor, zip(*coeffs)))
+    return ProfilePiece(q, r, "bridge", {"segments": segments})
 
 
 def assemble_profile(bounds: CurvatureBounds,
@@ -666,13 +815,12 @@ def validate_profile(profile: Profile) -> ValidationReport:
     Checks: log-value continuity (relative tolerance ``_JOIN_TOL``) and
     C^1/C^2 continuity (``_SLOPE_TOL``) at every row join of the
     profile's segment table, piece joins and bridge-segment joins alike,
-    each side read through its own row; finite log values at both ends
-    of every row's span; strict monotone decrease; and the
-    curvature-proxy window [a^2 - eps, b^2 + eps] declared by the
-    profile's bounds.  The greatest log-slope and the proxy range of
-    every row come from closed forms on the span the row is active on
-    (``_table_ranges``), the final piece's up to infinity; a NaN or
-    infinite proxy fails the profile.
+    each side read on its own row; finite log values at both ends of
+    every row's span; strict monotone decrease; and the curvature-proxy
+    window [a^2 - eps, b^2 + eps] declared by the profile's bounds.  The
+    greatest log-slope and the proxy range of every row come from closed
+    forms on the span the row is active on (``_table_ranges``), the final
+    piece's up to infinity; a NaN or infinite proxy fails the profile.
     Convexity of T is implied by the window whenever eps < a^2; when the
     declared slack already admits concave stretches it is reported
     through the ``convex`` flag instead of failing.  A profile is
@@ -690,33 +838,39 @@ def _certify(profile: Profile) -> ValidationReport:
     eps = profile.bounds.eps
     pieces = profile.pieces
     table = profile._table
-    starts = table.starts.tolist()
+    n = table.starts.size
 
     # every row in orders 0-2 at both ends of its span (the last row at its
-    # start only): each join compares the rows on its two sides
-    at_ends = [[row(np.array(starts[i:i + 2]), order) for order in range(3)]
-               for i, row in enumerate(table.rows)]
-    worst = [0.0, 0.0]  # the relative log-value and derivative jumps
-    for i, start in enumerate(starts[1:], 1):
-        for order, (left, right) in enumerate(zip(at_ends[i - 1], at_ends[i])):
-            gl = float(left[1])
-            rel = abs(gl - float(right[0])) / max(1.0, abs(gl))
-            worst[order > 0] = max(worst[order > 0], rel)
-            if rel > (_SLOPE_TOL if order else _JOIN_TOL):
-                kind = f"order-{order} derivative" if order else "log-value"
-                msgs.append(f"{kind} jump {rel:.3g} at t={start}")
+    # start only), in one pass per order: row i at positions 2i and 2i + 1
+    at = np.repeat(np.arange(n), 2)[:-1]
+    reads = np.array([table.read(at, np.repeat(table.starts, 2)[1:], order)
+                      for order in range(3)])
+    # each join compares the rows on its two sides
+    left, right = reads[:, 1::2], reads[:, 2::2]
+    with np.errstate(all="ignore"):
+        # an infinite side reads a NaN jump, as scalar arithmetic would
+        rel = np.abs(left - right) / np.maximum(1.0, np.abs(left))
+    # the relative log-value and derivative jumps; a NaN one is no worst
+    worst = [float(np.fmax.reduce(x, axis=None, initial=0.0)) for x in (rel[0], rel[1:])]
+    tol = np.array([[_JOIN_TOL], [_SLOPE_TOL], [_SLOPE_TOL]])
+    starts = table.starts.tolist()
+    rel_list = rel.tolist()
+    for i, order in np.argwhere((rel > tol).T).tolist():
+        kind = f"order-{order} derivative" if order else "log-value"
+        msgs.append(f"{kind} jump {rel_list[order][i]:.3g} at t={starts[i + 1]}")
 
-    # each piece's rows, a slice of the table up to the piece's end
-    firsts = np.searchsorted(table.starts, [piece.t0 for piece in pieces]).tolist()
-    cuts = list(zip(firsts, firsts[1:] + [len(starts)]))
+    # each piece owns its rows, a slice of the table up to the piece's end
+    firsts = np.searchsorted(table.starts, [piece.t0 for piece in pieces])
+    owner = np.repeat(np.arange(len(pieces)), np.diff(firsts, append=n))
+    non_finite = np.bincount(owner[at], weights=~np.isfinite(reads[0]),
+                             minlength=len(pieces)).tolist()
     per_piece = zip(*(x.tolist() for x in _table_ranges(
-        [_SegmentTable(table.starts[a:b], table.rows[a:b]) for a, b in cuts],
-        [piece.t1 for piece in pieces])))
+        table, owner, np.array([piece.t1 for piece in pieces]))))
 
     ratio_min = INF
     ratio_max = -INF
-    for piece, (a, b), (steepest, p_min, p_max) in zip(pieces, cuts, per_piece):
-        if not all(np.all(np.isfinite(read[0])) for read in at_ends[a:b]):
+    for piece, bad, (steepest, p_min, p_max) in zip(pieces, non_finite, per_piece):
+        if bad:
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
         if steepest > 1e-12:
@@ -1001,11 +1155,12 @@ def _finalize(layout: list[ProfilePiece | _Band], params: CatalogParams) -> Prof
     pieces = [item if isinstance(item, ProfilePiece) else next(bridges)
               for item in layout]
     bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF)
-    probe = assemble_profile(bounds, pieces)
-    report = validate_profile(probe)
+    profile = assemble_profile(bounds, pieces)
+    report = validate_profile(profile)
     eps = _round_up(max(0.1, report.implied_eps * (1.0 + 1e-9)))
-    profile = replace(probe, bounds=replace(bounds, eps=eps))
-    object.__setattr__(profile, "_report", report)
+    # the probe becomes the profile: only its declared slack changes, and
+    # its table and report stay
+    object.__setattr__(profile, "bounds", replace(bounds, eps=eps))
     return profile
 
 

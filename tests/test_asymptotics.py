@@ -277,13 +277,15 @@ class TestExcursionAgainstAdaptive:
 
 def _mp_log_profile(table, starts, t):
     """ln T(t) in mpmath arithmetic from the segment table's rows."""
-    row = table.rows[max(bisect.bisect_right(starts, float(t)) - 1, 0)]
-    if hasattr(row, "coeffs"):
-        c0, c1, c2, c3 = row.coeffs
-        u = (t - row.t0) / row.width
-        return row.anchor + row.width * u * (
+    i = max(bisect.bisect_right(starts, float(t)) - 1, 0)
+    if table.cubic[i]:
+        c0, c1, c2, c3 = table.coeffs[:, i].tolist()
+        width = float(table.width[i])
+        u = (t - float(table.t0[i])) / width
+        return float(table.anchor[i]) + width * u * (
             c0 + u * (c1 / 2 + u * (c2 / 3 + u * c3 / 4)))
-    return (row.power * mpmath.log(t) if row.power else 0) - row.rate * t
+    power, rate = float(table.power[i]), float(table.rate[i])
+    return (power * mpmath.log(t) if power else 0) - rate * t
 
 
 def _mp_log_cuspidal(prof, r):
@@ -337,6 +339,12 @@ class TestParabolicGrowth:
         cusp = _pure_cusp(rate=2.0, n=3)
         r = np.array([2.0, 4.0])
         np.testing.assert_allclose(log_orbital_parabolic(cusp, r), 2.0 * r, rtol=1e-14)
+
+    def test_nan_radius_rejected(self):
+        # a NaN radius read a NaN orbit count
+        cusp = _pure_cusp(rate=1.0)
+        with pytest.raises(DomainError, match="at t=nan, not a finite"):
+            log_orbital_parabolic(cusp, math.nan)
 
     def test_critical_exponent_pure(self):
         # For rate c in dimension n the parabolic exponent is (n-1) c / 2.

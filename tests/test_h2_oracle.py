@@ -1591,3 +1591,63 @@ class TestLemmasAgainstReference:
               for p, q in ((z, w), (z, y), (w, y))))
         want = [_ref_eps_theta(_ref_angle_at(*t)) for t in zip(z, w, y)]
         assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
+# -- group counts from sums of two squares ------------------------------------
+#
+# An integer matrix with a^2 + b^2 + c^2 + d^2 = n has determinant 1
+# exactly when (a + d)^2 + (b - c)^2 = n + 2 and (a - d)^2 + (b + c)^2 =
+# n - 2.  In the level-two group a, d are odd and b, c even, so n = 4m - 2,
+# and P = (a + d)/2, S = (b - c)/2, Q = (a - d)/2, R = (b + c)/2 are the
+# integers with P^2 + S^2 = m, Q^2 + R^2 = m - 1 and P + Q odd (then
+# S + R is even, and the map back gives the parities).  So the projective
+# count at n is half the number of such pairs, from one bincount of sums
+# of two squares split by the parity of P, with no enumeration.
+
+
+def _group_counts_by_m(m_max: int) -> np.ndarray:
+    """The projective number of group elements with entry-square sum
+    4m - 2, for m = 0 ... m_max (0 at m = 0)."""
+    side = math.isqrt(m_max)
+    p, s = np.meshgrid(np.arange(-side, side + 1), np.arange(-side, side + 1),
+                       indexing="ij")
+    sums = (p * p + s * s).ravel()
+    odd = (p % 2 == 1).ravel()
+    keep = sums <= m_max
+    even_p = np.bincount(sums[keep & ~odd], minlength=m_max + 1)
+    odd_p = np.bincount(sums[keep & odd], minlength=m_max + 1)
+    pairs = np.zeros(m_max + 1, dtype=np.int64)
+    pairs[1:] = even_p[1:] * odd_p[:-1] + odd_p[1:] * even_p[:-1]
+    assert np.all(pairs % 2 == 0)
+    return pairs // 2
+
+
+class TestGroupCountsFromTwoSquares:
+    def test_ball_counts_on_the_quarter_unit_grid(self):
+        r = 14.5
+        radii = np.arange(0.25, r + 1e-12, 0.25)
+        # every sum 4m - 2 whose displacement acosh(2m - 1) reaches r,
+        # in _distinct's float operations
+        m_max = math.ceil((math.cosh(r) + 1.0) / 2.0) + 1
+        counts = _group_counts_by_m(m_max)
+        m = np.arange(1, m_max + 1)
+        disp = np.array([math.acosh(max((4.0 * k - 2.0) / 2.0, 1.0))
+                         for k in m.tolist()])
+        assert disp[-1] > r
+        below = np.r_[0, np.cumsum(counts[1:])]
+        want = below[np.searchsorted(disp, radii, side="left")]
+        got = h2_oracle._ball(h2_oracle._sorted_norms(r, 0.0)["group"], radii)
+        np.testing.assert_array_equal(got, want)
+
+    def test_counts_per_sum_against_the_enumeration(self):
+        elems = enumerate_group(10.0)
+        sums = np.array([a * a + b * b + c * c + d * d
+                         for a, b, c, d in (g.as_tuple() for g in elems)])
+        assert np.all(sums % 4 == 2)
+        m_max = int(sums.max() + 2) // 4
+        want = _group_counts_by_m(m_max)
+        got = np.bincount((sums + 2) // 4, minlength=m_max + 1)
+        assert got.sum() == len(elems) == 11_069
+        # the displacement grows with the sum, so the ball of radius 10
+        # holds every element of each sum up to its largest one
+        np.testing.assert_array_equal(got, want)

@@ -10,7 +10,7 @@ import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import mpmath
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from cuspgrowth import profiles
 from cuspgrowth.errors import BridgeConstructionError, CatalogError, DomainError, ProfileError
 from cuspgrowth.profiles import (
-    _GRID,
     _JOIN_TOL,
     _RATIO_SLOP,
     _SLOPE_TOL,
@@ -34,12 +33,14 @@ from cuspgrowth.profiles import (
     ProfilePiece,
     ValidationReport,
     _cubic_coeffs,
-    _Cubic,
     _cubic_proxy_range,
     _cubic_slope_range,
+    _envelope_crossings,
     _Envelope,
+    _ladder,
     _poly_integral,
     _ramp_plateau_ramp,
+    _sandwich,
     _SegmentTable,
     _transition_pieces,
     assemble_profile,
@@ -69,7 +70,7 @@ class TestAnalyticPieces:
     def test_pure_exp_values(self):
         prof = _simple_profile(2.0)
         assert prof.log_value(3.0) == -6.0
-        value, d1, d2 = (prof._table.rows[0](np.array([3.0]), k) for k in range(3))
+        value, d1, d2 = (prof._table.read(0, np.array([3.0]), k) for k in range(3))
         assert (value[0], d1[0], d2[0]) == (-6.0, -2.0, 0.0)
         # the curvature proxy the validator reads
         assert d2[0] + d1[0] * d1[0] == 4.0
@@ -80,7 +81,7 @@ class TestAnalyticPieces:
             [poly_piece(1.0, INF, 2.5, 3.0)])
         t = 2.0
         assert prof.log_value(t) == pytest.approx(2.5 * math.log(2.0) - 6.0, rel=1e-15)
-        _, d1, d2 = (prof._table.rows[0](np.array([t]), k) for k in range(3))
+        _, d1, d2 = (prof._table.read(0, np.array([t]), k) for k in range(3))
         assert d1[0] == pytest.approx(2.5 / 2.0 - 3.0, rel=1e-15)
         # ratio = (alpha/t - c)^2 - alpha/t^2
         assert d2[0] + d1[0] * d1[0] == pytest.approx((-1.75) ** 2 - 0.625, rel=1e-14)
@@ -95,6 +96,22 @@ class TestAnalyticPieces:
                                 [pure_piece(1.0, INF, 1.0)])
         with pytest.raises(DomainError):
             prof.log_value(0.5)
+
+    @pytest.mark.parametrize("name, t", [
+        # NaN passed the below-start check and read NaN
+        ("critical-finite-5.4a", math.nan),
+        # +inf read NaN, with an invalid-value warning, on a power-law
+        # final piece, and -inf on a pure one
+        ("critical-finite-5.4a", INF),
+        ("sparse-5.2", INF),
+        # -inf was refused as below the start, and now names the value
+        ("sparse-5.2", -INF)],
+        ids=["nan", "inf-on-a-power-law", "inf-on-a-pure-law", "minus-inf"])
+    def test_non_finite_abscissa_rejected(self, name, t):
+        prof = catalog_profile(name)
+        for arg in (t, np.array([prof.t_start + 1.0, t]), np.full((2, 2), t)):
+            with pytest.raises(DomainError, match=f"at t={t}, not a finite abscissa"):
+                prof.log_value(arg)
 
     def test_poly_needs_positive_start(self):
         with pytest.raises(ProfileError):
@@ -626,13 +643,8 @@ def _with_companions(name):
 
 def _read_rows(table, t, order):
     """ln T (order 0) or its derivative of that order at t, each point
-    read by the row's own ``__call__`` that the table's dispatch picks."""
-    idx, present = table._rows_at(t)
-    out = np.empty_like(t)
-    for i in present:
-        mask = idx == i
-        out[mask] = table.rows[i](t[mask], order)
-    return out
+    read by the table's one evaluator on the row its dispatch picks."""
+    return table.read(table.rows_at(t), t, order)
 
 
 def _bit_equal(a, b):
@@ -683,7 +695,8 @@ class TestSegmentTable:
         for prof in _with_companions(name):
             starts = prof._table.starts
             assert np.all(np.diff(starts) > 0)
-            assert len(prof._table.rows) == starts.size
+            # every column holds one entry per row
+            assert {np.shape(col)[-1] for col in prof._table} == {starts.size}
 
     def test_zero_width_segment_gets_no_row(self):
         # the theta = 1/2 ramp/plateau/ramp candidate leaves its plateau
@@ -696,7 +709,7 @@ class TestSegmentTable:
             assert np.count_nonzero(prof._table.starts == 5.5) == 1
             segments = sum(len(p.params["segments"]) if p.form == "bridge" else 1
                            for p in prof.pieces)
-            assert len(prof._table.rows) == segments - 1
+            assert prof._table.cubic.size == segments - 1
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_slope_range_brackets_the_sampled_slope(self, name):
@@ -704,11 +717,11 @@ class TestSegmentTable:
         for prof in _with_companions(name):
             starts = prof._table.starts
             edges = np.append(starts, 2.0 * starts[-1] + 100.0)
-            for row, a, b in zip(prof._table.rows, edges[:-1], edges[1:]):
+            for row, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
                 x, y = np.sort(rng.uniform(a, b, 2))
                 for lo, hi in ((a, b), (x, y)):
                     t = np.linspace(lo, hi, 4001)
-                    s = row(t, 1)
+                    s = prof._table.read(row, t, 1)
                     least, most = prof._table.slope_range(np.array([lo]), np.array([hi]))
                     slack = 1e-9 * max(1.0, float(np.max(np.abs(s))))
                     assert least[0] <= s.min() + slack and most[0] >= s.max() - slack
@@ -720,13 +733,14 @@ class TestSegmentTable:
 #
 # The reference below reads each segment through the two-level evaluator
 # above, on the span it is active on, and takes the extremes of its
-# log-slope and curvature proxy in closed form with its own algebra: the
-# proxy polynomial from numpy.polynomial and its roots one polynomial at
-# a time, where the ladder and the validator expand the derivative by
-# hand and solve every row in one batch.  It checks every ramp fraction
-# in full (proxy, monotonicity and sandwich) and keeps the first of
-# strictly least slack, where the ladder ranks first and checks the
-# sandwich lazily.  The two closed forms agree to rounding, so a winner
+# log-slope, curvature proxy and envelope gaps in closed form with its
+# own algebra: the proxy polynomial and t (ln T - law)' from
+# numpy.polynomial and their roots one polynomial at a time, and the
+# envelopes' crossings bisected in Python floats, where the ladder and
+# the validator expand the polynomials by hand and solve every row in one
+# batch.  It checks every ramp fraction in full (proxy, monotonicity and
+# sandwich) and keeps the first of strictly least slack, where the ladder
+# ranks first and checks the sandwich lazily.  The two closed forms agree to rounding, so a winner
 # is compared only where the reference's two least slacks differ by more
 # than _TIE_TOL; the reports agree to _RANGE_TOL in the proxy range and
 # the slack, and exactly in everything else.
@@ -791,13 +805,60 @@ class _Candidate:
     sandwiched: bool
 
 
+def _ref_law(env, t, order=0):
+    return _ref_analytic(env.power, env.rate, np.asarray(t, dtype=float), order)
+
+
+def _ref_crossings(left, right, q, r):
+    """Where the two envelopes cross in [q, r]: their log gap
+    dp ln t - dc t is monotone on either side of t = dp/dc, and each
+    sign change is bisected in Python floats."""
+    dp, dc = left.power - right.power, left.rate - right.rate
+    if dp == dc == 0.0:
+        return []
+
+    def gap(t):
+        return dp * math.log(t) - dc * t
+
+    turn = min(max(dp / dc, q), r) if dc else q
+    found = []
+    for a, b in ((q, turn), (turn, r)):
+        if gap(a) * gap(b) > 0.0:
+            continue
+        for _ in range(2000):
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            if (gap(mid) > 0.0) == (gap(a) > 0.0) and gap(mid) != 0.0:
+                a = mid
+            else:
+                b = mid
+        found.append(a)
+    return found
+
+
+def _ref_sandwich_points(piece, left, right, q, r):
+    """The ends of every span, the envelopes' crossings and the real
+    roots of t (ln T - law)' of each envelope on each span, clipped."""
+    points = _ref_crossings(left, right, q, r)
+    for seg, lo, hi in _ref_spans(piece):
+        w = seg["t1"] - seg["t0"]
+        t = Polynomial([seg["t0"], w])
+        for env in (left, right):
+            poly = t * Polynomial(seg["coeffs"]) + env.rate * t - env.power
+            roots = poly.trim().roots().real if poly.trim().degree() > 0 else []
+            points += np.clip(seg["t0"] + w * np.asarray(roots), lo, hi).tolist()
+        points += [lo, hi]
+    return np.array(points)
+
+
 def _ref_transition_candidate(left, right, q, r, theta):
     width = r - q
-    s_q = float(left(q, 1))
-    s_r = float(right(r, 1))
-    d_q = float(left(q, 2))
-    d_r = float(right(r, 2))
-    gap = float(right(r)) - float(left(q))
+    s_q = float(_ref_law(left, q, 1))
+    s_r = float(_ref_law(right, r, 1))
+    d_q = float(_ref_law(left, q, 2))
+    d_r = float(_ref_law(right, r, 2))
+    gap = float(_ref_law(right, r)) - float(_ref_law(left, q))
 
     # Plateau level from the exact area constraint: integral of sigma over
     # [q, r] equals the log-value gap between the envelopes.
@@ -809,7 +870,7 @@ def _ref_transition_candidate(left, right, q, r, theta):
     seg1 = {
         "kind": "cubic",
         "t0": q, "t1": q + w_ramp,
-        "anchor": float(left(q)),
+        "anchor": float(_ref_law(left, q)),
         "coeffs": _cubic_coeffs(s_q, s_star, d_q * w_ramp, 0.0),
     }
     a1 = seg1["anchor"] + w_ramp * _poly_integral(seg1["coeffs"])
@@ -836,10 +897,11 @@ def _ref_transition_candidate(left, right, q, r, theta):
     if math.isnan(least) or math.isnan(most):
         achieved = math.nan
 
-    t = np.linspace(q, r, _GRID)
-    g = _ref_piece(piece, t, 0)
-    lo_env = np.minimum(left(t), right(t))
-    hi_env = np.maximum(left(t), right(t))
+    with np.errstate(all="ignore"):
+        t = _ref_sandwich_points(piece, left, right, q, r)
+        g = _ref_piece(piece, t, 0)
+        lo_env = np.minimum(_ref_law(left, t), _ref_law(right, t))
+        hi_env = np.maximum(_ref_law(left, t), _ref_law(right, t))
     slack = 1e-9 * np.maximum(1.0, np.abs(g))
     sandwiched = bool(np.all(g >= lo_env - slack) and np.all(g <= hi_env + slack))
 
@@ -855,7 +917,7 @@ def _ref_transition_piece(left, right, q, r, margins=None):
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
-    if float(left(q, 1)) >= 0 or float(right(r, 1)) >= 0:
+    if float(_ref_law(left, q, 1)) >= 0 or float(_ref_law(right, r, 1)) >= 0:
         raise BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
     admissible = []
@@ -1096,6 +1158,100 @@ class TestLadderAgainstReference:
         assert report == _ref_validate_profile(prof)
 
 
+# -- the exact envelope sandwich against a dense sweep --------------------------
+#
+# The ladder checks the sandwich at the points of each row where ln T minus
+# either envelope can take an extreme.  The least deficit under the lower
+# envelope and the greatest excess over the upper one at those points must
+# bracket a sweep of _SWEEP points of the band, and come within one sweep
+# step of it, for every candidate of the ladder.
+
+_SWEEP = 100_001
+
+
+def _layout_bands(name, params):
+    """The transition bands of a family's main profile and companion."""
+    family = profiles._FAMILIES[name]
+    layouts = [family.pieces(name, params)]
+    if family.companion is not None:
+        layouts.append(family.companion(params))
+    return [item for layout in layouts for item in layout
+            if not isinstance(item, ProfilePiece)]
+
+
+def _assert_sandwich_brackets_sweep(bands):
+    ladder = _ladder(bands)
+    lo, hi = ladder.spans()
+    rows = np.flatnonzero(hi > lo)
+    g, lo_env, hi_env = _sandwich(ladder, rows)
+    owner = ladder.owner[rows]
+    least = np.full(len(bands) * len(_THETA_LADDER), INF)
+    most = np.full(least.shape, -INF)
+    np.minimum.at(least, owner, np.min(g - lo_env, axis=1))
+    np.maximum.at(most, owner, np.max(g - hi_env, axis=1))
+    for k, (left, right, q, r) in enumerate(bands):
+        t = np.linspace(q, r, _SWEEP)
+        low = np.minimum(_ref_law(left, t), _ref_law(right, t))
+        high = np.maximum(_ref_law(left, t), _ref_law(right, t))
+        for cand in range(k * len(_THETA_LADDER), (k + 1) * len(_THETA_LADDER)):
+            own = rows[owner == cand]
+            at = np.searchsorted(ladder.table.starts[own], t, side="right") - 1
+            swept = ladder.table.read(own[np.maximum(at, 0)], t)
+            deficit, excess = swept - low, swept - high
+            rounding = 1e-12 * max(1.0, float(np.max(np.abs(swept))))
+            assert least[cand] <= deficit.min() + rounding, (k, cand)
+            assert most[cand] >= excess.max() - rounding, (k, cand)
+            # attained: the sweep comes within one of its steps
+            step = np.max(np.abs(np.diff(deficit))) + np.max(np.abs(np.diff(excess)))
+            assert least[cand] >= deficit.min() - step - rounding, (k, cand)
+            assert most[cand] <= excess.max() + step + rounding, (k, cand)
+
+
+class TestExactSandwich:
+    @pytest.mark.parametrize("override", [{}, {"rate_fast": 2.5}, {"rate_fast": 3.5},
+                                          {"m": 4}], ids=["defaults", "b25", "b35", "m4"])
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_brackets_a_dense_sweep(self, name, override):
+        params = replace(default_catalog_params(name), **override)
+        _assert_sandwich_brackets_sweep(_layout_bands(name, params))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(CATALOG_IDS), params=_in_range_params())
+    def test_brackets_a_dense_sweep_on_drawn_parameters(self, name, params):
+        _assert_sandwich_brackets_sweep(_layout_bands(name, params))
+
+    def test_envelopes_that_cross(self):
+        # the head band [4, 40] joins e^{-t} to t^3.5 e^{-2.1 t},
+        # which cross once inside it, so the sandwich's lower envelope
+        # changes there
+        bands = _layout_bands("exotic-conv-5.3a",
+                              CatalogParams(rate_fast=2.1, beta=3.5))
+        assert [band[2:] for band in bands] == [(4.0, 40.0)]
+        ladder = _ladder(bands)
+        crossing = _envelope_crossings(ladder.laws, ladder.q, ladder.r)[0]
+        x = crossing[~np.isnan(crossing)]
+        assert x.size == 1 and 4.0 < x[0] < 40.0
+        left, right = bands[0][:2]
+        gap = [float(_ref_law(left, t) - _ref_law(right, t))
+               for t in (x[0], np.nextafter(x[0], INF))]
+        assert gap[0] * gap[1] <= 0.0
+        _assert_sandwich_brackets_sweep(bands)
+
+    def test_fallback_band_keeps_the_second_ranked_candidate(self):
+        # at m = 4 the critical head band [2, 16]: the best-ranked ramp
+        # fraction leaves the envelopes, the next one stays between them
+        for name in ("critical-finite-5.4a", "critical-infinite-5.4b"):
+            params = replace(default_catalog_params(name), m=4)
+            band = _layout_bands(name, params)[0]
+            assert band[2:] == (2.0, 16.0)
+            cands = [_ref_transition_candidate(*band, theta) for theta in _THETA_LADDER]
+            ranked = sorted((c.proxy_slack, k) for k, c in enumerate(cands)
+                            if c.monotone)
+            first, second = (cands[k] for _, k in ranked[:2])
+            assert not first.sandwiched and second.sandwiched
+            assert _transition_piece(*band).params["segments"] == second.segments
+
+
 class TestPlateauConstants:
     """The closed form reads the plateau row (s*, 0, 0, 0) with no root
     solve, at points of its span: (ln T)' as s*, (ln T)'' as +0.0 and the
@@ -1139,8 +1295,9 @@ class TestPlateauConstants:
         assert np.signbit(d2[0])
         ends = ((-1.0, -1.0, 0.0), (-9.0, -3.0, 0.0))
         for theta in _THETA_LADDER:
-            plateau = _ramp_plateau_ramp(1.0, 3.0, theta, ends)[1]
-            assert not np.any(np.signbit(plateau["coeffs"][1:]))
+            # c1, c2 and c3 of the middle segment
+            plateau = _ramp_plateau_ramp(1.0, 3.0, theta, ends)[4:, 1]
+            assert not np.any(np.signbit(plateau))
 
     def test_closed_form_reads_s_star_squared(self):
         # the plateau through the closed forms of the ladder and the
@@ -1260,34 +1417,38 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("name", CATALOG_IDS)
     def test_build_reads_no_dense_sweep(self, name):
-        # The abscissae that profile rows are evaluated at while the
-        # family is built and certified.  Each transition reads its grid
-        # of _GRID points three times (the two envelopes and the
-        # sandwiched candidate) and its two ends in three orders; the
-        # validator reads every row at both ends of its span in three
-        # orders.
-        # A sampled certificate or ladder would read many more.
+        # The abscissae that profile rows and envelope laws are evaluated
+        # at while the family is built and certified, counted at the two
+        # leaf evaluators.  Each transition reads its two ends in three
+        # orders, and twelve sandwich points on each of its chosen
+        # candidate's three rows, each three times (ln T and the two
+        # envelopes); the validator reads every row at both ends of its
+        # span in three orders, and every law row's proxy at its critical
+        # point too.
+        # A sampled certificate, ladder or sandwich would read many more.
         seen = []
+        law, cubic = profiles._law, _SegmentTable._read_cubic
 
-        def counting(cls):
-            call = cls.__call__
+        def counted_law(power, rate, t, order=0):
+            seen.append(np.array(t, dtype=float).ravel())
+            return law(power, rate, t, order)
 
-            def counted(self, t, order=0):
-                seen.append(np.array(t, dtype=float).ravel())
-                return call(self, t, order)
-            return mock.patch.object(cls, "__call__", counted)
+        def counted_cubic(self, idx, t, order):
+            seen.append(np.array(t, dtype=float).ravel())
+            return cubic(self, idx, t, order)
 
-        with counting(_Envelope), counting(_Cubic):
+        with mock.patch.object(profiles, "_law", counted_law), \
+                mock.patch.object(_SegmentTable, "_read_cubic", counted_cubic):
             built = _with_companions(name)
         transitions = sum(p.form == "bridge" for prof in built for p in prof.pieces)
-        points = sum(len(prof._table.rows) + 2 * len(prof.pieces) for prof in built)
+        points = sum(prof._table.starts.size + 2 * len(prof.pieces) for prof in built)
         read = np.concatenate(seen)
-        assert np.unique(read).size <= _GRID * transitions + points
-        assert read.size <= 3 * ((_GRID + 2) * transitions + points)
+        assert np.unique(read).size <= 36 * transitions + points
+        assert read.size <= 3 * (38 * transitions + 2 * points)
 
     def test_slope_range_matches_the_scalar_form(self):
         # the batched slope range against the scalar form it replaced in
-        # _Cubic.slope_range, bit for bit: the excursion integral sizes its
+        # the cubic rows' slope_range, bit for bit: the excursion integral sizes its
         # panels with it
         def scalar(coeffs, u_lo, u_hi):
             c0, c1, c2, c3 = coeffs
@@ -1302,8 +1463,9 @@ class TestClosedForm:
             return np.minimum.reduce(slopes), np.maximum.reduce(slopes)
 
         rng = np.random.default_rng(11)
-        rows = [row.coeffs for name in CATALOG_IDS for prof in _with_companions(name)
-                for row in prof._table.rows if isinstance(row, _Cubic)]
+        rows = [tuple(prof._table.coeffs[:, i]) for name in CATALOG_IDS
+                for prof in _with_companions(name)
+                for i in np.flatnonzero(prof._table.cubic)]
         rows += [tuple(rng.normal(size=4)) for _ in range(200)]
         rows += [(1.0, 2.0, 0.0, 0.0), (1.0, 2.0, -1.0, 0.0), (0.5, 0.0, 0.0, 0.0)]
         for coeffs in rows:
@@ -1347,8 +1509,8 @@ class TestJets:
         assert [(s["t0"], s["t1"]) for s in piece.params["segments"]] == [
             (2.0, 5.5), (5.5, 5.5), (5.5, 9.0)]
         table = _SegmentTable.compile([piece])
-        assert len(table.rows) == 2
-        t = np.linspace(2.0, 9.0, _GRID)
+        assert table.cubic.tolist() == [True, True]
+        t = np.linspace(2.0, 9.0, 4097)
         assert np.count_nonzero(t == 5.5) == 1
         self._assert_jets_match_reference(table, [piece], t)
         self._assert_jets_match_reference(table, [piece], np.array([5.5]))

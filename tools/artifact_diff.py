@@ -59,6 +59,11 @@ RUNS = (
     ("profile-validate-mu-m", ["profile-validate", "--name",
                                "critical-finite-5.4a", "--mu", "0.2",
                                "--M", "5"]),
+    # the head band [2, 16] of both critical families, where the ladder's
+    # best-ranked ramp fraction leaves the envelope sandwich and the
+    # second-ranked one is kept
+    ("profile-validate-m4", ["profile-validate", "--name", "all",
+                             "--M", "4"]),
     # failed claims, which exit 1 and print the FAIL lines of the reports
     ("example-run-m4", ["example-run", "--name", "critical-finite-5.4a",
                         "--M", "4"]),
