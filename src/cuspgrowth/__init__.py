@@ -28,6 +28,7 @@ from .profiles import (
     assemble_profile,
     catalog_companions,
     catalog_profile,
+    catalog_profiles,
     default_catalog_params,
     poly_piece,
     profile_to_text,
@@ -79,6 +80,7 @@ from .taxonomy import (
     Predictions,
     TaxonomyReport,
     catalog_spec,
+    catalog_specs,
     classify_lattice,
     quarter_pinch_gate,
     run_example,

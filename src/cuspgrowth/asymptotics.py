@@ -71,9 +71,10 @@ _NEGLIGIBLE_NATS = 46.0
 
 # Radii are cut into segments in blocks of this many, and integrated in
 # chunks of about this many panels, so that the segment and node arrays,
-# and with them peak memory, do not grow with the radius count.
+# and with them peak memory, do not grow with the radius count; a chunk
+# evaluates its 17 Gauss-Kronrod nodes per panel in one array.
 _BLOCK_RADII = 256
-_CHUNK_PANELS = 512
+_CHUNK_PANELS = 256
 
 # A radius whose integrand needs more panels than this raises
 # QuadratureError instead of allocating them.
@@ -98,8 +99,9 @@ def log_cuspidal(cusp: CuspModel, r, *, rel_tol: float = 1e-8) -> float | np.nda
     profile's segment rows, and with it the stretches more than
     ``_NEGLIGIBLE_NATS`` below the radius's total are dropped; the rest
     is cut into panels across which the log integrand varies by at most
-    ``numerics._gauss_panel_nats(rel_tol)`` and summed by the checked
-    Gauss-Legendre rule of ``numerics._log_gauss_sums``.  A radius that
+    ``numerics._gauss_panel_nats(rel_tol)``, and each panel is summed by
+    one 17-point Gauss-Kronrod evaluation of ``numerics._log_gauss_sums``,
+    checked against its embedded 8-point Gauss-Legendre rule.  A radius that
     misses ``rel_tol`` raises QuadratureError.
     """
     radii, flat = _checked_radii(r, rel_tol, "excursion")

@@ -59,8 +59,7 @@ from .profiles import (
     _PROFILE_READS,
     CATALOG_IDS,
     CatalogParams,
-    catalog_companions,
-    catalog_profile,
+    catalog_profiles,
     default_catalog_params,
     profile_to_text,
     validate_profile,
@@ -72,7 +71,7 @@ from .taxonomy import (
     _R_MAX_FLOOR,
     ExampleReport,
     TaxonomyReport,
-    catalog_spec,
+    catalog_specs,
     classify_lattice,
     run_example,
 )
@@ -404,10 +403,9 @@ def _run_profile_validate(cfg: ExperimentConfig):
     assertions = []
     artifacts = {}
     lines = []
-    for name in _names(cfg):
-        params = _params_for(cfg, name)
-        profiles = ((catalog_profile(name, params),)
-                    + catalog_companions(name, params))
+    names = _names(cfg)
+    built = catalog_profiles([(name, _params_for(cfg, name)) for name in names])
+    for name, profiles in zip(names, built):
         for i, prof in enumerate(profiles):
             rep = validate_profile(prof)
             tag = name if i == 0 else f"{name}-companion{i}"
@@ -435,8 +433,11 @@ def _run_cusp_analyze(cfg: ExperimentConfig):
     artifacts = {}
     lines = []
     rel_tol = cfg.tolerances["rel_tol"]
-    for name in _names(cfg):
-        cusp = CuspModel(profile=catalog_profile(name, _params_for(cfg, name)))
+    names = _names(cfg)
+    built = catalog_profiles([(name, _params_for(cfg, name)) for name in names],
+                             companions=False)
+    for name, (profile,) in zip(names, built):
+        cusp = CuspModel(profile=profile)
         radii = np.linspace(min(8.0, cfg.r_max / 4.0), cfg.r_max, 65)
         excursion = log_cuspidal(cusp, radii, rel_tol=rel_tol)
         orbital = log_orbital_parabolic(cusp, radii)
@@ -460,8 +461,9 @@ def _run_cusp_analyze(cfg: ExperimentConfig):
 def _run_lattice_classify(cfg: ExperimentConfig):
     assertions = []
     chunks = []
-    for name in _names(cfg):
-        spec = catalog_spec(name, _params_for(cfg, name))
+    names = _names(cfg)
+    specs = catalog_specs([(name, _params_for(cfg, name)) for name in names])
+    for name, spec in zip(names, specs):
         rep = classify_lattice(spec, tol_factor=cfg.tolerances["pinch_tol"])
         assertions.append({
             "name": f"classified:{name}",

@@ -14,6 +14,7 @@ sandwiches, and the counting-formula envelope.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -503,6 +504,54 @@ def coset_counts(r: float, gauge: float) -> CountTable:
 
 # -- lemma verification -------------------------------------------------------
 
+# SplitMix64's counter increment (the golden-ratio constant) and finalizer
+_MIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array; products wrap mod 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_MULTIPLIERS[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX_MULTIPLIERS[1]
+    return z ^ (z >> np.uint64(31))
+
+
+class _CounterUniforms:
+    """Uniform draws from SplitMix64 on uint64 counters keyed by a seed.
+
+    Draw i (from 0) is the top 53 bits of mix(key + (i + 1) gamma) over
+    2^53, so any stretch of draws is one array pass and no generator
+    state is carried but the count.  The key folds the seed, of any
+    non-negative size, 64 bits at a time from the low end, the number of
+    words included.  A draw on [low, high) is low + (high - low) u, as
+    numpy's ``Generator.uniform`` makes it."""
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
+        words = [(seed >> shift) & _MASK64
+                 for shift in range(0, max(seed.bit_length(), 1), 64)]
+        key = np.array([len(words)], dtype=np.uint64)
+        for word in words:
+            key = _mix64((key ^ np.uint64(word)) + _MIX_GAMMA)
+        self._key = key
+        self._drawn = 0
+
+    def uniform(self, low, high, size=None):
+        """Draws on [low, high) (broadcast against ``size``), in row-major
+        order; a float when ``size`` is None."""
+        count = int(np.prod(size)) if size is not None else 1
+        counter = np.arange(self._drawn + 1, self._drawn + count + 1,
+                            dtype=np.uint64)
+        self._drawn += count
+        bits = _mix64(self._key + counter * _MIX_GAMMA) >> np.uint64(11)
+        u = bits.astype(float) * 2.0 ** -53
+        if size is None:
+            return float(low + (high - low) * u[0])
+        return low + (high - low) * u.reshape(size)
+
 
 def _h2_distances(zr, zi, wr, wi) -> np.ndarray:
     """Hyperbolic distances between the points zr + i zi and wr + i wi of
@@ -569,11 +618,10 @@ def verify_lemmas(sample_count: int, seed: int) -> LemmaReport:
     """
     if sample_count < 1:
         raise DomainError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _CounterUniforms(seed)
 
     def draw(*bounds: tuple[float, float]) -> list[np.ndarray]:
-        # one column per Generator.uniform(low, high) call of a sample, in
-        # call order
+        # one column per uniform(low, high) call of a sample, in call order
         low, high = np.array(bounds).T
         return list(rng.uniform(low, high, (sample_count, len(bounds))).T)
 

@@ -4,10 +4,11 @@ Every quantity of interest in this package is a positive number that can
 span thousands of e-folds across a single evaluation window, so all sums,
 integrals and tail estimates are carried out on natural logarithms.  The
 kernels here are deliberately small: a stable log-sum-exp, one checked
-Gauss-Legendre panel rule that integrates ``exp(f)`` given only ``f``
-(``log_integral`` for a single integral, ``_log_gauss_sums`` for many
-panel groups in one array evaluation), the upper incomplete gamma
-function, and a doubling-window tail analyser.
+panel rule that integrates ``exp(f)`` given only ``f`` (the 17-point
+Gauss-Kronrod extension of the 8-point Gauss-Legendre rule, checked
+against that embedded rule; ``log_integral`` for a single integral,
+``_log_gauss_sums`` for many panel groups in one array evaluation), the
+upper incomplete gamma function, and a doubling-window tail analyser.
 """
 
 from __future__ import annotations
@@ -106,6 +107,25 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(8)
 _GL_LOG_WEIGHTS = np.log(_GL_WEIGHTS)
 
+# The 17-point Gauss-Kronrod extension of the 8-point rule on [-1, 1],
+# exact to degree 25: the Gauss nodes at the odd positions, the nine
+# roots of the Stieltjes polynomial E_9 at the even ones.  The Kronrod
+# nodes and all weights are those of an mpmath solve at 60 digits,
+# rounded to the nearest float; the positive half, the centre first.
+_KRONROD_HALF_NODES = (0.0, 0.36070109792813193, 0.6723540709451586,
+                       0.8941209068474564, 0.9933798758817162)
+_KRONROD_HALF_WEIGHTS = (0.18444640574469165, 0.18140002506803465,
+                         0.1720706085552113, 0.1566526061681884,
+                         0.1362631092551722, 0.11164637082683962,
+                         0.08248229893135833, 0.04943939500213931,
+                         0.017822383320710355)
+_GK_NODES = np.empty(17)
+_GK_NODES[1::2] = _GL_NODES
+_GK_NODES[8::2] = _KRONROD_HALF_NODES
+_GK_NODES[0:8:2] = [-x for x in _KRONROD_HALF_NODES[:0:-1]]
+_GK_WEIGHTS = np.array(_KRONROD_HALF_WEIGHTS[:0:-1] + _KRONROD_HALF_WEIGHTS)
+_GK_LOG_WEIGHTS = np.log(_GK_WEIGHTS)
+
 # Relative error of the 8-point rule on exp(s x) over [-1, 1], s >= 1, is
 # about _GL_REMAINDER * s^17 at most: the Gauss remainder
 # 2^17 (8!)^4 / (17 (16!)^3) times the 16th derivative, at most s^16 e^s,
@@ -124,28 +144,39 @@ def _gauss_panel_nats(rel_tol: float) -> float:
     return 2.0 * (rel_tol / (4.0 * _GL_REMAINDER)) ** (1.0 / 17.0)
 
 
-def _log_gauss(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               lo: np.ndarray, hi: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """8-point Gauss-Legendre ln of the integral of exp(f_log) over each
-    panel [lo_k, hi_k]; f_log(t, which) gets the (panels, 8) nodes and the
-    original index of each panel."""
+def _log_kronrod(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 lo: np.ndarray, hi: np.ndarray, which: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """ln of the integral of exp(f_log) over each panel [lo_k, hi_k] by
+    the 17-point Gauss-Kronrod rule and by its embedded 8-point
+    Gauss-Legendre rule, from one evaluation; f_log(t, which) gets the
+    (panels, 17) nodes and the original index of each panel."""
     half = 0.5 * (hi - lo)
-    t = (lo + half)[:, None] + half[:, None] * _GL_NODES
-    y = np.asarray(f_log(t, which), dtype=float) + _GL_LOG_WEIGHTS
+    t = (lo + half)[:, None] + half[:, None] * _GK_NODES
+    y = np.asarray(f_log(t, which), dtype=float)
     if np.isnan(y).any():
         raise DomainError("log integrand returned NaN")
+    with np.errstate(divide="ignore"):
+        log_half = np.log(half)
+    return (_log_weighted_sum(y + _GK_LOG_WEIGHTS) + log_half,
+            _log_weighted_sum(y[:, 1::2] + _GL_LOG_WEIGHTS) + log_half)
+
+
+def _log_weighted_sum(y: np.ndarray) -> np.ndarray:
+    """logsumexp of each row of y, which it overwrites, summed node by
+    node: the order, and so every bit, is the same for a row whatever
+    else is in the batch."""
     m = np.max(y, axis=1)
     if np.isposinf(m).any():
         raise DomainError("log integrand returned +inf")
     m = np.where(m == NEG_INF, 0.0, m)
-    e = np.exp(y - m[:, None])
-    # summed node by node: the order, and so every bit, is the same for a
-    # panel whatever else is in the batch
+    y -= m[:, None]
+    e = np.exp(y, out=y)
     acc = e[:, 0].copy()
     for k in range(1, e.shape[1]):
         acc += e[:, k]
     with np.errstate(divide="ignore"):
-        return m + np.log(acc) + np.log(half)
+        return m + np.log(acc)
 
 
 def _group_logsumexp(y: np.ndarray, group: np.ndarray,
@@ -170,15 +201,15 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``group`` numbers the panels 0, 1, ... in sorted order, with no
     number skipped; f_log(t, k) evaluates the log integrand of panel k at
     an array of its nodes, so each group may integrate its own function.
-    Every panel is integrated by the 8-point Gauss-Legendre rule, and
-    again on its two halves.  A group passes when the summed magnitude of
-    its panels' differences between the two stays within ``rel_tol`` of
-    its total, or when both are zero; it then gets the finer value.  The
-    panels of the groups that miss are halved and checked again, at most
-    ``max_halvings`` times (default ``_MAX_HALVINGS``, read at call time),
-    after which QuadratureError, naming the group by ``label``, is raised
-    with its finest estimate as ``log_partial``.  No value is returned
-    unchecked.
+    Every panel is integrated by one 17-point Gauss-Kronrod evaluation,
+    whose embedded 8-point Gauss-Legendre rule is the check.  A group
+    passes when the summed magnitude of its panels' differences between
+    the two stays within ``rel_tol`` of its total, or when both are zero;
+    it then gets the Kronrod value.  The panels of the groups that miss
+    are halved and evaluated again, at most ``max_halvings`` times
+    (default ``_MAX_HALVINGS``, read at call time), after which
+    QuadratureError, naming the group by ``label``, is raised with its
+    Kronrod estimate as ``log_partial``.  No value is returned unchecked.
     """
     if not rel_tol > 0:
         raise DomainError("rel_tol must be positive")
@@ -187,13 +218,9 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     out = np.empty(int(group[-1]) + 1)
     pending = np.arange(out.size)
     which = np.arange(lo.size)
-    coarse = _log_gauss(f_log, lo, hi, which)
     halvings = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        left = _log_gauss(f_log, lo, mid, which)
-        right = _log_gauss(f_log, mid, hi, which)
-        fine = np.logaddexp(left, right)
+        fine, coarse = _log_kronrod(f_log, lo, hi, which)
         first = np.flatnonzero(np.diff(group, prepend=-1))
         total = _group_logsumexp(fine, group, first)
         scale = np.where(total == NEG_INF, 0.0, total)[group]
@@ -207,17 +234,17 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
         bad = int(np.flatnonzero(~ok)[0])
         if halvings == max_halvings:
             raise QuadratureError(
-                f"{label(int(pending[bad]))}: the Gauss-Legendre panels and "
-                f"their halves still differ by {float(err[bad]):.3g} "
-                f"(rel_tol {rel_tol}) after {halvings} halvings",
-                log_partial=float(total[bad]))
+                f"{label(int(pending[bad]))}: the Gauss-Kronrod panels and "
+                f"their Gauss-Legendre rule still differ by "
+                f"{float(err[bad]):.3g} (rel_tol {rel_tol}) after {halvings} "
+                f"halvings", log_partial=float(total[bad]))
         halvings += 1
         redo = ~ok[group]
         pending = pending[~ok]
         group = np.repeat((np.cumsum(~ok) - 1)[group[redo]], 2)
+        mid = 0.5 * (lo + hi)
         lo, hi = (np.stack([lo[redo], mid[redo]], axis=1).ravel(),
                   np.stack([mid[redo], hi[redo]], axis=1).ravel())
-        coarse = np.stack([left[redo], right[redo]], axis=1).ravel()
         which = np.repeat(which[redo], 2)
 
 
@@ -235,12 +262,12 @@ def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
     integrand is continuous but not smooth, e.g. profile piece joins) and
     each piece into ``min_panels`` equal panels.  The panels form one
     group of ``_log_gauss_sums``, whose check halves them all until the
-    Gauss-Legendre panels and their halves agree to ``rel_tol`` of the
-    total.  The halvings stop where the next level would evaluate more
-    than 2 max_panels + 1 abscissae on a piece, as many as a composite
-    rule of ``max_panels`` panels (the first level is always checked);
-    QuadratureError, carrying the finest estimate, is raised there.
-    ``f_log`` gets a flat array of abscissae.
+    Gauss-Kronrod panels and their embedded Gauss-Legendre rule agree to
+    ``rel_tol`` of the total.  The halvings stop where the next level
+    would evaluate more than 2 max_panels + 1 abscissae on a piece, as
+    many as a composite rule of ``max_panels`` panels (the first level is
+    always checked); QuadratureError, carrying the finest estimate, is
+    raised there.  ``f_log`` gets a flat array of abscissae.
     """
     if not (hi >= lo):
         raise DomainError(f"bad integration interval [{lo}, {hi}]")
@@ -259,8 +286,8 @@ def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
             raise DomainError("log integrand must be vectorized over its input")
         return y.reshape(t.shape)
 
-    # level h evaluates 16 min_panels 2^h abscissae on each piece
-    halvings = max((max_panels // (8 * min_panels)).bit_length() - 1, 0)
+    # level h evaluates 17 min_panels 2^h abscissae on each piece
+    halvings = max(((2 * max_panels + 1) // (17 * min_panels)).bit_length() - 1, 0)
     return float(_log_gauss_sums(
         f_panels, a, b, np.zeros(a.size, dtype=np.int64), rel_tol=rel_tol,
         label=lambda _: f"the integral over [{lo}, {hi}]",

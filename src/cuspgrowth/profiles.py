@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BridgeConstructionError, CatalogError, DomainError, ProfileError
+from .errors import (BridgeConstructionError, CatalogError, CuspGrowthError,
+                     DomainError, ProfileError)
 
 __all__ = [
     "CurvatureBounds",
@@ -48,6 +49,7 @@ __all__ = [
     "CATALOG_IDS",
     "CatalogParams",
     "default_catalog_params",
+    "catalog_profiles",
     "catalog_profile",
     "catalog_companions",
 ]
@@ -702,25 +704,28 @@ def _sandwich(ladder: _Ladder, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return g, np.minimum(left, right), np.maximum(left, right)
 
 
-def _transition_pieces(bands: Sequence[_Band]) -> list[ProfilePiece]:
+def _transition_pieces(bands: Sequence[_Band]
+                       ) -> list[ProfilePiece | BridgeConstructionError]:
     """Bridge pieces for the transition bands (left, right, q, r), in
     order.  Each carries the admissible ramp/plateau/ramp transition of
     least curvature-proxy slack on [q, r], the earliest ramp fraction of
     the ladder among equals.
 
-    Every (band, ramp fraction) candidate is a set of rows in one ladder
-    table (``_ladder``), built in array passes, and the greatest
-    log-slope and proxy range of each up to r are read by the
-    certifier's own reader (``_table_ranges``).  The monotone candidates
-    whose slack is not NaN are ranked by (proxy slack, ladder position).
-    The envelope sandwich is exact: ln T must lie between the two
-    envelopes, within 1e-9 max(1, |ln T|), at every point where its gap
-    to either can take an extreme (``_sandwich``).  It is checked for
-    the best-ranked candidate of every band at once, then for the next
-    one of the bands still open, until each band has one.  Raises
-    BridgeConstructionError, for the first band in order that has none,
-    when no ramp fraction yields a monotone, envelope-sandwiched
-    transition.
+    Every band is ranked and checked on its own, so the bands of any
+    number of profiles make one ladder: ``catalog_profiles`` passes
+    every band of a catalog batch at once.  Every (band, ramp fraction)
+    candidate is a set of rows in one ladder table (``_ladder``), built
+    in array passes, and the greatest log-slope and proxy range of each
+    up to r are read by the certifier's own reader (``_table_ranges``).  The monotone candidates whose slack is not NaN
+    are ranked by (proxy slack, ladder position).  The envelope sandwich
+    is exact: ln T must lie between the two envelopes, within
+    1e-9 max(1, |ln T|), at every point where its gap to either can take
+    an extreme (``_sandwich``).  It is checked for the best-ranked
+    candidate of every band at once, then for the next one of the bands
+    still open, until each band has one.  A band that has none, where no
+    ramp fraction yields a monotone, envelope-sandwiched transition or an
+    envelope rises at an end, gets the BridgeConstructionError that
+    names it in place of its piece, for the caller to raise.
     """
     if not bands:
         return []
@@ -766,19 +771,20 @@ def _transition_pieces(bands: Sequence[_Band]) -> list[ProfilePiece]:
 
 
 def _transition_piece(band: _Band, rank: int, fields: list, same: bool,
-                      rising: bool) -> ProfilePiece:
-    """The bridge piece of one band, from its ladder's choice (-1 for
-    none) and the fields of the chosen segments (``_transition_pieces``)."""
+                      rising: bool) -> ProfilePiece | BridgeConstructionError:
+    """The bridge piece of one band, or the error that says why it has
+    none, from its ladder's choice (-1 for none) and the fields of the
+    chosen segments (``_transition_pieces``)."""
     left, right, q, r = band
     if same:
         seg = {"kind": "analytic", "t0": q, "t1": r,
                "power": left.power, "rate": left.rate}
         return ProfilePiece(q, r, "bridge", {"segments": (seg,)})
     if rising:
-        raise BridgeConstructionError(
+        return BridgeConstructionError(
             "envelope not decreasing at a transition endpoint")
     if rank < 0:
-        raise BridgeConstructionError(
+        return BridgeConstructionError(
             f"no monotone sandwiched transition on [{q}, {r}] between "
             f"(power={left.power}, rate={left.rate}) and "
             f"(power={right.power}, rate={right.rate})")
@@ -825,51 +831,82 @@ def validate_profile(profile: Profile) -> ValidationReport:
     declared slack already admits concave stretches it is reported
     through the ``convex`` flag instead of failing.  A profile is
     certified once; later calls return the same report.
+    ``catalog_profiles`` certifies every profile of a catalog batch in
+    one pass (``_certify``), bit for bit as one at a time, so its
+    profiles arrive here certified.
     """
     if profile._report is None:
-        object.__setattr__(profile, "_report", _certify(profile))
+        object.__setattr__(profile, "_report", _certify([profile])[0])
     return profile._report
 
 
-def _certify(profile: Profile) -> ValidationReport:
+def _certify(profiles: Sequence[Profile]) -> list[ValidationReport]:
+    """The report of each profile, from one read pass per order and one
+    ``_table_ranges`` pass over all their tables, stacked: the rows of
+    every profile are owned by (profile, piece), and each join is read
+    between two rows of one profile."""
+    if not profiles:
+        return []
+    tables = [profile._table for profile in profiles]
+    sizes = np.array([table.starts.size for table in tables])
+    offsets = np.cumsum(sizes) - sizes
+    table = _SegmentTable(*(np.concatenate(cols, axis=-1)
+                            for cols in zip(*tables)))
+    n = table.starts.size
+
+    # every row in orders 0-2 at its start, then every row but a profile's
+    # last at the next row's start, in one pass per order
+    inner = np.ones(n, dtype=bool)
+    inner[offsets + sizes - 1] = False
+    before = np.flatnonzero(inner)
+    at = np.concatenate([np.arange(n), before])
+    reads = np.array([table.read(at, np.concatenate([table.starts, table.starts[before + 1]]),
+                                 order) for order in range(3)])
+    # each join compares the rows on its two sides, both of one profile
+    left, right = reads[:, n:], reads[:, before + 1]
+    with np.errstate(all="ignore"):
+        # an infinite side reads a NaN jump, as scalar arithmetic would
+        rel = np.abs(left - right) / np.maximum(1.0, np.abs(left))
+
+    # each piece owns its rows, a slice of its profile's table up to the
+    # piece's end
+    pieces = [piece for profile in profiles for piece in profile.pieces]
+    counts = [len(profile.pieces) for profile in profiles]
+    firsts = np.concatenate([o + np.searchsorted(t.starts, [p.t0 for p in prof.pieces])
+                             for o, t, prof in zip(offsets.tolist(), tables, profiles)])
+    owner = np.repeat(np.arange(len(pieces)), np.diff(firsts, append=n))
+    non_finite = np.bincount(owner[at], weights=~np.isfinite(reads[0]),
+                             minlength=len(pieces))
+    ranges = np.array(_table_ranges(table, owner,
+                                    np.array([piece.t1 for piece in pieces])))
+    cuts = np.cumsum(counts)[:-1]
+    return [_report(profile, *parts) for profile, *parts in zip(
+        profiles, np.split(rel, np.cumsum(sizes - 1)[:-1], axis=1),
+        np.split(non_finite, cuts), np.split(ranges, cuts, axis=1))]
+
+
+def _report(profile: Profile, rel: np.ndarray, non_finite: np.ndarray,
+            ranges: np.ndarray) -> ValidationReport:
+    """A profile's report from its relative join jumps (orders 0-2 by
+    join), and by piece its count of non-finite reads and its steepest
+    slope, least and greatest proxy (``ranges``, 3 by piece)."""
     msgs: list[str] = []
     a2 = profile.bounds.a ** 2
     b2 = profile.bounds.b ** 2
     eps = profile.bounds.eps
-    pieces = profile.pieces
-    table = profile._table
-    n = table.starts.size
-
-    # every row in orders 0-2 at both ends of its span (the last row at its
-    # start only), in one pass per order: row i at positions 2i and 2i + 1
-    at = np.repeat(np.arange(n), 2)[:-1]
-    reads = np.array([table.read(at, np.repeat(table.starts, 2)[1:], order)
-                      for order in range(3)])
-    # each join compares the rows on its two sides
-    left, right = reads[:, 1::2], reads[:, 2::2]
-    with np.errstate(all="ignore"):
-        # an infinite side reads a NaN jump, as scalar arithmetic would
-        rel = np.abs(left - right) / np.maximum(1.0, np.abs(left))
     # the relative log-value and derivative jumps; a NaN one is no worst
     worst = [float(np.fmax.reduce(x, axis=None, initial=0.0)) for x in (rel[0], rel[1:])]
     tol = np.array([[_JOIN_TOL], [_SLOPE_TOL], [_SLOPE_TOL]])
-    starts = table.starts.tolist()
+    starts = profile._table.starts.tolist()
     rel_list = rel.tolist()
     for i, order in np.argwhere((rel > tol).T).tolist():
         kind = f"order-{order} derivative" if order else "log-value"
         msgs.append(f"{kind} jump {rel_list[order][i]:.3g} at t={starts[i + 1]}")
 
-    # each piece owns its rows, a slice of the table up to the piece's end
-    firsts = np.searchsorted(table.starts, [piece.t0 for piece in pieces])
-    owner = np.repeat(np.arange(len(pieces)), np.diff(firsts, append=n))
-    non_finite = np.bincount(owner[at], weights=~np.isfinite(reads[0]),
-                             minlength=len(pieces)).tolist()
-    per_piece = zip(*(x.tolist() for x in _table_ranges(
-        table, owner, np.array([piece.t1 for piece in pieces]))))
-
     ratio_min = INF
     ratio_max = -INF
-    for piece, bad, (steepest, p_min, p_max) in zip(pieces, non_finite, per_piece):
+    for piece, bad, (steepest, p_min, p_max) in zip(profile.pieces, non_finite.tolist(),
+                                                    ranges.T.tolist()):
         if bad:
             msgs.append(f"non-finite log value in piece at t0={piece.t0}")
             continue
@@ -1139,54 +1176,95 @@ def _round_up(x: float) -> float:
     return math.ceil(x * scale) / scale
 
 
-def _finalize(layout: list[ProfilePiece | _Band], params: CatalogParams) -> Profile:
-    # Every catalog profile requests slack 0.1.  The declared slack is
-    # certified against the profile-level window [a^2, b^2], exactly per
-    # row; per-transition figures (measured against the narrower local
-    # rate pair) are construction diagnostics only.  It is the implied
-    # slack widened by 1e-9 and rounded up to ten digits: an extreme at a
-    # root of the proxy's derivative is exact only to rounding, and its
-    # last bits follow the eigenvalue solver, which the profile text must
-    # not.  The probe's window is open (eps = inf), and the final slack is
-    # at least the implied one, so the window, the one check that reads
-    # eps, passes on both: the final profile's report is the probe's.
-    bands = [item for item in layout if not isinstance(item, ProfilePiece)]
+def _layouts(families: Sequence[tuple[str, CatalogParams | None]], *,
+             main: bool, companions: bool):
+    """Check and lay out the profiles of each (name, params) family in
+    order, its main profile if ``main`` and its companion if
+    ``companions``: yields (family index, layout, params), each layout
+    checked only once the ones before it are laid out."""
+    for k, (name, params) in enumerate(families):
+        defaults = default_catalog_params(name)  # rejects an unknown id
+        family = _FAMILIES[name]
+        params = params or defaults
+        if main:
+            _require_finite_square(params)
+            yield k, family.pieces(name, params), params
+        if companions and family.companion is not None:
+            _require_finite_square(params)
+            yield k, family.companion(params), params
+
+
+def catalog_profiles(families: Sequence[tuple[str, CatalogParams | None]], *,
+                     main: bool = True, companions: bool = True
+                     ) -> list[tuple[Profile, ...]]:
+    """The profiles of each (name, params) family (the families are
+    described in ``_FAMILIES``; params None reads the family's defaults):
+    its main profile if ``main``, then its companion if ``companions``
+    and it has one.
+
+    One batch builds them all.  The bands of every layout make one
+    bridge ladder (``_transition_pieces``), and every profile is
+    certified in one pass (``_certify``); each keeps its own report, and
+    its pieces and report are bit for bit those of a batch of one.  The
+    batch raises the error that building the profiles one at a time, in
+    order, raises first: a layout's CatalogError, or the error of the
+    first band in order that has no bridge.
+
+    Every catalog profile requests slack 0.1.  The declared slack is
+    certified against the profile-level window [a^2, b^2], exactly per
+    row; per-transition figures (measured against the narrower local
+    rate pair) are construction diagnostics only.  It is the implied
+    slack widened by 1e-9 and rounded up to ten digits: an extreme at a
+    root of the proxy's derivative is exact only to rounding, and its
+    last bits follow the eigenvalue solver, which the profile text must
+    not.  Narrow desk-scale bands are valid but carry large slack, while
+    wide bands (large m, small mu, large band_ratio) reach slack <= 0.1.
+    """
+    laid = []
+    error = None
+    try:
+        for item in _layouts(families, main=main, companions=companions):
+            laid.append(item)
+    except CuspGrowthError as exc:
+        # raised once the profiles laid out before it are built
+        error = exc
+    bands = [item for _, layout, _ in laid for item in layout
+             if not isinstance(item, ProfilePiece)]
     bridges = iter(_transition_pieces(bands))
-    pieces = [item if isinstance(item, ProfilePiece) else next(bridges)
-              for item in layout]
-    bounds = CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF)
-    profile = assemble_profile(bounds, pieces)
-    report = validate_profile(profile)
-    eps = _round_up(max(0.1, report.implied_eps * (1.0 + 1e-9)))
-    # the probe becomes the profile: only its declared slack changes, and
-    # its table and report stay
-    object.__setattr__(profile, "bounds", replace(bounds, eps=eps))
-    return profile
+    probes = []
+    for _, layout, params in laid:
+        pieces = [item if isinstance(item, ProfilePiece) else next(bridges)
+                  for item in layout]
+        for piece in pieces:
+            if isinstance(piece, BridgeConstructionError):
+                raise piece
+        # the probe's window is open (eps = inf)
+        probes.append(assemble_profile(
+            CurvatureBounds(a=1.0, b=params.rate_fast, n=2, eps=INF), pieces))
+    if error is not None:
+        raise error
+    built: list[list[Profile]] = [[] for _ in families]
+    for (k, _, _), probe, report in zip(laid, probes, _certify(probes)):
+        # the probe becomes the profile: only its declared slack changes,
+        # and its table and report stay; the final slack is at least the
+        # implied one, so the window, the one check that reads eps, passes
+        # on both
+        eps = _round_up(max(0.1, report.implied_eps * (1.0 + 1e-9)))
+        object.__setattr__(probe, "bounds", replace(probe.bounds, eps=eps))
+        object.__setattr__(probe, "_report", report)
+        built[k].append(probe)
+    return [tuple(profiles) for profiles in built]
 
 
 def catalog_profile(name: str, params: CatalogParams | None = None) -> Profile:
-    """Construct the named catalog profile (the families are described
-    in ``_FAMILIES``).
-
-    The returned profile's bounds record the achieved pinching slack when
-    it exceeds the requested 0.1; narrow desk-scale bands are valid but
-    carry large slack, while wide bands (large m, small mu, large
-    band_ratio) reach slack <= 0.1.
-    """
-    defaults = default_catalog_params(name)  # rejects an unknown id
-    params = params or defaults
-    _require_finite_square(params)
-    return _finalize(_FAMILIES[name].pieces(name, params), params)
+    """Construct the named catalog profile: ``catalog_profiles`` on this
+    family's main profile alone."""
+    return catalog_profiles([(name, params)], companions=False)[0][0]
 
 
 def catalog_companions(name: str,
                        params: CatalogParams | None = None) -> tuple[Profile, ...]:
     """Additional perturbed-cusp profiles of the named example lattice:
-    one for a family with a companion, none otherwise."""
-    defaults = default_catalog_params(name)  # rejects an unknown id
-    companion = _FAMILIES[name].companion
-    if companion is None:
-        return ()
-    params = params or defaults
-    _require_finite_square(params)
-    return (_finalize(companion(params), params),)
+    one for a family with a companion, none otherwise
+    (``catalog_profiles`` on its companions alone)."""
+    return catalog_profiles([(name, params)], main=False)[0]

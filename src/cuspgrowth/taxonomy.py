@@ -11,7 +11,7 @@ family and scores the computed behaviour against the prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .profiles import (
     _FAMILIES,
     CatalogParams,
     CurvatureBounds,
-    catalog_companions,
-    catalog_profile,
+    catalog_profiles,
     default_catalog_params,
 )
 from .asymptotics import (
@@ -52,6 +51,7 @@ __all__ = [
     "quarter_pinch_gate",
     "TaxonomyReport",
     "classify_lattice",
+    "catalog_specs",
     "catalog_spec",
     "Claim",
     "ExampleReport",
@@ -253,19 +253,29 @@ def classify_lattice(spec: LatticeSpec,
 
 # -- catalog example driver ------------------------------------------------------
 
+def catalog_specs(families: Sequence[tuple[str, CatalogParams | None]]
+                  ) -> list[LatticeSpec]:
+    """Assemble the full lattice description of each (name, params)
+    catalog family: cusp models for the main profile and its companions,
+    the ambient count model, and the dominance flags.  Every profile is
+    built in one batch (``catalog_profiles``), which raises the first
+    error a family-by-family build would."""
+    built = catalog_profiles(families)
+    specs = []
+    for (name, params), profiles in zip(families, built):
+        delta, decay, flags = _LATTICES[name].model(
+            params or default_catalog_params(name))
+        specs.append(LatticeSpec(cusps=tuple(CuspModel(p) for p in profiles),
+                                 vgamma=VGammaModel(delta, decay),
+                                 bounds=profiles[0].bounds,
+                                 dominant_flags=flags))
+    return specs
+
+
 def catalog_spec(name: str,
                  params: CatalogParams | None = None) -> LatticeSpec:
-    """Assemble the full lattice description of a catalog family: cusp
-    models for the main profile and its companions, the ambient count
-    model, and the dominance flags."""
-    params = params or default_catalog_params(name)
-    main = catalog_profile(name, params)
-    companions = catalog_companions(name, params)
-    delta, decay, flags = _LATTICES[name].model(params)
-    return LatticeSpec(cusps=tuple(CuspModel(p) for p in (main, *companions)),
-                       vgamma=VGammaModel(delta, decay),
-                       bounds=main.bounds,
-                       dominant_flags=flags)
+    """The lattice description of one catalog family (``catalog_specs``)."""
+    return catalog_specs([(name, params)])[0]
 
 
 # sampled-band residuals carry a polynomial transient; below this radius

@@ -622,6 +622,20 @@ class TestExitCodes:
         assert f"{line.split('=')[0]} must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["profile-validate", "cusp-analyze",
+                                         "lattice-classify"])
+    def test_first_family_error_wins(self, tmp_path, capsys, command):
+        # at --b 2.5 no ramp fraction bridges critical-finite-5.4a's head
+        # band, and --gamma 0.1 leaves critical-infinite-5.4b's default
+        # beta 2.2 outside (1+gamma, 2+gamma); the batch build raises the
+        # earlier family's error, as building the families in order does
+        rc, out = _run(tmp_path, command, "--b", "2.5", "--gamma", "0.1")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: no monotone sandwiched transition on [2.0, 9.0] between "
+            "(power=0.0, rate=1.0) and (power=1.0, rate=1.25)\n")
+        assert not (out / "summary.json").exists()
+
     def test_quadrature_miss_is_numerical_failure(self, tmp_path, capsys,
                                                   monkeypatch):
         # with no halving allowed, an excursion integral of the sparse
@@ -775,15 +789,16 @@ class TestProfileValidate:
         certify = profiles._certify
         calls = []
 
-        def counted(profile):
-            calls.append(profile)
-            return certify(profile)
+        def counted(profiles):
+            calls.append(list(profiles))
+            return certify(profiles)
 
         monkeypatch.setattr(profiles, "_certify", counted)
         rc, out = _run(tmp_path, "profile-validate", "--name", "all")
         assert rc == EXIT_PASS
-        # five main profiles and one companion
-        assert len(calls) == len(_summary(out)["assertions"]) == 6
+        # five main profiles and one companion, in one batch
+        assert len(calls) == 1
+        assert len(calls[0]) == len(_summary(out)["assertions"]) == 6
 
     def test_artifact_list_matches_disk(self, tmp_path):
         rc, out = _run(tmp_path, "profile-validate", "--name",
@@ -1082,18 +1097,19 @@ class TestReproducibility:
 class TestGrowthTablesFrozen:
     # sha256 of growth-<name>.csv from `example-run --name all --Rmax 500`,
     # frozen from the per-radius volume band that the one-pass band
-    # replaced: a band sum that moves by one bit changes them
+    # replaced (tests/band_reference.py), on the Gauss-Kronrod excursion
+    # caches: a band sum that moves by one bit changes them
     FROZEN_DIGESTS = {
         "sparse-5.2":
-            "95ff83d12ddb41993790f6b74b7e6636a5467ea98cf2a5ad53083a6e28159ade",
+            "fb79f935f948d52aba4ebc47f2269ef4e2dff26066d0c03590e424bb8ab14402",
         "exotic-conv-5.3a":
-            "c89af36a7def3e8212623dfae060c6d64d35e909d0c88a25e5007851f428a6c3",
+            "18c6fa9de4502cea730f7ca8b80c540fe72a7cac35a14505772cf946ffa4a782",
         "exotic-div-5.3b":
-            "e0658636285e9fed7217a8bb4d0c3dabc73f9a2854b8da999343833b721c75e9",
+            "77a37dcfcb695c6a78ea173e42cda85be264d48a5ce598f03397206138bd0a1e",
         "critical-finite-5.4a":
-            "7b60dd8d9a3f0892694544a600a94697cce6629879aaab08db64f601849cc24d",
+            "0150f8b8398baa1a16e2d5b8126593149138cd2ac2b9b5335c386a2a3bfa8fe5",
         "critical-infinite-5.4b":
-            "0519aef99a535233fdd4c5ed133cd1c8f7933f9a3cd8e80b990b185734be80b5",
+            "296ab85223bbb2b1511c72a86be31d6d254dc2ebbc5a8deb28cbbdcab1a69b63",
     }
 
     def test_every_family_at_the_default_radius(self, tmp_path):

@@ -459,6 +459,39 @@ class TestLemmas:
         with pytest.raises(DomainError):
             verify_lemmas(0, 1)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7,
+                                      10 ** 300])
+    def test_counter_draws_match_python_splitmix(self, seed):
+        # the numpy generator, uint64 products wrapping, against SplitMix64
+        # in Python integers; seeds past 2^64 fold in 64 bits at a time
+        mask = (1 << 64) - 1
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        words = [(seed >> s) & mask for s in range(0, max(seed.bit_length(), 1), 64)]
+        key = len(words)
+        for word in words:
+            key = mix(((key ^ word) + 0x9E3779B97F4A7C15) & mask)
+        want = [(mix((key + i * 0x9E3779B97F4A7C15) & mask) >> 11) * 2.0 ** -53
+                for i in range(1, 3001)]
+        rng = h2_oracle._CounterUniforms(seed)
+        got = [rng.uniform(0.0, 1.0)] + rng.uniform(0.0, 1.0, (333, 3)).ravel().tolist()
+        got += rng.uniform(np.zeros(2), np.ones(2), (1000, 2)).ravel().tolist()
+        assert got == want
+        assert 0.47 < np.mean(got) < 0.53
+
+    def test_seeds_past_64_bits_differ(self):
+        reports = [verify_lemmas(500, seed) for seed in (7, 2 ** 64 + 7, 2 ** 128 + 7)]
+        assert all(rep.passed for rep in reports)
+        assert len({rep.approx_eps0 for rep in reports}) == 3
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            verify_lemmas(10, -1)
+
     def test_summary_text(self, oracle_text):
         lemmas = _section(oracle_text, "geometric lemmas")
         assert lemmas[3].startswith("horoball additivity: 10000 checked, ")
@@ -1463,7 +1496,8 @@ def _ref_angle_at(z: HPoint, x: HPoint, y: HPoint) -> float:
 
 
 def _ref_verify_lemmas(sample_count: int, seed: int) -> h2_oracle.LemmaReport:
-    rng = np.random.default_rng(seed)
+    # one scalar draw per call, from the oracle's own counter generator
+    rng = h2_oracle._CounterUniforms(seed)
 
     def draw_point() -> HPoint:
         return HPoint(float(rng.uniform(-50.0, 50.0)),

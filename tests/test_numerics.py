@@ -145,7 +145,8 @@ class TestLogIntegralDifferential:
 
     def test_finest_level_within_the_simpson_budget(self):
         # Simpson's finest level at max_panels panels takes 2 max_panels + 1
-        # abscissae; the Gauss halves of the last level checked take no more
+        # abscissae; the Gauss-Kronrod panels of the last level checked take
+        # no more
         max_panels = 1024
         sizes = []
 
@@ -156,9 +157,10 @@ class TestLogIntegralDifferential:
         with pytest.raises(QuadratureError) as exc:
             log_integral(wavy, 0.0, 20.0, max_panels=max_panels)
         assert math.isfinite(exc.value.log_partial)
-        # the finest level evaluates the left halves, then the right ones
-        assert sizes[-2] == sizes[-1] == max(sizes)
-        assert 2 * sizes[-1] <= 2 * max_panels + 1
+        # the finest level is the last and largest evaluation, and the next
+        # one would be over the budget
+        assert sizes[-1] == max(sizes)
+        assert sizes[-1] <= 2 * max_panels + 1 < 2 * sizes[-1]
         with pytest.raises(QuadratureError):
             simpson_log_integral(wavy, 0.0, 20.0, max_panels=max_panels)
         assert sizes[-1] == 2 * max_panels + 1
@@ -198,6 +200,57 @@ class TestGaussSums:
         nodes, weights = np.polynomial.legendre.leggauss(8)
         assert numerics._GL_NODES == pytest.approx(nodes, rel=0, abs=1e-15)
         assert numerics._GL_WEIGHTS == pytest.approx(weights, rel=0, abs=1e-15)
+
+    def test_kronrod_rule_embeds_the_gauss_rule(self):
+        assert numerics._GK_NODES[1::2].tobytes() == numerics._GL_NODES.tobytes()
+        assert np.all(np.diff(numerics._GK_NODES) > 0.0)
+        assert np.all(numerics._GK_WEIGHTS > 0.0)
+
+    def test_kronrod_rule_exact_to_degree_25(self):
+        # each moment of the float rule, summed at 50 digits, against
+        # the exact one; the 26th is the first the rule misses
+        with mpmath.workdps(50):
+            nodes = [mpmath.mpf(float(x)) for x in numerics._GK_NODES]
+            weights = [mpmath.mpf(float(w)) for w in numerics._GK_WEIGHTS]
+            for degree in range(27):
+                rule = mpmath.fsum(w * x ** degree for x, w in zip(nodes, weights))
+                exact = mpmath.mpf(0) if degree % 2 else mpmath.mpf(2) / (degree + 1)
+                if degree <= 25:
+                    assert abs(rule - exact) <= 1e-15, degree
+                else:
+                    assert abs(rule - exact) > 1e-12
+
+    def test_kronrod_rule_matches_mpmath(self):
+        # the Kronrod nodes are the roots of the Stieltjes polynomial
+        # E_9, orthogonal to x^k P_8 for k < 9, and with the roots of P_8
+        # the weights make the rule exact on 1, x, ..., x^16; each is
+        # its 50-digit value rounded to the nearest float
+        with mpmath.workdps(50):
+            p8 = mpmath.taylor(lambda t: mpmath.legendre(8, t), 0, 8)
+
+            def moment(j):
+                return mpmath.mpf(0) if j % 2 else mpmath.mpf(2) / (j + 1)
+
+            def against_p8(k):
+                return [sum(a * moment(i + k + j) for i, a in enumerate(p8))
+                        for j in (1, 3, 5, 7, 9)]
+
+            rows = [against_p8(k) for k in (1, 3, 5, 7)]
+            lower = mpmath.lu_solve(mpmath.matrix([r[:4] for r in rows]),
+                                    mpmath.matrix([-r[4] for r in rows]))
+            e9 = [0, lower[0], 0, lower[1], 0, lower[2], 0, lower[3], 0, 1]
+            roots = sorted(mpmath.re(x) for x in mpmath.polyroots(
+                e9[::-1], maxsteps=200, extraprec=200))
+            assert [float(x) for x in roots] == numerics._GK_NODES[0::2].tolist()
+            nodes = roots + [mpmath.re(x) for x in mpmath.polyroots(
+                p8[::-1], maxsteps=200, extraprec=200)]
+            vander = mpmath.matrix([[x ** i for x in nodes] for i in range(17)])
+            weights = mpmath.lu_solve(vander, mpmath.matrix(
+                [moment(i) for i in range(17)]))
+        got = dict(zip(numerics._GK_NODES[0::2].tolist() + sorted(
+            float(x) for x in nodes[9:]), numerics._GK_WEIGHTS[0::2].tolist()
+            + numerics._GK_WEIGHTS[1::2].tolist()))
+        assert got == {float(x): float(w) for x, w in zip(nodes, weights)}
 
     def test_panel_nats_bound_the_rule_error(self):
         # one panel over which e^t varies by the allowed nats stays four

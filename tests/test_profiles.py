@@ -46,6 +46,7 @@ from cuspgrowth.profiles import (
     assemble_profile,
     catalog_companions,
     catalog_profile,
+    catalog_profiles,
     default_catalog_params,
     poly_piece,
     profile_to_text,
@@ -57,8 +58,11 @@ INF = float("inf")
 
 
 def _transition_piece(left, right, q, r):
-    """The bridge piece of one band."""
-    return _transition_pieces([(left, right, q, r)])[0]
+    """The bridge piece of one band; raises its error if it has none."""
+    piece = _transition_pieces([(left, right, q, r)])[0]
+    if isinstance(piece, BridgeConstructionError):
+        raise piece
+    return piece
 
 
 def _simple_profile(rate: float = 2.0) -> Profile:
@@ -1020,6 +1024,15 @@ def _assert_same_report(got, want):
                                 implied_eps=got.implied_eps)
 
 
+def _ref_bridge(left, right, q, r, margins):
+    """The reference's bridge piece of one band, or its error in place,
+    as ``_transition_pieces`` gives them."""
+    try:
+        return _ref_transition_piece(left, right, q, r, margins=margins)
+    except BridgeConstructionError as exc:
+        return exc
+
+
 def _catalog_build(name, params, *, reference):
     """The family's main profile and companions, or the error they raise,
     and the slack margins of the reference's transitions; ``reference``
@@ -1030,10 +1043,11 @@ def _catalog_build(name, params, *, reference):
         if reference:
             stack.enter_context(mock.patch.object(
                 profiles, "_transition_pieces",
-                lambda bands: [_ref_transition_piece(*band, margins=margins)
+                lambda bands: [_ref_bridge(*band, margins=margins)
                                for band in bands]))
             stack.enter_context(mock.patch.object(
-                profiles, "validate_profile", _ref_validate_profile))
+                profiles, "_certify",
+                lambda profs: [_ref_validate_profile(p) for p in profs]))
         try:
             built = ((catalog_profile(name, params),)
                      + catalog_companions(name, params))
@@ -1516,3 +1530,77 @@ class TestJets:
         self._assert_jets_match_reference(table, [piece], np.array([5.5]))
         self._assert_jets_match_reference(
             table, [piece], np.array([np.nextafter(5.5, -INF), 5.5, 5.5]))
+
+
+# 8 fast rates x 9 overrides, each applied to every family's defaults: 72
+# catalog commands, 360 family parameter sets.  41 of the commands stop
+# at a band that no ramp fraction bridges and 6 at a layout error
+# (critical-infinite-5.4b's beta range), and --M 4 reaches the ladder's
+# fallback band
+_BATCH_RATES = (2.05, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0)
+_BATCH_OVERRIDES = ({}, {"m": 4}, {"m": 5}, {"mu": 0.2}, {"gamma": 0.1},
+                    {"gamma": 0.3}, {"beta": 2.5}, {"band_ratio": 4.0},
+                    {"head": 1.0})
+
+
+def _outcome(build):
+    """The text and report of each profile ``build()`` returns, in order,
+    or the type and message of the error it raises."""
+    try:
+        built = build()
+    except (CatalogError, ProfileError) as exc:
+        return type(exc), str(exc)
+    return [(profile_to_text(p), repr(validate_profile(p))) for p in built]
+
+
+def _family_by_family(families, companions):
+    """Each family built alone, in order, as a loop over the families
+    would: the first error stops it."""
+    built = []
+    for name, params in families:
+        built.append(catalog_profile(name, params))
+        if companions:
+            built.extend(catalog_companions(name, params))
+    return built
+
+
+class TestCatalogBatch:
+    @pytest.mark.parametrize("rate", _BATCH_RATES)
+    def test_batch_builds_what_each_family_builds(self, rate):
+        for override in _BATCH_OVERRIDES:
+            families = [(name, replace(default_catalog_params(name),
+                                       rate_fast=rate, **override))
+                        for name in CATALOG_IDS]
+            for companions in (True, False):
+                got = _outcome(lambda: [p for built in catalog_profiles(
+                    families, companions=companions) for p in built])
+                want = _outcome(lambda: _family_by_family(families, companions))
+                assert got == want, (rate, override, companions)
+
+    def test_batch_reads_one_ladder_and_certifies_once(self):
+        families = [(name, None) for name in CATALOG_IDS]
+        with mock.patch.object(profiles, "_transition_pieces",
+                               wraps=profiles._transition_pieces) as ladder, \
+                mock.patch.object(profiles, "_certify",
+                                  wraps=profiles._certify) as certify:
+            built = catalog_profiles(families)
+        assert ladder.call_count == certify.call_count == 1
+        # every band of the five main profiles and the companion
+        bands = sum(len(_layout_bands(name, default_catalog_params(name)))
+                    for name in CATALOG_IDS)
+        assert len(ladder.call_args.args[0]) == bands == 24
+        assert [len(p) for p in built] == [1, 1, 1, 1, 2]
+        assert certify.call_args.args[0] == [p for ps in built for p in ps]
+
+    def test_first_error_in_family_order(self):
+        # critical-finite-5.4a has no bridge for its head band at b = 2.5;
+        # critical-infinite-5.4b, later, rejects gamma 0.1 at layout
+        params = replace(CatalogParams(head=2.0), rate_fast=2.5, gamma=0.1)
+        with pytest.raises(BridgeConstructionError, match=r"on \[2\.0, 9\.0\]"):
+            catalog_profiles([("critical-finite-5.4a", params),
+                              ("critical-infinite-5.4b", params)])
+        with pytest.raises(CatalogError, match="needs beta in"):
+            catalog_profiles([("critical-infinite-5.4b", params),
+                              ("critical-finite-5.4a", params)])
+        with pytest.raises(CatalogError, match="unknown catalog id"):
+            catalog_profiles([("sparse-5.2", None), ("dense-9.9", None)])
