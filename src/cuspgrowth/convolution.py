@@ -24,8 +24,7 @@ from .asymptotics import (
     log_cuspidal,
     log_orbital_parabolic,
 )
-from .numerics import (NEG_INF, _block_logsumexp, _checked_radii, log_add,
-                       log_integral, logsumexp)
+from .numerics import NEG_INF, _checked_radii, log_integral, logsumexp
 
 __all__ = [
     "VGammaModel",
@@ -308,121 +307,170 @@ _SERIES_CUTOFF = 1e-4
 
 def _log_exp_linear(y_a: np.ndarray, y_b: np.ndarray, h: np.ndarray) -> np.ndarray:
     """ln of the integral of exp(y) over segments of width h on which y
-    runs linearly from y_a to y_b:
+    runs linearly from y_a to y_b, elementwise over their broadcast shape:
 
         max(y_a, y_b) + ln h + ln((1 - e^{-|d|}) / |d|),   d = y_b - y_a.
     """
     x = np.subtract(y_b, y_a)
     np.abs(x, out=x)
     small = np.flatnonzero(x < _SERIES_CUTOFF)
-    d = x[small]
-    x[small] = 1.0
+    d = x.ravel()[small]
+    x.ravel()[small] = 1.0
     np.negative(x, out=x)
     # (e^{-|d|} - 1) / -|d|, the same quotient as (1 - e^{-|d|}) / |d|
     shape = np.expm1(x)
     shape /= x
     np.log(shape, out=shape)
-    shape[small] = d * (d / 24.0 - 0.5)
+    shape.ravel()[small] = d * (d / 24.0 - 0.5)
     out = np.maximum(y_a, y_b, out=x)
     out += np.log(h)
     out += shape
     return out
 
 
-# Points per chunk of radii that the volume band evaluates on flat node
-# arrays: enough to spread numpy's per-call cost over many radii, few
-# enough that the chunk's temporaries stay within a few hundred kB.
-_CHUNK_POINTS = 8192
+def _alias_bound(k: float, h: float) -> float:
+    """Bound on the relative error of the trapezoidal rule of step h for
+    Gamma(k) = integral of exp(k u - e^u) du, uniform in the grid's
+    offset: 2 sum over m >= 1 of a bound on |Gamma(k + i m w)| / Gamma(k),
+    w = 2 pi / h.  By the product formula, -2 ln of that ratio is the sum
+    over n >= 0 of f(k + n), f(x) = ln(1 + w^2 / x^2), which is convex
+    and falls, so it is at least f(k) / 2 plus the integral of f over
+    [k, inf), pi w - k f(k) - 2 w atan(k / w).  The terms in m fall
+    faster than geometrically; the sum stops once they no longer count."""
+    total, m = 0.0, 1
+    while True:
+        w = 2.0 * math.pi * m / h
+        f_k = 2.0 * math.log(w / k) + math.log1p((k / w) ** 2)
+        term = math.exp(-0.5 * (math.pi * w - (k - 0.5) * f_k
+                                - 2.0 * w * math.atan(k / w)))
+        total += term
+        if term <= 1e-17 * total:
+            return 2.0 * total
+        m += 1
 
 
-def _ambient_grid(vg: VGammaModel, radii: np.ndarray,
-                  rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distances s = rho - t at which the band cuts ln v(s) into pieces it
-    treats as linear, for all radii at once: the grid s_0 = 0 < s_1 < ...
-    and, per radius, how many leading grid points it reads.
+def _power_kernel(decay: float, log_span: float,
+                  rel_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """An exponential sum for the decay factor of ``VGammaModel``:
+    ln weights ln w_j, rates l_j and a bound b such that, for 0 <= s <= S
+    with ln(1 + S) = ``log_span``,
 
-    The decay term -k ln(1 + s) is convex, and on the grid 1 + s_k =
-    (1 + q)^k with q = sqrt(8 rel_tol / k) its secants lie above it by at
-    most k q^2 / 8 = rel_tol nats; radius rho reads the s_k with k <
-    ceil(ln(1 + rho) / ln(1 + q)).  Decay 0 needs no cut, so every radius
-    reads s_0 alone."""
-    if vg.decay == 0.0:
-        return np.zeros(1), np.ones(radii.size, dtype=np.intp)
-    step = math.log1p(math.sqrt(8.0 * rel_tol / vg.decay))
-    reads = np.array([math.ceil(math.log1p(max(rho, 0.0)) / step)
-                      for rho in radii.tolist()], dtype=np.intp)
-    grid = np.expm1(step * np.arange(int(reads.max(initial=1))))
-    return grid, reads
+        0  <=  ln(sum of w_j e^{-l_j s}) + decay ln(1 + s)  <=  b  <=  rel_tol / 2.
+
+    Decay 0 is one exact term, w = 1 and l = 0.  Else, with k = decay,
+
+        (1 + s)^{-k} = Gamma(k)^{-1} integral of exp(k y - (1 + s) e^y) dy,
+
+    sampled by the trapezoidal rule at y_n = n h: term n has weight
+    h exp(k y_n - e^{y_n}) / Gamma(k) and rate e^{y_n}.  Shifting y by
+    ln(1 + s) maps every s to the sum of g(u) = exp(k u - e^u) on a
+    shifted grid, so each bound below holds uniformly in s.  With
+    e = rel_tol / 8 for each:
+
+    - Step.  By Poisson summation the sum's relative error is at most
+      ``_alias_bound(k, h)``; h starts at 1 and shrinks by 1/1.05 until
+      that is at most e.
+    - Right cut.  g falls above u = ln k, so the terms above the first
+      y_R >= ln k hold at most the tail integral of g from y_R, a share
+      Q(k, x) <= x^{k-1} e^{-x} / (Gamma(k) (1 - max(k - 1, 0) / x)) of
+      the whole, x = e^{y_R} > k - 1; y_R steps up by h until that is at
+      most e, and the terms above it are dropped.
+    - Left tail.  The terms with e^{y_n} (1 + S) <= tau, n <= L, become
+      one: their weights c_n = h e^{k y_n} / Gamma(k) sum to
+      C = h e^{k y_L} / (Gamma(k) (1 - e^{-kh})), their rates' mean under
+      c is l = e^{y_L} (1 - e^{-kh}) / (1 - e^{-(k+1)h}), both geometric
+      series, and the term is C e^{-(1+s) l}.  By Jensen it lies below
+      the sum of c_n e^{-(1+s) e^{y_n}} it replaces, by at most
+      (1 + s)^2 / 2 times their second moment, so by a share of at most
+      h tau^{k+2} / (2 Gamma(k) (1 - e^{-(k+2)h})) of (1 + s)^{-k}; tau
+      makes that e.
+    - Scale.  The kept terms then lie between 1 - E and 1 + A times
+      (1 + s)^{-k}, A the step's bound and E the sum of all three, so the
+      weights are raised by 1 / (1 - E) and b = ln((1 + A) / (1 - E)).
+    """
+    if decay == 0.0:
+        return np.zeros(1), np.zeros(1), 0.0
+    k, target = decay, rel_tol / 8.0
+    log_gamma = math.lgamma(k)
+    h = 1.0
+    while (alias := _alias_bound(k, h)) > target:
+        h /= 1.05
+    top = math.ceil(math.log(k) / h)
+    while True:
+        x = math.exp(top * h)
+        log_cut = ((k - 1.0) * math.log(x) - x - log_gamma
+                   - math.log1p(-max(k - 1.0, 0.0) / x))
+        if log_cut <= math.log(target):
+            break
+        top += 1
+    log_tau = (math.log(2.0 * target / h) + log_gamma
+               + math.log(-math.expm1(-(k + 2.0) * h))) / (k + 2.0)
+    low = math.floor((log_tau - log_span) / h)
+    top = max(top, low)
+    merged = (h * math.exp((k + 2.0) * (low * h + log_span) - log_gamma)
+              / (-2.0 * math.expm1(-(k + 2.0) * h)))
+    log_scale = -math.log1p(-(alias + math.exp(log_cut) + merged))
+    # terms top, ..., low + 1, then the merged tail in place of term low
+    y = h * np.arange(top, low - 1, -1, dtype=float)
+    rates = np.exp(y)
+    rates[-1] *= math.expm1(-k * h) / math.expm1(-(k + 1.0) * h)
+    log_w = k * y - rates + (math.log(h) - log_gamma + log_scale)
+    log_w[-1] -= math.log(-math.expm1(-k * h))
+    return log_w, rates, math.log1p(alias) + log_scale
 
 
-def _chunk_convolutions(vg: VGammaModel, f_log: Callable,
-                        kinks: np.ndarray, grid: np.ndarray, rho: np.ndarray,
-                        n_kinks: np.ndarray, n_grid: np.ndarray) -> list[float]:
-    """The convolutions of ln F = ``f_log`` at a chunk of radii.  Radius i's
-    nodes are kinks[:n_kinks[i]] merged with rho[i] - grid[:n_grid[i]];
-    all radii's nodes lie in one flat array, each radius's ascending run
-    after the previous one's."""
-    n = n_kinks + n_grid
-    stop = np.cumsum(n)
-    t = np.empty(int(stop[-1]))
-    for a, b, m, r in zip((stop - n).tolist(), n_kinks.tolist(),
-                          n_grid.tolist(), rho.tolist()):
-        run = t[a:a + b + m]
-        run[:b] = kinks[:b]
-        np.subtract(r, grid[m - 1::-1], out=run[b:])
-        # a stable sort merges the two ascending halves in one pass
-        run.sort(kind="stable")
-    # a kink on a grid point is one node; two radii's runs never meet,
-    # as each ends at its rho and the next starts at lo < rho
-    dup = t[1:] == t[:-1]
-    if dup.any():
-        kept = np.cumsum(np.r_[True, ~dup])
-        t = t[np.r_[True, ~dup]]
-        n = np.diff(kept[stop - 1], prepend=0)
-        stop = np.cumsum(n)
-    y = f_log(t)
-    s = np.repeat(rho, n)
-    s -= t
-    y += vg.log_value(s)
-    del s
-    h = np.subtract(t[1:], t[:-1])
-    del t
-    seams = stop[:-1] - 1
-    h[seams] = 1.0
-    seg = _log_exp_linear(y[:-1], y[1:], h)
-    seg[seams] = NEG_INF
-    return _block_logsumexp(seg, stop - n, stop - 1)
+# Elements per array of one block of kernel terms: the block holds as
+# many terms as keep its arrays over all kinks, or over all radii, this
+# size, so its temporaries stay within a few hundred kB.
+_BLOCK_POINTS = 1 << 15
 
 
 def _log_convolutions(vg: VGammaModel, f_log: Callable, lo: float,
-                      f_kinks: np.ndarray, radii: np.ndarray, grid: np.ndarray,
-                      reads: np.ndarray) -> np.ndarray:
+                      f_kinks: np.ndarray, radii: np.ndarray,
+                      log_span: float, rel_tol: float) -> np.ndarray:
     """ln of the integral over [lo, rho] of F(t) v(rho - t) dt at each
-    radius rho, summed in closed form over the segments between the
-    kinks of both factors.  ln F = ``f_log`` must be linear between its
-    kinks ``f_kinks`` on [lo, inf)."""
+    radius rho, with rho - lo at most S, ln(1 + S) = ``log_span``.
+    ln F = ``f_log`` must be linear between its kinks ``f_kinks`` on
+    [lo, inf).
+
+    v(s) = sum over the terms of ``_power_kernel`` of w_j e^{beta_j s},
+    beta_j = delta - l_j.  Per term, the integrals of F(t) e^{-beta_j t}
+    over the segments between F's kinks t_i are exp-linear and sum in
+    closed form; their running sums P_i reach each t_i.  Radius rho,
+    whose last kink below it is t_i, reads P_i shifted by beta_j rho,
+    plus the segment [t_i, rho] of F(t) e^{beta_j (rho - t)}.  ln F is
+    read once at the kinks and once at the radii."""
     out = np.full(radii.size, NEG_INF)
     live = np.flatnonzero(radii > lo)
     if live.size == 0:
         return out
     # F's kinks above lo, with lo itself, sorted and distinct
-    kinks = np.sort(np.append(f_kinks[f_kinks > lo], lo))
-    kinks = kinks[np.r_[True, kinks[1:] != kinks[:-1]]]
+    t = np.sort(np.append(f_kinks[f_kinks > lo], lo))
+    t = t[np.r_[True, t[1:] != t[:-1]]]
+    y = f_log(t)
     rho = radii[live]
-    n_kinks = np.searchsorted(kinks, rho, "right")
-    n_grid = np.minimum(reads[live], np.searchsorted(grid, rho - lo, "right"))
-    # s <= rho - lo may still give an rho - s that rounds below lo; the
-    # s that the search drops give rho - s that round onto lo at most,
-    # which is a node already
-    low = rho - grid[n_grid - 1] < lo
-    while low.any():
-        n_grid -= low
-        low = rho - grid[n_grid - 1] < lo
-    n = n_kinks + n_grid
-    chunk = (np.cumsum(n) - n) // _CHUNK_POINTS
-    for part in np.split(np.arange(live.size), np.flatnonzero(np.diff(chunk)) + 1):
-        out[live[part]] = _chunk_convolutions(vg, f_log, kinks, grid, rho[part],
-                                              n_kinks[part], n_grid[part])
+    y_rho = f_log(rho)[:, None]
+    at = np.searchsorted(t, rho) - 1
+    gap = (rho - t[at])[:, None]
+    rho = rho[:, None]
+    widths = np.diff(t)[:, None]
+    log_w, rates, _ = _power_kernel(vg.decay, log_span, rel_tol)
+    beta = vg.delta - rates
+    acc = np.full(live.size, NEG_INF)
+    size = max(1, _BLOCK_POINTS // max(t.size, live.size))
+    for a in range(0, beta.size, size):
+        b = beta[a:a + size]
+        z = y[:, None] - t[:, None] * b
+        prefix = np.empty_like(z)
+        prefix[0] = NEG_INF
+        np.logaddexp.accumulate(_log_exp_linear(z[:-1], z[1:], widths),
+                                axis=0, out=prefix[1:])
+        del z
+        part = _log_exp_linear(y[at, None] + gap * b, y_rho, gap)
+        conv = np.logaddexp(prefix[at] + rho * b, part)
+        conv += log_w[a:a + size]
+        acc = np.logaddexp(acc, np.logaddexp.reduce(conv, axis=-1))
+    out[live] = acc
     return out
 
 
@@ -433,30 +481,32 @@ def volume_band(vg: VGammaModel, caches: Sequence[CuspidalInterpolant],
     summed cusp excursion integrals, the upper edge adds the compact-core
     sweep v(R).
 
-    ln F is linear between the cache nodes and ln v between the kinks of
-    its decay term, so each convolution is an exact sum of exp-linear
-    segments, one per cusp, combined with logsumexp.  A positive decay is
-    replaced by its secants, which raises the band by at most ``rel_tol``
-    nats; decay 0 gives the band exactly.  Scalar or vectorized in ``r``:
-    each cache bands all radii in one pass, a chunk of radii at a time,
-    and a scalar is banded exactly as an array of one.
+    ln F is linear between the cache's kinks, and v is an exponential sum
+    (``_power_kernel``), so each convolution is a sum of exp-linear
+    segments per term, read at every radius from one running sum over the
+    kinks (``_log_convolutions``); the terms and the cusps combine by
+    logsumexp.  At decay 0 the sum is one exact term.  A positive decay
+    is summed with the terms of the cache's horizon, whose weights keep
+    the band at or above the exact convolution and at most ``rel_tol``
+    nats above it.  Scalar or vectorized in ``r``: a radius's value does
+    not depend on the other radii, and a scalar is banded exactly as an
+    array of one.
     """
     radii, flat = _checked_radii(r, rel_tol, "band")
     if not caches or not all(isinstance(c, CuspidalInterpolant) for c in caches):
         raise DomainError("need one CuspidalInterpolant per cusp")
-    grid, reads = _ambient_grid(vg, flat, rel_tol)
-    # radius by radius, the convolutions of every cusp, each from its
-    # profile start, below which the cache's floor times v need not be small
-    convs = np.array([_log_convolutions(vg, c, max(0.0, c.t_start), c._kinks(),
-                                        flat, grid, reads)
-                      for c in caches]).T.ravel()
-    starts = np.arange(flat.size) * len(caches)
-    lower = _block_logsumexp(convs, starts, starts + len(caches))
-    upper = [log_add(a, b) for a, b in zip(lower, vg.log_value(flat).tolist())]
+    # each cusp from its profile start, below which the cache's floor
+    # times v need not be small
+    convs = []
+    for c in caches:
+        lo = max(0.0, c.t_start)
+        convs.append(_log_convolutions(vg, c, lo, c._kinks(), flat,
+                                       math.log1p(c.r_max - lo), rel_tol))
+    lower = np.logaddexp.reduce(np.stack(convs, axis=-1), axis=-1)
+    upper = np.logaddexp(lower, vg.log_value(flat))
     if radii.ndim == 0:
-        return Band(lower=lower[0], upper=upper[0])
-    return Band(lower=np.array(lower).reshape(radii.shape),
-                upper=np.array(upper).reshape(radii.shape))
+        return Band(lower=float(lower[0]), upper=float(upper[0]))
+    return Band(lower=lower.reshape(radii.shape), upper=upper.reshape(radii.shape))
 
 
 def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r,
@@ -465,14 +515,21 @@ def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r,
     toward a point at horoball depth h_y, scalar or vectorized in ``r``
     as ``volume_band``.  The cusp's profile must be one law T = e^{-ct}:
     ln v_P is then linear but for its clamp at 2 t_start - h_y, and the
-    segment sum is exact up to the secants of a positive decay."""
+    segment sum is exact at decay 0.  A positive decay is summed as in
+    ``volume_band``, with the terms of the e-fold of radii, ln(1 + R)
+    rounded up to an integer, that holds each radius."""
     radii, flat = _checked_radii(r, rel_tol, "band")
     if not math.isfinite(h_y):
         raise DomainError(f"counting_band depth h_y must be finite, got {h_y!r}")
     prof = cusp.profile
     if prof.piece_breaks().size or prof.final_law()[0] != 0.0:
         raise DomainError("counting_band cusp needs a profile of one law T = e^{-ct}")
-    out = _log_convolutions(vg, lambda u: log_orbital_parabolic(cusp, u, h_y), 0.0,
-                            np.array([2.0 * prof.t_start - h_y]), flat,
-                            *_ambient_grid(vg, flat, rel_tol))
+    log_spans = (np.ceil(np.log1p(np.maximum(flat, 0.0))) if vg.decay
+                 else np.zeros(flat.size))
+    out = np.empty(flat.size)
+    for log_span in sorted(set(log_spans.tolist())):
+        at = np.flatnonzero(log_spans == log_span)
+        out[at] = _log_convolutions(
+            vg, lambda u: log_orbital_parabolic(cusp, u, h_y), 0.0,
+            np.array([2.0 * prof.t_start - h_y]), flat[at], log_span, rel_tol)
     return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)

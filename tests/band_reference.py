@@ -2,8 +2,11 @@
 in one pass per excursion cache: one convolution per radius and cusp, on
 a node set concatenated, sorted and deduplicated for that radius alone,
 with the cache read and the segments summed by the formulas of that
-time.  Kept here as a bit-for-bit reference.  Not a test module; the
-tests import it."""
+time.  A positive decay is replaced by its secants on a geometric grid,
+1 + s_k = (1 + q)^k with q = sqrt(8 rel_tol / decay), which lie above it
+by at most rel_tol nats.  Kept here as the secant reference: exact at
+decay 0, and in [exact, exact + rel_tol] at a positive decay.  Not a
+test module; the tests import it."""
 
 import math
 

@@ -756,16 +756,12 @@ class TestSplitInvariance:
                             for spec, c in zip(pair, caches))
         # Each edge is ln of a sum of exp-linear segments that grows with
         # every value of ln F, so a shift of ln F by at most `shift` moves
-        # it by at most `shift`.  Both bands cut ln v on one secant grid,
-        # and their nodes differ only at the caches' knees, where F sits at
-        # its floor e^-745.  Rounding is the rest: every term that weighs
-        # in an edge is at most `top` in size, so a rounding errs by at
-        # most top 2^-53, and an edge takes at most 15 of them (ln F
-        # interpolated, 2; plus ln v, 1; a segment's max, ln h and shape,
-        # 2; the logsumexp's shift, exp and log of the sum, 3, the sum's
-        # own error far below top 2^-53; its top added back, 1; across the
-        # cusps another logsumexp, 4; the upper edge's log_add, 2), so
-        # the two bands' roundings differ by at most 30 top 2^-53.
+        # it by at most `shift`.  Both bands sum ln v by the terms of one
+        # cache horizon, and their kinks differ only at the caches' knees,
+        # where F sits at its floor e^-745.  Rounding is the rest: every
+        # value that weighs in an edge errs by about top 2^-53, and the
+        # allowance of 30 top 2^-53 (2.5e-12 nats at these radii) is over
+        # ten times the largest move seen, 1.1e-13 nats.
         top = max(float(np.max(np.abs(getattr(b, edge))))
                   for b in (band, split_band) for edge in ("lower", "upper"))
         allowance = 30.0 * top * 2.0 ** -53

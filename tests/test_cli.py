@@ -1096,20 +1096,22 @@ class TestReproducibility:
 
 class TestGrowthTablesFrozen:
     # sha256 of growth-<name>.csv from `example-run --name all --Rmax 500`,
-    # frozen from the per-radius volume band that the one-pass band
-    # replaced (tests/band_reference.py), on the Gauss-Kronrod excursion
-    # caches: a band sum that moves by one bit changes them
+    # frozen from the exponential-sum band once it agreed with the secant
+    # reference (tests/band_reference.py) to 1e-12 nats at decay 0 and to
+    # rel_tol at a positive decay, and lay within [exact, exact + rel_tol]
+    # of the mpmath convolution: a band sum that moves by one bit
+    # changes them
     FROZEN_DIGESTS = {
         "sparse-5.2":
-            "fb79f935f948d52aba4ebc47f2269ef4e2dff26066d0c03590e424bb8ab14402",
+            "d7301e60f420dc4ad280ec839e047900b02d8d7b7942a3005868036a2ab87b84",
         "exotic-conv-5.3a":
-            "18c6fa9de4502cea730f7ca8b80c540fe72a7cac35a14505772cf946ffa4a782",
+            "f01137cd66cb24373e544a983cace41550bfc87f74735e220facc6e77f740b2e",
         "exotic-div-5.3b":
-            "77a37dcfcb695c6a78ea173e42cda85be264d48a5ce598f03397206138bd0a1e",
+            "50db85eca840f1ab051a952af93c37e6bb08ed54fa73561a9df79553998a6c2d",
         "critical-finite-5.4a":
-            "0150f8b8398baa1a16e2d5b8126593149138cd2ac2b9b5335c386a2a3bfa8fe5",
+            "387957460e16fc9f6fde13e0cd6370c2c4d7b022e34d885863ef0ad4d30b3006",
         "critical-infinite-5.4b":
-            "296ab85223bbb2b1511c72a86be31d6d254dc2ebbc5a8deb28cbbdcab1a69b63",
+            "6d262345f1d6db6833bd367417b8856f7edd2082cea0beef1ebeeeb49e982d10",
     }
 
     def test_every_family_at_the_default_radius(self, tmp_path):

@@ -482,14 +482,13 @@ class TestOneConvolutionPerRadius:
 
     def test_volume_band(self, monkeypatch):
         # run_example bands all its radii in one call, which reads each
-        # radius's node set from each cache exactly once
+        # cache once at its kinks and once at the radii
         name = "critical-infinite-5.4b"
         spec = catalog_spec(name, default_catalog_params(name))
         caches = cuspidal_interpolants(spec.cusps, 501.0,
                                        step=taxonomy._CACHE_STEP, rel_tol=1e-6)
         radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)
-        nodes = sum(band_reference.node_set(spec.vgamma, c, float(r), 1e-6).size
-                    for c in caches for r in radii)
+        nodes = sum(_kink_reads(c, radii) for c in caches)
         bands, points = [], []
         volume_band_ = taxonomy.volume_band
         read = CuspidalInterpolant.__call__
@@ -587,17 +586,31 @@ def _late_start_cache(t0: float = 5.0) -> CuspidalInterpolant:
     return CuspidalInterpolant(CuspModel(prof), 40.0, step=0.75)
 
 
+def _kink_reads(cache, radii) -> int:
+    """How many points a band reads from one cache: its kinks above the
+    profile start, the start itself, and the radii above it."""
+    lo = max(0.0, cache.t_start)
+    kinks = cache._kinks()
+    return (np.unique(np.append(kinks[kinks > lo], lo)).size
+            + int(np.count_nonzero(np.asarray(radii) > lo)))
+
+
 class TestBandAgainstPerRadiusReference:
-    """The one-pass band equals the retired per-radius convolutions, bit
-    for bit (``band_reference``)."""
+    """The band against the per-radius secant band (``band_reference``):
+    equal to 1e-12 nats at decay 0, where both are exact; at a positive
+    decay both lie in [exact, exact + rel_tol], so they differ by at most
+    rel_tol."""
 
     @staticmethod
     def _check(vg, caches, radii, rel_tol):
         band = volume_band(vg, caches, radii, rel_tol=rel_tol)
-        want = [band_reference.volume_band(vg, caches, float(r), rel_tol)
-                for r in radii]
-        assert _bits(band.lower) == _bits([w[0] for w in want])
-        assert _bits(band.upper) == _bits([w[1] for w in want])
+        want = np.array([band_reference.volume_band(vg, caches, float(r), rel_tol)
+                         for r in radii]).reshape(-1, 2)
+        gap = 1e-12 if vg.decay == 0.0 else rel_tol
+        for got, ref in ((band.lower, want[:, 0]), (band.upper, want[:, 1])):
+            assert np.array_equal(got == -INF, ref == -INF)
+            live = ref > -INF
+            assert np.max(np.abs(got[live] - ref[live]), initial=0.0) <= gap
         return band
 
     @pytest.mark.parametrize("name", ["critical-infinite-5.4b",
@@ -620,10 +633,9 @@ class TestBandAgainstPerRadiusReference:
 
     @pytest.mark.parametrize("lo", [5.0, 0.7])
     def test_grid_points_that_round_onto_the_profile_start(self, monkeypatch, lo):
-        # rho - s_k within a few ulps of lo, where rho - s_k >= lo and
-        # s_k <= rho - lo disagree after rounding (at lo = 0.7 and
-        # k = 340, 344, 348 even on a node other than lo); each radius
-        # keeps the reference's node set, not just its sum
+        # radii within a few ulps of lo + s_k, where the reference's secant
+        # grid point rho - s_k rounds onto lo or just past it; the band
+        # reads each kink and each radius once
         vg, rel_tol = VGammaModel(1.0, 0.75), 1e-6
         step = math.log1p(math.sqrt(8.0 * rel_tol / vg.decay))
         radii = []
@@ -633,8 +645,6 @@ class TestBandAgainstPerRadiusReference:
             radii += [r := math.nextafter(r, -INF) for _ in range(5)]
             radii += [r := math.nextafter(r, INF) for _ in range(10)]
         cache = _late_start_cache(lo)
-        nodes = sum(band_reference.node_set(vg, cache, r, rel_tol).size
-                    for r in radii)
         points = []
         read = CuspidalInterpolant.__call__
 
@@ -643,8 +653,12 @@ class TestBandAgainstPerRadiusReference:
             return read(cache, t)
 
         monkeypatch.setattr(CuspidalInterpolant, "__call__", counted)
+        band = volume_band(vg, [cache], np.array(radii), rel_tol=rel_tol)
+        assert sum(points) == _kink_reads(cache, radii)
+        monkeypatch.undo()
+        assert np.array_equal(
+            band.lower, volume_band(vg, [cache], np.array(radii), rel_tol=rel_tol).lower)
         self._check(vg, [cache], np.array(radii), rel_tol)
-        assert sum(points) == nodes
 
     @pytest.mark.parametrize("decay", [0.0, 0.75])
     def test_radii_on_cache_nodes(self, decay):
@@ -667,17 +681,115 @@ class TestBandAgainstPerRadiusReference:
         self._check(VGammaModel(1.5, decay), caches,
                     np.linspace(0.0, 60.0, 97), 1e-8)
 
-    @pytest.mark.parametrize("points", [1, 100, 10 ** 9])
-    def test_chunking_leaves_every_bit(self, monkeypatch, points):
-        monkeypatch.setattr(convolution, "_CHUNK_POINTS", points)
-        caches = cuspidal_interpolants([_hyperbolic_cusp()] * 2, 41.0)
-        self._check(VGammaModel(1.0, 0.5), caches,
-                    np.linspace(0.5, 40.0, 33), 1e-6)
+
+def _exact_log_convolution(vg, caches, rho: float) -> float:
+    """ln of the summed convolutions of the caches' ln F with the exact
+    ambient model at rho, by mpmath at 30 digits.  On each segment between
+    F's kinks, ln F runs linearly between the cache's values at its ends,
+    and ln F(t) + delta (rho - t) = y + mu (t - a); the substitution
+    dw = e^{mu (t - a)} dt integrates that exponential exactly and leaves
+    the bounded factor (1 + rho - t)^{-decay} to quadrature."""
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        for cache in caches:
+            lo = max(0.0, cache.t_start)
+            if rho <= lo:
+                continue
+            cuts = np.unique(np.r_[lo, rho, cache._kinks()])
+            cuts = cuts[(cuts >= lo) & (cuts <= rho)].tolist()
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                y_a, y_b = (mpmath.mpf(float(cache(x))) for x in (a, b))
+                mu = (y_b - y_a) / (mpmath.mpf(b) - a) - vg.delta
+                if mu == 0:
+                    width, at = mpmath.mpf(b) - a, (lambda w, a=a: a + w)
+                else:
+                    width = mpmath.expm1(mu * (mpmath.mpf(b) - a)) / mu
+                    at = (lambda w, a=a, mu=mu: a + mpmath.log1p(mu * w) / mu)
+                scale = mpmath.exp(y_a + vg.delta * (rho - mpmath.mpf(a)))
+                total += scale * mpmath.quad(
+                    lambda w: mpmath.power(1 + rho - at(w), -vg.decay), [0, width])
+        return float(mpmath.log(total)) if total > 0 else -INF
+
+
+class TestBandAgainstExact:
+    """The band lies in [exact, exact + rel_tol], the exact convolution by
+    mpmath quadrature; 1e-12 nats are allowed below it for rounding."""
+
+    @staticmethod
+    def _check(vg, caches, radii, rel_tol):
+        band = volume_band(vg, caches, np.array(radii), rel_tol=rel_tol)
+        for r, lower, upper in zip(radii, band.lower.tolist(),
+                                   band.upper.tolist()):
+            exact = _exact_log_convolution(vg, caches, r)
+            assert exact - 1e-12 <= lower <= exact + rel_tol, r
+            sweep = float(np.logaddexp(exact, vg.log_value(r)))
+            assert sweep - 1e-12 <= upper <= sweep + rel_tol, r
+
+    @pytest.mark.parametrize("decay", [0.0, 1.5])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+    def test_knee(self, decay, rel_tol):
+        self._check(VGammaModel(200.0, decay), [_floor_knee_cache()],
+                    [1.5, 1.55, 1.6, 2.5, 3.0], rel_tol)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.75])
+    def test_late_start(self, decay):
+        self._check(VGammaModel(1.0, decay), [_late_start_cache()],
+                    [math.nextafter(5.0, 6.0), 5.3, 17.0, 39.0], 1e-6)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.75, 8.0])
+    def test_radii_on_nodes(self, decay):
+        cache = _late_start_cache()
+        self._check(VGammaModel(1.0, decay), [cache],
+                    cache.nodes[[0, 1, 20, -1]].tolist(), 1e-6)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.05, 0.5, 1.2])
+    def test_two_cusps(self, decay):
+        caches = cuspidal_interpolants(
+            [CuspModel(catalog_profile("sparse-5.2")), _hyperbolic_cusp()],
+            31.0, rel_tol=1e-6)
+        self._check(VGammaModel(1.5, decay), caches, [0.4, 7.3, 30.0], 1e-6)
+
+
+class TestPowerKernel:
+    """The exponential sum for (1 + s)^{-k} against mpmath at 30 digits:
+    0 <= ln(sum) + k ln(1 + s) <= the derived bound <= rel_tol on a
+    dense grid of s in [0, S]."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("span", [10.0, 500.0, 13122.0, 2e6])
+    @pytest.mark.parametrize("decay", [0.05, 0.1, 0.5, 1.2, 2.5, 8.0])
+    def test_bound(self, decay, span, rel_tol):
+        log_w, rates, bound = convolution._power_kernel(
+            decay, math.log1p(span), rel_tol)
+        assert 0.0 < bound <= rel_tol
+        s = np.unique(np.r_[np.linspace(0.0, min(span, 40.0), 81),
+                            np.geomspace(1e-3, span, 80)])
+        assert s[0] == 0.0 and s[-1] == span
+        with mpmath.workdps(30):
+            terms = [(mpmath.mpf(a), mpmath.mpf(b))
+                     for a, b in zip(log_w.tolist(), rates.tolist())]
+            for x in s.tolist():
+                got = mpmath.log(mpmath.fsum(mpmath.exp(a - b * x)
+                                             for a, b in terms))
+                gap = float(got + decay * mpmath.log1p(x))
+                assert 0.0 <= gap <= bound, x
+
+    def test_decay_zero_is_one_exact_term(self):
+        log_w, rates, bound = convolution._power_kernel(0.0, math.log1p(500.0), 1e-6)
+        assert log_w.tolist() == [0.0] and rates.tolist() == [0.0]
+        assert bound == 0.0
+
+    def test_terms_set_by_the_horizon_alone(self):
+        # a wider horizon only moves the merged left tail
+        near = convolution._power_kernel(0.5, math.log1p(500.0), 1e-6)
+        far = convolution._power_kernel(0.5, math.log1p(2e6), 1e-6)
+        assert far[0].size > near[0].size
+        assert np.array_equal(near[1][:-1], far[1][:near[1].size - 1])
 
 
 def test_band_pass_memory():
-    # the band pass is chunked: its temporaries stay far below one
-    # array per radius of the run
+    # the band pass sums its terms in blocks: its temporaries stay far
+    # below one array per radius of the run
     name = "critical-infinite-5.4b"
     spec = catalog_spec(name, default_catalog_params(name))
     caches = cuspidal_interpolants(spec.cusps, 501.0,
@@ -690,6 +802,27 @@ def test_band_pass_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_deep_band_memory_does_not_grow_with_the_terms():
+    # a pure-law cusp cached to R = 20,001 (10,000 kinks) and 1,025 radii:
+    # the terms are summed a block at a time, so halving the term count
+    # leaves the peak of the band pass where it is
+    cache = CuspidalInterpolant(_hyperbolic_cusp(), 20_001.0, step=2.0)
+    radii = np.geomspace(1.0, 20_000.0, 1_025)
+    vg = VGammaModel(1.0, 0.5)
+    sizes, peaks = [], []
+    for rel_tol in (1e-6, 1e-11):
+        sizes.append(convolution._power_kernel(
+            vg.decay, math.log1p(cache.r_max - cache.t_start), rel_tol)[0].size)
+        tracemalloc.start()
+        try:
+            volume_band(vg, [cache], radii, rel_tol=rel_tol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 1.8 <= sizes[1] / sizes[0] <= 2.5
+    assert max(peaks) / min(peaks) < 1.2
 
 
 def _quadrature_band(vg, caches, r, rel_tol):

@@ -75,6 +75,9 @@ RUNS = (
                         "--M", "4"]),
     ("example-run-gamma09", ["example-run", "--name",
                              "critical-infinite-5.4b", "--gamma", "0.9"]),
+    # a deeper power-decay band: the horizon sets the kernel's terms
+    ("example-run-rmax4000", ["example-run", "--name",
+                              "critical-infinite-5.4b", "--Rmax", "4000"]),
     ("oracle-verify-rcap83", ["oracle-verify", "--Rcap", "8.3"]),
     # configuration errors, which exit 2 with a message naming the flag
     ("example-run-rmax5", ["example-run", "--Rmax", "5"]),
