@@ -526,10 +526,13 @@ def counting_band(vg: VGammaModel, cusp: CuspModel, h_y: float, r,
         raise DomainError("counting_band cusp needs a profile of one law T = e^{-ct}")
     log_spans = (np.ceil(np.log1p(np.maximum(flat, 0.0))) if vg.decay
                  else np.zeros(flat.size))
+    def f_log(u):
+        return log_orbital_parabolic(cusp, u, h_y)
+
     out = np.empty(flat.size)
     for log_span in sorted(set(log_spans.tolist())):
         at = np.flatnonzero(log_spans == log_span)
-        out[at] = _log_convolutions(
-            vg, lambda u: log_orbital_parabolic(cusp, u, h_y), 0.0,
-            np.array([2.0 * prof.t_start - h_y]), flat[at], log_span, rel_tol)
+        out[at] = _log_convolutions(vg, f_log, 0.0,
+                                    np.array([2.0 * prof.t_start - h_y]),
+                                    flat[at], log_span, rel_tol)
     return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)

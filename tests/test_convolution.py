@@ -305,8 +305,8 @@ class TestCountingBand:
     @pytest.mark.parametrize("decay", [0.0, 0.5])
     def test_against_quadrature(self, t0, h_y, decay):
         # at t0 = 3 the clamp kink 2 t0 - h_y falls inside (0, R); the
-        # segment sum is exact at decay 0, and at decay 0.5 its secants
-        # raise it by at most rel_tol nats
+        # segment sum is exact at decay 0, and at decay 0.5 its
+        # exponential sum raises it by at most rel_tol nats
         rel_tol = 1e-6
         prof = assemble_profile(CurvatureBounds(a=1.5, b=1.5, n=3),
                                 [pure_piece(t0, INF, 1.5)])
@@ -422,7 +422,7 @@ class TestVolumeBand:
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_rejects_a_bad_tolerance(self, decay, rel_tol):
         # NaN used to pass the positivity check: ignored at decay 0, a
-        # bare ValueError from the secant grid at decay > 0
+        # bare ValueError from the decay factor's grid at decay > 0
         cache = cuspidal_interpolants([_hyperbolic_cusp()], 11.0)
         with pytest.raises(DomainError, match="rel_tol"):
             volume_band(VGammaModel(1.0, decay), cache, 10.0, rel_tol=rel_tol)
@@ -860,8 +860,9 @@ class TestBandAgainstQuadrature:
     REL_TOL = 1e-6  # run_example's band tolerance
 
     def test_every_eighth_example_radius(self, example_family):
-        # the segment sum is exact up to a power-decay secant (at most
-        # rel_tol nats); Simpson stops within rel_tol of its own answer
+        # the segment sum is exact up to the power decay's exponential
+        # sum (at most rel_tol nats above); Simpson stops within rel_tol
+        # of its own answer
         spec, caches = example_family
         radii = np.linspace(1.0, 500.0, taxonomy._GRID_POINTS)[::8]
         assert radii[0] == 1.0 and radii[-1] == 500.0
