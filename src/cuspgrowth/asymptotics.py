@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .numerics import (_checked_radii, _gauss_panel_nats, _log_gauss_sums,
-                       log_add, log_integral, log_upper_gamma)
+from .numerics import (_GK_NODES, _checked_radii, _gauss_panel_nats,
+                       _log_gauss_sums, log_add, log_integral, log_upper_gamma)
 from .profiles import Profile
 
 __all__ = [
@@ -65,16 +65,14 @@ class CuspModel:
         return self.profile.bounds.n
 
 
-# Stretches of an excursion integrand this many nats below the radius's
-# total cannot move a 1e-8 relative target and are dropped.
-_NEGLIGIBLE_NATS = 46.0
-
 # Radii are cut into segments in blocks of this many, and integrated in
-# chunks of about this many panels, so that the segment and node arrays,
-# and with them peak memory, do not grow with the radius count; a chunk
-# evaluates its 17 Gauss-Kronrod nodes per panel in one array.
+# chunks of about this many Gauss-Kronrod nodes, so that the segment and
+# node arrays, and with them peak memory, do not grow with the radius
+# count.  A chunk evaluates its 17 nodes per panel in one (panels, 17)
+# array, which at 2^14 floats stays within glibc's 128 KiB mmap
+# threshold: it is served from the heap, not mapped afresh per chunk.
 _BLOCK_RADII = 256
-_CHUNK_PANELS = 256
+_CHUNK_NODES = 1 << 14
 
 # A radius whose integrand needs more panels than this raises
 # QuadratureError instead of allocating them.
@@ -94,15 +92,21 @@ def log_cuspidal(cusp: CuspModel, r, *, rel_tol: float = 1e-8) -> float | np.nda
     array of one.
 
     Each radius's interval is cut at the profile's breaks b and at 2b - R,
-    where the midpoint term crosses them.  On each smooth segment the
-    slope of the log integrand is bounded in closed form from the
-    profile's segment rows, and with it the stretches more than
-    ``_NEGLIGIBLE_NATS`` below the radius's total are dropped; the rest
-    is cut into panels across which the log integrand varies by at most
-    ``numerics._gauss_panel_nats(rel_tol)``, and each panel is summed by
-    one 17-point Gauss-Kronrod evaluation of ``numerics._log_gauss_sums``,
-    checked against its embedded 8-point Gauss-Legendre rule.  A radius that
-    misses ``rel_tol`` raises QuadratureError.
+    where the midpoint term crosses them, so that on each segment t and
+    (R + t)/2 each stay on one row of the profile's segment table.  On
+    each segment the slope of the log integrand is bounded in closed form
+    from those rows, and with it the stretches more than ln(8 / rel_tol)
+    nats below a lower bound on the radius's total, less ln(R - t_start),
+    are dropped: at most rel_tol / 8 of the total, always downward.  The
+    rest is cut into panels across which the log integrand varies by at
+    most ``numerics._gauss_panel_nats(rel_tol)``, and each panel is summed
+    by one 17-point Gauss-Kronrod evaluation of
+    ``numerics._log_gauss_sums``, checked against its embedded 8-point
+    Gauss-Legendre rule to the remaining 7/8 rel_tol.  A panel's nodes
+    read ln T through one Taylor polynomial per table row
+    (``_SegmentTable.taylor``), with logarithms only on power-law rows.
+    A radius that misses the check raises QuadratureError.  ``rel_tol``
+    must lie in (0, 1).
     """
     radii, flat = _checked_radii(r, rel_tol, "excursion")
     prof = cusp.profile
@@ -126,7 +130,7 @@ def _log_excursion_block(cusp: CuspModel, radii: np.ndarray,
             f"{panels[worst]:.0f} panels, over the budget of {_MAX_RADIUS_PANELS}")
     out = np.empty(radii.size)
     # chunk c holds the radii whose panels begin in [c, c + 1) budgets
-    chunk = (np.cumsum(panels) - panels) // _CHUNK_PANELS
+    chunk = (np.cumsum(panels) - panels) // (_CHUNK_NODES // _GK_NODES.size)
     firsts = np.flatnonzero(np.diff(chunk, prepend=-1.0))
     seg_at = np.searchsorted(segs.owner, np.arange(radii.size + 1))
     for a, b in zip(firsts, np.append(firsts[1:], radii.size)):
@@ -155,54 +159,116 @@ class _Segments(NamedTuple):
                          self.floor[sel])
 
 
-def _excursion_log_integrand(cusp: CuspModel):
-    """(n-1) (ln T(t) - ln T((R + t)/2)), for arrays t and R."""
-    prof = cusp.profile
+def _excursion_log_integrand(cusp: CuspModel, c: np.ndarray, r: np.ndarray,
+                             h: Optional[np.ndarray] = None) -> np.ndarray:
+    """f = (n-1) (ln T(t) - ln T(m)), m = (R + t)/2, for arrays c, R and h
+    of one length: at t = c + h x for the 17 Gauss-Kronrod nodes x, a
+    (len(c), 17) array, or at t = c, a (len(c), 1) array, with h None.
+
+    t stays on the table row of c, and m on that of (R + c)/2, over each
+    [c - h, c + h].  Their polynomial parts are one quartic in x
+    (``_SegmentTable.taylor``), summed by Horner; a law row's power ln t
+    is added on the rows whose power is not 0."""
+    table = cusp.profile._table
     n1 = cusp.dim - 1
+    m = 0.5 * (r + c)
+    h_m = None if h is None else 0.5 * h
+    rows_t, rows_m = table.rows_at(c), table.rows_at(m)
+    coeffs = table.taylor(rows_t, c, h)
+    coeffs -= table.taylor(rows_m, m, h_m)
+    coeffs *= n1
+    if h is None:
+        y = coeffs.T
+    else:
+        y = np.multiply.outer(coeffs[4], _GK_NODES)
+        for k in (3, 2, 1):
+            y += coeffs[k][:, None]
+            y *= _GK_NODES
+        y += coeffs[0][:, None]
+    for rows, centre, half, weight in ((rows_t, c, h, n1), (rows_m, m, h_m, -n1)):
+        power = table.power.take(rows)
+        sel = np.flatnonzero(power)
+        if sel.size == 0:
+            continue
+        nodes = centre[sel, None]
+        if half is not None:
+            nodes = nodes + np.multiply.outer(half[sel], _GK_NODES)
+        logs = np.log(nodes)
+        logs *= (weight * power[sel])[:, None]
+        if sel.size == y.shape[0]:
+            y += logs
+        else:
+            y[sel] += logs
+    return y
 
-    def f_log(t, r):
-        return n1 * (prof.log_value(t) - prof.log_value((r + t) / 2.0))
 
-    return f_log
+def _excursion_at(cusp: CuspModel, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The excursion log integrand at points t of radii R."""
+    return _excursion_log_integrand(cusp, t, r)[:, 0]
 
 
-def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
-                        rel_tol: float) -> _Segments:
-    """The smooth segments of each radius's integral, trimmed to where
-    they can carry mass, with their slope bounds and panel counts."""
-    prof = cusp.profile
+def _excursion_panels(cusp: CuspModel, lo: np.ndarray, hi: np.ndarray,
+                      r: np.ndarray) -> np.ndarray:
+    """The excursion log integrand at the 17 Gauss-Kronrod nodes of each
+    panel [lo, hi] of radius R, a (panels, 17) array; no panel may cross
+    a cut of its radius's segments."""
+    half = 0.5 * (hi - lo)
+    return _excursion_log_integrand(cusp, lo + half, r, half)
+
+
+def _segment_cuts(prof: Profile, radii: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, lo, hi) of the nonempty segments [lo, hi] of each radius's
+    [t_start, R], cut at the profile's breaks b and at 2b - R, where the
+    midpoint term (R + t)/2 crosses them."""
     t0 = prof.t_start
-    f_log = _excursion_log_integrand(cusp)
     breaks = prof.piece_breaks()
     rr = radii[:, None]
-    # the midpoint term is non-smooth where (R + t)/2 crosses a break;
     # cuts outside [t0, R] collapse onto an end and leave empty segments
     cuts = np.concatenate([np.full_like(rr, t0), rr,
                            np.broadcast_to(breaks, (rr.shape[0], breaks.size)),
                            2.0 * breaks - rr], axis=1)
     cuts = np.sort(np.clip(cuts, t0, rr), axis=1)
     owner, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
-    lo = cuts[owner, col]
-    hi = cuts[owner, col + 1]
+    return owner, cuts[owner, col], cuts[owner, col + 1]
+
+
+def _slope_bounds(cusp: CuspModel, lo: np.ndarray, hi: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest slope of the log integrand on each segment:
+    f = (n-1) (ln T(t) - ln T(m)), m = (R + t)/2, has slope
+    (n-1) (s(t) - s(m)/2) with s = (ln T)'."""
+    table = cusp.profile._table
+    least, most = table.slope_range(lo, hi)
+    m_least, m_most = table.slope_range(0.5 * (r + lo), 0.5 * (r + hi))
+    least -= 0.5 * m_most
+    most -= 0.5 * m_least
+    least *= cusp.dim - 1
+    most *= cusp.dim - 1
+    return least, most
+
+
+def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
+                        rel_tol: float) -> _Segments:
+    """The smooth segments of each radius's integral, trimmed to where
+    they can carry mass, with their slope bounds and panel counts."""
+    # the helpers' temporaries are freed before the segment ends are read,
+    # which sets this stage's peak memory
+    owner, lo, hi = _segment_cuts(cusp.profile, radii)
     r = radii[owner]
-    # f = (n-1) (ln T(t) - ln T(m)), m = (R + t)/2, has slope
-    # (n-1) (s(t) - s(m)/2) with s = (ln T)', which lies in [least, most]
-    t_least, t_most = prof._table.slope_range(lo, hi)
-    m_least, m_most = prof._table.slope_range(0.5 * (r + lo), 0.5 * (r + hi))
-    least = (cusp.dim - 1) * (t_least - 0.5 * m_most)
-    most = (cusp.dim - 1) * (t_most - 0.5 * m_least)
+    least, most = _slope_bounds(cusp, lo, hi, r)
     slope = np.maximum(np.abs(least), np.abs(most))
-    f_lo = f_log(lo, r)
-    f_hi = f_log(hi, r)
+    f_lo = _excursion_at(cusp, lo, r)
+    f_hi = _excursion_at(cusp, hi, r)
     # within d of a segment end e the integrand stays above e^{f(e) - slope d}:
     # a lower bound on each radius's total
     near = np.minimum(hi - lo, 1.0 / np.maximum(slope, 1e-300))
     low = np.maximum(f_lo, f_hi) + np.log(near) - slope * near
     firsts = np.searchsorted(owner, np.arange(radii.size))
-    # log integrand below which a radius drops at most e^{-_NEGLIGIBLE_NATS}
-    # of its total over all of [t0, R]
-    floor = (np.maximum.reduceat(low, firsts) - _NEGLIGIBLE_NATS
-             - np.log(radii - t0))[owner]
+    # log integrand below which a radius drops at most rel_tol / 8 of its
+    # total over all of [t0, R]
+    floor = (np.maximum.reduceat(low, firsts) - math.log(8.0 / rel_tol)
+             - np.log(radii - cusp.profile.t_start))[owner]
     # f(t) <= f(lo) + most (t - lo) and f(t) <= f(hi) - least (hi - t)
     with np.errstate(divide="ignore", invalid="ignore"):
         stop = np.where(most < 0.0, lo + (f_lo - floor) / -most, hi)
@@ -218,8 +284,8 @@ def _excursion_segments(cusp: CuspModel, radii: np.ndarray,
 
 def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
                    rel_tol: float) -> np.ndarray:
-    """ln F at each radius, from the radii's segments."""
-    f_log = _excursion_log_integrand(cusp)
+    """ln F at each radius, from the radii's segments; the quadrature
+    check gets the 7/8 rel_tol that the dropped stretches leave."""
     # panel k of a segment is [x_k, x_{k+1}], x_k = lo + k h, x_count = hi
     count = segs.count.astype(np.int64)
     ends = count + 1
@@ -228,7 +294,7 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
     step = (segs.hi - segs.lo) / count
     last = k == count[seg]
     x = np.where(last, segs.hi[seg], segs.lo[seg] + k * step[seg])
-    fx = f_log(x, radii[segs.owner[seg]])
+    fx = _excursion_at(cusp, x, radii[segs.owner[seg]])
     left = np.flatnonzero(~last)
     seg = seg[left]
     a, b = x[left], x[left + 1]
@@ -241,8 +307,9 @@ def _log_excursion(cusp: CuspModel, radii: np.ndarray, segs: _Segments,
     def label(g: int) -> str:
         return f"the excursion integral at R={float(radii[g])!r}"
 
-    return _log_gauss_sums(lambda t, i: f_log(t, r_kept[i][:, None]),
-                           a[keep], b[keep], owner, rel_tol=rel_tol, label=label)
+    return _log_gauss_sums(
+        lambda lo, hi, i: _excursion_panels(cusp, lo, hi, r_kept[i]),
+        a[keep], b[keep], owner, rel_tol=0.875 * rel_tol, label=label)
 
 
 def log_orbital_parabolic(cusp: CuspModel, r, h_y: float = 0.0) -> float | np.ndarray:

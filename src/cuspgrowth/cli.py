@@ -205,6 +205,9 @@ def _load_tolerances(path: Optional[str]) -> dict:
                 raise ConfigError(f"{key} must be nonnegative")
         elif value <= 0:
             raise ConfigError(f"{key} must be positive")
+    if tol["rel_tol"] >= 1.0:
+        # a relative tolerance of 1 or more asks for no digit at all
+        raise ConfigError(f"rel_tol must lie in (0, 1), got {tol['rel_tol']!r}")
     return tol
 
 

@@ -431,6 +431,9 @@ def _sorted_norms(r: float,
         if h == 0.0:
             odd_sums.append(sums[odd])
     sums = np.concatenate(walked)
+    # the batches are a second copy of the ball's largest array: free
+    # them before the sort and the tallies, which set the peak memory
+    del walked
     # the identity, walked first, counts once
     identity = sums[:1].copy()
     # in place: the ball's largest array

@@ -7,8 +7,11 @@ kernels here are deliberately small: a stable log-sum-exp, one checked
 panel rule that integrates ``exp(f)`` given only ``f`` (the 17-point
 Gauss-Kronrod extension of the 8-point Gauss-Legendre rule, checked
 against that embedded rule; ``log_integral`` for a single integral,
-``_log_gauss_sums`` for many panel groups in one array evaluation), the
-upper incomplete gamma function, and a doubling-window tail analyser.
+``_log_gauss_sums`` for many panel groups in one array evaluation, whose
+integrand reads each panel's ends and returns its 17 node values, so a
+caller may evaluate them its own way), the upper incomplete gamma
+function, and a doubling-window tail analyser.  Every relative tolerance
+must lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -72,11 +75,18 @@ def log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _check_rel_tol(rel_tol: float, what: str) -> None:
+    """Refuse a relative tolerance outside (0, 1); ``what`` names its
+    use.  At 1 or more no digit is asked for, and the excursion
+    integral's cut ln(8 / rel_tol) would fall below ln 8."""
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"{what} rel_tol must lie in (0, 1), got {rel_tol!r}")
+
+
 def _checked_radii(r, rel_tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Radii ``r`` of a scalar-or-array evaluation, as an array and
     flattened, once they and ``rel_tol`` are checked; ``what`` names it."""
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"{what} rel_tol must be finite and positive, got {rel_tol!r}")
+    _check_rel_tol(rel_tol, what)
     radii = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(radii)):
         raise DomainError(f"{what} radii r must be finite")
@@ -144,22 +154,29 @@ def _gauss_panel_nats(rel_tol: float) -> float:
     return 2.0 * (rel_tol / (4.0 * _GL_REMAINDER)) ** (1.0 / 17.0)
 
 
-def _log_kronrod(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _gauss_kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (panels, 17) Gauss-Kronrod abscissae of each panel [lo_k, hi_k]."""
+    half = 0.5 * (hi - lo)
+    return (lo + half)[:, None] + half[:, None] * _GK_NODES
+
+
+def _log_kronrod(f_log: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                  lo: np.ndarray, hi: np.ndarray, which: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """ln of the integral of exp(f_log) over each panel [lo_k, hi_k] by
     the 17-point Gauss-Kronrod rule and by its embedded 8-point
-    Gauss-Legendre rule, from one evaluation; f_log(t, which) gets the
-    (panels, 17) nodes and the original index of each panel."""
-    half = 0.5 * (hi - lo)
-    t = (lo + half)[:, None] + half[:, None] * _GK_NODES
-    y = np.asarray(f_log(t, which), dtype=float)
+    Gauss-Legendre rule, from one evaluation; f_log(lo, hi, which) gets
+    the panels and the original index of each, and returns the log
+    integrand at their (panels, 17) nodes, in ``_GK_NODES`` order, an
+    array that the sums then overwrite."""
+    y = np.asarray(f_log(lo, hi, which), dtype=float)
     if np.isnan(y).any():
         raise DomainError("log integrand returned NaN")
     with np.errstate(divide="ignore"):
-        log_half = np.log(half)
-    return (_log_weighted_sum(y + _GK_LOG_WEIGHTS) + log_half,
-            _log_weighted_sum(y[:, 1::2] + _GL_LOG_WEIGHTS) + log_half)
+        log_half = np.log(0.5 * (hi - lo))
+    coarse = _log_weighted_sum(y[:, 1::2] + _GL_LOG_WEIGHTS) + log_half
+    y += _GK_LOG_WEIGHTS
+    return _log_weighted_sum(y) + log_half, coarse
 
 
 def _log_weighted_sum(y: np.ndarray) -> np.ndarray:
@@ -190,7 +207,7 @@ def _group_logsumexp(y: np.ndarray, group: np.ndarray,
                                       minlength=first.size))
 
 
-def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
                    *, rel_tol: float,
                    label: Callable[[int], str] = "group {}".format,
@@ -199,8 +216,10 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     panels, for all groups at once.
 
     ``group`` numbers the panels 0, 1, ... in sorted order, with no
-    number skipped; f_log(t, k) evaluates the log integrand of panel k at
-    an array of its nodes, so each group may integrate its own function.
+    number skipped; f_log(lo, hi, k) returns the log integrand of each
+    panel [lo, hi], original panel k, at its 17 nodes
+    (``_gauss_kronrod_nodes``), so each group may integrate its own
+    function.
     Every panel is integrated by one 17-point Gauss-Kronrod evaluation,
     whose embedded 8-point Gauss-Legendre rule is the check.  A group
     passes when the summed magnitude of its panels' differences between
@@ -211,8 +230,7 @@ def _log_gauss_sums(f_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
     QuadratureError, naming the group by ``label``, is raised with its
     Kronrod estimate as ``log_partial``.  No value is returned unchecked.
     """
-    if not rel_tol > 0:
-        raise DomainError("rel_tol must be positive")
+    _check_rel_tol(rel_tol, "quadrature")
     if max_halvings is None:
         max_halvings = _MAX_HALVINGS
     out = np.empty(int(group[-1]) + 1)
@@ -269,6 +287,7 @@ def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
     always checked); QuadratureError, carrying the finest estimate, is
     raised there.  ``f_log`` gets a flat array of abscissae.
     """
+    _check_rel_tol(rel_tol, "integral")
     if not (hi >= lo):
         raise DomainError(f"bad integration interval [{lo}, {hi}]")
     if hi == lo:
@@ -280,7 +299,8 @@ def log_integral(f_log: Callable[[np.ndarray], np.ndarray],
     edges[:, -1] = cuts[1:]
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
 
-    def f_panels(t, _):
+    def f_panels(lo, hi, _):
+        t = _gauss_kronrod_nodes(lo, hi)
         y = np.asarray(f_log(t.ravel()), dtype=float)
         if y.shape != (t.size,):
             raise DomainError("log integrand must be vectorized over its input")

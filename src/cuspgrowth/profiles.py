@@ -333,8 +333,10 @@ class _SegmentTable(NamedTuple):
     The bridge ladder's table holds every candidate transition of a
     profile; its starts increase only within each candidate's rows.
 
-    ``read`` is the one evaluator: it reads ln T and its first two
+    ``read`` is the one point evaluator: it reads ln T and its first two
     derivatives, each point on a given row, in one gather per row kind.
+    ``taylor`` expands ln T about a point of a given row, for the
+    excursion integral's panels.
     """
     starts: np.ndarray
     cubic: np.ndarray
@@ -403,6 +405,33 @@ class _SegmentTable(NamedTuple):
         c0, c1, c2, c3 = coeffs
         integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
         return self.anchor.take(idx) + width * integ
+
+    def taylor(self, idx, c: np.ndarray, h: Optional[np.ndarray] = None
+               ) -> np.ndarray:
+        """The 5 coefficients, a (5, ...) array, of the polynomial part
+        of ln T(c + h x) in x, each expansion on row idx: the whole of a
+        cubic row's quartic, and the -rate t of a law row, whose
+        power ln t the caller adds.  Law rows read width 1, t0 0, anchor
+        0 and coefficients 0, so one formula serves both kinds, without
+        masks.  Coefficient 0 is ``read``'s value, bit for bit but for
+        the sign of a zero; with h None it alone is computed, a (1, ...)
+        array."""
+        width = self.width.take(idx)
+        u = (c - self.t0.take(idx)) / width
+        c0, c1, c2, c3 = self.coeffs.take(idx, axis=1)
+        law_rate = np.where(self.cubic, 0.0, self.rate).take(idx)
+        out = np.empty((1 if h is None else 5,) + np.shape(u))
+        # ln T = anchor + width P(u) - law_rate t, with P' the log-slope
+        # cubic; coefficient k is width P^(k)(u) s^k / k!, s = h / width
+        value = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
+        out[0] = self.anchor.take(idx) + width * value - law_rate * c
+        if h is not None:
+            s = h / width
+            out[1] = h * (c0 + u * (c1 + u * (c2 + u * c3)) - law_rate)
+            out[2] = h * s * (c1 / 2.0 + u * (c2 + u * 1.5 * c3))
+            out[3] = h * s * s * (c2 / 3.0 + u * c3)
+            out[4] = h * s * s * s * (c3 / 4.0)
+        return out
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """ln T on a float array, in any order."""
@@ -479,7 +508,7 @@ class Profile:
     starts not strictly increasing raises ProfileError there.  ln T is
     read through ``log_value``, which refuses an abscissa that is NaN,
     infinite or below the start; the certificate reads the table's
-    ``read`` in orders 0-2 and the excursion integral its
+    ``read`` in orders 0-2 and the excursion integral its ``taylor`` and
     ``slope_range``."""
     bounds: CurvatureBounds
     pieces: tuple[ProfilePiece, ...]

@@ -9,6 +9,7 @@ were derived independently before the implementation.
 import bisect
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -42,6 +43,7 @@ from cuspgrowth.profiles import (
     CATALOG_IDS,
     CatalogParams,
     CurvatureBounds,
+    Profile,
     assemble_profile,
     catalog_companions,
     catalog_profile,
@@ -206,7 +208,7 @@ class TestBatchedExcursion:
         radii = np.linspace(1.0, 500.0, 60)
         whole = log_cuspidal(cusp, radii, rel_tol=1e-8)
         monkeypatch.setattr(asymptotics, "_BLOCK_RADII", 7)
-        monkeypatch.setattr(asymptotics, "_CHUNK_PANELS", 16)
+        monkeypatch.setattr(asymptotics, "_CHUNK_NODES", 16 * 17)
         assert np.array_equal(log_cuspidal(cusp, radii, rel_tol=1e-8), whole)
 
     def test_rejects_non_finite_radius(self):
@@ -328,6 +330,99 @@ class TestExcursionAgainstMpmath:
         for r in (30.0, 200.0, 500.0):
             got = log_cuspidal(cusp, r, rel_tol=1e-10)
             assert got == pytest.approx(_mp_log_cuspidal(prof, r), abs=1e-10), r
+
+
+def _catalog_cusps(name):
+    return catalog_spec(name, default_catalog_params(name)).cusps
+
+
+class TestDerivedTruncation:
+    @pytest.mark.parametrize("name", CATALOG_IDS)
+    def test_within_rel_tol_of_mpmath(self, name):
+        # the stretches ln(8 / rel_tol) nats below the total drop at most
+        # rel_tol / 8 of it, and the check holds the rest to 7/8 rel_tol
+        for cusp in _catalog_cusps(name):
+            assert cusp.dim == 2  # the reference reads n - 1 = 1
+            for r in (30.0, 200.0):
+                ref = _mp_log_cuspidal(cusp.profile, r)
+                for rel_tol in (1e-6, 1e-8, 1e-10):
+                    got = log_cuspidal(cusp, r, rel_tol=rel_tol)
+                    assert abs(got - ref) <= rel_tol, (r, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 5.0])
+    def test_rejects_rel_tol_of_one_or_more(self, rel_tol):
+        # ln(8 / rel_tol) would keep less than the bound promises
+        with pytest.raises(DomainError, match=r"rel_tol must lie in \(0, 1\)"):
+            log_cuspidal(_pure_cusp(), 10.0, rel_tol=rel_tol)
+
+
+class TestTaylorKernel:
+    def test_panels_match_the_log_value_integrand(self, monkeypatch):
+        # all 17 nodes of every panel of the catalog-bands caches against
+        # (n-1) (ln T(t) - ln T((R + t)/2)) read through Profile.log_value
+        seen = []
+        panels = asymptotics._excursion_panels
+
+        def record(cusp, lo, hi, r):
+            y = panels(cusp, lo, hi, r)
+            # the sums overwrite y
+            seen.append((cusp, lo, hi, r, y.copy()))
+            return y
+
+        monkeypatch.setattr(asymptotics, "_excursion_panels", record)
+        cusps = [c for name in ("critical-infinite-5.4b", "exotic-div-5.3b")
+                 for c in _catalog_cusps(name)]
+        cuspidal_interpolants(cusps, 501.0, step=_CACHE_STEP, rel_tol=1e-6)
+        assert {id(c) for c, *_ in seen} == {id(c) for c in cusps}
+        checked = 0
+        for cusp, lo, hi, r, got in seen:
+            prof = cusp.profile
+            t = numerics._gauss_kronrod_nodes(lo, hi)
+            want = (cusp.dim - 1) * (prof.log_value(t)
+                                     - prof.log_value((r[:, None] + t) / 2.0))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            checked += got.size
+        assert checked > 50_000
+
+    def test_no_gauss_node_reads_log_value(self, monkeypatch):
+        cusp = _catalog_cusps("critical-infinite-5.4b")[0]
+        radii = np.linspace(1.0, 500.0, 50)
+        want = log_cuspidal(cusp, radii, rel_tol=1e-6)
+
+        def refuse(self, t):
+            raise AssertionError("the excursion kernel read Profile.log_value")
+
+        monkeypatch.setattr(Profile, "log_value", refuse)
+        assert np.array_equal(log_cuspidal(cusp, radii, rel_tol=1e-6), want)
+
+    def test_memory_does_not_grow_with_the_radius_count(self):
+        # radii are cut into segments a block at a time and integrated a
+        # chunk of nodes at a time; the peak follows a block's segment
+        # count, so the radii span one depth at both counts
+        cusp = _catalog_cusps("critical-infinite-5.4b")[0]
+        peaks = []
+        for count in (1_025, 6_561):
+            radii = np.linspace(1.0, 13_122.0, count)
+            tracemalloc.start()
+            try:
+                log_cuspidal(cusp, radii, rel_tol=1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] < 1.2
+
+    def test_catalog_bands_caches_memory(self):
+        # 1.16 MB before the Taylor kernel: the larger chunks did not
+        # raise the peak of the three caches
+        cusps = [c for name in ("critical-infinite-5.4b", "exotic-div-5.3b")
+                 for c in _catalog_cusps(name)]
+        tracemalloc.start()
+        try:
+            cuspidal_interpolants(cusps, 501.0, step=_CACHE_STEP, rel_tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_160_000
 
 
 class TestParabolicGrowth:

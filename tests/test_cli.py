@@ -577,6 +577,11 @@ class TestToleranceFile:
         with pytest.raises(ConfigError, match="must be positive"):
             self._with(tmp_path, "trend_tau=0\n")
 
+    @pytest.mark.parametrize("value", ["1", "5"])
+    def test_rel_tol_of_one_or_more_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"rel_tol must lie in \(0, 1\)"):
+            self._with(tmp_path, f"rel_tol={value}\n")
+
     def test_fit_pad_zero_allowed_negative_rejected(self, tmp_path):
         assert self._with(tmp_path, "fit_pad=0\n").tolerances["fit_pad"] == 0.0
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -634,6 +639,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: no monotone sandwiched transition on [2.0, 9.0] between "
             "(power=0.0, rate=1.0) and (power=1.0, rate=1.25)\n")
+        assert not (out / "summary.json").exists()
+
+    def test_rel_tol_of_one_or_more_is_config_error(self, tmp_path, capsys):
+        # rel_tol=5 ran every command and passed its claims
+        tol = tmp_path / "tol.cfg"
+        tol.write_text("rel_tol=5\n")
+        rc, out = _run(tmp_path, "example-run", "--name", "exotic-div-5.3b",
+                       "--tolerances", str(tol))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: rel_tol must lie in (0, 1), got 5.0\n"
         assert not (out / "summary.json").exists()
 
     def test_quadrature_miss_is_numerical_failure(self, tmp_path, capsys,
@@ -1099,19 +1114,22 @@ class TestGrowthTablesFrozen:
     # frozen from the exponential-sum band once it agreed with the secant
     # reference (tests/band_reference.py) to 1e-12 nats at decay 0 and to
     # rel_tol at a positive decay, and lay within [exact, exact + rel_tol]
-    # of the mpmath convolution: a band sum that moves by one bit
-    # changes them
+    # of the mpmath convolution; frozen again from the Taylor excursion
+    # kernel and its ln(8 / rel_tol) cut once its panel values agreed with
+    # the log_value integrand to 1e-12 and its excursion integrals with
+    # the mpmath reference to rel_tol: a band sum or an excursion value
+    # that moves by one bit changes them
     FROZEN_DIGESTS = {
         "sparse-5.2":
-            "d7301e60f420dc4ad280ec839e047900b02d8d7b7942a3005868036a2ab87b84",
+            "9d12210f20936c9abc680663593bfd0de95b1f17bf2e05c20cc525238fa263a7",
         "exotic-conv-5.3a":
-            "f01137cd66cb24373e544a983cace41550bfc87f74735e220facc6e77f740b2e",
+            "01a6e54a5a6aea33d8711f93a4a1f76846e8107e48c270f88e11c47ebdf7eb15",
         "exotic-div-5.3b":
-            "50db85eca840f1ab051a952af93c37e6bb08ed54fa73561a9df79553998a6c2d",
+            "c6e365c1a9cf6b8909bd9e7224e524aead087eaca21c559fada3500064d4e42b",
         "critical-finite-5.4a":
-            "387957460e16fc9f6fde13e0cd6370c2c4d7b022e34d885863ef0ad4d30b3006",
+            "27e9f1ca6961aa89fecb63f96e033e5d1e83c0ad844155e34b123820a82809be",
         "critical-infinite-5.4b":
-            "6d262345f1d6db6833bd367417b8856f7edd2082cea0beef1ebeeeb49e982d10",
+            "d953cbc190a6102ae98fbd424b37215da67ef38a578f69b4cd428eec2169c79e",
     }
 
     def test_every_family_at_the_default_radius(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from cuspgrowth import numerics
 from cuspgrowth.errors import DomainError, QuadratureError
 from cuspgrowth.numerics import (
+    _gauss_kronrod_nodes,
     _gauss_panel_nats,
     _log_gauss_sums,
     log_add,
@@ -85,6 +86,18 @@ class TestLogIntegral:
 
     def test_zero_width(self):
         assert log_integral(lambda t: t, 2.0, 2.0) == -math.inf
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 5.0, 0.0, -1.0, math.inf, math.nan])
+    def test_rel_tol_outside_zero_one_rejected(self, rel_tol):
+        # even where no panel would be evaluated
+        for hi in (3.0, 2.0):
+            with pytest.raises(DomainError, match=r"rel_tol must lie in \(0, 1\)"):
+                log_integral(lambda t: t, 2.0, hi, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 5.0, 0.0, math.nan])
+    def test_checked_radii_rejects_rel_tol_outside_zero_one(self, rel_tol):
+        with pytest.raises(DomainError, match=r"band rel_tol must lie in \(0, 1\)"):
+            numerics._checked_radii(np.array([1.0]), rel_tol, "band")
 
     def test_budget_exhaustion_carries_partial(self):
         with pytest.raises(QuadratureError) as exc:
@@ -168,7 +181,7 @@ class TestLogIntegralDifferential:
 
 def _exp_linear(slopes):
     """Log integrand s_k t on the panels of group k."""
-    return lambda t, k: slopes[k][:, None] * t
+    return lambda lo, hi, k: slopes[k][:, None] * _gauss_kronrod_nodes(lo, hi)
 
 
 class TestGaussSums:
@@ -263,7 +276,7 @@ class TestGaussSums:
             assert abs(rule / math.expm1(nats) - 1.0) <= rel_tol / 4.0
 
     def test_budget_exhaustion_raises_with_partial(self, monkeypatch):
-        wavy = lambda t, k: 30.0 * np.sin(t)
+        wavy = lambda lo, hi, k: 30.0 * np.sin(_gauss_kronrod_nodes(lo, hi))
         lo, hi, group = np.array([0.0]), np.array([20.0]), np.array([0])
         assert math.isfinite(_log_gauss_sums(wavy, lo, hi, group, rel_tol=1e-8)[0])
         monkeypatch.setattr(numerics, "_MAX_HALVINGS", 0)

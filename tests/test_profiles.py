@@ -732,6 +732,59 @@ class TestSegmentTable:
                     # closed form, so attained up to the sampling step
                     assert least[0] >= s.min() - 1e-6 and most[0] <= s.max() + 1e-6
 
+    @pytest.mark.parametrize("override", [{}, {"rate_fast": 3.5}, {"m": 4}],
+                             ids=["defaults", "b35", "m4"])
+    def test_taylor_matches_read(self, override):
+        # every row of every catalog profile and companion, at its start,
+        # inside it and at its end (the next start; twice its start for
+        # the last row): the quartic's coefficients 0-2, with a law row's
+        # power ln t added, are ln T and its first two derivatives, and
+        # the quartic at the panel ends x = -1, 1 is ln T there
+        families = [(name, replace(default_catalog_params(name), **override))
+                    for name in CATALOG_IDS]
+        profs = [prof for built in catalog_profiles(families) for prof in built]
+        assert len(profs) == 6
+        for prof in profs:
+            table = prof._table
+            law = ~table.cubic
+            # the columns that let one formula read both kinds of row
+            assert np.all(table.width[law] == 1.0) and not table.t0[law].any()
+            assert not table.anchor[law].any() and not table.coeffs[:, law].any()
+            ends = np.append(table.starts[1:], 2.0 * table.starts[-1])
+            rows = np.repeat(np.arange(ends.size), 3)
+            c = np.stack([table.starts, 0.5 * (table.starts + ends), ends],
+                         axis=1).ravel()
+            h = 0.125 * np.repeat(ends - table.starts, 3)
+            coeffs = table.taylor(rows, c, h)
+            power = table.power[rows]
+            law = power != 0.0
+
+            def power_log(t, order=0):
+                # the power ln t of the law rows that have one, and its
+                # derivatives; 0 elsewhere, where t may be 0
+                out = np.zeros_like(t)
+                p, x = power[law], t[law]
+                out[law] = (p * np.log(x), p / x, -p / (x * x))[order]
+                return out
+
+            jets = (coeffs[0] + power_log(c),
+                    coeffs[1] / h + power_log(c, 1),
+                    2.0 * coeffs[2] / (h * h) + power_log(c, 2))
+            for order, got in enumerate(jets):
+                want = table.read(rows, c, order)
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want))), order
+            for x in (-1.0, 1.0):
+                t = c + h * x
+                got = np.polyval(coeffs[::-1], x) + power_log(t)
+                want = table.read(rows, t)
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want))), x
+            # coefficient 0 is read's value, bit for bit but for the sign
+            # of a zero
+            value = np.where(law, coeffs[0] + power_log(c), coeffs[0])
+            assert np.array_equal(value, table.read(rows, c))
+
 
 # -- bridge ladder and validator against the exact per-candidate reference ----
 #

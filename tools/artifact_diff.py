@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
     ("profile-validate", ["profile-validate", "--name", "all"]),
     ("cusp-analyze", ["cusp-analyze", "--name", "all"]),
+    # deep excursion integrals, with many panels per radius
+    ("cusp-analyze-rmax4000", ["cusp-analyze", "--name", "all",
+                               "--Rmax", "4000"]),
     ("lattice-classify", ["lattice-classify"]),
     ("example-run", ["example-run", "--name", "all", "--Rmax", "500"]),
     # below the sampled-claim radius: prediction claims and the
