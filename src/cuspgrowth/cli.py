@@ -163,13 +163,15 @@ class ExperimentConfig(NamedTuple):
 
 
 def _parse_kv_file(flag: str, name: str, allowed: dict) -> dict:
-    """key=value lines; '#' starts a comment; keys must be recognized."""
+    """key=value lines; '#' starts a comment; keys must be recognized,
+    each set once."""
     if not name:
         raise ConfigError(f"{flag} must name a file, got ''")
     path = Path(name)
     if not path.is_file():
         raise ConfigError(f"no such file: {path}")
     out = {}
+    set_on = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -182,6 +184,10 @@ def _parse_kv_file(flag: str, name: str, allowed: dict) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} "
                 f"(known: {', '.join(sorted(allowed))})")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set again "
+                              f"(first on line {set_on[key]})")
+        set_on[key] = lineno
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         try:

@@ -35,23 +35,6 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-def _block_logsumexp(values: np.ndarray, starts: np.ndarray,
-                     stops: np.ndarray) -> list[float]:
-    """``logsumexp`` of each slice values[starts[i]:stops[i]], bit for
-    bit; entries between one slice's stop and the next start must be
-    -inf.  Maxima and exponentials are taken on the whole array."""
-    top = np.maximum.reduceat(values, starts)
-    if np.isnan(top).any():
-        raise DomainError("NaN summand in logsumexp")
-    if (top == math.inf).any():
-        raise DomainError("+inf summand in logsumexp")
-    shift = np.where(top == NEG_INF, 0.0, top)
-    terms = np.exp(values - np.repeat(shift, np.diff(starts, append=values.size)))
-    return [m + math.log(float(np.add.reduce(terms[a:b]))) if m != NEG_INF
-            else NEG_INF
-            for m, a, b in zip(top.tolist(), starts.tolist(), stops.tolist())]
-
-
 def logsumexp(values: np.ndarray | Sequence[float]) -> float:
     """ln(sum(exp(values))) computed without overflow.
 
@@ -62,7 +45,14 @@ def logsumexp(values: np.ndarray | Sequence[float]) -> float:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         return NEG_INF
-    return _block_logsumexp(arr, np.zeros(1, np.intp), np.array([arr.size]))[0]
+    top = float(arr.max())
+    if math.isnan(top):
+        raise DomainError("NaN summand in logsumexp")
+    if top == math.inf:
+        raise DomainError("+inf summand in logsumexp")
+    if top == NEG_INF:
+        return NEG_INF
+    return top + math.log(float(np.add.reduce(np.exp(arr - top))))
 
 
 def log_add(a: float, b: float) -> float:

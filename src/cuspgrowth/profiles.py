@@ -123,12 +123,7 @@ def _law(power, rate, t, order: int = 0):
         if order == 0:
             # power ln t + (-rate t) is power ln t - rate t, bit for bit
             value = -rate * t
-            power_law = power != 0.0
-            if np.all(power_law):
-                value += power * np.log(t)
-            elif np.any(power_law):
-                value = np.where(power_law, power * np.log(t) + value, value)
-            return value
+            return np.where(power != 0.0, power * np.log(t) + value, value)
         if order == 1:
             return np.where(power == 0.0, -rate, power / t - rate)
         return np.where(power == 0.0, 0.0, -power / (t * t))
@@ -383,28 +378,25 @@ class _SegmentTable(NamedTuple):
 
     def read(self, idx, t: np.ndarray, order: int = 0) -> np.ndarray:
         """ln T (order 0) or its derivative of that order at t, each t
-        read on row idx, an array shaped like t or one row's index."""
+        read on row idx, which broadcasts to t's shape (one row's index
+        reads every t on that row)."""
+        idx = np.broadcast_to(idx, np.shape(t))
         cubic = self.cubic.take(idx)
-        if not cubic.any():
-            return _law(self.power.take(idx), self.rate.take(idx), t, order)
-        if cubic.all():
-            return self._read_cubic(idx, t, order)
         out = np.empty(np.shape(t))
-        law = ~cubic
-        out[cubic] = self._read_cubic(idx[cubic], t[cubic], order)
-        idx = idx[law]
-        out[law] = _law(self.power.take(idx), self.rate.take(idx), t[law], order)
-        return out
-
-    def _read_cubic(self, idx, t, order):
-        width = self.width.take(idx)
-        u = (t - self.t0.take(idx)) / width
-        coeffs = self.coeffs.take(idx, axis=1)
+        i = idx[cubic]
+        width = self.width.take(i)
+        u = (t[cubic] - self.t0.take(i)) / width
+        coeffs = self.coeffs.take(i, axis=1)
         if order:
-            return _cubic_derivative(coeffs, u, order, width)
-        c0, c1, c2, c3 = coeffs
-        integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
-        return self.anchor.take(idx) + width * integ
+            out[cubic] = _cubic_derivative(coeffs, u, order, width)
+        else:
+            c0, c1, c2, c3 = coeffs
+            integ = u * (c0 + u * (c1 / 2.0 + u * (c2 / 3.0 + u * c3 / 4.0)))
+            out[cubic] = self.anchor.take(i) + width * integ
+        law = ~cubic
+        i = idx[law]
+        out[law] = _law(self.power.take(i), self.rate.take(i), t[law], order)
+        return out
 
     def taylor(self, idx, c: np.ndarray, h: Optional[np.ndarray] = None
                ) -> np.ndarray:
@@ -728,7 +720,7 @@ def _sandwich(ladder: _Ladder, rows: np.ndarray) -> tuple[np.ndarray, ...]:
                          *at_roots])
     np.clip(t, lo[:, None], hi[:, None], out=t)
     t[~finite.reshape(2, -1).all(axis=0)] = np.nan
-    g = table.read(np.broadcast_to(rows[:, None], t.shape), t)
+    g = table.read(rows[:, None], t)
     left, right = _law(power[:, :, None], rate[:, :, None], t)
     return g, np.minimum(left, right), np.maximum(left, right)
 

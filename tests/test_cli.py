@@ -210,6 +210,28 @@ class TestResolveConfig:
             f"error: {flag} must name a file, got ''\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, text, key, first, again", [
+        ("--config", "command=profile-validate\nname=sparse-5.2\n"
+         "name = exotic-div-5.3b\n", "name", 2, 3),
+        ("--tolerances", "rel_tol=1e-6\n\n# looser\nrel_tol=0.5\n",
+         "rel_tol", 1, 4),
+    ])
+    def test_key_set_twice_exits_2(self, tmp_path, capsys, monkeypatch, flag,
+                                   text, key, first, again):
+        # the last value used to win without a word: a tolerance file
+        # setting rel_tol to 1e-6 and then 0.5 ran at 0.5 and exited 0
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        argv = ([flag, str(path)] if flag == "--config" else
+                ["profile-validate", "--name", "sparse-5.2", flag, str(path)])
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}:{again}: {key!r} is set again "
+            f"(first on line {first})\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     @pytest.mark.parametrize("command, message", [
         ("profile-validate --name sparse-5.2 --mu 1e30",
          "--mu has no effect: sparse-5.2 does not read it"),

@@ -8,31 +8,36 @@ import numpy as np
 import pytest
 
 from cuspgrowth import convolution, h2_oracle, taxonomy
-from cuspgrowth import (
-    CATALOG_IDS,
-    Band,
-    CurvatureBounds,
-    CuspidalInterpolant,
+from cuspgrowth.asymptotics import (
     CuspModel,
-    DomainError,
     GrowthSeries,
+    log_cuspidal,
+    log_orbital_parabolic,
+)
+from cuspgrowth.convolution import (
+    _SERIES_CUTOFF,
+    _log_exp_linear,
+    Band,
+    CuspidalInterpolant,
     VGammaModel,
-    assemble_profile,
-    catalog_profile,
-    catalog_spec,
     conv_continuous,
     conv_gauge,
     counting_band,
     cuspidal_interpolants,
-    default_catalog_params,
-    log_cuspidal,
-    log_orbital_parabolic,
-    poly_piece,
-    pure_piece,
     sandwich_check,
     volume_band,
 )
-from cuspgrowth.convolution import _SERIES_CUTOFF, _log_exp_linear
+from cuspgrowth.errors import DomainError
+from cuspgrowth.profiles import (
+    CATALOG_IDS,
+    CurvatureBounds,
+    assemble_profile,
+    catalog_profile,
+    default_catalog_params,
+    poly_piece,
+    pure_piece,
+)
+from cuspgrowth.taxonomy import catalog_spec
 
 import band_reference
 

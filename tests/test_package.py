@@ -1,5 +1,6 @@
 """Package metadata against the code: the test extra covers what the
-tests import, and the public names resolve where they are exported."""
+tests import, and each public name resolves in the module that exports
+it, the package's one path to it."""
 
 import ast
 import importlib
@@ -13,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
-import cuspgrowth
+import cuspgrowth.profiles
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
 INIT = Path(cuspgrowth.__file__)
-SOURCES = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
+SOURCES = sorted(INIT.parent.glob("*.py"))
 
 
 def _top_level_imports(path: Path) -> set[str]:
@@ -54,15 +55,6 @@ def _modules():
             for info in pkgutil.iter_modules(cuspgrowth.__path__)]
 
 
-def _package_imports() -> dict[str, list[str]]:
-    """Module name -> the names ``cuspgrowth/__init__.py`` imports from it."""
-    imports = {}
-    for node in ast.parse(INIT.read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imports[node.module] = [alias.name for alias in node.names]
-    return imports
-
-
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.__name__)
 def test_every_all_entry_resolves(module):
     missing = [name for name in getattr(module, "__all__", ())
@@ -70,11 +62,57 @@ def test_every_all_entry_resolves(module):
     assert not missing
 
 
-@pytest.mark.parametrize("module, names", sorted(_package_imports().items()),
-                         ids=sorted(_package_imports()))
-def test_package_reexports_only_declared_names(module, names):
-    declared = importlib.import_module(f"cuspgrowth.{module}").__all__
-    assert [name for name in names if name not in declared] == []
+@pytest.mark.parametrize("module", [m for m in _modules() if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_package_reexports_only_declared_names(module):
+    # any object the package binds from a module is one the module
+    # declares; submodules the package holds as attributes are not names
+    declared = module.__all__
+    bound = [name for name, obj in vars(cuspgrowth).items()
+             if not name.startswith("_") and not isinstance(obj, type(module))
+             and any(obj is value for value in vars(module).values())]
+    assert [name for name in bound if name not in declared] == []
+
+
+def test_package_init_binds_only_version():
+    # a public name has one import path, its module; the package imports
+    # nothing and binds only its version under its docstring
+    body = ast.parse(INIT.read_text()).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert isinstance(body[0].value, ast.Constant)
+    assert [target.id for target in body[1].targets] == ["__version__"]
+
+
+def test_readme_python_blocks_run():
+    # the documented import paths and calls work as written
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def _fresh_python(script: str) -> list[str]:
+    """The output lines of a script run by a fresh interpreter that
+    imports this checkout's package."""
+    paths = [str(INIT.parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_package_import_loads_no_module():
+    # importing the package alone loads none of its modules and not numpy
+    loaded = _fresh_python("\n".join([
+        "import sys",
+        "import cuspgrowth",
+        "print(sorted(name for name in sys.modules",
+        "             if name.startswith('cuspgrowth.')",
+        "             or name.split('.')[0] == 'numpy'))",
+    ]))
+    assert loaded == ["[]"]
 
 
 # The records whose construction validates stay dataclasses: a
@@ -105,17 +143,18 @@ def _classes(annotation) -> list[type]:
     return found
 
 
-def test_reexported_functions_return_reexported_types():
-    # a caller of a re-exported function can name what it gets back
-    unexported = []
-    for name in dir(cuspgrowth):
-        obj = getattr(cuspgrowth, name)
-        if not callable(obj) or isinstance(obj, type):
-            continue
-        for cls in _classes(typing.get_type_hints(obj).get("return")):
-            if (cls.__module__.startswith("cuspgrowth.")
-                    and getattr(cuspgrowth, cls.__name__, None) is not cls):
-                unexported.append(f"{name} -> {cls.__name__}")
+def test_exported_functions_return_exported_types():
+    # a caller of an exported function can import what it gets back
+    exported = [getattr(module, name) for module in _modules()
+                for name in getattr(module, "__all__", ())]
+    functions = [obj for obj in exported
+                 if callable(obj) and not isinstance(obj, type)]
+    assert functions
+    unexported = [f"{func.__module__}.{func.__name__} -> {cls.__name__}"
+                  for func in functions
+                  for cls in _classes(typing.get_type_hints(func).get("return"))
+                  if cls.__module__.startswith("cuspgrowth.")
+                  and not any(cls is obj for obj in exported)]
     assert unexported == []
 
 
@@ -144,7 +183,6 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_no_unused_imports(path):
-    # the package's __init__ imports only to re-export, so it is exempt
     assert _unused_imports(path) == []
 
 
@@ -188,7 +226,7 @@ def test_no_unread_private_definitions():
                for p in sorted((ROOT / folder).rglob("*.py"))]
     read = set().union(*(_read_names(p) for p in readers))
     unread = [f"{path.name}:{line}: {name}"
-              for path in sorted(INIT.parent.glob("*.py"))
+              for path in SOURCES
               for name, line in _module_private_definitions(path).items()
               if name not in read]
     assert unread == []
@@ -200,7 +238,7 @@ def test_private_definitions_have_a_reader_in_src():
     read = set().union(*(_read_names(p)
                          for p in sorted((ROOT / "src").rglob("*.py"))))
     test_only = [f"{path.name}:{line}: {name}"
-                 for path in sorted(INIT.parent.glob("*.py"))
+                 for path in SOURCES
                  for name, line in _module_private_definitions(path).items()
                  if name not in read]
     assert test_only == []
@@ -218,11 +256,8 @@ def _layer_targets() -> set[str]:
 def test_public_definitions_have_a_reader():
     # a public function or class that neither the package, nor an
     # acceptance criterion, nor the benchmark reads is library surface
-    # that only the tests keep; the package's __init__ re-exports and so
-    # reads nothing
-    readers = [p for p in sorted((ROOT / "src").rglob("*.py"))
-               if p.name != INIT.name]
-    read = set().union(*(_read_names(p) for p in readers),
+    # that only the tests keep
+    read = set().union(*(_read_names(p) for p in SOURCES),
                        _read_names(TESTS / "test_acceptance.py"),
                        _layer_targets())
     unread = [f"{path.name}:{node.lineno}: {node.name}"
@@ -248,12 +283,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)",
         "print('numpy.random' in sys.modules)",
     ])
-    paths = [str(INIT.parent.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["False", "False"]
+    assert _fresh_python(script)[-2:] == ["False", "False"]
 
 
 def test_catalog_ids_are_named_only_by_the_family_records():
@@ -269,7 +299,7 @@ def test_catalog_ids_are_named_only_by_the_family_records():
         named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in keys
-                  and any(name in node.value for name in cuspgrowth.CATALOG_IDS)]
+                  and any(name in node.value for name in cuspgrowth.profiles.CATALOG_IDS)]
     assert named == []
 
 
@@ -329,7 +359,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                     calls.setdefault(name, []).append(node)
     every = [call for named in calls.values() for call in named]
     unset = [f"{path.name}:{line}: {callee or '__call__'}({parameter})"
-             for path in SOURCES + [INIT]
+             for path in SOURCES
              for callee, parameter, position, line in _defaulted_parameters(path)
              if not any(_passes(call, parameter, position) for call in
                         (every if callee is None else calls.get(callee, ())))]

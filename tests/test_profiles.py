@@ -1486,26 +1486,32 @@ class TestClosedForm:
     def test_build_reads_no_dense_sweep(self, name):
         # The abscissae that profile rows and envelope laws are evaluated
         # at while the family is built and certified, counted at the two
-        # leaf evaluators.  Each transition reads its two ends in three
-        # orders, and twelve sandwich points on each of its chosen
-        # candidate's three rows, each three times (ln T and the two
-        # envelopes); the validator reads every row at both ends of its
-        # span in three orders, and every law row's proxy at its critical
-        # point too.
+        # evaluators: the table's ``read`` and, outside it, ``_law``.
+        # Each transition reads its two ends in three orders, and twelve
+        # sandwich points on each of its chosen candidate's three rows,
+        # each three times (ln T and the two envelopes); the validator
+        # reads every row at both ends of its span in three orders, and
+        # every law row's proxy at its critical point too.
         # A sampled certificate, ladder or sandwich would read many more.
         seen = []
-        law, cubic = profiles._law, _SegmentTable._read_cubic
+        reading = []
+        law, read = profiles._law, _SegmentTable.read
 
         def counted_law(power, rate, t, order=0):
-            seen.append(np.array(t, dtype=float).ravel())
+            if not reading:
+                seen.append(np.array(t, dtype=float).ravel())
             return law(power, rate, t, order)
 
-        def counted_cubic(self, idx, t, order):
+        def counted_read(self, idx, t, order=0):
             seen.append(np.array(t, dtype=float).ravel())
-            return cubic(self, idx, t, order)
+            reading.append(True)
+            try:
+                return read(self, idx, t, order)
+            finally:
+                reading.pop()
 
         with mock.patch.object(profiles, "_law", counted_law), \
-                mock.patch.object(_SegmentTable, "_read_cubic", counted_cubic):
+                mock.patch.object(_SegmentTable, "read", counted_read):
             built = _with_companions(name)
         transitions = sum(p.form == "bridge" for prof in built for p in prof.pieces)
         points = sum(prof._table.starts.size + 2 * len(prof.pieces) for prof in built)

@@ -7,37 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspgrowth import (
-    PINCH_EXACT,
-    PINCH_NONE,
-    PINCH_STRICT,
+from cuspgrowth.asymptotics import CuspModel, GrowthClass
+from cuspgrowth.convolution import VGammaModel
+from cuspgrowth.errors import CatalogError, ConfigError, DomainError
+from cuspgrowth.profiles import (
+    _PROFILE_READS,
     CATALOG_IDS,
-    CatalogError,
-    ConfigError,
+    CatalogParams,
     CurvatureBounds,
-    CuspModel,
-    DomainError,
-    ExampleReport,
-    GrowthClass,
-    LatticeSpec,
-    VGammaModel,
     assemble_profile,
     catalog_companions,
     catalog_profile,
-    classify_lattice,
     default_catalog_params,
+    profile_to_text,
     pure_piece,
-    quarter_pinch_gate,
-    run_example,
 )
-from cuspgrowth.profiles import _PROFILE_READS, CatalogParams, profile_to_text
 from cuspgrowth.taxonomy import (
     _CLAIMS,
     _FAMILY_READS,
     _LATTICES,
     _R_MAX_FLOOR,
+    PINCH_EXACT,
+    PINCH_NONE,
+    PINCH_STRICT,
+    ExampleReport,
+    LatticeSpec,
     _group_divergent,
     catalog_spec,
+    classify_lattice,
+    quarter_pinch_gate,
+    run_example,
 )
 
 INF = float("inf")
@@ -360,7 +359,6 @@ class TestRunExample:
         assert margulis.computed == "no prediction"
 
     def test_unknown_family_rejected(self):
-        from cuspgrowth import CatalogError
         with pytest.raises(CatalogError):
             run_example("no-such-family")
 
